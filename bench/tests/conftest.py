@@ -1,0 +1,11 @@
+"""Run with ``python -m pytest bench/tests`` from the repository root
+(tier-1's ``testpaths`` stays ``tests/``)."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
