@@ -49,7 +49,8 @@ def test_local_view_bulk_assignment(benchmark):
 
 @pytest.mark.parametrize("shape", ["face", "edge"])
 def test_ghost_pack_unpack(benchmark, shape):
-    """Packing a boundary region (the AM payload of a ghost copy)."""
+    """Gathering and scattering a boundary region (the strided half of
+    a ghost copy)."""
     def body():
         A = ndarray(np.float64, RectDomain((0, 0, 0), (64, 64, 64)))
         dom = A.domain

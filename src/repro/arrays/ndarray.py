@@ -11,8 +11,11 @@ which is exactly how the paper composes ``shared_array<ndarray<...>>``.
 
 Views (``constrict``, ``slice``, ``translate``, ``permute``) share
 storage and only rewrite the affine index map.  ``A.copy(B)`` is the
-paper's one-sided copy: intersect domains, pack at the source, transfer,
-unpack at the destination — active messages doing the remote halves.
+paper's one-sided copy: intersect domains, then move the intersection
+with RMA alone — a bulk ``copy()`` when both sides store it packed,
+otherwise an indexed get and/or put over the affine map.  Neither
+owner's CPU runs anything.  (The paper packs and unpacks in active
+messages; indexed RMA models NIC gather/scatter instead.)
 
 The ``unstrided`` specialization of the paper (matching logical and
 physical stride) corresponds here to the *affine fast path*: for
@@ -28,10 +31,11 @@ import numpy as np
 
 from repro.arrays.point import Point
 from repro.arrays.rectdomain import RectDomain
-from repro.core.world import RankState, current
+from repro.core.copy import copy as bulk_copy
+from repro.core.global_ptr import GlobalPtr
+from repro.core.world import current
 from repro.errors import BadPointer, DomainError
 from repro.gasnet import rma
-from repro.gasnet.am import am_handler
 
 
 class NdArray:
@@ -87,9 +91,21 @@ class NdArray:
         """True when the logical and physical strides match: a unit-stride
         domain laid out contiguously in row-major order (the paper's
         template specialization that skips stride arithmetic)."""
-        if any(s != 1 for s in self.domain.stride):
-            return False
+        return self._packed and all(s == 1 for s in self.domain.stride)
+
+    @property
+    def _packed(self) -> bool:
+        """The view's elements are one contiguous row-major run of the
+        allocation, starting at ``elem_base``."""
         return self.elem_strides == _row_major(self.shape)
+
+    def _ptr(self) -> GlobalPtr:
+        """Global pointer to the view's first element."""
+        return GlobalPtr(
+            self.rank,
+            self.base_offset + self.elem_base * self.dtype.itemsize,
+            self.dtype,
+        )
 
     # -- index mapping -----------------------------------------------------
     def _elem_index(self, pt: Point) -> int:
@@ -251,14 +267,13 @@ class NdArray:
         if self.is_local():
             self.local_view()[:] = value
         else:
-            block = np.full(self.shape, value, dtype=self.dtype)
-            _scatter_remote(self, self.domain, block)
+            _write(self, np.full(self.shape, value, dtype=self.dtype))
 
     def to_numpy(self) -> np.ndarray:
         """A private copy of the full contents (works remotely)."""
         if self.is_local():
             return self.local_view().copy()
-        return _pack(self, self.domain)
+        return _read(self)
 
     def from_numpy(self, arr: np.ndarray) -> None:
         """Overwrite contents from a NumPy array of matching shape."""
@@ -270,16 +285,19 @@ class NdArray:
         if self.is_local():
             self.local_view()[:] = arr
         else:
-            _scatter_remote(self, self.domain, arr)
+            _write(self, arr)
 
     # -- the one-sided copy (paper's A.copy(B)) -----------------------------
     def copy(self, src: "NdArray", event=None) -> None:
         """Copy from ``src`` into ``self`` over the domain intersection.
 
-        Fully one-sided from the caller's perspective: neither owner needs
-        to cooperate beyond servicing active messages.  Packing, transfer
-        and unpacking are automatic, including for strided/sliced views —
-        the single-statement ghost update of the paper:
+        Fully one-sided: RMA only, so neither owner's CPU executes
+        anything and no active message is sent.  Where both arrays store
+        the intersection packed it moves as one bulk ``copy()`` (one
+        memcpy, one segment lock); strided, sliced or permuted sides are
+        gathered / scattered with one indexed RMA op each, the bytes
+        reinterpreted if the dtypes differ — the single-statement ghost
+        update of the paper:
 
         ``A.constrict(ghost_domain).copy(B)``
         """
@@ -291,8 +309,11 @@ class NdArray:
         try:
             if inter.is_empty:
                 return
-            block = _pack(src, inter)
-            _unpack(self, inter, block)
+            s, d = src.constrict(inter), self.constrict(inter)
+            if s._packed and d._packed:
+                bulk_copy(s._ptr(), d._ptr(), inter.size)
+            else:
+                _write(d, _read(s).view(self.dtype))
         finally:
             if event is not None:
                 event.decref()
@@ -360,80 +381,36 @@ def ARRAY(dtype, domain_spec) -> NdArray:
 
 
 # ---------------------------------------------------------------------------
-# pack / unpack engine (vectorized gather/scatter over the affine map)
+# one-sided gather / scatter of a whole view over the affine map
 # ---------------------------------------------------------------------------
 
-def _flat_indices(arr: NdArray, dom: RectDomain) -> np.ndarray:
-    """Element indices (into the allocation) of ``dom``'s points, shaped
-    ``dom.shape`` — computed with broadcasting, no Python point loop."""
-    idx = np.full(dom.shape, arr.elem_base, dtype=np.int64)
-    for d in range(dom.dim):
-        steps = (
-            np.arange(dom.shape[d], dtype=np.int64) * dom.stride[d]
-            + (dom.lb[d] - arr.domain.lb[d])
-        ) // arr.domain.stride[d]
-        shape = [1] * dom.dim
-        shape[d] = dom.shape[d]
-        idx += steps.reshape(shape) * arr.elem_strides[d]
-    return idx
+def _flat_indices(arr: NdArray) -> np.ndarray:
+    """Element indices (into the allocation) of ``arr``'s points in
+    row-major order — computed with broadcasting, no Python point loop."""
+    idx = np.full(arr.shape, arr.elem_base, dtype=np.int64)
+    for d, (n, es) in enumerate(zip(arr.shape, arr.elem_strides)):
+        shape = [1] * arr.ndim
+        shape[d] = n
+        idx += (np.arange(n, dtype=np.int64) * es).reshape(shape)
+    return idx.reshape(-1)
 
 
-def _pack_local(ctx: RankState, arr: NdArray, dom: RectDomain) -> np.ndarray:
-    """Owner-side gather of ``dom`` into a contiguous block."""
-    flat = rma.local_view(ctx, arr.base_offset, arr.dtype, arr.alloc_elems)
-    return flat[_flat_indices(arr, dom)].copy()
+def _read(arr: NdArray) -> np.ndarray:
+    """The contents of ``arr`` (wherever it lives) as a private block of
+    ``arr.shape``: one get if the view is packed, else one indexed get."""
+    if arr._packed:
+        flat = arr._ptr().get(arr.size)
+    else:
+        flat = rma.get_indexed(current(), arr.rank, arr.base_offset,
+                               arr.dtype, _flat_indices(arr))
+    return flat.reshape(arr.shape)
 
 
-def _unpack_local(ctx: RankState, arr: NdArray, dom: RectDomain,
-                  block: np.ndarray) -> None:
-    """Owner-side scatter of a contiguous block into ``dom``."""
-    flat = rma.local_view(ctx, arr.base_offset, arr.dtype, arr.alloc_elems)
-    flat[_flat_indices(arr, dom)] = block
-
-
-@am_handler("nd_pack")
-def _nd_pack_handler(ctx: RankState, am) -> None:
-    arr, dom = am.args
-    with ctx._activate():
-        block = _pack_local(ctx, arr, dom)
-    ctx.reply(am, payload=block)
-
-
-@am_handler("nd_unpack")
-def _nd_unpack_handler(ctx: RankState, am) -> None:
-    arr, dom = am.args
-    block = np.asarray(am.payload).reshape(dom.shape)
-    with ctx._activate():
-        _unpack_local(ctx, arr, dom, block)
-    ctx.reply(am, args=("ok",))
-
-
-def _pack(src: NdArray, dom: RectDomain) -> np.ndarray:
-    """Gather ``dom`` from ``src`` wherever it lives."""
-    ctx = current()
-    if src.rank == ctx.rank:
-        ctx.stats.record_local()
-        return _pack_local(ctx, src, dom)
-    fut = ctx.send_am(
-        src.rank, "nd_pack", args=(src, dom), expect_reply=True
-    )
-    _args, payload = fut.get()
-    return np.asarray(payload).reshape(dom.shape)
-
-
-def _unpack(dst: NdArray, dom: RectDomain, block: np.ndarray) -> None:
-    """Scatter a block into ``dst`` wherever it lives."""
-    ctx = current()
-    if dst.rank == ctx.rank:
-        ctx.stats.record_local()
-        _unpack_local(ctx, dst, dom, block)
-        return
-    fut = ctx.send_am(
-        dst.rank, "nd_unpack", args=(dst, dom),
-        payload=np.ascontiguousarray(block), expect_reply=True,
-    )
-    fut.get()
-
-
-def _scatter_remote(dst: NdArray, dom: RectDomain, block: np.ndarray) -> None:
-    _unpack(dst, dom, np.asarray(block, dtype=dst.dtype))
+def _write(arr: NdArray, block: np.ndarray) -> None:
+    """Overwrite ``arr`` (wherever it lives) with ``block``: one put if
+    the view is packed, else one indexed put."""
+    if arr._packed:
+        arr._ptr().put(block)
+    else:
+        rma.put_indexed(current(), arr.rank, arr.base_offset,
+                        _flat_indices(arr), block)

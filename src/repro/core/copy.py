@@ -6,11 +6,18 @@ global pointers; ``async_copy`` is its non-blocking form, completed by
 "handle-less" model the LULESH port praises) or by an event registered
 per operation.
 
-In the SMP conduit the data movement itself is immediate (shared
-memory), but the completion bookkeeping — handles, events, the fence —
-is identical to the real runtime, so programs written against the
-non-blocking API have the same structure and the same stats profile the
-performance model consumes.
+The bytes move exactly once, under exactly one segment lock — the
+*remote* end's.  The initiator's own end is its unlocked owner-side view
+(the paper's local pointer, relaxed model of §III-F): a local source is
+handed to the put as a live view, a local destination is what the get
+reads into.  Only a third-party copy (both ends remote) stages the data,
+as a get followed by a put.
+
+On the shared-memory conduits the data movement itself is immediate, but
+the completion bookkeeping — handles, events, the fence — is identical
+to the real runtime, so programs written against the non-blocking API
+have the same structure and the same stats profile the performance model
+consumes.
 """
 
 from __future__ import annotations
@@ -82,9 +89,23 @@ def _transfer(src: GlobalPtr, dst: GlobalPtr, count: int) -> int:
     if count == 0:
         return 0
     ctx = current()
-    data = rma.get(ctx, src.rank, src.offset, src.dtype, count)
-    rma.put(ctx, dst.rank, dst.offset, data.view(dst.dtype))
-    return data.nbytes
+    # Byte views: equal itemsize was checked above, so the reinterpreting
+    # cast is free and no alignment is demanded of either offset.
+    nbytes = count * src.dtype.itemsize
+    if src.rank == ctx.rank:
+        # local -> remote, or local -> local (the put then runs on our
+        # own segment, overlap-safe like memmove)
+        ctx.stats.record_local()
+        rma.put(ctx, dst.rank, dst.offset,
+                rma.local_view(ctx, src.offset, np.uint8, nbytes))
+    elif dst.rank == ctx.rank:
+        ctx.stats.record_local()
+        rma.get(ctx, src.rank, src.offset, np.uint8, nbytes,
+                out=rma.local_view(ctx, dst.offset, np.uint8, nbytes))
+    else:
+        rma.put(ctx, dst.rank, dst.offset,
+                rma.get(ctx, src.rank, src.offset, np.uint8, nbytes))
+    return nbytes
 
 
 def copy(src: GlobalPtr, dst: GlobalPtr, count: int) -> None:
@@ -113,8 +134,15 @@ def async_copy(src: GlobalPtr, dst: GlobalPtr, count: int,
     if pending:
         pending[:] = [h for h in pending if not h.done()]
     pending.append(handle)
-    handle.nbytes = _transfer(src, dst, count)
-    handle._complete()
+    try:
+        handle.nbytes = _transfer(src, dst, count)
+    except BaseException:
+        # A rejected copy must not leave a never-done handle for the
+        # next fence to sit out op_timeout on.
+        pending.remove(handle)
+        raise
+    finally:
+        handle._complete()      # also releases the event's reference
     return handle
 
 

@@ -260,11 +260,12 @@ class ChaosConduit(Conduit):
             self._raise_fault("put", src, dst, when)
 
     def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
+                dtype: np.dtype, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
         when = self._fault_point("get", src, dst)
         if when == "pre":
             self._raise_fault("get", src, dst, when)
-        out = self._inner.rma_get(src, dst, offset, dtype, count)
+        out = self._inner.rma_get(src, dst, offset, dtype, count, out=out)
         if when == "post":
             self._raise_fault("get", src, dst, when)
         return out

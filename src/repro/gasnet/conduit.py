@@ -3,7 +3,10 @@
 A conduit moves bytes and active messages between ranks.  Its contracts:
 
 * ``rma_put``/``rma_get``/``rma_atomic`` are **one-sided**: they complete
-  without the target executing any code (RDMA semantics).
+  without the target executing any code (RDMA semantics).  Each is
+  atomic on its *target* segment; the initiator's side is not locked —
+  ``rma_put`` reads ``data`` and ``rma_get(out=)`` fills ``out`` as plain
+  memory, which is what lets both be owner-side segment views.
 * ``send_am`` is **asynchronous**: delivery enqueues the message at the
   target; execution happens at the target's next progress call.
 * Point-to-point AM ordering between a fixed (src, dst) pair is FIFO —
@@ -138,12 +141,21 @@ class Conduit(abc.ABC):
     @abc.abstractmethod
     def rma_put(self, src: int, dst: int, offset: int,
                 data: np.ndarray) -> None:
-        """Write ``data`` into ``dst``'s segment at ``offset``."""
+        """Write ``data`` into ``dst``'s segment at ``offset``.
+
+        ``data`` must be consumed before the call returns (every backend
+        and wrapper does: none defers or retains it), so callers may pass
+        a live view of their own segment."""
 
     @abc.abstractmethod
     def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
-        """Read ``count`` elements of ``dtype`` from ``dst``'s segment."""
+                dtype: np.dtype, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Read ``count`` elements of ``dtype`` from ``dst``'s segment.
+
+        Returns a fresh array, or — when ``out`` (writable, C-contiguous,
+        the same byte length) is given — reads straight into ``out`` and
+        returns it.  Idempotent either way, so it may be retried whole."""
 
     @abc.abstractmethod
     def rma_atomic(self, src: int, dst: int, offset: int,

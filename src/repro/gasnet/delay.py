@@ -82,8 +82,8 @@ class DelayConduit(Conduit):
     def rma_put(self, src, dst, offset, data):
         return self._inner.rma_put(src, dst, offset, data)
 
-    def rma_get(self, src, dst, offset, dtype, count):
-        return self._inner.rma_get(src, dst, offset, dtype, count)
+    def rma_get(self, src, dst, offset, dtype, count, out=None):
+        return self._inner.rma_get(src, dst, offset, dtype, count, out=out)
 
     def rma_atomic(self, src, dst, offset, dtype, op, operand):
         return self._inner.rma_atomic(src, dst, offset, dtype, op, operand)

@@ -528,9 +528,11 @@ class ReliableConduit(Conduit):
         )
 
     def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
+                dtype: np.dtype, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
         return self._retry_rma(
-            lambda: self._inner.rma_get(src, dst, offset, dtype, count),
+            lambda: self._inner.rma_get(src, dst, offset, dtype, count,
+                                        out=out),
             src=src, dst=dst, what=f"rma_get[{offset}]",
         )
 

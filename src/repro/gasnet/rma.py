@@ -11,7 +11,11 @@ import numpy as np
 
 
 def put(ctx, dst_rank: int, offset: int, data: np.ndarray) -> None:
-    """Write ``data`` to (``dst_rank``, ``offset``)."""
+    """Write ``data`` to (``dst_rank``, ``offset``).
+
+    ``data`` is consumed before the call returns, so it may be a live
+    :func:`local_view` of the caller's own segment (how ``copy()`` moves
+    its bytes in one pass)."""
     if dst_rank == ctx.rank:
         ctx.stats.record_local()
         ctx.segment.typed_write(offset, data)
@@ -19,18 +23,22 @@ def put(ctx, dst_rank: int, offset: int, data: np.ndarray) -> None:
         ctx.world.conduit.rma_put(ctx.rank, dst_rank, offset, data)
 
 
-def get(ctx, dst_rank: int, offset: int,
-        dtype: np.dtype, count: int) -> np.ndarray:
+def get(ctx, dst_rank: int, offset: int, dtype: np.dtype, count: int,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Read ``count`` elements of ``dtype`` from (``dst_rank``, ``offset``).
 
-    Always returns an owned copy (even locally) so callers can mutate the
-    result without aliasing the segment; use :func:`local_view` for
-    zero-copy owner-side access.
+    Without ``out`` the result is an owned copy (even locally), so
+    callers can mutate it without aliasing the segment.  With ``out`` —
+    a writable C-contiguous array of the same byte length, typically a
+    :func:`local_view` of the destination — the bytes land there
+    directly and ``out`` is returned.
     """
     if dst_rank == ctx.rank:
         ctx.stats.record_local()
-        return ctx.segment.typed_read(offset, dtype, count)
-    return ctx.world.conduit.rma_get(ctx.rank, dst_rank, offset, dtype, count)
+        return ctx.segment.typed_read(offset, dtype, count, out)
+    return ctx.world.conduit.rma_get(
+        ctx.rank, dst_rank, offset, dtype, count, out=out
+    )
 
 
 def atomic(ctx, dst_rank: int, offset: int, dtype: np.dtype, op, operand):

@@ -5,11 +5,14 @@ NumPy byte buffer plus a first-fit free-list allocator.  Global pointers
 (:class:`repro.core.global_ptr.GlobalPtr`) are (rank, byte-offset) pairs
 into these segments, exactly like GASNet segment-fast addressing.
 
-The segment is thread-safe: the owner thread and any peer performing
-one-sided RMA take :attr:`Segment.lock` around raw accesses.  Locking per
-access models the atomicity unit of real RDMA NICs (aligned word access);
-we make the whole put/get atomic, which is strictly stronger and therefore
-safe for the relaxed memory model in paper §III-F.
+The copying accessors (:meth:`Segment.read`/:meth:`Segment.write`, their
+typed and indexed forms, the atomics) take :attr:`Segment.lock`, so each
+conduit op is atomic on its *target* segment — stronger than the aligned
+word a real RDMA NIC guarantees, hence safe for the relaxed memory model
+of paper §III-F.  :meth:`Segment.view` is the exception: the owner's
+zero-copy view is unsynchronised, exactly like a local pointer in the
+paper, and ordering it against peers' RMA is the program's job
+(barriers, events, fences).
 """
 
 from __future__ import annotations
@@ -187,30 +190,43 @@ class Segment:
 
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """Copy ``nbytes`` out of the segment (uint8 array)."""
-        self._check_range(offset, nbytes)
-        with self.lock:
-            return self.buf[offset : offset + nbytes].copy()
+        return self.typed_read(offset, np.uint8, nbytes)
 
-    def write(self, offset: int, data: np.ndarray) -> None:
-        """Copy a byte array into the segment."""
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self._check_range(offset, raw.nbytes)
+    def write(self, offset: int, data: np.ndarray) -> int:
+        """Copy an array's bytes into the segment — one pass over the
+        data, under the lock — and return how many were written.
+        ``data`` is consumed before returning, so it may be a live view,
+        of this very segment too (an overlapping source is handled with
+        memmove semantics)."""
+        raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        self._check_range(offset, raw.size)
         with self.lock:
             self.buf[offset : offset + raw.size] = raw
+        return raw.size
 
-    def typed_read(self, offset: int, dtype: np.dtype, count: int) -> np.ndarray:
-        """Copy ``count`` elements of ``dtype`` out of the segment."""
+    typed_write = write
+
+    def typed_read(self, offset: int, dtype: np.dtype, count: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Copy ``count`` elements of ``dtype`` out of the segment, into
+        a fresh array or — one ``np.copyto`` under the lock, nothing
+        allocated — into ``out``, a writable C-contiguous array of the
+        same byte length (its dtype need not match), which is returned.
+        """
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * count
         self._check_range(offset, nbytes)
+        src = self.buf[offset : offset + nbytes]
+        if out is None:
+            with self.lock:
+                return src.copy().view(dtype)
+        if not out.flags.c_contiguous or out.nbytes != nbytes:
+            raise ValueError(
+                f"out= must be C-contiguous and {nbytes} bytes long"
+            )
         with self.lock:
-            raw = self.buf[offset : offset + nbytes].copy()
-        return raw.view(dtype)
-
-    def typed_write(self, offset: int, data: np.ndarray) -> None:
-        """Copy a typed contiguous array into the segment."""
-        arr = np.ascontiguousarray(data)
-        self.write(offset, arr.view(np.uint8).reshape(-1))
+            np.copyto(out.reshape(-1).view(np.uint8), src)
+        return out
 
     def view(self, offset: int, dtype: np.dtype, count: int) -> np.ndarray:
         """A zero-copy typed view — owner-side access only.

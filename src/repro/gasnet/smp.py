@@ -34,15 +34,14 @@ class SegmentRma:
 
     def rma_put(self, src: int, dst: int, offset: int,
                 data: np.ndarray) -> None:
-        target = self._rank(dst)
-        raw = np.ascontiguousarray(data)
-        self._rank(src).stats.record_put(raw.nbytes)
-        target.segment.typed_write(offset, raw)
+        nbytes = self._rank(dst).segment.typed_write(offset, data)
+        self._rank(src).stats.record_put(nbytes)
 
     def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int) -> np.ndarray:
+                dtype: np.dtype, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
         target = self._rank(dst)
-        out = target.segment.typed_read(offset, dtype, count)
+        out = target.segment.typed_read(offset, dtype, count, out)
         self._rank(src).stats.record_get(out.nbytes)
         return out
 

@@ -73,10 +73,11 @@ class _TracingConduit:
         self._trace._record("put", src, dst, nbytes)
         self._inner.rma_put(src, dst, offset, data)
 
-    def rma_get(self, src: int, dst: int, offset: int, dtype, count):
+    def rma_get(self, src: int, dst: int, offset: int, dtype, count,
+                out=None):
         nbytes = np.dtype(dtype).itemsize * count
         self._trace._record("get", src, dst, nbytes)
-        return self._inner.rma_get(src, dst, offset, dtype, count)
+        return self._inner.rma_get(src, dst, offset, dtype, count, out=out)
 
     def rma_atomic(self, src: int, dst: int, offset: int, dtype, op,
                    operand):

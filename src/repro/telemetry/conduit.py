@@ -85,11 +85,13 @@ class TelemetryConduit:
             tel.flight_event("rma_put", src, dst,
                              np.asarray(data).nbytes)
 
-    def rma_get(self, src: int, dst: int, offset: int, dtype, count):
+    def rma_get(self, src: int, dst: int, offset: int, dtype, count,
+                out=None):
         tel = self._rank_tel(src)
         t0 = time.perf_counter()
         try:
-            return self._inner.rma_get(src, dst, offset, dtype, count)
+            return self._inner.rma_get(src, dst, offset, dtype, count,
+                                       out=out)
         finally:
             dt = time.perf_counter() - t0
             if tel.full:

@@ -373,9 +373,9 @@ def test_inject_view_multigrid_idiom():
 
 
 def test_remote_copy_error_propagates_to_initiator():
-    """A failing remote pack (corrupt handle mapping past the segment)
-    surfaces as an exception at the *initiating* rank — the AM error
-    reply path."""
+    """A failing remote read (corrupt handle mapping past the segment)
+    surfaces as an exception at the *initiating* rank: the conduit's
+    range check on the target segment rejects the get."""
     def body():
         me = repro.myrank()
         if me == 0:

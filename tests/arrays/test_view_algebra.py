@@ -120,6 +120,20 @@ def test_view_chain_matches_reference(ops):
     assert all(run_spmd(body, ranks=1))
 
 
+def _apply(view, ref, ops):
+    for op in ops:
+        if op[0] == "constrict":
+            sub = RectDomain(Point(op[1], op[1]), Point(op[2], op[2]),
+                             Point(op[3], op[3]))
+            view, ref = view.constrict(sub), ref.constrict(sub)
+        elif op[0] == "translate":
+            off = Point(op[1], op[2])
+            view, ref = view.translate(off), ref.translate(off)
+        else:
+            view, ref = view.permute(op[1]), ref.permute(op[1])
+    return view, ref
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     axis=st.integers(0, 1),
@@ -135,17 +149,7 @@ def test_slice_after_chain_matches_reference(axis, rowcol, ops):
             A[p] = k + 100
             values[tuple(p)] = k + 100
 
-        view, ref = A, RefView(base_dom)
-        for op in ops:
-            if op[0] == "constrict":
-                sub = RectDomain(Point(op[1], op[1]), Point(op[2], op[2]),
-                                 Point(op[3], op[3]))
-                view, ref = view.constrict(sub), ref.constrict(sub)
-            elif op[0] == "translate":
-                off = Point(op[1], op[2])
-                view, ref = view.translate(off), ref.translate(off)
-            else:
-                view, ref = view.permute(op[1]), ref.permute(op[1])
+        view, ref = _apply(A, RefView(base_dom), ops)
         dom = view.domain
         if dom.is_empty:
             return True
@@ -160,3 +164,53 @@ def test_slice_after_chain_matches_reference(axis, rowcol, ops):
         return True
 
     assert all(run_spmd(body, ranks=1))
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+@settings(max_examples=15, deadline=None)
+@given(
+    dst_ops=op_strategy(),
+    src_ops=op_strategy(),
+    slice_axis=st.sampled_from([None, 0, 1]),
+    placement=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 2), (1, 1)]),
+)
+def test_copy_between_views_is_one_sided_and_exact(
+        conduit, dst_ops, src_ops, slice_axis, placement):
+    """``A'.copy(B')`` for strided / sliced / permuted / shifted views,
+    wherever the two arrays live, writes exactly what NumPy indexing
+    says it should — and rank 0, the initiator, sends no active message
+    doing it (the owners execute nothing)."""
+    dst_rank, src_rank = placement
+
+    def body():
+        if repro.myrank() == 0:
+            dom = RectDomain((0, 0), (6, 7))
+            A = ndarray(np.int64, dom, rank=dst_rank)
+            B = ndarray(np.int64, dom, rank=src_rank)
+            a_np = np.arange(42).reshape(6, 7)
+            b_np = -1 - a_np
+            A.from_numpy(a_np)
+            B.from_numpy(b_np)
+            a_view, a_ref = _apply(A, RefView(dom), dst_ops)
+            b_view, b_ref = _apply(B, RefView(dom), src_ops)
+            if slice_axis is not None and not (
+                    a_view.domain.is_empty or b_view.domain.is_empty):
+                ca = a_view.domain.lb[slice_axis]
+                cb = b_view.domain.lb[slice_axis]
+                a_view, a_ref = (a_view.slice(slice_axis, ca),
+                                 a_ref.slice(slice_axis, ca))
+                b_view, b_ref = (b_view.slice(slice_axis, cb),
+                                 b_ref.slice(slice_axis, cb))
+            want = a_np.copy()
+            for p in a_view.domain.intersect(b_view.domain):
+                want[tuple(a_ref.back(p))] = b_np[tuple(b_ref.back(p))]
+            stats = repro.current_world().ranks[0].stats
+            before = stats.snapshot()["ams_sent"]
+            a_view.copy(b_view)
+            assert stats.snapshot()["ams_sent"] == before
+            assert np.array_equal(A.to_numpy(), want)
+            assert np.array_equal(B.to_numpy(), b_np)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=3, conduit=conduit))

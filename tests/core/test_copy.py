@@ -192,3 +192,37 @@ def test_copy_handle_wait_timeout():
         return True
 
     assert all(run_spmd(body, ranks=2))
+
+
+@pytest.mark.parametrize("bad", ["null", "itemsize", "range"])
+def test_async_copy_failure_leaves_nothing_outstanding(bad):
+    """A rejected async_copy used to leave a never-done handle and a
+    held event reference, so the next fence sat out op_timeout and
+    raised CommTimeout."""
+    import time
+
+    def body():
+        if repro.myrank() == 0:
+            ctx = repro.current_world().ranks[0]
+            good = repro.allocate(0, 8, np.int64)
+            peer = repro.allocate(1, 8, np.int64)
+            src, dst, count = {
+                "null": (repro.null_ptr(np.int64), peer, 8),
+                "itemsize": (good.cast(np.int32), peer, 8),
+                "range": (good, peer, 1 << 40),
+            }[bad]
+            e = repro.Event()
+            e.incref()                      # someone else's registration
+            with pytest.raises((BadPointer, ValueError)):
+                repro.async_copy(src, dst, count, event=e)
+            assert ctx.outstanding_copies == []
+            assert e.pending() == 1
+            e.decref()
+            t0 = time.monotonic()
+            repro.async_copy_fence()
+            assert time.monotonic() - t0 < 1.0
+            assert ctx.outstanding_copies == []
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, timeout=2))
