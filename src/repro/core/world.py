@@ -439,7 +439,12 @@ class RankState:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             failure = self.world.failure
-            if failure is not None and failure[0] != self.rank:
+            # Our own failure normally unwinds this thread by itself, so
+            # it is skipped here — unless peers declared us dead while we
+            # keep running (a partitioned rank): nothing else will wake
+            # us, and waiting would sit out the whole op_timeout.
+            if failure is not None and (failure[0] != self.rank
+                                        or self.dead):
                 raise PeerFailure(failure[0], failure[1])
             progressed = self.advance()
             if pred():

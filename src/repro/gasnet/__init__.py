@@ -27,7 +27,7 @@ Two real conduits are implemented, selected via
 
 from repro.gasnet.segment import Segment
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
-from repro.gasnet.conduit import Conduit, ConduitCaps
+from repro.gasnet.conduit import Conduit, ConduitCaps, ConduitLayer
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.delay import DelayConduit
 from repro.gasnet.chaos import ChaosConduit
@@ -44,6 +44,7 @@ __all__ = [
     "handler_registry",
     "Conduit",
     "ConduitCaps",
+    "ConduitLayer",
     "SmpConduit",
     "DelayConduit",
     "ChaosConduit",

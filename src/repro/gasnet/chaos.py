@@ -34,10 +34,10 @@ import numpy as np
 
 from repro.errors import PgasError, TransientCommError
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, ConduitLayer
 
 
-class ChaosConduit(Conduit):
+class ChaosConduit(ConduitLayer):
     """Conduit wrapper + seeded drop/dup/reorder/fault/partition injection.
 
     Wraps any in-process backend (default: a fresh
@@ -78,8 +78,7 @@ class ChaosConduit(Conduit):
                 f"(inner {type(inner).__name__} has "
                 f"in_process_hooks=False)"
             )
-        self._inner = inner
-        self.world = None
+        super().__init__(inner)
         #: Test hook: when set, the next send_am raises (fault injection).
         self.fail_next_am: Exception | None = None
         self.am_drop_rate = float(am_drop_rate)
@@ -107,18 +106,6 @@ class ChaosConduit(Conduit):
         self._held: dict[tuple[int, int], ActiveMessage] = {}
         self._killed: set[int] = set()
 
-    # -- lifecycle / capability forwarding ---------------------------------
-    @property
-    def caps(self):
-        return self._inner.caps
-
-    def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
-
-    def close(self) -> None:
-        self._inner.close()
-
     # -- failure control ---------------------------------------------------
     def kill_rank(self, rank: int) -> None:
         """Sever ``rank``'s connectivity: every AM and RMA to or from it
@@ -131,7 +118,7 @@ class ChaosConduit(Conduit):
                 if rank not in k
             }
         self._log_fault("chaos_kill", rank, rank, "partitioned")
-        self._trace_control("chaos_kill", rank, rank, detail="partitioned")
+        self._emit_control("chaos_kill", rank, rank, detail="partitioned")
 
     def is_killed(self, rank: int) -> bool:
         with self._chaos_lock:
@@ -164,17 +151,6 @@ class ChaosConduit(Conduit):
             for (t_rel, kind, src, dst, detail) in self.fault_log
         ]
 
-    def _trace_control(self, kind: str, src: int, dst: int,
-                       nbytes: int = 0, detail: str = "") -> None:
-        hook = None
-        if self.world is not None:
-            hook = getattr(self.world.conduit, "trace_control", None)
-        if hook is not None:
-            try:
-                hook(kind, src, dst, nbytes, detail)
-            except Exception:  # tracing must never break the transport
-                pass
-
     def _fault_point(self, kind: str, src: int, dst: int) -> str | None:
         """Roll the RMA fault dice; returns None | "pre" | "post".
 
@@ -191,7 +167,7 @@ class ChaosConduit(Conduit):
             when = "pre" if float(self._rng.random()) < 0.5 else "post"
         self._rank(src).stats.record_chaos_fault()
         self._log_fault("chaos_fault", src, dst, f"{kind}:{when}")
-        self._trace_control("chaos_fault", src, dst, detail=f"{kind}:{when}")
+        self._emit_control("chaos_fault", src, dst, detail=f"{kind}:{when}")
         return when
 
     def _raise_fault(self, kind: str, src: int, dst: int, when: str):
@@ -205,6 +181,13 @@ class ChaosConduit(Conduit):
             exc, self.fail_next_am = self.fail_next_am, None
             raise exc
         self._encode_and_record(src, am)
+        self.deliver_encoded(src, dst, am)
+
+    def deliver_encoded(self, src: int, dst: int,
+                        am: ActiveMessage) -> None:
+        """The drop/duplicate/hold decision for one already-charged AM;
+        zero, one or two copies go on down.  Also the entry point when a
+        fault layer stacked above (e.g. DelayConduit) did the charging."""
         if src == dst:  # loopback is reliable on any real transport
             self._inner.deliver_encoded(src, dst, am)
             return
@@ -234,85 +217,30 @@ class ChaosConduit(Conduit):
         if dropped:
             self._rank(src).stats.record_chaos_drop()
             self._log_fault("chaos_drop", src, dst, am.handler)
-            self._trace_control("chaos_drop", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._emit_control("chaos_drop", src, dst, am.wire_bytes,
+                               detail=am.handler)
         if duplicated:
             self._rank(src).stats.record_chaos_dup()
             self._log_fault("chaos_dup", src, dst, am.handler)
-            self._trace_control("chaos_dup", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._emit_control("chaos_dup", src, dst, am.wire_bytes,
+                               detail=am.handler)
         if held_now:
             self._rank(src).stats.record_chaos_reorder()
             self._log_fault("chaos_reorder", src, dst, am.handler)
-            self._trace_control("chaos_reorder", src, dst, am.wire_bytes,
-                                detail=am.handler)
+            self._emit_control("chaos_reorder", src, dst, am.wire_bytes,
+                               detail=am.handler)
         for m in to_deliver:
             self._inner.deliver_encoded(src, dst, m)
 
     # -- one-sided RMA -----------------------------------------------------
-    def rma_put(self, src: int, dst: int, offset: int,
-                data: np.ndarray) -> None:
-        when = self._fault_point("put", src, dst)
+    def _rma(self, kind: str, fn, src: int, dst: int, *args):
+        when = self._fault_point(kind, src, dst)
         if when == "pre":
-            self._raise_fault("put", src, dst, when)
-        self._inner.rma_put(src, dst, offset, data)
+            self._raise_fault(kind, src, dst, when)
+        out = fn(src, dst, *args)
         if when == "post":
-            self._raise_fault("put", src, dst, when)
-
-    def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-        when = self._fault_point("get", src, dst)
-        if when == "pre":
-            self._raise_fault("get", src, dst, when)
-        out = self._inner.rma_get(src, dst, offset, dtype, count, out=out)
-        if when == "post":
-            self._raise_fault("get", src, dst, when)
+            # The op applied; the "completion" is lost.  For an atomic a
+            # naive retry would double-apply — exactly what the
+            # reliability layer's op-id guard must prevent.
+            self._raise_fault(kind, src, dst, when)
         return out
-
-    def rma_atomic(self, src: int, dst: int, offset: int,
-                   dtype: np.dtype, op, operand):
-        when = self._fault_point("atomic", src, dst)
-        if when == "pre":
-            self._raise_fault("atomic", src, dst, when)
-        old = self._inner.rma_atomic(src, dst, offset, dtype, op, operand)
-        if when == "post":
-            # The update applied; the "completion" is lost.  A naive
-            # retry would double-apply — exactly what the reliability
-            # layer's op-id guard must prevent.
-            self._raise_fault("atomic", src, dst, when)
-        return old
-
-    # -- indexed bulk RMA --------------------------------------------------
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
-        when = self._fault_point("put_indexed", src, dst)
-        if when == "pre":
-            self._raise_fault("put_indexed", src, dst, when)
-        self._inner.rma_put_indexed(src, dst, base, elem_offsets, data)
-        if when == "post":
-            self._raise_fault("put_indexed", src, dst, when)
-
-    def rma_get_indexed(self, src: int, dst: int, base: int,
-                        dtype: np.dtype, elem_offsets: np.ndarray
-                        ) -> np.ndarray:
-        when = self._fault_point("get_indexed", src, dst)
-        if when == "pre":
-            self._raise_fault("get_indexed", src, dst, when)
-        out = self._inner.rma_get_indexed(src, dst, base, dtype, elem_offsets)
-        if when == "post":
-            self._raise_fault("get_indexed", src, dst, when)
-        return out
-
-    def rma_atomic_batch(self, src: int, dst: int, base: int,
-                         dtype: np.dtype, elem_offsets: np.ndarray,
-                         op, operands, return_old: bool = False):
-        when = self._fault_point("atomic_batch", src, dst)
-        if when == "pre":
-            self._raise_fault("atomic_batch", src, dst, when)
-        old = self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-        if when == "post":
-            self._raise_fault("atomic_batch", src, dst, when)
-        return old

@@ -25,6 +25,11 @@ reorders and raises :class:`~repro.errors.TransientCommError` from RMA)
 must be wrapped in :class:`~repro.gasnet.reliability.ReliableConduit`,
 which restores the contract with sequence numbers, acks/retransmit,
 bounded RMA retry, and op-id-guarded exactly-once atomics.
+
+Those wrappers — and the telemetry and trace ones — are
+:class:`ConduitLayer` subclasses: the contract is written out twice in
+this file (abstract in :class:`Conduit`, forwarding in
+:class:`ConduitLayer`) and nowhere else outside the backends.
 """
 
 from __future__ import annotations
@@ -213,3 +218,162 @@ class Conduit(abc.ABC):
                 src, dst, base + int(off) * dtype.itemsize, dtype, fn, ops[k]
             )
         return old if return_old else None
+
+
+def rma_extent(kind: str, args: tuple) -> tuple[int, int | None]:
+    """``(nbytes, elems)`` moved by one RMA op, from the arguments that
+    follow ``src, dst`` in its signature (what :meth:`ConduitLayer._rma`
+    receives as ``*args``).  ``elems`` is the index-vector length of the
+    indexed bulk ops and ``None`` for the scalar ones.  Only the
+    observing layers (trace, telemetry) pay for this."""
+    if kind == "put":
+        return np.asarray(args[1]).nbytes, None
+    if kind == "get":
+        return np.dtype(args[1]).itemsize * args[2], None
+    if kind == "atomic":
+        return np.dtype(args[1]).itemsize, None
+    if kind == "put_indexed":
+        return np.asarray(args[2]).nbytes, np.asarray(args[1]).size
+    # get_indexed and atomic_batch: (base, dtype, elem_offsets, ...)
+    n = np.asarray(args[2]).size
+    return np.dtype(args[1]).itemsize * n, n
+
+
+class ConduitLayer(Conduit):
+    """A conduit that decorates another one, ``self._inner``.
+
+    Everything a layer would otherwise repeat lives here, so a subclass
+    overrides only what it changes and a contract change (a new RMA
+    argument, say) touches this class and the backends — not each layer:
+
+    * **forwarding** — ``world``/``caps``/``attach``/``close``/
+      ``send_am``/``deliver_encoded`` go to the inner conduit, and any
+      other attribute (``fail_next_am``, ``kill_rank``, ``cfg``,
+      ``fault_events``, ...) is reached through :meth:`__getattr__`,
+      so test hooks and inner-layer knobs work through the whole stack.
+    * **RMA** — the six ``rma_*`` ops are declared once, each funnelling
+      into the single around-hook :meth:`_rma`.
+    * **control events** — :meth:`_emit_control` reports an event the
+      application never sees (a retransmit, an injected drop) to the
+      *outermost* conduit; :meth:`trace_control` is the receiving half:
+      :meth:`_on_control` for this layer, then on down the chain.
+
+    Layers compose by wrapping (``Telemetry(Reliable(Chaos(smp)))``);
+    the ``_inner`` chain is the one composition mechanism, which
+    :class:`~repro.gasnet.trace.Trace` splices at run time and foreign
+    decorators may sit in — so nothing here assumes its neighbours are
+    ``ConduitLayer`` instances.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.world = getattr(inner, "world", None)
+
+    # -- forwarding --------------------------------------------------------
+    @property
+    def caps(self):
+        # ``Conduit.caps`` is a class attribute and would shadow
+        # __getattr__ delegation: forward explicitly so capability checks
+        # see through the stack.
+        return self._inner.caps
+
+    def attach(self, world) -> None:
+        self.world = world
+        self._inner.attach(world)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def __getattr__(self, name):
+        # Dunder probes (copy, pickle) and a missing ``_inner`` (an
+        # instance made without __init__, as copy.copy does) must fail
+        # here rather than recurse.
+        if name.startswith("__") or name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    # -- active messages ---------------------------------------------------
+    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
+        self._inner.send_am(src, dst, am)
+
+    def deliver_encoded(self, src: int, dst: int,
+                        am: ActiveMessage) -> None:
+        """Pass an already-charged AM down.  A layer that overrides this
+        must not encode or record again: that happened once, in the
+        ``send_am`` of whichever layer made the send decision."""
+        self._inner.deliver_encoded(src, dst, am)
+
+    # -- one-sided RMA: six signatures, one hook ---------------------------
+    def _rma(self, kind: str, fn, src: int, dst: int, *args):
+        """Around-hook for every RMA op: ``fn`` is the inner conduit's
+        bound method for ``kind`` (``"put"``, ``"get"``, ``"atomic"``,
+        ``"put_indexed"``, ``"get_indexed"``, ``"atomic_batch"``) and
+        ``args`` what follows ``src, dst`` in its signature."""
+        return fn(src, dst, *args)
+
+    def rma_put(self, src: int, dst: int, offset: int,
+                data: np.ndarray) -> None:
+        return self._rma("put", self._inner.rma_put, src, dst, offset, data)
+
+    def rma_get(self, src: int, dst: int, offset: int,
+                dtype: np.dtype, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        return self._rma("get", self._inner.rma_get, src, dst, offset,
+                         dtype, count, out)
+
+    def rma_atomic(self, src: int, dst: int, offset: int,
+                   dtype: np.dtype, op, operand):
+        return self._rma("atomic", self._inner.rma_atomic, src, dst,
+                         offset, dtype, op, operand)
+
+    def rma_put_indexed(self, src: int, dst: int, base: int,
+                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
+        return self._rma("put_indexed", self._inner.rma_put_indexed,
+                         src, dst, base, elem_offsets, data)
+
+    def rma_get_indexed(self, src: int, dst: int, base: int,
+                        dtype: np.dtype, elem_offsets: np.ndarray
+                        ) -> np.ndarray:
+        return self._rma("get_indexed", self._inner.rma_get_indexed,
+                         src, dst, base, dtype, elem_offsets)
+
+    def rma_atomic_batch(self, src: int, dst: int, base: int,
+                         dtype: np.dtype, elem_offsets: np.ndarray,
+                         op, operands, return_old: bool = False):
+        return self._rma("atomic_batch", self._inner.rma_atomic_batch,
+                         src, dst, base, dtype, elem_offsets, op, operands,
+                         return_old)
+
+    # -- control events ----------------------------------------------------
+    def _on_control(self, kind: str, src: int, dst: int, nbytes: int,
+                    detail: str) -> None:
+        """This layer's reaction to a control event (default: none)."""
+
+    def trace_control(self, kind: str, src: int, dst: int,
+                      nbytes: int = 0, detail: str = "") -> None:
+        """Receive a control event (retransmission, duplicate
+        suppression, injected drop, peer death, ...): handle it here,
+        then forward it down the chain so a stacked consumer (another
+        Trace, the flight recorder) sees it too.  Such traffic never
+        crosses the decorated surface, which is why it travels this way."""
+        self._on_control(kind, src, dst, nbytes, detail)
+        fwd = getattr(self._inner, "trace_control", None)
+        if fwd is not None:
+            try:
+                fwd(kind, src, dst, nbytes, detail)
+            except Exception:  # observation must never break the transport
+                pass
+
+    def _emit_control(self, kind: str, src: int, dst: int,
+                      nbytes: int = 0, detail: str = "") -> None:
+        """Report a control event from this layer to the world's
+        outermost conduit, from where :meth:`trace_control` carries it
+        down through every observer."""
+        hook = None
+        if self.world is not None:
+            hook = getattr(self.world.conduit, "trace_control", None)
+        if hook is not None:
+            try:
+                hook(kind, src, dst, nbytes, detail)
+            except Exception:  # observation must never break the transport
+                pass

@@ -29,10 +29,10 @@ import warnings
 import numpy as np
 
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, ConduitLayer
 
 
-class DelayConduit(Conduit):
+class DelayConduit(ConduitLayer):
     """Conduit wrapper + randomized, FIFO-preserving delivery delay.
 
     Wraps any conduit (default: a fresh
@@ -50,8 +50,7 @@ class DelayConduit(Conduit):
             from repro.gasnet.smp import SmpConduit
 
             inner = SmpConduit()
-        self._inner = inner
-        self.world = None
+        super().__init__(inner)
         #: Test hook: when set, the next send_am raises (fault injection).
         self.fail_next_am: Exception | None = None
         self.base_delay = base_delay
@@ -69,45 +68,19 @@ class DelayConduit(Conduit):
         )
         self._dispatcher.start()
 
-    # -- lifecycle / capability forwarding ---------------------------------
-    @property
-    def caps(self):
-        return self._inner.caps
-
-    def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
-
-    # -- one-sided RMA (pass-through) --------------------------------------
-    def rma_put(self, src, dst, offset, data):
-        return self._inner.rma_put(src, dst, offset, data)
-
-    def rma_get(self, src, dst, offset, dtype, count, out=None):
-        return self._inner.rma_get(src, dst, offset, dtype, count, out=out)
-
-    def rma_atomic(self, src, dst, offset, dtype, op, operand):
-        return self._inner.rma_atomic(src, dst, offset, dtype, op, operand)
-
-    def rma_put_indexed(self, src, dst, base, elem_offsets, data):
-        return self._inner.rma_put_indexed(src, dst, base, elem_offsets,
-                                           data)
-
-    def rma_get_indexed(self, src, dst, base, dtype, elem_offsets):
-        return self._inner.rma_get_indexed(src, dst, base, dtype,
-                                           elem_offsets)
-
-    def rma_atomic_batch(self, src, dst, base, dtype, elem_offsets,
-                         op, operands, return_old=False):
-        return self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-
     # -- conduit surface ---------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
         if self.fail_next_am is not None:
             exc, self.fail_next_am = self.fail_next_am, None
             raise exc
         self._encode_and_record(src, am)
+        self.deliver_encoded(src, dst, am)
+
+    def deliver_encoded(self, src: int, dst: int,
+                        am: ActiveMessage) -> None:
+        """Queue one already-charged AM for delayed delivery.  Also the
+        entry point when a fault layer stacked above (e.g.
+        ChaosConduit) did the charging."""
         delay = self.base_delay + float(self._rng.random()) * self.jitter
         with self._lock:
             due = time.monotonic() + delay

@@ -1100,6 +1100,11 @@ class ProcConduit(SegmentRma, Conduit):
         for p, s in self._socks.items():
             sel.register(s, selectors.EVENT_READ, p)
         open_peers = set(self._socks)
+        # One reusable receive buffer: ``recv(n)`` would allocate an
+        # n-byte object on every wake-up, however little arrived.  The
+        # parser copies what it keeps, so the buffer is free again as
+        # soon as _feed returns.
+        view = memoryview(bytearray(_RECV_CHUNK))
         try:
             while not self._closing:
                 for key, _ in sel.select(timeout=0.25):
@@ -1107,17 +1112,17 @@ class ProcConduit(SegmentRma, Conduit):
                     if peer is None:
                         return  # woken by close()
                     try:
-                        chunk = key.fileobj.recv(_RECV_CHUNK)
+                        n = key.fileobj.recv_into(view)
                     except OSError:
                         if self._closing:
                             return
-                        chunk = b""
-                    if not chunk:
+                        n = 0
+                    if not n:
                         sel.unregister(key.fileobj)
                         open_peers.discard(peer)
                         continue
                     try:
-                        self._feed(peer, chunk)
+                        self._feed(peer, view[:n])
                     except BaseException as exc:
                         if self._closing:
                             return

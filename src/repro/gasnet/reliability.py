@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.atomics import resolve_scalar
-from repro.gasnet.conduit import Conduit
+from repro.gasnet.conduit import Conduit, ConduitLayer
 
 
 @dataclass
@@ -117,7 +117,7 @@ def _control_am(handler: str, src: int, aux: int = 0) -> ActiveMessage:
     return ActiveMessage(handler=handler, src_rank=src, aux=aux)
 
 
-class ReliableConduit(Conduit):
+class ReliableConduit(ConduitLayer):
     """Wrap any conduit with sequencing, acks/retransmit, bounded RMA
     retry, exactly-once atomics, per-op deadlines, and a heartbeat
     failure detector.
@@ -133,13 +133,12 @@ class ReliableConduit(Conduit):
 
     def __init__(self, inner: Conduit,
                  config: ReliabilityConfig | None = None, **overrides):
-        self._inner = inner
+        super().__init__(inner)
         if config is None:
             config = ReliabilityConfig(**overrides)
         elif overrides:
             raise ValueError("pass either a config or keyword overrides")
         self.cfg = config
-        self.world = None
         self._rng = np.random.default_rng(config.seed)
         self._rng_lock = threading.Lock()
         # sender state
@@ -160,8 +159,7 @@ class ReliableConduit(Conduit):
 
     # -- lifecycle ---------------------------------------------------------
     def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
+        super().attach(world)
         world._reliable = self
         now = time.monotonic()
         self._last_heard = {r: now for r in range(world.n_ranks)}
@@ -180,20 +178,6 @@ class ReliableConduit(Conduit):
             self._monitor = None
         self._inner.close()
 
-    def __getattr__(self, name):
-        # Delegate extras (fail_next_am, kill_rank, ...) to the inner
-        # conduit so test hooks keep working through the wrapper.
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.__dict__["_inner"], name)
-
-    @property
-    def caps(self):
-        # The Conduit base class defines ``caps`` as a class attribute,
-        # which would shadow __getattr__ delegation — forward explicitly
-        # so capability checks see through the wrapper.
-        return self._inner.caps
-
     # -- helpers -----------------------------------------------------------
     def _deadline_for(self, now: float) -> float:
         limit = self.cfg.op_deadline
@@ -210,17 +194,6 @@ class ReliableConduit(Conduit):
     def _note_alive(self, rank: int) -> None:
         self._last_heard[rank] = time.monotonic()
 
-    def _trace_control(self, kind: str, src: int, dst: int,
-                       nbytes: int = 0, detail: str = "") -> None:
-        hook = None
-        if self.world is not None:
-            hook = getattr(self.world.conduit, "trace_control", None)
-        if hook is not None:
-            try:
-                hook(kind, src, dst, nbytes, detail)
-            except Exception:
-                pass
-
     def _check_peer(self, dst: int, what: str) -> None:
         if dst in self._dead_peers:
             raise PeerFailure(dst, RankDead(
@@ -235,7 +208,7 @@ class ReliableConduit(Conduit):
         if rank in self._dead_peers:
             return
         self._dead_peers.add(rank)
-        self._trace_control("peer_dead", rank, rank, detail=str(exc))
+        self._emit_control("peer_dead", rank, rank, detail=str(exc))
         world = self.world
         with self._tx_lock:
             doomed = [e for k, e in self._unacked.items() if e.dst == rank]
@@ -244,24 +217,33 @@ class ReliableConduit(Conduit):
         for e in doomed:
             self._fail_pending(world, e, exc)
 
+    def _reply_error(self, src: int, dst: int, am: ActiveMessage,
+                     exc: BaseException) -> None:
+        """Fail ``am`` (sent ``src`` -> ``dst``) at its initiator: when
+        it expects a reply, hand ``src`` an ``__error__`` reply carrying
+        ``exc`` as if ``dst`` had sent it; fire-and-forget AMs and
+        replies have nobody waiting and are simply dropped.  Delivered
+        directly (never encoded): _handle accepts plain frameless AMs
+        alongside thawed wire frames."""
+        if am.token is not None and not am.is_reply:
+            self.world.ranks[src].deliver(ActiveMessage(
+                handler="__reply__", src_rank=dst,
+                args=("__error__", exc),
+                token=am.token, is_reply=True,
+            ))
+
     def _fail_pending(self, world, e: _PendingAm,
                       exc: BaseException) -> None:
         world.ranks[e.src].stats.record_dead_peer_fastfail()
-        self._trace_control(
+        self._emit_control(
             "dead_peer_fastfail", e.src, e.dst,
             detail=f"{e.inner.handler} seq={e.seq}",
         )
-        if e.inner.token is not None and not e.inner.is_reply:
-            err = ActiveMessage(
-                handler="__reply__", src_rank=e.dst,
-                args=("__error__", RankDead(
-                    f"reliable conduit: AM {e.inner.handler!r} "
-                    f"{e.src}->{e.dst} abandoned: rank {e.dst} is dead "
-                    f"({exc})"
-                )),
-                token=e.inner.token, is_reply=True,
-            )
-            world.ranks[e.src].deliver(err)
+        self._reply_error(e.src, e.dst, e.inner, RankDead(
+            f"reliable conduit: AM {e.inner.handler!r} "
+            f"{e.src}->{e.dst} abandoned: rank {e.dst} is dead "
+            f"({exc})"
+        ))
 
     # -- active messages: sequencing + acks --------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
@@ -279,18 +261,12 @@ class ReliableConduit(Conduit):
             # fire-and-forget AMs are dropped.
             if self.world is not None:
                 self.world.ranks[src].stats.record_dead_peer_fastfail()
-            self._trace_control("dead_peer_fastfail", src, dst,
-                                detail=am.handler)
-            if am.token is not None and not am.is_reply:
-                err = ActiveMessage(
-                    handler="__reply__", src_rank=dst,
-                    args=("__error__", RankDead(
-                        f"reliable conduit: refusing AM {am.handler!r} "
-                        f"{src}->{dst}: rank {dst} is dead"
-                    )),
-                    token=am.token, is_reply=True,
-                )
-                self.world.ranks[src].deliver(err)
+            self._emit_control("dead_peer_fastfail", src, dst,
+                               detail=am.handler)
+            self._reply_error(src, dst, am, RankDead(
+                f"reliable conduit: refusing AM {am.handler!r} "
+                f"{src}->{dst}: rank {dst} is dead"
+            ))
             return
         now = time.monotonic()
         with self._tx_lock:
@@ -330,8 +306,8 @@ class ReliableConduit(Conduit):
             buf = self._rx_buf.setdefault(key, {})
             if seq < nxt or seq in buf:
                 ctx.stats.record_dup_am()
-                self._trace_control("dup_suppressed", src, dst,
-                                    detail=f"seq={seq}")
+                self._emit_control("dup_suppressed", src, dst,
+                                   detail=f"seq={seq}")
                 return
             buf[seq] = env.payload
             ready: list[ActiveMessage] = []
@@ -383,7 +359,7 @@ class ReliableConduit(Conduit):
                       cfg.rto_max)
             e.next_at = now + rto * self._jitter()
             world.ranks[e.src].stats.record_am_retransmit()
-            self._trace_control(
+            self._emit_control(
                 "retransmit", e.src, e.dst, e.env.wire_bytes,
                 detail=f"{e.inner.handler} seq={e.seq} try={e.attempts}",
             )
@@ -420,16 +396,8 @@ class ReliableConduit(Conduit):
             f"{e.src}->{e.dst} seq {e.seq} still unacked after "
             f"{e.attempts} retransmits; giving up"
         )
-        self._trace_control("op_timeout", e.src, e.dst, detail=diag)
-        if e.inner.token is not None and not e.inner.is_reply:
-            # Delivered directly (never encoded): _handle accepts plain
-            # frameless AMs alongside thawed wire frames.
-            err = ActiveMessage(
-                handler="__reply__", src_rank=e.dst,
-                args=("__error__", CommTimeout(diag)),
-                token=e.inner.token, is_reply=True,
-            )
-            world.ranks[e.src].deliver(err)
+        self._emit_control("op_timeout", e.src, e.dst, detail=diag)
+        self._reply_error(e.src, e.dst, e.inner, CommTimeout(diag))
 
     def _send_heartbeats(self, world) -> None:
         # Only ranks executing in this process originate pings: on the
@@ -505,8 +473,8 @@ class ReliableConduit(Conduit):
                 attempts += 1
                 if self.world is not None:
                     self.world.ranks[src].stats.record_rma_retry()
-                self._trace_control("rma_retry", src, dst,
-                                    detail=f"{what} try={attempts}")
+                self._emit_control("rma_retry", src, dst,
+                                   detail=f"{what} try={attempts}")
                 now = time.monotonic()
                 if attempts > cfg.max_retries or now >= deadline:
                     if self.world is not None:
@@ -520,39 +488,12 @@ class ReliableConduit(Conduit):
                             cfg.rto_max)
                 time.sleep(delay * self._jitter())
 
-    def rma_put(self, src: int, dst: int, offset: int,
-                data: np.ndarray) -> None:
-        self._retry_rma(
-            lambda: self._inner.rma_put(src, dst, offset, data),
-            src=src, dst=dst, what=f"rma_put[{offset}]",
-        )
-
-    def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+    def _rma(self, kind: str, fn, src: int, dst: int, *args):
+        # put/get and their indexed forms are idempotent: retry whole.
+        # (``args[0]`` is the op's byte offset/base.)
         return self._retry_rma(
-            lambda: self._inner.rma_get(src, dst, offset, dtype, count,
-                                        out=out),
-            src=src, dst=dst, what=f"rma_get[{offset}]",
-        )
-
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
-        self._retry_rma(
-            lambda: self._inner.rma_put_indexed(
-                src, dst, base, elem_offsets, data
-            ),
-            src=src, dst=dst, what=f"rma_put_indexed[{base}]",
-        )
-
-    def rma_get_indexed(self, src: int, dst: int, base: int,
-                        dtype: np.dtype, elem_offsets: np.ndarray
-                        ) -> np.ndarray:
-        return self._retry_rma(
-            lambda: self._inner.rma_get_indexed(
-                src, dst, base, dtype, elem_offsets
-            ),
-            src=src, dst=dst, what=f"rma_get_indexed[{base}]",
+            lambda: fn(src, dst, *args),
+            src=src, dst=dst, what=f"rma_{kind}[{args[0]}]",
         )
 
     # -- atomics: exactly-once under retry ---------------------------------

@@ -13,7 +13,7 @@ purposes:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -377,94 +377,21 @@ class CommStats:
         return s["put_bytes"] + s["get_bytes"] + s["am_bytes"]
 
     def snapshot(self) -> dict:
-        """An immutable copy of the counters (plain dict)."""
+        """An immutable copy of the counters (plain dict), keyed and
+        ordered as the fields are declared above."""
         with self._lock:
-            return {
-                "puts": self.puts,
-                "put_bytes": self.put_bytes,
-                "gets": self.gets,
-                "get_bytes": self.get_bytes,
-                "atomics": self.atomics,
-                "puts_indexed": self.puts_indexed,
-                "gets_indexed": self.gets_indexed,
-                "atomic_batches": self.atomic_batches,
-                "batched_elements": self.batched_elements,
-                "ams_sent": self.ams_sent,
-                "am_bytes": self.am_bytes,
-                "ams_handled": self.ams_handled,
-                "replies_sent": self.replies_sent,
-                "barriers": self.barriers,
-                "collectives": self.collectives,
-                "coll_msgs": self.coll_msgs,
-                "local_accesses": self.local_accesses,
-                "remote_accesses": self.remote_accesses,
-                "am_retransmits": self.am_retransmits,
-                "dup_ams": self.dup_ams,
-                "acks_sent": self.acks_sent,
-                "rma_retries": self.rma_retries,
-                "op_timeouts": self.op_timeouts,
-                "stale_replies": self.stale_replies,
-                "heartbeats_sent": self.heartbeats_sent,
-                "chaos_drops": self.chaos_drops,
-                "chaos_dups": self.chaos_dups,
-                "chaos_reorders": self.chaos_reorders,
-                "chaos_faults": self.chaos_faults,
-                "kv_gets": self.kv_gets,
-                "kv_puts": self.kv_puts,
-                "kv_deletes": self.kv_deletes,
-                "kv_updates": self.kv_updates,
-                "kv_multi_ops": self.kv_multi_ops,
-                "kv_batched_keys": self.kv_batched_keys,
-                "kv_cache_hits": self.kv_cache_hits,
-                "kv_cache_misses": self.kv_cache_misses,
-                "kv_repl_records": self.kv_repl_records,
-                "kv_failovers": self.kv_failovers,
-                "kv_promotions": self.kv_promotions,
-                "kv_replica_reads": self.kv_replica_reads,
-                "kv_migrations": self.kv_migrations,
-                "dead_peer_fastfails": self.dead_peer_fastfails,
-                "wire_frames": self.wire_frames,
-                "wire_fixed": self.wire_fixed,
-                "pickle_fallbacks": self.pickle_fallbacks,
-                "wire_byref": self.wire_byref,
-                "wire_ring_slots": self.wire_ring_slots,
-                "wire_ring_frames": self.wire_ring_frames,
-                "wire_ring_agg_frames": self.wire_ring_agg_frames,
-                "wire_ring_spills": self.wire_ring_spills,
-                "wire_ring_full_backoffs": self.wire_ring_full_backoffs,
-                "wire_ring_doorbells": self.wire_ring_doorbells,
-                "wire_ring_wakeups": self.wire_ring_wakeups,
-            }
+            return {name: getattr(self, name) for name in _COUNTERS}
 
     def reset(self) -> None:
         with self._lock:
-            self.puts = self.put_bytes = 0
-            self.gets = self.get_bytes = 0
-            self.atomics = 0
-            self.puts_indexed = self.gets_indexed = 0
-            self.atomic_batches = self.batched_elements = 0
-            self.ams_sent = self.am_bytes = 0
-            self.ams_handled = self.replies_sent = 0
-            self.barriers = self.collectives = self.coll_msgs = 0
-            self.local_accesses = self.remote_accesses = 0
-            self.am_retransmits = self.dup_ams = self.acks_sent = 0
-            self.rma_retries = self.op_timeouts = self.stale_replies = 0
-            self.heartbeats_sent = 0
-            self.chaos_drops = self.chaos_dups = 0
-            self.chaos_reorders = self.chaos_faults = 0
-            self.kv_gets = self.kv_puts = 0
-            self.kv_deletes = self.kv_updates = 0
-            self.kv_multi_ops = self.kv_batched_keys = 0
-            self.kv_cache_hits = self.kv_cache_misses = 0
-            self.kv_repl_records = self.kv_failovers = 0
-            self.kv_promotions = self.kv_replica_reads = 0
-            self.kv_migrations = self.dead_peer_fastfails = 0
-            self.wire_frames = self.wire_fixed = 0
-            self.pickle_fallbacks = self.wire_byref = 0
-            self.wire_ring_slots = self.wire_ring_frames = 0
-            self.wire_ring_agg_frames = self.wire_ring_spills = 0
-            self.wire_ring_full_backoffs = 0
-            self.wire_ring_doorbells = self.wire_ring_wakeups = 0
+            for name in _COUNTERS:
+                setattr(self, name, 0)
+
+
+#: Every counter field of :class:`CommStats`, in declaration order: a new
+#: counter is declared once, in the dataclass, and snapshot()/reset()/
+#: aggregate() pick it up from here.
+_COUNTERS = tuple(f.name for f in fields(CommStats) if f.name != "_lock")
 
 
 def aggregate(stats: list[CommStats]) -> dict:

@@ -9,10 +9,10 @@ A :class:`Trace` records every conduit operation of a world —
   sent exactly its 6 face neighbours, nothing else");
 * feeding per-benchmark traces to the DES for replay.
 
-Implementation: a decorating conduit installed around the world's
-conduit for the duration of a ``with`` block.  Tracing is cooperative
-and cheap (one list append per op), but not free — keep it out of
-timed regions.
+Implementation: a :class:`~repro.gasnet.conduit.ConduitLayer` installed
+around the world's conduit for the duration of a ``with`` block.
+Tracing is cooperative and cheap (one list append per op), but not
+free — keep it out of timed regions.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.gasnet.am import ActiveMessage
+from repro.gasnet.conduit import ConduitLayer, rma_extent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.world import World
@@ -48,19 +49,13 @@ class TraceEvent:
     detail: str = ""  # AM handler name, dtype, ...
 
 
-class _TracingConduit:
-    """Decorator around the world's real conduit."""
+class _TracingConduit(ConduitLayer):
+    """Layer recording every op that crosses it into its :class:`Trace`."""
 
     def __init__(self, inner, trace: "Trace"):
-        self._inner = inner
+        super().__init__(inner)
         self._trace = trace
-        self.world = inner.world
 
-    def attach(self, world) -> None:  # pragma: no cover - defensive
-        self._inner.attach(world)
-        self.world = world
-
-    # conduit surface ------------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
         self._trace._record(
             "reply" if am.is_reply else "am", src, dst, am.wire_bytes,
@@ -68,70 +63,16 @@ class _TracingConduit:
         )
         self._inner.send_am(src, dst, am)
 
-    def rma_put(self, src: int, dst: int, offset: int, data) -> None:
-        nbytes = np.asarray(data).nbytes
-        self._trace._record("put", src, dst, nbytes)
-        self._inner.rma_put(src, dst, offset, data)
+    def _rma(self, kind: str, fn, src: int, dst: int, *args):
+        nbytes, elems = rma_extent(kind, args)
+        self._trace._record(
+            kind, src, dst, nbytes,
+            detail="" if elems is None else f"{elems} elems")
+        return fn(src, dst, *args)
 
-    def rma_get(self, src: int, dst: int, offset: int, dtype, count,
-                out=None):
-        nbytes = np.dtype(dtype).itemsize * count
-        self._trace._record("get", src, dst, nbytes)
-        return self._inner.rma_get(src, dst, offset, dtype, count, out=out)
-
-    def rma_atomic(self, src: int, dst: int, offset: int, dtype, op,
-                   operand):
-        self._trace._record("atomic", src, dst,
-                            np.dtype(dtype).itemsize)
-        return self._inner.rma_atomic(src, dst, offset, dtype, op,
-                                      operand)
-
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets, data) -> None:
-        arr = np.asarray(data)
-        self._trace._record("put_indexed", src, dst, arr.nbytes,
-                            detail=f"{np.asarray(elem_offsets).size} elems")
-        self._inner.rma_put_indexed(src, dst, base, elem_offsets, data)
-
-    def rma_get_indexed(self, src: int, dst: int, base: int, dtype,
-                        elem_offsets):
-        n = np.asarray(elem_offsets).size
-        self._trace._record("get_indexed", src, dst,
-                            np.dtype(dtype).itemsize * n,
-                            detail=f"{n} elems")
-        return self._inner.rma_get_indexed(src, dst, base, dtype,
-                                           elem_offsets)
-
-    def rma_atomic_batch(self, src: int, dst: int, base: int, dtype,
-                         elem_offsets, op, operands,
-                         return_old: bool = False):
-        n = np.asarray(elem_offsets).size
-        self._trace._record("atomic_batch", src, dst,
-                            np.dtype(dtype).itemsize * n,
-                            detail=f"{n} elems")
-        return self._inner.rma_atomic_batch(
-            src, dst, base, dtype, elem_offsets, op, operands, return_old
-        )
-
-    def trace_control(self, kind: str, src: int, dst: int,
-                      nbytes: int = 0, detail: str = "") -> None:
-        """Record a reliability/chaos control event (retransmission, dup
-        suppression, injected drop, ...).  Inner conduits discover this
-        hook via ``getattr(world.conduit, "trace_control", None)`` so
-        control traffic shows up in traces even though it never crosses
-        the decorated surface.  Forwarded down the decorator chain so a
-        stacked consumer (another Trace, the telemetry flight recorder)
-        sees the event too."""
+    def _on_control(self, kind: str, src: int, dst: int, nbytes: int,
+                    detail: str) -> None:
         self._trace._record(kind, src, dst, nbytes, detail=detail)
-        fwd = getattr(self._inner, "trace_control", None)
-        if fwd is not None:
-            try:
-                fwd(kind, src, dst, nbytes, detail)
-            except Exception:  # tracing must never break the transport
-                pass
-
-    def __getattr__(self, name):  # delegate the rest (fail_next_am, ...)
-        return getattr(self._inner, name)
 
 
 class Trace:

@@ -9,6 +9,7 @@ a zombie, and post-kill rendezvous uses shared-memory flags.
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -155,10 +156,15 @@ def test_rankdead_mid_multi_put_dump_includes_victims_final_events(capsys):
 
     conduit = ChaosConduit(seed=22)
     holder["conduit"] = conduit
+    t0 = time.monotonic()
     with pytest.raises(PgasError):
         repro.spmd(body, ranks=4, conduit=conduit,
                    reliability=dict(RELIABILITY, seed=22),
                    telemetry="flight", timeout=30.0)
+    # Prompt failure: the parked victim must unwind once it is declared
+    # dead (peer_timeout), not sit out its op_timeout.
+    elapsed = time.monotonic() - t0
+    assert elapsed < RELIABILITY["peer_timeout"] + 3.0, elapsed
     err = capsys.readouterr().err
     assert "FLIGHT RECORDER DUMP" in err
     assert f"rank {victim}" in err

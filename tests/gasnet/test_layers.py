@@ -1,0 +1,175 @@
+"""The conduit-layer contract: what every layer inherits from
+:class:`~repro.gasnet.conduit.ConduitLayer` and must not break.
+
+* the seven ops keep ``Conduit``'s signatures on every layer and
+  backend (an argument added to the contract is added in one place);
+* a layer that overrides nothing is transparent anywhere in the stack —
+  ops, attribute forwarding and all;
+* stacked fault layers charge the sender's counters once per AM.
+"""
+
+from __future__ import annotations
+
+import copy
+import inspect
+
+import numpy as np
+import pytest
+
+import repro
+from repro.gasnet import (
+    ChaosConduit,
+    Conduit,
+    ConduitLayer,
+    DelayConduit,
+    ProcConduit,
+    ReliableConduit,
+    SmpConduit,
+    Trace,
+)
+from repro.gasnet.trace import _TracingConduit
+from repro.telemetry.conduit import TelemetryConduit
+from tests.conftest import run_spmd
+
+OPS = ("send_am", "rma_put", "rma_get", "rma_atomic", "rma_put_indexed",
+       "rma_get_indexed", "rma_atomic_batch")
+LAYERS = (ConduitLayer, _TracingConduit, TelemetryConduit, ReliableConduit,
+          ChaosConduit, DelayConduit)
+BACKENDS = (SmpConduit, ProcConduit)
+
+
+@pytest.mark.parametrize("cls", LAYERS + BACKENDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("op", OPS)
+def test_op_signatures_match_the_contract(cls, op):
+    assert (inspect.signature(getattr(cls, op))
+            == inspect.signature(getattr(Conduit, op)))
+
+
+def test_layers_are_conduits():
+    smp = SmpConduit()
+    assert isinstance(TelemetryConduit(smp, telemetry=None), Conduit)
+    assert isinstance(_TracingConduit(smp, trace=None), Conduit)
+
+
+def test_copy_of_a_layer_does_not_recurse():
+    """copy.copy builds the instance without __init__ and probes it for
+    dunders before ``_inner`` exists; an unguarded __getattr__ recursed."""
+    smp = SmpConduit()
+    for layer in (_TracingConduit(smp, trace=None),
+                  TelemetryConduit(smp, telemetry=None),
+                  ReliableConduit(smp)):
+        dup = copy.copy(layer)
+        assert type(dup) is type(layer)
+        assert dup._inner is smp
+
+
+# -- a do-nothing layer is transparent anywhere in the stack ----------------
+
+class _Noop(ConduitLayer):
+    """Overrides nothing: pure ConduitLayer forwarding."""
+
+
+def _stack(position: str):
+    """``Telemetry(Reliable(Chaos(smp)))`` minus the telemetry layer (the
+    world adds it), with a ``_Noop`` at ``position``; also returns the
+    chaos layer for identity checks."""
+    smp = SmpConduit()
+    chaos = ChaosConduit(_Noop(smp) if position == "under_chaos" else smp,
+                         seed=5, am_drop_rate=0.1, am_dup_rate=0.1,
+                         rma_fault_rate=0.2)
+    stack = ReliableConduit(
+        _Noop(chaos) if position == "under_reliable" else chaos,
+        seed=5, ack_timeout=0.005)
+    if position == "under_telemetry":
+        stack = _Noop(stack)
+    return stack, chaos
+
+
+@pytest.mark.parametrize("position", ["under_chaos", "under_reliable",
+                                      "under_telemetry", "outermost"])
+def test_noop_layer_is_transparent(position):
+    stack, chaos = _stack(position)
+
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        world = repro.current_world()
+        sa = repro.SharedArray(np.int64, size=8 * n, block=8)
+        repro.barrier()
+        if position == "outermost" and me == 0:
+            world.conduit = _Noop(world.conduit)
+        repro.barrier()
+        peer = (me + 1) % n
+        lo = 8 * peer                          # peer's block
+        assert repro.async_(peer)(abs, -7).get() == 7           # AM + reply
+        sa[lo] = 10 + me                                        # put
+        assert sa[lo] == 10 + me                                # get
+        assert sa.atomic(lo, "add", 5) == 10 + me               # atomic
+        idx = np.arange(lo + 1, lo + 5)
+        sa.scatter(idx, idx * 2)                                # put_indexed
+        assert list(sa.gather(idx)) == list(idx * 2)            # get_indexed
+        old = sa.atomic_batch(idx, "add", 1, return_old=True)   # atomic_batch
+        assert list(old) == list(idx * 2)
+        assert list(sa.gather(idx)) == list(idx * 2 + 1)
+        repro.barrier()
+        # Knobs and hooks of inner layers, reached from the outermost one.
+        top = world.conduit
+        assert isinstance(top, _Noop if position == "outermost"
+                          else TelemetryConduit)
+        assert top.kill_rank.__self__ is chaos
+        assert top.cfg.ack_timeout == 0.005
+        assert top.caps is SmpConduit.caps
+        assert isinstance(top.fault_events(), list)
+        with pytest.raises(AttributeError):
+            top.no_such_attribute
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=stack, telemetry="flight"))
+
+
+def test_noop_layer_passes_control_events_down():
+    """Control events cross a layer that does not care about them."""
+    def body():
+        if repro.myrank() == 0:
+            world = repro.current_world()
+            original = world.conduit
+            trace = Trace(world)
+            with trace:
+                world.conduit = top = _Noop(world.conduit)
+                top.trace_control("retransmit", 0, 1, 42, "x")
+                world.conduit = top._inner
+            assert [(e.kind, e.nbytes, e.detail) for e in trace.events] \
+                == [("retransmit", 42, "x")]
+            assert world.conduit is original
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2))
+
+
+# -- stacked fault layers charge each AM once --------------------------------
+
+def _am_counts(conduit) -> list[tuple[int, int]]:
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        for _ in range(5):
+            with repro.finish():
+                repro.async_((me + 1) % n)(abs, -1)
+        repro.barrier()
+        s = repro.current_world().ranks[me].stats.snapshot()
+        return s["ams_sent"], s["wire_frames"]
+
+    return run_spmd(body, ranks=2, conduit=conduit)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DelayConduit(base_delay=0.0, jitter=0.0005),
+    lambda: ChaosConduit(),
+    lambda: DelayConduit(ChaosConduit(), base_delay=0.0, jitter=0.0005),
+    lambda: ChaosConduit(DelayConduit(base_delay=0.0, jitter=0.0005)),
+], ids=["delay", "chaos", "delay(chaos)", "chaos(delay)"])
+def test_fault_layers_count_what_bare_smp_counts(make):
+    """A fault layer charges the sender in ``send_am`` and only decides
+    in ``deliver_encoded``; stacking two used to re-enter ``send_am`` and
+    double every ``ams_sent``/``wire_frames``."""
+    assert _am_counts(make()) == _am_counts(SmpConduit())
