@@ -9,11 +9,11 @@ Design
   shard is dynamic — a per-client shard table maps shard -> (primary,
   backup), seeded from the construction rendezvous and repaired on
   redirects, failovers, and refreshes.
-* **Owner-side storage** — each rank keeps its hosted shard states in
-  scratch space, mutated only by AM handlers (or the host's own local
-  fast path) under the rank's handler lock, so every mutation is
-  serialized at the shard's primary exactly like the paper's
-  owner-queued locks.
+* **Owner-side storage** — each rank keeps its hosted shard copies
+  (:class:`~repro.containers.shard.Shard` state machines) in scratch
+  space, mutated only by AM handlers (or the host's own local fast
+  path) under the rank's handler lock, so every mutation is serialized
+  at the shard's primary exactly like the paper's owner-queued locks.
 * **Primary/backup replication** — with ``replicas=1`` every mutation
   is applied at the primary and synchronously logged to the shard's
   backup (fixed-layout ``kv_repl`` records) *before* the client is
@@ -66,9 +66,16 @@ import itertools
 import pickle
 import time
 import zlib
-from collections import OrderedDict
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.containers.shard import (
+    BACKUP,
+    PRIMARY,
+    HostedMap,
+    KvRedirect,
+    KvStalePrimary,
+    Shard,
+)
 from repro.core import collectives
 from repro.core.collectives import _copy_value as _copy
 from repro.core.directory import Directory
@@ -83,10 +90,6 @@ _MISSING = object()
 #: Owner-side per-map state lives in the rank's scratch space (the same
 #: pattern as the distributed work queues).
 _SCRATCH_KEY = "kv_maps"
-
-#: Applied-update results each shard retains: the exactly-once dedup
-#: window for client-level retries after a lost reply.
-APPLIED_WINDOW = 4096
 
 #: Redirect/failover hops a single client op will chase before giving
 #: up (each hop re-resolves the shard table, possibly via the
@@ -140,8 +143,9 @@ def _resolve_update(op) -> Callable:
         ) from None
 
 
-def _traced(name: str) -> Callable:
-    """Open a causal trace root span around a client kv op.
+def _traced(name: str, hist: str | None = None) -> Callable:
+    """Open a causal trace root span around a client kv op and, with
+    ``hist``, record the op's latency under that histogram name.
 
     Every AM the op sends (the request, a replication hop, retries
     after failover) inherits this span's trace id via the wire-frame
@@ -156,41 +160,18 @@ def _traced(name: str) -> Callable:
             ctx = try_current()
             if ctx is None or not ctx.telemetry.active:
                 return fn(self, *args, **kwargs)
-            with tracing.span(ctx.telemetry, name):
-                return fn(self, *args, **kwargs)
+            tel = ctx.telemetry
+            t0 = time.perf_counter()
+            try:
+                with tracing.span(tel, name):
+                    return fn(self, *args, **kwargs)
+            finally:
+                if hist is not None:
+                    tel.record_latency(hist, time.perf_counter() - t0)
 
         return wrapper
 
     return deco
-
-
-# ---------------------------------------------------------------------------
-# protocol exceptions (ship by reference in error replies)
-# ---------------------------------------------------------------------------
-
-class KvRedirect(PgasError):
-    """The contacted rank does not serve this shard (any more); the
-    client should retry at ``hint`` (or refresh its shard table)."""
-
-    def __init__(self, sid: int, hint: int | None = None):
-        where = f"; try rank {hint}" if hint is not None else ""
-        super().__init__(f"shard {sid} is not served here{where}")
-        self.sid = sid
-        self.hint = hint
-
-
-class KvStalePrimary(PgasError):
-    """A replication log arrived from a deposed primary: the shard was
-    promoted elsewhere under a newer repl_epoch."""
-
-    def __init__(self, sid: int, new_primary: int | None = None):
-        where = (f"; new primary is rank {new_primary}"
-                 if new_primary is not None else "")
-        super().__init__(
-            f"stale primary for shard {sid}: a newer replica epoch "
-            f"exists{where}")
-        self.sid = sid
-        self.new_primary = new_primary
 
 
 class KvOwnerDead(PgasError):
@@ -211,120 +192,75 @@ class KvOwnerDead(PgasError):
 
 
 # ---------------------------------------------------------------------------
-# owner side: shard state + replication
+# owner side: hosted shards + replication
 # ---------------------------------------------------------------------------
+# What an event does to a shard copy is Shard's / HostedMap's business
+# (containers/shard.py); this section decides when events happen — it
+# knows which ranks are dead, talks to the backup, and publishes roles.
 
-def _new_shard(primary: int, backup: int | None, role: str) -> dict:
-    return {
-        "store": {},                 # key -> value (this copy's truth)
-        "epoch": 0,                  # bumped on every mutation
-        "applied": OrderedDict(),    # (src, op_id) -> (epoch, value)
-        "repl_epoch": 0,             # bumped on promotion/migration
-        "role": role,                # "primary" | "backup"
-        "primary": primary,
-        "backup": backup,
-    }
-
-
-def _map_state(ctx: RankState, map_id: int) -> dict:
-    """This rank's view of map ``map_id`` (create on first touch)."""
+def _map_state(ctx: RankState, map_id: int) -> HostedMap:
+    """This rank's share of map ``map_id`` (create on first touch)."""
     tbl = ctx.scratch.setdefault(_SCRATCH_KEY, {})
     st = tbl.get(map_id)
     if st is None:
-        st = tbl[map_id] = {
-            "nshards": ctx.world.n_ranks,
-            "replicas": 0,
-            "dir_id": None,
-            "shards": {},            # sid -> shard state
-            "moved": {},             # sid -> new primary (tombstones)
-        }
+        st = tbl[map_id] = HostedMap(ctx.world.n_ranks)
     return st
 
 
-def _snapshot(sh: dict, as_primary: bool) -> dict:
-    """A full shard snapshot for ``kv_install`` — store, epochs, and
-    the exactly-once dedup records (update() retries must keep deduping
-    at the shard's new home)."""
-    return {
-        "store": dict(sh["store"]),
-        "applied": [(src, op_id, ep, val)
-                    for (src, op_id), (ep, val) in sh["applied"].items()],
-        "epoch": sh["epoch"],
-        "repl_epoch": sh["repl_epoch"],
-        "primary": sh["primary"],
-        "backup": sh["backup"],
-        "as_primary": as_primary,
-    }
-
-
-def _pick_backup(ctx: RankState, start: int, exclude) -> int | None:
-    """Next live rank after ``start`` (cyclic) outside ``exclude``."""
-    n = ctx.world.n_ranks
-    dead = ctx.world.dead_ranks
-    for i in range(1, n):
-        r = (start + i) % n
-        if r not in dead and r not in exclude:
-            return r
+def _new_backup(ctx: RankState, st: HostedMap) -> int | None:
+    """The next live rank after this one (cyclic), or None when the map
+    is unreplicated or this rank is the sole survivor."""
+    if st.replicas:
+        n = ctx.world.n_ranks
+        dead = ctx.world.dead_ranks
+        for i in range(1, n):
+            r = (ctx.rank + i) % n
+            if r not in dead:
+                return r
     return None
 
 
-def _roles_of(st: dict) -> tuple:
-    """This rank's shard claims for the Directory: one
-    ``(sid, is_primary, repl_epoch, epoch, backup)`` tuple per hosted
-    shard."""
-    roles = []
-    for sid, sh in sorted(st["shards"].items()):
-        roles.append((sid, 1 if sh["role"] == "primary" else 0,
-                      sh["repl_epoch"], sh["epoch"],
-                      -1 if sh["backup"] is None else sh["backup"]))
-    return tuple(roles)
-
-
-def _publish_roles(ctx: RankState, map_id: int, st: dict) -> None:
+def _publish_roles(ctx: RankState, map_id: int, st: HostedMap) -> None:
     """Update this rank's Directory slot in place — handlers can't run
     the collective publish path, but the slot is just a scratch entry."""
-    if st["dir_id"] is not None:
-        ctx.dir_table[st["dir_id"]] = preencode(
-            ("DistHashMap", map_id, _roles_of(st)))
+    if st.dir_id is not None:
+        ctx.dir_table[st.dir_id] = preencode(
+            ("DistHashMap", map_id, st.roles()))
 
 
-def _promote(ctx: RankState, map_id: int, st: dict, sid: int,
-             sh: dict) -> None:
-    """Backup -> primary: the old primary is dead.  Bump repl_epoch (to
-    fence its stale logs) and epoch (to invalidate client caches), pick
-    a new backup, re-replicate, republish roles."""
-    old = sh["primary"]
-    sh["role"] = "primary"
-    sh["primary"] = ctx.rank
-    sh["repl_epoch"] += 1
-    sh["epoch"] += 1
-    nb = (_pick_backup(ctx, ctx.rank, {ctx.rank})
-          if st["replicas"] else None)
-    sh["backup"] = nb
+def _send_install(ctx: RankState, map_id: int, sh: Shard, to: int,
+                  as_primary: bool = False, expect_reply: bool = False):
+    """Ship ``sh`` in full to rank ``to``.  Fire-and-forget is safe for
+    a new backup: per-(src, dst) FIFO puts the install ahead of any
+    later incremental kv_repl records we send to the same rank."""
+    return ctx.send_am(to, "kv_install", args=(map_id, sh.sid),
+                       payload=sh.snapshot(as_primary),
+                       expect_reply=expect_reply)
+
+
+def _promote(ctx: RankState, map_id: int, st: HostedMap,
+             sh: Shard) -> None:
+    """Backup -> primary: the old primary is dead.  Pick a new backup,
+    re-replicate, republish roles."""
+    old = sh.primary
+    sh.promote(ctx.rank, _new_backup(ctx, st))
     ctx.stats.record_kv_promotion()
-    tel = ctx.telemetry
-    if tel.active:
-        tel.flight_event(
-            "kv_promote", src=ctx.rank, dst=old,
-            detail=f"shard {sid} repl_epoch={sh['repl_epoch']}",
-        )
+    ctx.telemetry.flight_event(
+        "kv_promote", src=ctx.rank, dst=old,
+        detail=f"shard {sh.sid} repl_epoch={sh.repl_epoch}")
     _publish_roles(ctx, map_id, st)
-    if nb is not None:
-        # Fire-and-forget full install: per-(src, dst) FIFO puts it
-        # ahead of any later incremental kv_repl records we send to the
-        # same backup.
-        ctx.send_am(nb, "kv_install", args=(map_id, sid),
-                    payload=_snapshot(sh, as_primary=False))
+    if sh.backup is not None:
+        _send_install(ctx, map_id, sh, sh.backup)
 
 
-def _replicate(ctx: RankState, map_id: int, st: dict, sid: int,
-               sh: dict, records: list) -> None:
+def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
+               records: list) -> None:
     """Synchronously log ``records`` to the shard's backup before the
     caller acks the client.  A dead backup is replaced with a blocking
     full install (which already contains the new mutations); a
     KvStalePrimary rejection means *we* were deposed — drop the shard,
     tombstone, and re-raise so the client retries at the new primary."""
-    if not st["replicas"]:
+    if not st.replicas:
         return
     guard = 0
     while True:
@@ -334,119 +270,71 @@ def _replicate(ctx: RankState, map_id: int, st: dict, sid: int,
             # promoted backup reject our stale log anyway.
             raise RankDead(
                 f"rank {ctx.rank} declared dead while replicating "
-                f"shard {sid}"
+                f"shard {sh.sid}"
             )
         guard += 1
         if guard > 2 * ctx.world.n_ranks + 2:
-            sh["backup"] = None  # churn exhausted every candidate
+            sh.backup = None  # churn exhausted every candidate
             return
-        backup = sh["backup"]
+        backup = sh.backup
         if backup is None or backup == ctx.rank \
                 or backup in ctx.world.dead_ranks:
-            nb = _pick_backup(ctx, ctx.rank, {ctx.rank})
-            sh["backup"] = nb
+            nb = sh.backup = _new_backup(ctx, st)
             if nb is None:
                 return  # sole survivor: nothing to replicate onto
-            fut = ctx.send_am(nb, "kv_install", args=(map_id, sid),
-                              payload=_snapshot(sh, as_primary=False),
-                              expect_reply=True)
             try:
-                fut.get()
+                _send_install(ctx, map_id, sh, nb, expect_reply=True).get()
             except (RankDead, PeerFailure):
-                sh["backup"] = None
+                sh.backup = None
                 continue
             _publish_roles(ctx, map_id, st)
             return  # the install already carries the new records
         fut = ctx.send_am(backup, "kv_repl",
-                          args=(map_id, sid, sh["repl_epoch"]),
+                          args=(map_id, sh.sid, sh.repl_epoch),
                           payload=records, expect_reply=True)
         ctx.stats.record_kv_repl(len(records))
         try:
             fut.get()
             return
         except (RankDead, PeerFailure):
-            sh["backup"] = None
+            sh.backup = None
             continue
         except KvStalePrimary as exc:
-            st["shards"].pop(sid, None)
-            st["moved"][sid] = (exc.new_primary
-                                if exc.new_primary is not None else backup)
+            st.retire(sh.sid, exc.new_primary
+                      if exc.new_primary is not None else backup)
             _publish_roles(ctx, map_id, st)
             raise
 
 
-def _get_state_shard(ctx: RankState, map_id: int, sid: int,
-                     write: bool) -> tuple[dict, dict]:
-    """Resolve a request to a hosted shard, or raise the protocol
-    exception that repairs the client's table.  A write reaching a
-    backup whose primary is dead triggers promotion right here — that
-    is the automatic-failover moment."""
+def _resolve(ctx: RankState, map_id: int, sid: int,
+             write: bool) -> tuple[HostedMap, Shard]:
+    """Resolve a request to a hosted shard that may serve it, or raise
+    the protocol exception that repairs the client's table.  A write
+    reaching a backup whose primary is dead triggers promotion right
+    here — that is the automatic-failover moment."""
     st = _map_state(ctx, map_id)
-    sh = st["shards"].get(sid)
-    if sh is None:
-        raise KvRedirect(sid, st["moved"].get(sid))
-    if "moving_to" in sh:
-        raise KvRedirect(sid, sh["moving_to"])
-    if sh["role"] != "primary":
-        if write:
-            if sh["primary"] in ctx.world.dead_ranks:
-                _promote(ctx, map_id, st, sid, sh)
-            else:
-                raise KvRedirect(sid, sh["primary"])
-        else:
-            ctx.stats.record_kv_replica_read()
+    sh = st.lookup(sid)
+    if write and not sh.is_primary and sh.primary in ctx.world.dead_ranks:
+        _promote(ctx, map_id, st, sh)
+    sh.require(write)
+    if not sh.is_primary:
+        ctx.stats.record_kv_replica_read()
     return st, sh
 
 
-def _apply_put(sh: dict, items: dict) -> int:
-    sh["store"].update(items)
-    sh["epoch"] += 1
-    return sh["epoch"]
-
-
-def _apply_delete(sh: dict, keys: list) -> tuple[int, int]:
-    store = sh["store"]
-    n = 0
-    for k in keys:
-        if k in store:
-            del store[k]
-            n += 1
-    if n:
-        sh["epoch"] += 1
-    return sh["epoch"], n
-
-
-def _record_applied(sh: dict, dedup: tuple, rec: tuple) -> None:
-    applied = sh["applied"]
-    applied[dedup] = rec
-    while len(applied) > APPLIED_WINDOW:
-        applied.popitem(last=False)
-
-
-def _apply_update(sh: dict, src: int, op_id: int, key: Any,
-                  fn: Callable, args: tuple, default: Any,
-                  has_default: bool) -> tuple[int, Any, bool]:
-    """Apply ``fn(old, *args)``, exactly once per (src, op_id): a
-    duplicate (client retry after a lost reply — possibly landing on a
-    promoted backup) gets the recorded result back without
-    re-applying.  Returns (epoch, new, freshly_applied)."""
-    dedup = (src, op_id)
-    hit = sh["applied"].get(dedup)
-    if hit is not None:
-        return hit[0], hit[1], False
-    store = sh["store"]
-    if key in store:
-        old = store[key]
-    elif has_default:
-        old = default
-    else:
-        raise KeyError(key)
-    new = fn(old, *args)
-    store[key] = new
-    sh["epoch"] += 1
-    rec = (sh["epoch"], new)
-    _record_applied(sh, dedup, rec)
-    return rec[0], rec[1], True
+def _mutate(ctx: RankState, map_id: int, sid: int,
+            apply: Callable[[Shard], tuple | None]
+            ) -> tuple[Shard, tuple | None]:
+    """The one owner-side write path, run under the handler lock by the
+    AM handlers and by the host's own local fast path: resolve (or
+    promote) the shard, ``apply`` the mutation, and log the record it
+    produced to the backup before anyone is acked.  Returns the shard
+    and the record (``None``: nothing changed, nothing logged)."""
+    st, sh = _resolve(ctx, map_id, sid, write=True)
+    rec = apply(sh)
+    if rec is not None:
+        _replicate(ctx, map_id, st, sh, [rec])
+    return sh, rec
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +344,8 @@ def _apply_update(sh: dict, src: int, op_id: int, key: Any,
 # batched request whose keys the server groups by shard itself.  Reply
 # args lead with per-shard epoch pairs — ``(k, sid0, ep0, ..., extra)``
 # — so clients invalidate caches at shard granularity.  Payloads travel
-# through the fixed-layout codecs (kv_items/kv_keys/kv_found/kv_repl/
-# kv_state) bound in the wire registry.
+# through the fixed-layout codecs (kv_items/kv_keys/kv_found in the
+# wire registry, kv_repl/kv_state beside Shard).
 
 @am_handler("kv_put")
 def _kv_put_handler(ctx: RankState, am) -> None:
@@ -466,40 +354,28 @@ def _kv_put_handler(ctx: RankState, am) -> None:
     if sid >= 0:
         groups = {sid: items}
     else:
-        nshards = _map_state(ctx, map_id)["nshards"]
+        nshards = _map_state(ctx, map_id).nshards
         groups = {}
         for k, v in items.items():
             groups.setdefault(shard_of(k, nshards), {})[k] = v
     pairs = []
     for s in sorted(groups):
-        chunk = groups[s]
-        st, sh = _get_state_shard(ctx, map_id, s, write=True)
-        epoch = _apply_put(sh, chunk)
-        _replicate(ctx, map_id, st, s, sh, [("put", chunk, epoch)])
-        pairs += (s, epoch)
+        _sh, rec = _mutate(ctx, map_id, s, lambda sh: sh.put(groups[s]))
+        pairs += (s, rec[-1])
     ctx.reply(am, args=(len(groups), *pairs))
 
 
 @am_handler("kv_get")
 def _kv_get_handler(ctx: RankState, am) -> None:
     map_id, sid = am.args
-    keys = am.payload
+    nshards = _map_state(ctx, map_id).nshards
     found = []
     epochs: dict[int, int] = {}
-    if sid >= 0:
-        _st, sh = _get_state_shard(ctx, map_id, sid, write=False)
-        store = sh["store"]
-        found = [(True, store[k]) if k in store else (False, None)
-                 for k in keys]
-        epochs[sid] = sh["epoch"]
-    else:
-        nshards = _map_state(ctx, map_id)["nshards"]
-        for k in keys:
-            s = shard_of(k, nshards)
-            _st, sh = _get_state_shard(ctx, map_id, s, write=False)
-            store = sh["store"]
-            found.append((True, store[k]) if k in store else (False, None))
-            epochs[s] = sh["epoch"]
+    for k in am.payload:
+        s = sid if sid >= 0 else shard_of(k, nshards)
+        _st, sh = _resolve(ctx, map_id, s, write=False)
+        found.append(sh.lookup(k))
+        epochs[s] = sh.epoch
     pairs = []
     for s in sorted(epochs):
         pairs += (s, epochs[s])
@@ -514,20 +390,18 @@ def _kv_del_handler(ctx: RankState, am) -> None:
     if sid >= 0:
         groups = {sid: keys}
     else:
-        nshards = _map_state(ctx, map_id)["nshards"]
+        nshards = _map_state(ctx, map_id).nshards
         groups = {}
         for k in keys:
             groups.setdefault(shard_of(k, nshards), []).append(k)
     pairs = []
     total = 0
     for s in sorted(groups):
-        st, sh = _get_state_shard(ctx, map_id, s, write=True)
-        epoch, n = _apply_delete(sh, groups[s])
-        total += n
-        if n:
-            _replicate(ctx, map_id, st, s, sh,
-                       [("del", groups[s], epoch)])
-        pairs += (s, epoch)
+        sh, rec = _mutate(ctx, map_id, s,
+                          lambda sh: sh.delete(groups[s]))
+        if rec is not None:
+            total += len(rec[1])
+        pairs += (s, sh.epoch if rec is None else rec[-1])
     ctx.reply(am, args=(len(groups), *pairs, total))
 
 
@@ -535,16 +409,15 @@ def _kv_del_handler(ctx: RankState, am) -> None:
 def _kv_update_handler(ctx: RankState, am) -> None:
     map_id, sid, op_id = am.args
     key, op, fargs, default, has_default = am.payload
-    st, sh = _get_state_shard(ctx, map_id, sid, write=True)
-    epoch, new, fresh = _apply_update(
-        sh, am.src_rank, op_id, key, _resolve_update(op), fargs,
-        default, has_default,
-    )
-    if fresh:
-        # The dedup record rides with the data: a retry that lands on
-        # the promoted backup still replays the recorded result.
-        _replicate(ctx, map_id, st, sid, sh,
-                   [("upd", key, new, am.src_rank, op_id, epoch)])
+    src = am.src_rank
+    fn = _resolve_update(op)
+    # The dedup record rides with the data: a retry that lands on the
+    # promoted backup still replays the recorded result.
+    sh, _rec = _mutate(
+        ctx, map_id, sid,
+        lambda sh: sh.update(src, op_id, key, fn, fargs, default,
+                             has_default))
+    epoch, new = sh.result_of(src, op_id)
     ctx.reply(am, args=(1, sid, epoch), payload=new)
 
 
@@ -553,29 +426,8 @@ def _kv_repl_handler(ctx: RankState, am) -> None:
     """Backup side of the replication log.  Rejects stale primaries by
     repl_epoch; otherwise replays the records into the local copy."""
     map_id, sid, repl_epoch = am.args
-    st = _map_state(ctx, map_id)
-    sh = st["shards"].get(sid)
-    if sh is None:
-        raise KvStalePrimary(sid, st["moved"].get(sid))
-    if repl_epoch < sh["repl_epoch"]:
-        raise KvStalePrimary(
-            sid, ctx.rank if sh["role"] == "primary" else sh["primary"])
-    store = sh["store"]
-    for rec in am.payload:
-        kind = rec[0]
-        if kind == "put":
-            store.update(rec[1])
-            sh["epoch"] = max(sh["epoch"], rec[2])
-        elif kind == "del":
-            for k in rec[1]:
-                store.pop(k, None)
-            sh["epoch"] = max(sh["epoch"], rec[2])
-        else:  # ("upd", key, value, src, op_id, epoch)
-            _, key, value, src, op_id, epoch = rec
-            store[key] = value
-            _record_applied(sh, (src, op_id), (epoch, value))
-            sh["epoch"] = max(sh["epoch"], epoch)
-    ctx.reply(am, args=(sh["repl_epoch"],))
+    sh = _map_state(ctx, map_id).replay(sid, repl_epoch, am.payload)
+    ctx.reply(am, args=(sh.repl_epoch,))
 
 
 @am_handler("kv_install")
@@ -583,80 +435,53 @@ def _kv_install_handler(ctx: RankState, am) -> None:
     """Install a full shard snapshot: re-replication onto a new backup,
     or (``as_primary``) the receiving half of a live migration."""
     map_id, sid = am.args
-    state = am.payload
     st = _map_state(ctx, map_id)
-    cur = st["shards"].get(sid)
-    if cur is not None and cur["repl_epoch"] > state["repl_epoch"]:
+    sh = st.install(sid, am.payload, ctx.rank)
+    if sh is None:
         # A stale install (an old primary racing a newer promotion).
         if am.token is not None:
-            ctx.reply(am, args=(0, sid, cur["epoch"]))
+            ctx.reply(am, args=(0, sid, st.shards[sid].epoch))
         return
-    applied: OrderedDict = OrderedDict()
-    for src, op_id, ep, val in state["applied"]:
-        applied[(src, op_id)] = (ep, val)
-    as_primary = state["as_primary"]
-    sh = {
-        "store": state["store"],
-        "epoch": state["epoch"],
-        "applied": applied,
-        "repl_epoch": state["repl_epoch"],
-        "role": "primary" if as_primary else "backup",
-        "primary": ctx.rank if as_primary else state["primary"],
-        "backup": state["backup"],
-    }
-    st["shards"][sid] = sh
-    st["moved"].pop(sid, None)
-    if as_primary:
-        # Migration target: fresh epoch (invalidate caches), new
-        # backup, re-replicate, announce.
-        sh["epoch"] += 1
-        nb = (_pick_backup(ctx, ctx.rank, {ctx.rank})
-              if st["replicas"] else None)
-        sh["backup"] = nb
-        if nb is not None:
-            ctx.send_am(nb, "kv_install", args=(map_id, sid),
-                        payload=_snapshot(sh, as_primary=False))
+    if sh.is_primary:
+        # Migration target: new backup, re-replicate, announce.
+        sh.backup = _new_backup(ctx, st)
+        if sh.backup is not None:
+            _send_install(ctx, map_id, sh, sh.backup)
     _publish_roles(ctx, map_id, st)
     if am.token is not None:
-        ctx.reply(am, args=(1, sid, sh["epoch"]))
+        ctx.reply(am, args=(1, sid, sh.epoch))
 
 
 @am_handler("kv_migrate")
 def _kv_migrate_handler(ctx: RankState, am) -> None:
     """Primary side of rebalance(): freeze, ship, tombstone."""
     map_id, sid, to = am.args
-    st, sh = _get_state_shard(ctx, map_id, sid, write=True)
+    st, sh = _resolve(ctx, map_id, sid, write=True)
     if to == ctx.rank:
-        ctx.reply(am, args=(1, sid, sh["epoch"]))
+        ctx.reply(am, args=(1, sid, sh.epoch))
         return
     if to in ctx.world.dead_ranks:
         raise PgasError(f"rebalance: target rank {to} is dead")
     # Freeze: ops racing the migration are redirected at `to` (the
     # install below precedes their arrival there — tiny retry window
     # covered by the client's redirect chase).
-    sh["moving_to"] = to
+    sh.begin_move(to)
     try:
-        state = _snapshot(sh, as_primary=True)
-        state["repl_epoch"] = sh["repl_epoch"] + 1
-        fut = ctx.send_am(to, "kv_install", args=(map_id, sid),
-                          payload=state, expect_reply=True)
-        fut.get()
+        _send_install(ctx, map_id, sh, to, as_primary=True,
+                      expect_reply=True).get()
     except BaseException:
-        del sh["moving_to"]  # unfreeze; we still own the shard
+        sh.abort_move()  # unfreeze; we still own the shard
         raise
-    old_backup = sh["backup"]
-    new_re = sh["repl_epoch"] + 1
-    st["shards"].pop(sid, None)
-    st["moved"][sid] = to
+    st.retire(sid, to)
     ctx.stats.record_kv_migration()
-    if ctx.telemetry.active:
-        ctx.telemetry.flight_event(
-            "kv_migrate", src=ctx.rank, dst=to, detail=f"shard {sid}")
+    ctx.telemetry.flight_event(
+        "kv_migrate", src=ctx.rank, dst=to, detail=f"shard {sid}")
     _publish_roles(ctx, map_id, st)
+    old_backup = sh.backup
     if old_backup is not None and old_backup != to \
             and old_backup not in ctx.world.dead_ranks:
         ctx.send_am(old_backup, "kv_drop",
-                    args=(map_id, sid, new_re, to))
+                    args=(map_id, sid, sh.repl_epoch + 1, to))
     ctx.reply(am, args=(1, sid, 0))
 
 
@@ -665,38 +490,24 @@ def _kv_drop_handler(ctx: RankState, am) -> None:
     """Drop a stale (pre-migration) shard copy, repl_epoch-guarded."""
     map_id, sid, repl_epoch, new_primary = am.args
     st = _map_state(ctx, map_id)
-    sh = st["shards"].get(sid)
-    if sh is not None and sh["repl_epoch"] < repl_epoch:
-        st["shards"].pop(sid, None)
-        st["moved"][sid] = new_primary
+    if st.drop(sid, repl_epoch, new_primary):
         _publish_roles(ctx, map_id, st)
 
 
 @am_handler("kv_epoch")
 def _kv_epoch_handler(ctx: RankState, am) -> None:
-    map_id, sid = am.args
-    st = _map_state(ctx, map_id)
-    if sid >= 0:
-        sh = st["shards"].get(sid)
-        if sh is None:
-            raise KvRedirect(sid, st["moved"].get(sid))
-        ctx.reply(am, args=(1, sid, sh["epoch"]))
-        return
+    map_id, _all = am.args
     pairs = []
-    n = 0
-    for s, sh in sorted(st["shards"].items()):
-        if sh["role"] == "primary" and "moving_to" not in sh:
-            pairs += (s, sh["epoch"])
-            n += 1
-    ctx.reply(am, args=(n, *pairs))
+    for sh in _map_state(ctx, map_id).serving():
+        pairs += (sh.sid, sh.epoch)
+    ctx.reply(am, args=(len(pairs) // 2, *pairs))
 
 
 @am_handler("kv_size")
 def _kv_size_handler(ctx: RankState, am) -> None:
     (map_id,) = am.args
-    st = _map_state(ctx, map_id)
-    total = sum(len(sh["store"]) for sh in st["shards"].values()
-                if sh["role"] == "primary" and "moving_to" not in sh)
+    total = sum(len(sh.store)
+                for sh in _map_state(ctx, map_id).serving())
     ctx.reply(am, args=(total,))
 
 
@@ -755,22 +566,17 @@ class DistHashMap:
         self._dir = Directory()
         with ctx._handler_lock:
             st = _map_state(ctx, self.map_id)
-            st["nshards"] = self.nshards
-            st["replicas"] = self.replicas
-            st["dir_id"] = self._dir.dir_id
+            st.nshards = self.nshards
+            st.replicas = self.replicas
+            st.dir_id = self._dir.dir_id
             me = ctx.rank
-            if me not in st["shards"]:
-                st["shards"][me] = _new_shard(
-                    primary=me,
-                    backup=((me + 1) % self.nranks)
-                    if self.replicas else None,
-                    role="primary")
+            st.shards.setdefault(me, Shard(
+                me, PRIMARY, me,
+                (me + 1) % self.nranks if self.replicas else None))
             if self.replicas:
                 p = (me - 1) % self.nranks
-                if p != me and p not in st["shards"]:
-                    st["shards"][p] = _new_shard(
-                        primary=p, backup=me, role="backup")
-            roles = _roles_of(st)
+                st.shards.setdefault(p, Shard(p, BACKUP, p, me))
+            roles = st.roles()
         # Construction rendezvous: publish (type, id, roles) and fetch
         # every rank's slot with one concurrent lookup_all.  Catches
         # misordered collective construction (rank A built a map where
@@ -787,14 +593,14 @@ class DistHashMap:
                     f"constructed DistHashMap#{self.map_id}; collective "
                     f"constructors must run in the same order on all ranks"
                 )
-        self._table: dict[int, tuple[int, int | None]] = {}
+        # sid -> (primary, backup): every shard has an entry from here
+        # on; repairs overwrite, nothing deletes.
+        self._table: dict[int, tuple[int, int | None]] = {
+            sid: (sid % self.nranks,
+                  (sid + 1) % self.nranks if self.replicas else None)
+            for sid in range(self.nshards)}
         self._epochs: dict[int, int] = {}
         self._ingest_roles(infos)
-        for sid in range(self.nshards):
-            self._table.setdefault(
-                sid, (sid % self.nranks,
-                      ((sid + 1) % self.nranks) if self.replicas
-                      else None))
         # Failure-notification hook: deaths recorded by the runtime /
         # reliability detector flip this client's table at its next op.
         ctx.world.on_rank_death(self._on_rank_death)
@@ -806,8 +612,7 @@ class DistHashMap:
     def owner_of(self, key: Any) -> int:
         """The rank currently serving ``key``'s shard as primary (per
         this client's shard table)."""
-        sid = shard_of(key, self.nshards)
-        return self._table.get(sid, (sid % self.nranks, None))[0]
+        return self._table[shard_of(key, self.nshards)][0]
 
     def _on_rank_death(self, rank: int, exc: BaseException) -> None:
         # Runs on the failure detector's thread: just enqueue; the
@@ -815,14 +620,24 @@ class DistHashMap:
         # next map operation.
         self._pending_deaths.append(rank)
 
+    def _repoint(self, sid: int, gone: int, dead=()) -> bool:
+        """Drop ``gone`` from ``sid``'s table entry (its live backup
+        takes over a lost primary); False when that is not possible."""
+        primary, backup = self._table[sid]
+        if primary == gone and backup is not None and backup != gone \
+                and backup not in dead:
+            self._table[sid] = (backup, None)
+        elif backup == gone:
+            self._table[sid] = (primary, None)
+        else:
+            return False
+        return True
+
     def _drain_deaths(self) -> None:
         while self._pending_deaths:
             r = self._pending_deaths.pop()
-            for sid, (p, b) in list(self._table.items()):
-                if p == r and b is not None and b != r:
-                    self._table[sid] = (b, None)
-                elif b == r:
-                    self._table[sid] = (p, None)
+            for sid in self._table:
+                self._repoint(sid, r)
 
     def _note_epoch(self, sid: int, epoch: int) -> None:
         """Piggybacked epoch from a reply: a newer value invalidates
@@ -858,24 +673,33 @@ class DistHashMap:
             self._table[sid] = (prim, backup if backup != prim else None)
             self._note_epoch(sid, epoch)
 
+    def _ask_peers(self, ctx: RankState, handler: str,
+                   *args) -> list[tuple]:
+        """One AM to every live peer, all in flight before the first
+        reply is awaited; ``(rank, reply_args, payload)`` per answer.  A
+        peer that dies or times out meanwhile is skipped — every caller
+        is a best-effort survey, repaired by the next one."""
+        dead = ctx.world.dead_ranks
+        futs = {
+            r: ctx.send_am(r, handler, args=args, expect_reply=True)
+            for r in range(self.nranks)
+            if r != ctx.rank and r not in dead
+        }
+        answers = []
+        for r, fut in futs.items():
+            try:
+                answers.append((r, *fut.get()))
+            except (RankDead, PeerFailure, CommTimeout):
+                continue
+        return answers
+
     def _refresh_table(self, ctx: RankState) -> None:
         """Re-read live ranks' Directory slots and rebuild the shard
         table (the post-promotion client repair path)."""
-        dead = ctx.world.dead_ranks
-        futs = {}
-        for r in range(self.nranks):
-            if r == ctx.rank or r in dead:
-                continue
-            futs[r] = ctx.send_am(r, "dir_get",
-                                  args=(self._dir.dir_id,),
-                                  expect_reply=True)
         infos: list = [None] * self.nranks
         infos[ctx.rank] = self._dir.lookup(ctx.rank, cached=False)
-        for r, fut in futs.items():
-            try:
-                _args, obj = fut.get()
-            except (RankDead, PeerFailure, CommTimeout):
-                continue
+        for r, _args, obj in self._ask_peers(ctx, "dir_get",
+                                             self._dir.dir_id):
             infos[r] = obj
         self._ingest_roles(infos)
 
@@ -887,20 +711,10 @@ class DistHashMap:
             t_fail = time.perf_counter()
             ctx.stats.record_kv_failover()
             self.failovers += 1
-            if ctx.telemetry.active:
-                ctx.telemetry.flight_event(
-                    "kv_failover_start", src=ctx.rank, dst=dead_rank,
-                    detail=f"{what} shard {sid}",
-                )
-        primary, backup = self._table.get(
-            sid, (sid % self.nranks, None))
-        dead = ctx.world.dead_ranks
-        if primary == dead_rank and backup is not None \
-                and backup not in dead:
-            self._table[sid] = (backup, None)
-        elif backup == dead_rank:
-            self._table[sid] = (primary, None)
-        else:
+            ctx.telemetry.flight_event(
+                "kv_failover_start", src=ctx.rank, dst=dead_rank,
+                detail=f"{what} shard {sid}")
+        if not self._repoint(sid, dead_rank, ctx.world.dead_ranks):
             ctx.advance()
             self._refresh_table(ctx)
         return t_fail
@@ -912,208 +726,230 @@ class DistHashMap:
         dt = time.perf_counter() - t_fail
         self.failover_latencies.append(dt)
         tel = ctx.telemetry
-        if tel.full:
-            tel.record_latency("kv_failover", dt)
-        if tel.active:
-            tel.flight_event(
-                "kv_failover", src=ctx.rank, dst=-1,
-                detail=f"{what} recovered in {dt * 1e6:.0f}us",
-            )
+        tel.record_latency("kv_failover", dt)
+        tel.flight_event(
+            "kv_failover", src=ctx.rank, dst=-1,
+            detail=f"{what} recovered in {dt * 1e6:.0f}us",
+        )
 
     def _follow_redirect(self, ctx: RankState, exc) -> None:
-        hint = getattr(exc, "hint", None)
-        if hint is None:
-            hint = getattr(exc, "new_primary", None)
-        sid = exc.sid
+        hint = (exc.hint if isinstance(exc, KvRedirect)
+                else exc.new_primary)
         if hint is not None and hint not in ctx.world.dead_ranks:
-            _p, b = self._table.get(sid, (None, None))
-            self._table[sid] = (hint, b if b != hint else None)
+            backup = self._table[exc.sid][1]
+            self._table[exc.sid] = (
+                hint, backup if backup != hint else None)
         else:
             ctx.advance()
             self._refresh_table(ctx)
 
-    def _shard_request(self, ctx: RankState, sid: int, handler: str,
-                       extra_args: tuple, payload, what: str,
-                       keys: list, read: bool = False):
-        """One shard-targeted request with bounded retry, redirect
-        chasing, and (with replication) client-side failover."""
-        tel = ctx.telemetry
-        attempt = 0
-        hops = 0
-        t_fail = None
-        while True:
-            self._drain_deaths()
-            primary, backup = self._table.get(
-                sid, (sid % self.nranks, None))
-            dead = ctx.world.dead_ranks
-            target = primary
-            if read and self.read_replicas and backup is not None \
-                    and backup not in dead:
-                self._rr += 1
-                if self._rr & 1:
-                    target = backup
-            if target in dead:
-                if not self.replicas:
-                    raise KvOwnerDead(
-                        what, target, keys,
-                        RankDead(f"rank {target} is dead"))
-                t_fail = self._failover(ctx, sid, target, what, t_fail)
-                hops += 1
-                if hops > _MAX_HOPS:
-                    raise KvOwnerDead(
-                        what, target, keys,
-                        RankDead(f"no live replica found for shard "
-                                 f"{sid} after {hops} attempts"))
-                continue
-            fut = ctx.send_am(target, handler,
-                              args=(self.map_id, sid, *extra_args),
-                              payload=payload, expect_reply=True)
-            try:
-                reply_args, reply_payload = fut.get()
-            except CommTimeout:
-                attempt += 1
-                if attempt >= self.retry_attempts:
-                    raise
-                tel.flight_event(
-                    "kv_retry", src=ctx.rank, dst=target, detail=what,
-                )
-                continue
-            except (RankDead, PeerFailure) as exc:
-                if not self.replicas:
-                    raise KvOwnerDead(what, target, keys, exc) from exc
-                t_fail = self._failover(ctx, sid, target, what, t_fail)
-                hops += 1
-                if hops > _MAX_HOPS:
-                    raise KvOwnerDead(what, target, keys, exc) from exc
-                continue
-            except (KvRedirect, KvStalePrimary) as exc:
-                hops += 1
-                if hops > _MAX_HOPS:
-                    raise
-                self._follow_redirect(ctx, exc)
-                continue
-            self._end_failover(ctx, t_fail, what)
-            return reply_args, reply_payload
+    def _request(self, ctx: RankState, handler: str, what: str,
+                 pending: dict[int, list],
+                 payload: Callable[[list], Any] = lambda keys: keys, *,
+                 batched: bool = False, extra: tuple = (),
+                 read: bool = False, event: str | None = None) -> list:
+        """The one client request engine: send ``handler`` for the keys
+        in ``pending`` (shard id -> keys); returns the replies as
+        ``(keys, extras, reply_payload)`` tuples.
 
-    def _local_primary(self, ctx: RankState,
-                       sid: int) -> tuple[dict, dict] | None:
-        """This rank's primary copy of ``sid`` (None if not hosted /
-        not primary / mid-migration).  Caller must re-check under the
-        handler lock before mutating."""
-        st = _map_state(ctx, self.map_id)
-        sh = st["shards"].get(sid)
-        if sh is not None and sh["role"] == "primary" \
-                and "moving_to" not in sh:
-            return st, sh
+        Each round groups what is pending by the rank now serving it —
+        one ``(map_id, sid, *extra)`` AM per shard, or with ``batched``
+        one ``(map_id, -1)`` AM per rank whose keys the server regroups
+        — and issues every AM before gathering any reply.  One ladder
+        handles the replies: a timeout is retried ``retry_attempts``
+        times, a dead server fails its shards over to their backup
+        (:class:`KvOwnerDead` without one), a redirect repoints the
+        table; what did not complete is pending for the next round.  A
+        point op is the one-key case; ``read`` lets it alternate
+        primary/backup (``read_replicas``).  ``event`` names the flight
+        event recorded when the op first goes to the wire.
+        """
+        tel = ctx.telemetry
+        replies = []
+        attempt = hops = 0
+        t_fail = None
+        first_round = True
+        while pending:
+            self._drain_deaths()
+            dead = ctx.world.dead_ranks
+            # (target rank, sid arg of the AM) -> {sid: keys}
+            groups: dict[tuple[int, int], dict[int, list]] = {}
+            for sid, ks in pending.items():
+                target, backup = self._table[sid]
+                if read and self.read_replicas and backup is not None \
+                        and backup not in dead:
+                    self._rr += 1
+                    if self._rr & 1:
+                        target = backup
+                groups.setdefault(
+                    (target, -1 if batched else sid), {})[sid] = ks
+            if first_round:
+                first_round = False
+                if batched:
+                    nkeys = sum(map(len, pending.values()))
+                    ctx.stats.record_kv_multi(len(groups), nkeys)
+                if event is not None and tel.active:
+                    if batched:
+                        dst = -1
+                        detail = f"{nkeys} keys -> {len(groups)} servers"
+                    else:  # a point op: one shard, one key
+                        ((dst, sid),) = groups
+                        detail = repr(pending[sid][0])[:48]
+                    tel.flight_event(event, src=ctx.rank, dst=dst,
+                                     detail=detail)
+            calls = []
+            for (target, arg), shards in groups.items():
+                ks = [k for part in shards.values() for k in part]
+                fut = None if target in dead else ctx.send_am(
+                    target, handler, args=(self.map_id, arg, *extra),
+                    payload=payload(ks), expect_reply=True)
+                calls.append((target, shards, ks, fut))
+            pending = {}
+            for target, shards, ks, fut in calls:
+                try:
+                    if fut is None:
+                        raise RankDead(f"rank {target} is dead")
+                    args, reply = fut.get()
+                except CommTimeout as exc:
+                    attempt += 1
+                    if attempt >= self.retry_attempts:
+                        raise CommTimeout(
+                            f"{what}: rank {target} unreachable after "
+                            f"{attempt} attempts ({len(ks)} keys)"
+                        ) from exc
+                    tel.flight_event("kv_retry", src=ctx.rank,
+                                     dst=target, detail=what)
+                except (RankDead, PeerFailure) as exc:
+                    hops += 1
+                    if not self.replicas or hops > _MAX_HOPS:
+                        raise KvOwnerDead(what, target, ks, exc) from exc
+                    for sid in shards:
+                        t_fail = self._failover(ctx, sid, target, what,
+                                                t_fail)
+                except (KvRedirect, KvStalePrimary) as exc:
+                    hops += 1
+                    if hops > _MAX_HOPS:
+                        raise
+                    self._follow_redirect(ctx, exc)
+                else:
+                    replies.append((ks, self._note_reply(args), reply))
+                    continue
+                pending.update(shards)
+        self._end_failover(ctx, t_fail, what)
+        return replies
+
+    # -- local fast paths ----------------------------------------------------
+    def _hosted(self, shards: dict[int, Shard], sid: int,
+                write: bool) -> Shard | None:
+        """The copy of ``sid`` in this rank's ``shards`` if it may serve
+        the op without the wire: the serving primary, or for a read
+        with ``read_replicas`` a backup.  Only trustworthy under the
+        handler lock — unlocked, it is a hint that taking the lock is
+        worth it."""
+        sh = shards.get(sid)
+        if sh is not None and sh.serves(write) \
+                and (sh.is_primary or self.read_replicas):
+            return sh
         return None
 
-    # -- point ops ---------------------------------------------------------
-    @_traced("kv_put")
-    def put(self, key: Any, value: Any) -> None:
-        """Store ``key -> value`` at its shard's primary (last writer
-        wins); with ``replicas=1`` the write is also logged to the
-        backup before this call returns."""
-        ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        sid = shard_of(key, self.nshards)
-        self._drain_deaths()
-        ctx.stats.record_kv_put()
-        if self._local_primary(ctx, sid) is not None:
-            try:
-                with ctx._handler_lock:
-                    hit = self._local_primary(ctx, sid)
-                    if hit is not None:
-                        st, sh = hit
-                        epoch = _apply_put(sh, {key: _copy(value)})
-                        _replicate(ctx, self.map_id, st, sid, sh,
-                                   [("put", {key: value}, epoch)])
-                        ctx.stats.record_local()
-                        self._note_epoch(sid, epoch)
-                        if tel.full:
-                            tel.record_latency(
-                                "kv_put", time.perf_counter() - t0)
-                        return
-            except KvStalePrimary:
-                pass  # deposed under us: fall through to the wire path
-        if tel.active:
-            tel.flight_event("kv_put", src=ctx.rank,
-                             dst=self._table.get(sid, (sid, None))[0],
-                             detail=repr(key)[:48])
-        args, _pl = self._shard_request(
-            ctx, sid, "kv_put", (), {key: value},
-            what=f"kv_put({key!r})", keys=[key],
-        )
-        self._note_reply(args)
-        if self._cache_enabled:
-            self._cache[sid][key] = _copy(value)  # write-through
-        if tel.full:
-            tel.record_latency("kv_put", time.perf_counter() - t0)
-
-    @_traced("kv_get")
-    def get(self, key: Any, default: Any = _MISSING) -> Any:
-        """Fetch ``key`` (cache first); KeyError unless ``default``."""
-        ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        sid = shard_of(key, self.nshards)
-        ctx.stats.record_kv_get()
-        self._drain_deaths()
-        # Local fast path: a hosted primary — or, with read_replicas, a
-        # hosted backup copy — serves the read without touching the
-        # wire.
-        st = _map_state(ctx, self.map_id)
-        sh = st["shards"].get(sid)
-        if sh is not None and "moving_to" not in sh \
-                and (sh["role"] == "primary" or self.read_replicas):
+    def _mutate_local(self, ctx: RankState, sid: int,
+                      apply: Callable[[Shard], tuple | None],
+                      nkeys: int = 1) -> tuple[Shard, tuple | None] | None:
+        """Run a write through :func:`_mutate` right here when this rank
+        is the shard's serving primary — the same owner-side path the
+        AM handlers take, under the same lock.  ``None`` means the op
+        must go to the wire: the shard is not (or, deposed while
+        replicating, no longer) ours."""
+        shards = _map_state(ctx, self.map_id).shards
+        if self._hosted(shards, sid, write=True) is None:
+            return None
+        try:
             with ctx._handler_lock:
-                sh = st["shards"].get(sid)
-                if sh is not None and "moving_to" not in sh \
-                        and (sh["role"] == "primary"
-                             or self.read_replicas):
-                    present = key in sh["store"]
-                    val = _copy(sh["store"][key]) if present else None
-                    if sh["role"] != "primary":
+                if self._hosted(shards, sid, write=True) is None:
+                    return None
+                sh, rec = _mutate(ctx, self.map_id, sid, apply)
+        except KvStalePrimary:
+            return None
+        ctx.stats.record_local(nkeys)
+        self._note_epoch(sid, sh.epoch)
+        return sh, rec
+
+    def _read_near(self, ctx: RankState, sid: int,
+                   key: Any) -> tuple[bool, Any] | None:
+        """Serve a read without the wire — from a hosted copy, else
+        from the cache — as ``(found, private value)``; ``None`` sends
+        the caller to the wire."""
+        shards = _map_state(ctx, self.map_id).shards
+        if self._hosted(shards, sid, write=False) is not None:
+            with ctx._handler_lock:
+                # Re-validate: a migration, drop or deposition that
+                # landed while we waited for the lock retired the copy,
+                # and the read must chase the redirect instead.
+                sh = self._hosted(shards, sid, write=False)
+                if sh is not None:
+                    found, val = sh.lookup(key)
+                    if not sh.is_primary:
                         ctx.stats.record_kv_replica_read()
                     ctx.stats.record_local()
-                    if tel.full:
-                        tel.record_latency(
-                            "kv_get", time.perf_counter() - t0)
-                    if present:
-                        return val
-                    if default is not _MISSING:
-                        return default
-                    raise KeyError(key)
+                    return found, _copy(val) if found else None
         if self._cache_enabled:
             cached = self._cache[sid]
             if key in cached:
                 self.cache_hits += 1
                 ctx.stats.record_kv_cache(True)
-                if tel.full:
-                    tel.record_latency("kv_get",
-                                       time.perf_counter() - t0)
                 # Copy on the way out: gets hand back private values
                 # everywhere, so a caller mutating its result can never
                 # corrupt the cache (or, via the SMP by-reference
                 # conduit, the owner's store).
-                return _copy(cached[key])
+                return True, _copy(cached[key])
             self.cache_misses += 1
             ctx.stats.record_kv_cache(False)
-        if tel.active:
-            tel.flight_event("kv_get", src=ctx.rank,
-                             dst=self._table.get(sid, (sid, None))[0],
-                             detail=repr(key)[:48])
-        args, payload = self._shard_request(
-            ctx, sid, "kv_get", (), [key],
-            what=f"kv_get({key!r})", keys=[key], read=True,
-        )
-        [(found, val)] = payload
-        self._note_reply(args)
-        if found and self._cache_enabled:
-            self._cache[sid][key] = val
-            val = _copy(val)  # the cached object stays private
-        if tel.full:
-            tel.record_latency("kv_get", time.perf_counter() - t0)
+        return None
+
+    def _cache_fetched(self, key: Any, val: Any) -> Any:
+        """Remember a value fetched from its owner; returns the value
+        to hand out (a copy when cached, so the cached object stays
+        private)."""
+        if not self._cache_enabled:
+            return val
+        self._cache[shard_of(key, self.nshards)][key] = val
+        return _copy(val)
+
+    # -- point ops ---------------------------------------------------------
+    @_traced("kv_put", "kv_put")
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``key -> value`` at its shard's primary (last writer
+        wins); with ``replicas=1`` the write is also logged to the
+        backup before this call returns."""
+        ctx = current()
+        sid = shard_of(key, self.nshards)
+        ctx.stats.record_kv_put()
+        if self._mutate_local(
+                ctx, sid, lambda sh: sh.put({key: _copy(value)})):
+            return
+        self._request(ctx, "kv_put", f"kv_put({key!r})", {sid: [key]},
+                      lambda _ks: {key: value}, event="kv_put")
+        if self._cache_enabled:
+            self._cache[sid][key] = _copy(value)  # write-through
+
+    @_traced("kv_get", "kv_get")
+    def get(self, key: Any, default: Any = _MISSING) -> Any:
+        """Fetch ``key`` (cache first); KeyError unless ``default``."""
+        ctx = current()
+        sid = shard_of(key, self.nshards)
+        ctx.stats.record_kv_get()
+        # A hosted primary — or, with read_replicas, a hosted backup
+        # copy — and then the cache serve the read without touching
+        # the wire.
+        hit = self._read_near(ctx, sid, key)
+        if hit is None:
+            [(_ks, _x, [(found, val)])] = self._request(
+                ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
+                read=True, event="kv_get")
+            if found:
+                val = self._cache_fetched(key, val)
+        else:
+            found, val = hit
         if found:
             return val
         if default is not _MISSING:
@@ -1125,37 +961,16 @@ class DistHashMap:
         """Remove ``key``; returns whether it was present."""
         ctx = current()
         sid = shard_of(key, self.nshards)
-        self._drain_deaths()
         ctx.stats.record_kv_delete()
-        if self._local_primary(ctx, sid) is not None:
-            try:
-                with ctx._handler_lock:
-                    hit = self._local_primary(ctx, sid)
-                    if hit is not None:
-                        st, sh = hit
-                        epoch, n = _apply_delete(sh, [key])
-                        if n:
-                            _replicate(ctx, self.map_id, st, sid, sh,
-                                       [("del", [key], epoch)])
-                        ctx.stats.record_local()
-                        self._note_epoch(sid, epoch)
-                        return n > 0
-            except KvStalePrimary:
-                pass
-        if ctx.telemetry.active:
-            ctx.telemetry.flight_event(
-                "kv_del", src=ctx.rank,
-                dst=self._table.get(sid, (sid, None))[0],
-                detail=repr(key)[:48],
-            )
-        args, _pl = self._shard_request(
-            ctx, sid, "kv_del", (), [key],
-            what=f"kv_del({key!r})", keys=[key],
-        )
-        (n,) = self._note_reply(args)
+        hit = self._mutate_local(ctx, sid, lambda sh: sh.delete([key]))
+        if hit:
+            return hit[1] is not None
+        [(_ks, (n,), _pl)] = self._request(
+            ctx, "kv_del", f"kv_del({key!r})", {sid: [key]},
+            event="kv_del")
         return n > 0
 
-    @_traced("kv_update")
+    @_traced("kv_update", "kv_put")
     def update(self, key: Any, op, *args, default: Any = _MISSING) -> Any:
         """Atomic read-modify-write at the primary; returns the new
         value.
@@ -1168,89 +983,29 @@ class DistHashMap:
         replays the recorded result instead of re-applying.
         """
         ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
         sid = shard_of(key, self.nshards)
         op_id = next(self._op_seq)
         has_default = default is not _MISSING
-        self._drain_deaths()
+        fn = _resolve_update(op)  # fail fast on a bogus name
         ctx.stats.record_kv_update()
-        if self._local_primary(ctx, sid) is not None:
-            try:
-                with ctx._handler_lock:
-                    hit = self._local_primary(ctx, sid)
-                    if hit is not None:
-                        st, sh = hit
-                        epoch, new, fresh = _apply_update(
-                            sh, ctx.rank, op_id, key,
-                            _resolve_update(op),
-                            tuple(_copy(a) for a in args),
-                            _copy(default) if has_default else None,
-                            has_default,
-                        )
-                        if fresh:
-                            _replicate(
-                                ctx, self.map_id, st, sid, sh,
-                                [("upd", key, new, ctx.rank, op_id,
-                                  epoch)])
-                        new = _copy(new)
-                        ctx.stats.record_local()
-                        self._note_epoch(sid, epoch)
-                        if tel.full:
-                            tel.record_latency(
-                                "kv_put", time.perf_counter() - t0)
-                        return new
-            except KvStalePrimary:
-                pass
-        _resolve_update(op)  # fail fast on a bogus name
-        if tel.active:
-            tel.flight_event("kv_update", src=ctx.rank,
-                             dst=self._table.get(sid, (sid, None))[0],
-                             detail=repr(key)[:48])
-        payload = (key, op, args, default if has_default else None,
+        hit = self._mutate_local(
+            ctx, sid, lambda sh: sh.update(
+                ctx.rank, op_id, key, fn, tuple(_copy(a) for a in args),
+                _copy(default) if has_default else None, has_default))
+        if hit:
+            return _copy(hit[0].result_of(ctx.rank, op_id)[1])
+        request = (key, op, args, default if has_default else None,
                    has_default)
-        rargs, new = self._shard_request(
-            ctx, sid, "kv_update", (op_id,), payload,
-            what=f"kv_update({key!r})#op{op_id}", keys=[key],
-        )
-        self._note_reply(rargs)
+        [(_ks, _x, new)] = self._request(
+            ctx, "kv_update", f"kv_update({key!r})#op{op_id}",
+            {sid: [key]}, lambda _ks: request, extra=(op_id,),
+            event="kv_update")
         if self._cache_enabled:
             self._cache[sid][key] = _copy(new)
-        if tel.full:
-            tel.record_latency("kv_put", time.perf_counter() - t0)
         return new
 
     # -- batched ops -------------------------------------------------------
-    def _group_by_target(self, ctx: RankState, keys) -> dict[int, list]:
-        """Group keys by the rank currently serving their shard (the
-        failover-aware replacement for group-by-owner)."""
-        dead = ctx.world.dead_ranks
-        groups: dict[int, list] = {}
-        for k in keys:
-            sid = shard_of(k, self.nshards)
-            primary, backup = self._table.get(
-                sid, (sid % self.nranks, None))
-            target = primary
-            if target in dead and self.replicas and backup is not None \
-                    and backup not in dead:
-                target = backup
-            groups.setdefault(target, []).append(k)
-        return groups
-
-    def _multi_fail(self, ctx: RankState, op: str, target: int,
-                    ks: list, exc, t_fail, hops: int):
-        """Shared RankDead/PeerFailure handling for the batched ops:
-        fail fast (with the kv diagnostic) when unreplicated, otherwise
-        repoint every affected shard and signal a retry."""
-        if not self.replicas:
-            raise KvOwnerDead(op, target, ks, exc) from exc
-        if hops > _MAX_HOPS:
-            raise KvOwnerDead(op, target, ks, exc) from exc
-        for sid in {shard_of(k, self.nshards) for k in ks}:
-            t_fail = self._failover(ctx, sid, target, op, t_fail)
-        return t_fail
-
-    @_traced("kv_multi_get")
+    @_traced("kv_multi_get", "kv_multi")
     def multi_get(self, keys: Iterable[Any],
                   default: Any = _MISSING) -> list:
         """Fetch many keys with **one AM per serving rank**, issued
@@ -1267,121 +1022,37 @@ class DistHashMap:
         if not keys:
             return []
         ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        self._drain_deaths()
-        out: list = [_MISSING] * len(keys)
+        out: list = [None if default is _MISSING else default] * len(keys)
         missing: list = []
         key_pos: dict[Any, list[int]] = {}
-        st = _map_state(ctx, self.map_id)
+        pending: dict[int, list] = {}
         for pos, k in enumerate(keys):
             sid = shard_of(k, self.nshards)
-            sh = st["shards"].get(sid)
-            if sh is not None and "moving_to" not in sh \
-                    and (sh["role"] == "primary" or self.read_replicas):
-                with ctx._handler_lock:
-                    present = k in sh["store"]
-                    val = _copy(sh["store"][k]) if present else None
-                if sh["role"] != "primary":
-                    ctx.stats.record_kv_replica_read()
-                ctx.stats.record_local()
-                if present:
-                    out[pos] = val
-                else:
-                    missing.append(k)
-                    out[pos] = None if default is _MISSING else default
-                continue
-            if self._cache_enabled and k in self._cache[sid]:
-                self.cache_hits += 1
-                ctx.stats.record_kv_cache(True)
-                out[pos] = _copy(self._cache[sid][k])
-                continue
-            if self._cache_enabled:
-                self.cache_misses += 1
-                ctx.stats.record_kv_cache(False)
-            key_pos.setdefault(k, []).append(pos)
+            hit = self._read_near(ctx, sid, k)
+            if hit is None:
+                if k not in key_pos:
+                    pending.setdefault(sid, []).append(k)
+                key_pos.setdefault(k, []).append(pos)
+            elif hit[0]:
+                out[pos] = hit[1]
+            else:
+                missing.append(k)
         ctx.stats.record_kv_get(len(keys))
-        pending = list(key_pos)
-        first_round = True
-        attempt = 0
-        hops = 0
-        t_fail = None
-        while pending:
-            groups = self._group_by_target(ctx, pending)
-            if first_round:
-                first_round = False
-                ctx.stats.record_kv_multi(len(groups), len(pending))
-                if tel.active:
-                    tel.flight_event(
-                        "kv_multi_get", src=ctx.rank, dst=-1,
-                        detail=(f"{len(pending)} keys -> "
-                                f"{len(groups)} servers"),
-                    )
-            dead = ctx.world.dead_ranks
-            # Issue every server's AM before gathering any reply — the
-            # round trips overlap instead of serializing.
-            futs = {
-                t: ctx.send_am(t, "kv_get", args=(self.map_id, -1),
-                               payload=ks, expect_reply=True)
-                for t, ks in groups.items() if t not in dead
-            }
-            next_pending: list = []
-            for t, ks in groups.items():
-                fut = futs.get(t)
-                if fut is None:  # dead before send, no live fallback
-                    hops += 1
-                    t_fail = self._multi_fail(
-                        ctx, "multi_get", t, ks,
-                        RankDead(f"rank {t} is dead"), t_fail, hops)
-                    next_pending += ks
+        for ks, _x, found in self._request(
+                ctx, "kv_get", "multi_get", pending, batched=True,
+                event="kv_multi_get"):
+            for k, (ok, val) in zip(ks, found):
+                if not ok:
+                    missing.append(k)
                     continue
-                try:
-                    rargs, payload = fut.get()
-                except CommTimeout:
-                    attempt += 1
-                    if attempt >= self.retry_attempts:
-                        raise CommTimeout(
-                            f"multi_get: rank {t} unreachable after "
-                            f"{attempt} attempts ({len(ks)} keys)")
-                    next_pending += ks
-                    continue
-                except (RankDead, PeerFailure) as exc:
-                    hops += 1
-                    t_fail = self._multi_fail(
-                        ctx, "multi_get", t, ks, exc, t_fail, hops)
-                    next_pending += ks
-                    continue
-                except (KvRedirect, KvStalePrimary) as exc:
-                    hops += 1
-                    if hops > _MAX_HOPS:
-                        raise
-                    self._follow_redirect(ctx, exc)
-                    next_pending += ks
-                    continue
-                self._note_reply(rargs)
-                for k, (ok, val) in zip(ks, payload):
-                    sid = shard_of(k, self.nshards)
-                    if ok and self._cache_enabled:
-                        self._cache[sid][k] = val
-                        # keep the cached object private to the cache
-                        val = _copy(val)
-                    for pos in key_pos[k]:
-                        if ok:
-                            out[pos] = val
-                        else:
-                            out[pos] = (None if default is _MISSING
-                                        else default)
-                    if not ok:
-                        missing.append(k)
-            pending = next_pending
-        self._end_failover(ctx, t_fail, "multi_get")
-        if tel.full:
-            tel.record_latency("kv_multi", time.perf_counter() - t0)
+                val = self._cache_fetched(k, val)
+                for pos in key_pos[k]:
+                    out[pos] = val
         if missing and default is _MISSING:
             raise KeyError(missing[0])
         return out
 
-    @_traced("kv_multi_put")
+    @_traced("kv_multi_put", "kv_multi")
     def multi_put(self, items) -> None:
         """Store many pairs with one AM per serving rank (concurrent).
 
@@ -1398,100 +1069,21 @@ class DistHashMap:
         if not pairs:
             return
         ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        self._drain_deaths()
-        data: dict = {}
-        for k, v in pairs:
-            data[k] = v  # within one batch the last write wins
+        data = dict(pairs)  # within one batch the last write wins
         ctx.stats.record_kv_put(len(pairs))
-        st = _map_state(ctx, self.map_id)
         by_sid: dict[int, dict] = {}
         for k, v in data.items():
             by_sid.setdefault(shard_of(k, self.nshards), {})[k] = v
-        remote: dict = {}
-        for sid, chunk in by_sid.items():
-            if self._local_primary(ctx, sid) is None:
-                remote.update(chunk)
-                continue
-            applied = False
-            try:
-                with ctx._handler_lock:
-                    hit = self._local_primary(ctx, sid)
-                    if hit is not None:
-                        stt, sh = hit
-                        epoch = _apply_put(
-                            sh, {k: _copy(v) for k, v in chunk.items()})
-                        applied = True
-                        _replicate(ctx, self.map_id, stt, sid, sh,
-                                   [("put", chunk, epoch)])
-                        ctx.stats.record_local(len(chunk))
-                        self._note_epoch(sid, epoch)
-            except KvStalePrimary:
-                applied = False  # deposed: re-send through the wire path
-            if not applied:
-                remote.update(chunk)
-        pending = list(remote)
-        first_round = True
-        attempt = 0
-        hops = 0
-        t_fail = None
-        while pending:
-            groups = self._group_by_target(ctx, pending)
-            if first_round:
-                first_round = False
-                ctx.stats.record_kv_multi(len(groups), len(pending))
-                if tel.active:
-                    tel.flight_event(
-                        "kv_multi_put", src=ctx.rank, dst=-1,
-                        detail=(f"{len(pending)} keys -> "
-                                f"{len(groups)} servers"),
-                    )
-            dead = ctx.world.dead_ranks
-            futs = {
-                t: ctx.send_am(t, "kv_put", args=(self.map_id, -1),
-                               payload={k: remote[k] for k in ks},
-                               expect_reply=True)
-                for t, ks in groups.items() if t not in dead
-            }
-            next_pending: list = []
-            for t, ks in groups.items():
-                fut = futs.get(t)
-                if fut is None:
-                    hops += 1
-                    t_fail = self._multi_fail(
-                        ctx, "multi_put", t, ks,
-                        RankDead(f"rank {t} is dead"), t_fail, hops)
-                    next_pending += ks
-                    continue
-                try:
-                    rargs, _pl = fut.get()
-                except CommTimeout:
-                    attempt += 1
-                    if attempt >= self.retry_attempts:
-                        raise CommTimeout(
-                            f"multi_put: rank {t} unreachable after "
-                            f"{attempt} attempts ({len(ks)} keys)")
-                    next_pending += ks
-                    continue
-                except (RankDead, PeerFailure) as exc:
-                    hops += 1
-                    t_fail = self._multi_fail(
-                        ctx, "multi_put", t, ks, exc, t_fail, hops)
-                    next_pending += ks
-                    continue
-                except (KvRedirect, KvStalePrimary) as exc:
-                    hops += 1
-                    if hops > _MAX_HOPS:
-                        raise
-                    self._follow_redirect(ctx, exc)
-                    next_pending += ks
-                    continue
-                self._note_reply(rargs)
-            pending = next_pending
-        self._end_failover(ctx, t_fail, "multi_put")
-        if tel.full:
-            tel.record_latency("kv_multi", time.perf_counter() - t0)
+        pending = {
+            sid: list(chunk) for sid, chunk in by_sid.items()
+            if not self._mutate_local(
+                ctx, sid,
+                lambda sh: sh.put({k: _copy(v) for k, v in chunk.items()}),
+                nkeys=len(chunk))
+        }
+        self._request(ctx, "kv_put", "multi_put", pending,
+                      lambda ks: {k: data[k] for k in ks}, batched=True,
+                      event="kv_multi_put")
 
     # -- rebalancing -------------------------------------------------------
     def rebalance(self, shard: int, to: int) -> None:
@@ -1509,14 +1101,11 @@ class DistHashMap:
             raise PgasError(f"rebalance: no such rank {to}")
         if to in ctx.world.dead_ranks:
             raise PgasError(f"rebalance: target rank {to} is dead")
-        if ctx.telemetry.active:
-            ctx.telemetry.flight_event(
-                "kv_rebalance", src=ctx.rank, dst=to,
-                detail=f"shard {sid}")
-        self._shard_request(
-            ctx, sid, "kv_migrate", (to,), None,
-            what=f"kv_migrate(shard {sid} -> rank {to})", keys=[],
-        )
+        ctx.telemetry.flight_event(
+            "kv_rebalance", src=ctx.rank, dst=to, detail=f"shard {sid}")
+        self._request(
+            ctx, "kv_migrate", f"kv_migrate(shard {sid} -> rank {to})",
+            {sid: []}, lambda _ks: None, extra=(to,))
         self._table[sid] = (to, None)
         if self._cache_enabled:
             self._cache[sid].clear()
@@ -1535,24 +1124,13 @@ class DistHashMap:
             self._refresh_table(ctx)
         if not self._cache_enabled:
             return
-        dead = ctx.world.dead_ranks
-        futs = {
-            r: ctx.send_am(r, "kv_epoch", args=(self.map_id, -1),
-                           expect_reply=True)
-            for r in range(self.nranks)
-            if r != ctx.rank and r not in dead
-        }
-        for r, fut in futs.items():
-            try:
-                args, _pl = fut.get()
-            except (RankDead, PeerFailure, CommTimeout):
-                continue
+        for _r, args, _pl in self._ask_peers(ctx, "kv_epoch",
+                                             self.map_id, -1):
             self._note_reply(args)
-        st = _map_state(ctx, self.map_id)
         with ctx._handler_lock:
-            for sid, sh in st["shards"].items():
-                if sh["role"] == "primary":
-                    self._note_epoch(sid, sh["epoch"])
+            for sh in _map_state(ctx, self.map_id).shards.values():
+                if sh.is_primary:
+                    self._note_epoch(sh.sid, sh.epoch)
 
     def invalidate_cache(self) -> None:
         """Drop every cached entry unconditionally."""
@@ -1566,60 +1144,44 @@ class DistHashMap:
 
     # -- introspection -----------------------------------------------------
     def __contains__(self, key: Any) -> bool:
-        return self.get(key, default=_MISSING2) is not _MISSING2
+        try:
+            self.get(key)
+        except KeyError:
+            return False
+        return True
 
     def local_size(self) -> int:
         """Entries in the primary shards hosted by the calling rank."""
         ctx = current()
-        st = _map_state(ctx, self.map_id)
         with ctx._handler_lock:
-            return sum(
-                len(sh["store"]) for sh in st["shards"].values()
-                if sh["role"] == "primary" and "moving_to" not in sh)
+            return sum(len(sh.store) for sh in
+                       _map_state(ctx, self.map_id).serving())
 
     def local_keys(self) -> list:
         ctx = current()
-        st = _map_state(ctx, self.map_id)
-        out: list = []
         with ctx._handler_lock:
-            for sh in st["shards"].values():
-                if sh["role"] == "primary" and "moving_to" not in sh:
-                    out.extend(sh["store"])
-        return out
+            return [k for sh in _map_state(ctx, self.map_id).serving()
+                    for k in sh.store]
 
     def local_shards(self) -> dict[int, str]:
         """Shard ids hosted by the calling rank -> role."""
         ctx = current()
-        st = _map_state(ctx, self.map_id)
         with ctx._handler_lock:
-            return {sid: sh["role"]
-                    for sid, sh in sorted(st["shards"].items())}
+            return {sid: sh.role for sid, sh in sorted(
+                _map_state(ctx, self.map_id).shards.items())}
 
     def size(self) -> int:
         """Global entry count over primary shards (non-collective:
         servers answer AMs concurrently; callers racing with writers
-        or failovers see a fuzzy count).  Dead ranks are skipped."""
+        or failovers see a fuzzy count).  Dead ranks — and, like
+        :meth:`refresh`, peers that die or time out while being asked —
+        are skipped."""
         ctx = current()
-        dead = ctx.world.dead_ranks
-        futs = [
-            ctx.send_am(r, "kv_size", args=(self.map_id,),
-                        expect_reply=True)
-            for r in range(self.nranks)
-            if r != ctx.rank and r not in dead
-        ]
-        total = self.local_size()
-        for fut in futs:
-            try:
-                (count, *_), _pl = fut.get()
-            except (RankDead, PeerFailure):
-                continue
-            total += count
-        return total
+        return self.local_size() + sum(
+            count for _r, (count, *_), _pl in
+            self._ask_peers(ctx, "kv_size", self.map_id))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"DistHashMap(id={self.map_id}, shards={self.nshards}, "
                 f"replicas={self.replicas}, "
                 f"cache={'on' if self._cache_enabled else 'off'})")
-
-
-_MISSING2 = object()

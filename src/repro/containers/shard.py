@@ -1,0 +1,412 @@
+"""One copy of one :class:`~repro.containers.DistHashMap` shard as a
+world-free state machine, plus the two wire layouts that spell out its
+state: replication-log records (``kv_repl``) and snapshots (``kv_state``).
+
+Nothing here knows about liveness, conduits or telemetry: the hosting
+rank's AM handlers (``hashmap.py``) decide *when* an event happens (a
+primary died, a migration was requested); this module decides what the
+event does to the copy and which events are illegal.
+
+A copy is a ``PRIMARY`` or ``BACKUP`` :class:`Shard`, *moving* (a primary
+frozen by :meth:`Shard.begin_move` while its snapshot travels), or
+*absent*, possibly tombstoned — that state lives in :class:`HostedMap`.
+``epoch`` bumps on every applied mutation (clients drop cached entries on
+a newer one); ``repl_epoch`` bumps on every change of primary (a deposed
+primary's log is rejected by it).  Illegal events raise
+:class:`KvRedirect` ("ask over there") or :class:`KvStalePrimary` ("you
+were deposed").
+"""
+
+from __future__ import annotations
+
+import struct
+from collections import OrderedDict
+from typing import Any, Callable, NamedTuple
+
+from repro.errors import PgasError
+from repro.gasnet.wire import bind_handler, register_message_codec
+# Stream primitives, and the put-batch layout ({key: value}) that both
+# records and snapshots embed — it still lives in the wire package with
+# the other kv request codecs.
+from repro.gasnet.wire.codecs import (
+    _dec_kv_items,
+    _enc_kv_items,
+    _I,
+    _q,
+    _read_I,
+)
+
+PRIMARY = "primary"
+BACKUP = "backup"
+
+#: Applied-update results each shard retains: the exactly-once dedup
+#: window for client-level retries after a lost reply.
+APPLIED_WINDOW = 4096
+
+_ABSENT = object()
+
+
+class KvRedirect(PgasError):
+    """The contacted rank does not serve this shard (any more); the
+    client should retry at ``hint`` (or refresh its shard table)."""
+
+    def __init__(self, sid: int, hint: int | None = None):
+        where = f"; try rank {hint}" if hint is not None else ""
+        super().__init__(f"shard {sid} is not served here{where}")
+        self.sid = sid
+        self.hint = hint
+
+
+class KvStalePrimary(PgasError):
+    """A replication log arrived from a deposed primary: the shard was
+    promoted elsewhere under a newer repl_epoch."""
+
+    def __init__(self, sid: int, new_primary: int | None = None):
+        where = (f"; new primary is rank {new_primary}"
+                 if new_primary is not None else "")
+        super().__init__(
+            f"stale primary for shard {sid}: a newer replica epoch "
+            f"exists{where}")
+        self.sid = sid
+        self.new_primary = new_primary
+
+
+class ShardSnapshot(NamedTuple):
+    """A full copy of a shard for ``kv_install`` — store, epochs,
+    topology and the exactly-once dedup records (update() retries must
+    keep deduping at the shard's new home).  ``as_primary`` marks the
+    receiving half of a live migration."""
+
+    store: dict
+    applied: list            # [(src, op_id, epoch, value), ...]
+    epoch: int
+    repl_epoch: int
+    primary: int
+    backup: int | None
+    as_primary: bool
+
+
+class Shard:
+    """One rank's copy of one shard.  Every state change goes through a
+    method here; the mutators return the replication-log record they
+    produced (``None`` when nothing changed), which is exactly what
+    :meth:`replay` consumes at the backup."""
+
+    __slots__ = ("sid", "is_primary", "primary", "backup", "moving_to",
+                 "store", "epoch", "repl_epoch", "applied")
+
+    def __init__(self, sid: int, role: str, primary: int,
+                 backup: int | None):
+        self.sid = sid
+        self.is_primary = role == PRIMARY
+        self.primary = primary       # == the hosting rank iff is_primary
+        self.backup = backup
+        self.moving_to: int | None = None
+        self.store: dict = {}        # key -> value (this copy's truth)
+        self.epoch = 0               # bumped on every mutation
+        self.repl_epoch = 0          # bumped on promotion/migration
+        # (src, op_id) -> (epoch, value), oldest first
+        self.applied: OrderedDict = OrderedDict()
+
+    # -- who may be served ---------------------------------------------
+    @property
+    def role(self) -> str:
+        return PRIMARY if self.is_primary else BACKUP
+
+    def serves(self, write: bool) -> bool:
+        """May this copy answer a client op?  A frozen (moving) copy
+        serves nothing; a backup serves reads only."""
+        return self.moving_to is None and (self.is_primary or not write)
+
+    def redirect(self) -> KvRedirect:
+        """Where a client this copy cannot serve should go instead."""
+        return KvRedirect(self.sid, self.primary if self.moving_to is None
+                          else self.moving_to)
+
+    def require(self, write: bool) -> None:
+        if not self.serves(write):
+            raise self.redirect()
+
+    # -- client ops ----------------------------------------------------
+    def lookup(self, key: Any) -> tuple[bool, Any]:
+        store = self.store
+        return (True, store[key]) if key in store else (False, None)
+
+    def put(self, items: dict) -> tuple:
+        self.require(write=True)
+        self.store.update(items)
+        self.epoch += 1
+        return ("put", items, self.epoch)
+
+    def delete(self, keys: list) -> tuple | None:
+        """Remove ``keys``; the record lists the keys that were present
+        (``None``, and no epoch bump, when none was)."""
+        self.require(write=True)
+        store = self.store
+        gone = [k for k in keys if store.pop(k, _ABSENT) is not _ABSENT]
+        if not gone:
+            return None
+        self.epoch += 1
+        return ("del", gone, self.epoch)
+
+    def update(self, src: int, op_id: int, key: Any, fn: Callable,
+               args: tuple = (), default: Any = None,
+               has_default: bool = False) -> tuple | None:
+        """Apply ``fn(old, *args)``, exactly once per (src, op_id): a
+        duplicate (client retry after a lost reply — possibly landing
+        on a promoted backup) changes nothing and returns ``None``;
+        :meth:`result_of` has the recorded outcome either way."""
+        self.require(write=True)
+        if (src, op_id) in self.applied:
+            return None
+        store = self.store
+        if key in store:
+            old = store[key]
+        elif has_default:
+            old = default
+        else:
+            raise KeyError(key)
+        new = fn(old, *args)
+        store[key] = new
+        self.epoch += 1
+        self._remember(src, op_id, self.epoch, new)
+        return ("upd", key, new, src, op_id, self.epoch)
+
+    def result_of(self, src: int, op_id: int) -> tuple[int, Any]:
+        """``(epoch, value)`` recorded for an applied update."""
+        return self.applied[(src, op_id)]
+
+    def _remember(self, src: int, op_id: int, epoch: int,
+                        value: Any) -> None:
+        applied = self.applied
+        applied[(src, op_id)] = (epoch, value)
+        while len(applied) > APPLIED_WINDOW:
+            applied.popitem(last=False)
+
+    # -- replication ---------------------------------------------------
+    def replay(self, repl_epoch: int, records: list) -> None:
+        """Backup side of the log: reject a deposed primary by its
+        repl_epoch, otherwise bring this copy to the sender's state."""
+        if repl_epoch < self.repl_epoch:
+            raise KvStalePrimary(self.sid, self.primary)
+        store = self.store
+        for rec in records:
+            kind = rec[0]
+            if kind == "put":
+                store.update(rec[1])
+            elif kind == "del":
+                for k in rec[1]:
+                    store.pop(k, None)
+            else:
+                _, key, value, src, op_id, epoch = rec
+                store[key] = value
+                self._remember(src, op_id, epoch, value)
+            self.epoch = max(self.epoch, rec[-1])
+
+    def snapshot(self, as_primary: bool = False) -> ShardSnapshot:
+        """This copy in full.  ``as_primary`` is the migration snapshot:
+        its receiver takes over under the next repl_epoch."""
+        return ShardSnapshot(
+            dict(self.store),
+            [(src, op_id, ep, val)
+             for (src, op_id), (ep, val) in self.applied.items()],
+            self.epoch, self.repl_epoch + (1 if as_primary else 0),
+            self.primary, self.backup, as_primary)
+
+    @classmethod
+    def from_snapshot(cls, sid: int, snap: ShardSnapshot,
+                      me: int) -> "Shard":
+        """The copy rank ``me`` holds after installing ``snap``: a
+        backup of ``snap.primary``, or (``as_primary``) the new primary
+        with a fresh epoch so client caches invalidate."""
+        if snap.as_primary:
+            sh = cls(sid, PRIMARY, me, snap.backup)
+            sh.epoch = snap.epoch + 1
+        else:
+            sh = cls(sid, BACKUP, snap.primary, snap.backup)
+            sh.epoch = snap.epoch
+        sh.store = snap.store
+        sh.repl_epoch = snap.repl_epoch
+        for src, op_id, ep, val in snap.applied:
+            sh.applied[(src, op_id)] = (ep, val)
+        return sh
+
+    # -- role changes --------------------------------------------------
+    def promote(self, me: int, backup: int | None) -> None:
+        """Backup -> primary (the old primary is dead): repl_epoch fences
+        its stale logs, epoch invalidates client caches."""
+        if self.is_primary:
+            raise self.redirect()
+        self.is_primary = True
+        self.primary = me
+        self.backup = backup
+        self.repl_epoch += 1
+        self.epoch += 1
+
+    def begin_move(self, to: int) -> None:
+        """Freeze for migration: until :meth:`abort_move` (or the copy
+        is retired) every client op is redirected at ``to``."""
+        self.require(write=True)
+        self.moving_to = to
+
+    def abort_move(self) -> None:
+        self.moving_to = None
+
+
+class HostedMap:
+    """One rank's share of one map: its shard copies, the redirect
+    tombstones of copies it gave up, and the map's shape."""
+
+    __slots__ = ("nshards", "replicas", "dir_id", "shards", "moved")
+
+    def __init__(self, nshards: int):
+        self.nshards = nshards
+        self.replicas = 0
+        self.dir_id: int | None = None
+        self.shards: dict[int, Shard] = {}
+        self.moved: dict[int, int] = {}      # sid -> new primary
+
+    def lookup(self, sid: int) -> Shard:
+        sh = self.shards.get(sid)
+        if sh is None:
+            raise KvRedirect(sid, self.moved.get(sid))
+        return sh
+
+    def serving(self) -> list[Shard]:
+        """The copies this rank is the serving primary of."""
+        return [sh for _sid, sh in sorted(self.shards.items())
+                if sh.serves(write=True)]
+
+    def roles(self) -> tuple:
+        """This rank's shard claims for the Directory: one
+        ``(sid, is_primary, repl_epoch, epoch, backup)`` tuple per
+        hosted shard."""
+        return tuple(
+            (sid, 1 if sh.is_primary else 0, sh.repl_epoch, sh.epoch,
+             -1 if sh.backup is None else sh.backup)
+            for sid, sh in sorted(self.shards.items()))
+
+    def replay(self, sid: int, repl_epoch: int, records: list) -> Shard:
+        sh = self.shards.get(sid)
+        if sh is None:
+            raise KvStalePrimary(sid, self.moved.get(sid))
+        sh.replay(repl_epoch, records)
+        return sh
+
+    def install(self, sid: int, snap: ShardSnapshot,
+                me: int) -> Shard | None:
+        """Replace whatever copy of ``sid`` is here with ``snap`` —
+        unless the copy here is newer (an old primary racing a newer
+        promotion): then nothing changes and ``None`` is returned."""
+        cur = self.shards.get(sid)
+        if cur is not None and cur.repl_epoch > snap.repl_epoch:
+            return None
+        sh = self.shards[sid] = Shard.from_snapshot(sid, snap, me)
+        self.moved.pop(sid, None)
+        return sh
+
+    def retire(self, sid: int, new_primary: int) -> None:
+        """Give the copy up (migrated away, or deposed) and leave a
+        tombstone pointing at its new primary."""
+        self.shards.pop(sid, None)
+        self.moved[sid] = new_primary
+
+    def drop(self, sid: int, repl_epoch: int, new_primary: int) -> bool:
+        """Retire a stale (pre-migration) copy, repl_epoch-guarded."""
+        sh = self.shards.get(sid)
+        if sh is None or sh.repl_epoch >= repl_epoch:
+            return False
+        self.retire(sid, new_primary)
+        return True
+
+
+# ---------------------------------------------------------------------------
+# wire layouts
+# ---------------------------------------------------------------------------
+# Replication log records (primary -> backup), each carrying the
+# primary's post-apply shard epoch so the backup replays to the exact
+# primary state:
+#   ("put", {key: value}, epoch)
+#   ("del", [key, ...], epoch)
+#   ("upd", key, new_value, src, op_id, epoch)   # + exactly-once record
+_3q = struct.Struct("<3q")
+_4q = struct.Struct("<4q")
+_REPL_PUT = 0
+_REPL_DEL = 1
+_REPL_UPD = 2
+
+
+def _enc_kv_repl(enc, records):
+    enc.out += _I.pack(len(records))
+    for rec in records:
+        kind = rec[0]
+        if kind == "put":
+            enc.out.append(_REPL_PUT)
+            enc.out += _q.pack(rec[2])
+            _enc_kv_items(enc, rec[1])
+        elif kind == "del":
+            enc.out.append(_REPL_DEL)
+            enc.out += _q.pack(rec[2])
+            enc.encode(rec[1])
+        else:
+            _, key, value, src, op_id, epoch = rec
+            enc.out.append(_REPL_UPD)
+            enc.out += _3q.pack(src, op_id, epoch)
+            enc.encode(key)
+            enc.encode(value)
+
+
+def _dec_kv_repl(dec):
+    n = _read_I(dec)
+    out = []
+    for _ in range(n):
+        kind = dec.mv[dec.pos]
+        dec.pos += 1
+        if kind == _REPL_UPD:
+            src, op_id, epoch = _3q.unpack_from(dec.mv, dec.pos)
+            dec.pos += 24
+            key = dec.decode()
+            value = dec.decode()
+            out.append(("upd", key, value, src, op_id, epoch))
+            continue
+        epoch = _q.unpack_from(dec.mv, dec.pos)[0]
+        dec.pos += 8
+        if kind == _REPL_PUT:
+            out.append(("put", _dec_kv_items(dec), epoch))
+        else:
+            out.append(("del", dec.decode(), epoch))
+    return out
+
+
+def _enc_kv_state(enc, snap: ShardSnapshot):
+    """Epochs/topology header, the store, then the dedup records."""
+    enc.out += _4q.pack(snap.epoch, snap.repl_epoch, snap.primary,
+                        -1 if snap.backup is None else snap.backup)
+    enc.out.append(1 if snap.as_primary else 0)
+    _enc_kv_items(enc, snap.store)
+    enc.out += _I.pack(len(snap.applied))
+    for src, op_id, epoch, value in snap.applied:
+        enc.out += _3q.pack(src, op_id, epoch)
+        enc.encode(value)
+
+
+def _dec_kv_state(dec) -> ShardSnapshot:
+    epoch, repl_epoch, primary, backup = _4q.unpack_from(dec.mv, dec.pos)
+    dec.pos += 32
+    as_primary = dec.mv[dec.pos] == 1
+    dec.pos += 1
+    store = _dec_kv_items(dec)
+    n = _read_I(dec)
+    applied = []
+    for _ in range(n):
+        src, op_id, aep = _3q.unpack_from(dec.mv, dec.pos)
+        dec.pos += 24
+        applied.append((src, op_id, aep, dec.decode()))
+    return ShardSnapshot(store, applied, epoch, repl_epoch, primary,
+                         None if backup < 0 else backup, as_primary)
+
+
+register_message_codec("kv_repl", _enc_kv_repl, _dec_kv_repl)
+register_message_codec("kv_state", _enc_kv_state, _dec_kv_state)
+bind_handler("kv_repl", "kv_repl")
+bind_handler("kv_install", "kv_state")

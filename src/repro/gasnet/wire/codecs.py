@@ -819,105 +819,13 @@ def _dec_kv_found(dec):
     return [(flag == 1, v) for flag, v in zip(mask, vals)]
 
 
-# kv replication log records (primary -> backup).  Three record kinds,
-# each carrying the primary's post-apply shard epoch so the backup's
-# store replays to the exact primary state:
-#   ("put", {key: value}, epoch)
-#   ("del", [key, ...], epoch)
-#   ("upd", key, new_value, src, op_id, epoch)   # + exactly-once record
-_3q = struct.Struct("<3q")
-_4q = struct.Struct("<4q")
-_REPL_PUT = 0
-_REPL_DEL = 1
-_REPL_UPD = 2
-
-
-def _enc_kv_repl(enc, records):
-    enc.out += _I.pack(len(records))
-    for rec in records:
-        kind = rec[0]
-        if kind == "put":
-            enc.out.append(_REPL_PUT)
-            enc.out += _q.pack(rec[2])
-            _enc_kv_items(enc, rec[1])
-        elif kind == "del":
-            enc.out.append(_REPL_DEL)
-            enc.out += _q.pack(rec[2])
-            _enc_obj_list(enc, rec[1])
-        else:
-            _, key, value, src, op_id, epoch = rec
-            enc.out.append(_REPL_UPD)
-            enc.out += _3q.pack(src, op_id, epoch)
-            _encode(enc, key)
-            _encode(enc, value)
-
-
-def _dec_kv_repl(dec):
-    n = _read_I(dec)
-    out = []
-    for _ in range(n):
-        kind = dec.mv[dec.pos]
-        dec.pos += 1
-        if kind == _REPL_UPD:
-            src, op_id, epoch = _3q.unpack_from(dec.mv, dec.pos)
-            dec.pos += 24
-            key = _decode(dec)
-            value = _decode(dec)
-            out.append(("upd", key, value, src, op_id, epoch))
-            continue
-        epoch = _q.unpack_from(dec.mv, dec.pos)[0]
-        dec.pos += 8
-        if kind == _REPL_PUT:
-            out.append(("put", _dec_kv_items(dec), epoch))
-        else:
-            out.append(("del", _dec_obj_list(dec), epoch))
-    return out
-
-
-def _enc_kv_state(enc, st):
-    """Full shard snapshot for kv_install: epochs/topology header, the
-    store, and the exactly-once update dedup records (so a retried
-    update() still dedups at the shard's new home)."""
-    backup = st.get("backup")
-    enc.out += _4q.pack(st["epoch"], st["repl_epoch"], st["primary"],
-                        -1 if backup is None else backup)
-    enc.out.append(1 if st.get("as_primary") else 0)
-    _enc_kv_items(enc, st["store"])
-    applied = st["applied"]  # [(src, op_id, epoch, value), ...]
-    enc.out += _I.pack(len(applied))
-    for src, op_id, epoch, value in applied:
-        enc.out += _3q.pack(src, op_id, epoch)
-        _encode(enc, value)
-
-
-def _dec_kv_state(dec):
-    epoch, repl_epoch, primary, backup = _4q.unpack_from(dec.mv, dec.pos)
-    dec.pos += 32
-    as_primary = dec.mv[dec.pos] == 1
-    dec.pos += 1
-    store = _dec_kv_items(dec)
-    n = _read_I(dec)
-    applied = []
-    for _ in range(n):
-        src, op_id, aep = _3q.unpack_from(dec.mv, dec.pos)
-        dec.pos += 24
-        applied.append((src, op_id, aep, _decode(dec)))
-    return {"epoch": epoch, "repl_epoch": repl_epoch, "primary": primary,
-            "backup": None if backup < 0 else backup,
-            "as_primary": as_primary, "store": store, "applied": applied}
-
-
 register_message_codec("kv_items", _enc_kv_items, _dec_kv_items)
 register_message_codec("kv_keys", _enc_obj_list, _dec_obj_list)
 register_message_codec("kv_found", _enc_kv_found, _dec_kv_found)
 register_message_codec("wq_loot", _enc_obj_list, _dec_obj_list)
 register_message_codec("dq_items", _enc_obj_list, _dec_obj_list)
-register_message_codec("kv_repl", _enc_kv_repl, _dec_kv_repl)
-register_message_codec("kv_state", _enc_kv_state, _dec_kv_state)
 
 bind_handler("kv_put", "kv_items")
 bind_handler("kv_get", "kv_keys")
 bind_handler("kv_del", "kv_keys")
 bind_handler("dq_push", "dq_items")
-bind_handler("kv_repl", "kv_repl")
-bind_handler("kv_install", "kv_state")

@@ -273,6 +273,26 @@ def test_wq_loot_codec_int_fast_path():
     assert not enc.used_pickle
 
 
+def test_frame_codec_ids_and_bindings_are_pinned():
+    """Codec ids are wire format: they follow registration order, and
+    two of the codecs register from ``repro.containers.shard`` (next to
+    the state they lay out) rather than from the wire package.  Pin the
+    whole table so a moved or reordered registration cannot shift an
+    id."""
+    assert {c.name: c.code for c in codecs_mod._codecs_by_name.values()} == {
+        "kv_items": 16, "kv_keys": 17, "kv_found": 18, "wq_loot": 19,
+        "dq_items": 20, "kv_repl": 21, "kv_state": 22,
+    }
+    assert {h: c.name for h, c in codecs_mod._handler_codecs.items()} == {
+        "kv_put": "kv_items", "kv_get": "kv_keys", "kv_del": "kv_keys",
+        "dq_push": "dq_items", "kv_repl": "kv_repl",
+        "kv_install": "kv_state",
+    }
+    for name in ("kv_repl", "kv_state"):
+        owner = codecs_mod._codecs_by_name[name].encode.__module__
+        assert owner == "repro.containers.shard"
+
+
 def test_register_message_codec_duplicate_rejected():
     with pytest.raises(Exception):
         codecs_mod.register_message_codec(
