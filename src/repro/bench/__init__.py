@@ -14,6 +14,6 @@ lulesh       Lagrange leapfrog           nearest-neighbour (26) exchange
 ===========  ==========================  ================================
 """
 
-from repro.bench import gups, stencil, sample_sort, raytrace, lulesh, harness
+from repro.bench import gups, stencil, sample_sort, raytrace, lulesh
 
-__all__ = ["gups", "stencil", "sample_sort", "raytrace", "lulesh", "harness"]
+__all__ = ["gups", "stencil", "sample_sort", "raytrace", "lulesh"]

@@ -221,14 +221,11 @@ def random_access(log2_table_size: int = 10, updates_per_rank: int = 256,
 
 def run(ranks: int = 4, log2_table_size: int = 10,
         updates_per_rank: int = 256, variant: str = "upcxx",
-        verify: bool = True, telemetry=None, conduit=None) -> GupsResult:
+        verify: bool = True, conduit=None) -> GupsResult:
     """Launch the benchmark in its own SPMD world.
 
-    ``telemetry`` is forwarded to :func:`repro.spmd` ("off"/"flight"/
-    "full" or a :class:`repro.telemetry.TelemetryConfig`) — the overhead
-    comparison in the bench harness runs the same workload at each mode.
     ``conduit`` selects the backend ("smp"/"proc", a conduit instance,
-    or None for the default), so the harness can compare thread- vs
+    or None for the default), so the harness can validate thread- and
     process-backed worlds on the same workload.
     """
     results = repro.spmd(
@@ -238,7 +235,6 @@ def run(ranks: int = 4, log2_table_size: int = 10,
             updates_per_rank=updates_per_rank,
             variant=variant, verify=verify,
         ),
-        telemetry=telemetry,
         conduit=conduit,
     )
     return results[0]

@@ -293,767 +293,6 @@ def print_calibration() -> None:
     print()
 
 
-def export_metrics(path: str, ranks: int = 4, log2_table_size: int = 10,
-                   updates_per_rank: int = 4096, reps: int = 3) -> dict:
-    """GUPS smoke at every telemetry mode -> structured ``metrics.json``.
-
-    Runs the same workload with telemetry off / flight / full
-    (best-of-``reps`` to damp scheduler noise), records throughput,
-    overhead ratios against the off baseline, aggregated
-    :class:`~repro.gasnet.stats.CommStats`, and (for "full") the merged
-    latency-histogram snapshots.  CI uploads the file as an artifact and
-    asserts the telemetry-off overhead bound from it.
-    """
-    import functools
-    import json
-
-    import repro
-    from repro.bench import gups
-    from repro.gasnet.stats import aggregate
-    from repro.telemetry import (
-        finalize_snapshot, merge_snapshots, rank_snapshot,
-    )
-
-    out: dict = {
-        "benchmark": "gups",
-        "config": {
-            "ranks": ranks,
-            "log2_table_size": log2_table_size,
-            "updates_per_rank": updates_per_rank,
-            "variant": "upcxx",
-            "reps": reps,
-        },
-        "modes": {},
-    }
-    # One throwaway run first: the initial world pays one-time costs
-    # (imports, numpy warm-up, thread spin-up) that would otherwise be
-    # charged entirely to whichever mode happens to run first.
-    gups.run(ranks=ranks, log2_table_size=log2_table_size,
-             updates_per_rank=updates_per_rank, variant="upcxx",
-             verify=False)
-    for mode in ("off", "flight", "full"):
-        best = None
-        world = None
-        best_holder: dict = {}
-        for _ in range(reps):
-            holder: dict = {}
-
-            def body(holder=holder, mode=mode):
-                r = gups.random_access(
-                    log2_table_size=log2_table_size,
-                    updates_per_rank=updates_per_rank,
-                    variant="upcxx",
-                )
-                if repro.myrank() == 0:
-                    # Threads share the process: the world object (and
-                    # its stats/telemetry) outlives the spmd region.
-                    holder["world"] = repro.current_world()
-                if mode == "full":
-                    # Exercise the cluster metrics plane: every rank
-                    # freezes its raw snapshot, then the tree allreduce
-                    # folds them; the result must equal the offline fold
-                    # of the frozen snapshots, bit for bit.
-                    from repro.core.world import current as _cur
-
-                    snap = rank_snapshot(_cur())
-                    holder.setdefault("snaps", {})[repro.myrank()] = snap
-                    merged = repro.current_world().metrics_reduce(
-                        snapshot=snap)
-                    if repro.myrank() == 0:
-                        holder["cluster"] = merged
-                return r
-
-            res = repro.spmd(body, ranks=ranks, telemetry=mode)[0]
-            if best is None or res.seconds < best.seconds:
-                best = res
-                world = holder["world"]
-                best_holder = holder
-        entry = {
-            "seconds": best.seconds,
-            "gups": best.gups,
-            "updates": best.updates,
-            "verified": best.verified,
-            "conduit_ops": best.conduit_ops,
-            "comm_stats": aggregate([r.stats for r in world.ranks]),
-        }
-        if mode == "full":
-            entry["telemetry"] = world.telemetry.metrics()
-            snaps = best_holder["snaps"]
-            offline = finalize_snapshot(functools.reduce(
-                merge_snapshots, (snaps[r] for r in sorted(snaps))))
-            entry["cluster"] = {
-                "merged": best_holder["cluster"],
-                "metrics_reduce_ok": best_holder["cluster"] == offline,
-            }
-        out["modes"][mode] = entry
-    base = out["modes"]["off"]["seconds"]
-    for mode in ("off", "flight", "full"):
-        out["modes"][mode]["overhead_vs_off"] = (
-            out["modes"][mode]["seconds"] / base if base > 0 else 0.0
-        )
-    # End-to-end wall time of a threaded Python run is scheduler-noisy
-    # (easily +-30% on shared CI machines); the *per-operation* conduit
-    # cost is the stable signal, so measure it directly too — a tight
-    # loop of remote batched atomics through the full wrapped stack.
-    out["per_op_us"] = _per_op_microbench()
-    for mode in ("off", "flight", "full"):
-        out["per_op_us"][f"{mode}_overhead"] = (
-            out["per_op_us"][mode] / out["per_op_us"]["off"]
-        )
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path}")
-    for mode, e in out["modes"].items():
-        print(f"  telemetry={mode:<7} {e['seconds'] * 1e3:8.1f} ms  "
-              f"{e['gups'] * 1e9:10.0f} updates/s  "
-              f"overhead x{e['overhead_vs_off']:.3f}  "
-              f"per-op {out['per_op_us'][mode]:.1f} us "
-              f"(x{out['per_op_us'][mode + '_overhead']:.3f})")
-    cluster = out["modes"]["full"]["cluster"]
-    n_hists = len(cluster["merged"]["histograms"])
-    print(f"  metrics_reduce: {n_hists} cluster histograms over ranks "
-          f"{cluster['merged']['ranks']}, bit-identical to offline "
-          f"fold: {cluster['metrics_reduce_ok']}")
-    return out
-
-
-def _per_op_microbench(iters: int = 200, reps: int = 3) -> dict:
-    """Per-operation conduit latency (µs) at each telemetry mode.
-
-    Rank 0 hammers rank 1 with indexed batched atomics; best-of-``reps``
-    of the mean per-op time.  This isolates the telemetry wrapper's cost
-    from thread-scheduling noise in end-to-end wall times.
-    """
-    import time as _time
-
-    import numpy as np
-
-    import repro
-
-    def body():
-        me = repro.myrank()
-        sa = repro.SharedArray(np.uint64, size=1024, block=512)
-        repro.barrier()
-        per_op = None
-        if me == 0:
-            idx = np.arange(512, 768, dtype=np.int64)  # remote half
-            vals = np.arange(256, dtype=np.uint64)
-            t0 = _time.perf_counter()
-            for _ in range(iters):
-                sa.atomic_batch(idx, "xor", vals)
-            per_op = (_time.perf_counter() - t0) / iters * 1e6
-        repro.barrier()
-        return per_op
-
-    out = {}
-    for mode in ("off", "flight", "full"):
-        best = min(
-            repro.spmd(body, ranks=2,
-                       telemetry=None if mode == "off" else mode)[0]
-            for _ in range(reps)
-        )
-        out[mode] = best
-    return out
-
-
-def export_kv(path: str, ranks: int = 4, conduit=None) -> dict:
-    """KV workload smoke -> structured ``BENCH_4.json``.
-
-    Runs :func:`repro.bench.kv_workload.run` and writes per-op
-    p50/p99, throughput, coalescing ratio, cache hit rate, and the
-    batched-vs-scalar microbenchmark.  CI uploads the file as an
-    artifact (the start of the KV perf trajectory) and asserts the
-    coalescing and speedup acceptance bounds from it.
-    """
-    import dataclasses
-    import json
-
-    from repro.bench import kv_workload
-
-    r = kv_workload.run(ranks=ranks, conduit=conduit)
-    out = dataclasses.asdict(r)
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path}")
-    print(f"  {r.ops_per_sec:.0f} ops/s  "
-          f"get p50/p99 {r.get_p50_us:.0f}/{r.get_p99_us:.0f} us  "
-          f"hit rate {r.cache_hit_rate:.1%}  "
-          f"coalescing {r.coalescing_ratio:.1f} keys/AM")
-    print(f"  multi_get(1k): {r.ams_per_multi} AMs, "
-          f"x{r.multi_speedup:.1f} vs per-key loop, "
-          f"verified={r.verified}")
-    return out
-
-
-def export_collectives(path: str, ranks: int = 4,
-                       iters: int = 40) -> dict:
-    """Collectives microbenchmark -> structured ``BENCH_5.json``.
-
-    Runs :func:`repro.bench.collectives.run` — tree barrier/allgather/
-    alltoallv latency and per-rank AM counts vs the re-created
-    centralized-rendezvous baseline, plus sample-sort phase spans — and
-    writes the result.  CI uploads the file and asserts the op-count
-    bounds (``bounds`` must be all-true).
-    """
-    import dataclasses
-    import json
-
-    from repro.bench import collectives as collbench
-
-    r = collbench.run(ranks=ranks, iters=iters)
-    out = dataclasses.asdict(r)
-    out["bounds_ok"] = r.bounds_ok
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path}")
-    print(f"  barrier: {r.barrier['us']:.0f} us, "
-          f"{r.barrier['coll_ams_per_rank']:.0f} AMs/rank "
-          f"(ceil(log2 {r.ranks}) = {r.log2_ranks})")
-    for key, row in r.allgather.items():
-        base = r.centralized[key]["us"]
-        print(f"  allgather {key:>6}B: {row['us']:.0f} us "
-              f"({row['coll_ams_per_rank']:.0f} AMs/rank)  "
-              f"centralized {base:.0f} us  x{r.speedup[key]:.2f}")
-    for key, row in r.alltoallv.items():
-        print(f"  alltoallv {key:>6}B: {row['us']:.0f} us "
-              f"({row['coll_ams_per_rank']:.0f} AMs/rank, "
-              f"bound {r.ranks - 1})")
-    print(f"  bounds: {r.bounds} -> "
-          f"{'PASS' if r.bounds_ok else 'FAIL'}")
-    return out
-
-
-def export_serde(path: str, ranks: int = 4) -> dict:
-    """Serialization microbenchmark -> structured ``BENCH_6.json``.
-
-    Runs :func:`repro.bench.serde.run` — the identical AM/KV/GUPS
-    workload under the forced-pickle baseline and the wire codec —
-    and writes per-mode p50s, speedups, ser/deser histogram p50s, and
-    the fixed-layout hit rate.  CI uploads the file and asserts the
-    speedup and hit-rate acceptance bounds (``bounds`` must be
-    all-true).
-    """
-    import dataclasses
-    import json
-
-    from repro.bench import serde
-
-    r = serde.run(ranks=ranks)
-    out = dataclasses.asdict(r)
-    out["bounds"] = r.bounds
-    out["bounds_ok"] = r.bounds_ok
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path}")
-    print(f"  send_am p50: pickle {r.send_am_p50_us['pickle']:.0f} us, "
-          f"codec {r.send_am_p50_us['codec']:.0f} us "
-          f"(x{r.send_am_speedup:.2f})")
-    print(f"  kv_get  p50: pickle {r.kv_get_p50_us['pickle']:.1f} us/key, "
-          f"codec {r.kv_get_p50_us['codec']:.1f} us/key "
-          f"(x{r.kv_get_speedup:.2f})")
-    print(f"  gups ratio x{r.gups_ratio:.2f}  "
-          f"ser/deser p50 {r.ser_p50_us:.1f}/{r.deser_p50_us:.1f} us")
-    print(f"  fixed-layout {r.wire_fixed}/{r.wire_frames} "
-          f"({r.wire_fixed_rate:.1%}), "
-          f"{r.pickle_fallbacks} pickle fallbacks")
-    print(f"  bounds: {r.bounds} -> "
-          f"{'PASS' if r.bounds_ok else 'FAIL'}")
-    return out
-
-
-def export_failover(path: str, ranks: int = 4) -> dict:
-    """Kill-mid-workload failover benchmark -> ``BENCH_7.json``.
-
-    Runs :func:`repro.bench.kv_workload.run_failover` — a replicated
-    map under ``ReliableConduit(ChaosConduit)`` with a victim rank
-    partitioned mid-workload — and writes acked-write loss, failover
-    latency percentiles, promotion count, replication
-    write-amplification, pre/post-kill throughput, and the seeded
-    fault schedule.  CI uploads the file and asserts zero loss, at
-    least one promotion, the recovered-throughput floor, and the
-    failover-latency bound.
-    """
-    import dataclasses
-    import json
-
-    from repro.bench import kv_workload
-
-    r = kv_workload.run_failover(ranks=ranks, telemetry="full")
-    out = dataclasses.asdict(r)
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path}")
-    print(f"  acked writes {r.acked_writes}, lost {r.lost_writes}, "
-          f"failovers {r.failovers}, promotions {r.promotions}")
-    print(f"  failover p50/p99 {r.failover_p50_ms:.2f}/"
-          f"{r.failover_p99_ms:.2f} ms  "
-          f"detect stall {r.detect_stall_ms:.0f} ms")
-    print(f"  write amp x{r.write_amplification:.2f}  "
-          f"throughput pre {r.pre_kill_ops_per_sec:.0f} -> recovered "
-          f"{r.recovered_ops_per_sec:.0f} ops/s "
-          f"(ratio {r.recovery_ratio:.2f})")
-    print(f"  {len(r.fault_schedule['faults'])} injected faults "
-          f"(seed {r.fault_schedule['seed']}), "
-          f"verified={r.verified}")
-    return out
-
-
-def export_tracing(path: str, ranks: int = 4, keys: int = 512,
-                   ops_per_rank: int = 300, seed: int = 13) -> dict:
-    """Traced zipf KV run under chaos -> ``BENCH_8.json`` + flow trace.
-
-    Every rank runs a zipf-skewed get/put mix against a replicated
-    :class:`~repro.containers.DistHashMap` over
-    ``ReliableConduit(ChaosConduit)`` with full telemetry: client ops
-    open root spans, the trace context rides every AM's wire trailer,
-    and handler/replication/retransmit work joins the originating
-    trace.  Writes trace/flow counts plus a per-op tracing-overhead
-    microbench, and a Perfetto export (``<path>.perfetto.json`` next to
-    the JSON) whose kv traces render as flow arrows across rank tracks.
-    CI uploads both and asserts at least one cross-rank kv flow and the
-    tracing overhead bound.
-    """
-    import json
-    import os
-    import time as _time
-
-    import numpy as np
-
-    import repro
-    from repro.gasnet.chaos import ChaosConduit
-    from repro.telemetry import to_perfetto, write_perfetto
-
-    def run_workload(telemetry):
-        conduit = ChaosConduit(seed=seed, am_drop_rate=0.03,
-                               am_dup_rate=0.01, am_reorder_rate=0.02)
-        holder: dict = {}
-
-        def body():
-            me, n = repro.myrank(), repro.ranks()
-            if me == 0:
-                holder["world"] = repro.current_world()
-            rng = np.random.default_rng((seed << 8) ^ me)
-            m = repro.DistHashMap(replicas=1)
-            keyspace = [f"tr:{i:05d}" for i in range(keys)]
-            m.multi_put({k: 0 for i, k in enumerate(keyspace)
-                         if i % n == me})
-            repro.barrier()
-            t0 = _time.perf_counter()
-            for _ in range(ops_per_rank):
-                i = int(rng.zipf(1.5) - 1) % keys
-                if rng.random() < 0.5:
-                    m.get(keyspace[i])
-                else:
-                    m.put(keyspace[i], int(rng.integers(1 << 30)))
-            secs = _time.perf_counter() - t0
-            repro.barrier()
-            return secs
-
-        secs = repro.spmd(
-            body, ranks=ranks, conduit=conduit,
-            reliability={"seed": seed, "peer_timeout": 2.0,
-                         "heartbeat_period": 0.05},
-            telemetry=telemetry, timeout=180.0,
-        )
-        return max(secs), holder["world"], conduit
-
-    off_s, _w, _c = run_workload(None)
-    full_s, world, conduit = run_workload("full")
-
-    spans = world.telemetry.all_spans()
-    by_trace: dict[int, list] = {}
-    for s in spans:
-        if s.trace_id:
-            by_trace.setdefault(s.trace_id, []).append(s)
-    cross = {t for t, ss in by_trace.items()
-             if len({s.rank for s in ss}) >= 2}
-    retrans_traces = {s.trace_id for s in spans
-                      if s.name.startswith("retransmit:") and s.trace_id}
-
-    data = to_perfetto(telemetry=world.telemetry)
-    flow_pids: dict[int, set] = {}
-    flow_names: dict[int, str] = {}
-    for e in data["traceEvents"]:
-        if e["ph"] in ("s", "t", "f"):
-            flow_pids.setdefault(e["id"], set()).add(e["pid"])
-            flow_names[e["id"]] = e["name"]
-    cross_flows = [fid for fid, pids in flow_pids.items()
-                   if len(pids) >= 2]
-    kv_cross_flows = [fid for fid in cross_flows
-                      if flow_names[fid].startswith("kv_")]
-
-    trace_path = os.path.splitext(path)[0] + ".perfetto.json"
-    write_perfetto(trace_path, telemetry=world.telemetry)
-
-    out = {
-        "benchmark": "kv_tracing",
-        "config": {"ranks": ranks, "keys": keys,
-                   "ops_per_rank": ops_per_rank, "seed": seed,
-                   "am_drop_rate": 0.03, "replicas": 1},
-        "seconds": {"off": off_s, "full": full_s},
-        "trace_overhead": full_s / off_s if off_s > 0 else 0.0,
-        "per_op_us": _per_op_traced_microbench(),
-        "traces": len(by_trace),
-        "cross_rank_traces": len(cross),
-        "retransmit_traces": len(retrans_traces),
-        "retransmit_traces_cross_rank": len(retrans_traces & cross),
-        "flows": {"total": len(flow_pids),
-                  "cross_rank": len(cross_flows),
-                  "kv_cross_rank": len(kv_cross_flows)},
-        "chaos_faults": len(conduit.fault_log),
-        "trace_file": trace_path,
-    }
-    out["per_op_us"]["traced_overhead"] = (
-        out["per_op_us"]["full"] / out["per_op_us"]["off"]
-        if out["per_op_us"]["off"] > 0 else 0.0
-    )
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path} (+ {trace_path})")
-    print(f"  {out['traces']} traces, {out['cross_rank_traces']} "
-          f"cross-rank, {out['retransmit_traces']} with retransmits "
-          f"({out['retransmit_traces_cross_rank']} cross-rank)")
-    print(f"  flows: {out['flows']['total']} total, "
-          f"{out['flows']['cross_rank']} cross-rank, "
-          f"{out['flows']['kv_cross_rank']} kv cross-rank")
-    print(f"  wall overhead x{out['trace_overhead']:.3f} "
-          f"(chaos workload)  per-op traced "
-          f"{out['per_op_us']['full']:.1f} us "
-          f"(x{out['per_op_us']['traced_overhead']:.3f} vs off)")
-    return out
-
-
-def _per_op_traced_microbench(iters: int = 150, reps: int = 3) -> dict:
-    """Per-op cost (µs) of a *traced* remote kv put vs telemetry off.
-
-    A clean SMP conduit (no chaos, no reliability) so the delta is
-    exactly the tracing plane: root span, id minting, 16-byte wire
-    trailer, handler rebinding, span recording.
-    """
-    import time as _time
-
-    import repro
-
-    def body():
-        me = repro.myrank()
-        m = repro.DistHashMap()
-        repro.barrier()
-        per_op = None
-        if me == 0:
-            remote = [k for k in (f"po:{i}" for i in range(64))
-                      if m.shard_of_key(k) == 1][:8]
-            for k in remote:
-                m.put(k, 0)  # warm the shard
-            t0 = _time.perf_counter()
-            for i in range(iters):
-                m.put(remote[i % len(remote)], i)
-            per_op = (_time.perf_counter() - t0) / iters * 1e6
-        repro.barrier()
-        return per_op
-
-    out = {}
-    for mode in ("off", "full"):
-        out[mode] = min(
-            repro.spmd(body, ranks=2,
-                       telemetry=None if mode == "off" else mode)[0]
-            for _ in range(reps)
-        )
-    return out
-
-
-def export_conduits(path: str, ranks: int = 4,
-                    log2_table_size: int = 10,
-                    updates_per_rank: int = 1024,
-                    kv_keys: int = 1024, kv_ops: int = 600,
-                    reps: int = 2) -> dict:
-    """SMP (threads) vs proc (processes) comparison -> ``BENCH_9.json``.
-
-    Runs the same GUPS and KV workloads over both conduit backends at
-    the same rank count and records throughput plus the proc/smp
-    speedup ratio.  The proc backend's win is real parallelism: rank
-    bodies are Python, so threads serialize on the GIL while processes
-    do not — but only when there are cores to run them on, so the
-    machine's ``cpu_count`` is recorded alongside (a 1-core container
-    legitimately shows no speedup).
-    """
-    import json
-    import os as _os
-
-    from repro.bench import gups, kv_workload
-
-    cpus = _os.cpu_count() or 1
-    out: dict = {
-        "benchmark": "conduit_comparison",
-        "config": {
-            "ranks": ranks, "log2_table_size": log2_table_size,
-            "updates_per_rank": updates_per_rank,
-            "kv_keys": kv_keys, "kv_ops_per_rank": kv_ops, "reps": reps,
-        },
-        "cpu_count": cpus,
-        "conduits": {},
-    }
-    for name in ("smp", "proc"):
-        best_g = None
-        for _ in range(reps):
-            g = gups.run(ranks=ranks, log2_table_size=log2_table_size,
-                         updates_per_rank=updates_per_rank,
-                         variant="upcxx", conduit=name)
-            if best_g is None or g.seconds < best_g.seconds:
-                best_g = g
-        best_kv = None
-        for _ in range(reps):
-            kv = kv_workload.run(ranks=ranks, keys=kv_keys,
-                                 ops_per_rank=kv_ops,
-                                 microbench_keys=200, conduit=name)
-            if best_kv is None or kv.ops_per_sec > best_kv.ops_per_sec:
-                best_kv = kv
-        out["conduits"][name] = {
-            "gups": {
-                "seconds": best_g.seconds,
-                "updates_per_sec": best_g.gups * 1e9,
-                "verified": best_g.verified,
-            },
-            "kv": {
-                "ops_per_sec": best_kv.ops_per_sec,
-                "get_p50_us": best_kv.get_p50_us,
-                "get_p99_us": best_kv.get_p99_us,
-                "verified": best_kv.verified,
-            },
-        }
-    smp, proc = out["conduits"]["smp"], out["conduits"]["proc"]
-    out["speedup_proc_over_smp"] = {
-        "gups": (proc["gups"]["updates_per_sec"]
-                 / smp["gups"]["updates_per_sec"]
-                 if smp["gups"]["updates_per_sec"] > 0 else 0.0),
-        "kv": (proc["kv"]["ops_per_sec"] / smp["kv"]["ops_per_sec"]
-               if smp["kv"]["ops_per_sec"] > 0 else 0.0),
-    }
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path} (cpu_count={cpus})")
-    for name, e in out["conduits"].items():
-        print(f"  {name:<5} gups {e['gups']['updates_per_sec']:10.0f} "
-              f"updates/s  kv {e['kv']['ops_per_sec']:8.0f} ops/s  "
-              f"verified={e['gups']['verified'] and e['kv']['verified']}")
-    s = out["speedup_proc_over_smp"]
-    print(f"  proc/smp speedup: gups x{s['gups']:.2f}, kv x{s['kv']:.2f}"
-          + ("  (1 core: no parallel win expected)" if cpus < 2 else ""))
-    return out
-
-
-def _bench_ping_handler(ctx, am) -> None:
-    ctx.reply(am)
-
-
-def _register_bench_ping() -> None:
-    """Register the ping handler exactly once (import-time, so the proc
-    launcher interns it into the pre-fork agreed handler prefix)."""
-    from repro.gasnet.am import am_handler, handler_registry
-
-    if "__bench_ping__" not in handler_registry:
-        am_handler("__bench_ping__")(_bench_ping_handler)
-
-
-_register_bench_ping()
-
-
-def _am_lat_body(iters: int, warmup: int):
-    """SPMD body for the AM ping-pong microbench: rank 0 round-trips a
-    handler-level AM to rank 1 (reply sent from inside the handler, so
-    the measurement is the AM substrate, not the async-task machinery)."""
-    import time as _time
-
-    import repro
-    from repro.core import world as _w
-
-    r = repro.myrank()
-    repro.barrier()
-    ctx = _w._tls.ctx
-    lats: list[float] = []
-    if r == 0:
-        for _ in range(warmup):
-            ctx.send_am(1, "__bench_ping__", expect_reply=True).get()
-        for _ in range(iters):
-            t0 = _time.perf_counter()
-            ctx.send_am(1, "__bench_ping__", expect_reply=True).get()
-            lats.append(_time.perf_counter() - t0)
-    repro.barrier()
-    ring = {k: v for k, v in ctx.stats.snapshot().items()
-            if k.startswith("wire_ring_")}
-    return lats, ring
-
-
-def _lat_summary(lats: list[float]) -> dict:
-    lats = sorted(lats)
-    n = len(lats)
-    return {
-        "samples": n,
-        "p50_us": lats[n // 2] * 1e6,
-        "p90_us": lats[min(n - 1, int(n * 0.90))] * 1e6,
-        "p99_us": lats[min(n - 1, int(n * 0.99))] * 1e6,
-        "mean_us": sum(lats) / n * 1e6,
-    }
-
-
-def export_am_lat(path: str, iters: int = 500, warmup: int = 50,
-                  ranks: int = 4, log2_table_size: int = 10,
-                  updates_per_rank: int = 1024,
-                  kv_keys: int = 1024, kv_ops: int = 600,
-                  reps: int = 5) -> dict:
-    """AM round-trip latency per transport + conduit comparison ->
-    ``BENCH_10.json``.
-
-    The ping-pong runs at 2 ranks (one directed pair — latency, not
-    contention); the GUPS/KV comparison runs at ``ranks`` over smp,
-    proc+ring, and proc+socket so the ring transport's win (or, on a
-    starved machine, its honest non-win) is attributable.  As with
-    BENCH_9, ``cpu_count`` is recorded: the proc-vs-smp *throughput*
-    comparison only means something with cores to run on, while the
-    ring-vs-socket *latency* comparison holds on any machine.
-    """
-    import json
-    import os as _os
-
-    import repro
-    from repro.bench import gups, kv_workload
-
-    cpus = _os.cpu_count() or 1
-    out: dict = {
-        "benchmark": "am_latency_and_conduits",
-        "config": {
-            "iters": iters, "warmup": warmup, "lat_ranks": 2,
-            "ranks": ranks, "log2_table_size": log2_table_size,
-            "updates_per_rank": updates_per_rank,
-            "kv_keys": kv_keys, "kv_ops_per_rank": kv_ops, "reps": reps,
-        },
-        "cpu_count": cpus,
-        "am_lat": {},
-        "conduits": {},
-    }
-    for name in ("smp", "proc+ring", "proc+socket"):
-        # Median across repetitions (latency convention: a lucky rep
-        # must not define a transport's number), percentile tails from
-        # the median rep.
-        summaries = []
-        ring_counters: dict = {}
-        for _ in range(reps):
-            results = repro.spmd(_am_lat_body, ranks=2,
-                                 args=(iters, warmup), conduit=name,
-                                 timeout=300.0)
-            lats, ring = results[0]
-            summaries.append(_lat_summary(lats))
-            ring_counters = ring
-        summaries.sort(key=lambda s: s["p50_us"])
-        entry = dict(summaries[len(summaries) // 2])
-        entry["rep_p50s_us"] = [s["p50_us"] for s in summaries]
-        if name == "proc+ring":
-            entry["ring_counters"] = ring_counters
-        out["am_lat"][name] = entry
-    # Throughput runs are best-of (not median), so extra reps only add
-    # wall time; cap them while the latency medians get the full count.
-    tp_reps = min(reps, 3)
-    for name in ("smp", "proc+ring", "proc+socket"):
-        best_g = None
-        for _ in range(tp_reps):
-            g = gups.run(ranks=ranks, log2_table_size=log2_table_size,
-                         updates_per_rank=updates_per_rank,
-                         variant="upcxx", conduit=name)
-            if best_g is None or g.seconds < best_g.seconds:
-                best_g = g
-        best_kv = None
-        for _ in range(tp_reps):
-            kv = kv_workload.run(ranks=ranks, keys=kv_keys,
-                                 ops_per_rank=kv_ops,
-                                 microbench_keys=200, conduit=name)
-            if best_kv is None or kv.ops_per_sec > best_kv.ops_per_sec:
-                best_kv = kv
-        out["conduits"][name] = {
-            "gups": {
-                "seconds": best_g.seconds,
-                "updates_per_sec": best_g.gups * 1e9,
-                "verified": best_g.verified,
-            },
-            "kv": {
-                "ops_per_sec": best_kv.ops_per_sec,
-                "get_p50_us": best_kv.get_p50_us,
-                "get_p99_us": best_kv.get_p99_us,
-                "verified": best_kv.verified,
-            },
-        }
-    ring_p50 = out["am_lat"]["proc+ring"]["p50_us"]
-    sock_p50 = out["am_lat"]["proc+socket"]["p50_us"]
-    smp_gups = out["conduits"]["smp"]["gups"]["updates_per_sec"]
-    ring_gups = out["conduits"]["proc+ring"]["gups"]["updates_per_sec"]
-    out["speedups"] = {
-        "ring_am_p50_vs_socket": sock_p50 / ring_p50 if ring_p50 else 0.0,
-        "ring_gups_vs_smp": ring_gups / smp_gups if smp_gups else 0.0,
-    }
-    with open(path, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {path} (cpu_count={cpus})")
-    for name, e in out["am_lat"].items():
-        print(f"  {name:<12} am rtt p50 {e['p50_us']:8.1f} us  "
-              f"p99 {e['p99_us']:8.1f} us")
-    for name, e in out["conduits"].items():
-        print(f"  {name:<12} gups {e['gups']['updates_per_sec']:10.0f} "
-              f"updates/s  kv {e['kv']['ops_per_sec']:8.0f} ops/s")
-    s = out["speedups"]
-    print(f"  ring vs socket am p50: x{s['ring_am_p50_vs_socket']:.2f}; "
-          f"ring vs smp gups: x{s['ring_gups_vs_smp']:.2f}"
-          + ("  (1 core: no parallel win expected)" if cpus < 2 else ""))
-    return out
-
-
-def export_perfetto(path: str, ranks: int = 4,
-                    keys_per_rank: int = 2048) -> None:
-    """4-rank sample sort -> Chrome/Perfetto ``trace_event`` JSON.
-
-    Runs :func:`repro.bench.sample_sort.sample_sort` under both a
-    :class:`~repro.gasnet.trace.Trace` (per-op instants) and full
-    telemetry (finish/task spans, latency histograms); merges them into
-    one trace loadable at ui.perfetto.dev.
-    """
-    import repro
-    from repro.bench.sample_sort import sample_sort
-    from repro.gasnet.trace import Trace
-    from repro.telemetry import write_perfetto
-
-    holder: dict = {}
-
-    def body():
-        me = repro.myrank()
-        trace = None
-        if me == 0:
-            # One trace wraps the shared world conduit: it sees every
-            # rank's operations, not just rank 0's.
-            trace = Trace(repro.current_world())
-            trace.__enter__()
-            holder["trace"] = trace
-            holder["world"] = repro.current_world()
-        repro.barrier()
-        result = sample_sort(keys_per_rank=keys_per_rank, variant="upcxx")
-        repro.barrier()
-        if me == 0:
-            trace.__exit__(None, None, None)
-        return result.verified
-
-    oks = repro.spmd(body, ranks=ranks, telemetry="full")
-    write_perfetto(path, trace=holder["trace"],
-                   telemetry=holder["world"].telemetry)
-    n_ev = len(holder["trace"].events)
-    print(f"wrote {path} ({n_ev} trace events, "
-          f"{len(holder['world'].telemetry.all_spans())} spans, "
-          f"verified={all(oks)})")
-
-
 ARTIFACTS = {
     "table3": print_table3,
     "fig1": print_fig1,
@@ -1080,89 +319,17 @@ def main(argv=None) -> int:
     parser.add_argument("--calibrate", action="store_true",
                         help="measure this library's live software "
                              "overheads and the refit model parameters")
-    parser.add_argument("--metrics", metavar="PATH",
-                        help="run the GUPS smoke at telemetry off/flight/"
-                             "full and write histograms + CommStats + "
-                             "overhead ratios as JSON")
-    parser.add_argument("--perfetto", metavar="PATH",
-                        help="run a traced sample sort and write a "
-                             "Chrome/Perfetto trace_event JSON")
-    parser.add_argument("--kv", metavar="PATH",
-                        help="run the DistHashMap KV workload and write "
-                             "per-op p50/p99, coalescing ratio and cache "
-                             "hit rate as JSON")
-    parser.add_argument("--collectives", metavar="PATH",
-                        help="run the collectives microbenchmark (tree "
-                             "vs centralized, AM counts, sample-sort "
-                             "phase spans) and write JSON")
-    parser.add_argument("--serde", metavar="PATH",
-                        help="run the serialization microbenchmark "
-                             "(wire codec vs forced-pickle baseline) "
-                             "and write per-mode p50s, speedups and "
-                             "the fixed-layout hit rate as JSON")
-    parser.add_argument("--failover", metavar="PATH",
-                        help="run the replicated-map kill-mid-workload "
-                             "failover benchmark and write acked-write "
-                             "loss, failover percentiles, write "
-                             "amplification and the fault schedule as "
-                             "JSON")
-    parser.add_argument("--tracing", metavar="PATH",
-                        help="run the traced zipf KV workload under "
-                             "chaos, write trace/flow counts and the "
-                             "tracing-overhead microbench as JSON plus "
-                             "a Perfetto flow trace alongside")
     parser.add_argument("--conduit",
                         choices=("smp", "proc", "proc+ring", "proc+socket"),
                         default=None,
                         help="conduit backend for the conduit-parametric "
-                             "runs (--validate-ranks GUPS, --kv): smp = "
+                             "run (--validate-ranks GUPS): smp = "
                              "ranks as threads, proc = ranks as OS "
                              "processes over shared memory (+ring/+socket "
                              "pins the proc AM transport)")
-    parser.add_argument("--conduits", metavar="PATH",
-                        help="run GUPS + KV over both the smp and proc "
-                             "backends and write throughput plus the "
-                             "proc/smp speedup ratios as JSON")
-    parser.add_argument("--am-lat", metavar="PATH", dest="am_lat",
-                        help="run the AM ping-pong latency microbench "
-                             "over smp/proc+ring/proc+socket plus the "
-                             "per-transport GUPS/KV comparison and write "
-                             "round-trip percentiles, ring counters and "
-                             "speedup ratios as JSON")
     args = parser.parse_args(argv)
     global _CHARTS
     _CHARTS = args.charts
-    if (args.metrics or args.perfetto or args.kv or args.collectives
-            or args.serde or args.failover or args.tracing
-            or args.conduits or args.am_lat):
-        if args.metrics:
-            export_metrics(args.metrics,
-                           ranks=args.validate_ranks or 4)
-        if args.perfetto:
-            export_perfetto(args.perfetto,
-                            ranks=args.validate_ranks or 4)
-        if args.kv:
-            export_kv(args.kv, ranks=args.validate_ranks or 4,
-                      conduit=args.conduit)
-        if args.conduits:
-            export_conduits(args.conduits,
-                            ranks=args.validate_ranks or 4)
-        if args.am_lat:
-            export_am_lat(args.am_lat,
-                          ranks=args.validate_ranks or 4)
-        if args.collectives:
-            export_collectives(args.collectives,
-                               ranks=args.validate_ranks or 4)
-        if args.serde:
-            export_serde(args.serde, ranks=args.validate_ranks or 4)
-        if args.failover:
-            export_failover(args.failover,
-                            ranks=args.validate_ranks or 4)
-        if args.tracing:
-            export_tracing(args.tracing,
-                           ranks=args.validate_ranks or 4)
-        if not (args.artifacts or args.calibrate or args.validate_ranks):
-            return 0
     wanted = args.artifacts or list(ARTIFACTS)
     for name in wanted:
         if name not in ARTIFACTS:

@@ -7,7 +7,9 @@ purposes:
    issues exactly six messages per rank per timestep);
 2. :mod:`repro.sim.calibrate` converts measured per-op software overheads
    into machine-model parameters;
-3. the bench harness reports traffic alongside timings.
+3. the bench spine (``bench/``) turns per-op counter deltas into
+   ladder rungs (``gasnet.ams_per_op``, ``containers.hashmap.ams_per_put``,
+   ``gasnet.wire.pickle_fallback_share``, ...).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from repro.gasnet.wire.codecs import (  # noqa: F401
     bind_handler,
     preencode,
     register_message_codec,
-    set_force_pickle,
     tagged,
 )
 from repro.gasnet.wire.frame import (  # noqa: F401
@@ -35,7 +34,7 @@ from repro.gasnet.wire.frame import (  # noqa: F401
 
 __all__ = [
     "EncodedPayload", "Tagged", "UnencodableError", "bind_handler",
-    "preencode", "register_message_codec", "set_force_pickle", "tagged",
+    "preencode", "register_message_codec", "tagged",
     "CODEC_ENCODED", "CODEC_NESTED_AM", "CODEC_NONE", "CODEC_OBJ",
     "HEADER", "WIRE_VERSION", "Frame", "FramePool", "encode_am",
     "handler_code", "handler_name",

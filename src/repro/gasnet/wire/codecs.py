@@ -86,28 +86,11 @@ T_REF = 26           # by-reference: index into the frame's refs list
 T_ENCODED = 27       # spliced pre-encoded payload (fan-out reuse)
 
 
-# -- A/B switch --------------------------------------------------------------
-_force_pickle = False
-
-
-def set_force_pickle(enabled: bool) -> None:
-    """Route *new* encodes through whole-object pickle (no fixed
-    layouts, no out-of-band buffers) — the pre-wire-layer baseline the
-    serde benchmark measures against."""
-    global _force_pickle
-    _force_pickle = bool(enabled)
-
-
-def force_pickle_enabled() -> bool:
-    return _force_pickle
-
-
 # -- encoder -----------------------------------------------------------------
 class Encoder:
     """Accumulates one control stream + buffer/ref tables."""
 
-    __slots__ = ("out", "buffers", "refs", "used_pickle", "strict",
-                 "force_pickle")
+    __slots__ = ("out", "buffers", "refs", "used_pickle", "strict")
 
     def __init__(self, out: bytearray | None = None, strict: bool = False):
         self.out = bytearray() if out is None else out
@@ -115,13 +98,9 @@ class Encoder:
         self.refs: list = []
         self.used_pickle = False
         self.strict = strict
-        self.force_pickle = _force_pickle
 
     def encode(self, obj) -> None:
-        if self.force_pickle:
-            _enc_pickle(self, obj, oob=False)
-        else:
-            _encode(self, obj)
+        _encode(self, obj)
 
 
 def buf_nbytes(b) -> int:
@@ -301,15 +280,11 @@ def _enc_npscalar(enc, v):
     out += v.tobytes()
 
 
-def _enc_pickle(enc, obj, oob: bool = True):
+def _enc_pickle(enc, obj):
     bufs = enc.buffers
     mark = len(bufs)
     try:
-        if oob:
-            data = pickle.dumps(obj, protocol=5,
-                                buffer_callback=bufs.append)
-        else:
-            data = pickle.dumps(obj, protocol=5)
+        data = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
     except Exception:
         del bufs[mark:]
         _enc_ref(enc, obj)

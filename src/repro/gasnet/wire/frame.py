@@ -277,9 +277,6 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
         elif tp is _c.EncodedPayload:
             codec_id = CODEC_ENCODED
             _c.splice_encoded(enc, payload)
-        elif enc.force_pickle:
-            codec_id = CODEC_OBJ
-            enc.encode(payload.obj if tp is _c.Tagged else payload)
         elif tp is _c.Tagged:
             codec_id = payload.codec.code
             payload.codec.encode(enc, payload.obj)

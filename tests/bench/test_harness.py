@@ -1,8 +1,14 @@
 """The figure/table harness end to end."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench import harness
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_every_artifact_prints(capsys):
@@ -57,3 +63,29 @@ def test_fig3_artifact(capsys):
     assert "local access branch" in out
     assert "remote access branch" in out
     assert "0 conduit ops" in out and "1 conduit op" in out
+
+
+@pytest.mark.parametrize("flag", [
+    "--metrics", "--perfetto", "--kv", "--collectives", "--serde",
+    "--failover", "--tracing", "--conduits", "--am-lat",
+])
+def test_removed_exporter_flags_rejected(flag, tmp_path, capsys):
+    """The per-subsystem JSON exporters are gone (the bench spine under
+    ``bench/`` replaced them): a doc or CI line that still names one
+    must fail loudly, not print every figure."""
+    with pytest.raises(SystemExit) as exc:
+        harness.main([flag, str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_module_run_emits_no_runtime_warning():
+    """``python -m repro.bench.harness`` must not find itself already
+    imported by ``repro.bench``'s package init."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.bench.harness", "table4"],
+        capture_output=True, text=True, timeout=60, cwd=str(REPO),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Table IV" in proc.stdout

@@ -80,6 +80,36 @@ def test_replicated_roundtrip_and_roles():
                           timeout=30.0))
 
 
+def test_write_amplification_is_one_record_per_mutation():
+    """No failure: every put, update and delete of a present key logs
+    exactly one record to the backup: cluster-wide write amplification
+    is 1."""
+    n_put, n_upd, n_del = 12, 5, 4
+
+    def body():
+        me = repro.myrank()
+        stats = repro.current_world().ranks[me].stats
+        m = DistHashMap(replicas=1)
+        # snapshot before the barrier: after it, peers' puts already
+        # land on this rank's shards
+        before = stats.snapshot()["kv_repl_records"]
+        repro.barrier()
+        for i in range(n_put):
+            m.put((me, i), i)
+        for i in range(n_upd):
+            m.update((me, i), "add", 1)
+        for i in range(n_del):
+            assert m.delete((me, i))
+        repro.barrier()
+        return stats.snapshot()["kv_repl_records"] - before
+
+    conduit = ChaosConduit(seed=1)
+    deltas = repro.spmd(body, ranks=4, conduit=conduit,
+                        reliability=dict(RELIABILITY, seed=1),
+                        timeout=30.0)
+    assert sum(deltas) == 4 * (n_put + n_upd + n_del)
+
+
 def test_kill_primary_promotes_backup_zero_acked_loss():
     """Acked writes survive the primary's death: the backup is promoted
     and every key written before the kill reads back."""

@@ -380,3 +380,31 @@ def test_bcast_numpy_scalar_keeps_dtype():
 
     res = run_spmd(body, ranks=3)
     assert all(r == ("float32", 2.5) for r in res)
+
+
+# -- op counts --------------------------------------------------------------
+
+@pytest.mark.parametrize("ranks", [2, 3, 4])
+def test_collective_am_counts_per_rank(ranks):
+    """Dissemination barrier and Bruck allgather send exactly
+    ceil(log2 P) AMs per rank, pairwise alltoallv exactly P - 1."""
+    reps = 3
+    log2p = (ranks - 1).bit_length()
+
+    def body():
+        stats = repro.current_world().ranks[repro.myrank()].stats
+        blob = np.zeros(64, dtype=np.uint8)
+        blocks = [blob] * ranks
+
+        def ams_per_op(fn):
+            before = stats.snapshot()["coll_msgs"]
+            for _ in range(reps):
+                fn()
+            return (stats.snapshot()["coll_msgs"] - before) / reps
+
+        return (ams_per_op(repro.barrier),
+                ams_per_op(lambda: coll.allgather(blob)),
+                ams_per_op(lambda: coll.alltoallv(blocks)))
+
+    expected = (log2p, log2p, ranks - 1)
+    assert run_spmd(body, ranks=ranks) == [expected] * ranks
