@@ -244,7 +244,7 @@ def _promote(ctx: RankState, map_id: int, st: HostedMap,
     re-replicate, republish roles."""
     old = sh.primary
     sh.promote(ctx.rank, _new_backup(ctx, st))
-    ctx.stats.record_kv_promotion()
+    ctx.stats.add(kv_promotions=1)
     ctx.telemetry.flight_event(
         "kv_promote", src=ctx.rank, dst=old,
         detail=f"shard {sh.sid} repl_epoch={sh.repl_epoch}")
@@ -292,7 +292,7 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
         fut = ctx.send_am(backup, "kv_repl",
                           args=(map_id, sh.sid, sh.repl_epoch),
                           payload=records, expect_reply=True)
-        ctx.stats.record_kv_repl(len(records))
+        ctx.stats.add(kv_repl_records=len(records))
         try:
             fut.get()
             return
@@ -318,7 +318,7 @@ def _resolve(ctx: RankState, map_id: int, sid: int,
         _promote(ctx, map_id, st, sh)
     sh.require(write)
     if not sh.is_primary:
-        ctx.stats.record_kv_replica_read()
+        ctx.stats.add(kv_replica_reads=1)
     return st, sh
 
 
@@ -473,7 +473,7 @@ def _kv_migrate_handler(ctx: RankState, am) -> None:
         sh.abort_move()  # unfreeze; we still own the shard
         raise
     st.retire(sid, to)
-    ctx.stats.record_kv_migration()
+    ctx.stats.add(kv_migrations=1)
     ctx.telemetry.flight_event(
         "kv_migrate", src=ctx.rank, dst=to, detail=f"shard {sid}")
     _publish_roles(ctx, map_id, st)
@@ -709,7 +709,7 @@ class DistHashMap:
         clock and counters on the first call of an op."""
         if t_fail is None:
             t_fail = time.perf_counter()
-            ctx.stats.record_kv_failover()
+            ctx.stats.add(kv_failovers=1)
             self.failovers += 1
             ctx.telemetry.flight_event(
                 "kv_failover_start", src=ctx.rank, dst=dead_rank,
@@ -787,7 +787,10 @@ class DistHashMap:
                 first_round = False
                 if batched:
                     nkeys = sum(map(len, pending.values()))
-                    ctx.stats.record_kv_multi(len(groups), nkeys)
+                    # One multi-op coalesced nkeys remote keys into
+                    # len(groups) owner-targeted active messages.
+                    ctx.stats.add(kv_multi_ops=len(groups),
+                                  kv_batched_keys=nkeys)
                 if event is not None and tel.active:
                     if batched:
                         dst = -1
@@ -870,7 +873,7 @@ class DistHashMap:
                 sh, rec = _mutate(ctx, self.map_id, sid, apply)
         except KvStalePrimary:
             return None
-        ctx.stats.record_local(nkeys)
+        ctx.stats.add(local_accesses=nkeys)
         self._note_epoch(sid, sh.epoch)
         return sh, rec
 
@@ -888,22 +891,21 @@ class DistHashMap:
                 sh = self._hosted(shards, sid, write=False)
                 if sh is not None:
                     found, val = sh.lookup(key)
-                    if not sh.is_primary:
-                        ctx.stats.record_kv_replica_read()
-                    ctx.stats.record_local()
+                    ctx.stats.add(local_accesses=1,
+                                  kv_replica_reads=not sh.is_primary)
                     return found, _copy(val) if found else None
         if self._cache_enabled:
             cached = self._cache[sid]
             if key in cached:
                 self.cache_hits += 1
-                ctx.stats.record_kv_cache(True)
+                ctx.stats.add(kv_cache_hits=1)
                 # Copy on the way out: gets hand back private values
                 # everywhere, so a caller mutating its result can never
                 # corrupt the cache (or, via the SMP by-reference
                 # conduit, the owner's store).
                 return True, _copy(cached[key])
             self.cache_misses += 1
-            ctx.stats.record_kv_cache(False)
+            ctx.stats.add(kv_cache_misses=1)
         return None
 
     def _cache_fetched(self, key: Any, val: Any) -> Any:
@@ -923,7 +925,7 @@ class DistHashMap:
         backup before this call returns."""
         ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.record_kv_put()
+        ctx.stats.add(kv_puts=1)
         if self._mutate_local(
                 ctx, sid, lambda sh: sh.put({key: _copy(value)})):
             return
@@ -937,7 +939,7 @@ class DistHashMap:
         """Fetch ``key`` (cache first); KeyError unless ``default``."""
         ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.record_kv_get()
+        ctx.stats.add(kv_gets=1)
         # A hosted primary — or, with read_replicas, a hosted backup
         # copy — and then the cache serve the read without touching
         # the wire.
@@ -961,7 +963,7 @@ class DistHashMap:
         """Remove ``key``; returns whether it was present."""
         ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.record_kv_delete()
+        ctx.stats.add(kv_deletes=1)
         hit = self._mutate_local(ctx, sid, lambda sh: sh.delete([key]))
         if hit:
             return hit[1] is not None
@@ -987,7 +989,7 @@ class DistHashMap:
         op_id = next(self._op_seq)
         has_default = default is not _MISSING
         fn = _resolve_update(op)  # fail fast on a bogus name
-        ctx.stats.record_kv_update()
+        ctx.stats.add(kv_updates=1)
         hit = self._mutate_local(
             ctx, sid, lambda sh: sh.update(
                 ctx.rank, op_id, key, fn, tuple(_copy(a) for a in args),
@@ -1037,7 +1039,7 @@ class DistHashMap:
                 out[pos] = hit[1]
             else:
                 missing.append(k)
-        ctx.stats.record_kv_get(len(keys))
+        ctx.stats.add(kv_gets=len(keys))
         for ks, _x, found in self._request(
                 ctx, "kv_get", "multi_get", pending, batched=True,
                 event="kv_multi_get"):
@@ -1070,7 +1072,7 @@ class DistHashMap:
             return
         ctx = current()
         data = dict(pairs)  # within one batch the last write wins
-        ctx.stats.record_kv_put(len(pairs))
+        ctx.stats.add(kv_puts=len(pairs))
         by_sid: dict[int, dict] = {}
         for k, v in data.items():
             by_sid.setdefault(shard_of(k, self.nshards), {})[k] = v

@@ -304,7 +304,7 @@ class RankState:
                 )
             else:
                 am = frame.thaw()
-        self.stats.record_am_handled()
+        self.stats.add(ams_handled=1)
         if self.telemetry.active and am.handler not in (
             "__rel_ping__", "__rel_pong__", "__rel_ack__",
         ):  # protocol chatter would drown out the useful history
@@ -323,7 +323,7 @@ class RankState:
                     # arrive after the op's deadline already completed
                     # its future with CommTimeout — drop it, counted.
                     if getattr(self.world, "_reliable", None) is not None:
-                        self.stats.record_stale_reply()
+                        self.stats.add(stale_replies=1)
                         return
                     raise PgasError(
                         f"rank {self.rank}: reply for unknown token {am.token}"

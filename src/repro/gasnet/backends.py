@@ -104,8 +104,8 @@ def _register_builtins() -> None:
     register_backend("smp", SmpConduit, SmpConduit.caps)
     # The proc backend has no standalone factory: ProcConduit needs the
     # launcher-built fabric (shared-memory blocks + AM transport).
-    # "proc" picks the default transport (shared-memory rings, unless
-    # REPRO_PROC_TRANSPORT overrides); the +ring/+socket variants pin it.
+    # "proc" picks the default transport (shared-memory rings); the
+    # +ring/+socket variants pin it.
     from repro.gasnet.proc import PROC_CAPS, PROC_SOCKET_CAPS
 
     register_backend("proc", None, PROC_CAPS)

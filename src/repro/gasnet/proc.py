@@ -40,9 +40,8 @@ Design
   frames.  The receiver runs an adaptive progress loop: bounded spin →
   ``sched_yield``-style backoff (``time.sleep(0)``) → park on a
   per-rank pipe doorbell, so an idle rank costs nothing and a busy pair
-  exchanges messages with **zero syscalls**.  Set
-  ``REPRO_PROC_TRANSPORT=socket`` (or use the ``proc+socket`` backend)
-  to select the socketpair path instead — it stays wire-compatible
+  exchanges messages with **zero syscalls**.  The ``proc+socket``
+  backend selects the socketpair path instead — it stays wire-compatible
   (same message stream, one ``sendmsg`` per frame, chunked buffered
   reads) and is the conformance/chaos fallback.
 
@@ -113,9 +112,29 @@ PROC_SOCKET_CAPS = ConduitCaps(
     shm_rings=False,
 )
 
-#: Environment override for the AM transport when the backend name does
-#: not pin one (``"proc"``): ``ring`` (default) or ``socket``.
-TRANSPORT_ENV = "REPRO_PROC_TRANSPORT"
+# -- ring transport constants ------------------------------------------------
+#
+# Geometry of one directed ring and the adaptive progress / aggregation
+# policy.  Constants, not options: no two callers need different values.
+# A sweep (ROADMAP item 1 (d)) patches them here.
+
+RING_SLOTS = 64              # slots per directed ring
+RING_SLOT_BYTES = 4096       # per slot: 16-byte header + inline room
+RING_SPILL_BYTES = 1 << 20   # per-ring OOB spill region (oversized frames)
+RING_SPIN = 200              # recv-thread busy polls before it yields
+RING_YIELDS = 64             # recv-thread yields before it parks
+RING_PARK_S = 20e-3          # parked poll interval (a doorbell wakes earlier)
+RING_FLUSH_WINDOW_S = 200e-6  # max age of a staged frame before forced flush
+RING_AGG_FRAMES = 16         # staged frames that force a flush
+# Burst detector for adaptive aggregation: a send whose predecessor to
+# the same peer is older than this gap is isolated (latency path, publish
+# now); younger means a back-to-back burst (coalesce into one slot).
+RING_EAGER_GAP_S = 25e-6
+# Rank-thread poll: yields per burst while traffic is live, and how many
+# empty bursts until the thread stops burning cycles and falls back to
+# its condition-variable nap.
+RING_POLL_YIELDS = 64
+RING_POLL_IDLE = 4
 
 # -- message framing ---------------------------------------------------------
 #
@@ -143,20 +162,6 @@ _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
 _PARKED_STRIDE = 64       # one cache line per receiver parked flag
 
 _fabric_ids = itertools.count(1)
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 def _handler_sites(ctrl) -> list[int]:
@@ -325,8 +330,7 @@ class ProcFabric:
         self.ctx = get_context("fork")
         self.locks = [self.ctx.RLock() for _ in range(n_ranks)]
         self.shms: list[shared_memory.SharedMemory] = []
-        self.transport = (transport or os.environ.get(TRANSPORT_ENV)
-                          or "ring")
+        self.transport = transport or "ring"
         if self.transport not in ("ring", "socket"):
             raise PgasError(
                 f"proc fabric: unknown AM transport {self.transport!r} "
@@ -343,11 +347,8 @@ class ProcFabric:
                     size=segment_size,
                 ))
             if self.transport == "ring":
-                self.ring_spec = RingSpec(
-                    slots=_env_int("REPRO_RING_SLOTS", 64),
-                    slot_bytes=_env_int("REPRO_RING_SLOT_BYTES", 4096),
-                    spill_bytes=_env_int("REPRO_RING_SPILL_BYTES", 1 << 20),
-                )
+                self.ring_spec = RingSpec(RING_SLOTS, RING_SLOT_BYTES,
+                                          RING_SPILL_BYTES)
                 pairs = n_ranks * (n_ranks - 1)
                 size = (n_ranks * _PARKED_STRIDE
                         + pairs * self.ring_spec.region_bytes)
@@ -563,29 +564,6 @@ class ProcConduit(SegmentRma, Conduit):
             self._parked_off = fabric.parked_off(rank)
             self._door_r = fabric.doorbells[rank][0]
             self._door_w = {p: fabric.doorbells[p][1] for p in peers}
-            # Adaptive-progress knobs.  On a single core a spinning
-            # receive thread only steals the GIL from the rank thread,
-            # so the spin budget collapses and the loop yields/parks
-            # almost immediately.
-            cpus = os.cpu_count() or 1
-            self._spin = _env_int("REPRO_RING_SPIN",
-                                  200 if cpus > 1 else 0)
-            self._yields = _env_int("REPRO_RING_YIELDS",
-                                    64 if cpus > 1 else 0)
-            self._park_s = _env_float("REPRO_RING_PARK_MS", 20.0) / 1e3
-            self._flush_window = _env_float("REPRO_RING_FLUSH_US",
-                                            200.0) / 1e6
-            self._agg_frames = _env_int("REPRO_RING_AGG_FRAMES", 16)
-            # Burst detector for adaptive aggregation: a send whose
-            # predecessor to the same peer is older than this gap is
-            # isolated (latency path, publish now); younger means a
-            # back-to-back burst (coalesce into one slot).
-            self._eager_gap = _env_float("REPRO_RING_EAGER_US", 25.0) / 1e6
-            # Rank-thread poll: yields per burst while traffic is live,
-            # and how many empty bursts until the thread stops burning
-            # cycles and falls back to its condition-variable nap.
-            self._poll_yields = _env_int("REPRO_RING_POLL_YIELDS", 64)
-            self._poll_idle_limit = _env_int("REPRO_RING_POLL_IDLE", 4)
             self._flush_bytes = spec.inline_cap
             self._stall_limit = 30.0
 
@@ -797,13 +775,13 @@ class ProcConduit(SegmentRma, Conduit):
                 buf += refs_blob
             pend.frames += 1
             now = time.monotonic()
-            in_burst = now - pend.last_send < self._eager_gap
+            in_burst = now - pend.last_send < RING_EAGER_GAP_S
             pend.last_send = now
             if pend.first_t == 0.0:
                 pend.first_t = now
             self.frames_sent += 1
             if (not in_burst
-                    or pend.frames >= self._agg_frames
+                    or pend.frames >= RING_AGG_FRAMES
                     or len(buf) >= self._flush_bytes):
                 # Adaptive aggregation: an isolated send (the previous
                 # send to this peer was more than the burst gap ago) is
@@ -849,7 +827,7 @@ class ProcConduit(SegmentRma, Conduit):
         if not self._dirty:
             return
         now = time.monotonic()
-        window = 0.0 if force else self._flush_window
+        window = 0.0 if force else RING_FLUSH_WINDOW_S
         for dst, pend in self._pending.items():
             if pend.frames and now - pend.first_t >= window:
                 lock = self._send_locks[dst]
@@ -892,7 +870,7 @@ class ProcConduit(SegmentRma, Conduit):
             # Ring full: the receiver is behind (or gone).  Escalate
             # spin -> yield -> sleep while watching for peer death.
             if stats is not None:
-                stats.record_ring_backoff()
+                stats.add(wire_ring_full_backoffs=1)
             if self._closing:
                 return
             world = self.world
@@ -921,15 +899,23 @@ class ProcConduit(SegmentRma, Conduit):
                 try:
                     os.write(self._door_w[dst], b"\1")
                     if stats is not None:
-                        stats.record_ring_doorbell()
+                        stats.add(wire_ring_doorbells=1)
                 except (OSError, TypeError):
                     pass  # full pipe / torn-down peer: wakeups pending
             if stats is not None:
-                stats.record_ring_flush(slots, frames, spilled)
+                # frames > 1 means aggregation coalesced sends.
+                stats.add(wire_ring_slots=slots, wire_ring_frames=frames,
+                          wire_ring_agg_frames=frames if frames > 1 else 0,
+                          wire_ring_spills=spilled)
             if tel is not None and tel.full:
                 tel.record_latency("ring_flush", time.perf_counter() - t0)
                 tel.record_value("ring_slot_frames", frames, "frames")
 
+    # The parked flags are stored with _U32.pack_into, which zero-fills
+    # before it packs.  That is benign here, unlike for the ring cursors:
+    # the flag only ever holds 0 or 1, so the fill exposes no value a
+    # reader could not see anyway, and a publish that races the flag is
+    # caught by the re-check and the bounded park in _recv_main_ring.
     def _peer_parked(self, dst: int) -> bool:
         return _U32.unpack_from(self._ring_mv,
                                 self.fabric.parked_off(dst))[0] != 0
@@ -1009,7 +995,7 @@ class ProcConduit(SegmentRma, Conduit):
         spin forever, and the parked receive thread owns wakeups again.
         """
         misses = self._poll_misses
-        budget = self._poll_yields if misses <= self._poll_idle_limit else 0
+        budget = RING_POLL_YIELDS if misses <= RING_POLL_IDLE else 0
         if budget and not self._poller_active:
             self._poller_active = True
             _U32.pack_into(self._ring_mv, self._parked_off, 0)
@@ -1033,7 +1019,7 @@ class ProcConduit(SegmentRma, Conduit):
             os.sched_yield()
             n += 1
         self._poll_misses = misses + 1
-        if self._poller_active and self._poll_misses > self._poll_idle_limit:
+        if self._poller_active and self._poll_misses > RING_POLL_IDLE:
             self._poller_active = False
             if self._recv_parked:
                 _U32.pack_into(self._ring_mv, self._parked_off, 1)
@@ -1045,9 +1031,12 @@ class ProcConduit(SegmentRma, Conduit):
         (``sched_yield``-style), then park on the doorbell pipe."""
         mv = self._ring_mv
         cons = list(self._cons.items())
-        spin_budget = self._spin
-        yield_budget = self._yields
-        park_s = self._park_s
+        # On a single core a spinning receive thread only steals the GIL
+        # from the rank thread, so the spin budget collapses and the
+        # loop parks almost immediately.
+        multicore = (os.cpu_count() or 1) > 1
+        spin_budget = RING_SPIN if multicore else 0
+        yield_budget = RING_YIELDS if multicore else 0
         stats = self._stats
         spin = 0
         try:
@@ -1079,7 +1068,7 @@ class ProcConduit(SegmentRma, Conduit):
                     spin = 0
                     continue
                 ready, _, _ = select.select(
-                    [self._door_r, self._wake_r], [], [], park_s)
+                    [self._door_r, self._wake_r], [], [], RING_PARK_S)
                 self._recv_parked = False
                 _U32.pack_into(mv, self._parked_off, 0)
                 spin = 0
@@ -1089,7 +1078,7 @@ class ProcConduit(SegmentRma, Conduit):
                     except OSError:
                         pass
                     if stats is not None:
-                        stats.record_ring_wakeup()
+                        stats.add(wire_ring_wakeups=1)
         except BaseException as exc:
             if not self._closing and self.world is not None:
                 self.world.fail(self.local_rank, exc)

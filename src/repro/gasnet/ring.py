@@ -22,11 +22,15 @@ byte stream as ``inline bytes + spill bytes`` per slot, in slot order,
 so a message larger than one slot simply spans several slots — no size
 limit, and FIFO is structural.
 
-The cursors are monotonically increasing 64-bit counters written with
-``struct.pack_into`` at 64-byte strides (their own cache lines).  Each
-counter has exactly one writer (SPSC), so an aligned 8-byte store is
-"atomic enough": the reader may observe a stale value, never a torn
-in-between one on the platforms CPython runs ranks on.  The spill region
+The cursors are monotonically increasing 64-bit counters at 64-byte
+strides (their own cache lines), each with exactly one writer (SPSC).
+They are read and written as items of one ``memoryview.cast("Q")`` view
+of the control block: a plain 8-byte store, so the other side may
+observe a stale value but never an in-between one.  They must *not* go
+through ``struct.pack_into``, which zero-fills its destination before
+packing: a concurrent reader then sees the cursor pass through 0 and
+re-consumes stale slots or runs ``head`` past the real tail.  A slot is
+published payload first, then its header, then ``tail``.  The spill region
 is a bump allocator over the same discipline: the producer only ever
 allocates contiguous tail room (a chunk shrinks rather than wraps), and
 the consumer releases bytes in allocation order because slot consumption
@@ -41,15 +45,14 @@ from __future__ import annotations
 
 import struct
 
-_U64 = struct.Struct("<Q")
 SLOT_HDR = struct.Struct("<IIQ")  # inline_len, spill_len, spill_off
 
-#: Control-cursor offsets within a region (64-byte strides: one cache
-#: line per single-writer counter).
-_TAIL_OFF = 0
-_HEAD_OFF = 64
-_ALLOC_OFF = 128
-_FREE_OFF = 192
+#: Control-cursor indices into a region's control block viewed as native
+#: u64 items (64-byte strides: one cache line per single-writer counter).
+_TAIL = 0
+_HEAD = 8
+_ALLOC = 16
+_FREE = 24
 CTRL_BYTES = 256
 
 
@@ -87,31 +90,29 @@ class RingProducer:
     only *reads* the consumer's cursors.
     """
 
-    __slots__ = ("_mv", "_spec", "_base", "_slot0", "_spill0",
+    __slots__ = ("_mv", "_ctrl", "_spec", "_slot0", "_spill0",
                  "_tail", "_alloc", "last_spill")
 
     def __init__(self, buf, spec: RingSpec, base: int = 0):
         self._mv = memoryview(buf)
+        self._ctrl = self._mv[base:base + CTRL_BYTES].cast("Q")
         self._spec = spec
-        self._base = base
         self._slot0 = base + CTRL_BYTES
         self._spill0 = base + CTRL_BYTES + spec.slots * spec.slot_bytes
         # The region is zero-initialized at creation; cache our own
         # cursors locally (we are their only writer).
-        self._tail = _U64.unpack_from(self._mv, base + _TAIL_OFF)[0]
-        self._alloc = _U64.unpack_from(self._mv, base + _ALLOC_OFF)[0]
+        self._tail = self._ctrl[_TAIL]
+        self._alloc = self._ctrl[_ALLOC]
         #: Spill bytes placed by the most recent successful try_emit
         #: (telemetry reads this; 0 for a purely inline slot).
         self.last_spill = 0
 
     # -- introspection (tests, backpressure probes) ----------------------
     def free_slots(self) -> int:
-        head = _U64.unpack_from(self._mv, self._base + _HEAD_OFF)[0]
-        return self._spec.slots - (self._tail - head)
+        return self._spec.slots - (self._tail - self._ctrl[_HEAD])
 
     def spill_in_use(self) -> int:
-        freed = _U64.unpack_from(self._mv, self._base + _FREE_OFF)[0]
-        return self._alloc - freed
+        return self._alloc - self._ctrl[_FREE]
 
     def try_emit(self, data, off: int) -> int:
         """Publish one slot carrying bytes of ``data`` starting at
@@ -125,8 +126,8 @@ class RingProducer:
         """
         spec = self._spec
         mv = self._mv
-        head = _U64.unpack_from(mv, self._base + _HEAD_OFF)[0]
-        if self._tail - head >= spec.slots:
+        ctrl = self._ctrl
+        if self._tail - ctrl[_HEAD] >= spec.slots:
             return 0
         remaining = len(data) - off
         inline = remaining if remaining < spec.inline_cap else spec.inline_cap
@@ -134,8 +135,7 @@ class RingProducer:
         spill_len = 0
         spill_off = 0
         if spill_need > 0 and spec.spill_bytes:
-            freed = _U64.unpack_from(mv, self._base + _FREE_OFF)[0]
-            free = spec.spill_bytes - (self._alloc - freed)
+            free = spec.spill_bytes - (self._alloc - ctrl[_FREE])
             pos = self._alloc % spec.spill_bytes
             contig = spec.spill_bytes - pos
             spill_len = min(spill_need, free, contig)
@@ -145,13 +145,13 @@ class RingProducer:
                 src0 = off + inline
                 mv[dst0:dst0 + spill_len] = data[src0:src0 + spill_len]
                 self._alloc += spill_len
-                _U64.pack_into(mv, self._base + _ALLOC_OFF, self._alloc)
+                ctrl[_ALLOC] = self._alloc
         slot = self._slot0 + (self._tail % spec.slots) * spec.slot_bytes
-        SLOT_HDR.pack_into(mv, slot, inline, spill_len, spill_off)
         body = slot + SLOT_HDR.size
         mv[body:body + inline] = data[off:off + inline]
+        SLOT_HDR.pack_into(mv, slot, inline, spill_len, spill_off)
         self._tail += 1
-        _U64.pack_into(mv, self._base + _TAIL_OFF, self._tail)
+        ctrl[_TAIL] = self._tail
         self.last_spill = spill_len
         return inline + spill_len
 
@@ -159,30 +159,29 @@ class RingProducer:
 class RingConsumer:
     """The receiving side of one directed ring (single consumer)."""
 
-    __slots__ = ("_mv", "_spec", "_base", "_slot0", "_spill0",
+    __slots__ = ("_mv", "_ctrl", "_spec", "_slot0", "_spill0",
                  "_head", "_freed")
 
     def __init__(self, buf, spec: RingSpec, base: int = 0):
         self._mv = memoryview(buf)
+        self._ctrl = self._mv[base:base + CTRL_BYTES].cast("Q")
         self._spec = spec
-        self._base = base
         self._slot0 = base + CTRL_BYTES
         self._spill0 = base + CTRL_BYTES + spec.slots * spec.slot_bytes
-        self._head = _U64.unpack_from(self._mv, base + _HEAD_OFF)[0]
-        self._freed = _U64.unpack_from(self._mv, base + _FREE_OFF)[0]
+        self._head = self._ctrl[_HEAD]
+        self._freed = self._ctrl[_FREE]
 
     def pending(self) -> bool:
         """Whether at least one unconsumed slot is published."""
-        tail = _U64.unpack_from(self._mv, self._base + _TAIL_OFF)[0]
-        return tail != self._head
+        return self._ctrl[_TAIL] != self._head
 
     def try_recv(self):
         """Consume one slot; returns its chunk as a ``bytearray`` (the
         next piece of the pair's byte stream) or ``None`` when empty."""
         spec = self._spec
         mv = self._mv
-        tail = _U64.unpack_from(mv, self._base + _TAIL_OFF)[0]
-        if tail == self._head:
+        ctrl = self._ctrl
+        if ctrl[_TAIL] == self._head:
             return None
         slot = self._slot0 + (self._head % spec.slots) * spec.slot_bytes
         inline, spill_len, spill_off = SLOT_HDR.unpack_from(mv, slot)
@@ -196,8 +195,8 @@ class RingConsumer:
         # (allocation order == consumption order, so a running total is
         # an exact free cursor).
         self._head += 1
-        _U64.pack_into(mv, self._base + _HEAD_OFF, self._head)
+        ctrl[_HEAD] = self._head
         if spill_len:
             self._freed += spill_len
-            _U64.pack_into(mv, self._base + _FREE_OFF, self._freed)
+            ctrl[_FREE] = self._freed
         return out

@@ -141,9 +141,11 @@ def test_smp_batches_count_once_per_target():
 
 def test_stats_batched_counters_reset_and_aggregate():
     s = CommStats()
-    s.record_get_indexed(10, 80)
-    s.record_put_indexed(4, 32)
-    s.record_atomic_batch(6)
+    s.add(gets_indexed=1, get_bytes=80, batched_elements=10,
+          remote_accesses=10)
+    s.add(puts_indexed=1, put_bytes=32, batched_elements=4,
+          remote_accesses=4)
+    s.add(atomic_batches=1, batched_elements=6, remote_accesses=6)
     assert s.batched_ops == 3
     assert s.batched_elements == 20
     assert s.coalescing_ratio == pytest.approx(20 / 3)

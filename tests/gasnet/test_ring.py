@@ -3,24 +3,33 @@
 Unit tests drive :class:`~repro.gasnet.ring.RingProducer` /
 :class:`~repro.gasnet.ring.RingConsumer` over a plain ``bytearray`` —
 the classes are buffer-agnostic, so the full slot/spill/backpressure
-contract is checkable without processes.  The SPMD tests then run the
+contract is checkable without processes, including a hypothesis
+stateful model against a ``deque`` oracle.  One test then shares a ring
+between two processes to pin the cursor stores (a store that passes
+through 0 is invisible to a single thread).  The SPMD tests run the
 same machinery for real (``conduit="proc+ring"``): OOB spill under a
 deliberately tiny slot size, shutdown hygiene after a rank crash, and
 the ``wire_ring_*`` telemetry flowing through snapshot / reset /
 aggregate / ``metrics_reduce``.
 """
 
+import collections
 import glob
 import multiprocessing
 import os
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro
 from repro.core.collectives import barrier
 from repro.errors import RankDead
+from repro.gasnet import proc
 from repro.gasnet.ring import SLOT_HDR, RingConsumer, RingProducer, RingSpec
 from repro.gasnet.stats import CommStats, aggregate
 from tests.conftest import run_spmd
@@ -143,14 +152,136 @@ def test_ring_spec_rejects_degenerate_geometry():
         RingSpec(slot_bytes=SLOT_HDR.size)
 
 
+# -- model: the ring against a deque of chunks ------------------------------
+class RingModel(RuleBasedStateMachine):
+    """Interleaved produce / consume on a tiny ring (4 slots x 48 inline
+    bytes, 96 spill bytes) so that full, cursor wrap, spill shrink at
+    the region end and multi-slot messages are all reached.  The oracle
+    is the deque of chunks the producer reported as accepted."""
+
+    def __init__(self):
+        super().__init__()
+        self.spec, self.prod, self.cons = _pair(slots=4, slot_bytes=64,
+                                                spill_bytes=96)
+        self.chunks: collections.deque = collections.deque()
+        self.produced = bytearray()
+        self.consumed = bytearray()
+
+    @rule(data=st.binary(max_size=400))
+    def produce(self, data):
+        """Emit until the message is through or the ring is full (what
+        is not accepted is dropped: the stream is what was accepted)."""
+        off = 0
+        while off < len(data):
+            n = self.prod.try_emit(data, off)
+            if n == 0:
+                assert len(self.chunks) == self.spec.slots  # only when full
+                break
+            assert n >= min(len(data) - off, self.spec.inline_cap)
+            assert self.prod.last_spill == max(0, n - self.spec.inline_cap)
+            self.chunks.append(data[off:off + n])
+            self.produced += data[off:off + n]
+            off += n
+
+    @rule()
+    def consume(self):
+        assert self.cons.pending() == bool(self.chunks)
+        chunk = self.cons.try_recv()
+        if not self.chunks:
+            assert chunk is None
+            return
+        assert bytes(chunk) == self.chunks.popleft()
+        self.consumed += chunk
+
+    @invariant()
+    def stream_is_a_prefix(self):
+        assert self.consumed == self.produced[:len(self.consumed)]
+
+    @invariant()
+    def cursors_account_for_every_outstanding_chunk(self):
+        spec = self.spec
+        assert 0 <= self.prod.free_slots() <= spec.slots
+        assert 0 <= self.prod.spill_in_use() <= spec.spill_bytes
+        assert self.prod.free_slots() == spec.slots - len(self.chunks)
+        assert self.prod.spill_in_use() == sum(
+            max(0, len(c) - spec.inline_cap) for c in self.chunks)
+
+
+RingModel.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None)
+test_ring_model_against_deque_oracle = RingModel.TestCase
+
+
+# -- two processes: cursor stores must never pass through another value -----
+def _produce_stream(name, spec, data):
+    shm = shared_memory.SharedMemory(name=name)
+    prod = RingProducer(shm.buf, spec)
+    mv = memoryview(data)
+    off = 0
+    while off < len(mv):
+        n = prod.try_emit(mv, off)
+        if n == 0:
+            os.sched_yield()
+        off += n
+
+
+def test_ring_cursor_store_is_never_torn_across_processes():
+    """``struct.pack_into`` zero-fills before it packs, so a cursor
+    stored that way is briefly 0: the consumer then sees ``tail !=
+    head`` on an empty ring and re-reads stale slots.  A forked producer
+    publishes 2**20 one-word slots while this process watches the
+    shared ``tail`` word (region offset 0) and consumes: ``tail`` never
+    decreases and the stream arrives exactly."""
+    nslots = 1 << 20
+    spec = RingSpec(slots=64, slot_bytes=SLOT_HDR.size + 8, spill_bytes=0)
+    data = np.arange(nslots, dtype="<u8").tobytes()
+    shm = shared_memory.SharedMemory(create=True, size=spec.region_bytes)
+    child = multiprocessing.get_context("fork").Process(
+        target=_produce_stream, args=(shm.name, spec, data), daemon=True)
+    tail_word = shm.buf[:8].cast("Q")
+    cons = RingConsumer(shm.buf, spec)
+    got = bytearray()
+    last = 0
+    try:
+        child.start()
+        deadline = time.monotonic() + 120.0
+        while len(got) < len(data):
+            tail = tail_word[0]
+            assert tail >= last, f"tail went {last} -> {tail}"
+            last = tail
+            chunk = cons.try_recv()
+            if chunk is not None:
+                got += chunk
+            elif not child.is_alive() and not cons.pending():
+                break
+            elif time.monotonic() > deadline:
+                pytest.fail(f"stalled after {len(got) // 8} slots")
+        child.join(timeout=10.0)
+        assert child.exitcode == 0
+        assert tail_word[0] == nslots
+        assert got == data
+    finally:
+        child.kill()
+        child.join()
+        tail_word.release()
+        del cons
+        try:
+            shm.close()
+        except BufferError:
+            pass  # a failed assert's traceback still holds the views
+        shm.unlink()
+
+
 # -- unit: wire_ring_* counter plumbing -------------------------------------
 def test_ring_counters_snapshot_reset_aggregate():
     s = CommStats()
-    s.record_ring_flush(slots=2, frames=3, spilled=True)
-    s.record_ring_flush(slots=1, frames=1, spilled=False)
-    s.record_ring_backoff()
-    s.record_ring_doorbell()
-    s.record_ring_wakeup()
+    s.add(wire_ring_slots=2, wire_ring_frames=3, wire_ring_agg_frames=3,
+          wire_ring_spills=True)
+    s.add(wire_ring_slots=1, wire_ring_frames=1, wire_ring_agg_frames=0,
+          wire_ring_spills=False)
+    s.add(wire_ring_full_backoffs=1)
+    s.add(wire_ring_doorbells=1)
+    s.add(wire_ring_wakeups=1)
     snap = s.snapshot()
     assert snap["wire_ring_slots"] == 3
     assert snap["wire_ring_frames"] == 4
@@ -160,7 +291,7 @@ def test_ring_counters_snapshot_reset_aggregate():
     assert snap["wire_ring_doorbells"] == 1
     assert snap["wire_ring_wakeups"] == 1
     other = CommStats()
-    other.record_ring_flush(slots=5, frames=5, spilled=False)
+    other.add(wire_ring_slots=5, wire_ring_frames=5, wire_ring_agg_frames=5)
     total = aggregate([s, other])
     assert total["wire_ring_slots"] == 8
     assert total["wire_ring_frames"] == 9
@@ -178,7 +309,7 @@ def _sum_payload(v):
 def test_ring_oob_spill_end_to_end(monkeypatch):
     """Tiny slots force every payload-carrying AM through the spill
     region; the answer must still be exact and the spills observable."""
-    monkeypatch.setenv("REPRO_RING_SLOT_BYTES", "128")
+    monkeypatch.setattr(proc, "RING_SLOT_BYTES", 128)
     work = _sum_payload
 
     def body():

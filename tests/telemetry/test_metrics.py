@@ -114,16 +114,19 @@ def test_aggregate_sums_wire_and_failover_counters():
     through ``aggregate`` — a regression net for the metrics plane's
     counter source."""
     a, b = CommStats(), CommStats()
-    a.record_wire(used_pickle=False, by_ref=True)
-    a.record_wire(used_pickle=True, by_ref=False)
-    b.record_wire(used_pickle=False, by_ref=False)
-    a.record_kv_repl(3)
-    b.record_kv_repl(2)
-    a.record_kv_failover()
-    b.record_kv_promotion()
-    b.record_kv_migration()
-    a.record_am_retransmit()
-    b.record_dup_am()
+    a.add(wire_frames=1, pickle_fallbacks=False, wire_fixed=True,
+          wire_byref=True)
+    a.add(wire_frames=1, pickle_fallbacks=True, wire_fixed=False,
+          wire_byref=False)
+    b.add(wire_frames=1, pickle_fallbacks=False, wire_fixed=True,
+          wire_byref=False)
+    a.add(kv_repl_records=3)
+    b.add(kv_repl_records=2)
+    a.add(kv_failovers=1)
+    b.add(kv_promotions=1)
+    b.add(kv_migrations=1)
+    a.add(am_retransmits=1)
+    b.add(dup_ams=1)
     total = aggregate([a, b])
     assert total["wire_frames"] == 3
     assert total["wire_fixed"] == 2
