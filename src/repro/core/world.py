@@ -152,7 +152,7 @@ class RankState:
 
     def deliver_many(self, ams) -> None:
         """Batch :meth:`deliver`: one lock acquisition and one wakeup
-        for a whole burst (e.g. every frame in one ring slot)."""
+        for a whole burst (e.g. every frame in one socket read)."""
         with self._cv:
             self._inbox.extend(ams)
             self._cv.notify_all()
@@ -229,9 +229,15 @@ class RankState:
         ``replies_sent`` is charged by the conduit layer (every send
         funnels through ``_encode_and_record``, which sees the reply
         flag) — not here — so the hot reply path pays one stats lock,
-        not two."""
+        not two.
+
+        One reply per token: the request's token is cleared once its
+        reply is out, so a handler that raises *after* replying takes
+        :meth:`_handler_error`'s fire-and-forget branch instead of
+        sending a second reply for a future already completed."""
         reply = make_reply(am, self.rank, args=args, payload=payload)
         self.world.conduit.send_am(self.rank, am.src_rank, reply)
+        am.token = None
 
     def send_reply_to(self, dst: int, token: int, args: tuple = (),
                       payload: Any = None) -> None:
@@ -282,12 +288,6 @@ class RankState:
             tel.histogram("advance").record_seconds(
                 time.perf_counter() - t0
             )
-        flush = self.world._am_flush
-        if flush is not None:
-            # Aggregating conduits (proc rings) publish pending sends at
-            # every progress point, so a request whose sender is about
-            # to block never idles in the aggregation buffer.
-            flush()
         return progressed
 
     def _handle(self, am: ActiveMessage) -> None:
@@ -365,7 +365,7 @@ class RankState:
 
     def _handler_error(self, am: ActiveMessage, exc: BaseException) -> None:
         """Surface a handler exception: error reply when the sender
-        waits for one, world failure otherwise."""
+        still waits for one, world failure otherwise."""
         if am.token is not None:
             err = make_reply(am, self.rank, args=("__error__", exc))
             self.world.conduit.send_am(self.rank, am.src_rank, err)
@@ -450,13 +450,6 @@ class RankState:
             if pred():
                 return
             if not progressed:
-                # Conduit inbound fast path (proc rings): the blocked
-                # rank thread polls shared memory directly — on a busy
-                # pair the message is picked up here, with no recv
-                # thread wakeup and no syscalls on the critical path.
-                poll = self.world._am_poll
-                if poll is not None and poll():
-                    continue
                 with self._cv:
                     if not self._inbox and not pred():
                         self._cv.wait(0.001)
@@ -586,12 +579,6 @@ class World:
             # inner layers' trace_control events reach the flight ring.
             conduit = TelemetryConduit(conduit, self.telemetry)
         self.conduit = conduit
-        #: Conduit-installed hook (see ProcConduit.attach): flush any
-        #: sender-side AM aggregation; called from every advance().
-        self._am_flush: Callable[[], None] | None = None
-        #: Conduit-installed hook: poll inbound transport state from a
-        #: blocked rank thread (returns True when anything arrived).
-        self._am_poll: Callable[[], bool] | None = None
         self.ranks = [RankState(self, r, segment_size) for r in range(n_ranks)]
         self.conduit.attach(self)
         self._glock = threading.Lock()

@@ -104,14 +104,16 @@ def _register_builtins() -> None:
     register_backend("smp", SmpConduit, SmpConduit.caps)
     # The proc backend has no standalone factory: ProcConduit needs the
     # launcher-built fabric (shared-memory blocks + AM transport).
-    # "proc" picks the default transport (shared-memory rings); the
-    # +ring/+socket variants pin it.
-    from repro.gasnet.proc import PROC_CAPS, PROC_SOCKET_CAPS
+    # "proc" still means the ring transport (the slower of the two on
+    # every measured rung — ROADMAP item 1 (d) decides the default); the
+    # +ring/+socket variants pin the transport, and it is the only thing
+    # they differ in.
+    from repro.gasnet.proc import PROC_CAPS
 
     register_backend("proc", None, PROC_CAPS)
     register_backend("proc+ring", None, PROC_CAPS,
                      options={"transport": "ring"})
-    register_backend("proc+socket", None, PROC_SOCKET_CAPS,
+    register_backend("proc+socket", None, PROC_CAPS,
                      options={"transport": "socket"})
 
 

@@ -72,10 +72,6 @@ class ConduitCaps:
     #: spmd() must go through the process launcher: the conduit cannot
     #: be instantiated standalone in the calling process.
     needs_launcher: bool = False
-    #: Active messages travel through shared-memory SPSC rings with
-    #: sender-side aggregation (:mod:`repro.gasnet.ring`) instead of a
-    #: kernel transport.
-    shm_rings: bool = False
 
 
 class Conduit(abc.ABC):

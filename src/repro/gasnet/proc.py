@@ -1,6 +1,6 @@
 """The process conduit: ranks are OS processes, segments live in
-``multiprocessing.shared_memory``, AMs cross shared-memory rings (or
-Unix-domain socket pairs as a fallback).
+``multiprocessing.shared_memory``, AMs cross Unix-domain socket pairs
+or shared-memory rings whose doorbell is that same socket pair.
 
 This is the GASNet-style "different conduit, same runtime" split: the
 whole UPC++-layer stack (collectives, reliability, telemetry, tracing,
@@ -28,22 +28,21 @@ Design
   clear :class:`~repro.errors.SerializationError` at the sender instead
   of delivering a dangling reference.
 
-* **The default AM transport is shared-memory rings** (the same move
-  GASNet's smp conduit makes): one :mod:`repro.gasnet.ring` SPSC region
-  per directed rank pair, carved out of a single
-  ``multiprocessing.shared_memory`` block the launcher creates before
-  the fork.  A send serializes the message into a per-peer pending
-  buffer; small frames to the same peer coalesce there until a flush
-  (inline on the next ``advance()``/blocking wait via the world's flush
-  hook, by size/frame-count threshold, or by the receive loop's flush
-  window) publishes them as ring slots — one slot, one doorbell, many
-  frames.  The receiver runs an adaptive progress loop: bounded spin →
-  ``sched_yield``-style backoff (``time.sleep(0)``) → park on a
-  per-rank pipe doorbell, so an idle rank costs nothing and a busy pair
-  exchanges messages with **zero syscalls**.  The ``proc+socket``
-  backend selects the socketpair path instead — it stays wire-compatible
-  (same message stream, one ``sendmsg`` per frame, chunked buffered
-  reads) and is the conformance/chaos fallback.
+* **Two AM transports, one message stream, one receive loop.**  Both
+  carry the same per-directed-pair byte stream (DEF records and
+  frames, below) and both wake the receiver through the pair's mesh
+  socket.  ``proc+socket`` writes the message bytes to that socket
+  (one ``sendmsg`` per message, chunked buffered reads).  ``proc+ring``
+  — which plain ``proc`` still names — is the same transport with the
+  bytes in shared memory: a send publishes the message as slots of the
+  pair's directed :mod:`repro.gasnet.ring` SPSC region (all regions
+  live in one ``multiprocessing.shared_memory`` block the launcher
+  creates before the fork) and then sends **one bell byte** on the
+  socket; the receive thread, woken by the bell, drains that peer's
+  ring until it is empty.  Only that thread ever touches a consumer,
+  so the rings' single-consumer rule is structural.  A bell per send
+  does everything a ``sendmsg`` does plus a slot copy, so the ring does
+  not beat the socket on small frames (ROADMAP item 1 has the numbers).
 
 * **Handler-id translation.**  Handler names are interned to 16-bit ids
   per process in call order, so ids can diverge after the fork.  The
@@ -66,7 +65,6 @@ import errno
 import itertools
 import os
 import pickle
-import select
 import selectors
 import socket
 import struct
@@ -93,48 +91,24 @@ from repro.gasnet.wire.frame import (
     handler_name,
 )
 
+#: One capability set for both AM transports; which one a backend name
+#: pins is in ``Backend.options["transport"]``.
 PROC_CAPS = ConduitCaps(
     cross_process=True,
     supports_kill_rank=True,
     in_process_hooks=False,
     zero_copy_rma=True,
     needs_launcher=True,
-    shm_rings=True,
-)
-
-#: The ``proc+socket`` variant: same conduit, AMs over socketpairs.
-PROC_SOCKET_CAPS = ConduitCaps(
-    cross_process=True,
-    supports_kill_rank=True,
-    in_process_hooks=False,
-    zero_copy_rma=True,
-    needs_launcher=True,
-    shm_rings=False,
 )
 
 # -- ring transport constants ------------------------------------------------
 #
-# Geometry of one directed ring and the adaptive progress / aggregation
-# policy.  Constants, not options: no two callers need different values.
-# A sweep (ROADMAP item 1 (d)) patches them here.
+# Geometry of one directed ring.  Constants, not options: no two callers
+# need different values.  A sweep (ROADMAP item 1 (d)) patches them here.
 
 RING_SLOTS = 64              # slots per directed ring
 RING_SLOT_BYTES = 4096       # per slot: 16-byte header + inline room
 RING_SPILL_BYTES = 1 << 20   # per-ring OOB spill region (oversized frames)
-RING_SPIN = 200              # recv-thread busy polls before it yields
-RING_YIELDS = 64             # recv-thread yields before it parks
-RING_PARK_S = 20e-3          # parked poll interval (a doorbell wakes earlier)
-RING_FLUSH_WINDOW_S = 200e-6  # max age of a staged frame before forced flush
-RING_AGG_FRAMES = 16         # staged frames that force a flush
-# Burst detector for adaptive aggregation: a send whose predecessor to
-# the same peer is older than this gap is isolated (latency path, publish
-# now); younger means a back-to-back burst (coalesce into one slot).
-RING_EAGER_GAP_S = 25e-6
-# Rank-thread poll: yields per burst while traffic is live, and how many
-# empty bursts until the thread stops burning cycles and falls back to
-# its condition-variable nap.
-RING_POLL_YIELDS = 64
-RING_POLL_IDLE = 4
 
 # -- message framing ---------------------------------------------------------
 #
@@ -154,12 +128,10 @@ _FRAME_HDR1 = struct.Struct("<BIII")
 _DEF_HDR = struct.Struct("<HH")
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 _NESTED_META = 20  # _5I splice prefix before a nested frame's ctrl
 
-_RECV_CHUNK = 1 << 18     # socket-path buffered read size
+_RECV_CHUNK = 1 << 18     # receive-loop read size (message or bell bytes)
 _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
-_PARKED_STRIDE = 64       # one cache line per receiver parked flag
 
 _fabric_ids = itertools.count(1)
 
@@ -230,16 +202,7 @@ class _StreamParser:
         self._off = 0
 
     def feed(self, chunk) -> None:
-        if self._off == len(self._buf):
-            self._buf = bytearray(chunk) if self._off else self._buf
-            if self._off:
-                self._off = 0
-                return
         self._buf += chunk
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buf) - self._off
 
     def next_msg(self):
         """One complete message as a tuple, or ``None`` if more bytes
@@ -298,28 +261,17 @@ class _StreamParser:
             self._off = 0
 
 
-class _Pending:
-    """One peer's unflushed (aggregating) outbound message bytes."""
-
-    __slots__ = ("buf", "frames", "first_t", "last_send")
-
-    def __init__(self):
-        self.buf = bytearray()
-        self.frames = 0
-        self.first_t = 0.0
-        self.last_send = 0.0
-
-
 class ProcFabric:
     """Everything the launcher builds *before* forking the ranks.
 
     Shared-memory segment blocks, cross-process segment locks, the AM
-    ring block + per-rank doorbell pipes (ring transport), the
-    full-mesh AM socket pairs, and one bootstrap socket pair per rank.
-    File descriptors, mappings, and lock handles reach the rank
-    processes by fork inheritance; :meth:`child_setup` closes the ends
-    a rank does not own so peer-exit EOFs propagate and no fd leaks
-    outlive the world.
+    ring block (ring transport), the full-mesh AM socket pairs (the
+    message stream on the socket transport, the doorbell on the ring
+    transport), and one bootstrap socket pair per rank.  File
+    descriptors, mappings, and lock handles reach the rank processes by
+    fork inheritance; :meth:`child_setup` closes the ends a rank does
+    not own so peer-exit EOFs propagate and no fd leaks outlive the
+    world.
     """
 
     def __init__(self, n_ranks: int, segment_size: int,
@@ -338,8 +290,6 @@ class ProcFabric:
             )
         self.ring_spec: RingSpec | None = None
         self.ring_shm: shared_memory.SharedMemory | None = None
-        #: doorbells[r] = [read_fd, write_fd] of rank r's park pipe.
-        self.doorbells: list[list] = []
         try:
             for r in range(n_ranks):
                 self.shms.append(shared_memory.SharedMemory(
@@ -350,17 +300,10 @@ class ProcFabric:
                 self.ring_spec = RingSpec(RING_SLOTS, RING_SLOT_BYTES,
                                           RING_SPILL_BYTES)
                 pairs = n_ranks * (n_ranks - 1)
-                size = (n_ranks * _PARKED_STRIDE
-                        + pairs * self.ring_spec.region_bytes)
                 self.ring_shm = shared_memory.SharedMemory(
                     name=f"repro_{self.uid}_ring", create=True,
-                    size=max(size, 1),
+                    size=max(pairs * self.ring_spec.region_bytes, 1),
                 )
-                for _ in range(n_ranks):
-                    rfd, wfd = os.pipe()
-                    os.set_blocking(rfd, False)
-                    os.set_blocking(wfd, False)
-                    self.doorbells.append([rfd, wfd])
         except BaseException:
             self.destroy()
             raise
@@ -382,21 +325,15 @@ class ProcFabric:
         self.agreed_handlers = len(_handler_names)
 
     # -- ring layout -----------------------------------------------------
-    def parked_off(self, rank: int) -> int:
-        """Offset of ``rank``'s receiver parked flag in the ring block."""
-        return rank * _PARKED_STRIDE
-
     def ring_region(self, src: int, dst: int) -> int:
         """Base offset of the directed ``src -> dst`` ring region."""
         idx = src * (self.n_ranks - 1) + (dst if dst < src else dst - 1)
-        return (self.n_ranks * _PARKED_STRIDE
-                + idx * self.ring_spec.region_bytes)
+        return idx * self.ring_spec.region_bytes
 
     # -- fd hygiene ------------------------------------------------------
     def child_setup(self, rank: int) -> None:
         """Called first thing in a rank process: keep only this rank's
-        socket ends, its own doorbell read end, and the peers' doorbell
-        write ends."""
+        socket ends."""
         for (i, j), (a, b) in self.mesh.items():
             if i == rank:
                 b.close()
@@ -409,24 +346,6 @@ class ProcFabric:
             parent_end.close()
             if r != rank:
                 child_end.close()
-        for r, db in enumerate(self.doorbells):
-            if r != rank and db[0] is not None:
-                try:
-                    os.close(db[0])
-                except OSError:
-                    pass
-                db[0] = None
-
-    def _close_doorbells(self) -> None:
-        for db in self.doorbells:
-            for k in (0, 1):
-                if db[k] is not None:
-                    try:
-                        os.close(db[k])
-                    except OSError:
-                        pass
-                    db[k] = None
-        self.doorbells = []
 
     def parent_setup(self) -> None:
         """Called in the launcher after the forks: close the rank ends."""
@@ -435,7 +354,6 @@ class ProcFabric:
             b.close()
         for _parent_end, child_end in self.boot:
             child_end.close()
-        self._close_doorbells()
 
     def mesh_for(self, rank: int) -> dict[int, socket.socket]:
         socks = {}
@@ -479,7 +397,6 @@ class ProcFabric:
                     s.close()
                 except OSError:
                     pass
-        self._close_doorbells()
         for shm in self.shms:
             try:
                 shm.close()
@@ -534,69 +451,34 @@ class ProcConduit(SegmentRma, Conduit):
         self.frames_sent = 0
         self.frames_received = 0
         self._stats = None
-        self._tel = None
-        self._ring_on = (fabric.transport == "ring"
-                         and fabric.ring_shm is not None)
-        if self._ring_on:
+        #: Ring transport only: this rank's producer / consumer per peer
+        #: (no entry for a peer means its bytes travel on the socket).
+        self._prod: dict[int, RingProducer] = {}
+        self._cons: dict[int, RingConsumer] = {}
+        if fabric.transport == "ring":
             spec = fabric.ring_spec
             mv = fabric.ring_shm.buf
-            self._ring_mv = mv
             self._prod = {p: RingProducer(mv, spec,
                                           fabric.ring_region(rank, p))
                           for p in peers}
             self._cons = {p: RingConsumer(mv, spec,
                                           fabric.ring_region(p, rank))
                           for p in peers}
-            self._pending = {p: _Pending() for p in peers}
-            self._dirty = False
-            # The rings are SPSC: exactly one thread may consume at a
-            # time.  Both the receive thread and the rank-thread fast
-            # path (poll_inbound) drain under this lock.
-            self._cons_lock = threading.Lock()
-            self._poll_misses = 0
-            # Doorbell arbitration (both flags are in-process): the
-            # shared parked flag is raised — "publishers, ring my
-            # doorbell" — only when the receive thread is parked AND no
-            # rank thread is actively polling; an active poller sees
-            # publishes through shared memory with no syscall at all.
-            self._poller_active = False
-            self._recv_parked = False
-            self._parked_off = fabric.parked_off(rank)
-            self._door_r = fabric.doorbells[rank][0]
-            self._door_w = {p: fabric.doorbells[p][1] for p in peers}
-            self._flush_bytes = spec.inline_cap
-            self._stall_limit = 30.0
+        self._stall_limit = 30.0
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, world) -> None:
         super().attach(world)
-        me = world.ranks[self.local_rank]
-        self._stats = me.stats
-        self._tel = me.telemetry
-        if self._ring_on:
-            # The world's progress engine flushes aggregated sends at
-            # every advance()/blocking-wait point, so latency-sensitive
-            # request/reply ops are never held for the flush window.
-            world._am_flush = self.flush_sends
-            world._am_poll = self.poll_inbound
-            if world.op_timeout:
-                self._stall_limit = float(world.op_timeout)
+        self._stats = world.ranks[self.local_rank].stats
+        if world.op_timeout:
+            self._stall_limit = float(world.op_timeout)
         self._recv_thread = threading.Thread(
-            target=(self._recv_main_ring if self._ring_on
-                    else self._recv_main_socket),
+            target=self._recv_main,
             name=f"proc-recv-{self.local_rank}", daemon=True,
         )
         self._recv_thread.start()
 
     def close(self) -> None:
-        if self._ring_on and not self._closing:
-            # Best-effort final flush (bounded: a gone peer must not
-            # hold teardown for the full stall limit).
-            self._stall_limit = 0.25
-            try:
-                self.flush_sends()
-            except Exception:
-                pass
         self._closing = True
         try:
             self._wake_w.send(b"x")
@@ -616,19 +498,6 @@ class ProcConduit(SegmentRma, Conduit):
                 s.close()
             except OSError:
                 pass
-        if self._ring_on:
-            db = self.fabric.doorbells
-            if db:
-                for r, pair in enumerate(db):
-                    for k in (0, 1):
-                        fd = pair[k]
-                        keep = (r == self.local_rank and k == 0) or k == 1
-                        if fd is not None and keep:
-                            try:
-                                os.close(fd)
-                            except OSError:
-                                pass
-                            pair[k] = None
 
     # -- active messages -------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
@@ -668,10 +537,29 @@ class ProcConduit(SegmentRma, Conduit):
                 ) from None
         bufs = frame.buffers
         spans = [_buf_span(b) for b in bufs] if bufs else bufs
-        if self._ring_on:
-            self._ring_send(dst, frame.ctrl, spans, refs_blob)
-        else:
-            self._socket_send(dst, frame.ctrl, spans, refs_blob)
+        ctrl = frame.ctrl
+        sock = self._socks.get(dst)
+        if sock is None:
+            raise PgasError(
+                f"proc conduit: no wire to rank {dst} "
+                f"(local rank {self.local_rank})"
+            )
+        prod = self._prod.get(dst)
+        try:
+            with self._send_locks[dst]:
+                head = self._def_records(dst, ctrl) or bytearray()
+                head += self._frame_head(ctrl, spans, len(refs_blob))
+                parts = [head, *spans]
+                if refs_blob:
+                    parts.append(refs_blob)
+                if prod is None:
+                    _sendmsg_all(sock, parts)
+                else:
+                    self._ring_send(dst, prod, sock, parts)
+        except OSError as exc:
+            self._send_error(dst, exc)
+            return
+        self.frames_sent += 1
 
     def _frame_head(self, ctrl, spans, refs_len: int) -> bytes:
         if not spans:
@@ -712,27 +600,6 @@ class ProcConduit(SegmentRma, Conduit):
             seen.add(hid)
         return out
 
-    # -- socketpair transport (fallback) ---------------------------------
-    def _socket_send(self, dst: int, ctrl, spans, refs_blob) -> None:
-        sock = self._socks.get(dst)
-        if sock is None:
-            raise PgasError(
-                f"proc conduit: no wire to rank {dst} "
-                f"(local rank {self.local_rank})"
-            )
-        try:
-            with self._send_locks[dst]:
-                head = self._def_records(dst, ctrl) or bytearray()
-                head += self._frame_head(ctrl, spans, len(refs_blob))
-                parts = [head, *spans]
-                if refs_blob:
-                    parts.append(refs_blob)
-                _sendmsg_all(sock, parts)
-        except OSError as exc:
-            self._send_error(dst, exc)
-            return
-        self.frames_sent += 1
-
     def _send_error(self, dst: int, exc: OSError) -> None:
         """A send hit a closed socket: benign during shutdown or when
         the peer already finished; a comm error otherwise."""
@@ -755,105 +622,17 @@ class ProcConduit(SegmentRma, Conduit):
         ) from exc
 
     # -- ring transport ---------------------------------------------------
-    def _ring_send(self, dst: int, ctrl, spans, refs_blob) -> None:
-        prod = self._prod.get(dst)
-        if prod is None:
-            raise PgasError(
-                f"proc conduit: no ring to rank {dst} "
-                f"(local rank {self.local_rank})"
-            )
-        with self._send_locks[dst]:
-            pend = self._pending[dst]
-            buf = pend.buf
-            defs = self._def_records(dst, ctrl)
-            if defs:
-                buf += defs
-            buf += self._frame_head(ctrl, spans, len(refs_blob))
-            for mv in spans:
-                buf += mv
-            if refs_blob:
-                buf += refs_blob
-            pend.frames += 1
-            now = time.monotonic()
-            in_burst = now - pend.last_send < RING_EAGER_GAP_S
-            pend.last_send = now
-            if pend.first_t == 0.0:
-                pend.first_t = now
-            self.frames_sent += 1
-            if (not in_burst
-                    or pend.frames >= RING_AGG_FRAMES
-                    or len(buf) >= self._flush_bytes):
-                # Adaptive aggregation: an isolated send (the previous
-                # send to this peer was more than the burst gap ago) is
-                # latency-sensitive and publishes immediately; sends
-                # arriving back-to-back are a throughput burst and
-                # coalesce until the frame/byte cap or the advance()
-                # flush hook publishes them.
-                self._flush_locked(dst, pend)
-            else:
-                self._dirty = True
-
-    def flush_sends(self) -> None:
-        """Publish every peer's pending aggregated frames, and drain any
-        inbound slots while here.  Installed as the world's ``_am_flush``
-        hook: every ``advance()`` (and thus every blocking wait and
-        every progress-thread pass) flushes, so a request never idles in
-        the aggregation buffer while its sender blocks on the reply —
-        and inbound traffic is picked up within one progress-thread
-        period even when the rank thread is deep in compute."""
-        if self._dirty:
-            self._dirty = False
-            for dst, pend in self._pending.items():
-                if pend.frames:
-                    with self._send_locks[dst]:
-                        if pend.frames:
-                            self._flush_locked(dst, pend)
-        if self._poller_active:
-            # The blocked rank thread is draining the rings itself (the
-            # wait_until poll hook) — a second pass per advance() only
-            # lengthens the latency path.
-            return
-        if self._cons_lock.acquire(blocking=False):
-            try:
-                self._drain_rings()
-            finally:
-                self._cons_lock.release()
-
-    def _sweep_pending(self, force: bool = False) -> None:
-        """Receive-loop flush of *aged* pending sends (fire-and-forget
-        traffic whose sender never blocks).  Locks are taken
-        non-blocking: the receive loop must never stall behind a rank
-        thread mid-flush, or two ranks could deadlock on full rings."""
-        if not self._dirty:
-            return
-        now = time.monotonic()
-        window = 0.0 if force else RING_FLUSH_WINDOW_S
-        for dst, pend in self._pending.items():
-            if pend.frames and now - pend.first_t >= window:
-                lock = self._send_locks[dst]
-                if lock.acquire(blocking=False):
-                    try:
-                        if pend.frames:
-                            self._flush_locked(dst, pend)
-                    finally:
-                        lock.release()
-
-    def _flush_locked(self, dst: int, pend: _Pending) -> None:
-        """Publish one peer's pending bytes as ring slots (caller holds
-        the peer's send lock)."""
-        data = pend.buf
-        frames = pend.frames
-        pend.buf = bytearray()
-        pend.frames = 0
-        pend.first_t = 0.0
-        prod = self._prod[dst]
+    def _ring_send(self, dst: int, prod: RingProducer, sock, parts) -> None:
+        """Publish one message as slots of the ``-> dst`` ring, then
+        ring the bell (caller holds the peer's send lock)."""
+        data = parts[0] if len(parts) == 1 else b"".join(parts)
         stats = self._stats
-        tel = self._tel
-        t0 = time.perf_counter() if (tel is not None and tel.full) else 0.0
         mv = memoryview(data)
         total = len(data)
         off = 0
         slots = 0
+        bells = 0
+        unrung = False
         spilled = False
         stall_t = None
         spins = 0
@@ -862,13 +641,21 @@ class ProcConduit(SegmentRma, Conduit):
             if n > 0:
                 off += n
                 slots += 1
+                unrung = True
                 if prod.last_spill:
                     spilled = True
                 stall_t = None
                 spins = 0
                 continue
-            # Ring full: the receiver is behind (or gone).  Escalate
-            # spin -> yield -> sleep while watching for peer death.
+            # Ring full: the receiver is behind (or gone).  Ring the
+            # bell for what is already published *before* waiting: the
+            # receiver drains only when told to, so a message larger
+            # than the ring would wait for a drain that never comes.
+            # Then escalate spin -> yield -> sleep while watching for
+            # peer death.
+            if unrung:
+                bells += self._bell(sock)
+                unrung = False
             if stats is not None:
                 stats.add(wire_ring_full_backoffs=1)
             if self._closing:
@@ -894,31 +681,21 @@ class ProcConduit(SegmentRma, Conduit):
                 os.sched_yield()  # hand the core to the slow receiver
             else:
                 time.sleep(0.0002)
-        if slots:
-            if self._peer_parked(dst):
-                try:
-                    os.write(self._door_w[dst], b"\1")
-                    if stats is not None:
-                        stats.add(wire_ring_doorbells=1)
-                except (OSError, TypeError):
-                    pass  # full pipe / torn-down peer: wakeups pending
-            if stats is not None:
-                # frames > 1 means aggregation coalesced sends.
-                stats.add(wire_ring_slots=slots, wire_ring_frames=frames,
-                          wire_ring_agg_frames=frames if frames > 1 else 0,
-                          wire_ring_spills=spilled)
-            if tel is not None and tel.full:
-                tel.record_latency("ring_flush", time.perf_counter() - t0)
-                tel.record_value("ring_slot_frames", frames, "frames")
+        bells += self._bell(sock)
+        if stats is not None:
+            stats.add(wire_ring_slots=slots, wire_ring_frames=1,
+                      wire_ring_spills=spilled, wire_ring_doorbells=bells)
 
-    # The parked flags are stored with _U32.pack_into, which zero-fills
-    # before it packs.  That is benign here, unlike for the ring cursors:
-    # the flag only ever holds 0 or 1, so the fill exposes no value a
-    # reader could not see anyway, and a publish that races the flag is
-    # caught by the re-check and the bounded park in _recv_main_ring.
-    def _peer_parked(self, dst: int) -> bool:
-        return _U32.unpack_from(self._ring_mv,
-                                self.fabric.parked_off(dst))[0] != 0
+    @staticmethod
+    def _bell(sock) -> int:
+        """Wake the peer's receive loop: one byte on the pair's mesh
+        socket.  Returns how many bell bytes went out (0 or 1)."""
+        try:
+            return sock.send(b"\1", socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            # Full socket buffer: unread bells are queued, and the wake-
+            # up they cause drains everything published before now.
+            return 0
 
     # -- receive side ----------------------------------------------------
     def _feed(self, peer: int, chunk) -> None:
@@ -958,132 +735,22 @@ class ProcConduit(SegmentRma, Conduit):
         if shells and self.world is not None:
             self.world.ranks[self.local_rank].deliver_many(shells)
 
-    def _drain_rings(self) -> bool:
-        """Drain every inbound ring once (bounded per peer for
-        fairness); returns True when anything was consumed.  Callers
-        must hold ``_cons_lock`` — the rings are single-consumer."""
-        progressed = False
-        for peer, c in self._cons.items():
-            budget = 64
-            chunk = c.try_recv()
-            while chunk is not None:
-                progressed = True
-                self._feed(peer, chunk)
-                budget -= 1
-                chunk = c.try_recv() if budget else None
-        if progressed:
-            # Any inbound progress means traffic is flowing: keep the
-            # rank-thread poller hot.  Without this, the advance()-time
-            # flush hook (which also drains) steals every hit, the
-            # poller sees nothing but misses, de-escalates for good,
-            # and each message pays a doorbell write (~50µs) instead of
-            # a sched_yield handoff (~2µs).
-            self._poll_misses = 0
-        return progressed
+    def _drain(self, peer: int, cons: RingConsumer) -> None:
+        """Feed the parser every slot ``peer`` has published.  Called
+        only from the receive thread: the ring is single-consumer."""
+        chunk = cons.try_recv()
+        if chunk is None:
+            return  # a bell for slots an earlier wake-up already took
+        while chunk is not None:
+            self._feed(peer, chunk)
+            chunk = cons.try_recv()
+        if self._stats is not None:
+            self._stats.add(wire_ring_wakeups=1)
 
-    def poll_inbound(self) -> bool:
-        """Rank-thread inbound fast path (the world's ``_am_poll``
-        hook).  A blocked rank thread drains the rings itself — with a
-        short ``sched_yield`` handoff loop so two ranks sharing a core
-        ping-pong through shared memory at context-switch cost, no
-        doorbell, no recv-thread wakeup, no syscalls on the hot path.
-        While the poller is active it lowers the shared parked flag so
-        publishers skip the doorbell (a wakeup would only put the
-        receive thread in a GIL fight with the handler).  After a few
-        empty bursts it reports idle, restores the flag, and the caller
-        falls back to its condition-variable nap — waiting ranks don't
-        spin forever, and the parked receive thread owns wakeups again.
-        """
-        misses = self._poll_misses
-        budget = RING_POLL_YIELDS if misses <= RING_POLL_IDLE else 0
-        if budget and not self._poller_active:
-            self._poller_active = True
-            _U32.pack_into(self._ring_mv, self._parked_off, 0)
-        lock = self._cons_lock
-        n = 0
-        while True:
-            got = False
-            if lock.acquire(blocking=False):
-                try:
-                    got = self._drain_rings()
-                finally:
-                    lock.release()
-            if got:
-                self._poll_misses = 0
-                return True
-            if n >= budget:
-                break
-            # Real sched_yield(2): hands the core to the runnable peer
-            # process in ~1µs (time.sleep(0) takes the timer path and
-            # costs ~100µs per handoff on a contended core).
-            os.sched_yield()
-            n += 1
-        self._poll_misses = misses + 1
-        if self._poller_active and self._poll_misses > RING_POLL_IDLE:
-            self._poller_active = False
-            if self._recv_parked:
-                _U32.pack_into(self._ring_mv, self._parked_off, 1)
-        return False
-
-    def _recv_main_ring(self) -> None:
-        """Adaptive ring progress loop: drain every inbound ring; on
-        idle, spin a bounded budget, then yield the GIL
-        (``sched_yield``-style), then park on the doorbell pipe."""
-        mv = self._ring_mv
-        cons = list(self._cons.items())
-        # On a single core a spinning receive thread only steals the GIL
-        # from the rank thread, so the spin budget collapses and the
-        # loop parks almost immediately.
-        multicore = (os.cpu_count() or 1) > 1
-        spin_budget = RING_SPIN if multicore else 0
-        yield_budget = RING_YIELDS if multicore else 0
-        stats = self._stats
-        spin = 0
-        try:
-            while not self._closing:
-                with self._cons_lock:
-                    progressed = self._drain_rings()
-                self._sweep_pending()
-                if progressed:
-                    spin = 0
-                    continue
-                spin += 1
-                if spin <= spin_budget:
-                    continue
-                if spin <= spin_budget + yield_budget:
-                    time.sleep(0)
-                    continue
-                # Park: flush our own stragglers, advertise the parked
-                # flag (unless an active rank-thread poller owns the
-                # rings), re-check them (a publish that raced the flag
-                # is caught here or by the bounded park timeout), then
-                # block on the doorbell.
-                self._sweep_pending(force=True)
-                self._recv_parked = True
-                if not self._poller_active:
-                    _U32.pack_into(mv, self._parked_off, 1)
-                if any(c.pending() for _p, c in cons):
-                    self._recv_parked = False
-                    _U32.pack_into(mv, self._parked_off, 0)
-                    spin = 0
-                    continue
-                ready, _, _ = select.select(
-                    [self._door_r, self._wake_r], [], [], RING_PARK_S)
-                self._recv_parked = False
-                _U32.pack_into(mv, self._parked_off, 0)
-                spin = 0
-                if self._door_r in ready:
-                    try:
-                        os.read(self._door_r, 4096)
-                    except OSError:
-                        pass
-                    if stats is not None:
-                        stats.add(wire_ring_wakeups=1)
-        except BaseException as exc:
-            if not self._closing and self.world is not None:
-                self.world.fail(self.local_rank, exc)
-
-    def _recv_main_socket(self) -> None:
+    def _recv_main(self) -> None:
+        """The one receive loop, both transports.  What a readable peer
+        socket delivers is the message bytes themselves (socket) or
+        bell bytes saying that peer's ring has slots (ring)."""
         sel = selectors.DefaultSelector()
         sel.register(self._wake_r, selectors.EVENT_READ, None)
         for p, s in self._socks.items():
@@ -1111,7 +778,11 @@ class ProcConduit(SegmentRma, Conduit):
                         open_peers.discard(peer)
                         continue
                     try:
-                        self._feed(peer, view[:n])
+                        cons = self._cons.get(peer)
+                        if cons is None:
+                            self._feed(peer, view[:n])
+                        else:
+                            self._drain(peer, cons)
                     except BaseException as exc:
                         if self._closing:
                             return

@@ -85,13 +85,12 @@ class CommStats:
     pickle_fallbacks: int = 0
     wire_byref: int = 0
     # Shared-memory ring transport (repro.gasnet.proc, ring mode): slots
-    # published, frames carried, frames that rode an aggregated flush
-    # (coalesced with at least one other frame), flushes that used the
-    # OOB spill region, full-ring backoff iterations on the sender,
-    # doorbells rung at parked receivers, and receiver doorbell wakeups.
+    # published, messages sent (1 per send), sends that used the OOB
+    # spill region, full-ring backoff iterations on the sender, bell
+    # bytes sent on the pair's socket, and receive-loop wake-ups that
+    # drained a ring.
     wire_ring_slots: int = 0
     wire_ring_frames: int = 0
-    wire_ring_agg_frames: int = 0
     wire_ring_spills: int = 0
     wire_ring_full_backoffs: int = 0
     wire_ring_doorbells: int = 0

@@ -23,6 +23,7 @@ from repro.core import proclaunch
 from repro.core.collectives import allreduce, barrier
 from repro.errors import PgasError, RankDead, SerializationError
 from repro.gasnet import backends
+from repro.gasnet.am import am_handler
 from repro.gasnet.chaos import ChaosConduit
 from tests.conftest import run_spmd
 
@@ -159,6 +160,28 @@ def test_am_replies_cross_ranks_many_times(conduit):
 
     res = run_spmd(body, ranks=3, conduit=conduit, timeout=60.0)
     assert res == [sum(i * 2 for i in range(10))] * 3
+
+
+@am_handler("conformance_reply_then_raise")
+def _reply_then_raise(ctx, am):
+    ctx.reply(am, args=("ok",))
+    raise ValueError("raised after replying")
+
+
+def test_handler_raising_after_its_reply_fails_with_its_own_error(conduit):
+    """One reply per token: the request is answered, so the exception
+    is the handler's rank's failure — not a second (error) reply that
+    kills the initiator with ``reply for unknown token``."""
+    def body():
+        if repro.myrank() == 0:
+            ctx = repro.current_world().ranks[0]
+            fut = ctx.send_am(1, "conformance_reply_then_raise",
+                              expect_reply=True)
+            assert fut.get()[0] == ("ok",)
+        barrier()
+
+    with pytest.raises(ValueError, match="raised after replying"):
+        run_spmd(body, ranks=2, conduit=conduit)
 
 
 # -- collectives + telemetry ------------------------------------------------
@@ -321,14 +344,12 @@ def test_backend_registry_capabilities():
     assert not smp.needs_launcher
     assert set(backends.backend_names()) >= {
         "smp", "proc", "proc+ring", "proc+socket"}
-    # the pinned transport variants: same conduit contract, different
-    # AM transport — capability flags and launcher options must agree
+    # the pinned transport variants: same conduit contract and
+    # capability set, different AM transport — the launcher option is
+    # the only thing that tells them apart
     ring = backends.backend("proc+ring")
     sock = backends.backend("proc+socket")
-    assert ring.caps.shm_rings and not sock.caps.shm_rings
-    assert not smp.shm_rings
     assert ring.options == {"transport": "ring"}
     assert sock.options == {"transport": "socket"}
-    assert ring.caps.needs_launcher and sock.caps.needs_launcher
-    # "proc" defaults to the ring transport's capability set
-    assert proc == ring.caps
+    assert backends.backend("proc").options is None  # launcher default
+    assert proc == ring.caps == sock.caps

@@ -35,7 +35,7 @@ from repro.gasnet.stats import CommStats, aggregate
 from tests.conftest import run_spmd
 
 RING_COUNTERS = (
-    "wire_ring_slots", "wire_ring_frames", "wire_ring_agg_frames",
+    "wire_ring_slots", "wire_ring_frames",
     "wire_ring_spills", "wire_ring_full_backoffs",
     "wire_ring_doorbells", "wire_ring_wakeups",
 )
@@ -275,23 +275,20 @@ def test_ring_cursor_store_is_never_torn_across_processes():
 # -- unit: wire_ring_* counter plumbing -------------------------------------
 def test_ring_counters_snapshot_reset_aggregate():
     s = CommStats()
-    s.add(wire_ring_slots=2, wire_ring_frames=3, wire_ring_agg_frames=3,
-          wire_ring_spills=True)
-    s.add(wire_ring_slots=1, wire_ring_frames=1, wire_ring_agg_frames=0,
-          wire_ring_spills=False)
+    s.add(wire_ring_slots=2, wire_ring_frames=3, wire_ring_spills=True)
+    s.add(wire_ring_slots=1, wire_ring_frames=1, wire_ring_spills=False)
     s.add(wire_ring_full_backoffs=1)
     s.add(wire_ring_doorbells=1)
     s.add(wire_ring_wakeups=1)
     snap = s.snapshot()
     assert snap["wire_ring_slots"] == 3
     assert snap["wire_ring_frames"] == 4
-    assert snap["wire_ring_agg_frames"] == 3  # only the coalesced flush
     assert snap["wire_ring_spills"] == 1
     assert snap["wire_ring_full_backoffs"] == 1
     assert snap["wire_ring_doorbells"] == 1
     assert snap["wire_ring_wakeups"] == 1
     other = CommStats()
-    other.add(wire_ring_slots=5, wire_ring_frames=5, wire_ring_agg_frames=5)
+    other.add(wire_ring_slots=5, wire_ring_frames=5)
     total = aggregate([s, other])
     assert total["wire_ring_slots"] == 8
     assert total["wire_ring_frames"] == 9
@@ -325,6 +322,40 @@ def test_ring_oob_spill_end_to_end(monkeypatch):
     res = run_spmd(body, ranks=2, conduit="proc+ring", timeout=60.0)
     assert all(frames > 0 for _, frames in res)
     assert sum(spills for spills, _ in res) > 0
+
+
+def _echo_payload(v):
+    return v
+
+
+def test_ring_bell_before_backoff_oversized_both_ways(monkeypatch):
+    """A message several times the size of the whole ring, in both
+    directions at once.  The receiver drains only when the bell rings,
+    so the sender must ring it for what is already published *before*
+    it backs off on a full ring; ringing only after the last slot hangs
+    until the stall limit turns it into a TransientCommError."""
+    monkeypatch.setattr(proc, "RING_SLOTS", 4)
+    monkeypatch.setattr(proc, "RING_SLOT_BYTES", 256)
+    monkeypatch.setattr(proc, "RING_SPILL_BYTES", 1024)
+    ring_bytes = 4 * 256 + 1024
+    echo = _echo_payload
+
+    def body():
+        me = repro.myrank()
+        v = np.arange(8192, dtype=np.int64) * (me + 1)
+        assert v.nbytes >= 16 * ring_bytes
+        barrier()
+        got = repro.async_(1 - me)(echo, v).get()
+        assert got.dtype == v.dtype and np.array_equal(got, v)
+        barrier()
+        ctx = repro.current_world().ranks[me]
+        return ctx.stats.snapshot()["wire_ring_full_backoffs"]
+
+    timeout = 60.0
+    t0 = time.monotonic()
+    res = run_spmd(body, ranks=2, conduit="proc+ring", timeout=timeout)
+    assert time.monotonic() - t0 < timeout / 4
+    assert all(backoffs > 0 for backoffs in res)
 
 
 def test_ring_crash_leaves_no_shm(monkeypatch):

@@ -20,7 +20,7 @@ SNAPSHOT_KEYS = (
     "kv_repl_records", "kv_failovers", "kv_promotions",
     "kv_replica_reads", "kv_migrations", "dead_peer_fastfails",
     "wire_frames", "wire_fixed", "pickle_fallbacks", "wire_byref",
-    "wire_ring_slots", "wire_ring_frames", "wire_ring_agg_frames",
+    "wire_ring_slots", "wire_ring_frames",
     "wire_ring_spills", "wire_ring_full_backoffs",
     "wire_ring_doorbells", "wire_ring_wakeups",
 )
