@@ -306,7 +306,7 @@ class RankState:
                 am = frame.thaw()
         self.stats.add(ams_handled=1)
         if self.telemetry.active and am.handler not in (
-            "__rel_ping__", "__rel_pong__", "__rel_ack__",
+            "__rel_ping__", "__rel_pong__", "__rel_ack__", "__rel_data__",
         ):  # protocol chatter would drown out the useful history
             self.telemetry.flight_event(
                 "am_handled", src=am.src_rank, dst=self.rank,

@@ -12,11 +12,22 @@ Mechanisms
 * **Sequencing + dedup** — every AM travels in an envelope carrying a
   per-(src, dst) sequence number; the receiver delivers in order,
   buffers early arrivals, and suppresses duplicates.
-* **Positive acks + retransmit** — the receiver acks every envelope; the
-  sender retransmits unacked envelopes on a capped exponential backoff
-  with jitter, and gives up at a per-op deadline, raising
-  :class:`~repro.errors.CommTimeout` with a diagnostic naming the stuck
-  op (delivered to the initiator's future when the AM expects a reply).
+* **Cumulative, piggy-backed, delayed acks + retransmit** — every
+  envelope also carries the cumulative ack for the opposite direction
+  ("I have dispatched everything you sent me below N"), so a reply *is*
+  the ack of its request, as in GASNet.  A standalone ``__rel_ack__``
+  (cumulative too) is sent only by the monitor, for an ack no reverse
+  envelope carried within ``ack_timeout / 4``, and at once on a
+  duplicate (its sender never saw the ack).  Unacked envelopes are
+  retransmitted on a capped exponential backoff with jitter until a
+  per-op deadline raises :class:`~repro.errors.CommTimeout` naming the
+  stuck op (on the initiator's future when the AM expects a reply).
+  Three rules: taking the ack clears "ack owed" *before* reading the
+  receive cursor (an envelope landing in between re-arms it); a
+  retransmission reuses its memoized frame, so its ack is stale and
+  the sender ignores any ``upto`` at or below what it holds; **no
+  SACK** — an envelope buffered ahead of a gap is not covered by the
+  cumulative ack and is retransmitted until the gap fills.
 * **Bounded RMA retry** — ``rma_put``/``rma_get`` and the indexed bulk
   ops are idempotent and retried freely on
   :class:`~repro.errors.TransientCommError`; ``rma_atomic`` and
@@ -93,28 +104,132 @@ class ReliabilityConfig:
     seed: int = 0
 
 
+@dataclass(slots=True)
 class _PendingAm:
     """One unacked in-flight envelope on the sender side."""
 
-    __slots__ = ("env", "inner", "src", "dst", "seq", "attempts",
-                 "next_at", "deadline")
-
-    def __init__(self, env, inner, src, dst, seq, next_at, deadline):
-        self.env = env
-        self.inner = inner
-        self.src = src
-        self.dst = dst
-        self.seq = seq
-        self.attempts = 0
-        self.next_at = next_at
-        self.deadline = deadline
+    env: ActiveMessage
+    inner: ActiveMessage
+    src: int
+    dst: int
+    seq: int
+    next_at: float
+    deadline: float
+    attempts: int = 0
 
 
-def _control_am(handler: str, src: int, aux: int = 0) -> ActiveMessage:
-    """A reliability-protocol control AM.  The seq/ack number rides in
-    the frame header's ``aux`` word, so control traffic encodes to a
-    bare 42-byte header — no args, no pickle."""
-    return ActiveMessage(handler=handler, src_rank=src, aux=aux)
+_SEQ_MASK = (1 << 32) - 1
+
+
+def _pack(seq: int, ack: int) -> int:
+    """``seq`` and the cumulative ``ack`` as the header's signed 64-bit
+    ``aux`` word, 32 bits each."""
+    word = (seq & _SEQ_MASK) | (ack & _SEQ_MASK) << 32
+    return word - (1 << 64) if word >> 63 else word
+
+
+def _unwrap(word: int, near: int) -> int:
+    """Serial-number arithmetic: the number within 2**31 of the
+    receiver's own cursor ``near`` whose low 32 bits are ``word``'s."""
+    return near + ((word - near + (1 << 31)) & _SEQ_MASK) - (1 << 31)
+
+
+class _Link:
+    """One rank's end of its conversation with one peer — the send state
+    of ``me -> peer`` and the receive state of ``peer -> me`` — with the
+    protocol as its methods.  World-free: a config, a clock value per
+    call, ``aux`` words in and out, so it is model-checked without
+    ``spmd()`` (``tests/gasnet/test_reliability_link.py``)."""
+
+    def __init__(self, me: int, peer: int, cfg: ReliabilityConfig, jitter):
+        self.me, self.peer, self.cfg, self.jitter = me, peer, cfg, jitter
+        self.lock = threading.Lock()
+        self.next_seq = 0       # next sequence number me -> peer
+        self.unacked: dict[int, _PendingAm] = {}    # in seq order
+        self.acked_upto = 0     # peer dispatched everything below this
+        self.rx_next = 0        # next sequence number due peer -> me
+        self.rx_buf: dict[int, ActiveMessage] = {}  # ahead of a gap
+        self.ack_owed_since: float | None = None
+
+    def wrap(self, am: ActiveMessage, now: float,
+             deadline: float) -> ActiveMessage:
+        """Envelope ``am`` with the next sequence number and the ack
+        owed to the peer, and hold it until the peer acks it."""
+        with self.lock:
+            seq = self.next_seq
+            self.next_seq = seq + 1
+            self.ack_owed_since = None  # cleared before rx_next is read
+            env = ActiveMessage(handler="__rel_data__", src_rank=self.me,
+                                aux=_pack(seq, self.rx_next), payload=am)
+            self.unacked[seq] = _PendingAm(
+                env, am, self.me, self.peer, seq,
+                now + self.cfg.ack_timeout, deadline)
+        return env
+
+    def acked(self, aux: int) -> None:
+        """Take the cumulative ack an envelope or a ``__rel_ack__``
+        carried: the peer dispatched everything below it."""
+        with self.lock:
+            upto = _unwrap(aux >> 32, self.acked_upto)
+            # Stale (reordered, or a retransmission's memoized frame)
+            # is at or below acked_upto: an empty range.
+            for seq in range(self.acked_upto, upto):
+                self.unacked.pop(seq, None)  # None: it expired first
+            self.acked_upto = max(upto, self.acked_upto)
+
+    def on_data(self, aux: int, inner: ActiveMessage,
+                now: float) -> list[ActiveMessage] | None:
+        """Take the piggy-backed ack, then dedup and reorder: the inner
+        AMs now due for dispatch, in order (none while a gap is open),
+        or ``None`` for a duplicate."""
+        self.acked(aux)
+        with self.lock:
+            seq = _unwrap(aux, self.rx_next)
+            if seq < self.rx_next or seq in self.rx_buf:
+                return None
+            self.rx_buf[seq] = inner
+            ready: list[ActiveMessage] = []
+            while self.rx_next in self.rx_buf:
+                ready.append(self.rx_buf.pop(self.rx_next))
+                self.rx_next += 1
+            if ready and self.ack_owed_since is None:
+                self.ack_owed_since = now
+        return ready
+
+    def take_ack(self) -> int:
+        """The ``aux`` of a standalone cumulative ack, sent now."""
+        with self.lock:
+            self.ack_owed_since = None
+            return _pack(0, self.rx_next)
+
+    def poll(self, now: float):
+        """One monitor tick: ``(aux of the delayed ack now due or None,
+        envelopes to retransmit, envelopes that ran out of budget)``."""
+        cfg = self.cfg
+        ack, resend, expired = None, [], []
+        with self.lock:
+            since = self.ack_owed_since
+            if since is not None and now - since >= cfg.ack_timeout / 4:
+                self.ack_owed_since = None
+                ack = _pack(0, self.rx_next)
+            for seq, e in list(self.unacked.items()):
+                if now >= e.deadline or e.attempts >= cfg.max_retries:
+                    del self.unacked[seq]
+                    expired.append(e)
+                elif now >= e.next_at:
+                    e.attempts += 1
+                    rto = min(cfg.ack_timeout * cfg.backoff ** e.attempts,
+                              cfg.rto_max)
+                    e.next_at = now + rto * self.jitter()
+                    resend.append(e)
+        return ack, resend, expired
+
+    def abandon(self) -> list[_PendingAm]:
+        """The peer is dead: give up everything it has not acked."""
+        with self.lock:
+            doomed = list(self.unacked.values())
+            self.unacked.clear()
+        return doomed
 
 
 class ReliableConduit(ConduitLayer):
@@ -141,14 +256,8 @@ class ReliableConduit(ConduitLayer):
         self.cfg = config
         self._rng = np.random.default_rng(config.seed)
         self._rng_lock = threading.Lock()
-        # sender state
-        self._tx_lock = threading.Lock()
-        self._tx_seq: dict[tuple[int, int], int] = {}
-        self._unacked: dict[tuple[int, int, int], _PendingAm] = {}
-        # receiver state
-        self._rx_lock = threading.Lock()
-        self._rx_next: dict[tuple[int, int], int] = {}
-        self._rx_buf: dict[tuple[int, int], dict[int, ActiveMessage]] = {}
+        #: (me, peer) -> rank ``me``'s end of its link with ``peer``.
+        self._links: dict[tuple[int, int], _Link] = {}
         # exactly-once bookkeeping / diagnostics
         self._op_ids = itertools.count(1)
         # failure detector
@@ -191,8 +300,12 @@ class ReliableConduit(ConduitLayer):
         with self._rng_lock:
             return 1.0 + self.cfg.jitter * float(self._rng.random())
 
-    def _note_alive(self, rank: int) -> None:
-        self._last_heard[rank] = time.monotonic()
+    def _link(self, me: int, peer: int) -> _Link:
+        try:
+            return self._links[me, peer]
+        except KeyError:  # setdefault: two threads may race to be first
+            return self._links.setdefault(
+                (me, peer), _Link(me, peer, self.cfg, self._jitter))
 
     def _check_peer(self, dst: int, what: str) -> None:
         if dst in self._dead_peers:
@@ -209,13 +322,10 @@ class ReliableConduit(ConduitLayer):
             return
         self._dead_peers.add(rank)
         self._emit_control("peer_dead", rank, rank, detail=str(exc))
-        world = self.world
-        with self._tx_lock:
-            doomed = [e for k, e in self._unacked.items() if e.dst == rank]
-            for e in doomed:
-                self._unacked.pop((e.src, e.dst, e.seq), None)
-        for e in doomed:
-            self._fail_pending(world, e, exc)
+        for link in list(self._links.values()):
+            if link.peer == rank:
+                for e in link.abandon():
+                    self._fail_pending(e, exc)
 
     def _reply_error(self, src: int, dst: int, am: ActiveMessage,
                      exc: BaseException) -> None:
@@ -232,9 +342,8 @@ class ReliableConduit(ConduitLayer):
                 token=am.token, is_reply=True,
             ))
 
-    def _fail_pending(self, world, e: _PendingAm,
-                      exc: BaseException) -> None:
-        world.ranks[e.src].stats.add(dead_peer_fastfails=1)
+    def _fail_pending(self, e: _PendingAm, exc: BaseException) -> None:
+        self.world.ranks[e.src].stats.add(dead_peer_fastfails=1)
         self._emit_control(
             "dead_peer_fastfail", e.src, e.dst,
             detail=f"{e.inner.handler} seq={e.seq}",
@@ -269,62 +378,48 @@ class ReliableConduit(ConduitLayer):
             ))
             return
         now = time.monotonic()
-        with self._tx_lock:
-            seq = self._tx_seq.get((src, dst), 0)
-            self._tx_seq[(src, dst)] = seq + 1
-            # The sequence number travels in the envelope header's aux
-            # word; the inner AM's frame is spliced in whole, so
-            # retransmissions reuse one encode.
-            env = ActiveMessage(
-                handler="__rel_data__", src_rank=src, aux=seq,
-                payload=am,
-            )
-            self._unacked[(src, dst, seq)] = _PendingAm(
-                env, am, src, dst, seq,
-                next_at=now + self.cfg.ack_timeout,
-                deadline=self._deadline_for(now),
-            )
+        # The inner AM's frame is spliced into the envelope whole, so
+        # retransmissions reuse one encode.
+        env = self._link(src, dst).wrap(am, now, self._deadline_for(now))
+        self._try_send(src, dst, env)
+
+    def _try_send(self, src: int, dst: int, am: ActiveMessage) -> None:
+        """Hand ``am`` to the inner conduit; a transient fault counts as
+        a drop, which the retransmitter (for an envelope or a lost ack)
+        or the next heartbeat round recovers."""
         try:
-            self._inner.send_am(src, dst, env)
+            self._inner.send_am(src, dst, am)
         except TransientCommError:
-            pass  # counts as a drop; the retransmitter recovers it
+            pass
+
+    def _send_ack(self, link: _Link, aux: int) -> None:
+        self.world.ranks[link.me].stats.add(acks_sent=1)
+        # control traffic is a bare 42-byte header: no args
+        self._try_send(link.me, link.peer, ActiveMessage(
+            handler="__rel_ack__", src_rank=link.me, aux=aux))
 
     def _on_data(self, ctx, env: ActiveMessage) -> None:
-        """Receiver side: ack, dedup, reorder into per-pair FIFO."""
-        src, dst, seq = env.src_rank, ctx.rank, env.aux
-        self._note_alive(src)
-        ctx.stats.add(acks_sent=1)
-        try:
-            self._inner.send_am(dst, src, _control_am(
-                "__rel_ack__", dst, aux=seq
-            ))
-        except TransientCommError:
-            pass  # a lost ack just means one more retransmission
-        key = (src, dst)
-        with self._rx_lock:
-            nxt = self._rx_next.get(key, 0)
-            buf = self._rx_buf.setdefault(key, {})
-            if seq < nxt or seq in buf:
-                ctx.stats.add(dup_ams=1)
-                self._emit_control("dup_suppressed", src, dst,
-                                   detail=f"seq={seq}")
-                return
-            buf[seq] = env.payload
-            ready: list[ActiveMessage] = []
-            while nxt in buf:
-                ready.append(buf.pop(nxt))
-                nxt += 1
-            self._rx_next[key] = nxt
-        # Dispatch outside the rx lock; per-dst ordering is preserved
-        # because the caller holds the rank's handler lock.
+        """Receiver side: take the ack, dedup, reorder into per-pair
+        FIFO; the ack owed in return rides the next envelope back."""
+        src, dst = env.src_rank, ctx.rank
+        self._last_heard[src] = now = time.monotonic()
+        link = self._link(dst, src)
+        ready = link.on_data(env.aux, env.payload, now)
+        if ready is None:
+            ctx.stats.add(dup_ams=1)
+            self._emit_control("dup_suppressed", src, dst,
+                               detail=f"seq={env.aux & _SEQ_MASK}")
+            self._send_ack(link, link.take_ack())  # never seen
+            return
+        # Dispatch outside the link lock (a handler's reply takes it);
+        # per-dst ordering is preserved because the caller holds the
+        # rank's handler lock.
         for inner_am in ready:
             ctx._handle(inner_am)
 
     def _on_ack(self, ctx, am: ActiveMessage) -> None:
-        seq = am.aux
-        self._note_alive(am.src_rank)
-        with self._tx_lock:
-            self._unacked.pop((ctx.rank, am.src_rank, seq), None)
+        self._last_heard[am.src_rank] = time.monotonic()
+        self._link(ctx.rank, am.src_rank).acked(am.aux)
 
     # -- monitor: retransmit, deadlines, heartbeats ------------------------
     def _monitor_main(self) -> None:
@@ -335,57 +430,46 @@ class ReliableConduit(ConduitLayer):
             if world is None:
                 continue
             now = time.monotonic()
-            self._service_retransmits(world, now)
+            self._service_links(world, now)
             if cfg.peer_timeout is not None and world.n_ranks > 1:
                 if now >= next_hb:
                     next_hb = now + cfg.heartbeat_period
                     self._send_heartbeats(world)
                 self._check_peers(world)
 
-    def _service_retransmits(self, world, now: float) -> None:
-        cfg = self.cfg
-        with self._tx_lock:
-            entries = list(self._unacked.items())
-        for key, e in entries:
-            if now >= e.deadline or e.attempts >= cfg.max_retries:
-                with self._tx_lock:
-                    self._unacked.pop(key, None)
+    def _service_links(self, world, now: float) -> None:
+        for link in list(self._links.values()):
+            if link.ack_owed_since is None and not link.unacked:
+                continue
+            ack, resend, expired = link.poll(now)
+            if ack is not None:  # no reverse envelope carried it in time
+                self._send_ack(link, ack)
+            for e in expired:
                 self._expire(world, e)
-                continue
-            if now < e.next_at:
-                continue
-            e.attempts += 1
-            rto = min(cfg.ack_timeout * cfg.backoff ** e.attempts,
-                      cfg.rto_max)
-            e.next_at = now + rto * self._jitter()
-            world.ranks[e.src].stats.add(am_retransmits=1)
-            self._emit_control(
-                "retransmit", e.src, e.dst, e.env.wire_bytes,
-                detail=f"{e.inner.handler} seq={e.seq} try={e.attempts}",
-            )
-            inner = e.inner
-            if inner.trace_id:
-                # Link the retransmit into the originating op's causal
-                # trace: a tiny span joins the Perfetto flow chain, and
-                # the flight event carries the trace id.
-                tel = world.telemetry.rank(e.src)
-                tel.flight_event(
-                    "retransmit_traced", src=e.src, dst=e.dst,
-                    nbytes=e.env.wire_bytes,
-                    detail=f"{inner.handler} seq={e.seq} try={e.attempts}",
-                    trace_id=inner.trace_id)
-                if tel.full:
-                    tel.record_span(
-                        f"retransmit:{inner.handler}",
-                        time.perf_counter(), 2e-6,
-                        detail=f"seq={e.seq} try={e.attempts}",
-                        trace_id=inner.trace_id,
-                        span_id=tel.new_span_id(),
-                        parent_id=inner.span_id)
-            try:
-                self._inner.send_am(e.src, e.dst, e.env)
-            except TransientCommError:
-                pass
+            for e in resend:
+                self._retransmit(world, e)
+
+    def _retransmit(self, world, e: _PendingAm) -> None:
+        inner = e.inner
+        detail = f"{inner.handler} seq={e.seq} try={e.attempts}"
+        world.ranks[e.src].stats.add(am_retransmits=1)
+        self._emit_control("retransmit", e.src, e.dst, e.env.wire_bytes,
+                           detail=detail)
+        if inner.trace_id:
+            # Link the retransmit into the originating op's causal
+            # trace: a tiny span joins the Perfetto flow chain, and
+            # the flight event carries the trace id.
+            tel = world.telemetry.rank(e.src)
+            tel.flight_event("retransmit_traced", src=e.src, dst=e.dst,
+                             nbytes=e.env.wire_bytes, detail=detail,
+                             trace_id=inner.trace_id)
+            if tel.full:
+                tel.record_span(
+                    f"retransmit:{inner.handler}", time.perf_counter(),
+                    2e-6, detail=f"seq={e.seq} try={e.attempts}",
+                    trace_id=inner.trace_id, span_id=tel.new_span_id(),
+                    parent_id=inner.span_id)
+        self._try_send(e.src, e.dst, e.env)
 
     def _expire(self, world, e: _PendingAm) -> None:
         """An AM exhausted its deadline/retry budget: surface CommTimeout
@@ -411,12 +495,8 @@ class ReliableConduit(ConduitLayer):
                 if i == j or j in self._dead_peers:
                     continue
                 world.ranks[i].stats.add(heartbeats_sent=1)
-                try:
-                    self._inner.send_am(i, j, _control_am(
-                        "__rel_ping__", i
-                    ))
-                except TransientCommError:
-                    pass
+                self._try_send(i, j, ActiveMessage(
+                    handler="__rel_ping__", src_rank=i))
 
     def _check_peers(self, world) -> None:
         now = time.monotonic()
@@ -445,16 +525,12 @@ class ReliableConduit(ConduitLayer):
                 ))
 
     def _on_ping(self, ctx, am: ActiveMessage) -> None:
-        self._note_alive(am.src_rank)
-        try:
-            self._inner.send_am(ctx.rank, am.src_rank, _control_am(
-                "__rel_pong__", ctx.rank
-            ))
-        except TransientCommError:
-            pass
+        self._last_heard[am.src_rank] = time.monotonic()
+        self._try_send(ctx.rank, am.src_rank, ActiveMessage(
+            handler="__rel_pong__", src_rank=ctx.rank))
 
     def _on_pong(self, ctx, am: ActiveMessage) -> None:
-        self._note_alive(am.src_rank)
+        self._last_heard[am.src_rank] = time.monotonic()
 
     # -- RMA: bounded retry ------------------------------------------------
     def _retry_rma(self, attempt_fn, *, src: int, dst: int, what: str):
@@ -566,33 +642,15 @@ class ReliableConduit(ConduitLayer):
 # protocol AM handlers
 # ---------------------------------------------------------------------------
 
-def _reliable_of(ctx) -> ReliableConduit | None:
-    return getattr(ctx.world, "_reliable", None)
+def _protocol_handler(name: str, method) -> None:
+    @am_handler(name)
+    def _handler(ctx, am) -> None:
+        rc = getattr(ctx.world, "_reliable", None)
+        if rc is not None:
+            method(rc, ctx, am)
 
 
-@am_handler("__rel_data__")
-def _rel_data_handler(ctx, am) -> None:
-    rc = _reliable_of(ctx)
-    if rc is not None:
-        rc._on_data(ctx, am)
-
-
-@am_handler("__rel_ack__")
-def _rel_ack_handler(ctx, am) -> None:
-    rc = _reliable_of(ctx)
-    if rc is not None:
-        rc._on_ack(ctx, am)
-
-
-@am_handler("__rel_ping__")
-def _rel_ping_handler(ctx, am) -> None:
-    rc = _reliable_of(ctx)
-    if rc is not None:
-        rc._on_ping(ctx, am)
-
-
-@am_handler("__rel_pong__")
-def _rel_pong_handler(ctx, am) -> None:
-    rc = _reliable_of(ctx)
-    if rc is not None:
-        rc._on_pong(ctx, am)
+_protocol_handler("__rel_data__", ReliableConduit._on_data)
+_protocol_handler("__rel_ack__", ReliableConduit._on_ack)
+_protocol_handler("__rel_ping__", ReliableConduit._on_ping)
+_protocol_handler("__rel_pong__", ReliableConduit._on_pong)

@@ -297,8 +297,9 @@ class MetricsSampler(threading.Thread):
         rc = getattr(world, "_reliable", None)
         unacked_by_src: dict[int, int] = {}
         if rc is not None:
-            for (src, _dst, _seq) in list(rc._unacked):
-                unacked_by_src[src] = unacked_by_src.get(src, 0) + 1
+            for (src, _peer), link in list(rc._links.items()):
+                unacked_by_src[src] = (unacked_by_src.get(src, 0)
+                                       + len(link.unacked))
         local = getattr(world, "local_ranks", None)
         for ctx in world.ranks:
             if ctx.rank in world.dead_ranks:

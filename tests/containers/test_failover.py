@@ -110,6 +110,34 @@ def test_write_amplification_is_one_record_per_mutation():
     assert sum(deltas) == 4 * (n_put + n_upd + n_del)
 
 
+def test_replicated_put_is_four_active_messages():
+    """No failure: a replicated put is the request, the ``kv_repl`` hop
+    to the backup and their two replies — the reliability layer's acks
+    ride those four (eight AMs when every envelope was acked by a frame
+    of its own).  Default heartbeat period: pings are AMs too."""
+    n_put = 100
+
+    def body():
+        me = repro.myrank()
+        stats = repro.current_world().ranks[me].stats
+        m = DistHashMap(replicas=1)
+        keys = [k for k in (f"k{me}-{i}" for i in range(10 * n_put))
+                if m.owner_of(k) != me][:n_put]
+        assert len(keys) == n_put
+        repro.barrier()
+        before = stats.snapshot()["ams_sent"]
+        for i, k in enumerate(keys):
+            m.put(k, i)
+        repro.barrier()   # the peer's puts make this rank send too
+        sent = stats.snapshot()["ams_sent"] - before
+        assert all(m.get(k) == i for i, k in enumerate(keys))
+        repro.barrier()
+        return sent
+
+    sent = repro.spmd(body, ranks=2, reliability=True, timeout=30.0)
+    assert 4.0 <= sum(sent) / (2 * n_put) <= 4.2, sent
+
+
 def test_kill_primary_promotes_backup_zero_acked_loss():
     """Acked writes survive the primary's death: the backup is promoted
     and every key written before the kill reads back."""

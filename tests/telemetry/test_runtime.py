@@ -283,6 +283,39 @@ def test_flight_ring_stays_bounded_in_world():
     ))
 
 
+def test_flight_ring_logs_the_handler_not_its_envelope():
+    """Under the reliability layer every AM arrives inside a
+    ``__rel_data__`` envelope; the ring keeps one ``am_handled`` event
+    per delivered AM — the handler's — and none for the envelope."""
+    n = 40
+
+    @am_handler("flight_echo")
+    def _echo(ctx, am):
+        ctx.reply(am, args=am.args)
+
+    def body():
+        me = repro.myrank()
+        repro.barrier()
+        if me == 0:
+            for i in range(n):
+                current().send_am(1, "flight_echo", args=(i,),
+                                  expect_reply=True).get()
+        repro.barrier()
+        handled = [ev.detail for ev in current().telemetry.flight.snapshot()
+                   if ev.kind == "am_handled"]
+        ams_handled = current().stats.snapshot()["ams_handled"]
+        repro.barrier()
+        return handled, ams_handled
+
+    (_, _), (handled, ams_handled) = run_spmd(
+        body, ranks=2, reliability=True,
+        telemetry={"mode": "flight", "flight_capacity": 4096})
+    assert not [d for d in handled if d.startswith("__rel_")]
+    assert handled.count("flight_echo") == n
+    # the counter still counts both: the envelope and what it carried
+    assert ams_handled >= 2 * n
+
+
 def test_collective_latency_histograms_recorded():
     """Full mode times every collective kind into a ``coll_<kind>``
     histogram (completion-callback on the collective's future) and the
