@@ -344,8 +344,8 @@ def _mutate(ctx: RankState, map_id: int, sid: int,
 # batched request whose keys the server groups by shard itself.  Reply
 # args lead with per-shard epoch pairs — ``(k, sid0, ep0, ..., extra)``
 # — so clients invalidate caches at shard granularity.  Payloads travel
-# through the fixed-layout codecs (kv_items/kv_keys/kv_found in the
-# wire registry, kv_repl/kv_state beside Shard).
+# through the fixed-layout codecs registered beside Shard (kv_items/
+# kv_keys/kv_found, kv_repl/kv_state).
 
 @am_handler("kv_put")
 def _kv_put_handler(ctx: RankState, am) -> None:

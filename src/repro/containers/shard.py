@@ -1,6 +1,8 @@
 """One copy of one :class:`~repro.containers.DistHashMap` shard as a
-world-free state machine, plus the two wire layouts that spell out its
-state: replication-log records (``kv_repl``) and snapshots (``kv_state``).
+world-free state machine, plus the map's wire layouts: the request and
+reply batches (``kv_items``, ``kv_keys``, ``kv_found``) and the two that
+spell out a shard's state, replication-log records (``kv_repl``) and
+snapshots (``kv_state``).
 
 Nothing here knows about liveness, conduits or telemetry: the hosting
 rank's AM handlers (``hashmap.py``) decide *when* an event happens (a
@@ -25,12 +27,10 @@ from typing import Any, Callable, NamedTuple
 
 from repro.errors import PgasError
 from repro.gasnet.wire import bind_handler, register_message_codec
-# Stream primitives, and the put-batch layout ({key: value}) that both
-# records and snapshots embed — it still lives in the wire package with
-# the other kv request codecs.
+# Stream primitives and the generic list body.
 from repro.gasnet.wire.codecs import (
-    _dec_kv_items,
-    _enc_kv_items,
+    _dec_obj_list,
+    _enc_obj_list,
     _I,
     _q,
     _read_I,
@@ -323,6 +323,43 @@ class HostedMap:
 # ---------------------------------------------------------------------------
 # wire layouts
 # ---------------------------------------------------------------------------
+# Request and reply batches.  The put batch is also what records and
+# snapshots embed.
+def _enc_kv_items(enc, items):
+    """kv put batches: {key: value}."""
+    enc.out += _I.pack(len(items))
+    for k, v in items.items():
+        enc.encode(k)
+        enc.encode(v)
+
+
+def _dec_kv_items(dec):
+    n = _read_I(dec)
+    out = {}
+    for _ in range(n):
+        k = dec.decode()
+        out[k] = dec.decode()
+    return out
+
+
+def _enc_kv_found(enc, found):
+    """kv get replies: [(hit, value), ...] — one flag byte per key plus
+    a values sequence."""
+    n = len(found)
+    enc.out += _I.pack(n)
+    enc.out += bytes([1 if f else 0 for f, _ in found])
+    enc.encode([v for _, v in found])
+
+
+def _dec_kv_found(dec):
+    n = _read_I(dec)
+    mask = bytes(dec.mv[dec.pos:dec.pos + n])
+    dec.pos += n
+    vals = dec.decode()
+    return [(flag == 1, v) for flag, v in zip(mask, vals)]
+
+
+# ---------------------------------------------------------------------------
 # Replication log records (primary -> backup), each carrying the
 # primary's post-apply shard epoch so the backup replays to the exact
 # primary state:
@@ -406,7 +443,13 @@ def _dec_kv_state(dec) -> ShardSnapshot:
                          None if backup < 0 else backup, as_primary)
 
 
+register_message_codec("kv_items", _enc_kv_items, _dec_kv_items)
+register_message_codec("kv_keys", _enc_obj_list, _dec_obj_list)
+register_message_codec("kv_found", _enc_kv_found, _dec_kv_found)
 register_message_codec("kv_repl", _enc_kv_repl, _dec_kv_repl)
 register_message_codec("kv_state", _enc_kv_state, _dec_kv_state)
+bind_handler("kv_put", "kv_items")
+bind_handler("kv_get", "kv_keys")
+bind_handler("kv_del", "kv_keys")
 bind_handler("kv_repl", "kv_repl")
 bind_handler("kv_install", "kv_state")

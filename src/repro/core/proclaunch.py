@@ -39,7 +39,7 @@ from repro.errors import (
 )
 from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.telemetry import resolve_config as _resolve_telemetry
-from repro.telemetry.flight import merge_dump
+from repro.telemetry.flight import FlightRecorder, merge_dump
 
 #: The launcher's most recent merged flight-recorder dump (the
 #: cross-process analogue of the stderr dump; tests read it back).
@@ -236,16 +236,13 @@ def _child_main(job: _Job, rank: int) -> None:
 
 
 # -- launcher side -----------------------------------------------------------
-class _ShippedRing:
-    """merge_dump adapter for a flight ring shipped from a rank process."""
-
-    def __init__(self, rank: int, events, dropped: int = 0):
-        self.rank = rank
-        self.dropped = dropped
-        self._events = list(events)
-
-    def snapshot(self):
-        return self._events
+def _shipped_ring(rank: int, events=(), dropped: int = 0) -> FlightRecorder:
+    """A flight ring shipped from a rank process, as a recorder again."""
+    rec = FlightRecorder(rank, capacity=len(events))
+    for ev in events:
+        rec.append(ev)
+    rec.dropped = dropped
+    return rec
 
 
 def _dump_failure(tel_cfg, header: str, events_by_rank: dict,
@@ -254,7 +251,7 @@ def _dump_failure(tel_cfg, header: str, events_by_rank: dict,
     if tel_cfg.mode == "off":
         return
     try:
-        recs = [_ShippedRing(r, *events_by_rank.get(r, ([], 0)))
+        recs = [_shipped_ring(r, *events_by_rank.get(r, ()))
                 for r in range(n_ranks)]
         text = merge_dump(recs, header=header)
         LAST_DUMP = text

@@ -32,7 +32,8 @@ import numpy as np
 
 from repro.core import collectives
 from repro.core.shared_var import SharedVar
-from repro.gasnet.wire import tagged
+from repro.gasnet.wire import register_message_codec, tagged
+from repro.gasnet.wire.codecs import _dec_obj_list, _enc_obj_list
 from repro.core.world import RankState, current
 from repro.errors import PeerFailure, PgasError, RankDead
 
@@ -44,6 +45,9 @@ def _table(ctx: RankState) -> dict:
 
 
 from repro.gasnet.am import am_handler  # noqa: E402 (grouped with use)
+
+# A steal reply's loot: a list of task items.
+register_message_codec("wq_loot", _enc_obj_list, _dec_obj_list)
 
 
 @am_handler("wq_steal")
@@ -123,8 +127,7 @@ class DistWorkQueue:
             return False
         victim = candidates[int(self._rng.integers(0, len(candidates)))]
         self.steals_attempted += 1
-        if tel.active:
-            tel.metrics.counter("wq_steals_attempted").inc()
+        ctx.stats.add(wq_steals_attempted=1)
         t0 = time.perf_counter()
         fut = ctx.send_am(victim, "wq_steal", args=(self.qid,),
                           expect_reply=True)
@@ -141,9 +144,8 @@ class DistWorkQueue:
             return False
         _table(ctx)[self.qid].extend(loot)
         self.steals_successful += 1
-        if tel.active:
-            # the metrics sampler derives steal_rate_per_s from this
-            tel.metrics.counter("wq_steals_ok").inc()
+        # the metrics sampler derives sampled_steal_rate from this
+        ctx.stats.add(wq_steals_ok=1)
         tel.flight_event("wq_steal", src=ctx.rank, dst=victim,
                          detail=f"{len(loot)} items")
         return True

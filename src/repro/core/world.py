@@ -40,9 +40,9 @@ from repro.gasnet.am import ActiveMessage, handler_registry, make_reply
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
+from repro.gasnet.trace import TelemetryConduit
 from repro.telemetry import (
     MetricsSampler,
-    TelemetryConduit,
     WorldTelemetry,
     resolve_config as _resolve_telemetry,
     tracing,
@@ -577,7 +577,8 @@ class World:
         if self.telemetry.enabled:
             # Outermost layer: latencies include reliability retries, and
             # inner layers' trace_control events reach the flight ring.
-            conduit = TelemetryConduit(conduit, self.telemetry)
+            conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
+                                       timed=self.telemetry.full)
         self.conduit = conduit
         self.ranks = [RankState(self, r, segment_size) for r in range(n_ranks)]
         self.conduit.attach(self)
@@ -597,13 +598,14 @@ class World:
             self._detector_thread.start()
         # Background metrics sampler + straggler watchdog (see
         # repro.telemetry.metrics); only started when the telemetry
-        # config asks for either.
+        # config asks for either — and the sampling half only in "full",
+        # where its histograms exist.
         self._sampler: MetricsSampler | None = None
         cfg = self.telemetry.config
-        if self.telemetry.enabled and (cfg.sample_period
-                                       or cfg.watchdog_period):
+        sample_period = cfg.sample_period if self.telemetry.full else None
+        if self.telemetry.enabled and (sample_period or cfg.watchdog_period):
             self._sampler = MetricsSampler(
-                self, cfg.sample_period, cfg.watchdog_period,
+                self, sample_period, cfg.watchdog_period,
                 cfg.slow_op_factor, cfg.slow_op_min_s)
             self._sampler.start()
 
@@ -639,7 +641,7 @@ class World:
 
     def metrics_reduce(self, team=None, snapshot: dict | None = None) -> dict:
         """Collective cluster-wide metrics aggregation: every rank's
-        histogram/counter/gauge snapshot folded over the tree
+        histogram/counter snapshot folded over the tree
         collectives engine.  Must be called from rank context by all
         members of ``team``; see :func:`repro.telemetry.metrics_reduce`."""
         from repro.telemetry import metrics as _metrics

@@ -34,7 +34,7 @@ from repro.gasnet.chaos import ChaosConduit
 from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.gasnet.reliability import ReliabilityConfig, ReliableConduit
 from repro.gasnet.stats import CommStats
-from repro.gasnet.trace import Trace, TraceEvent
+from repro.gasnet.trace import CommEvent, TelemetryConduit, Trace
 from repro.gasnet import backends
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "ReliabilityConfig",
     "CommStats",
     "Trace",
-    "TraceEvent",
+    "CommEvent",
+    "TelemetryConduit",
     "backends",
 ]

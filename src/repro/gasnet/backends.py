@@ -104,10 +104,10 @@ def _register_builtins() -> None:
     register_backend("smp", SmpConduit, SmpConduit.caps)
     # The proc backend has no standalone factory: ProcConduit needs the
     # launcher-built fabric (shared-memory blocks + AM transport).
-    # "proc" still means the ring transport (the slower of the two on
-    # every measured rung — ROADMAP item 1 (d) decides the default); the
-    # +ring/+socket variants pin the transport, and it is the only thing
-    # they differ in.
+    # "proc" means the socket transport (the ring is the slower of the
+    # two on every measured rung — ROADMAP item 1); the +ring/+socket
+    # variants pin the transport, and it is the only thing they differ
+    # in.
     from repro.gasnet.proc import PROC_CAPS
 
     register_backend("proc", None, PROC_CAPS)

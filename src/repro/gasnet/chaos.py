@@ -35,6 +35,7 @@ import numpy as np
 from repro.errors import PgasError, TransientCommError
 from repro.gasnet.am import ActiveMessage
 from repro.gasnet.conduit import Conduit, ConduitLayer
+from repro.gasnet.trace import CommEvent
 
 
 class ChaosConduit(ConduitLayer):
@@ -138,16 +139,14 @@ class ChaosConduit(ConduitLayer):
         return {"seed": self.seed, "faults": list(self.fault_log)}
 
     def fault_events(self) -> list:
-        """The fault schedule as flight-recorder events (``chaos_*``
-        instants on the perf_counter timeline), ready to splice into a
-        merged flight dump — injected faults then appear inline between
-        the runtime events they caused."""
-        from repro.telemetry.flight import FlightEvent
-
+        """The fault schedule as events (``chaos_*`` instants on the
+        perf_counter timeline), ready to splice into a merged flight
+        dump — injected faults then appear inline between the runtime
+        events they caused."""
         return [
-            FlightEvent(t=self._t0_perf + t_rel,
-                        rank=src if src >= 0 else dst,
-                        kind=kind, src=src, dst=dst, detail=detail)
+            CommEvent(t=self._t0_perf + t_rel,
+                      rank=src if src >= 0 else dst,
+                      kind=kind, src=src, dst=dst, detail=detail)
             for (t_rel, kind, src, dst, detail) in self.fault_log
         ]
 

@@ -26,7 +26,8 @@ must be wrapped in :class:`~repro.gasnet.reliability.ReliableConduit`,
 which restores the contract with sequence numbers, acks/retransmit,
 bounded RMA retry, and op-id-guarded exactly-once atomics.
 
-Those wrappers — and the telemetry and trace ones — are
+Those wrappers — and the observing one,
+:class:`~repro.gasnet.trace.TelemetryConduit` — are
 :class:`ConduitLayer` subclasses: the contract is written out twice in
 this file (abstract in :class:`Conduit`, forwarding in
 :class:`ConduitLayer`) and nowhere else outside the backends.
@@ -221,7 +222,7 @@ def rma_extent(kind: str, args: tuple) -> tuple[int, int | None]:
     follow ``src, dst`` in its signature (what :meth:`ConduitLayer._rma`
     receives as ``*args``).  ``elems`` is the index-vector length of the
     indexed bulk ops and ``None`` for the scalar ones.  Only the
-    observing layers (trace, telemetry) pay for this."""
+    observing layer pays for this."""
     if kind == "put":
         return np.asarray(args[1]).nbytes, None
     if kind == "get":

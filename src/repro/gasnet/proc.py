@@ -31,10 +31,10 @@ Design
 * **Two AM transports, one message stream, one receive loop.**  Both
   carry the same per-directed-pair byte stream (DEF records and
   frames, below) and both wake the receiver through the pair's mesh
-  socket.  ``proc+socket`` writes the message bytes to that socket
-  (one ``sendmsg`` per message, chunked buffered reads).  ``proc+ring``
-  — which plain ``proc`` still names — is the same transport with the
-  bytes in shared memory: a send publishes the message as slots of the
+  socket.  ``proc+socket`` — which plain ``proc`` names — writes the
+  message bytes to that socket (one ``sendmsg`` per message, chunked
+  buffered reads).  ``proc+ring`` is the same transport with the bytes
+  in shared memory: a send publishes the message as slots of the
   pair's directed :mod:`repro.gasnet.ring` SPSC region (all regions
   live in one ``multiprocessing.shared_memory`` block the launcher
   creates before the fork) and then sends **one bell byte** on the
@@ -282,7 +282,7 @@ class ProcFabric:
         self.ctx = get_context("fork")
         self.locks = [self.ctx.RLock() for _ in range(n_ranks)]
         self.shms: list[shared_memory.SharedMemory] = []
-        self.transport = transport or "ring"
+        self.transport = transport or "socket"
         if self.transport not in ("ring", "socket"):
             raise PgasError(
                 f"proc fabric: unknown AM transport {self.transport!r} "

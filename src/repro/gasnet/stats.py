@@ -95,6 +95,12 @@ class CommStats:
     wire_ring_full_backoffs: int = 0
     wire_ring_doorbells: int = 0
     wire_ring_wakeups: int = 0
+    # Work stealing (repro.core.workqueue) and the straggler watchdog
+    # (repro.telemetry.metrics): steal round trips started, those that
+    # came back with loot, in-flight AMs flagged ``slow_op``.
+    wq_steals_attempted: int = 0
+    wq_steals_ok: int = 0
+    slow_ops_flagged: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add(self, **deltas: int) -> None:

@@ -750,24 +750,10 @@ def tagged(codec_name: str, obj) -> Tagged:
     return Tagged(codec_name, obj)
 
 
-# -- built-in message codecs -------------------------------------------------
-def _enc_kv_items(enc, items):
-    """kv put batches: {key: value}."""
-    enc.out += _I.pack(len(items))
-    for k, v in items.items():
-        _encode(enc, k)
-        _encode(enc, v)
-
-
-def _dec_kv_items(dec):
-    n = _read_I(dec)
-    out = {}
-    for _ in range(n):
-        k = _decode(dec)
-        out[k] = _decode(dec)
-    return out
-
-
+# -- the list body ----------------------------------------------------------
+# No message family is registered here: a layout lives next to the state
+# or handler it spells out (repro.containers.shard, repro.core.workqueue,
+# repro.containers.queue).  What they share is this one body.
 def _enc_obj_list(enc, obj):
     """Generic sequence body (gets the int/str/float fast paths)."""
     _encode(enc, obj if type(obj) is list else list(obj))
@@ -775,32 +761,3 @@ def _enc_obj_list(enc, obj):
 
 def _dec_obj_list(dec):
     return _decode(dec)
-
-
-def _enc_kv_found(enc, found):
-    """kv get replies: [(hit, value), ...] — one flag byte per key plus
-    a values sequence."""
-    n = len(found)
-    enc.out += _I.pack(n)
-    enc.out += bytes([1 if f else 0 for f, _ in found])
-    _encode(enc, [v for _, v in found])
-
-
-def _dec_kv_found(dec):
-    n = _read_I(dec)
-    mask = bytes(dec.mv[dec.pos:dec.pos + n])
-    dec.pos += n
-    vals = _decode(dec)
-    return [(flag == 1, v) for flag, v in zip(mask, vals)]
-
-
-register_message_codec("kv_items", _enc_kv_items, _dec_kv_items)
-register_message_codec("kv_keys", _enc_obj_list, _dec_obj_list)
-register_message_codec("kv_found", _enc_kv_found, _dec_kv_found)
-register_message_codec("wq_loot", _enc_obj_list, _dec_obj_list)
-register_message_codec("dq_items", _enc_obj_list, _dec_obj_list)
-
-bind_handler("kv_put", "kv_items")
-bind_handler("kv_get", "kv_keys")
-bind_handler("kv_del", "kv_keys")
-bind_handler("dq_push", "dq_items")

@@ -11,9 +11,11 @@ package gives the runtime the instruments to answer that on live runs:
   ``PeerFailure`` / ``RankDead`` propagates out of :func:`repro.spmd`
   (and on demand via ``world.dump_flight_recorder()``);
 * :mod:`~repro.telemetry.perfetto` — Chrome/Perfetto ``trace_event``
-  export of traces + spans (ranks as pids);
-* :class:`TelemetryConduit` — the decorating conduit that feeds all of
-  the above.
+  export of traces + spans (ranks as pids).
+
+The conduit boundary is observed by the one layer
+:class:`repro.gasnet.trace.TelemetryConduit`, which the world installs
+with :meth:`WorldTelemetry.conduit_event` as its sink.
 
 Enable per world::
 
@@ -26,13 +28,9 @@ paths are unchanged.
 """
 
 from repro.telemetry import tracing
-from repro.telemetry.conduit import TelemetryConduit
-from repro.telemetry.flight import FlightEvent, FlightRecorder, merge_dump
+from repro.telemetry.flight import FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
     MetricsSampler,
     finalize_snapshot,
     merge_snapshots,
@@ -50,7 +48,6 @@ from repro.telemetry.recorder import (
 
 __all__ = [
     "LogHistogram",
-    "FlightEvent",
     "FlightRecorder",
     "merge_dump",
     "Span",
@@ -58,13 +55,9 @@ __all__ = [
     "RankTelemetry",
     "WorldTelemetry",
     "resolve_config",
-    "TelemetryConduit",
     "to_perfetto",
     "write_perfetto",
     "tracing",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "MetricsSampler",
     "rank_snapshot",
     "merge_snapshots",

@@ -18,36 +18,23 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
+
+from repro.gasnet.trace import CommEvent
 
 #: Default ring capacity (events kept per rank).
 DEFAULT_CAPACITY = 256
 
 
-@dataclass(frozen=True)
-class FlightEvent:
-    """One recorded runtime event."""
-
-    t: float          # time.perf_counter() at record time
-    rank: int         # the rank that recorded the event
-    kind: str         # "rma_put" | "am" | "task_run" | "retransmit" | ...
-    src: int = -1     # initiator (-1: not a point-to-point event)
-    dst: int = -1     # target (-1: not a point-to-point event)
-    nbytes: int = 0
-    detail: str = ""
-    trace_id: int = 0  # causal trace (repro.telemetry.tracing); 0 = untraced
-
-
 class FlightRecorder:
-    """A bounded per-rank ring of :class:`FlightEvent`."""
+    """A bounded per-rank ring of :class:`~repro.gasnet.trace.CommEvent`."""
 
     __slots__ = ("rank", "capacity", "_ring", "_lock", "dropped")
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
         self.rank = rank
         self.capacity = capacity
-        self._ring: deque[FlightEvent] = deque(maxlen=capacity)
+        self._ring: deque[CommEvent] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         #: Events evicted by the ring bound (how much history was lost).
         self.dropped = 0
@@ -55,15 +42,18 @@ class FlightRecorder:
     def record(self, kind: str, src: int = -1, dst: int = -1,
                nbytes: int = 0, detail: str = "",
                trace_id: int = 0) -> None:
-        ev = FlightEvent(t=time.perf_counter(), rank=self.rank, kind=kind,
-                         src=src, dst=dst, nbytes=nbytes, detail=detail,
-                         trace_id=trace_id)
+        self.append(CommEvent(time.perf_counter(), self.rank, kind, src,
+                              dst, nbytes, detail, trace_id))
+
+    def append(self, ev: CommEvent) -> None:
+        """Keep an event built elsewhere (the conduit layer's, or a
+        ring shipped from a rank process)."""
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(ev)
 
-    def snapshot(self) -> list[FlightEvent]:
+    def snapshot(self) -> list[CommEvent]:
         with self._lock:
             return list(self._ring)
 
@@ -79,7 +69,7 @@ class FlightRecorder:
 
 def merge_dump(recorders: Iterable[FlightRecorder],
                header: str = "", limit_per_rank: int | None = None,
-               extra_events: Iterable[FlightEvent] | None = None) -> str:
+               extra_events: Iterable[CommEvent] | None = None) -> str:
     """Merge per-rank rings into one human-readable, time-ordered dump.
 
     ``header`` names the triggering failure (e.g. the ``CommTimeout``
@@ -89,13 +79,13 @@ def merge_dump(recorders: Iterable[FlightRecorder],
     (e.g. the chaos conduit's injected-fault schedule) splice instants
     into the same timeline.
     """
-    per_rank: list[tuple[FlightRecorder, list[FlightEvent]]] = []
+    per_rank: list[tuple[FlightRecorder, list[CommEvent]]] = []
     for rec in recorders:
         evs = rec.snapshot()
         if limit_per_rank is not None:
             evs = evs[-limit_per_rank:]
         per_rank.append((rec, evs))
-    pool: list[FlightEvent] = [ev for _, evs in per_rank for ev in evs]
+    pool: list[CommEvent] = [ev for _, evs in per_rank for ev in evs]
     if extra_events is not None:
         pool.extend(extra_events)
     merged = sorted(pool, key=lambda ev: ev.t)

@@ -1,10 +1,9 @@
 """The cluster-wide metrics plane.
 
-Three pieces, all feeding ROADMAP Open item 5 (self-tuning runtime):
+Counters are :class:`~repro.gasnet.stats.CommStats` fields and
+distributions are :class:`~repro.telemetry.histogram.LogHistogram`\\ s;
+this module adds what turns the per-rank ones into a cluster view:
 
-* a **typed per-rank registry** (:class:`MetricsRegistry`) of monotonic
-  :class:`Counter`\\ s and last-value :class:`Gauge`\\ s, living next to
-  the rank's mergeable ``LogHistogram``\\ s;
 * a **collective reduction** — :func:`metrics_reduce` folds every
   rank's metrics snapshot over the tree-collectives engine itself
   (``allreduce`` with :func:`merge_snapshots` as the operator).  The
@@ -13,107 +12,20 @@ Three pieces, all feeding ROADMAP Open item 5 (self-tuning runtime):
   is **bit-identical** to offline merging of the same per-rank
   snapshots (asserted in tests);
 * a **background sampler + straggler watchdog**
-  (:class:`MetricsSampler`) — one daemon thread sampling runtime depth
-  gauges (task queue, pending reply futures, outstanding retransmits,
-  segment bytes, steal rate) and flagging in-flight AMs that exceed a
-  percentile-derived deadline as ``slow_op`` flight-recorder events
-  *before* they escalate to ``CommTimeout``.
+  (:class:`MetricsSampler`) — one daemon thread sampling runtime depths
+  (task queue, pending reply futures, outstanding retransmits, segment
+  bytes, steal rate) into ``sampled_*`` histograms and flagging
+  in-flight AMs that exceed a percentile-derived deadline as
+  ``slow_op`` flight-recorder events *before* they escalate to
+  ``CommTimeout``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Optional
 
 from repro.telemetry.histogram import LogHistogram
-
-
-# -- typed registry ----------------------------------------------------------
-class Counter:
-    """A monotonically increasing integer; cross-rank merge is ``+``."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A point-in-time value; cross-rank merge keeps min/max/sum/n so
-    cluster-level mean and extremes survive the reduction."""
-
-    __slots__ = ("name", "_last", "_min", "_max", "_sum", "_n", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._last = 0
-        self._min: Optional[int] = None
-        self._max: Optional[int] = None
-        self._sum = 0
-        self._n = 0
-        self._lock = threading.Lock()
-
-    def set(self, value) -> None:
-        with self._lock:
-            self._last = value
-            self._sum += value
-            self._n += 1
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-
-    @property
-    def value(self):
-        return self._last
-
-    def state(self) -> dict:
-        with self._lock:
-            return {"last": self._last, "min": self._min, "max": self._max,
-                    "sum": self._sum, "n": self._n}
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named counters and gauges (one per
-    rank, hanging off ``ctx.telemetry.metrics``)."""
-
-    __slots__ = ("_counters", "_gauges", "_lock")
-
-    def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._lock = threading.Lock()
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            with self._lock:
-                c = self._counters.setdefault(name, Counter(name))
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            with self._lock:
-                g = self._gauges.setdefault(name, Gauge(name))
-        return g
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            counters = {n: c.value for n, c in self._counters.items()}
-            gauges = {n: g.state() for n, g in self._gauges.items()}
-        return {"counters": counters, "gauges": gauges}
 
 
 # -- mergeable snapshots -----------------------------------------------------
@@ -127,19 +39,14 @@ def _hist_state(h: LogHistogram) -> dict:
 
 
 def rank_snapshot(ctx) -> dict:
-    """One rank's full metrics snapshot: histograms (raw state),
-    CommStats counters, registry counters, and gauges."""
-    tel = ctx.telemetry
-    counters = dict(ctx.stats.snapshot())
-    reg = tel.metrics.snapshot()
-    for name, v in reg["counters"].items():
-        counters[name] = counters.get(name, 0) + v
+    """One rank's full metrics snapshot: histograms (raw state) and
+    CommStats counters."""
     return {
         "ranks": [ctx.rank],
-        "histograms": {name: _hist_state(h)
-                       for name, h in sorted(tel.histograms().items())},
-        "counters": counters,
-        "gauges": reg["gauges"],
+        "histograms": {
+            name: _hist_state(h)
+            for name, h in sorted(ctx.telemetry.histograms().items())},
+        "counters": ctx.stats.snapshot(),
     }
 
 
@@ -172,24 +79,8 @@ def merge_snapshots(a: dict, b: dict) -> dict:
     counters = dict(a["counters"])
     for name, v in b["counters"].items():
         counters[name] = counters.get(name, 0) + v
-    gauges = dict(a["gauges"])
-    for name, g in b["gauges"].items():
-        ga = gauges.get(name)
-        if ga is None:
-            gauges[name] = dict(g)
-        else:
-            lo = (ga["min"] if g["min"] is None else
-                  g["min"] if ga["min"] is None else min(ga["min"], g["min"]))
-            hi = (ga["max"] if g["max"] is None else
-                  g["max"] if ga["max"] is None else max(ga["max"], g["max"]))
-            # "last" has no canonical cluster value; keep the one from
-            # the lowest rank so the result is order-independent
-            last = ga["last"] if min(a["ranks"]) < min(b["ranks"]) else g["last"]
-            gauges[name] = {"last": last, "min": lo, "max": hi,
-                            "sum": ga["sum"] + g["sum"],
-                            "n": ga["n"] + g["n"]}
     return {"ranks": sorted(a["ranks"] + b["ranks"]),
-            "histograms": hists, "counters": counters, "gauges": gauges}
+            "histograms": hists, "counters": counters}
 
 
 def hist_from_state(name: str, st: dict) -> LogHistogram:
@@ -247,9 +138,9 @@ class MetricsSampler(threading.Thread):
 
     Sampled per live rank every ``sample_period``: task queue depth,
     pending reply futures, outstanding retransmits (reliability layer),
-    segment bytes in use, and work-steal rate — each into a gauge plus
-    (mode ``full``) a mergeable histogram, so ``metrics_reduce`` can see
-    cluster-wide distributions.
+    segment bytes in use, and work-steal rate — each into a mergeable
+    ``sampled_*`` histogram (count/sum/min/max/mean and quantiles), so
+    ``metrics_reduce`` sees cluster-wide distributions.
 
     The watchdog half scans in-flight request metadata every
     ``watchdog_period`` and emits a ``slow_op`` flight event for any op
@@ -307,25 +198,20 @@ class MetricsSampler(threading.Thread):
             if local is not None and ctx.rank not in local:
                 continue  # proc backend: remote stubs have no metrics
             tel = ctx.telemetry
-            m = tel.metrics
-            depth = len(ctx.task_queue)
-            pending = len(ctx._pending)
-            unacked = unacked_by_src.get(ctx.rank, 0)
-            seg = ctx.segment._bytes_in_use
-            m.gauge("task_queue_depth").set(depth)
-            m.gauge("pending_replies").set(pending)
-            m.gauge("outstanding_retransmits").set(unacked)
-            m.gauge("segment_bytes_in_use").set(seg)
-            steals = m.counter("wq_steals_ok").value
+            steals = ctx.stats.wq_steals_ok
             prev = self._last_steals.get(ctx.rank, steals)
             self._last_steals[ctx.rank] = steals
-            if self.sample_period:
-                m.gauge("steal_rate_per_s").set(
-                    int((steals - prev) / self.sample_period))
-            tel.record_value("sampled_task_queue_depth", depth, "items")
-            tel.record_value("sampled_pending_replies", pending, "items")
-            tel.record_value("sampled_retransmit_backlog", unacked, "items")
-            tel.record_value("sampled_segment_bytes", seg, "bytes")
+            tel.record_value("sampled_task_queue_depth",
+                             len(ctx.task_queue), "items")
+            tel.record_value("sampled_pending_replies",
+                             len(ctx._pending), "items")
+            tel.record_value("sampled_retransmit_backlog",
+                             unacked_by_src.get(ctx.rank, 0), "items")
+            tel.record_value("sampled_segment_bytes",
+                             ctx.segment._bytes_in_use, "bytes")
+            tel.record_value("sampled_steal_rate",
+                             int((steals - prev) / self.sample_period),
+                             "per_s")
 
     # -- straggler watchdog -----------------------------------------------
     def _deadline_for(self, tel) -> float:
@@ -358,13 +244,13 @@ class MetricsSampler(threading.Thread):
                                 f"{age * 1e3:.1f}ms > deadline "
                                 f"{deadline * 1e3:.1f}ms"),
                         trace_id=trace_id)
-                    tel.metrics.counter("slow_ops_flagged").inc()
+                    ctx.stats.add(slow_ops_flagged=1)
             self._flagged = {k for k in self._flagged
                              if k[0] != ctx.rank or k in live}
 
 
 __all__ = [
-    "Counter", "Gauge", "MetricsRegistry", "MetricsSampler",
+    "MetricsSampler",
     "rank_snapshot", "merge_snapshots", "finalize_snapshot",
     "hist_from_state", "metrics_reduce",
 ]

@@ -39,14 +39,11 @@ def to_perfetto(trace=None, telemetry=None, extra_events=None) -> dict:
     """
     spans = telemetry.all_spans() if telemetry is not None else []
     trace_events = list(trace.events) if trace is not None else []
-    trace_t0 = getattr(trace, "_t0", 0.0) if trace is not None else 0.0
 
-    # Absolute perf_counter timestamps for every exported item, so the
-    # two sources share one timeline; rebase to the earliest.
-    span_ts = [s.t0 for s in spans]
-    ev_ts = [trace_t0 + ev.t for ev in trace_events]
-    all_ts = span_ts + ev_ts
-    base = min(all_ts) if all_ts else 0.0
+    # Spans and events both carry absolute perf_counter timestamps, so
+    # the two sources share one timeline; rebase to the earliest.
+    base = min([s.t0 for s in spans] + [ev.t for ev in trace_events],
+               default=0.0)
 
     events: list[dict] = []
     pids: set[int] = set()
@@ -118,14 +115,14 @@ def to_perfetto(trace=None, telemetry=None, extra_events=None) -> dict:
             events.append(flow)
 
     for ev in trace_events:
-        pids.add(ev.src)
+        pids.add(ev.rank)
         rec = {
             "name": ev.kind,
             "ph": "i",
             "s": "t",
-            "pid": ev.src,
+            "pid": ev.rank,
             "tid": COMM_TID,
-            "ts": _sec_to_us(trace_t0 + ev.t - base),
+            "ts": _sec_to_us(ev.t - base),
             "cat": "comm",
             "args": {"dst": ev.dst, "nbytes": ev.nbytes},
         }

@@ -26,14 +26,22 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.gasnet.trace import CommEvent
 from repro.telemetry import tracing
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.metrics import MetricsRegistry
 
 MODES = ("off", "flight", "full")
+
+#: Conduit-op kind -> the latency histogram its duration lands in.
+_OP_HISTOGRAM = {
+    "am": "send_am", "reply": "send_am",
+    "put": "rma_put", "get": "rma_get", "atomic": "rma_atomic",
+    "put_indexed": "rma_put_indexed", "get_indexed": "rma_get_indexed",
+    "atomic_batch": "rma_atomic_batch",
+}
 
 
 @dataclass
@@ -47,8 +55,10 @@ class TelemetryConfig:
     #: Upper bound on retained spans per rank (Perfetto export size).
     max_spans: int = 20000
     #: Background sampler period in seconds (task queue depth, pending
-    #: replies, retransmit backlog, segment bytes, steal rate); ``None``
-    #: leaves the sampler thread unstarted.
+    #: replies, retransmit backlog, segment bytes, steal rate, each into
+    #: a ``sampled_*`` histogram); ``None`` leaves the sampling
+    #: unstarted, and so does any mode but ``"full"`` — the only one
+    #: that keeps histograms, so the only one it could record into.
     sample_period: float | None = None
     #: Straggler-watchdog scan period in seconds; ``None`` disables it.
     watchdog_period: float | None = None
@@ -111,8 +121,7 @@ class RankTelemetry:
 
     __slots__ = ("rank", "mode", "active", "full", "flight",
                  "_hist", "_hist_lock", "_spans", "_span_lock",
-                 "spans_dropped", "max_spans", "metrics", "_id_counter",
-                 "_id_lock")
+                 "spans_dropped", "max_spans", "_id_counter", "_id_lock")
 
     def __init__(self, rank: int, config: TelemetryConfig):
         self.rank = rank
@@ -126,8 +135,6 @@ class RankTelemetry:
         self._span_lock = threading.Lock()
         self.spans_dropped = 0
         self.max_spans = config.max_spans
-        #: Typed counter/gauge registry (repro.telemetry.metrics).
-        self.metrics = MetricsRegistry()
         # Trace/span ids are rank-salted counter values, not random
         # bits, so fixed-seed runs reproduce identical ids.
         self._id_counter = 0
@@ -203,20 +210,6 @@ class RankTelemetry:
         with self._span_lock:
             return list(self._spans)
 
-    def snapshot(self) -> dict:
-        """JSON-ready per-rank summary (histograms only; spans and the
-        flight ring have their own export paths)."""
-        return {
-            "rank": self.rank,
-            "mode": self.mode,
-            "histograms": {
-                name: h.snapshot() for name, h in self.histograms().items()
-            },
-            "flight_events": len(self.flight),
-            "spans": len(self._spans),
-            "spans_dropped": self.spans_dropped,
-        }
-
 
 class WorldTelemetry:
     """The world-level aggregate: one :class:`RankTelemetry` per rank."""
@@ -246,19 +239,26 @@ class WorldTelemetry:
                 agg.merge(h)
         return merged
 
-    def metrics(self) -> dict:
-        """JSON-ready world summary: merged histograms + per-rank."""
-        return {
-            "mode": self.mode,
-            "histograms": {
-                name: h.snapshot()
-                for name, h in sorted(self.merged_histograms().items())
-            },
-            "per_rank": [rt.snapshot() for rt in self.ranks],
-        }
-
     def all_spans(self) -> list[Span]:
         return [s for rt in self.ranks for s in rt.spans()]
+
+    # -- the conduit layer's sink ------------------------------------------
+    def conduit_event(self, ev: CommEvent, seconds: float | None) -> None:
+        """What the world's :class:`~repro.gasnet.trace.TelemetryConduit`
+        reports to: the event goes into its initiator's flight ring
+        (tagged with the thread's bound trace, as
+        :meth:`RankTelemetry.flight_event` does) and, in ``"full"`` (the
+        layer is timed), the op's duration into its latency histogram."""
+        if not 0 <= ev.rank < len(self.ranks):
+            return  # a control event charged to no rank
+        tel = self.ranks[ev.rank]
+        if seconds is not None:
+            tel.histogram(_OP_HISTOGRAM[ev.kind]).record_seconds(seconds)
+        if not ev.trace_id:
+            trace_id = tracing.current_trace_id()
+            if trace_id:
+                ev = replace(ev, trace_id=trace_id)
+        tel.flight.append(ev)
 
     # -- flight recorder --------------------------------------------------
     def dump_flight_recorder(self, header: str = "",
@@ -266,7 +266,7 @@ class WorldTelemetry:
                              extra_events=None) -> str:
         """The merged, human-readable black-box read-out.
 
-        ``extra_events`` splices out-of-band :class:`FlightEvent`\\ s
+        ``extra_events`` splices out-of-band events
         (e.g. the chaos conduit's injected-fault schedule) into the
         merged timeline.
         """

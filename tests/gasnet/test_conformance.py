@@ -13,6 +13,7 @@ that cannot cross a process boundary).
 import glob
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -27,9 +28,9 @@ from repro.gasnet.am import am_handler
 from repro.gasnet.chaos import ChaosConduit
 from tests.conftest import run_spmd
 
-# "proc" resolves to the default transport (rings); the pinned variants
-# run the same contract over each AM transport explicitly, so a ring
-# regression cannot hide behind the socketpair fallback or vice versa.
+# "proc" resolves to the socket transport; the pinned variants run the
+# same contract over each AM transport explicitly, so a ring regression
+# cannot hide behind the socketpair default or vice versa.
 CONDUITS = ("smp", "proc+ring", "proc+socket")
 
 
@@ -289,10 +290,11 @@ def test_proc_unpicklable_return_value_raises():
 def test_proc_die_produces_dump_with_all_ranks_events():
     """A simulated crash surfaces as RankDead and the launcher merges
     every rank's flight ring — including the dead rank's — into one
-    cross-process dump."""
+    cross-process dump, each with its count of evicted events."""
     def body():
         me = repro.myrank()
-        allreduce(1, op="sum")  # everyone records some traffic first
+        for _ in range(3):      # everyone records some traffic first:
+            allreduce(1, op="sum")          # more than its ring holds
         if me == 1:
             repro.die()
         allreduce(1, op="sum")
@@ -300,12 +302,13 @@ def test_proc_die_produces_dump_with_all_ranks_events():
 
     proclaunch.LAST_DUMP = None
     with pytest.raises(RankDead):
-        run_spmd(body, ranks=3, conduit="proc", telemetry="flight",
-                 timeout=60.0)
+        run_spmd(body, ranks=3, conduit="proc", timeout=60.0,
+                 telemetry={"mode": "flight", "flight_capacity": 2})
     dump = proclaunch.LAST_DUMP
     assert dump is not None and "FLIGHT RECORDER DUMP" in dump
     for r in range(3):
-        assert f"rank {r}:" in dump
+        assert re.search(
+            rf"rank {r}: 2 events \(\d+ older events evicted\)", dump), dump
 
 
 def test_proc_survive_rank_death():

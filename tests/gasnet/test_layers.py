@@ -10,8 +10,10 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,16 +27,15 @@ from repro.gasnet import (
     ProcConduit,
     ReliableConduit,
     SmpConduit,
+    TelemetryConduit,
     Trace,
 )
-from repro.gasnet.trace import _TracingConduit
-from repro.telemetry.conduit import TelemetryConduit
 from tests.conftest import run_spmd
 
 OPS = ("send_am", "rma_put", "rma_get", "rma_atomic", "rma_put_indexed",
        "rma_get_indexed", "rma_atomic_batch")
-LAYERS = (ConduitLayer, _TracingConduit, TelemetryConduit, ReliableConduit,
-          ChaosConduit, DelayConduit)
+LAYERS = (ConduitLayer, TelemetryConduit, ReliableConduit, ChaosConduit,
+          DelayConduit)
 BACKENDS = (SmpConduit, ProcConduit)
 
 
@@ -47,20 +48,40 @@ def test_op_signatures_match_the_contract(cls, op):
 
 def test_layers_are_conduits():
     smp = SmpConduit()
-    assert isinstance(TelemetryConduit(smp, telemetry=None), Conduit)
-    assert isinstance(_TracingConduit(smp, trace=None), Conduit)
+    assert isinstance(TelemetryConduit(smp, sink=None), Conduit)
 
 
 def test_copy_of_a_layer_does_not_recurse():
     """copy.copy builds the instance without __init__ and probes it for
     dunders before ``_inner`` exists; an unguarded __getattr__ recursed."""
     smp = SmpConduit()
-    for layer in (_TracingConduit(smp, trace=None),
-                  TelemetryConduit(smp, telemetry=None),
-                  ReliableConduit(smp)):
+    for layer in (TelemetryConduit(smp, sink=None), ReliableConduit(smp)):
         dup = copy.copy(layer)
         assert type(dup) is type(layer)
         assert dup._inner is smp
+
+
+def test_gasnet_imports_nothing_from_the_layers_above_it():
+    """The substrate emits events and counts; telemetry and containers
+    consume.  No module under ``repro/gasnet`` imports either package,
+    at top level or inside a function."""
+    root = pathlib.Path(repro.__file__).parent / "gasnet"
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro":
+                    names = [f"repro.{a.name}" for a in node.names]
+            else:
+                continue
+            offenders += [
+                (path.name, node.lineno, name) for name in names
+                if name.split(".")[:2] in (["repro", "telemetry"],
+                                           ["repro", "containers"])]
+    assert offenders == []
 
 
 # -- a do-nothing layer is transparent anywhere in the stack ----------------

@@ -23,6 +23,7 @@ SNAPSHOT_KEYS = (
     "wire_ring_slots", "wire_ring_frames",
     "wire_ring_spills", "wire_ring_full_backoffs",
     "wire_ring_doorbells", "wire_ring_wakeups",
+    "wq_steals_attempted", "wq_steals_ok", "slow_ops_flagged",
 )
 
 

@@ -325,3 +325,54 @@ def test_trace_timestamps_monotone():
         return True
 
     assert all(run_spmd(body, ranks=2))
+
+
+def test_trace_and_flight_ring_hold_the_same_records():
+    """One observing layer, one record, one spelling: what a Trace
+    collects and what the initiator's flight ring keeps are the same
+    ``(kind, src, dst, nbytes, detail)``, op for op, in the same order —
+    RMA, AM, reply and control events alike."""
+    holder = {}
+
+    def body():
+        me = repro.myrank()
+        sa = repro.SharedArray(np.int64, size=8, block=4)
+        repro.barrier()
+        if me == 0:
+            world = repro.current_world()
+            trace = Trace(world)
+            with trace:
+                sa[4] = 7                                    # put
+                assert sa[4] == 7                            # get
+                sa.atomic_batch(np.arange(4, 8), "add", 1)   # atomic_batch
+                assert repro.async_(1)(abs, -3).get() == 3   # am + reply
+                world.conduit.trace_control("retransmit", 0, 1, 42,
+                                            "injected")
+            holder.update(trace=trace, world=world)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, telemetry="flight"))
+    trace, world = holder["trace"], holder["world"]
+
+    def key(ev):
+        return ev.kind, ev.src, ev.dst, ev.nbytes, ev.detail
+
+    conduit_kinds = {"put", "get", "atomic_batch", "am", "reply",
+                     "retransmit"}
+    seen = set()
+    for rank in (0, 1):
+        traced = [key(ev) for ev in trace.select(src=rank)]
+        assert all(ev.rank == rank for ev in trace.select(src=rank))
+        ring = [key(ev) for ev in world.telemetry.rank(rank).flight.snapshot()
+                if ev.kind in conduit_kinds]
+        # The ring also holds this rank's ops from before and after the
+        # ``with`` block; the traced ones are one contiguous run of it.
+        n = len(traced)
+        assert any(ring[i:i + n] == traced for i in range(len(ring) - n + 1)), \
+            (rank, traced, ring)
+        seen |= {k[0] for k in traced}
+    assert seen == conduit_kinds
+    assert ("put", 0, 1, 8, "") in map(key, trace.events)
+    assert ("atomic_batch", 0, 1, 32, "4 elems") in map(key, trace.events)
+    assert ("retransmit", 0, 1, 42, "injected") in map(key, trace.events)

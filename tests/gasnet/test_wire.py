@@ -9,12 +9,18 @@ all — asserted here with a counting stub threaded under the codec
 module.
 """
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.containers.queue
+import repro.containers.shard
+import repro.core.workqueue
 from repro.gasnet.wire import (
     EncodedPayload,
     Tagged,
@@ -274,23 +280,33 @@ def test_wq_loot_codec_int_fast_path():
 
 
 def test_frame_codec_ids_and_bindings_are_pinned():
-    """Codec ids are wire format: they follow registration order, and
-    two of the codecs register from ``repro.containers.shard`` (next to
-    the state they lay out) rather than from the wire package.  Pin the
-    whole table so a moved or reordered registration cannot shift an
-    id."""
+    """Codec ids are wire format: they follow registration order, which
+    is import order — ``repro.core.workqueue``, then
+    ``repro.containers.shard``, then ``repro.containers.queue``, each
+    registering next to the state or handler its layouts spell out; the
+    wire package itself names no message family.  Pin the whole table so
+    a moved or reordered registration cannot shift an id."""
     assert {c.name: c.code for c in codecs_mod._codecs_by_name.values()} == {
-        "kv_items": 16, "kv_keys": 17, "kv_found": 18, "wq_loot": 19,
-        "dq_items": 20, "kv_repl": 21, "kv_state": 22,
+        "wq_loot": 16, "kv_items": 17, "kv_keys": 18, "kv_found": 19,
+        "kv_repl": 20, "kv_state": 21, "dq_items": 22,
     }
     assert {h: c.name for h, c in codecs_mod._handler_codecs.items()} == {
         "kv_put": "kv_items", "kv_get": "kv_keys", "kv_del": "kv_keys",
         "dq_push": "dq_items", "kv_repl": "kv_repl",
         "kv_install": "kv_state",
     }
-    for name in ("kv_repl", "kv_state"):
+    for name in ("kv_items", "kv_found", "kv_repl", "kv_state"):
         owner = codecs_mod._codecs_by_name[name].encode.__module__
         assert owner == "repro.containers.shard"
+    # The three list codecs share the wire package's generic body, so
+    # their owner is the module whose source registers the name.
+    for name, owner in (("kv_keys", repro.containers.shard),
+                        ("wq_loot", repro.core.workqueue),
+                        ("dq_items", repro.containers.queue)):
+        assert codecs_mod._codecs_by_name[name].encode \
+            is codecs_mod._enc_obj_list
+        assert f'register_message_codec("{name}"' in inspect.getsource(owner)
+    assert not re.search(r"\b(kv|wq|dq)_", inspect.getsource(codecs_mod))
 
 
 def test_register_message_codec_duplicate_rejected():

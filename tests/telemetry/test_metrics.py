@@ -1,6 +1,6 @@
-"""The cluster metrics plane: typed registry, order-independent
-snapshot merging, the ``metrics_reduce`` collective, the background
-sampler, and the straggler watchdog.
+"""The cluster metrics plane: order-independent snapshot merging, the
+``metrics_reduce`` collective, the background sampler, and the
+straggler watchdog.
 
 The load-bearing property is *bit-identical aggregation*: the merge
 operates on raw integer histogram/counter state (associative and
@@ -21,35 +21,9 @@ from repro.core.world import current
 from repro.gasnet.am import am_handler
 from repro.gasnet.stats import CommStats, aggregate
 from repro.telemetry import (
-    Counter, Gauge, LogHistogram, MetricsRegistry, finalize_snapshot,
-    merge_snapshots, rank_snapshot,
+    LogHistogram, finalize_snapshot, merge_snapshots, rank_snapshot,
 )
 from tests.conftest import run_spmd
-
-
-# ----------------------------------------------------------- registry
-
-def test_counter_and_gauge_basics():
-    c = Counter("c")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    g = Gauge("g")
-    for v in (3, -1, 7):
-        g.set(v)
-    assert g.value == 7
-    assert g.state() == {"last": 7, "min": -1, "max": 7, "sum": 9, "n": 3}
-
-
-def test_registry_interns_by_name():
-    reg = MetricsRegistry()
-    assert reg.counter("x") is reg.counter("x")
-    assert reg.gauge("y") is reg.gauge("y")
-    reg.counter("x").inc(2)
-    reg.gauge("y").set(5)
-    snap = reg.snapshot()
-    assert snap["counters"]["x"] == 2
-    assert snap["gauges"]["y"]["last"] == 5
 
 
 # ---------------------------------------- histogram merge (hypothesis)
@@ -96,7 +70,7 @@ def test_snapshot_merge_is_associative_and_commutative(xs, ys, zs):
         return {"ranks": [0], "histograms": {"lat": {
             "unit": s["unit"], "count": s["count"], "sum": s["sum"],
             "min": s["min"], "max": s["max"], "buckets": s["buckets"],
-        }}, "counters": {}, "gauges": {}}
+        }}, "counters": {}}
 
     a, b, c = (snap(h) for h in hists)
     left = merge_snapshots(merge_snapshots(a, b), c)
@@ -145,19 +119,30 @@ def test_aggregate_sums_wire_and_failover_counters():
 def test_metrics_reduce_bit_identical_to_offline_merge():
     """``world.metrics_reduce()`` (a tree allreduce over raw snapshots)
     must equal folding the stashed per-rank snapshots offline — the
-    same dict, bit for bit, on every rank."""
+    same dict, bit for bit, on every rank — for histograms (a sampled
+    one included) and counters (the steal and watchdog ones included)
+    alike."""
     stash: dict = {}
 
     def body():
         me = repro.myrank()
         sa_ctx = current()
         m = repro.DistHashMap()
+        wq = repro.DistWorkQueue(seed=3)
         repro.barrier()
         for i in range(10 + me):          # rank-skewed load
             m.put(f"mr{me}:{i}", i)
             m.get(f"mr{me}:{i}")
-        sa_ctx.telemetry.metrics.counter("my_ops").inc(10 + me)
-        sa_ctx.telemetry.metrics.gauge("my_rank").set(me)
+        if me == 0:
+            wq.add_local(range(64))       # every other rank must steal
+        repro.barrier()
+        while me == 0 and wq.local_size() == 64:
+            repro.advance()               # ... and one has, before we pop
+        while wq.get() is not None:
+            wq.task_done()
+        sa_ctx.stats.add(slow_ops_flagged=1 + me)
+        sa_ctx.telemetry.record_value("sampled_task_queue_depth",
+                                      3 * me, "items")
         repro.barrier()
         # Stash the raw per-rank snapshot BEFORE the reduce; the
         # histograms keep filling with AM traffic during the collective
@@ -174,9 +159,15 @@ def test_metrics_reduce_bit_identical_to_offline_merge():
     for r, merged in enumerate(results):
         assert merged == offline, f"rank {r} diverged from offline fold"
     assert results[0]["ranks"] == [0, 1, 2, 3]
-    assert results[0]["counters"]["my_ops"] == sum(10 + r for r in range(4))
-    g = results[0]["gauges"]["my_rank"]
-    assert (g["min"], g["max"], g["n"]) == (0, 3, 4)
+    counters = results[0]["counters"]
+    assert counters["slow_ops_flagged"] == sum(1 + r for r in range(4))
+    assert counters["wq_steals_ok"] >= 1
+    assert counters["wq_steals_ok"] == sum(
+        s["counters"]["wq_steals_ok"] for s in stash.values())
+    assert counters["wq_steals_attempted"] >= counters["wq_steals_ok"]
+    depth = results[0]["histograms"]["sampled_task_queue_depth"]
+    assert (depth["min"], depth["max"], depth["count"], depth["sum"]) \
+        == (0, 9, 4, 18)
     # derived stats exist and are plain floats (JSON-ready)
     am_rtt = results[0]["histograms"].get("am_rtt")
     assert am_rtt and isinstance(am_rtt["p99"], float)
@@ -190,8 +181,7 @@ def test_metrics_reduce_default_snapshot_and_harness_shape():
         _ = repro.ranks()
         merged = repro.current_world().metrics_reduce()
         repro.barrier()
-        assert set(merged) == {"ranks", "histograms", "counters",
-                               "gauges"}
+        assert set(merged) == {"ranks", "histograms", "counters"}
         assert merged["ranks"] == list(range(repro.ranks()))
         return True
 
@@ -233,9 +223,7 @@ def test_sampler_records_runtime_gauges():
     assert hists["sampled_task_queue_depth"].count > 0
     assert hists["sampled_pending_replies"].count > 0
     assert hists["sampled_segment_bytes"].count > 0
-    gauges = tel0.metrics.snapshot()["gauges"]
-    assert "segment_bytes_in_use" in gauges
-    assert "steal_rate_per_s" in gauges
+    assert hists["sampled_steal_rate"].count > 0
 
 
 def test_sampler_not_started_without_period():
@@ -286,5 +274,4 @@ def test_watchdog_flags_slow_op_before_timeout():
     assert any("tar_pit" in ev.detail for ev in slow)
     assert any(ev.trace_id for ev in slow), \
         "slow_op events should carry the client op's trace id"
-    counters = world.telemetry.rank(0).metrics.snapshot()["counters"]
-    assert counters.get("slow_ops_flagged", 0) >= 1
+    assert world.ranks[0].stats.snapshot()["slow_ops_flagged"] >= 1

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import types
 
 import numpy as np
 
@@ -114,3 +115,21 @@ def test_trace_only_and_telemetry_only_exports():
     assert not any(e["ph"] == "i" for e in only_tel["traceEvents"])
     empty = to_perfetto()
     assert empty["traceEvents"] == []
+
+
+def test_instants_and_spans_share_one_timeline():
+    """Events carry absolute timestamps like spans do, so the exporter
+    needs nothing of a Trace but its public ``events``: rank 0's
+    ``async_`` AM, sent inside its ``finish`` block, lands inside that
+    block's span."""
+    trace, world = _traced_run()
+    events_only = types.SimpleNamespace(events=list(trace.events))
+    data = to_perfetto(trace=events_only, telemetry=world.telemetry)
+    assert data == to_perfetto(trace=trace, telemetry=world.telemetry)
+    mine = [e for e in data["traceEvents"] if e["pid"] == 0]
+    finishes = [e for e in mine if e["ph"] == "X" and e["name"] == "finish"]
+    tasks = [e for e in mine if e["ph"] == "i" and e["name"] == "am"
+             and e["args"].get("detail") == "exec_task"]
+    assert finishes and tasks
+    assert any(f["ts"] <= t["ts"] <= f["ts"] + f["dur"]
+               for f in finishes for t in tasks)

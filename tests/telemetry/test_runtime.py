@@ -7,9 +7,9 @@ import pytest
 import repro
 from repro.core.world import current
 from repro.errors import CommTimeout
-from repro.gasnet import ChaosConduit, ReliableConduit
+from repro.gasnet import ChaosConduit, ReliableConduit, TelemetryConduit
 from repro.gasnet.am import am_handler
-from repro.telemetry import TelemetryConduit, TelemetryConfig, resolve_config
+from repro.telemetry import TelemetryConfig, resolve_config
 from tests.conftest import run_spmd
 
 
@@ -201,7 +201,7 @@ def test_dump_on_demand():
         assert "FLIGHT RECORDER DUMP" in text
         assert "trigger: manual" in text
         if me == 0:
-            assert "rma_put 0->1" in text
+            assert "rank 0: put 0->1 8B" in text
         repro.barrier()
         return True
 
