@@ -34,13 +34,20 @@ Design
   coalescing lands in the ``kv_multi_ops``/``kv_batched_keys``
   CommStats counters.
 * **Read-through cache + read-from-replica** — with ``cache=True``
-  each rank memoizes fetched values per shard.  Every shard keeps one
-  ``epoch``, bumped on any mutation (and on promotion/migration) and
-  piggybacked on every reply; a client observing a newer epoch drops
-  that shard's cached entries.  With ``read_replicas=True`` reads
+  each rank memoizes fetched values, ``CACHE_LIMIT`` per shard.  Every
+  shard keeps one ``epoch``, bumped on any mutation (and on promotion/
+  migration), and the keys its last epochs changed, ``CHANGED_WINDOW``
+  of them.  Every request carries the epoch its client last saw, every
+  reply the shard's epoch and the keys changed in between, and the
+  client keeps three rules (:class:`~repro.containers.shard.ShardCache`):
+  a newer reply drops the keys it names — the whole shard only when the
+  client was last there before the window; a value is cached only if
+  its reply is not older than what the client has seen; and turning to
+  another primary drops the shard's entries, so epochs are only
+  compared within one copy's reign.  With ``read_replicas=True`` reads
   also round-robin across primary and backup (and are served from a
   locally-hosted backup copy without touching the wire), riding the
-  same epoch invalidation.
+  same invalidation.
 * **Exactly-once update()** — read-modify-write travels with a
   per-client op-id; the primary records the result of each applied op
   and **replicates the dedup record with the data**, so a client that
@@ -75,6 +82,7 @@ from repro.containers.shard import (
     KvRedirect,
     KvStalePrimary,
     Shard,
+    ShardCache,
 )
 from repro.core import collectives
 from repro.core.collectives import _copy_value as _copy
@@ -341,15 +349,33 @@ def _mutate(ctx: RankState, map_id: int, sid: int,
 # AM handlers
 # ---------------------------------------------------------------------------
 # Request args are ``(map_id, sid, ...)``; ``sid == -1`` marks a
-# batched request whose keys the server groups by shard itself.  Reply
-# args lead with per-shard epoch pairs — ``(k, sid0, ep0, ..., extra)``
-# — so clients invalidate caches at shard granularity.  Payloads travel
-# through the fixed-layout codecs registered beside Shard (kv_items/
-# kv_keys/kv_found, kv_repl/kv_state).
+# batched request whose keys the server groups by shard itself.  They
+# end with ``(sid, seen)`` pairs, the epoch the client last saw of each
+# shard asked about; a client that sends none holds nothing.  Reply
+# args are ``(k, sid0, ep0, n0, ..., key, ..., extra)``: per shard its
+# epoch and how many of the keys that follow — the ones changed since
+# ``seen``, the request's own among them — are its own (``n < 0``:
+# further back than the shard remembers), so clients drop the key that
+# changed, not the shard it lives in.  Payloads travel through the
+# fixed-layout codecs registered beside Shard (kv_items/kv_keys/
+# kv_found, kv_repl/kv_state).
+
+def _reply_args(seen: list, touched: list, *extra) -> tuple:
+    """Reply args for ``touched``, the ``(shard, epoch replied at)``
+    pairs, to a request whose args ended with ``seen``."""
+    seen = dict(zip(seen[::2], seen[1::2]))
+    head = [len(touched)]
+    changed: list = []
+    for sh, epoch in touched:
+        keys = sh.changed_since(seen.get(sh.sid, -1))
+        head += (sh.sid, epoch, -1 if keys is None else len(keys))
+        changed += keys or ()
+    return (*head, *changed, *extra)
+
 
 @am_handler("kv_put")
 def _kv_put_handler(ctx: RankState, am) -> None:
-    map_id, sid = am.args
+    map_id, sid, *tail = am.args
     items = am.payload
     if sid >= 0:
         groups = {sid: items}
@@ -358,34 +384,31 @@ def _kv_put_handler(ctx: RankState, am) -> None:
         groups = {}
         for k, v in items.items():
             groups.setdefault(shard_of(k, nshards), {})[k] = v
-    pairs = []
+    touched = []
     for s in sorted(groups):
-        _sh, rec = _mutate(ctx, map_id, s, lambda sh: sh.put(groups[s]))
-        pairs += (s, rec[-1])
-    ctx.reply(am, args=(len(groups), *pairs))
+        sh, rec = _mutate(ctx, map_id, s, lambda sh: sh.put(groups[s]))
+        touched.append((sh, rec[-1]))
+    ctx.reply(am, args=_reply_args(tail, touched))
 
 
 @am_handler("kv_get")
 def _kv_get_handler(ctx: RankState, am) -> None:
-    map_id, sid = am.args
+    map_id, sid, *tail = am.args
     nshards = _map_state(ctx, map_id).nshards
     found = []
-    epochs: dict[int, int] = {}
+    shards: dict[int, Shard] = {}
     for k in am.payload:
         s = sid if sid >= 0 else shard_of(k, nshards)
-        _st, sh = _resolve(ctx, map_id, s, write=False)
-        found.append(sh.lookup(k))
-        epochs[s] = sh.epoch
-    pairs = []
-    for s in sorted(epochs):
-        pairs += (s, epochs[s])
-    ctx.reply(am, args=(len(epochs), *pairs),
+        _st, shards[s] = _resolve(ctx, map_id, s, write=False)
+        found.append(shards[s].lookup(k))
+    touched = [(sh, sh.epoch) for _s, sh in sorted(shards.items())]
+    ctx.reply(am, args=_reply_args(tail, touched),
               payload=tagged("kv_found", found))
 
 
 @am_handler("kv_del")
 def _kv_del_handler(ctx: RankState, am) -> None:
-    map_id, sid = am.args
+    map_id, sid, *tail = am.args
     keys = am.payload
     if sid >= 0:
         groups = {sid: keys}
@@ -394,20 +417,20 @@ def _kv_del_handler(ctx: RankState, am) -> None:
         groups = {}
         for k in keys:
             groups.setdefault(shard_of(k, nshards), []).append(k)
-    pairs = []
+    touched = []
     total = 0
     for s in sorted(groups):
         sh, rec = _mutate(ctx, map_id, s,
                           lambda sh: sh.delete(groups[s]))
         if rec is not None:
             total += len(rec[1])
-        pairs += (s, sh.epoch if rec is None else rec[-1])
-    ctx.reply(am, args=(len(groups), *pairs, total))
+        touched.append((sh, sh.epoch if rec is None else rec[-1]))
+    ctx.reply(am, args=_reply_args(tail, touched, total))
 
 
 @am_handler("kv_update")
 def _kv_update_handler(ctx: RankState, am) -> None:
-    map_id, sid, op_id = am.args
+    map_id, sid, op_id, *tail = am.args
     key, op, fargs, default, has_default = am.payload
     src = am.src_rank
     fn = _resolve_update(op)
@@ -418,7 +441,8 @@ def _kv_update_handler(ctx: RankState, am) -> None:
         lambda sh: sh.update(src, op_id, key, fn, fargs, default,
                              has_default))
     epoch, new = sh.result_of(src, op_id)
-    ctx.reply(am, args=(1, sid, epoch), payload=new)
+    ctx.reply(am, args=_reply_args(tail, [(sh, epoch)]),
+              payload=new)
 
 
 @am_handler("kv_repl")
@@ -455,10 +479,10 @@ def _kv_install_handler(ctx: RankState, am) -> None:
 @am_handler("kv_migrate")
 def _kv_migrate_handler(ctx: RankState, am) -> None:
     """Primary side of rebalance(): freeze, ship, tombstone."""
-    map_id, sid, to = am.args
+    map_id, sid, to, *_seen = am.args
     st, sh = _resolve(ctx, map_id, sid, write=True)
     if to == ctx.rank:
-        ctx.reply(am, args=(1, sid, sh.epoch))
+        ctx.reply(am, args=(0,))
         return
     if to in ctx.world.dead_ranks:
         raise PgasError(f"rebalance: target rank {to} is dead")
@@ -482,7 +506,7 @@ def _kv_migrate_handler(ctx: RankState, am) -> None:
             and old_backup not in ctx.world.dead_ranks:
         ctx.send_am(old_backup, "kv_drop",
                     args=(map_id, sid, sh.repl_epoch + 1, to))
-    ctx.reply(am, args=(1, sid, 0))
+    ctx.reply(am, args=(0,))
 
 
 @am_handler("kv_drop")
@@ -497,10 +521,8 @@ def _kv_drop_handler(ctx: RankState, am) -> None:
 @am_handler("kv_epoch")
 def _kv_epoch_handler(ctx: RankState, am) -> None:
     map_id, _all = am.args
-    pairs = []
-    for sh in _map_state(ctx, map_id).serving():
-        pairs += (sh.sid, sh.epoch)
-    ctx.reply(am, args=(len(pairs) // 2, *pairs))
+    touched = [(sh, sh.epoch) for sh in _map_state(ctx, map_id).serving()]
+    ctx.reply(am, args=_reply_args((), touched))
 
 
 @am_handler("kv_size")
@@ -557,7 +579,7 @@ class DistHashMap:
         self._op_seq = itertools.count(1)
         self._rr = 0
         self._cache_enabled = bool(cache)
-        self._cache: dict[int, dict] = {s: {} for s in range(self.nshards)}
+        self._cache = {s: ShardCache() for s in range(self.nshards)}
         self.cache_hits = 0
         self.cache_misses = 0
         self.failovers = 0
@@ -599,7 +621,6 @@ class DistHashMap:
             sid: (sid % self.nranks,
                   (sid + 1) % self.nranks if self.replicas else None)
             for sid in range(self.nshards)}
-        self._epochs: dict[int, int] = {}
         self._ingest_roles(infos)
         # Failure-notification hook: deaths recorded by the runtime /
         # reliability detector flip this client's table at its next op.
@@ -620,15 +641,22 @@ class DistHashMap:
         # next map operation.
         self._pending_deaths.append(rank)
 
+    def _route(self, sid: int, primary: int, backup: int | None) -> None:
+        """The one writer of the shard table.  What is cached from a
+        shard was true of its old primary's copy (rule 3)."""
+        if self._table[sid][0] != primary:
+            self._cache[sid].repoint()
+        self._table[sid] = (primary, backup)
+
     def _repoint(self, sid: int, gone: int, dead=()) -> bool:
         """Drop ``gone`` from ``sid``'s table entry (its live backup
         takes over a lost primary); False when that is not possible."""
         primary, backup = self._table[sid]
         if primary == gone and backup is not None and backup != gone \
                 and backup not in dead:
-            self._table[sid] = (backup, None)
+            self._route(sid, backup, None)
         elif backup == gone:
-            self._table[sid] = (primary, None)
+            self._route(sid, primary, None)
         else:
             return False
         return True
@@ -639,21 +667,19 @@ class DistHashMap:
             for sid in self._table:
                 self._repoint(sid, r)
 
-    def _note_epoch(self, sid: int, epoch: int) -> None:
-        """Piggybacked epoch from a reply: a newer value invalidates
-        everything cached from that shard."""
-        if epoch > self._epochs.get(sid, -1):
-            self._epochs[sid] = epoch
-            if self._cache_enabled:
-                self._cache[sid].clear()
-
-    def _note_reply(self, args: tuple) -> tuple:
-        """Parse a ``(k, sid0, ep0, ...)`` reply header; returns the
-        trailing extras (e.g. kv_del's deleted-count)."""
-        k = args[0]
-        for i in range(k):
-            self._note_epoch(args[1 + 2 * i], args[2 + 2 * i])
-        return args[1 + 2 * k:]
+    def _note_reply(self, args: tuple) -> tuple[dict[int, int], tuple]:
+        """Rule 1 for each shard in a reply's ``(k, sid0, ep0, n0, ...,
+        key, ..., *extras)`` args; returns the epochs by shard (rule 2
+        asks for them) and the extras (e.g. kv_del's deleted-count)."""
+        at = end = 1 + 3 * args[0]
+        epochs = {}
+        for i in range(1, end, 3):
+            sid, epoch, n = args[i:i + 3]
+            epochs[sid] = epoch
+            self._cache[sid].contact(
+                epoch, None if n < 0 else args[at:at + n])
+            at += max(n, 0)
+        return epochs, args[at:]
 
     def _ingest_roles(self, infos) -> None:
         """Fold published role claims into the shard table: per shard,
@@ -670,8 +696,8 @@ class DistHashMap:
                     best[sid] = (repl_epoch, r,
                                  None if backup < 0 else backup, epoch)
         for sid, (_re, prim, backup, epoch) in best.items():
-            self._table[sid] = (prim, backup if backup != prim else None)
-            self._note_epoch(sid, epoch)
+            self._route(sid, prim, backup if backup != prim else None)
+            self._cache[sid].contact(epoch)     # no key list: drop all
 
     def _ask_peers(self, ctx: RankState, handler: str,
                    *args) -> list[tuple]:
@@ -737,8 +763,7 @@ class DistHashMap:
                 else exc.new_primary)
         if hint is not None and hint not in ctx.world.dead_ranks:
             backup = self._table[exc.sid][1]
-            self._table[exc.sid] = (
-                hint, backup if backup != hint else None)
+            self._route(exc.sid, hint, backup if backup != hint else None)
         else:
             ctx.advance()
             self._refresh_table(ctx)
@@ -750,12 +775,13 @@ class DistHashMap:
                  read: bool = False, event: str | None = None) -> list:
         """The one client request engine: send ``handler`` for the keys
         in ``pending`` (shard id -> keys); returns the replies as
-        ``(keys, extras, reply_payload)`` tuples.
+        ``(keys, epochs, extras, reply_payload)`` tuples.
 
         Each round groups what is pending by the rank now serving it —
         one ``(map_id, sid, *extra)`` AM per shard, or with ``batched``
         one ``(map_id, -1)`` AM per rank whose keys the server regroups
-        — and issues every AM before gathering any reply.  One ladder
+        — each ending with the epochs this client last saw of its
+        shards — and issues every AM before gathering any reply.  One ladder
         handles the replies: a timeout is retried ``retry_attempts``
         times, a dead server fails its shards over to their backup
         (:class:`KvOwnerDead` without one), a redirect repoints the
@@ -803,8 +829,11 @@ class DistHashMap:
             calls = []
             for (target, arg), shards in groups.items():
                 ks = [k for part in shards.values() for k in part]
+                seen = () if not self._cache_enabled else [
+                    x for sid in shards for x in (sid, self._cache[sid].seen)]
                 fut = None if target in dead else ctx.send_am(
-                    target, handler, args=(self.map_id, arg, *extra),
+                    target, handler,
+                    args=(self.map_id, arg, *extra, *seen),
                     payload=payload(ks), expect_reply=True)
                 calls.append((target, shards, ks, fut))
             pending = {}
@@ -835,7 +864,7 @@ class DistHashMap:
                         raise
                     self._follow_redirect(ctx, exc)
                 else:
-                    replies.append((ks, self._note_reply(args), reply))
+                    replies.append((ks, *self._note_reply(args), reply))
                     continue
                 pending.update(shards)
         self._end_failover(ctx, t_fail, what)
@@ -874,7 +903,7 @@ class DistHashMap:
         except KvStalePrimary:
             return None
         ctx.stats.add(local_accesses=nkeys)
-        self._note_epoch(sid, sh.epoch)
+        self._cache[sid].contact(sh.epoch)
         return sh, rec
 
     def _read_near(self, ctx: RankState, sid: int,
@@ -895,7 +924,7 @@ class DistHashMap:
                                   kv_replica_reads=not sh.is_primary)
                     return found, _copy(val) if found else None
         if self._cache_enabled:
-            cached = self._cache[sid]
+            cached = self._cache[sid].entries
             if key in cached:
                 self.cache_hits += 1
                 ctx.stats.add(kv_cache_hits=1)
@@ -908,13 +937,14 @@ class DistHashMap:
             ctx.stats.add(kv_cache_misses=1)
         return None
 
-    def _cache_fetched(self, key: Any, val: Any) -> Any:
-        """Remember a value fetched from its owner; returns the value
-        to hand out (a copy when cached, so the cached object stays
-        private)."""
+    def _cache_fetched(self, epochs: dict, key: Any, val: Any) -> Any:
+        """Remember a value fetched from its owner in a reply with those
+        ``epochs`` (rule 2); returns the value to hand out (a copy when
+        caching, so the cached object stays private)."""
         if not self._cache_enabled:
             return val
-        self._cache[shard_of(key, self.nshards)][key] = val
+        sid = shard_of(key, self.nshards)
+        self._cache[sid].fill(epochs[sid], key, val)
         return _copy(val)
 
     # -- point ops ---------------------------------------------------------
@@ -929,10 +959,11 @@ class DistHashMap:
         if self._mutate_local(
                 ctx, sid, lambda sh: sh.put({key: _copy(value)})):
             return
-        self._request(ctx, "kv_put", f"kv_put({key!r})", {sid: [key]},
-                      lambda _ks: {key: value}, event="kv_put")
-        if self._cache_enabled:
-            self._cache[sid][key] = _copy(value)  # write-through
+        [(_ks, epochs, _x, _pl)] = self._request(
+            ctx, "kv_put", f"kv_put({key!r})", {sid: [key]},
+            lambda _ks: {key: value}, event="kv_put")
+        if self._cache_enabled:     # write-through
+            self._cache[sid].fill(epochs[sid], key, _copy(value))
 
     @_traced("kv_get", "kv_get")
     def get(self, key: Any, default: Any = _MISSING) -> Any:
@@ -945,11 +976,11 @@ class DistHashMap:
         # the wire.
         hit = self._read_near(ctx, sid, key)
         if hit is None:
-            [(_ks, _x, [(found, val)])] = self._request(
+            [(_ks, epochs, _x, [(found, val)])] = self._request(
                 ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
                 read=True, event="kv_get")
             if found:
-                val = self._cache_fetched(key, val)
+                val = self._cache_fetched(epochs, key, val)
         else:
             found, val = hit
         if found:
@@ -967,7 +998,7 @@ class DistHashMap:
         hit = self._mutate_local(ctx, sid, lambda sh: sh.delete([key]))
         if hit:
             return hit[1] is not None
-        [(_ks, (n,), _pl)] = self._request(
+        [(_ks, _eps, (n,), _pl)] = self._request(
             ctx, "kv_del", f"kv_del({key!r})", {sid: [key]},
             event="kv_del")
         return n > 0
@@ -998,13 +1029,11 @@ class DistHashMap:
             return _copy(hit[0].result_of(ctx.rank, op_id)[1])
         request = (key, op, args, default if has_default else None,
                    has_default)
-        [(_ks, _x, new)] = self._request(
+        [(_ks, epochs, _x, new)] = self._request(
             ctx, "kv_update", f"kv_update({key!r})#op{op_id}",
             {sid: [key]}, lambda _ks: request, extra=(op_id,),
             event="kv_update")
-        if self._cache_enabled:
-            self._cache[sid][key] = _copy(new)
-        return new
+        return self._cache_fetched(epochs, key, new)
 
     # -- batched ops -------------------------------------------------------
     @_traced("kv_multi_get", "kv_multi")
@@ -1040,14 +1069,14 @@ class DistHashMap:
             else:
                 missing.append(k)
         ctx.stats.add(kv_gets=len(keys))
-        for ks, _x, found in self._request(
+        for ks, epochs, _x, found in self._request(
                 ctx, "kv_get", "multi_get", pending, batched=True,
                 event="kv_multi_get"):
             for k, (ok, val) in zip(ks, found):
                 if not ok:
                     missing.append(k)
                     continue
-                val = self._cache_fetched(k, val)
+                val = self._cache_fetched(epochs, k, val)
                 for pos in key_pos[k]:
                     out[pos] = val
         if missing and default is _MISSING:
@@ -1060,7 +1089,8 @@ class DistHashMap:
 
         ``items`` is a mapping or an iterable of ``(key, value)``.
         Observes no write-through (a bulk load would evict the working
-        set); the epoch bumps invalidate affected shards' caches.
+        set): the replies name the written keys like any other changed
+        key, so their cached values are dropped.
         Under rank death: replicated maps retry the affected chunk
         against the promoted backup (server-side grouping by shard
         keeps the retry idempotent); unreplicated maps fail fast
@@ -1108,9 +1138,7 @@ class DistHashMap:
         self._request(
             ctx, "kv_migrate", f"kv_migrate(shard {sid} -> rank {to})",
             {sid: []}, lambda _ks: None, extra=(to,))
-        self._table[sid] = (to, None)
-        if self._cache_enabled:
-            self._cache[sid].clear()
+        self._route(sid, to, None)
 
     # -- cache control -----------------------------------------------------
     def refresh(self) -> None:
@@ -1132,12 +1160,12 @@ class DistHashMap:
         with ctx._handler_lock:
             for sh in _map_state(ctx, self.map_id).shards.values():
                 if sh.is_primary:
-                    self._note_epoch(sh.sid, sh.epoch)
+                    self._cache[sh.sid].contact(sh.epoch)
 
     def invalidate_cache(self) -> None:
         """Drop every cached entry unconditionally."""
-        for d in self._cache.values():
-            d.clear()
+        for cached in self._cache.values():
+            cached.repoint()
 
     @property
     def cache_hit_rate(self) -> float:

@@ -12,17 +12,21 @@ event does to the copy and which events are illegal.
 A copy is a ``PRIMARY`` or ``BACKUP`` :class:`Shard`, *moving* (a primary
 frozen by :meth:`Shard.begin_move` while its snapshot travels), or
 *absent*, possibly tombstoned — that state lives in :class:`HostedMap`.
-``epoch`` bumps on every applied mutation (clients drop cached entries on
-a newer one); ``repl_epoch`` bumps on every change of primary (a deposed
-primary's log is rejected by it).  Illegal events raise
-:class:`KvRedirect` ("ask over there") or :class:`KvStalePrimary` ("you
-were deposed").
+``epoch`` bumps on every applied mutation, and the copy remembers which
+keys its last epochs changed: a client that says which epoch it last saw
+is told the keys to drop (:meth:`Shard.changed_since`), not to drop the
+shard.  :class:`ShardCache` is that client's end — what it has cached
+from one shard and the three rules that keep it true — and world-free
+like the rest, so a test can drive the two against each other.
+``repl_epoch`` bumps on every change of primary (a deposed primary's log
+is rejected by it).  Illegal events raise :class:`KvRedirect` ("ask over
+there") or :class:`KvStalePrimary` ("you were deposed").
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import PgasError
@@ -42,6 +46,13 @@ BACKUP = "backup"
 #: Applied-update results each shard retains: the exactly-once dedup
 #: window for client-level retries after a lost reply.
 APPLIED_WINDOW = 4096
+
+#: Changed keys each shard copy remembers (oldest epochs forgotten
+#: first): a client last in contact before that drops the whole shard.
+CHANGED_WINDOW = 1024
+
+#: Entries a client caches per shard (oldest-inserted dropped first).
+CACHE_LIMIT = 4096
 
 _ABSENT = object()
 
@@ -93,7 +104,8 @@ class Shard:
     :meth:`replay` consumes at the backup."""
 
     __slots__ = ("sid", "is_primary", "primary", "backup", "moving_to",
-                 "store", "epoch", "repl_epoch", "applied")
+                 "store", "epoch", "repl_epoch", "applied", "changed",
+                 "changed_keys", "changed_floor")
 
     def __init__(self, sid: int, role: str, primary: int,
                  backup: int | None):
@@ -107,6 +119,10 @@ class Shard:
         self.repl_epoch = 0          # bumped on promotion/migration
         # (src, op_id) -> (epoch, value), oldest first
         self.applied: OrderedDict = OrderedDict()
+        # (epoch, keys it changed): every epoch after changed_floor
+        self.changed: deque = deque()
+        self.changed_keys = 0
+        self.changed_floor = 0
 
     # -- who may be served ---------------------------------------------
     @property
@@ -136,6 +152,7 @@ class Shard:
         self.require(write=True)
         self.store.update(items)
         self.epoch += 1
+        self._changed(self.epoch, tuple(items))
         return ("put", items, self.epoch)
 
     def delete(self, keys: list) -> tuple | None:
@@ -147,6 +164,7 @@ class Shard:
         if not gone:
             return None
         self.epoch += 1
+        self._changed(self.epoch, gone)
         return ("del", gone, self.epoch)
 
     def update(self, src: int, op_id: int, key: Any, fn: Callable,
@@ -169,6 +187,7 @@ class Shard:
         new = fn(old, *args)
         store[key] = new
         self.epoch += 1
+        self._changed(self.epoch, (key,))
         self._remember(src, op_id, self.epoch, new)
         return ("upd", key, new, src, op_id, self.epoch)
 
@@ -182,6 +201,33 @@ class Shard:
         applied[(src, op_id)] = (epoch, value)
         while len(applied) > APPLIED_WINDOW:
             applied.popitem(last=False)
+
+    # -- which keys changed --------------------------------------------
+    def _changed(self, epoch: int, keys) -> None:
+        log = self.changed
+        log.append((epoch, keys))
+        self.changed_keys += len(keys)
+        while self.changed_keys > CHANGED_WINDOW:
+            self.changed_floor, gone = log.popleft()
+            self.changed_keys -= len(gone)
+
+    def _forget_changed(self) -> None:
+        """This copy can no longer vouch for what led to ``epoch``."""
+        self.changed.clear()
+        self.changed_keys = 0
+        self.changed_floor = self.epoch
+
+    def changed_since(self, seen: int) -> list | None:
+        """The keys mutated after epoch ``seen`` (each once), or ``None``
+        for "further back than I remember — drop everything"."""
+        if seen < self.changed_floor:
+            return None
+        keys: dict = {}
+        for epoch, changed in reversed(self.changed):
+            if epoch <= seen:
+                break
+            keys.update(dict.fromkeys(changed))
+        return list(keys)
 
     # -- replication ---------------------------------------------------
     def replay(self, repl_epoch: int, records: list) -> None:
@@ -201,7 +247,13 @@ class Shard:
                 _, key, value, src, op_id, epoch = rec
                 store[key] = value
                 self._remember(src, op_id, epoch, value)
+            gap = rec[-1] != self.epoch + 1
             self.epoch = max(self.epoch, rec[-1])
+            if gap:     # epochs this copy never saw lie in between
+                self._forget_changed()
+            else:
+                self._changed(self.epoch, (rec[1],) if kind == "upd"
+                              else tuple(rec[1]))
 
     def snapshot(self, as_primary: bool = False) -> ShardSnapshot:
         """This copy in full.  ``as_primary`` is the migration snapshot:
@@ -225,6 +277,7 @@ class Shard:
         else:
             sh = cls(sid, BACKUP, snap.primary, snap.backup)
             sh.epoch = snap.epoch
+        sh._forget_changed()
         sh.store = snap.store
         sh.repl_epoch = snap.repl_epoch
         for src, op_id, ep, val in snap.applied:
@@ -242,6 +295,7 @@ class Shard:
         self.backup = backup
         self.repl_epoch += 1
         self.epoch += 1
+        self._forget_changed()
 
     def begin_move(self, to: int) -> None:
         """Freeze for migration: until :meth:`abort_move` (or the copy
@@ -251,6 +305,47 @@ class Shard:
 
     def abort_move(self) -> None:
         self.moving_to = None
+
+
+class ShardCache:
+    """What one client has cached from one shard: ``entries``, and the
+    newest epoch ``seen`` in a reply.  Three rules keep every entry equal
+    to the value the copy it came from had at ``seen``:
+
+    1. *contact* — a reply newer than ``seen`` advances it and drops the
+       keys the reply names (:meth:`Shard.changed_since` the ``seen`` its
+       request carried; ``None``: all); an older reply changes nothing;
+    2. *fill* — a value is cached only if its reply is not older than
+       ``seen``;
+    3. *repoint* — a client that turns to another primary drops the
+       entries and forgets ``seen``: epochs are only ever compared
+       within one copy's reign.
+    """
+
+    __slots__ = ("seen", "entries")
+
+    def __init__(self):
+        self.seen = -1
+        self.entries: dict = {}
+
+    def contact(self, epoch: int, changed=None) -> None:
+        if epoch > self.seen:
+            self.seen = epoch
+            if changed is None:
+                self.entries.clear()
+            else:
+                for k in changed:
+                    self.entries.pop(k, None)
+
+    def fill(self, epoch: int, key: Any, value: Any) -> None:
+        if epoch >= self.seen:
+            self.entries[key] = value
+            if len(self.entries) > CACHE_LIMIT:
+                del self.entries[next(iter(self.entries))]
+
+    def repoint(self) -> None:
+        self.seen = -1
+        self.entries.clear()
 
 
 class HostedMap:

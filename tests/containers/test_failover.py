@@ -397,6 +397,99 @@ def test_rebalance_migrates_data_and_update_records():
                           survive_rank_death=True, timeout=30.0))
 
 
+def test_cached_keys_follow_the_shard_to_its_promoted_backup():
+    """A client holding cached keys of a shard whose primary dies reads
+    the promoted backup's values — no ``refresh()`` — from the op that
+    fails it over on: what it cached was true of the dead primary's
+    copy, and goes with it."""
+    victim, reader = 1, 3
+    flags = {"killed": False, "rewritten": False}
+    done = {r: False for r in range(4)}
+    ready = {r: False for r in range(4)}
+    holder = {}
+
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        ctx = repro.current_world().ranks[me]
+        m = DistHashMap(replicas=1)
+        keys = [k for k in (f"fo{i}" for i in range(400))
+                if shard_of(k, n) == victim][:21]
+        *held, probe = keys
+        if me == 0:
+            m.multi_put(dict.fromkeys(keys, "old"))
+        repro.barrier()
+        if me == reader:
+            assert m.multi_get(held) == ["old"] * 20
+        repro.barrier()
+        _sync_shared(ctx, ready, n)
+        if me == victim:
+            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
+            return None
+        if me == 0:
+            holder["conduit"].kill_rank(victim)
+            flags["killed"] = True
+            for k in held[:10]:         # lands on the promoted backup
+                m.put(k, "new")
+            flags["rewritten"] = True
+            ctx.world.poke_all()
+        ctx.wait_until(lambda: flags["rewritten"], what="wait rewrite")
+        if me == reader:
+            hits = m.cache_hits
+            assert m.get(held[0]) == "old"      # cached, never asked
+            assert m.cache_hits == hits + 1
+            assert m.owner_of(probe) == victim
+            assert m.get(probe) == "old"        # fails over, repoints
+            assert m.owner_of(probe) == (victim + 1) % n
+            assert m.multi_get(held) == ["new"] * 10 + ["old"] * 10
+        done[me] = True
+        ctx.world.poke_all()
+        ctx.wait_until(lambda: all(done[r] for r in range(n)
+                                   if r != victim), what="rendezvous")
+        return True
+
+    conduit = ChaosConduit(seed=11)
+    holder["conduit"] = conduit
+    res = repro.spmd(body, ranks=4, conduit=conduit,
+                     reliability=dict(RELIABILITY, seed=11),
+                     survive_rank_death=True, timeout=30.0)
+    assert all(r for r in res if r is not None)
+
+
+def test_cached_keys_follow_a_rebalanced_shard():
+    """... and likewise once a tombstone has redirected it to the rank a
+    shard migrated to."""
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        m = DistHashMap(replicas=1)
+        sid, target, reader = 0, 2, 3
+        keys = [k for k in (f"rb{i}" for i in range(400))
+                if shard_of(k, n) == sid][:21]
+        *held, probe = keys
+        if me == 1:
+            m.multi_put(dict.fromkeys(keys, "old"))
+        repro.barrier()
+        if me == reader:
+            assert m.multi_get(held) == ["old"] * 20
+        repro.barrier()
+        if me == 1:
+            m.rebalance(sid, target)
+            m.multi_put(dict.fromkeys(held[:10], "new"))
+        repro.barrier()
+        if me == reader:
+            assert m.owner_of(probe) == sid     # nobody told it
+            assert m.get(held[0]) == "old"      # cached, never asked
+            assert m.get(probe) == "old"        # redirected, repoints
+            assert m.owner_of(probe) == target
+            assert m.multi_get(held) == ["new"] * 10 + ["old"] * 10
+        repro.barrier()
+        return True
+
+    conduit = ChaosConduit(seed=12)
+    assert all(repro.spmd(body, ranks=4, conduit=conduit,
+                          reliability=dict(RELIABILITY, seed=12),
+                          survive_rank_death=True, timeout=30.0))
+
+
 def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
     """Without replication a dead owner is not survivable — but the
     failure must be a diagnostic naming the dead rank and the affected

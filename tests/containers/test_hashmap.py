@@ -7,7 +7,9 @@ import pytest
 
 import repro
 from repro.containers import DistHashMap, shard_of
+from repro.containers.shard import CHANGED_WINDOW
 from repro.core import collectives
+from repro.core.world import current
 from repro.errors import PgasError
 from tests.conftest import run_spmd
 
@@ -175,6 +177,161 @@ def test_cache_hits_and_epoch_invalidation():
         return True
 
     assert all(run_spmd(body, ranks=4))
+
+
+# -- the cache drops the key that changed, not the shard it lives in --------
+# Two ranks; rank 0 is the client, every key lives on rank 1's shard.
+
+CONDUITS = ("smp", "proc+socket")
+_LOOKUPS = ("kv_cache_hits", "kv_cache_misses", "ams_sent")
+
+
+def _on_shard_1(count: int, prefix: str) -> list:
+    keys = (f"{prefix}{i}" for i in range(4 * count + 64))
+    return [k for k in keys if shard_of(k, 2) == 1][:count]
+
+
+def _counted(fn) -> tuple:
+    """``fn()`` and what it added to this rank's lookup counters."""
+    stats = current().stats
+    before = stats.snapshot()
+    out = fn()
+    after = stats.snapshot()
+    return out, tuple(after[k] - before[k] for k in _LOOKUPS)
+
+
+def _owner_changes(m, key, how):
+    if how == "put":
+        m.put(key, "new")
+    elif how == "delete":
+        assert m.delete(key)
+    else:
+        m.update(key, "add", 1)
+
+
+@pytest.mark.parametrize("how", ["put", "delete", "update"])
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_one_changed_key_costs_one_miss(conduit, how):
+    """Rank 0 holds 100 keys of rank 1's shard, rank 1 changes one of
+    them, rank 0 contacts the shard once (a put of another key): the
+    re-read is 99 hits and one fetch — it was 100 fetches when a newer
+    epoch emptied the shard."""
+    def body():
+        me = repro.myrank()
+        m = DistHashMap()
+        *keys, other = _on_shard_1(101, "c")
+        if me == 1:
+            m.multi_put(dict.fromkeys(keys, 0))
+        repro.barrier()
+        if me == 0:
+            assert m.multi_get(keys) == [0] * 100
+        repro.barrier()
+        if me == 1:
+            _owner_changes(m, keys[7], how)
+        repro.barrier()
+        if me == 0:
+            assert m.get(keys[7]) == 0          # stale until a contact
+            m.put(other, "x")                   # the contact
+            vals, (hits, misses, ams) = _counted(
+                lambda: [m.get(k, default=None) for k in keys])
+            assert (hits, misses, ams) == (99, 1, 1)
+            assert vals.pop(7) == {"put": "new", "delete": None,
+                                   "update": 1}[how]
+            assert vals == [0] * 99
+            assert m.get(other) == "x"          # written through
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
+
+
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_multi_get_over_a_warm_cache_fetches_only_what_it_lacks(conduit):
+    def body():
+        me = repro.myrank()
+        m = DistHashMap()
+        keys = _on_shard_1(60, "w")
+        warm, cold = keys[:50], keys[50:]
+        if me == 1:
+            m.multi_put({k: i for i, k in enumerate(keys)})
+        repro.barrier()
+        if me == 0:
+            m.multi_get(warm)
+        repro.barrier()
+        if me == 1:
+            m.multi_put(dict.fromkeys(warm[:3], "new"))
+        repro.barrier()
+        if me == 0:
+            stats = current().stats
+            batched = stats.snapshot()["kv_batched_keys"]
+            vals, (hits, misses, ams) = _counted(
+                lambda: m.multi_get(keys))
+            assert (hits, misses, ams) == (50, 10, 1)
+            assert stats.snapshot()["kv_batched_keys"] - batched == 10
+            assert vals == list(range(60))      # 3 of them stale: allowed
+            # that AM was a contact: its reply named the 3, and only them
+            vals, (hits, misses, ams) = _counted(
+                lambda: m.multi_get(keys))
+            assert (hits, misses, ams) == (57, 3, 1)
+            assert vals == ["new"] * 3 + list(range(3, 60))
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
+
+
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_more_changes_than_the_shard_remembers_drop_it_once(conduit):
+    def body():
+        me = repro.myrank()
+        m = DistHashMap()
+        *keys, other = _on_shard_1(101, "o")
+        churn = _on_shard_1(CHANGED_WINDOW + 1, "churn")
+        if me == 1:
+            m.multi_put(dict.fromkeys(keys, 0))
+        repro.barrier()
+        if me == 0:
+            m.multi_get(keys)
+        repro.barrier()
+        if me == 1:
+            for k in churn:             # none of them a key rank 0 holds
+                m.put(k, 1)
+        repro.barrier()
+        if me == 0:
+            assert m.get(other, default=None) is None   # the contact
+            _v, (hits, misses, ams) = _counted(lambda: m.multi_get(keys))
+            assert (hits, misses, ams) == (0, 100, 1)
+            _v, (hits, misses, ams) = _counted(lambda: m.multi_get(keys))
+            assert (hits, misses, ams) == (100, 0, 0)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
+
+
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_refresh_is_still_the_fence(conduit):
+    def body():
+        me = repro.myrank()
+        m = DistHashMap()
+        (key,) = _on_shard_1(1, "f")
+        if me == 1:
+            m.put(key, "old")
+        repro.barrier()
+        if me == 0:
+            assert m.get(key) == "old"
+        repro.barrier()
+        if me == 1:
+            m.put(key, "new")
+        repro.barrier()
+        if me == 0:
+            assert m.get(key) == "old"          # no contact since
+            m.refresh()
+            assert m.get(key) == "new"
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
 
 
 def test_two_maps_are_isolated():

@@ -10,7 +10,10 @@ is driven directly, which is the point of having them.
 * a hypothesis stateful model of a primary/backup pair against a dict
   oracle;
 * ``snapshot()`` -> ``kv_state`` codec -> ``from_snapshot()`` and
-  ``kv_repl`` record round trips.
+  ``kv_repl`` record round trips;
+* the changed-keys log and the client cache's three rules: unit cases,
+  then a hypothesis stateful model of two :class:`ShardCache` clients
+  against a primary and its backup.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.containers.shard import (
     PRIMARY,
     HostedMap,
     Shard,
+    ShardCache,
     ShardSnapshot,
 )
 from repro.gasnet.wire import codecs as codecs_mod
@@ -406,3 +410,297 @@ def test_replication_records_round_trip_and_replay():
     assert backup.store == primary.store == {"a": 42}
     assert backup.applied == primary.applied
     assert backup.epoch == primary.epoch == 3
+
+
+# ---------------------------------------------------------------------------
+# (d) which keys changed, and the client cache that asks
+# ---------------------------------------------------------------------------
+
+def test_changed_since_names_keys_once_and_forgets_beyond_the_window(
+        monkeypatch):
+    monkeypatch.setattr(shard_mod, "CHANGED_WINDOW", 4)
+    sh = Shard(SID, PRIMARY, ME, OTHER)
+    sh.put({"a": 1, "b": 1})                            # epoch 1
+    sh.update(9, 1, "a", _add, (1,))                    # 2
+    assert sh.delete(["nope"]) is None                  # no epoch, no entry
+    sh.delete(["b", "nope"])                            # 3
+    assert sh.changed_since(0) == ["b", "a"]            # newest first, once
+    assert sh.changed_since(2) == ["b"]
+    assert sh.changed_since(3) == sh.changed_since(7) == []
+    sh.put({"c": 1})                                    # 4: 5 keys > 4
+    assert sh.changed_since(0) is None                  # epoch 1 forgotten
+    assert sh.changed_since(1) == ["c", "b", "a"]
+    sh.put(dict.fromkeys("vwxyz", 0))                   # 5: one record > 4
+    assert (sh.changed_floor, sh.changed_keys) == (5, 0)
+    assert sh.changed_since(4) is None
+    assert sh.changed_since(5) == []
+
+
+def test_changed_log_follows_replay_and_resets_when_history_breaks():
+    primary = Shard(SID, PRIMARY, ME, OTHER)
+    backup = Shard(SID, BACKUP, ME, OTHER)
+    recs = [primary.put({"a": 1, "b": 2}), primary.delete(["a"]),
+            primary.update(9, 1, "b", _add, (1,))]
+    backup.replay(0, recs)
+    assert [backup.changed_since(e) for e in range(4)] == \
+        [primary.changed_since(e) for e in range(4)]
+    # a gap: the backup never saw epoch 4
+    primary.put({"lost": 0})
+    backup.replay(0, [primary.put({"c": 3})])
+    assert backup.epoch == 5
+    assert [backup.changed_since(e) for e in (3, 4, 5)] == [None, None, []]
+    # promotion and snapshot installs start a log nobody can look behind
+    backup.promote(OTHER, THIRD)
+    assert backup.changed_since(5) is None and backup.changed_since(6) == []
+    for as_primary in (False, True):
+        there = Shard.from_snapshot(SID, primary.snapshot(as_primary), THIRD)
+        assert there.changed_since(there.epoch - 1) is None
+        assert there.changed_since(there.epoch) == []
+
+
+def test_shard_cache_rules():
+    c = ShardCache()
+    assert c.seen == -1
+    c.contact(5, None)
+    c.fill(5, "a", 1)
+    c.fill(5, "b", 2)
+    # rule 1: a newer reply drops what it names ...
+    c.contact(7, ["a", "zzz"])
+    assert (c.seen, c.entries) == (7, {"b": 2})
+    # ... an older (or equal) one changes nothing, whatever it names,
+    c.contact(6, None)
+    c.contact(7, ["b"])
+    assert (c.seen, c.entries) == (7, {"b": 2})
+    # rule 2: and its values are not current
+    c.fill(6, "a", "old")
+    assert c.entries == {"b": 2}
+    c.fill(7, "a", 3)
+    assert c.entries == {"b": 2, "a": 3}
+    c.contact(9, None)
+    assert (c.seen, c.entries) == (9, {})
+    # rule 3
+    c.fill(9, "a", 4)
+    c.repoint()
+    assert (c.seen, c.entries) == (-1, {})
+
+
+def test_shard_cache_is_bounded_oldest_inserted_out(monkeypatch):
+    monkeypatch.setattr(shard_mod, "CACHE_LIMIT", 3)
+    c = ShardCache()
+    for i, k in enumerate("abcab"):
+        c.fill(0, k, i)
+    assert c.entries == {"a": 3, "b": 4, "c": 2}
+    c.fill(0, "d", 9)
+    assert list(c.entries) == ["b", "c", "d"]
+
+
+def test_epochs_are_only_compared_within_one_primarys_reign():
+    """A get served while the primary still waits on its backup sees an
+    epoch the backup never got; when the backup is then promoted its
+    epoch + 1 is that very number."""
+    primary = Shard(SID, PRIMARY, 0, 1)
+    backup = Shard(SID, BACKUP, 0, 1)
+    backup.replay(0, [primary.put({"a": "both"})])
+    primary.put({"a": "primary only"})                  # never replayed
+    c = ShardCache()
+    c.contact(primary.epoch, primary.changed_since(c.seen))
+    c.fill(primary.epoch, "a", primary.store["a"])
+    backup.promote(1, 2)
+    assert backup.epoch == c.seen                       # the collision
+    assert backup.changed_since(c.seen) == []           # "nothing changed"
+    c.repoint()                                         # rule 3 instead
+    c.contact(backup.epoch, backup.changed_since(c.seen))
+    assert c.entries == {}
+
+
+CHANGED, LIMIT = 6, 3
+_GONE = object()
+
+
+class _Client:
+    def __init__(self):
+        self.cache = ShardCache()
+        self.reign = 0      # which primary's reign its table points at
+
+
+class CachedClients(RuleBasedStateMachine):
+    """Two clients read and write one shard through their caches, by the
+    three rules and nothing else.  Replication may lag (``pending``),
+    replies may be held back and delivered late, the primary may die
+    with records unreplicated, and the shard may migrate.  ``history``
+    is the serving copy's store at every epoch of the current reign."""
+
+    def __init__(self):
+        super().__init__()
+        self._saved = (shard_mod.CHANGED_WINDOW, shard_mod.CACHE_LIMIT)
+        shard_mod.CHANGED_WINDOW, shard_mod.CACHE_LIMIT = CHANGED, LIMIT
+        self.primary = Shard(SID, PRIMARY, 0, 1)
+        self.backup = Shard(SID, BACKUP, 0, 1)
+        self.pending: list = []         # records the backup has not got
+        self.reign = 0
+        self.history = {0: {}}
+        self.clients = [_Client(), _Client()]
+        self.held: list = []            # [(client, reply)]
+        self.op_ids = itertools.count(1)
+
+    def teardown(self):
+        shard_mod.CHANGED_WINDOW, shard_mod.CACHE_LIMIT = self._saved
+
+    # -- the client as hashmap.py drives it ----------------------------
+    def _turn(self, c):
+        """_route(): a table entry that changes primary is rule 3."""
+        if c.reign != self.reign:
+            c.cache.repoint()
+            c.reign = self.reign
+
+    def _reply(self, copy, epoch, seen, fills=()):
+        return (self.reign, epoch, copy.changed_since(seen),
+                {k: copy.store[k] for k in fills if k in copy.store})
+
+    def _deliver(self, c, reply, now=True):
+        if not now:
+            self.held.append((c, reply))
+            return
+        reign, epoch, changed, fills = reply
+        if reign != c.reign:
+            return      # the request died with the route it went down
+        c.cache.contact(epoch, changed)
+        for k, v in fills.items():
+            c.cache.fill(epoch, k, v)
+
+    def _mutate(self, c, apply, fills, lag, now):
+        self._turn(c)
+        seen = c.cache.seen
+        rec = apply(self.primary)
+        if rec is not None:
+            self.history[self.primary.epoch] = dict(self.primary.store)
+            self.pending.append(rec)
+        if not lag:
+            self.catch_up()
+        epoch = self.primary.epoch if rec is None else rec[-1]
+        self._deliver(c, self._reply(self.primary, epoch, seen, fills), now)
+
+    # -- rules ----------------------------------------------------------
+    @rule(i=st.integers(0, 1), ks=st.lists(_keys, min_size=1, max_size=3),
+          v=_vals, lag=st.booleans(), now=st.booleans())
+    def put(self, i, ks, v, lag, now):
+        items = dict.fromkeys(ks, v)
+        self._mutate(self.clients[i], lambda sh: sh.put(items), ks, lag, now)
+
+    @rule(i=st.integers(0, 1), k=_keys, lag=st.booleans(),
+          now=st.booleans())
+    def delete(self, i, k, lag, now):
+        self._mutate(self.clients[i], lambda sh: sh.delete([k]), (), lag,
+                     now)
+
+    @rule(i=st.integers(0, 1), k=_keys, arg=_vals, lag=st.booleans(),
+          now=st.booleans())
+    def update(self, i, k, arg, lag, now):
+        op_id = next(self.op_ids)
+        self._mutate(
+            self.clients[i],
+            lambda sh: sh.update(i, op_id, k, _add, (arg,), 0, True),
+            [k], lag, now)
+
+    @rule(i=st.integers(0, 1), k=_keys, from_backup=st.booleans(),
+          now=st.booleans())
+    def get(self, i, k, from_backup, now):
+        """Cached, or a contact that fetches it (read_replicas: from
+        either copy)."""
+        c = self.clients[i]
+        self._turn(c)
+        if k in c.cache.entries:
+            return
+        copy = self.backup if from_backup else self.primary
+        self._deliver(c, self._reply(copy, copy.epoch, c.cache.seen, [k]),
+                      now)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def deliver_a_held_back_reply(self, data):
+        c, reply = self.held.pop(
+            data.draw(st.integers(0, len(self.held) - 1)))
+        self._deliver(c, reply)
+
+    @rule()
+    def catch_up(self):
+        self.backup.replay(self.primary.repl_epoch, self.pending)
+        self.pending.clear()
+        assert self.backup.store == self.primary.store
+        assert self.backup.epoch == self.primary.epoch
+
+    @rule(k=_keys)
+    def others_write_more_than_the_window(self, k):
+        for v in range(CHANGED + 1):
+            self.pending.append(self.primary.put({k: v}))
+            self.history[self.primary.epoch] = dict(self.primary.store)
+        self.catch_up()
+
+    @rule()
+    def primary_dies_backup_takes_over(self):
+        """Whatever was pending is lost, and with it the epochs clients
+        may have seen of it."""
+        self.pending.clear()
+        self.backup.promote(self.backup.backup, 7)
+        self.primary = self.backup
+        self._new_backup()
+        self.reign += 1
+        self.history = {self.primary.epoch: dict(self.primary.store)}
+
+    @rule()
+    def migrate(self):
+        """A clean hand-over: epochs carry on, so even a client that is
+        not repointed (the shard came back to the rank it knew) stays
+        coherent."""
+        self.catch_up()
+        self.primary = Shard.from_snapshot(
+            SID, self.primary.snapshot(as_primary=True), 0)
+        self.history[self.primary.epoch] = dict(self.primary.store)
+        self._new_backup()
+
+    @rule()
+    def reinstall_the_backup(self):
+        self.pending.clear()
+        self._new_backup()
+
+    def _new_backup(self):
+        self.backup = Shard.from_snapshot(SID, self.primary.snapshot(), 1)
+
+    # -- invariants -------------------------------------------------------
+    @invariant()
+    def entries_are_the_copys_values_at_seen(self):
+        """Coherent at contact: right after a reply is applied ``seen``
+        is its epoch, so every entry equals the value the contacted copy
+        had — and until the next contact nothing else is promised."""
+        for c in self.clients:
+            if c.reign == self.reign:
+                # (an epoch of another reign has no store here)
+                then = self.history.get(c.cache.seen, {})
+                assert c.cache.entries.items() <= then.items()
+
+    @invariant()
+    def changed_since_misses_no_difference(self):
+        for copy in (self.primary, self.backup):
+            now = self.history[copy.epoch]
+            assert copy.store == now
+            for seen, then in self.history.items():
+                named = copy.changed_since(seen)
+                if named is None or seen > copy.epoch:
+                    continue
+                differ = {k for k in then.keys() | now.keys()
+                          if then.get(k, _GONE) != now.get(k, _GONE)}
+                assert differ <= set(named)
+
+    @invariant()
+    def logs_and_caches_are_bounded(self):
+        for copy in (self.primary, self.backup):
+            assert copy.changed_keys == sum(
+                len(keys) for _e, keys in copy.changed) <= CHANGED
+            assert all(e > copy.changed_floor for e, _k in copy.changed)
+        for c in self.clients:
+            assert len(c.cache.entries) <= LIMIT
+
+
+CachedClients.TestCase.settings = settings(
+    max_examples=120, stateful_step_count=40, deadline=None)
+test_cached_clients = CachedClients.TestCase
