@@ -3,7 +3,8 @@
 
 Runs an SPMD region on 4 ranks and tours the core constructs of the
 paper — shared objects, global pointers, one-sided copies, asyncs and
-finish, all inside one OS process (threads-as-ranks SMP conduit).
+finish.  Ranks are threads of this process by default (the SMP
+conduit); ``REPRO_CONDUIT=proc`` runs the same script on OS processes.
 
     python examples/quickstart.py
 """
@@ -11,6 +12,12 @@ finish, all inside one OS process (threads-as-ranks SMP conduit).
 import numpy as np
 
 import repro
+
+
+def square(x):
+    # module-level: an async's function travels by name, so it runs on
+    # either backend (a lambda only crosses threads, not processes)
+    return x * x
 
 
 def main():
@@ -51,9 +58,7 @@ def main():
     # --- async remote function invocation + finish (§III-G)
     if me == 0:
         with repro.finish():
-            futures = [
-                repro.async_(r)(lambda x: x * x, r) for r in range(n)
-            ]
+            futures = [repro.async_(r)(square, r) for r in range(n)]
         print("squares via asyncs:", [f.get() for f in futures])
 
     repro.barrier()

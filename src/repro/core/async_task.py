@@ -37,7 +37,7 @@ from repro.core.future import MultiFuture, TaskFuture
 from repro.core.team import Team
 from repro.core.world import RankState, _Task, current
 from repro.errors import SerializationError
-from repro.gasnet.am import am_handler
+from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.wire import UnencodableError, preencode
 
 Place = Union[int, Team]
@@ -105,25 +105,37 @@ class _AsyncCall:
             fut.add_callback(_completion_cb(signal, scope))
 
         def launch() -> None:
-            payload = _pack_task(fn, args, kwargs)
-            if ctx.telemetry.active:
-                name = getattr(fn, "__name__", None) or repr(fn)
-                for target in targets:
-                    ctx.telemetry.flight_event(
-                        "task_spawn", src=ctx.rank, dst=target, detail=name
+            sent = 0
+            token = None
+            try:
+                payload = _pack_task(fn, args, kwargs)
+                if ctx.telemetry.active:
+                    name = getattr(fn, "__name__", None) or repr(fn)
+                    for target in targets:
+                        ctx.telemetry.flight_event(
+                            "task_spawn", src=ctx.rank, dst=target,
+                            detail=name
+                        )
+                for target, fut in zip(targets, futures):
+                    token = ctx.new_token()
+                    fut._dst = target
+                    with ctx._pending_lock:
+                        ctx._pending[token] = fut
+                    am = ActiveMessage(
+                        handler="exec_task", src_rank=ctx.rank,
+                        payload=payload, token=token,
                     )
-            for target, fut in zip(targets, futures):
-                token = ctx.new_token()
-                fut._dst = target
+                    ctx.world.conduit.send_am(ctx.rank, target, am)
+                    sent += 1
+            except BaseException as exc:
+                # Failed at the call site: no reply will ever complete
+                # the futures that did not go out, so complete them here
+                # — the callback above releases the scope and the event.
                 with ctx._pending_lock:
-                    ctx._pending[token] = fut
-                from repro.gasnet.am import ActiveMessage
-
-                am = ActiveMessage(
-                    handler="exec_task", src_rank=ctx.rank,
-                    payload=payload, token=token,
-                )
-                ctx.world.conduit.send_am(ctx.rank, target, am)
+                    ctx._pending.pop(token, None)
+                for fut in futures[sent:]:
+                    fut.set_exception(exc)
+                raise
 
         if self._after is not None:
             self._after.add_dependent(launch)

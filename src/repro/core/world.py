@@ -145,17 +145,18 @@ class RankState:
 
     # -- messaging ------------------------------------------------------
     def deliver(self, am: ActiveMessage) -> None:
-        """Called by the conduit to enqueue an incoming message."""
+        """Enqueue an incoming message from any thread and wake the
+        rank if it is parked."""
         with self._cv:
             self._inbox.append(am)
-            self._cv.notify_all()
+        self.world.conduit.wake(self.rank)
 
     def deliver_many(self, ams) -> None:
-        """Batch :meth:`deliver`: one lock acquisition and one wakeup
-        for a whole burst (e.g. every frame in one socket read)."""
+        """What a conduit's ``poll`` calls with everything one read
+        produced: the caller is the receiver, so there is nobody to
+        wake."""
         with self._cv:
             self._inbox.extend(ams)
-            self._cv.notify_all()
 
     def new_token(self) -> int:
         return next(self._token_counter)
@@ -258,9 +259,16 @@ class RankState:
         """Process pending active messages and queued tasks.
 
         Returns True when any progress was made.  This is the paper's
-        ``advance()``: user code may call it explicitly; every blocking
-        runtime operation calls it while waiting.
+        ``advance()``: it polls the network, then runs what arrived;
+        user code may call it explicitly; every blocking runtime
+        operation calls it while waiting.
         """
+        self.world.conduit.poll(self.rank)
+        return self._drain(max_items)
+
+    def _drain(self, max_items: int | None = None) -> bool:
+        """Run what is in the inbox and the task queue (the half of
+        :meth:`advance` after the poll)."""
         self.last_heartbeat = time.monotonic()
         tel = self.telemetry
         t0 = time.perf_counter() if tel.full else 0.0
@@ -437,22 +445,26 @@ class RankState:
         if timeout is None:
             timeout = self.world.op_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
+        poll = self.world.conduit.poll
         while True:
             failure = self.world.failure
             # Our own failure normally unwinds this thread by itself, so
             # it is skipped here — unless peers declared us dead while we
             # keep running (a partitioned rank): nothing else will wake
             # us, and waiting would sit out the whole op_timeout.
-            if failure is not None and (failure[0] != self.rank
-                                        or self.dead):
-                raise PeerFailure(failure[0], failure[1])
-            progressed = self.advance()
+            if failure is not None:
+                if failure[0] != self.rank or self.dead:
+                    raise PeerFailure(failure[0], failure[1])
+                if self.world._failure_thread != threading.get_ident():
+                    # Ours, but recorded by the progress thread, which
+                    # carries on: this is where the rank unwinds.
+                    raise failure[1]
+            # Drain, test, park: a full drain leaves nothing runnable
+            # here, so the park can block — and it returns at once when
+            # the network (or a self-send) already has something.
+            self._drain()
             if pred():
                 return
-            if not progressed:
-                with self._cv:
-                    if not self._inbox and not pred():
-                        self._cv.wait(0.001)
             if deadline is not None and time.monotonic() > deadline:
                 self.telemetry.flight_event(
                     "op_timeout", src=self.rank, dst=-1,
@@ -462,6 +474,7 @@ class RankState:
                 raise CommTimeout(
                     f"rank {self.rank}: timed out waiting for {what or pred}"
                 )
+            poll(self.rank, 0.001)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankState rank={self.rank}/{self.world.n_ranks}>"
@@ -584,6 +597,9 @@ class World:
         self.conduit.attach(self)
         self._glock = threading.Lock()
         self._failure: tuple[int, BaseException] | None = None
+        #: Who recorded it: a rank's own failure unwinds its thread by
+        #: itself only when that thread is the one that failed.
+        self._failure_thread: int | None = None
         self._lock_ids = itertools.count(1)
         self._dir_ids = itertools.count(1)
         self._progress_stop = threading.Event()
@@ -663,6 +679,7 @@ class World:
         with self._glock:
             if self._failure is None:
                 self._failure = (rank, exc)
+                self._failure_thread = threading.get_ident()
         self.poke_all()
 
     # -- rank-death notification ---------------------------------------------
@@ -730,9 +747,9 @@ class World:
 
     def poke_all(self) -> None:
         """Wake all ranks blocked in wait_until (state changed)."""
-        for r in self.ranks:
-            with r._cv:
-                r._cv.notify_all()
+        wake = self.conduit.wake
+        for r in range(self.n_ranks):
+            wake(r)
 
     # -- progress thread (concurrent mode) -----------------------------------
     def start_progress_thread(self) -> None:
@@ -794,8 +811,11 @@ class World:
                     continue
                 try:
                     progressed |= rank.advance(max_items=16)
-                except PgasError:
-                    pass  # failure already recorded via world.fail
+                except Exception as exc:
+                    # Not every dispatch error went through world.fail
+                    # (unknown handler or token, a decode error): record
+                    # it — first failure wins — and keep serving.
+                    self.fail(rank.rank, exc)
             if not progressed:
                 time.sleep(0.0005)
 

@@ -9,6 +9,17 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
   memory, which is what lets both be owner-side segment views.
 * ``send_am`` is **asynchronous**: delivery enqueues the message at the
   target; execution happens at the target's next progress call.
+* **Progress is the target's**: an AM arrives when its target polls.
+  ``poll(rank, timeout)`` (GASNet's ``AMPoll``) moves whatever has
+  arrived for ``rank`` into its inbox, parking up to ``timeout`` for the
+  first byte; ``wake(rank)`` brings a thread parked there back.
+  ``advance()`` is ``poll(rank)`` + drain, blocking calls park in
+  ``poll``, and no backend receives on a rank's behalf — so where the
+  transport is bounded (proc) a rank that computes without calling the
+  runtime throttles its senders instead of growing an inbox
+  (**back-pressure**; ``thread_mode="concurrent"`` is the remedy), and
+  **a blocked sender polls** (GASNet's rule), or two ranks flooding each
+  other would deadlock.
 * Point-to-point AM ordering between a fixed (src, dst) pair is FIFO —
   the guarantee GASNet provides and the runtime relies on.
 * ``rma_put_indexed``/``rma_get_indexed``/``rma_atomic_batch`` are the
@@ -139,6 +150,26 @@ class Conduit(abc.ABC):
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
         """Deliver ``am`` into rank ``dst``'s inbox."""
 
+    def poll(self, rank: int, timeout: float = 0.0) -> bool:
+        """Move whatever has arrived for ``rank`` into its inbox, parking
+        up to ``timeout`` seconds for the first byte; returns whether the
+        inbox has anything in it.  The default serves conduits whose
+        ``send_am`` appends to the inbox directly: nothing to move, so
+        parking is a wait on the rank's condition variable."""
+        rk = self.world.ranks[rank]
+        if timeout > 0.0:
+            with rk._cv:
+                if not rk._inbox:
+                    rk._cv.wait(timeout)
+        return bool(rk._inbox)
+
+    def wake(self, rank: int) -> None:
+        """Bring a thread parked in :meth:`poll` for ``rank`` back:
+        something changed in this process."""
+        rk = self.world.ranks[rank]
+        with rk._cv:
+            rk._cv.notify_all()
+
     # -- one-sided RMA ---------------------------------------------------
     @abc.abstractmethod
     def rma_put(self, src: int, dst: int, offset: int,
@@ -244,7 +275,8 @@ class ConduitLayer(Conduit):
     argument, say) touches this class and the backends — not each layer:
 
     * **forwarding** — ``world``/``caps``/``attach``/``close``/
-      ``send_am``/``deliver_encoded`` go to the inner conduit, and any
+      ``send_am``/``deliver_encoded``/``poll``/``wake`` go to the inner
+      conduit, and any
       other attribute (``fail_next_am``, ``kill_rank``, ``cfg``,
       ``fault_events``, ...) is reached through :meth:`__getattr__`,
       so test hooks and inner-layer knobs work through the whole stack.
@@ -299,6 +331,12 @@ class ConduitLayer(Conduit):
         must not encode or record again: that happened once, in the
         ``send_am`` of whichever layer made the send decision."""
         self._inner.deliver_encoded(src, dst, am)
+
+    def poll(self, rank: int, timeout: float = 0.0) -> bool:
+        return self._inner.poll(rank, timeout)
+
+    def wake(self, rank: int) -> None:
+        self._inner.wake(rank)
 
     # -- one-sided RMA: six signatures, one hook ---------------------------
     def _rma(self, kind: str, fn, src: int, dst: int, *args):

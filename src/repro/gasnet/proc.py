@@ -28,7 +28,7 @@ Design
   clear :class:`~repro.errors.SerializationError` at the sender instead
   of delivering a dangling reference.
 
-* **Two AM transports, one message stream, one receive loop.**  Both
+* **Two AM transports, one message stream, no receive thread.**  Both
   carry the same per-directed-pair byte stream (DEF records and
   frames, below) and both wake the receiver through the pair's mesh
   socket.  ``proc+socket`` — which plain ``proc`` names — writes the
@@ -38,11 +38,32 @@ Design
   pair's directed :mod:`repro.gasnet.ring` SPSC region (all regions
   live in one ``multiprocessing.shared_memory`` block the launcher
   creates before the fork) and then sends **one bell byte** on the
-  socket; the receive thread, woken by the bell, drains that peer's
-  ring until it is empty.  Only that thread ever touches a consumer,
-  so the rings' single-consumer rule is structural.  A bell per send
-  does everything a ``sendmsg`` does plus a slot copy, so the ring does
-  not beat the socket on small frames (ROADMAP item 1 has the numbers).
+  socket; whoever reads the bell drains that peer's ring until it is
+  empty.  A bell per send does everything a ``sendmsg`` does plus a
+  slot copy, so the ring does not beat the socket on small frames
+  (ROADMAP item 1 has the numbers).
+
+* **The waiting rank is the receiver** (paper §IV; GASNet's
+  ``AMPoll``): :meth:`ProcConduit.poll` — one ``select`` over the peer
+  sockets, one read per readable peer — runs in ``advance()`` and is
+  where ``wait_until`` parks, so a reply wakes the thread that wants it.
+  A rank that computes without polling throttles its senders, and **a
+  blocked sender polls** (:meth:`ProcConduit._blocked`; sends are
+  ``MSG_DONTWAIT``), or two ranks flooding each other would deadlock.
+
+* **Locks, and why each stays.**  Per-peer *send locks*: the rank
+  thread, the progress thread and the reliability monitor all send, and
+  messages must not interleave on a stream.  ``_recv_lock``: one
+  receiver at a time (parser state is not re-entrant, the rings are
+  single-consumer); a second caller — the progress thread, a
+  handler-nested wait, a blocked sender — tries it, or waits for it at
+  most its own timeout, and never spins.  The rank's *inbox condition*:
+  the parking place on smp, and here the mutex for deliveries from other
+  threads of the process (the monitor's synthesized ``__error__``
+  replies, the launcher's ``proc-control`` thread), which
+  :meth:`ProcConduit.wake` follows with a byte on the self-pipe only
+  when somebody is parked in ``select``.  (The core's ``_pending_lock``,
+  ``_handler_lock`` and stats lock are ROADMAP item 2 (c)'s census.)
 
 * **Handler-id translation.**  Handler names are interned to 16-bit ids
   per process in call order, so ids can diverge after the fork.  The
@@ -160,29 +181,6 @@ def _buf_span(b):
 
 def _span_len(mv) -> int:
     return mv.nbytes if isinstance(mv, memoryview) else len(mv)
-
-
-def _sendmsg_all(sock: socket.socket, parts) -> None:
-    """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
-    syscall for header + control + buffers + refs on the common path
-    (vs. one ``sendall`` per piece), looping only on partial writes."""
-    spans = []
-    for p in parts:
-        m = p if isinstance(p, memoryview) else memoryview(p)
-        if m.nbytes:
-            spans.append(m)
-    i = 0
-    while i < len(spans):
-        batch = spans[i:i + _IOV_BATCH]
-        sent = sock.sendmsg(batch)
-        for m in batch:
-            n = m.nbytes
-            if sent >= n:
-                sent -= n
-                i += 1
-            else:
-                spans[i] = m[sent:]
-                break
 
 
 class _StreamParser:
@@ -443,9 +441,18 @@ class ProcConduit(SegmentRma, Conduit):
         self._parsers = {p: _StreamParser() for p in peers}
         self._agreed = fabric.agreed_handlers
         self._closing = False
-        self._recv_thread: threading.Thread | None = None
-        # Self-pipe so close() can wake the receiver out of select().
+        # The receive side: built by attach(), run under _recv_lock by
+        # whoever calls poll().
+        self._sel: selectors.BaseSelector | None = None
+        self._recv_lock = threading.Lock()
+        # One reusable receive buffer (``recv(n)`` would allocate n
+        # bytes per read); the parser copies what it keeps.
+        self._recv_view = memoryview(bytearray(_RECV_CHUNK))
+        # Self-pipe: wake() brings a parked poll() out of select() —
+        # and costs nothing unless one may be there (_parked is raised
+        # before poll() re-checks the inbox).
         self._wake_r, self._wake_w = socket.socketpair()
+        self._parked = False
         #: Wire-level counters (the conformance suite's no-pickle /
         #: no-frame assertions read these).
         self.frames_sent = 0
@@ -472,28 +479,17 @@ class ProcConduit(SegmentRma, Conduit):
         self._stats = world.ranks[self.local_rank].stats
         if world.op_timeout:
             self._stall_limit = float(world.op_timeout)
-        self._recv_thread = threading.Thread(
-            target=self._recv_main,
-            name=f"proc-recv-{self.local_rank}", daemon=True,
-        )
-        self._recv_thread.start()
+        self._sel = sel = selectors.DefaultSelector()
+        sel.register(self._wake_r, selectors.EVENT_READ, None)
+        for p, sock in self._socks.items():
+            sel.register(sock, selectors.EVENT_READ, p)
 
     def close(self) -> None:
         self._closing = True
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-        t = self._recv_thread
-        if t is not None:
-            t.join(timeout=5.0)
-            self._recv_thread = None
-        for s in self._socks.values():
-            try:
-                s.close()
-            except OSError:
-                pass
-        for s in (self._wake_r, self._wake_w):
+        with self._recv_lock:  # a parked poll() is back within its 1 ms
+            if self._sel is not None:
+                self._sel.close()
+        for s in (*self._socks.values(), self._wake_r, self._wake_w):
             try:
                 s.close()
             except OSError:
@@ -553,7 +549,7 @@ class ProcConduit(SegmentRma, Conduit):
                 if refs_blob:
                     parts.append(refs_blob)
                 if prod is None:
-                    _sendmsg_all(sock, parts)
+                    self._sendmsg_all(dst, sock, parts)
                 else:
                     self._ring_send(dst, prod, sock, parts)
         except OSError as exc:
@@ -599,6 +595,63 @@ class ProcConduit(SegmentRma, Conduit):
             out += name
             seen.add(hid)
         return out
+
+    def _sendmsg_all(self, dst: int, sock: socket.socket, parts) -> None:
+        """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
+        syscall for header + control + buffers + refs on the common path
+        (vs. one ``sendall`` per piece), looping on partial writes and
+        never blocking in the kernel: a full socket buffer is a
+        :meth:`_blocked` turn."""
+        spans = []
+        for p in parts:
+            m = p if isinstance(p, memoryview) else memoryview(p)
+            if m.nbytes:
+                spans.append(m)
+        i = 0
+        stall_t = None
+        while i < len(spans):
+            batch = spans[i:i + _IOV_BATCH]
+            try:
+                sent = sock.sendmsg(batch, (), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                if stall_t is None:
+                    stall_t = time.monotonic()
+                if not self._blocked(dst, stall_t, sock):
+                    return
+                continue
+            stall_t = None
+            for m in batch:
+                n = m.nbytes
+                if sent >= n:
+                    sent -= n
+                    i += 1
+                else:
+                    spans[i] = m[sent:]
+                    break
+
+    def _blocked(self, dst: int, since: float, sock=None) -> bool:
+        """One turn of a sender that cannot move bytes toward ``dst``
+        (full socket buffer, full ring) and has not since ``since``:
+        poll inbound — GASNet's rule; the caller may hold ``dst``'s send
+        lock, and poll only fills the inbox — then wait for ``sock`` to
+        take bytes again.  False means drop the message (shutdown, dead
+        peer); raises after ``_stall_limit``."""
+        if self._closing:
+            return False
+        world = self.world
+        if world is not None and world.ranks[dst].dead:
+            return False
+        if time.monotonic() - since > self._stall_limit:
+            raise TransientCommError(
+                f"proc conduit: send {self.local_rank}->{dst} blocked "
+                f"for {self._stall_limit:.1f}s (receiver stalled)"
+            )
+        self.poll(self.local_rank)
+        if sock is not None:
+            with selectors.DefaultSelector() as sel:
+                sel.register(sock, selectors.EVENT_WRITE)
+                sel.select(0.001)
+        return True
 
     def _send_error(self, dst: int, exc: OSError) -> None:
         """A send hit a closed socket: benign during shutdown or when
@@ -651,29 +704,20 @@ class ProcConduit(SegmentRma, Conduit):
             # bell for what is already published *before* waiting: the
             # receiver drains only when told to, so a message larger
             # than the ring would wait for a drain that never comes.
-            # Then escalate spin -> yield -> sleep while watching for
-            # peer death.
+            # Then take blocked-sender turns, escalating spin -> yield
+            # -> sleep between them.
             if unrung:
                 bells += self._bell(sock)
                 unrung = False
             if stats is not None:
                 stats.add(wire_ring_full_backoffs=1)
-            if self._closing:
-                return
-            world = self.world
-            if world is not None:
-                rk = world.ranks[dst]
-                if rk.dead or rk.done:
-                    return  # trailing chatter to a finished/dead peer
-            now = time.monotonic()
             if stall_t is None:
-                stall_t = now
-            elif now - stall_t > self._stall_limit:
-                raise TransientCommError(
-                    f"proc conduit: ring {self.local_rank}->{dst} "
-                    f"full for {self._stall_limit:.1f}s "
-                    f"(receiver stalled)"
-                )
+                stall_t = time.monotonic()
+            world = self.world
+            if world is not None and world.ranks[dst].done:
+                return  # trailing chatter to a finished peer
+            if not self._blocked(dst, stall_t):
+                return
             spins += 1
             if spins <= 16:
                 continue
@@ -737,7 +781,7 @@ class ProcConduit(SegmentRma, Conduit):
 
     def _drain(self, peer: int, cons: RingConsumer) -> None:
         """Feed the parser every slot ``peer`` has published.  Called
-        only from the receive thread: the ring is single-consumer."""
+        only under ``_recv_lock``: the ring is single-consumer."""
         chunk = cons.try_recv()
         if chunk is None:
             return  # a bell for slots an earlier wake-up already took
@@ -747,52 +791,69 @@ class ProcConduit(SegmentRma, Conduit):
         if self._stats is not None:
             self._stats.add(wire_ring_wakeups=1)
 
-    def _recv_main(self) -> None:
-        """The one receive loop, both transports.  What a readable peer
-        socket delivers is the message bytes themselves (socket) or
-        bell bytes saying that peer's ring has slots (ring)."""
-        sel = selectors.DefaultSelector()
-        sel.register(self._wake_r, selectors.EVENT_READ, None)
-        for p, s in self._socks.items():
-            sel.register(s, selectors.EVENT_READ, p)
-        open_peers = set(self._socks)
-        # One reusable receive buffer: ``recv(n)`` would allocate an
-        # n-byte object on every wake-up, however little arrived.  The
-        # parser copies what it keeps, so the buffer is free again as
-        # soon as _feed returns.
-        view = memoryview(bytearray(_RECV_CHUNK))
+    def poll(self, rank: int, timeout: float = 0.0) -> bool:
+        """The receive loop body, run by whoever waits: one ``select``
+        over the peer sockets, one read per readable peer — message
+        bytes (socket) or bell bytes saying that peer's ring has slots
+        (ring).  A second caller waits for the lock at most ``timeout``
+        and otherwise leaves the receiving to the first."""
+        inbox = self.world.ranks[rank]._inbox
+        lock = self._recv_lock
+        if not (lock.acquire(False)
+                or (timeout > 0.0 and lock.acquire(timeout=timeout))):
+            return bool(inbox)
         try:
-            while not self._closing:
-                for key, _ in sel.select(timeout=0.25):
-                    peer = key.data
-                    if peer is None:
-                        return  # woken by close()
-                    try:
-                        n = key.fileobj.recv_into(view)
-                    except OSError:
-                        if self._closing:
-                            return
-                        n = 0
-                    if not n:
-                        sel.unregister(key.fileobj)
-                        open_peers.discard(peer)
-                        continue
-                    try:
-                        cons = self._cons.get(peer)
-                        if cons is None:
-                            self._feed(peer, view[:n])
-                        else:
-                            self._drain(peer, cons)
-                    except BaseException as exc:
-                        if self._closing:
-                            return
-                        if self.world is not None:
-                            self.world.fail(self.local_rank, exc)
-                        return
-                if not open_peers:
-                    return
+            if self._closing:
+                return bool(inbox)
+            if timeout > 0.0:
+                self._parked = True
+                if inbox:  # delivered before wake() could see the flag
+                    timeout = 0.0
+            try:
+                events = self._sel.select(timeout)
+            finally:
+                self._parked = False
+            for key, _ in events:
+                self._receive(key.fileobj, key.data)
         finally:
-            sel.close()
+            lock.release()
+        return bool(inbox)
+
+    def wake(self, rank: int) -> None:
+        if self._parked:
+            try:
+                self._wake_w.send(b"\0", socket.MSG_DONTWAIT)
+            except OSError:
+                pass  # closed, or full of wake-ups already
+
+    def _receive(self, sock: socket.socket, peer: int | None) -> None:
+        """One read from a readable socket (caller holds ``_recv_lock``)."""
+        view = self._recv_view
+        try:
+            n = sock.recv_into(view, 0, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            if self._closing:
+                return
+            n = 0
+        if peer is None:
+            return  # wake-up bytes: being back is the message
+        if not n:
+            self._sel.unregister(sock)  # peer exited
+            return
+        try:
+            cons = self._cons.get(peer)
+            if cons is None:
+                self._feed(peer, view[:n])
+            else:
+                self._drain(peer, cons)
+        except Exception as exc:
+            if self._closing:
+                return
+            self._sel.unregister(sock)  # the stream is unparseable now
+            self.world.fail(self.local_rank, exc)
+            raise
 
     def _translate(self, peer: int, ctrl: bytearray) -> None:
         """Rewrite post-fork handler ids to this process's ids."""

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import repro
+from repro.errors import SerializationError, TransientCommError
 from tests.conftest import run_spmd
 
 
@@ -100,6 +101,42 @@ def test_finish_propagates_user_exception_without_hanging():
         return True
 
     assert all(run_spmd(body, ranks=2))
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_async_failing_at_its_call_site_releases_scope_and_event(conduit):
+    """An async that never went out completes with the call-site error:
+    the finish block raises it at once (it used to sit out the whole
+    op timeout, and a peer's CommTimeout masked the real error) and the
+    event still fires."""
+    def body():
+        me = repro.myrank()
+        world = repro.current_world()
+        out = None
+        if me == 0:
+            done = repro.Event()
+            if conduit == "smp":
+                boom = TransientCommError("injected")
+                world.conduit.fail_next_am = boom
+                fn = int
+            else:
+                boom = SerializationError
+                fn = lambda x: x * x  # noqa: E731 - cannot cross a process
+            t0 = time.perf_counter()
+            try:
+                with repro.finish() as scope:
+                    repro.async_(1, signal=done)(fn, 3)
+            except (TransientCommError, SerializationError) as exc:
+                out = (exc is boom or type(exc) is boom,
+                       time.perf_counter() - t0, scope.outstanding,
+                       done.test())
+        repro.barrier()
+        return out
+
+    right_error, elapsed, outstanding, fired = run_spmd(
+        body, ranks=2, conduit=conduit, timeout=5.0)[0]
+    assert right_error and elapsed < 1.0
+    assert outstanding == 0 and fired
 
 
 def test_many_tasks_in_one_finish():

@@ -8,8 +8,21 @@ Pthread") services it meanwhile.
 
 import time
 
+import pytest
+
 import repro
+from repro.errors import PgasError
 from tests.conftest import run_spmd
+
+# The two modes mean the same thing on both backends; on proc the
+# progress thread is also the only thing that receives for a rank that
+# computes without calling the runtime.
+CONDUITS = ("smp", "proc+socket")
+
+
+def _served():
+    # module-level: an async's function crosses processes by name
+    return "served"
 
 
 def _busy_loop(stop_at: float) -> int:
@@ -20,14 +33,15 @@ def _busy_loop(stop_at: float) -> int:
     return x
 
 
-def test_serialized_mode_defers_tasks_until_progress():
+def _serialized_mode_defers(conduit):
     def body():
         me = repro.myrank()
         repro.barrier()
         elapsed = 0.0
         if me == 0:
+            time.sleep(0.02)  # rank 1 has left the barrier's last drain
             t0 = time.perf_counter()
-            f = repro.async_(1)(lambda: "served")
+            f = repro.async_(1)(_served)
             # rank 1 is busy below and not polling; our get() waits for
             # its next runtime call.
             assert f.get(timeout=20) == "served"
@@ -38,18 +52,26 @@ def test_serialized_mode_defers_tasks_until_progress():
         repro.barrier()
         return elapsed
 
-    res = run_spmd(body, ranks=2)
+    res = run_spmd(body, ranks=2, conduit=conduit)
     assert res[0] >= 0.25  # served only after the busy loop
 
 
-def test_concurrent_mode_services_busy_ranks():
+def test_serialized_mode_defers_tasks_until_progress():
+    _serialized_mode_defers("smp")
+
+
+def test_serialized_mode_defers_tasks_until_progress_on_proc():
+    _serialized_mode_defers("proc+socket")
+
+
+def _concurrent_mode_services(conduit):
     def body():
         me = repro.myrank()
         repro.barrier()
         elapsed = 0.0
         if me == 0:
             t0 = time.perf_counter()
-            f = repro.async_(1)(lambda: "served")
+            f = repro.async_(1)(_served)
             assert f.get(timeout=20) == "served"
             elapsed = time.perf_counter() - t0
         else:
@@ -57,9 +79,37 @@ def test_concurrent_mode_services_busy_ranks():
         repro.barrier()
         return elapsed
 
-    res = run_spmd(body, ranks=2, thread_mode="concurrent")
+    res = run_spmd(body, ranks=2, thread_mode="concurrent", conduit=conduit)
     # The progress thread served the task while rank 1 was computing.
     assert res[0] < 0.45
+
+
+def test_concurrent_mode_services_busy_ranks():
+    _concurrent_mode_services("smp")
+
+
+def test_concurrent_mode_services_busy_ranks_on_proc():
+    _concurrent_mode_services("proc+socket")
+
+
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_concurrent_mode_reports_dispatch_errors(conduit):
+    """An AM the progress thread cannot dispatch fails the world, as it
+    does when the rank dispatches it itself — the thread used to
+    swallow it and ``spmd`` returned normally."""
+    def body():
+        me = repro.myrank()
+        repro.barrier()
+        if me == 0:
+            repro.current_world().ranks[0].send_am(1, "no_such_handler")
+        else:
+            _busy_loop(time.perf_counter() + 0.3)
+        repro.barrier()
+
+    t0 = time.perf_counter()
+    with pytest.raises(PgasError, match="no_such_handler"):
+        run_spmd(body, ranks=2, thread_mode="concurrent", conduit=conduit)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_concurrent_mode_runs_full_workload():

@@ -11,9 +11,12 @@ that cannot cross a process boundary).
 """
 
 import glob
+import json
 import multiprocessing
 import os
 import re
+import signal
+import threading
 import time
 
 import numpy as np
@@ -22,7 +25,13 @@ import pytest
 import repro
 from repro.core import proclaunch
 from repro.core.collectives import allreduce, barrier
-from repro.errors import PgasError, RankDead, SerializationError
+from repro.errors import (
+    PeerFailure,
+    PgasError,
+    RankDead,
+    SerializationError,
+    TransientCommError,
+)
 from repro.gasnet import backends
 from repro.gasnet.am import am_handler
 from repro.gasnet.chaos import ChaosConduit
@@ -183,6 +192,213 @@ def test_handler_raising_after_its_reply_fails_with_its_own_error(conduit):
 
     with pytest.raises(ValueError, match="raised after replying"):
         run_spmd(body, ranks=2, conduit=conduit)
+
+
+# -- progress: poll / wake ----------------------------------------------------
+#
+# An AM arrives when its target polls; nothing receives on a rank's
+# behalf.  What that buys (no thread, a bounded inbox) and what it owes
+# (a blocked sender polls; a parked rank is woken by what changes in
+# its own process) is checked here on every backend that has the
+# property.
+
+PROC_TRANSPORTS = ("proc+socket", "proc+ring")
+
+
+def _busy_until(stop_at: float) -> None:
+    """Compute without touching the runtime until the deadline."""
+    while time.perf_counter() < stop_at:
+        pass
+
+
+@am_handler("conformance_numbered")
+def _numbered(ctx, am):
+    """Record ``(seq, payload is exactly what seq implies)``."""
+    (seq,) = am.args
+    ok = am.payload is None or (
+        am.payload.dtype == np.int64
+        and bool((am.payload == seq * 2 + am.src_rank).all()))
+    ctx.scratch.setdefault("numbered", []).append(
+        (seq, ok, 0 if am.payload is None else am.payload.nbytes))
+
+
+def _send_numbered(ctx, dst: int, count: int, nbytes: int = 0) -> None:
+    for seq in range(count):
+        payload = None
+        if nbytes:
+            payload = np.full(nbytes // 8, seq * 2 + ctx.rank,
+                              dtype=np.int64)
+        ctx.send_am(dst, "conformance_numbered", args=(seq,),
+                    payload=payload)
+
+
+def _await_numbered(ctx, count: int) -> list:
+    got = ctx.scratch.setdefault("numbered", [])
+    ctx.wait_until(lambda: len(got) >= count, what="numbered AMs")
+    return got
+
+
+@pytest.mark.parametrize("conduit", PROC_TRANSPORTS)
+def test_proc_rank_runs_no_receive_thread(conduit):
+    """A serialized proc rank is its main thread plus the launcher's
+    control thread: receiving is done by whoever waits."""
+    def body():
+        barrier()
+        return sorted(t.name for t in threading.enumerate())
+
+    for names in run_spmd(body, ranks=2, conduit=conduit):
+        assert names == ["MainThread", "proc-control"]
+
+
+def test_two_ranks_flooding_each_other_do_not_deadlock(conduit):
+    """Both ranks send 200 x 256 KiB at each other before either polls.
+    With no receive thread this deadlocks in ``sendmsg`` unless a
+    blocked sender keeps receiving."""
+    count, nbytes = 200, 256 << 10
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        _send_numbered(ctx, 1 - me, count, nbytes)
+        got = list(_await_numbered(ctx, count))
+        barrier()
+        return got
+
+    expect = [(seq, True, nbytes) for seq in range(count)]
+    assert run_spmd(body, ranks=2, conduit=conduit) == [expect, expect]
+
+
+@pytest.mark.parametrize("conduit", PROC_TRANSPORTS)
+def test_busy_receiver_throttles_its_sender(conduit):
+    """Back-pressure replaces the unbounded inbox: 300 MiB sent at a
+    rank that computes without polling stay on the sender's side of
+    the transport, then arrive whole and in order."""
+    count, nbytes = 300, 1 << 20
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        if me == 0:
+            _send_numbered(ctx, 1, count, nbytes)
+            barrier()
+            return None
+        _busy_until(time.perf_counter() + 1.5)
+        queued = len(ctx._inbox)
+        got = list(_await_numbered(ctx, count))
+        barrier()
+        return queued, got
+
+    queued, got = run_spmd(body, ranks=2, conduit=conduit, timeout=60.0)[1]
+    assert queued == 0
+    assert got == [(seq, True, nbytes) for seq in range(count)]
+
+
+def test_one_way_burst_into_a_busy_rank_arrives_in_order(conduit):
+    count = 20_000
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        got = None
+        if me == 0:
+            _send_numbered(ctx, 1, count)
+        else:
+            _busy_until(time.perf_counter() + 0.3)
+            got = [seq for seq, _ok, _n in _await_numbered(ctx, count)]
+        barrier()
+        return got
+
+    res = run_spmd(body, ranks=2, conduit=conduit, timeout=60.0)
+    assert res[1] == list(range(count))
+
+
+@pytest.mark.parametrize("conduit", PROC_TRANSPORTS)
+def test_sender_blocked_on_a_rank_that_never_polls_gives_up(conduit,
+                                                            tmp_path):
+    """The blocked sender's own guard: ``TransientCommError`` after the
+    op timeout, with no lock left held."""
+    report = tmp_path / "report.json"
+
+    def body():
+        me = repro.myrank()
+        world = repro.current_world()
+        ctx = world.ranks[me]
+        barrier()
+        if me == 1:
+            _busy_until(time.perf_counter() + 3.0)
+            barrier()
+            return
+        t0 = time.perf_counter()
+        try:
+            _send_numbered(ctx, 1, 300, 1 << 20)
+        finally:
+            cond = world.conduit
+            report.write_text(json.dumps({
+                "elapsed": time.perf_counter() - t0,
+                "send_locked": cond._send_locks[1].locked(),
+                "recv_locked": cond._recv_lock.locked(),
+            }))
+
+    with pytest.raises(TransientCommError, match="receiver stalled"):
+        run_spmd(body, ranks=2, conduit=conduit, timeout=1.0)
+    got = json.loads(report.read_text())
+    assert got["elapsed"] < 2.0
+    assert not got["send_locked"] and not got["recv_locked"]
+
+
+def test_peer_failure_wakes_a_parked_rank(conduit, tmp_path):
+    """A rank parked in ``wait_until`` hears of its peer's failure
+    within a second of the raise, on any backend."""
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        if me == 1:
+            time.sleep(0.2)
+            (tmp_path / "raised").write_text(repr(time.time()))
+            raise ValueError("deliberate")
+        try:
+            ctx.wait_until(lambda: False, what="nothing")
+        finally:
+            (tmp_path / "woken").write_text(repr(time.time()))
+
+    with pytest.raises(ValueError, match="deliberate"):
+        run_spmd(body, ranks=2, conduit=conduit)
+    raised = float((tmp_path / "raised").read_text())
+    woken = float((tmp_path / "woken").read_text())
+    assert 0.0 <= woken - raised < 1.0
+
+
+def test_killed_peer_fails_the_reply_it_owes_promptly():
+    """proc+socket under the reliability layer: the death reaches the
+    waiter as an error reply delivered by another thread of its own
+    process, which has to wake it out of its poll."""
+    peer_timeout = 0.5
+
+    def body():
+        me = repro.myrank()
+        barrier()
+        if me == 1:
+            time.sleep(0.3)             # never serves rank 0's request
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.1)                 # rank 1 has left the barrier
+        t0 = time.perf_counter()
+        fut = repro.async_(1)(_bounce, 1)
+        try:
+            fut.get()
+        except (RankDead, PeerFailure) as exc:
+            return type(exc).__name__, time.perf_counter() - t0
+        return "no error", time.perf_counter() - t0
+
+    res = run_spmd(body, ranks=2, conduit="proc+socket",
+                   reliability={"peer_timeout": peer_timeout},
+                   survive_rank_death=True)
+    kind, elapsed = res[0]
+    assert kind == "RankDead"
+    assert elapsed < 0.2 + peer_timeout + 1.0
 
 
 # -- collectives + telemetry ------------------------------------------------

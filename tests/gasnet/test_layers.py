@@ -1,8 +1,9 @@
 """The conduit-layer contract: what every layer inherits from
 :class:`~repro.gasnet.conduit.ConduitLayer` and must not break.
 
-* the seven ops keep ``Conduit``'s signatures on every layer and
-  backend (an argument added to the contract is added in one place);
+* the contract's ops — the seven data ops plus ``poll``/``wake`` —
+  keep ``Conduit``'s signatures on every layer and backend (an
+  argument added to the contract is added in one place);
 * a layer that overrides nothing is transparent anywhere in the stack —
   ops, attribute forwarding and all;
 * stacked fault layers charge the sender's counters once per AM.
@@ -33,7 +34,7 @@ from repro.gasnet import (
 from tests.conftest import run_spmd
 
 OPS = ("send_am", "rma_put", "rma_get", "rma_atomic", "rma_put_indexed",
-       "rma_get_indexed", "rma_atomic_batch")
+       "rma_get_indexed", "rma_atomic_batch", "poll", "wake")
 LAYERS = (ConduitLayer, TelemetryConduit, ReliableConduit, ChaosConduit,
           DelayConduit)
 BACKENDS = (SmpConduit, ProcConduit)
@@ -44,6 +45,17 @@ BACKENDS = (SmpConduit, ProcConduit)
 def test_op_signatures_match_the_contract(cls, op):
     assert (inspect.signature(getattr(cls, op))
             == inspect.signature(getattr(Conduit, op)))
+
+
+def test_progress_ops_are_written_out_in_three_classes_only():
+    """``poll``/``wake``: declared in ``Conduit`` (the condition-variable
+    default every in-process conduit uses), forwarded in
+    ``ConduitLayer``, overridden by the one backend that has a wire to
+    read — no layer re-implements them."""
+    for op in ("poll", "wake"):
+        owners = {cls.__name__ for cls in (Conduit,) + LAYERS + BACKENDS
+                  if op in vars(cls)}
+        assert owners == {"Conduit", "ConduitLayer", "ProcConduit"}
 
 
 def test_layers_are_conduits():
@@ -90,11 +102,30 @@ class _Noop(ConduitLayer):
     """Overrides nothing: pure ConduitLayer forwarding."""
 
 
+class _SpySmp(SmpConduit):
+    """The smp backend, noting the progress ops that reach it (a layer
+    that failed to forward them would run ``Conduit``'s default on
+    itself, which works on smp and so would go unnoticed)."""
+
+    def __init__(self):
+        super().__init__()
+        self.polled: list = []
+        self.woken: list = []
+
+    def poll(self, rank, timeout=0.0):
+        self.polled.append((rank, timeout))
+        return super().poll(rank, timeout)
+
+    def wake(self, rank):
+        self.woken.append(rank)
+        super().wake(rank)
+
+
 def _stack(position: str):
     """``Telemetry(Reliable(Chaos(smp)))`` minus the telemetry layer (the
     world adds it), with a ``_Noop`` at ``position``; also returns the
-    chaos layer for identity checks."""
-    smp = SmpConduit()
+    chaos layer and the backend for identity checks."""
+    smp = _SpySmp()
     chaos = ChaosConduit(_Noop(smp) if position == "under_chaos" else smp,
                          seed=5, am_drop_rate=0.1, am_dup_rate=0.1,
                          rma_fault_rate=0.2)
@@ -103,13 +134,13 @@ def _stack(position: str):
         seed=5, ack_timeout=0.005)
     if position == "under_telemetry":
         stack = _Noop(stack)
-    return stack, chaos
+    return stack, chaos, smp
 
 
 @pytest.mark.parametrize("position", ["under_chaos", "under_reliable",
                                       "under_telemetry", "outermost"])
 def test_noop_layer_is_transparent(position):
-    stack, chaos = _stack(position)
+    stack, chaos, smp = _stack(position)
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -140,12 +171,20 @@ def test_noop_layer_is_transparent(position):
         assert top.cfg.ack_timeout == 0.005
         assert top.caps is SmpConduit.caps
         assert isinstance(top.fault_events(), list)
+        # poll / wake reach the backend from the outermost layer
+        before = len(smp.polled), len(smp.woken)
+        assert isinstance(top.poll(me), bool)
+        top.wake(me)
+        assert (me, 0.0) in smp.polled[before[0]:]
+        assert me in smp.woken[before[1]:]
         with pytest.raises(AttributeError):
             top.no_such_attribute
         repro.barrier()
         return True
 
     assert all(run_spmd(body, ranks=2, conduit=stack, telemetry="flight"))
+    # every blocking call above parked in the backend's poll
+    assert {(0, 0.001), (1, 0.001)} <= set(smp.polled)
 
 
 def test_noop_layer_passes_control_events_down():
