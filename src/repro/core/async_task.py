@@ -14,22 +14,27 @@ the paper's companion :func:`async_after`):
     async_after(3, after=e)(next_stage)   # launch once e has fired
 
 Implementation follows paper §IV: the function and its arguments are
-packed into a contiguous buffer (the wire codec, pickle-5 fallback for
-dynamic objects — measured and charged to the communication stats) and
-shipped with an active message; the target unpacks and enqueues the
-task; its ``advance()`` executes it and replies with the encoded return
-value, which completes the initiator-side future, decrements enclosing
-finish scopes, and signals events.
+packed into a contiguous buffer and shipped with an active message.
+The paper packs a function *pointer* (SPMD ranks share a code image);
+here a module-level function travels as its name, ``module:qualname``,
+in the wire codec's tagged stream — no pickle — and an empty ``kwargs``
+as one byte; arguments are stream-encoded by value (pickle-5 only for
+genuinely dynamic objects, measured and charged to the communication
+stats).  The target unpacks and enqueues the task; its ``advance()``
+executes it and replies with the encoded return value, which completes
+the initiator-side future, decrements enclosing finish scopes, and
+signals events.
 
 Unlike X10, only the function and explicit arguments travel — never the
 enclosing closure (the paper's deliberate design decision).  Functions
-that cannot be serialized (lambdas, nested functions) are passed by
-in-process reference, which is safe in the SMP conduit and keeps the
+that have no name to travel by (lambdas, nested functions) are passed
+by in-process reference, which is safe in the SMP conduit and keeps the
 API pleasant; their argument tuple is still serialized.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Optional, Union
 
 from repro.core.event import Event
@@ -47,9 +52,10 @@ Place = Union[int, Team]
 def _exec_task_handler(ctx: RankState, am) -> None:
     """Target side: the wire layer already decoded (fn, args, kwargs)."""
     fn, args, kwargs = am.payload
-    ctx.task_queue.append(
-        _Task(fn, args, kwargs, reply_rank=am.src_rank, reply_token=am.token)
-    )
+    ctx.task_queue.append(_Task(
+        fn, args, kwargs, reply_rank=am.src_rank, reply_token=am.token,
+        enqueued_at=time.perf_counter() if ctx.telemetry.full else 0.0,
+    ))
 
 
 def _pack_task(fn: Callable, args: tuple, kwargs: dict):
@@ -101,8 +107,9 @@ class _AsyncCall:
             signal.incref(len(targets))
         if scope is not None:
             scope.register(len(targets))
-        for fut in futures:
-            fut.add_callback(_completion_cb(signal, scope))
+        if signal is not None or scope is not None:
+            for fut in futures:
+                fut.add_callback(_completion_cb(signal, scope))
 
         def launch() -> None:
             sent = 0
@@ -130,7 +137,8 @@ class _AsyncCall:
             except BaseException as exc:
                 # Failed at the call site: no reply will ever complete
                 # the futures that did not go out, so complete them here
-                # — the callback above releases the scope and the event.
+                # — the callback above (when there is a scope or an
+                # event to release) does the releasing.
                 with ctx._pending_lock:
                     ctx._pending.pop(token, None)
                 for fut in futures[sent:]:

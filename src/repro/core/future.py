@@ -69,7 +69,8 @@ class Future:
         return self._done
 
     def wait(self, timeout: float | None = None) -> "Future":
-        self._ctx.wait_until(lambda: self._done, what="future", timeout=timeout)
+        if not self._done:
+            self._ctx.wait_until(self.done, what="future", timeout=timeout)
         return self
 
     def get(self, timeout: float | None = None) -> Any:

@@ -79,14 +79,16 @@ class _Task:
     __slots__ = ("fn", "args", "kwargs", "reply_rank", "reply_token",
                  "enqueued_at")
 
-    def __init__(self, fn, args, kwargs, reply_rank, reply_token):
+    def __init__(self, fn, args, kwargs, reply_rank, reply_token,
+                 enqueued_at=0.0):
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
         self.reply_rank = reply_rank
         self.reply_token = reply_token
-        #: Stamped at enqueue so telemetry can report spawn->run wait.
-        self.enqueued_at = time.perf_counter()
+        #: ``perf_counter()`` at enqueue when telemetry is "full" (the
+        #: spawn->run wait histogram is its only reader), else 0.0.
+        self.enqueued_at = enqueued_at
 
 
 class RankState:
@@ -146,17 +148,17 @@ class RankState:
     # -- messaging ------------------------------------------------------
     def deliver(self, am: ActiveMessage) -> None:
         """Enqueue an incoming message from any thread and wake the
-        rank if it is parked."""
-        with self._cv:
-            self._inbox.append(am)
+        rank if it is parked.  The append is atomic by itself; the wake
+        takes the lock the parker checks the inbox under, so it cannot
+        fall between that check and the wait."""
+        self._inbox.append(am)
         self.world.conduit.wake(self.rank)
 
     def deliver_many(self, ams) -> None:
         """What a conduit's ``poll`` calls with everything one read
         produced: the caller is the receiver, so there is nobody to
         wake."""
-        with self._cv:
-            self._inbox.extend(ams)
+        self._inbox.extend(ams)
 
     def new_token(self) -> int:
         return next(self._token_counter)
@@ -272,20 +274,26 @@ class RankState:
         self.last_heartbeat = time.monotonic()
         tel = self.telemetry
         t0 = time.perf_counter() if tel.full else 0.0
-        progressed = False
         handled = 0
-        while max_items is None or handled < max_items:
-            with self._cv:
-                am = self._inbox.popleft() if self._inbox else None
-            if am is None:
-                break
-            self._handle(am)
-            progressed = True
+        # Each item is taken and dispatched under one hold of the
+        # handler lock: with two drainers (the rank and the progress
+        # thread) that is what keeps a pair's messages in order.
+        lock, inbox, tasks = self._handler_lock, self._inbox, self.task_queue
+        while inbox and (max_items is None or handled < max_items):
+            with lock:
+                try:
+                    am = inbox.popleft()
+                except IndexError:  # the other drainer took it
+                    break
+                self._handle(am)
             handled += 1
-        while self.task_queue and (max_items is None or handled < max_items):
-            task = self.task_queue.popleft()
-            self._run_task(task)
-            progressed = True
+        while tasks and (max_items is None or handled < max_items):
+            with lock:
+                try:
+                    task = tasks.popleft()
+                except IndexError:
+                    break
+                self._run_task(task)
             handled += 1
         if tel.full and handled:
             # The progress engine's poll latency: how long one advance()
@@ -296,9 +304,10 @@ class RankState:
             tel.histogram("advance").record_seconds(
                 time.perf_counter() - t0
             )
-        return progressed
+        return handled > 0
 
     def _handle(self, am: ActiveMessage) -> None:
+        """Dispatch one message; the caller holds ``_handler_lock``."""
         frame = am._frame
         if frame is not None:
             # Decode-at-target: the receiver materializes fresh objects
@@ -312,7 +321,7 @@ class RankState:
                 )
             else:
                 am = frame.thaw()
-        self.stats.add(ams_handled=1)
+        self.stats.record_am_handled()
         if self.telemetry.active and am.handler not in (
             "__rel_ping__", "__rel_pong__", "__rel_ack__", "__rel_data__",
         ):  # protocol chatter would drown out the useful history
@@ -320,56 +329,55 @@ class RankState:
                 "am_handled", src=am.src_rank, dst=self.rank,
                 detail=am.handler, trace_id=am.trace_id,
             )
-        with self._handler_lock:
-            if am.is_reply:
-                with self._pending_lock:
-                    fut = self._pending.pop(am.token, None)
-                    if self._pending_meta:
-                        self._pending_meta.pop(am.token, None)
-                if fut is None:
-                    # Under the reliability layer a reply can legally
-                    # arrive after the op's deadline already completed
-                    # its future with CommTimeout — drop it, counted.
-                    if getattr(self.world, "_reliable", None) is not None:
-                        self.stats.add(stale_replies=1)
-                        return
-                    raise PgasError(
-                        f"rank {self.rank}: reply for unknown token {am.token}"
-                    )
-                if am.args and am.args[0] == "__error__":
-                    fut.set_exception(am.args[1])
-                else:
-                    fut.set_result((am.args, am.payload))
-                return
-            handler = handler_registry.get(am.handler)
-            if handler is None:
-                raise PgasError(f"unknown AM handler {am.handler!r}")
-            tel = self.telemetry
-            if am.trace_id and tel.active:
-                # Restore the sender's trace context for the handler's
-                # duration: spans recorded and AMs sent inside it
-                # (replies, replication hops) join the originating
-                # client op's trace.
-                span_id = tel.new_span_id()
-                t0 = time.perf_counter() if tel.full else 0.0
-                with tracing.bound(am.trace_id, span_id):
-                    try:
-                        handler(self, am)
-                    except BaseException as exc:
-                        self._handler_error(am, exc)
-                    finally:
-                        if tel.full:
-                            tel.record_span(
-                                f"am:{am.handler}", t0,
-                                time.perf_counter() - t0,
-                                detail=f"from rank {am.src_rank}",
-                                trace_id=am.trace_id, span_id=span_id,
-                                parent_id=am.span_id)
-                return
-            try:
-                handler(self, am)
-            except BaseException as exc:  # surface handler errors
-                self._handler_error(am, exc)
+        if am.is_reply:
+            with self._pending_lock:
+                fut = self._pending.pop(am.token, None)
+                if self._pending_meta:
+                    self._pending_meta.pop(am.token, None)
+            if fut is None:
+                # Under the reliability layer a reply can legally
+                # arrive after the op's deadline already completed
+                # its future with CommTimeout — drop it, counted.
+                if getattr(self.world, "_reliable", None) is not None:
+                    self.stats.add(stale_replies=1)
+                    return
+                raise PgasError(
+                    f"rank {self.rank}: reply for unknown token {am.token}"
+                )
+            if am.args and am.args[0] == "__error__":
+                fut.set_exception(am.args[1])
+            else:
+                fut.set_result((am.args, am.payload))
+            return
+        handler = handler_registry.get(am.handler)
+        if handler is None:
+            raise PgasError(f"unknown AM handler {am.handler!r}")
+        tel = self.telemetry
+        if am.trace_id and tel.active:
+            # Restore the sender's trace context for the handler's
+            # duration: spans recorded and AMs sent inside it
+            # (replies, replication hops) join the originating
+            # client op's trace.
+            span_id = tel.new_span_id()
+            t0 = time.perf_counter() if tel.full else 0.0
+            with tracing.bound(am.trace_id, span_id):
+                try:
+                    handler(self, am)
+                except BaseException as exc:
+                    self._handler_error(am, exc)
+                finally:
+                    if tel.full:
+                        tel.record_span(
+                            f"am:{am.handler}", t0,
+                            time.perf_counter() - t0,
+                            detail=f"from rank {am.src_rank}",
+                            trace_id=am.trace_id, span_id=span_id,
+                            parent_id=am.span_id)
+            return
+        try:
+            handler(self, am)
+        except BaseException as exc:  # surface handler errors
+            self._handler_error(am, exc)
 
     def _handler_error(self, am: ActiveMessage, exc: BaseException) -> None:
         """Surface a handler exception: error reply when the sender
@@ -382,31 +390,33 @@ class RankState:
             raise exc
 
     def _run_task(self, task: _Task) -> None:
-        """Execute one queued async task and reply with its result."""
+        """Execute one queued async task and reply with its result; the
+        caller holds ``_handler_lock``."""
         tel = self.telemetry
+        if not tel.active:
+            self._run_task_body(task)
+            return
         name = getattr(task.fn, "__name__", None) or repr(task.fn)
         t_run = time.perf_counter()
-        if tel.active:
-            tel.flight_event("task_run", src=task.reply_rank,
-                             dst=self.rank, detail=name)
-            if tel.full:
-                # Spawn -> run wait (time spent queued on this rank).
-                tel.histogram("task_queue_wait").record_seconds(
-                    t_run - task.enqueued_at
-                )
+        tel.flight_event("task_run", src=task.reply_rank,
+                         dst=self.rank, detail=name)
+        if tel.full:
+            # Spawn -> run wait (time spent queued on this rank).
+            tel.histogram("task_queue_wait").record_seconds(
+                t_run - task.enqueued_at
+            )
         try:
             self._run_task_body(task)
         finally:
-            if tel.active:
-                dur = time.perf_counter() - t_run
-                tel.flight_event("task_done", src=task.reply_rank,
-                                 dst=self.rank, detail=name)
-                if tel.full:
-                    tel.histogram("task_exec").record_seconds(dur)
-                    tel.record_span(f"task:{name}", t_run, dur)
+            dur = time.perf_counter() - t_run
+            tel.flight_event("task_done", src=task.reply_rank,
+                             dst=self.rank, detail=name)
+            if tel.full:
+                tel.histogram("task_exec").record_seconds(dur)
+                tel.record_span(f"task:{name}", t_run, dur)
 
     def _run_task_body(self, task: _Task) -> None:
-        with self._handler_lock, self._activate():
+        with self._activate():
             try:
                 result = task.fn(*task.args, **task.kwargs)
             except BaseException as exc:
@@ -420,10 +430,10 @@ class RankState:
                 raise
             if task.reply_token is not None:
                 # The wire layer serializes the result into the reply
-                # frame (by-reference fallback for unencodable values).
+                # frame (by-reference fallback for unencodable values);
+                # success is a reply whose args do not say "__error__".
                 self.send_reply_to(
-                    task.reply_rank, task.reply_token,
-                    args=("__ok__",), payload=result,
+                    task.reply_rank, task.reply_token, payload=result,
                 )
 
     def _activate(self):
@@ -465,7 +475,8 @@ class RankState:
             self._drain()
             if pred():
                 return
-            if deadline is not None and time.monotonic() > deadline:
+            # _drain just stamped the heartbeat: that is the time
+            if deadline is not None and self.last_heartbeat > deadline:
                 self.telemetry.flight_event(
                     "op_timeout", src=self.rank, dst=-1,
                     detail=f"wait_until({what or pred}) expired "

@@ -14,11 +14,8 @@ future on the token and completes it when the reply arrives.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.errors import PgasError
 
@@ -106,20 +103,6 @@ class ActiveMessage:
 
             encode_am(self)
         return self._wire_bytes
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Size in bytes of an AM payload (0 for None)."""
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    try:
-        return len(pickle.dumps(payload, protocol=-1))
-    except Exception:
-        return 64
 
 
 def make_reply(request: ActiveMessage, src_rank: int,

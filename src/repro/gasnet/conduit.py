@@ -52,7 +52,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import PgasError
 from repro.gasnet.am import ActiveMessage
+from repro.gasnet.wire import encode_am
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.world import World
@@ -107,8 +109,6 @@ class Conduit(abc.ABC):
 
     # -- shared send-path helpers ----------------------------------------
     def _rank(self, r: int):
-        from repro.errors import PgasError
-
         if self.world is None:
             raise PgasError("conduit not attached to a world")
         if not 0 <= r < self.world.n_ranks:
@@ -121,10 +121,9 @@ class Conduit(abc.ABC):
         """Encode ``am`` into its wire frame and charge the sender's
         stats.  Every conduit send path (smp, proc, chaos, delay)
         funnels through here so the frame exists before delivery and the
-        fixed-layout hit rate is observable."""
-        from repro.gasnet.wire import encode_am
-
-        rank = self._rank(src)
+        fixed-layout hit rate is observable.  ``src`` is the caller's
+        own rank: the range check belongs to ``dst``."""
+        rank = self.world.ranks[src]
         frame = encode_am(am, rank.telemetry)
         rank.stats.record_am_wire(
             frame.nbytes, frame.used_pickle, frame.has_refs,

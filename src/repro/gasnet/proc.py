@@ -57,13 +57,14 @@ Design
   receiver at a time (parser state is not re-entrant, the rings are
   single-consumer); a second caller — the progress thread, a
   handler-nested wait, a blocked sender — tries it, or waits for it at
-  most its own timeout, and never spins.  The rank's *inbox condition*:
-  the parking place on smp, and here the mutex for deliveries from other
-  threads of the process (the monitor's synthesized ``__error__``
-  replies, the launcher's ``proc-control`` thread), which
-  :meth:`ProcConduit.wake` follows with a byte on the self-pipe only
-  when somebody is parked in ``select``.  (The core's ``_pending_lock``,
-  ``_handler_lock`` and stats lock are ROADMAP item 2 (c)'s census.)
+  most its own timeout, and never spins.  The rank's *inbox condition*
+  is the parking place on smp and unused here: a delivery from another
+  thread of the process (the monitor's synthesized ``__error__``
+  replies, the launcher's ``proc-control`` thread) is a bare deque
+  append, which :meth:`ProcConduit.wake` follows with a byte on the
+  self-pipe only when somebody is parked in ``select``.  (The core's
+  ``_pending_lock``, ``_handler_lock`` and stats lock are in DESIGN.md's
+  AM-path census.)
 
 * **Handler-id translation.**  Handler names are interned to 16-bit ids
   per process in call order, so ids can diverge after the fork.  The
@@ -108,6 +109,7 @@ from repro.gasnet.wire.frame import (
     HEADER,
     Frame,
     _handler_names,
+    encode_am,
     handler_code,
     handler_name,
 )
@@ -510,8 +512,6 @@ class ProcConduit(SegmentRma, Conduit):
 
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        from repro.gasnet.wire import encode_am
-
         if dst == self.local_rank:
             self._rank(dst).deliver(am)
             return
@@ -766,7 +766,6 @@ class ProcConduit(SegmentRma, Conduit):
                 ctrl, buffers, refs,
                 len(ctrl) + sum(len(b) for b in buffers),
                 bool(flags & F_USED_PICKLE), bool(flags & F_HAS_REFS),
-                pooled=False,
             )
             shell = ActiveMessage(handler="", src_rank=peer)
             shell._frame = frame

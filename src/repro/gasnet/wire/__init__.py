@@ -26,7 +26,6 @@ from repro.gasnet.wire.frame import (  # noqa: F401
     HEADER,
     WIRE_VERSION,
     Frame,
-    FramePool,
     encode_am,
     handler_code,
     handler_name,
@@ -36,6 +35,6 @@ __all__ = [
     "EncodedPayload", "Tagged", "UnencodableError", "bind_handler",
     "preencode", "register_message_codec", "tagged",
     "CODEC_ENCODED", "CODEC_NESTED_AM", "CODEC_NONE", "CODEC_OBJ",
-    "HEADER", "WIRE_VERSION", "Frame", "FramePool", "encode_am",
+    "HEADER", "WIRE_VERSION", "Frame", "encode_am",
     "handler_code", "handler_name",
 ]

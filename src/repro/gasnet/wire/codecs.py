@@ -11,24 +11,38 @@ classes, heterogeneous bulk sequences) falls back to pickle protocol 5
 with ``buffer_callback`` so arrays nested inside containers still
 travel out-of-band.
 
+A module-level function is one word in the paper (a code pointer: SPMD
+ranks share an image) and a *name* here: ``T_FUNC`` carries
+``module:qualname`` and the receiver looks it up, as pickle would, with
+no pickle stream around it.  Both ends resolve the name on every
+message — the sender to check that the name still means this function
+(otherwise it takes the generic path below), the receiver because a
+rebound module attribute must be honoured — so nothing is remembered
+about a function at either end.  The empty dict (an async's usual ``kwargs``) is
+one byte.
+
 Snapshot-at-send rule: mutable buffers (``bytearray``, writable
 ``ndarray``, writable pickle-5 buffers) are copied **once** at encode
 time, so the sender may mutate its objects immediately after ``send``
 returns and delayed/retransmitted deliveries still see the original
 value.  ``bytes`` and read-only memoryviews ship zero-copy.
 
-Objects that cannot be pickled at all (lambdas, live handles) ship *by
-reference* — a ``T_REF`` index into the frame's ``refs`` list, which in
-the shared-memory conduit means the receiver sees the sender's object.
+Objects that cannot be pickled at all (lambdas, closures, live handles)
+ship *by reference* — a ``T_REF`` index into the frame's ``refs`` list,
+which in the shared-memory conduit means the receiver sees the sender's
+object.
 ``strict=True`` encodes refuse this and raise :class:`UnencodableError`
 instead, which is how eager serialization checks are implemented.
 """
 
 from __future__ import annotations
 
+import importlib
 import pickle
 import struct
+import sys
 import threading
+import types
 
 import numpy as np
 
@@ -84,6 +98,8 @@ T_NPSCALAR = 24      # dtype header + raw item bytes
 T_PICKLE = 25        # pickle-5 stream + out-of-band buffer span
 T_REF = 26           # by-reference: index into the frame's refs list
 T_ENCODED = 27       # spliced pre-encoded payload (fan-out reuse)
+T_FUNC = 28          # module-level function, by "module:qualname"
+T_EMPTYDICT = 29     # {} (a non-empty dict is T_PICKLE)
 
 
 # -- encoder -----------------------------------------------------------------
@@ -280,6 +296,30 @@ def _enc_npscalar(enc, v):
     out += v.tobytes()
 
 
+def _enc_func(enc, fn):
+    mod, qual = fn.__module__, fn.__qualname__
+    obj = sys.modules.get(mod)
+    for part in qual.split("."):
+        obj = getattr(obj, part, None)
+    raw = f"{mod}:{qual}".encode("utf-8")
+    if obj is not fn or len(raw) > 255:
+        # a lambda, a closure, a decorated-over or rebound name: the
+        # name would run something else over there
+        _enc_pickle(enc, fn)
+        return
+    out = enc.out
+    out.append(T_FUNC)
+    out.append(len(raw))
+    out += raw
+
+
+def _enc_dict(enc, obj):
+    if obj:
+        _enc_pickle(enc, obj)
+    else:
+        enc.out.append(T_EMPTYDICT)
+
+
 def _enc_pickle(enc, obj):
     bufs = enc.buffers
     mark = len(bufs)
@@ -397,7 +437,8 @@ _EXACT = {
     memoryview: _enc_memoryview,
     tuple: _enc_tuple,
     list: _enc_list,
-    dict: _enc_pickle,
+    dict: _enc_dict,
+    types.FunctionType: _enc_func,
     set: _enc_pickle,
     frozenset: _enc_pickle,
     np.ndarray: _enc_ndarray,
@@ -651,6 +692,23 @@ def _dec_encoded(dec):
     return obj
 
 
+def _dec_func(dec):
+    n = dec.mv[dec.pos]
+    pos = dec.pos + 1
+    mod, _, qual = str(dec.mv[pos:pos + n], "utf-8").partition(":")
+    dec.pos = pos + n
+    obj = sys.modules.get(mod)
+    if obj is None:  # the sender imported it after launch
+        obj = importlib.import_module(mod)
+    for part in qual.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _dec_emptydict(dec):
+    return {}
+
+
 _DECODERS = [None] * 32
 _DECODERS[T_NONE] = _dec_none
 _DECODERS[T_TRUE] = _dec_true
@@ -680,6 +738,8 @@ _DECODERS[T_NPSCALAR] = _dec_npscalar
 _DECODERS[T_PICKLE] = _dec_pickle
 _DECODERS[T_REF] = _dec_ref
 _DECODERS[T_ENCODED] = _dec_encoded
+_DECODERS[T_FUNC] = _dec_func
+_DECODERS[T_EMPTYDICT] = _dec_emptydict
 
 
 # -- fixed-layout message codec registry -------------------------------------

@@ -16,10 +16,9 @@ Every AM that crosses the conduit is encoded into a :class:`Frame`:
   control bytes rather than copied into them.
 
 The envelope never touches pickle: handler names are interned to small
-ints and everything else in the header is fixed-width.  Control
-bytearrays come from a bounded :class:`FramePool` and return to it when
-the receiver thaws the frame, so a steady-state AM stream allocates no
-fresh control buffers.
+ints and everything else in the header is fixed-width.  Each frame
+encodes into a fresh ``bytearray`` — the allocator is faster than any
+recycling scheme that has to lock.
 """
 
 from __future__ import annotations
@@ -82,60 +81,21 @@ def handler_name(hid: int) -> str:
     return _handler_names[hid]
 
 
-# -- control-buffer pool -----------------------------------------------------
-class FramePool:
-    """Bounded stack of reusable control bytearrays."""
-
-    __slots__ = ("_bufs", "_lock", "capacity")
-
-    def __init__(self, capacity: int = 64):
-        self._bufs: list[bytearray] = []
-        self._lock = threading.Lock()
-        self.capacity = capacity
-
-    def get(self) -> bytearray:
-        with self._lock:
-            if self._bufs:
-                return self._bufs.pop()
-        return bytearray()
-
-    def put(self, buf: bytearray) -> None:
-        with self._lock:
-            if len(self._bufs) >= self.capacity:
-                return
-            for b in self._bufs:
-                if b is buf:  # double release: keep the pool coherent
-                    return
-            try:
-                buf.clear()
-            except BufferError:  # a live memoryview still pins it
-                return
-            self._bufs.append(buf)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._bufs)
-
-
-_pool = FramePool()
-
-
 # -- frames ------------------------------------------------------------------
 class Frame:
     """One encoded AM: control bytes + buffer/ref tables."""
 
     __slots__ = ("ctrl", "buffers", "refs", "nbytes", "used_pickle",
-                 "has_refs", "pooled", "_decoded")
+                 "has_refs", "_decoded")
 
     def __init__(self, ctrl, buffers, refs, nbytes, used_pickle,
-                 has_refs, pooled):
+                 has_refs):
         self.ctrl = ctrl
         self.buffers = buffers
         self.refs = refs
         self.nbytes = nbytes
         self.used_pickle = used_pickle
         self.has_refs = has_refs
-        self.pooled = pooled
         self._decoded = None
 
     def thaw(self) -> ActiveMessage:
@@ -158,9 +118,6 @@ class Frame:
                 is_reply=bool(flags & F_IS_REPLY), aux=aux)
             am._wire_bytes = self.nbytes
             self._decoded = am
-            if self.pooled:
-                self.pooled = False
-                _pool.put(ctrl)
             return am
         mv = memoryview(ctrl)
         try:
@@ -195,9 +152,6 @@ class Frame:
             trace_id=trace_id, span_id=span_id)
         am._wire_bytes = self.nbytes
         self._decoded = am
-        if self.pooled:
-            self.pooled = False
-            _pool.put(ctrl)
         return am
 
 
@@ -219,8 +173,6 @@ def _dec_nested_am(dec) -> ActiveMessage:
     clen, bstart, bcount, rstart, rcount = _c._5I.unpack_from(
         dec.mv, dec.pos)
     dec.pos += 20
-    # the inner control bytes are copied out: the outer frame's pooled
-    # buffer is recycled the moment the envelope is thawed
     ctrl = bytes(dec.mv[dec.pos:dec.pos + clen])
     dec.pos += clen
     buffers = dec.buffers[bstart:bstart + bcount]
@@ -228,9 +180,7 @@ def _dec_nested_am(dec) -> ActiveMessage:
     nbuf = 0
     for b in buffers:
         nbuf += _c.buf_nbytes(b)
-    inner = Frame(ctrl, buffers, refs, clen + nbuf, False, False,
-                  pooled=False)
-    return inner.thaw()
+    return Frame(ctrl, buffers, refs, clen + nbuf, False, False).thaw()
 
 
 def encode_am(am: ActiveMessage, tel=None) -> Frame:
@@ -240,9 +190,9 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
         return frame
     if not am.args and am.payload is None and not am.trace_id:
         # Trivial AM (bare signal / ack / ping): the frame is exactly
-        # one fixed header — skip the encoder, codec dispatch, and
-        # control-buffer pool entirely.  This is the hot shape for
-        # request/reply latency paths.
+        # one fixed header — skip the encoder and codec dispatch
+        # entirely.  This is the hot shape for request/reply latency
+        # paths.
         tok = am.token
         if tok is None:
             tok = 0
@@ -254,15 +204,13 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
         HEADER.pack_into(ctrl, 0, WIRE_VERSION, flags, CODEC_NONE,
                          handler_code(am.handler), am.src_rank, tok,
                          am.aux, 0, 0, 0)
-        frame = Frame(ctrl, [], [], HEADER.size, False, False,
-                      pooled=False)
+        frame = Frame(ctrl, [], [], HEADER.size, False, False)
         am._frame = frame
         am._wire_bytes = HEADER.size
         return frame
     t0 = time.perf_counter() if tel is not None and tel.full else None
-    enc = _c.Encoder(out=_pool.get())
+    enc = _c.Encoder(out=bytearray(_HDR_ZEROS))
     out = enc.out
-    out += _HDR_ZEROS
     args = am.args
     if args:
         enc.encode(args)
@@ -323,7 +271,7 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
                      handler_code(am.handler), am.src_rank, tok,
                      am.aux, nbuf, args_len, meta_len)
     frame = Frame(out, enc.buffers, enc.refs, len(out) + nbuf,
-                  enc.used_pickle, bool(enc.refs), pooled=True)
+                  enc.used_pickle, bool(enc.refs))
     am._frame = frame
     am._wire_bytes = frame.nbytes
     if t0 is not None:

@@ -186,3 +186,38 @@ def test_nested_asyncs():
         return True
 
     assert all(run_spmd(body, ranks=3))
+
+
+def _fail(x):
+    raise ValueError(f"task {x} failed")
+
+
+def _nothing():
+    return None
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_task_reply_shapes(conduit):
+    """Success is a reply without ``"__error__"``: no marker travels, so
+    the raw reply is ``((), result)`` and an error reply is ``("__error__", exc)`` completing the
+    future with the task's own exception."""
+    def body():
+        out = None
+        if repro.myrank() == 0:
+            ok = repro.async_(1)(_square, 3).wait()
+            none = repro.async_(1)(_nothing).wait()
+            bad = repro.async_(1)(_fail, 8)
+            with pytest.raises(ValueError, match="task 8 failed"):
+                bad.get()
+            multi = repro.async_(repro.Team([0, 1]))(_square, 4)
+            out = (ok.result_raw(), ok.get(), none.result_raw(),
+                   bad.result_raw(), multi.get())
+        repro.barrier()
+        return out
+
+    raw_ok, got, raw_none, raw_bad, multi = run_spmd(
+        body, ranks=2, conduit=conduit)[0]
+    assert raw_ok == ((), 9) and got == 9
+    assert raw_none == ((), None)
+    assert raw_bad is None
+    assert multi == [16, 16]

@@ -6,18 +6,28 @@ concurrent mode the shared progress thread (the paper's "worker
 Pthread") services it meanwhile.
 """
 
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core import current
+from repro.core.world import World
 from repro.errors import PgasError
+from repro.gasnet import ActiveMessage
 from tests.conftest import run_spmd
 
 # The two modes mean the same thing on both backends; on proc the
 # progress thread is also the only thing that receives for a rank that
 # computes without calling the runtime.
 CONDUITS = ("smp", "proc+socket")
+
+
+def my_stats():
+    return repro.current_world().ranks[repro.myrank()].stats
 
 
 def _served():
@@ -114,8 +124,6 @@ def test_concurrent_mode_reports_dispatch_errors(conduit):
 
 def test_concurrent_mode_runs_full_workload():
     """The whole shared-object API works under the progress thread."""
-    import numpy as np
-
     def body():
         me = repro.myrank()
         sa = repro.SharedArray(np.int64, size=8, block=1)
@@ -129,3 +137,85 @@ def test_concurrent_mode_runs_full_workload():
 
     res = run_spmd(body, ranks=4, thread_mode="concurrent")
     assert res == [0 + 3 + 6 + 9] * 4
+
+
+# -- the hammer: nothing on the AM path was guarding anything it lost ---------
+HAMMER_N = 2000
+
+
+def _note(src: int, seq: int) -> int:
+    """Record the arrival on the executing rank, in execution order."""
+    current().scratch.setdefault(("hammer", src), []).append(seq)
+    return seq
+
+
+@pytest.mark.parametrize("mode", ["serialized", "concurrent"])
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_hammer_two_ranks_flood_each_other(conduit, mode):
+    """Both ranks fire sequence-numbered asyncs at each other; in
+    concurrent mode they also compute without calling the runtime, so
+    the progress thread and the rank thread drain one inbox and a
+    ``deliver`` crosses threads.  Every future completes with its own
+    value, each pair's tasks run in the order they were sent, every AM
+    sent is handled exactly once, and no reply finds its token gone
+    (that raises ``PgasError`` and fails the world)."""
+    def body():
+        me = repro.myrank()
+        other = 1 - me
+        counted = repro.SharedArray(np.int64, size=2, block=1)
+        repro.barrier()
+        futs = []
+        for i in range(HAMMER_N):
+            futs.append(repro.async_(other)(_note, me, i))
+            if mode == "concurrent" and i % 100 == 0:
+                _busy_loop(time.perf_counter() + 0.002)
+        got = [f.get(timeout=30) for f in futs]
+        repro.barrier()
+        snap = my_stats().snapshot()
+        # RMA only from here to the return: no AM moves (the finalize
+        # barrier's would) until both ranks have read their counters.
+        counted[me] = 1
+        while int(counted[other]) != 1:
+            pass
+        return (got, current().scratch.get(("hammer", other)),
+                snap["ams_sent"], snap["ams_handled"])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        res = run_spmd(body, ranks=2, conduit=conduit, thread_mode=mode,
+                       timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    want = list(range(HAMMER_N))
+    for got, arrivals, _sent, _handled in res:
+        assert got == want
+        assert arrivals == want
+    assert sum(r[2] for r in res) == sum(r[3] for r in res)
+    assert sum(r[2] for r in res) >= 4 * HAMMER_N
+
+
+def test_parked_rank_wakes_on_a_deliver_from_another_thread():
+    """The inbox append takes no lock; the wake-up after it does.  A
+    rank parked in ``poll`` with a long timeout must come back at once
+    for a ``deliver`` from any thread, however the two interleave."""
+    world = World(1, op_timeout=10.0)
+    rank = world.ranks[0]
+    worst = 0.0
+    for i in range(300):
+        t_sent = []
+
+        def sender(delay=(i % 7) * 2e-4):
+            time.sleep(delay)
+            t_sent.append(time.perf_counter())
+            rank.deliver(ActiveMessage("hammer.none", 0))
+
+        t = threading.Thread(target=sender)
+        t.start()
+        assert world.conduit.poll(0, 5.0)
+        woke = time.perf_counter()
+        t.join(5)
+        assert not t.is_alive()
+        worst = max(worst, woke - t_sent[0])
+        rank._inbox.clear()
+    assert worst < 0.05

@@ -9,7 +9,6 @@ from repro.gasnet.am import (
     am_handler,
     handler_registry,
     make_reply,
-    payload_nbytes,
 )
 
 
@@ -44,13 +43,6 @@ def test_wire_bytes_cached():
     am = ActiveMessage(handler="h", src_rank=0, args=(1,))
     first = am.wire_bytes
     assert am.wire_bytes == first
-
-
-def test_payload_nbytes_variants():
-    assert payload_nbytes(None) == 0
-    assert payload_nbytes(b"abcd") == 4
-    assert payload_nbytes(np.zeros(3, dtype=np.int32)) == 12
-    assert payload_nbytes({"a": 1}) > 0  # pickled fallback
 
 
 def test_make_reply_carries_token():

@@ -10,7 +10,9 @@ module.
 """
 
 import inspect
+import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -51,8 +53,25 @@ scalars = st.one_of(
     st.binary(max_size=200),
 )
 
+
+
+def echo(x):
+    return x
+
+
+class Holder:
+    @staticmethod
+    def held(x):
+        return x
+
+
+# Module-level functions travel by name and decode to the same object;
+# the empty dict has a tag of its own (``dictionaries`` below draws it
+# at every depth, and as the whole payload).
+functions = st.sampled_from([echo, Holder.held, json.dumps, roundtrip])
+
 values = st.recursive(
-    scalars,
+    st.one_of(scalars, functions, st.just({})),
     lambda children: st.one_of(
         st.lists(children, max_size=8),
         st.tuples(children, children),
@@ -203,6 +222,110 @@ def test_np_scalar_roundtrip():
               np.uint8(255)):
         out = roundtrip(v)
         assert out == v and out.dtype == v.dtype
+
+
+# ---------------------------------------------------------------------------
+# functions by name, the empty dict
+# ---------------------------------------------------------------------------
+
+def test_stream_tags_are_pinned():
+    """Tags are wire format: a new one takes the next number, an
+    existing one never moves."""
+    tags = {k: v for k, v in vars(codecs_mod).items()
+            if k.startswith("T_") and isinstance(v, int)}
+    assert tags == {
+        "T_NONE": 0, "T_TRUE": 1, "T_FALSE": 2, "T_INT8": 3, "T_INT64": 4,
+        "T_BIGINT": 5, "T_FLOAT": 6, "T_COMPLEX": 7, "T_STR8": 8,
+        "T_STR32": 9, "T_BYTES8": 10, "T_BARR8": 11, "T_BUF_BYTES": 12,
+        "T_BUF_BARR": 13, "T_BUF_MVIEW": 14, "T_TUPLE": 15, "T_LIST": 16,
+        "T_INTTUPLE": 17, "T_INTLIST": 18, "T_FLOATTUPLE": 19,
+        "T_FLOATLIST": 20, "T_STRTUPLE": 21, "T_STRLIST": 22,
+        "T_NDARRAY": 23, "T_NPSCALAR": 24, "T_PICKLE": 25, "T_REF": 26,
+        "T_ENCODED": 27, "T_FUNC": 28, "T_EMPTYDICT": 29,
+    }
+    for tag in tags.values():
+        assert codecs_mod._DECODERS[tag] is not None
+
+
+def test_async_shape_is_a_name_and_a_tuple(pickle_counter):
+    """The ``exec_task`` payload as ``_pack_task`` and the bench ladder
+    build it: no pickle stream, nothing by reference, the function as
+    its name and ``{}`` as one byte."""
+    ep = preencode((echo, (7,), {}), strict=True)
+    assert pickle_counter.dumps_calls == 0
+    assert ep.used_pickle is False and ep.refs == [] and ep.buffers == []
+    name = f"{__name__}:echo".encode()
+    assert bytes((codecs_mod.T_FUNC, len(name))) + name in ep.ctrl
+    assert ep.ctrl[-1] == codecs_mod.T_EMPTYDICT
+    fn, args, kwargs = ep.decode()
+    assert fn is echo and args == (7,)
+    assert kwargs == {} and type(kwargs) is dict
+    assert ep.decode()[2] is not kwargs     # a fresh dict per decode
+
+
+def test_empty_dict_as_a_whole_payload_is_one_byte():
+    ep = preencode({})
+    assert ep.ctrl == bytes((codecs_mod.T_EMPTYDICT,))
+    assert ep.decode() == {} and not ep.used_pickle
+    assert preencode({"a": 1}).used_pickle  # non-empty: as before
+
+
+@pytest.mark.parametrize("fn", [echo, Holder.held, json.dumps])
+def test_function_roundtrips_by_name_inside_containers(fn):
+    ep = preencode([fn, (fn, {}), {"k": fn}], strict=True)
+    a, (b, empty), d = ep.decode()
+    assert a is fn and b is fn and d["k"] is fn and empty == {}
+
+
+def test_function_name_is_resolved_at_each_end_each_time(monkeypatch):
+    """No memo may stand in for the lookup: a name rebound between two
+    messages decodes to the new object, and a function its name no
+    longer reaches stops travelling by name."""
+    first = preencode(echo, strict=True)
+    assert first.decode() is echo
+
+    def echo2(x):
+        return ("new", x)
+
+    echo2.__qualname__ = "echo"
+    monkeypatch.setattr(sys.modules[__name__], "echo", echo2)
+    assert first.decode() is echo2          # receiver: looked up again
+    assert preencode(echo2, strict=True).ctrl == first.ctrl
+    with pytest.raises(UnencodableError):   # sender: ``is`` check failed
+        preencode(_ORIGINAL_ECHO, strict=True)
+    ep = preencode(_ORIGINAL_ECHO)
+    assert ep.refs == [_ORIGINAL_ECHO] and ep.decode() is _ORIGINAL_ECHO
+
+
+_ORIGINAL_ECHO = echo
+
+
+def test_functions_without_a_module_level_name_keep_the_old_path():
+    def nested(x):
+        return x
+
+    for fn in (lambda x: x, nested):
+        with pytest.raises(UnencodableError):
+            preencode(fn, strict=True)
+        ep = preencode(fn)
+        assert ep.refs == [fn] and ep.decode() is fn
+    # builtins and partials are not FunctionType: pickle, as before
+    import functools
+    assert preencode(len).used_pickle and roundtrip(len) is len
+    part = roundtrip(functools.partial(echo, 3))
+    assert part() == 3
+
+
+def test_pack_task_names_the_unserializable_argument():
+    from repro.core.async_task import _pack_task
+    from repro.errors import SerializationError
+
+    with pytest.raises(SerializationError, match="arguments of async task"):
+        _pack_task(echo, (lambda: None,), {})
+    with pytest.raises(SerializationError, match="arguments of async task"):
+        _pack_task(echo, (), {"k": lambda: None})
+    ep = _pack_task(lambda x: x, (1,), {})  # the function itself may
+    assert len(ep.refs) == 1 and not ep.used_pickle
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,60 @@ def test_off_mode_installs_no_wrapper():
     assert all(run_spmd(body, ranks=2))
 
 
+def _echo(x):
+    return x
+
+
+class _Nameless:
+    """A task callable with no ``__name__``: naming it means repr()."""
+
+    reprs: list = []
+
+    def __call__(self, x):
+        return x
+
+    def __repr__(self):
+        self.reprs.append(1)
+        return "<nameless>"
+
+
+def test_off_mode_reads_no_clock_and_formats_no_name_for_a_task(
+        monkeypatch):
+    """Structurally free includes the task path: with telemetry off an
+    async costs no ``perf_counter()`` anywhere in the runtime (the
+    enqueue stamp and the run/done pair used to be read regardless)."""
+    import time
+
+    real, reads = time.perf_counter, []
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    def body():
+        out = None
+        repro.barrier()
+        if repro.myrank() == 0:
+            # ``repro.core.world.time`` is the time module itself: every
+            # ``time.perf_counter()`` in the process is counted, rank 1's
+            # (it serves the tasks from inside the barrier below) too.
+            monkeypatch.setattr(repro.core.world.time, "perf_counter",
+                                counting)
+            try:
+                got = [repro.async_(1)(_echo, i).get() for i in range(100)]
+                assert repro.async_(1)(_Nameless(), 7).get() == 7
+            finally:
+                monkeypatch.undo()
+            out = (got, len(reads))
+        repro.barrier()
+        return out
+
+    got, n_reads = run_spmd(body, ranks=2, conduit="smp")[0]
+    assert got == list(range(100))
+    assert n_reads == 0
+    assert _Nameless.reprs == []
+
+
 def test_full_mode_wraps_outside_reliability():
     """TelemetryConduit must be outermost so recorded latencies include
     the reliability layer's retries and backoff."""
