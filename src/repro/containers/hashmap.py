@@ -16,8 +16,8 @@ Design
   at the shard's primary exactly like the paper's owner-queued locks.
 * **Primary/backup replication** — with ``replicas=1`` every mutation
   is applied at the primary and synchronously logged to the shard's
-  backup (fixed-layout ``kv_repl`` records) *before* the client is
-  acked, so an acknowledged write survives the death of either rank.
+  backup (``kv_repl`` records) *before* the client is acked, so an
+  acknowledged write survives the death of either rank.
   Per-shard ``repl_epoch`` numbers fence the protocol: a promoted
   backup bumps its repl_epoch, and a deposed (falsely-suspected)
   primary whose log arrives with a stale repl_epoch is rejected with
@@ -83,6 +83,7 @@ from repro.containers.shard import (
     KvStalePrimary,
     Shard,
     ShardCache,
+    ShardSnapshot,
 )
 from repro.core import collectives
 from repro.core.collectives import _copy_value as _copy
@@ -91,7 +92,7 @@ from repro.core.world import RankState, current, try_current
 from repro.telemetry import tracing
 from repro.errors import CommTimeout, PeerFailure, PgasError, RankDead
 from repro.gasnet.am import am_handler
-from repro.gasnet.wire import preencode, tagged
+from repro.gasnet.wire import preencode
 
 _MISSING = object()
 
@@ -242,7 +243,7 @@ def _send_install(ctx: RankState, map_id: int, sh: Shard, to: int,
     a new backup: per-(src, dst) FIFO puts the install ahead of any
     later incremental kv_repl records we send to the same rank."""
     return ctx.send_am(to, "kv_install", args=(map_id, sh.sid),
-                       payload=sh.snapshot(as_primary),
+                       payload=tuple(sh.snapshot(as_primary)),
                        expect_reply=expect_reply)
 
 
@@ -356,9 +357,9 @@ def _mutate(ctx: RankState, map_id: int, sid: int,
 # epoch and how many of the keys that follow — the ones changed since
 # ``seen``, the request's own among them — are its own (``n < 0``:
 # further back than the shard remembers), so clients drop the key that
-# changed, not the shard it lives in.  Payloads travel through the
-# fixed-layout codecs registered beside Shard (kv_items/kv_keys/
-# kv_found, kv_repl/kv_state).
+# changed, not the shard it lives in.  Payloads are plain stream values:
+# a put's {key: value}, a get's or delete's key list, a get reply's
+# (hit flag bytes, values), replication records, a snapshot tuple.
 
 def _reply_args(seen: list, touched: list, *extra) -> tuple:
     """Reply args for ``touched``, the ``(shard, epoch replied at)``
@@ -395,15 +396,20 @@ def _kv_put_handler(ctx: RankState, am) -> None:
 def _kv_get_handler(ctx: RankState, am) -> None:
     map_id, sid, *tail = am.args
     nshards = _map_state(ctx, map_id).nshards
-    found = []
+    hits = bytearray()
+    vals = []
     shards: dict[int, Shard] = {}
     for k in am.payload:
         s = sid if sid >= 0 else shard_of(k, nshards)
         _st, shards[s] = _resolve(ctx, map_id, s, write=False)
-        found.append(shards[s].lookup(k))
+        hit, val = shards[s].lookup(k)
+        hits.append(hit)
+        vals.append(val)
     touched = [(sh, sh.epoch) for _s, sh in sorted(shards.items())]
+    # flags apart from values: a long list of (hit, value) tuples would
+    # leave the stream for pickle
     ctx.reply(am, args=_reply_args(tail, touched),
-              payload=tagged("kv_found", found))
+              payload=(bytes(hits), vals))
 
 
 @am_handler("kv_del")
@@ -460,7 +466,7 @@ def _kv_install_handler(ctx: RankState, am) -> None:
     or (``as_primary``) the receiving half of a live migration."""
     map_id, sid = am.args
     st = _map_state(ctx, map_id)
-    sh = st.install(sid, am.payload, ctx.rank)
+    sh = st.install(sid, ShardSnapshot(*am.payload), ctx.rank)
     if sh is None:
         # A stale install (an old primary racing a newer promotion).
         if am.token is not None:
@@ -976,7 +982,7 @@ class DistHashMap:
         # the wire.
         hit = self._read_near(ctx, sid, key)
         if hit is None:
-            [(_ks, epochs, _x, [(found, val)])] = self._request(
+            [(_ks, epochs, _x, ((found,), [val]))] = self._request(
                 ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
                 read=True, event="kv_get")
             if found:
@@ -1069,10 +1075,10 @@ class DistHashMap:
             else:
                 missing.append(k)
         ctx.stats.add(kv_gets=len(keys))
-        for ks, epochs, _x, found in self._request(
+        for ks, epochs, _x, (hits, vals) in self._request(
                 ctx, "kv_get", "multi_get", pending, batched=True,
                 event="kv_multi_get"):
-            for k, (ok, val) in zip(ks, found):
+            for k, ok, val in zip(ks, hits, vals):
                 if not ok:
                     missing.append(k)
                     continue

@@ -31,20 +31,14 @@ from repro.core.workqueue import DistWorkQueue, _table
 from repro.core.world import RankState, current
 from repro.errors import PeerFailure, RankDead
 from repro.gasnet.am import am_handler
-from repro.gasnet.wire import bind_handler, register_message_codec
-from repro.gasnet.wire.codecs import _dec_obj_list, _enc_obj_list
 from repro.telemetry import tracing
-
-# A remote push's payload: a list of items.
-register_message_codec("dq_items", _enc_obj_list, _dec_obj_list)
-bind_handler("dq_push", "dq_items")
 
 
 @am_handler("dq_push")
 def _dq_push_handler(ctx: RankState, am) -> None:
     """Target side of a remote push: append the shipped items."""
     (qid,) = am.args
-    items = am.payload  # decoded by the wire layer (dq_items codec)
+    items = am.payload
     _table(ctx).setdefault(qid, deque()).extend(items)
     ctx.reply(am, args=(len(items),))
 

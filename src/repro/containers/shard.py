@@ -1,8 +1,7 @@
 """One copy of one :class:`~repro.containers.DistHashMap` shard as a
-world-free state machine, plus the map's wire layouts: the request and
-reply batches (``kv_items``, ``kv_keys``, ``kv_found``) and the two that
-spell out a shard's state, replication-log records (``kv_repl``) and
-snapshots (``kv_state``).
+world-free state machine.  What leaves it for the wire — replication-log
+records, snapshots as plain tuples — is made of values the tagged stream
+carries, so the map has no wire layout of its own.
 
 Nothing here knows about liveness, conduits or telemetry: the hosting
 rank's AM handlers (``hashmap.py``) decide *when* an event happens (a
@@ -25,20 +24,10 @@ there") or :class:`KvStalePrimary` ("you were deposed").
 
 from __future__ import annotations
 
-import struct
 from collections import OrderedDict, deque
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import PgasError
-from repro.gasnet.wire import bind_handler, register_message_codec
-# Stream primitives and the generic list body.
-from repro.gasnet.wire.codecs import (
-    _dec_obj_list,
-    _enc_obj_list,
-    _I,
-    _q,
-    _read_I,
-)
 
 PRIMARY = "primary"
 BACKUP = "backup"
@@ -101,7 +90,13 @@ class Shard:
     """One rank's copy of one shard.  Every state change goes through a
     method here; the mutators return the replication-log record they
     produced (``None`` when nothing changed), which is exactly what
-    :meth:`replay` consumes at the backup."""
+    :meth:`replay` consumes at the backup.  Each record ends with the
+    primary's post-apply epoch, so the backup replays to its exact state::
+
+        ("put", {key: value, ...}, epoch)
+        ("del", [key, ...], epoch)
+        ("upd", key, new_value, src, op_id, epoch)   # + exactly-once record
+    """
 
     __slots__ = ("sid", "is_primary", "primary", "backup", "moving_to",
                  "store", "epoch", "repl_epoch", "applied", "changed",
@@ -414,137 +409,3 @@ class HostedMap:
         self.retire(sid, new_primary)
         return True
 
-
-# ---------------------------------------------------------------------------
-# wire layouts
-# ---------------------------------------------------------------------------
-# Request and reply batches.  The put batch is also what records and
-# snapshots embed.
-def _enc_kv_items(enc, items):
-    """kv put batches: {key: value}."""
-    enc.out += _I.pack(len(items))
-    for k, v in items.items():
-        enc.encode(k)
-        enc.encode(v)
-
-
-def _dec_kv_items(dec):
-    n = _read_I(dec)
-    out = {}
-    for _ in range(n):
-        k = dec.decode()
-        out[k] = dec.decode()
-    return out
-
-
-def _enc_kv_found(enc, found):
-    """kv get replies: [(hit, value), ...] — one flag byte per key plus
-    a values sequence."""
-    n = len(found)
-    enc.out += _I.pack(n)
-    enc.out += bytes([1 if f else 0 for f, _ in found])
-    enc.encode([v for _, v in found])
-
-
-def _dec_kv_found(dec):
-    n = _read_I(dec)
-    mask = bytes(dec.mv[dec.pos:dec.pos + n])
-    dec.pos += n
-    vals = dec.decode()
-    return [(flag == 1, v) for flag, v in zip(mask, vals)]
-
-
-# ---------------------------------------------------------------------------
-# Replication log records (primary -> backup), each carrying the
-# primary's post-apply shard epoch so the backup replays to the exact
-# primary state:
-#   ("put", {key: value}, epoch)
-#   ("del", [key, ...], epoch)
-#   ("upd", key, new_value, src, op_id, epoch)   # + exactly-once record
-_3q = struct.Struct("<3q")
-_4q = struct.Struct("<4q")
-_REPL_PUT = 0
-_REPL_DEL = 1
-_REPL_UPD = 2
-
-
-def _enc_kv_repl(enc, records):
-    enc.out += _I.pack(len(records))
-    for rec in records:
-        kind = rec[0]
-        if kind == "put":
-            enc.out.append(_REPL_PUT)
-            enc.out += _q.pack(rec[2])
-            _enc_kv_items(enc, rec[1])
-        elif kind == "del":
-            enc.out.append(_REPL_DEL)
-            enc.out += _q.pack(rec[2])
-            enc.encode(rec[1])
-        else:
-            _, key, value, src, op_id, epoch = rec
-            enc.out.append(_REPL_UPD)
-            enc.out += _3q.pack(src, op_id, epoch)
-            enc.encode(key)
-            enc.encode(value)
-
-
-def _dec_kv_repl(dec):
-    n = _read_I(dec)
-    out = []
-    for _ in range(n):
-        kind = dec.mv[dec.pos]
-        dec.pos += 1
-        if kind == _REPL_UPD:
-            src, op_id, epoch = _3q.unpack_from(dec.mv, dec.pos)
-            dec.pos += 24
-            key = dec.decode()
-            value = dec.decode()
-            out.append(("upd", key, value, src, op_id, epoch))
-            continue
-        epoch = _q.unpack_from(dec.mv, dec.pos)[0]
-        dec.pos += 8
-        if kind == _REPL_PUT:
-            out.append(("put", _dec_kv_items(dec), epoch))
-        else:
-            out.append(("del", dec.decode(), epoch))
-    return out
-
-
-def _enc_kv_state(enc, snap: ShardSnapshot):
-    """Epochs/topology header, the store, then the dedup records."""
-    enc.out += _4q.pack(snap.epoch, snap.repl_epoch, snap.primary,
-                        -1 if snap.backup is None else snap.backup)
-    enc.out.append(1 if snap.as_primary else 0)
-    _enc_kv_items(enc, snap.store)
-    enc.out += _I.pack(len(snap.applied))
-    for src, op_id, epoch, value in snap.applied:
-        enc.out += _3q.pack(src, op_id, epoch)
-        enc.encode(value)
-
-
-def _dec_kv_state(dec) -> ShardSnapshot:
-    epoch, repl_epoch, primary, backup = _4q.unpack_from(dec.mv, dec.pos)
-    dec.pos += 32
-    as_primary = dec.mv[dec.pos] == 1
-    dec.pos += 1
-    store = _dec_kv_items(dec)
-    n = _read_I(dec)
-    applied = []
-    for _ in range(n):
-        src, op_id, aep = _3q.unpack_from(dec.mv, dec.pos)
-        dec.pos += 24
-        applied.append((src, op_id, aep, dec.decode()))
-    return ShardSnapshot(store, applied, epoch, repl_epoch, primary,
-                         None if backup < 0 else backup, as_primary)
-
-
-register_message_codec("kv_items", _enc_kv_items, _dec_kv_items)
-register_message_codec("kv_keys", _enc_obj_list, _dec_obj_list)
-register_message_codec("kv_found", _enc_kv_found, _dec_kv_found)
-register_message_codec("kv_repl", _enc_kv_repl, _dec_kv_repl)
-register_message_codec("kv_state", _enc_kv_state, _dec_kv_state)
-bind_handler("kv_put", "kv_items")
-bind_handler("kv_get", "kv_keys")
-bind_handler("kv_del", "kv_keys")
-bind_handler("kv_repl", "kv_repl")
-bind_handler("kv_install", "kv_state")

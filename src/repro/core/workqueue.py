@@ -32,8 +32,6 @@ import numpy as np
 
 from repro.core import collectives
 from repro.core.shared_var import SharedVar
-from repro.gasnet.wire import register_message_codec, tagged
-from repro.gasnet.wire.codecs import _dec_obj_list, _enc_obj_list
 from repro.core.world import RankState, current
 from repro.errors import PeerFailure, PgasError, RankDead
 
@@ -45,9 +43,6 @@ def _table(ctx: RankState) -> dict:
 
 
 from repro.gasnet.am import am_handler  # noqa: E402 (grouped with use)
-
-# A steal reply's loot: a list of task items.
-register_message_codec("wq_loot", _enc_obj_list, _dec_obj_list)
 
 
 @am_handler("wq_steal")
@@ -61,7 +56,7 @@ def _wq_steal_handler(ctx: RankState, am) -> None:
     stats = _table(ctx).setdefault(("stats", qid), {"stolen_from": 0})
     if loot:
         stats["stolen_from"] += len(loot)
-    ctx.reply(am, payload=tagged("wq_loot", loot))
+    ctx.reply(am, payload=loot)
 
 
 class DistWorkQueue:

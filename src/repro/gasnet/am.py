@@ -56,9 +56,10 @@ class ActiveMessage:
         (mirroring the paper's "pack the task function pointer and its
         arguments into a contiguous buffer").
     payload:
-        Optional bulk payload (NumPy array, ``bytes``, or any value a
-        registered message codec or the generic encoding can carry);
-        bulk bytes travel as out-of-band buffers, not pickled streams.
+        Optional payload: a nested :class:`ActiveMessage` (the
+        reliability envelope) or one value of the tagged stream (NumPy
+        array, ``bytes``, dict, ...); bulk bytes travel as out-of-band
+        buffers, not pickled streams.
     token:
         Correlation token for request/reply pairs; ``None`` when no reply
         is expected.

@@ -121,8 +121,8 @@ class Conduit(abc.ABC):
         """Encode ``am`` into its wire frame and charge the sender's
         stats.  Every conduit send path (smp, proc, chaos, delay)
         funnels through here so the frame exists before delivery and the
-        fixed-layout hit rate is observable.  ``src`` is the caller's
-        own rank: the range check belongs to ``dst``."""
+        share of frames that stayed out of pickle is observable.  ``src``
+        is the caller's own rank: the range check belongs to ``dst``."""
         rank = self.world.ranks[src]
         frame = encode_am(am, rank.telemetry)
         rank.stats.record_am_wire(

@@ -77,8 +77,8 @@ class CommStats:
     kv_replica_reads: int = 0
     kv_migrations: int = 0
     dead_peer_fastfails: int = 0
-    # Wire layer (repro.gasnet.wire): frames encoded, how many stayed on
-    # the fixed-layout/struct fast path vs. fell back to pickle, and how
+    # Wire layer (repro.gasnet.wire): frames encoded, how many stayed in
+    # the tagged stream (``wire_fixed``) vs. fell back to pickle, and how
     # many carried by-reference (unserializable) objects.
     wire_frames: int = 0
     wire_fixed: int = 0

@@ -3,23 +3,18 @@
 Every active message crosses the conduit as a struct-packed
 :class:`~repro.gasnet.wire.frame.Frame`: a fixed binary header (no
 pickle for the envelope), tag-based stream encoding for args and
-payloads, out-of-band buffers for bulk data, a registry of fixed-layout
-message codecs for the hot message families, and pickle protocol 5
-(with out-of-band buffer callbacks) only as the fallback for genuinely
-dynamic values.  See docs/API.md, "Wire format and serialization".
+payloads — one encoder for every value, dicts included — out-of-band
+buffers for bulk data, and pickle protocol 5 (with out-of-band buffer
+callbacks) only as the fallback for genuinely dynamic values.  See
+docs/API.md, "Wire format and serialization".
 """
 
 from repro.gasnet.wire.codecs import (  # noqa: F401
     EncodedPayload,
-    Tagged,
     UnencodableError,
-    bind_handler,
     preencode,
-    register_message_codec,
-    tagged,
 )
 from repro.gasnet.wire.frame import (  # noqa: F401
-    CODEC_ENCODED,
     CODEC_NESTED_AM,
     CODEC_NONE,
     CODEC_OBJ,
@@ -32,9 +27,8 @@ from repro.gasnet.wire.frame import (  # noqa: F401
 )
 
 __all__ = [
-    "EncodedPayload", "Tagged", "UnencodableError", "bind_handler",
-    "preencode", "register_message_codec", "tagged",
-    "CODEC_ENCODED", "CODEC_NESTED_AM", "CODEC_NONE", "CODEC_OBJ",
+    "EncodedPayload", "UnencodableError", "preencode",
+    "CODEC_NESTED_AM", "CODEC_NONE", "CODEC_OBJ",
     "HEADER", "WIRE_VERSION", "Frame", "encode_am",
     "handler_code", "handler_name",
 ]

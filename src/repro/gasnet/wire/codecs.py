@@ -5,11 +5,12 @@ stream* (one bytearray of tag-prefixed fields) plus a list of
 *out-of-band buffers* (bulk bytes that are referenced by index from the
 control stream and never copied into it).  Scalars, strings, small
 byte strings and homogeneous int/float/str sequences get fixed struct
-layouts; ``ndarray`` payloads ship as one dtype/shape record plus one
-out-of-band buffer; everything genuinely dynamic (dicts, sets, custom
-classes, heterogeneous bulk sequences) falls back to pickle protocol 5
-with ``buffer_callback`` so arrays nested inside containers still
-travel out-of-band.
+layouts; tuples, lists and dicts tag each element in turn; ``ndarray``
+payloads ship as one dtype/shape record plus one out-of-band buffer;
+everything genuinely dynamic (sets, dict subclasses, custom classes,
+heterogeneous bulk sequences) falls back to pickle protocol 5 with
+``buffer_callback`` so arrays nested inside containers still travel
+out-of-band.
 
 A module-level function is one word in the paper (a code pointer: SPMD
 ranks share an image) and a *name* here: ``T_FUNC`` carries
@@ -20,6 +21,9 @@ message — the sender to check that the name still means this function
 rebound module attribute must be honoured — so nothing is remembered
 about a function at either end.  The empty dict (an async's usual ``kwargs``) is
 one byte.
+
+Strings travel as UTF-8 with ``surrogatepass``: a lone surrogate (what
+``os.fsdecode`` makes of a non-UTF-8 file name) round-trips.
 
 Snapshot-at-send rule: mutable buffers (``bytearray``, writable
 ``ndarray``, writable pickle-5 buffers) are copied **once** at encode
@@ -41,7 +45,6 @@ import importlib
 import pickle
 import struct
 import sys
-import threading
 import types
 
 import numpy as np
@@ -99,7 +102,8 @@ T_PICKLE = 25        # pickle-5 stream + out-of-band buffer span
 T_REF = 26           # by-reference: index into the frame's refs list
 T_ENCODED = 27       # spliced pre-encoded payload (fan-out reuse)
 T_FUNC = 28          # module-level function, by "module:qualname"
-T_EMPTYDICT = 29     # {} (a non-empty dict is T_PICKLE)
+T_EMPTYDICT = 29     # {}
+T_DICT = 30          # u32 n + n key/value pairs (exact dict only)
 
 
 # -- encoder -----------------------------------------------------------------
@@ -167,7 +171,7 @@ def _enc_complex(enc, obj):
 
 
 def _enc_str(enc, obj):
-    raw = obj.encode("utf-8")
+    raw = obj.encode("utf-8", "surrogatepass")
     out = enc.out
     n = len(raw)
     if n < 256:
@@ -238,7 +242,7 @@ def _enc_seq(enc, obj, t_generic, t_int, t_float, t_str):
         out += struct.pack(f"<{n}d", *obj)
         return
     elif kinds == _ONLY_STR:
-        parts = [s.encode("utf-8") for s in obj]
+        parts = [s.encode("utf-8", "surrogatepass") for s in obj]
         out.append(t_str)
         out += _I.pack(n)
         out += struct.pack(f"<{n}I", *map(len, parts))
@@ -285,7 +289,9 @@ def _enc_ndarray(enc, arr):
 
 def _enc_npscalar(enc, v):
     dt = v.dtype
-    if dt.hasobject:
+    if dt.hasobject or not dt.itemsize:
+        # np.str_(""), np.bytes_(b""), np.void(b""): numpy cannot build
+        # a zero-itemsize scalar back from raw bytes
         _enc_pickle(enc, v)
         return
     ds = dt.str.encode("ascii")
@@ -314,10 +320,15 @@ def _enc_func(enc, fn):
 
 
 def _enc_dict(enc, obj):
-    if obj:
-        _enc_pickle(enc, obj)
-    else:
-        enc.out.append(T_EMPTYDICT)
+    out = enc.out
+    if not obj:
+        out.append(T_EMPTYDICT)
+        return
+    out.append(T_DICT)
+    out += _I.pack(len(obj))
+    for k, v in obj.items():
+        _encode(enc, k)
+        _encode(enc, v)
 
 
 def _enc_pickle(enc, obj):
@@ -355,14 +366,10 @@ def _enc_ref(enc, obj):
 
 
 def _enc_encoded(enc, ep):
-    enc.out.append(T_ENCODED)
-    splice_encoded(enc, ep)
-
-
-def splice_encoded(enc, ep) -> None:
-    """Append a pre-encoded payload's control stream and adopt its
+    """Splice a pre-encoded payload's control stream and adopt its
     buffer/ref tables (written indices are relative to the splice)."""
     out = enc.out
+    out.append(T_ENCODED)
     out += _5I.pack(len(ep.ctrl), len(enc.buffers), len(ep.buffers),
                     len(enc.refs), len(ep.refs))
     out += ep.ctrl
@@ -542,14 +549,14 @@ def _dec_complex(dec):
 def _dec_str8(dec):
     n = dec.mv[dec.pos]
     dec.pos += 1
-    s = str(dec.mv[dec.pos:dec.pos + n], "utf-8")
+    s = str(dec.mv[dec.pos:dec.pos + n], "utf-8", "surrogatepass")
     dec.pos += n
     return s
 
 
 def _dec_str32(dec):
     n = _read_I(dec)
-    s = str(dec.mv[dec.pos:dec.pos + n], "utf-8")
+    s = str(dec.mv[dec.pos:dec.pos + n], "utf-8", "surrogatepass")
     dec.pos += n
     return s
 
@@ -623,7 +630,7 @@ def _dec_strs(dec):
     pos += 4 * n
     out = []
     for ln in lens:
-        out.append(str(mv[pos:pos + ln], "utf-8"))
+        out.append(str(mv[pos:pos + ln], "utf-8", "surrogatepass"))
         pos += ln
     dec.pos = pos
     return out
@@ -709,6 +716,14 @@ def _dec_emptydict(dec):
     return {}
 
 
+def _dec_dict(dec):
+    out = {}
+    for _ in range(_read_I(dec)):
+        k = _decode(dec)
+        out[k] = _decode(dec)
+    return out
+
+
 _DECODERS = [None] * 32
 _DECODERS[T_NONE] = _dec_none
 _DECODERS[T_TRUE] = _dec_true
@@ -740,84 +755,4 @@ _DECODERS[T_REF] = _dec_ref
 _DECODERS[T_ENCODED] = _dec_encoded
 _DECODERS[T_FUNC] = _dec_func
 _DECODERS[T_EMPTYDICT] = _dec_emptydict
-
-
-# -- fixed-layout message codec registry -------------------------------------
-class MessageCodec:
-    """A named fixed-layout codec for one message family."""
-
-    __slots__ = ("name", "code", "encode", "decode")
-
-    def __init__(self, name, code, encode, decode):
-        self.name = name
-        self.code = code
-        self.encode = encode
-        self.decode = decode
-
-
-_reg_lock = threading.Lock()
-_codecs_by_name: dict[str, MessageCodec] = {}
-_codecs_by_code: dict[int, MessageCodec] = {}
-_handler_codecs: dict[str, MessageCodec] = {}
-_FIRST_CODE = 16  # frame codec ids below this are reserved built-ins
-
-
-def register_message_codec(name: str, encode, decode) -> MessageCodec:
-    """Register a fixed-layout message type.
-
-    ``encode(enc, obj)`` writes ``obj`` into the encoder's control
-    stream / buffer tables; ``decode(dec)`` reads it back.  The
-    returned codec's ``code`` is the frame-header codec id.
-    """
-    with _reg_lock:
-        if name in _codecs_by_name:
-            raise ValueError(f"message codec {name!r} already registered")
-        code = _FIRST_CODE + len(_codecs_by_code)
-        if code > 255:
-            raise ValueError("message codec id space exhausted")
-        c = MessageCodec(name, code, encode, decode)
-        _codecs_by_name[name] = c
-        _codecs_by_code[code] = c
-    return c
-
-
-def codec_by_code(code: int) -> MessageCodec:
-    return _codecs_by_code[code]
-
-
-def bind_handler(handler: str, codec_name: str) -> None:
-    """Route every payload sent to ``handler`` through a named codec."""
-    _handler_codecs[handler] = _codecs_by_name[codec_name]
-
-
-def handler_codec(handler: str):
-    return _handler_codecs.get(handler)
-
-
-class Tagged:
-    """Wrap a payload so it encodes via a named codec regardless of the
-    destination handler (used by replies, which all share the
-    ``__reply__`` handler)."""
-
-    __slots__ = ("codec", "obj")
-
-    def __init__(self, codec_name: str, obj):
-        self.codec = _codecs_by_name[codec_name]
-        self.obj = obj
-
-
-def tagged(codec_name: str, obj) -> Tagged:
-    return Tagged(codec_name, obj)
-
-
-# -- the list body ----------------------------------------------------------
-# No message family is registered here: a layout lives next to the state
-# or handler it spells out (repro.containers.shard, repro.core.workqueue,
-# repro.containers.queue).  What they share is this one body.
-def _enc_obj_list(enc, obj):
-    """Generic sequence body (gets the int/str/float fast paths)."""
-    _encode(enc, obj if type(obj) is list else list(obj))
-
-
-def _dec_obj_list(dec):
-    return _decode(dec)
+_DECODERS[T_DICT] = _dec_dict

@@ -7,11 +7,10 @@ Every AM that crosses the conduit is encoded into a :class:`Frame`:
   ``aux`` word (seq/ack numbers), total out-of-band bytes, and the
   lengths of the two control-stream regions that follow;
 * the *args region*: the positional args tuple, stream-encoded;
-* the *meta region*: the payload, encoded by the codec the header
-  names — ``CODEC_OBJ`` (generic stream encode), ``CODEC_NESTED_AM``
-  (the reliability envelope: a whole inner frame spliced in),
-  ``CODEC_ENCODED`` (a pre-encoded fan-out payload) or a registered
-  fixed-layout message codec;
+* the *meta region*: the payload, as the header's codec byte says —
+  ``CODEC_NONE`` (no payload), ``CODEC_NESTED_AM`` (the reliability
+  envelope: a whole inner frame spliced in) or ``CODEC_OBJ`` (one
+  stream value, a pre-encoded fan-out payload among them);
 * out-of-band buffer and by-reference tables, carried alongside the
   control bytes rather than copied into them.
 
@@ -51,7 +50,6 @@ TRACE_TRAILER = struct.Struct("<QQ")
 CODEC_NONE = 0
 CODEC_OBJ = 1
 CODEC_NESTED_AM = 2
-CODEC_ENCODED = 3
 
 _HDR_ZEROS = bytes(HEADER.size)
 
@@ -130,14 +128,10 @@ class Frame:
             payload = None
             if codec_id != CODEC_NONE:
                 dec = _c.Decoder(mv, pos, self.buffers, self.refs)
-                if codec_id == CODEC_OBJ:
-                    payload = dec.decode()
-                elif codec_id == CODEC_NESTED_AM:
+                if codec_id == CODEC_NESTED_AM:
                     payload = _dec_nested_am(dec)
-                elif codec_id == CODEC_ENCODED:
-                    payload = _c._dec_encoded(dec)
                 else:
-                    payload = _c.codec_by_code(codec_id).decode(dec)
+                    payload = dec.decode()
         finally:
             mv.release()
         trace_id = span_id = 0
@@ -218,34 +212,12 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
     payload = am.payload
     codec_id = CODEC_NONE
     if payload is not None:
-        tp = type(payload)
-        if tp is ActiveMessage:
+        if type(payload) is ActiveMessage:
             codec_id = CODEC_NESTED_AM
             _enc_nested_am(enc, payload)
-        elif tp is _c.EncodedPayload:
-            codec_id = CODEC_ENCODED
-            _c.splice_encoded(enc, payload)
-        elif tp is _c.Tagged:
-            codec_id = payload.codec.code
-            payload.codec.encode(enc, payload.obj)
         else:
-            mc = _c.handler_codec(am.handler)
-            if mc is not None:
-                codec_id = mc.code
-                mark = (len(out), len(enc.buffers), len(enc.refs))
-                try:
-                    mc.encode(enc, payload)
-                except Exception:
-                    # unexpected payload shape: fall back to the
-                    # generic stream encoding
-                    del out[mark[0]:]
-                    del enc.buffers[mark[1]:]
-                    del enc.refs[mark[2]:]
-                    codec_id = CODEC_OBJ
-                    enc.encode(payload)
-            else:
-                codec_id = CODEC_OBJ
-                enc.encode(payload)
+            codec_id = CODEC_OBJ
+            enc.encode(payload)
     meta_len = len(out) - HEADER.size - args_len
     flags = 0
     if am.trace_id:

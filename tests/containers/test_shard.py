@@ -9,8 +9,8 @@ is driven directly, which is the point of having them.
   failover" prints the same table);
 * a hypothesis stateful model of a primary/backup pair against a dict
   oracle;
-* ``snapshot()`` -> ``kv_state`` codec -> ``from_snapshot()`` and
-  ``kv_repl`` record round trips;
+* ``snapshot()`` -> tagged stream -> ``from_snapshot()`` and
+  replication-record round trips, neither touching pickle;
 * the changed-keys log and the client cache's three rules: unit cases,
   then a hypothesis stateful model of two :class:`ShardCache` clients
   against a primary and its backup.
@@ -40,7 +40,7 @@ from repro.containers.shard import (
     ShardCache,
     ShardSnapshot,
 )
-from repro.gasnet.wire import codecs as codecs_mod
+from repro.gasnet.wire import preencode
 
 ME, OTHER, THIRD = 1, 0, 2      # hosting rank, the other copy, a bystander
 SID = 3
@@ -360,16 +360,12 @@ test_replicated_pair = ReplicatedPair.TestCase
 
 
 # ---------------------------------------------------------------------------
-# (c) the two wire layouts
+# (c) what crosses the wire: records and snapshots as stream values
 # ---------------------------------------------------------------------------
 
-def _through(codec_name, obj):
-    codec = codecs_mod._codecs_by_name[codec_name]
-    enc = codecs_mod.Encoder()
-    codec.encode(enc, obj)
-    dec = codecs_mod.Decoder(memoryview(bytes(enc.out)), 0,
-                             enc.buffers, enc.refs)
-    return codec.decode(dec), enc
+def _through(obj):
+    ep = preencode(obj)
+    return ep.decode(), ep
 
 
 @pytest.mark.parametrize("as_primary", [False, True])
@@ -379,9 +375,11 @@ def test_snapshot_codec_from_snapshot_round_trip(as_primary):
     sh.update(2, 11, "n", _add, (5,), 0, True)
     sh.update(0, 12, "n", _add, (1,))
     sh.repl_epoch = 4
-    snap, enc = _through("kv_state", sh.snapshot(as_primary))
+    # kv_install sends the tuple and rebuilds the snapshot from it
+    fields, ep = _through(tuple(sh.snapshot(as_primary)))
+    snap = ShardSnapshot(*fields)
     assert snap == sh.snapshot(as_primary)
-    assert not enc.used_pickle
+    assert not ep.used_pickle
     there = Shard.from_snapshot(SID, snap, THIRD)
     assert there.store == sh.store
     assert there.applied == sh.applied
@@ -402,9 +400,9 @@ def test_replication_records_round_trip_and_replay():
         primary.update(3, 1, "a", _add, (41,)),
         primary.delete(["b", "nope"]),
     ]
-    wire, enc = _through("kv_repl", records)
+    wire, ep = _through(records)
     assert wire == records
-    assert not enc.used_pickle
+    assert not ep.used_pickle
     backup = Shard(SID, BACKUP, ME, OTHER)
     backup.replay(primary.repl_epoch, wire)
     assert backup.store == primary.store == {"a": 42}

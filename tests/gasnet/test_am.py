@@ -73,7 +73,7 @@ class _CountingPickle:
 
 
 def test_wire_bytes_pickles_at_most_once(monkeypatch):
-    """Sizing an AM with a genuinely dynamic payload (a dict) costs at
+    """Sizing an AM with a genuinely dynamic payload (a set) costs at
     most one pickle.dumps, and the encoded frame is memoized — a second
     wire_bytes read re-pickles nothing."""
     from repro.gasnet.wire import codecs as codecs_mod
@@ -82,7 +82,7 @@ def test_wire_bytes_pickles_at_most_once(monkeypatch):
     monkeypatch.setattr(codecs_mod, "pickle", counter)
 
     am = ActiveMessage(handler="h", src_rank=0,
-                       args=(1, "two"), payload={"k": [3, 4]})
+                       args=(1, "two"), payload={"k", 3, 4})
     _ = am.wire_bytes
     assert counter.dumps_calls == 1, counter.dumps_calls
     _ = am.wire_bytes          # memoized frame: no further pickling

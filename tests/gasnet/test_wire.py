@@ -3,15 +3,15 @@
 The encoder's contract is *by-value delivery*: ``decode(encode(x))``
 compares equal to ``x``, preserves the exact type for every supported
 builtin, and never aliases a mutable buffer the sender could touch
-afterwards.  Fixed-layout paths (registered message codecs, tagged
-scalars/sequences, ndarray/bytes payloads) must not invoke pickle at
-all — asserted here with a counting stub threaded under the codec
-module.
+afterwards.  The tagged stream (scalars, sequences, dicts, ndarray/bytes
+payloads) must not invoke pickle at all — asserted here with a counting
+stub threaded under the codec module, and with each rank's
+``pickle_fallbacks`` counter, which also holds under
+``REPRO_CONDUIT=proc``.
 """
 
-import inspect
+import collections
 import json
-import re
 import sys
 
 import numpy as np
@@ -20,16 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-import repro.containers.queue
-import repro.containers.shard
-import repro.core.workqueue
-from repro.gasnet.wire import (
-    EncodedPayload,
-    Tagged,
-    UnencodableError,
-    preencode,
-    tagged,
-)
+from repro.gasnet.am import ActiveMessage
+from repro.gasnet.wire import UnencodableError, encode_am, preencode
 from repro.gasnet.wire import codecs as codecs_mod
 from tests.conftest import run_spmd
 
@@ -49,7 +41,9 @@ scalars = st.one_of(
     st.integers(min_value=-(1 << 200), max_value=1 << 200),
     st.floats(allow_nan=False),
     st.complex_numbers(allow_nan=False),
-    st.text(max_size=64),
+    # every category, lone surrogates included (os.fsdecode makes them)
+    st.text(st.characters(exclude_categories=())
+            | st.characters(categories=["Cs"]), max_size=64),
     st.binary(max_size=200),
 )
 
@@ -70,12 +64,21 @@ class Holder:
 # at every depth, and as the whole payload).
 functions = st.sampled_from([echo, Holder.held, json.dumps, roundtrip])
 
+# Dict keys: every hashable shape a kv map or a kwargs dict uses.
+keys = st.one_of(
+    st.text(max_size=8),
+    st.integers(),
+    st.binary(max_size=8),
+    st.tuples(st.integers(), st.text(max_size=4)),
+    st.frozensets(st.integers(-5, 5), max_size=3),
+)
+
 values = st.recursive(
     st.one_of(scalars, functions, st.just({})),
     lambda children: st.one_of(
         st.lists(children, max_size=8),
         st.tuples(children, children),
-        st.dictionaries(st.text(max_size=8), children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
     ),
     max_leaves=24,
 )
@@ -219,9 +222,13 @@ def test_dict_and_set_via_pickle5_roundtrip():
 
 def test_np_scalar_roundtrip():
     for v in (np.int32(-7), np.float64(2.5), np.complex128(1 + 2j),
-              np.uint8(255)):
+              np.uint8(255), np.str_("ab"), np.datetime64("2020-01-02"),
+              # zero itemsize: an empty element of a str/bytes array
+              np.str_(""), np.bytes_(b""), np.void(b"")):
         out = roundtrip(v)
         assert out == v and out.dtype == v.dtype
+    # the stream stays aligned after one of them
+    assert roundtrip([np.str_(""), 7]) == ["", 7]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def test_stream_tags_are_pinned():
         "T_INTTUPLE": 17, "T_INTLIST": 18, "T_FLOATTUPLE": 19,
         "T_FLOATLIST": 20, "T_STRTUPLE": 21, "T_STRLIST": 22,
         "T_NDARRAY": 23, "T_NPSCALAR": 24, "T_PICKLE": 25, "T_REF": 26,
-        "T_ENCODED": 27, "T_FUNC": 28, "T_EMPTYDICT": 29,
+        "T_ENCODED": 27, "T_FUNC": 28, "T_EMPTYDICT": 29, "T_DICT": 30,
     }
     for tag in tags.values():
         assert codecs_mod._DECODERS[tag] is not None
@@ -267,7 +274,34 @@ def test_empty_dict_as_a_whole_payload_is_one_byte():
     ep = preencode({})
     assert ep.ctrl == bytes((codecs_mod.T_EMPTYDICT,))
     assert ep.decode() == {} and not ep.used_pickle
-    assert preencode({"a": 1}).used_pickle  # non-empty: as before
+    assert not preencode({"a": 1}).used_pickle  # non-empty: T_DICT
+
+
+def test_dict_goes_by_value_and_its_subclasses_keep_their_type():
+    d = {"k": [1, 2], (1, "t"): {b"n": None}}
+    ep = preencode(d)
+    d["k"].append(3)                        # sender mutates after encode
+    d["new"] = 0
+    assert ep.decode() == {"k": [1, 2], (1, "t"): {b"n": None}}
+    for sub in (collections.OrderedDict(b=1, a=2),
+                collections.defaultdict(list, a=[1])):
+        out = roundtrip(sub)
+        assert out == sub and type(out) is type(sub)
+
+
+def test_unpicklable_value_inside_a_dict_goes_by_reference():
+    fn = lambda x: x                        # noqa: E731
+    ep = preencode({"f": fn, "n": 1})
+    assert ep.refs == [fn] and ep.decode() == {"f": fn, "n": 1}
+    with pytest.raises(UnencodableError):
+        preencode({"f": fn}, strict=True)
+
+
+def test_lone_surrogates_round_trip():
+    for v in ("\ud800", ["a", "\udc80"], {"k": "\ud800"},
+              "x" * 300 + "\udfff"):
+        assert roundtrip(v) == v
+        assert not preencode(v).used_pickle
 
 
 @pytest.mark.parametrize("fn", [echo, Holder.held, json.dumps])
@@ -367,82 +401,36 @@ def test_encoded_payload_decodes_fresh_each_time():
 
 
 # ---------------------------------------------------------------------------
-# registered message codecs
+# kv payloads: one stream value in a CODEC_OBJ frame
 # ---------------------------------------------------------------------------
 
-def _codec_roundtrip(name, obj):
-    codec = codecs_mod._codecs_by_name[name]
-    enc = codecs_mod.Encoder()
-    codec.encode(enc, obj)
-    dec = codecs_mod.Decoder(memoryview(bytes(enc.out)), 0,
-                             enc.buffers, enc.refs, copy=True)
-    return codec.decode(dec), enc
+def _frame_roundtrip(handler, payload):
+    frame = encode_am(ActiveMessage(handler, 0, args=(1, 2),
+                                    payload=payload, token=1))
+    return frame.thaw().payload, frame
 
 
 @pytest.mark.parametrize("items", [
     {}, {"k": 1}, {b"a": b"v" * 500, 3: [1, 2], "s": "t"},
 ])
 def test_kv_items_codec(items):
-    out, _ = _codec_roundtrip("kv_items", items)
-    assert out == items
+    """A put batch is a stream dict; its frame never pickles."""
+    out, frame = _frame_roundtrip("kv_put", items)
+    assert out == items and type(out) is dict
+    assert not frame.used_pickle
 
 
 @pytest.mark.parametrize("found", [
     [], [(True, 42)], [(True, b"x" * 300), (False, None), (True, "v")],
+    [(i % 3 > 0, i if i % 3 else None) for i in range(40)],
 ])
 def test_kv_found_codec(found):
-    out, _ = _codec_roundtrip("kv_found", found)
-    assert out == found
-
-
-def test_wq_loot_codec_int_fast_path():
-    loot = list(range(100))
-    out, enc = _codec_roundtrip("wq_loot", loot)
-    assert out == loot
-    assert not enc.used_pickle
-
-
-def test_frame_codec_ids_and_bindings_are_pinned():
-    """Codec ids are wire format: they follow registration order, which
-    is import order — ``repro.core.workqueue``, then
-    ``repro.containers.shard``, then ``repro.containers.queue``, each
-    registering next to the state or handler its layouts spell out; the
-    wire package itself names no message family.  Pin the whole table so
-    a moved or reordered registration cannot shift an id."""
-    assert {c.name: c.code for c in codecs_mod._codecs_by_name.values()} == {
-        "wq_loot": 16, "kv_items": 17, "kv_keys": 18, "kv_found": 19,
-        "kv_repl": 20, "kv_state": 21, "dq_items": 22,
-    }
-    assert {h: c.name for h, c in codecs_mod._handler_codecs.items()} == {
-        "kv_put": "kv_items", "kv_get": "kv_keys", "kv_del": "kv_keys",
-        "dq_push": "dq_items", "kv_repl": "kv_repl",
-        "kv_install": "kv_state",
-    }
-    for name in ("kv_items", "kv_found", "kv_repl", "kv_state"):
-        owner = codecs_mod._codecs_by_name[name].encode.__module__
-        assert owner == "repro.containers.shard"
-    # The three list codecs share the wire package's generic body, so
-    # their owner is the module whose source registers the name.
-    for name, owner in (("kv_keys", repro.containers.shard),
-                        ("wq_loot", repro.core.workqueue),
-                        ("dq_items", repro.containers.queue)):
-        assert codecs_mod._codecs_by_name[name].encode \
-            is codecs_mod._enc_obj_list
-        assert f'register_message_codec("{name}"' in inspect.getsource(owner)
-    assert not re.search(r"\b(kv|wq|dq)_", inspect.getsource(codecs_mod))
-
-
-def test_register_message_codec_duplicate_rejected():
-    with pytest.raises(Exception):
-        codecs_mod.register_message_codec(
-            "kv_items", lambda e, o: None, lambda d: None
-        )
-
-
-def test_tagged_wrapper():
-    t = tagged("wq_loot", [1, 2])
-    assert isinstance(t, Tagged)
-    assert t.codec.name == "wq_loot" and t.obj == [1, 2]
+    """A get reply is (hit flag bytes, values): it stays in the stream
+    past the 16 entries where a list of (hit, value) tuples pickles."""
+    reply = (bytes(hit for hit, _v in found), [v for _h, v in found])
+    (hits, vals), frame = _frame_roundtrip("__reply__", reply)
+    assert [(bool(h), v) for h, v in zip(hits, vals)] == found
+    assert not frame.used_pickle
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +457,30 @@ def pickle_counter(monkeypatch):
     return counter
 
 
-def test_kv_fixed_layout_path_never_pickles(pickle_counter):
+def test_kv_stream_path_never_pickles(pickle_counter):
     """kv put/get/delete/multi with str-or-int keys and bytes/int values
-    stay entirely on the struct/buffer codecs."""
+    stay in the tagged stream, with more than 16 keys asked of one
+    remote owner (where a list of tuples would go to pickle)."""
     from repro.containers import DistHashMap
 
     def body():
         me = repro.myrank()
+        n = repro.ranks()
         m = DistHashMap(cache=False)
         m.put(me, b"blob" * 100)
         m.put(f"k{me}", me * 10)
         repro.barrier()
-        for r in range(repro.ranks()):
+        for r in range(n):
             assert m.get(r) == b"blob" * 100
             assert m.get(f"k{r}") == r * 10
-        m.multi_put({(f"mk{me}:{i}"): i for i in range(16)})
+        m.multi_put({f"mk{me}:{i}": i for i in range(24)})
         repro.barrier()
-        vals = m.multi_get([f"mk{r}:{i}"
-                            for r in range(repro.ranks())
-                            for i in range(16)])
-        assert vals
+        keys = [f"mk{r}:{i}" for r in range(n) for i in range(24)]
+        asked = collections.Counter(m.owner_of(k) for k in keys)
+        del asked[me]
+        assert max(asked.values()) > 16
+        assert m.multi_get(keys + ["absent"], default=-1) == \
+            [i for _r in range(n) for i in range(24)] + [-1]
         assert m.delete(me) is True
         repro.barrier()
         from repro.core.world import current
@@ -519,26 +511,45 @@ def test_workqueue_steal_loot_never_pickles(pickle_counter):
     assert pickle_counter.dumps_calls == 0
 
 
+def scaled(x, k=1):
+    return x * k
+
+
 def test_collective_data_frames_never_pickle_scalars_or_arrays(
         pickle_counter):
+    """Collective data frames — gather's and allgather's {rank: value}
+    dicts among them — and an async with keyword arguments stay in the
+    tagged stream."""
     from repro.core import collectives
+    from repro.core.world import current
 
-    # Scalar/ndarray/float-list collective data frames are fixed-layout
-    # (gather is excluded: it ships {rank: value} dicts, which use the
-    # pickle-5 fallback by design).
     def body():
         me = repro.myrank()
-        s = collectives.allreduce(me + 1, op="sum")
-        arr = collectives.allreduce(np.full(8, me, dtype=np.int64),
-                                    op="sum")
-        b = collectives.bcast([1.5, 2.5] if me == 0 else None, root=0)
-        return s, arr, b
+        n = repro.ranks()
+        out = (
+            collectives.allreduce(me + 1, op="sum"),
+            collectives.allreduce(np.full(8, me, dtype=np.int64), op="sum"),
+            collectives.bcast([1.5, 2.5] if me == 0 else None, root=0),
+            collectives.gather(me * 10, root=0),
+            collectives.allgather(f"r{me}"),
+            collectives.scatter(list(range(100, 100 + n)) if me == 0
+                                else None, root=0),
+            repro.async_((me + 1) % n)(scaled, me, k=3).get(),
+        )
+        repro.barrier()
+        return out, current().stats.snapshot()["pickle_fallbacks"]
 
     n = 3
-    out = run_spmd(body, ranks=n)
-    assert all(s == n * (n + 1) // 2 for s, *_ in out)
-    np.testing.assert_array_equal(out[0][1], np.full(8, sum(range(n))))
-    assert out[0][2] == [1.5, 2.5]
+    res = run_spmd(body, ranks=n)
+    for me, ((s, arr, b, g, ag, sc, a), fallbacks) in enumerate(res):
+        assert s == n * (n + 1) // 2
+        np.testing.assert_array_equal(arr, np.full(8, sum(range(n))))
+        assert b == [1.5, 2.5]
+        assert g == ([0, 10, 20] if me == 0 else None)
+        assert ag == ["r0", "r1", "r2"]
+        assert sc == 100 + me
+        assert a == 3 * me
+        assert fallbacks == 0
     assert pickle_counter.dumps_calls == 0
 
 
