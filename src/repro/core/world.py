@@ -33,10 +33,12 @@ from repro.errors import (
     PeerFailure,
     PgasError,
     RankDead,
+    TransientCommError,
 )
 from repro.core.coll_engine import CollEngine
 from repro.core.future import Future
-from repro.gasnet.am import ActiveMessage, handler_registry, make_reply
+from repro.gasnet.am import (ActiveMessage, am_handler, handler_registry,
+                             make_reply)
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
@@ -141,8 +143,8 @@ class RankState:
         #: Set when this rank "crashed" (see :func:`die`); the failure
         #: detector converts it into a PeerFailure on every other rank.
         self.dead = False
-        #: Stamped on every progress call — the liveness signal the
-        #: world-level heartbeat failure detector watches.
+        #: Stamped on every progress call — the local liveness signal
+        #: the world's failure detector watches.
         self.last_heartbeat = time.monotonic()
 
     # -- messaging ------------------------------------------------------
@@ -206,13 +208,8 @@ class RankState:
     def fail_pending(self, exc: BaseException,
                      dst: int | None = None) -> None:
         """Fail outstanding reply futures addressed to ``dst`` (all
-        destinations when ``dst`` is None) with ``exc``.
-
-        The reliability layer synthesizes error replies only for
-        *unacked* requests; a request acked just before its target died
-        leaves an orphaned future that nothing would ever complete —
-        this is the death-time sweep that rescues those waiters.
-        """
+        destinations when ``dst`` is None) with ``exc``: the death-time
+        sweep, so no waiter on a dead rank outlives its death."""
         with self._pending_lock:
             doomed = [t for t, f in self._pending.items()
                       if dst is None or f._dst == dst]
@@ -323,7 +320,7 @@ class RankState:
                 am = frame.thaw()
         self.stats.record_am_handled()
         if self.telemetry.active and am.handler not in (
-            "__rel_ping__", "__rel_pong__", "__rel_ack__", "__rel_data__",
+            "__ping__", "__pong__", "__rel_ack__", "__rel_data__",
         ):  # protocol chatter would drown out the useful history
             self.telemetry.flight_event(
                 "am_handled", src=am.src_rank, dst=self.rank,
@@ -335,10 +332,12 @@ class RankState:
                 if self._pending_meta:
                     self._pending_meta.pop(am.token, None)
             if fut is None:
-                # Under the reliability layer a reply can legally
-                # arrive after the op's deadline already completed
-                # its future with CommTimeout — drop it, counted.
-                if getattr(self.world, "_reliable", None) is not None:
+                # A reply can legally arrive after its future completed:
+                # past the reliability layer's op deadline, or from a
+                # rank declared dead (its waiters already got RankDead)
+                # that was only hung — drop it, counted.
+                if (self.world._reliable is not None
+                        or am.src_rank in self.world.dead_ranks):
                     self.stats.add(stale_replies=1)
                     return
                 raise PgasError(
@@ -514,20 +513,26 @@ class World:
 
     Reliability knobs
     -----------------
-    ``reliability``:
-        ``None`` (default) uses the conduit as-is.  Anything else wraps
-        the conduit in :class:`~repro.gasnet.reliability.ReliableConduit`:
-        ``True`` for the default config, a dict of
-        :class:`~repro.gasnet.reliability.ReliabilityConfig` fields, or a
-        ready config/conduit instance.
+    One failure detector thread checks two signals and records every
+    death in the one dead set, :attr:`dead_ranks`:
+
     ``heartbeat_timeout``:
-        When set, a world-level failure detector declares any rank that
-        makes no runtime progress for this many seconds (or that called
-        :func:`die`) dead, failing the world with
-        :class:`~repro.errors.RankDead` so blocked peers raise
-        :class:`~repro.errors.PeerFailure` instead of hanging.  Must
-        exceed the longest pure-compute (non-communicating) phase of the
-        program.  ``heartbeat_period`` is the detector's polling period.
+        When set, a rank of this process that makes no runtime progress
+        for this many seconds (or that called :func:`die`) is declared
+        dead, failing the world with :class:`~repro.errors.RankDead` so
+        blocked peers raise :class:`~repro.errors.PeerFailure` instead
+        of hanging.  Must exceed the longest pure-compute phase of the
+        program.  ``heartbeat_period`` is how often it is checked.
+    ``reliability``:
+        ``True``, a dict of
+        :class:`~repro.gasnet.reliability.ReliabilityConfig` fields or a
+        config: every ``heartbeat_period`` each local rank probes every
+        peer, and a peer whose rank thread answers no probe for
+        ``peer_timeout`` seconds — hung, or cut off from the wire — is
+        declared dead.  Over a ``caps.lossy`` conduit only, it also adds
+        :class:`~repro.gasnet.reliability.ReliableConduit` (FIFO,
+        exactly-once); a ``ReliableConduit`` passed as ``conduit=`` is
+        honoured as given.
     ``telemetry``:
         ``None``/``"off"`` (default) records nothing and leaves the
         conduit unwrapped; ``"flight"`` runs only the per-rank flight
@@ -573,9 +578,8 @@ class World:
         #: proc backend each rank process holds the full directory of
         #: RankState objects, but only its own rank *executes* here —
         #: the rest are stubs whose segments are shared-memory views.
-        #: Liveness machinery (progress thread, failure detector,
-        #: metrics sampler, reliability heartbeats) must only drive the
-        #: local ranks.
+        #: Liveness machinery (progress thread, failure detector and its
+        #: probes, metrics sampler) must only drive the local ranks.
         self.local_ranks = (None if local_ranks is None
                             else frozenset(local_ranks))
         self._segment_factory = segment_factory
@@ -584,8 +588,8 @@ class World:
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_period = heartbeat_period
         self.survive_rank_death = bool(survive_rank_death)
-        #: Ranks declared dead by any failure detector (heartbeat
-        #: silence or :func:`die`).  Read freely; written via mark_dead.
+        #: The one dead set, fed by the detector (and, on proc, the
+        #: launcher).  Read freely; written via mark_dead.
         self.dead_ranks: set[int] = set()
         self._death_subs: list[Callable[[int, BaseException], None]] = []
         #: Observability state (histograms, flight recorder, spans) —
@@ -596,8 +600,16 @@ class World:
         #: Set by ReliableConduit.attach; consulted by the AM layer to
         #: tolerate post-deadline (stale) replies.
         self._reliable = None
-        if reliability is not None and reliability is not False:
-            conduit = _wrap_reliable(conduit, reliability)
+        #: Where liveness probes travel: beneath the reliability and
+        #: telemetry layers (a probe needs no delivery guarantee and is
+        #: no application traffic).
+        self._wire, conduit, rel = _wrap_reliable(conduit, reliability)
+        self._peer_timeout = self._probe_period = None
+        if rel is not None and n_ranks > 1:
+            self._peer_timeout = rel.peer_timeout
+            self._probe_period = rel.heartbeat_period
+        #: rank -> when it last answered one of this process's probes.
+        self._last_heard = dict.fromkeys(range(n_ranks), time.monotonic())
         if self.telemetry.enabled:
             # Outermost layer: latencies include reliability retries, and
             # inner layers' trace_control events reach the flight ring.
@@ -605,8 +617,8 @@ class World:
                                        timed=self.telemetry.full)
         self.conduit = conduit
         self.ranks = [RankState(self, r, segment_size) for r in range(n_ranks)]
-        self.conduit.attach(self)
         self._glock = threading.Lock()
+        self.conduit.attach(self)
         self._failure: tuple[int, BaseException] | None = None
         #: Who recorded it: a rank's own failure unwinds its thread by
         #: itself only when that thread is the one that failed.
@@ -617,7 +629,7 @@ class World:
         self._progress_thread: threading.Thread | None = None
         self._detector_stop = threading.Event()
         self._detector_thread: threading.Thread | None = None
-        if heartbeat_timeout is not None:
+        if heartbeat_timeout is not None or self._peer_timeout is not None:
             self._detector_thread = threading.Thread(
                 target=self._failure_detector_main,
                 name=f"pgas-detector-{self.id}", daemon=True,
@@ -711,8 +723,8 @@ class World:
         """Declare ``rank`` dead (idempotent).
 
         Always records the death in :attr:`dead_ranks`, marks the rank
-        state, tells the reliability layer to fail-fast traffic to the
-        peer, and notifies :meth:`on_rank_death` subscribers.  Then:
+        state, fails the futures waiting on it, and notifies
+        :meth:`on_rank_death` subscribers (reliability's too).  Then:
         without ``survive_rank_death`` the world fails (the historical
         fatal contract); with it the survivors are merely poked so
         blocked waits re-evaluate.
@@ -724,12 +736,6 @@ class World:
             subs = list(self._death_subs)
         if 0 <= rank < self.n_ranks:
             self.ranks[rank].dead = True
-        rc = getattr(self, "_reliable", None)
-        if rc is not None:
-            try:
-                rc._note_peer_dead(rank, exc)
-            except Exception:
-                pass
         # Sweep orphaned reply futures: waiters on the dead rank get the
         # death as their answer, and the dead rank's own waits unwind so
         # a partitioned primary does not sit out its full op deadline
@@ -778,7 +784,7 @@ class World:
             self._progress_thread.join(timeout=5.0)
             self._progress_thread = None
 
-    # -- failure detector (heartbeat liveness) -------------------------------
+    # -- failure detector: one thread, two signals ---------------------------
     def stop_failure_detector(self) -> None:
         self._detector_stop.set()
         if self._detector_thread is not None:
@@ -786,30 +792,60 @@ class World:
             self._detector_thread = None
 
     def _failure_detector_main(self) -> None:
-        """Declare ranks that stop making progress dead (converted to
-        PeerFailure on every blocked peer) instead of letting the world
-        hang until the op timeout."""
-        while not self._detector_stop.wait(self.heartbeat_period):
+        """Declare dead, instead of letting the world hang until the op
+        timeout, a rank that fails either liveness signal (see the class
+        docstring): its progress stamp, for a rank of this process, or
+        its answers to the probes, for a peer."""
+        hb_timeout, peer_timeout = self.heartbeat_timeout, self._peer_timeout
+        tick = min(period for period, timeout in (
+            (self.heartbeat_period, hb_timeout),
+            (self._probe_period, peer_timeout)) if timeout is not None)
+        heard, next_probe = self._last_heard, 0.0
+        while not self._detector_stop.wait(tick):
             if self._failure is not None:
                 return
             now = time.monotonic()
+            if peer_timeout is not None and now >= next_probe:
+                next_probe = now + self._probe_period
+                self._send_probes()
             for rk in self.ranks:
-                if not self.is_local(rk.rank):
-                    continue  # remote stubs: their process watches them
-                if rk.done or rk.rank in self.dead_ranks:
+                r, why = rk.rank, None
+                stamp = self.is_local(r) and hb_timeout is not None
+                if rk.done:
+                    heard[r] = now  # finished ≠ failed
+                elif r in self.dead_ranks:
                     continue
-                if rk.dead:
-                    self.mark_dead(rk.rank, RankDead(
-                        f"rank {rk.rank} died (simulated crash)"
-                    ))
-                    continue
-                silent = now - rk.last_heartbeat
-                if silent > self.heartbeat_timeout:
-                    self.mark_dead(rk.rank, RankDead(
-                        f"rank {rk.rank} made no runtime progress for "
-                        f"{silent:.2f}s (heartbeat_timeout="
-                        f"{self.heartbeat_timeout}s)"
-                    ))
+                elif stamp and rk.dead:
+                    why = f"rank {r} died (simulated crash)"
+                elif stamp and now - rk.last_heartbeat > hb_timeout:
+                    why = (f"rank {r} made no runtime progress for "
+                           f"{now - rk.last_heartbeat:.2f}s "
+                           f"(heartbeat_timeout={hb_timeout}s)")
+                elif (peer_timeout is not None
+                      and now - heard[r] > peer_timeout
+                      and (self.local_ranks is None
+                           or r not in self.local_ranks)):
+                    why = (f"rank {r} answered no liveness probe for "
+                           f"{now - heard[r]:.2f}s "
+                           f"(peer_timeout={peer_timeout}s)")
+                if why is not None:
+                    self.mark_dead(r, RankDead(why))
+
+    def _send_probes(self) -> None:
+        for rk in self.ranks:
+            if not self.is_local(rk.rank) or rk.done or rk.dead:
+                continue  # a rank must not probe on a remote's behalf
+            for peer in range(self.n_ranks):
+                if peer != rk.rank and peer not in self.dead_ranks:
+                    rk.stats.add(heartbeats_sent=1)
+                    self._probe(rk.rank, peer, "__ping__")
+
+    def _probe(self, src: int, dst: int, handler: str) -> None:
+        try:
+            self._wire.send_am(src, dst, ActiveMessage(
+                handler=handler, src_rank=src))
+        except TransientCommError:
+            pass  # a lost probe is what the timeout already allows for
 
     def _progress_main(self) -> None:
         """Drain inboxes of busy ranks (the paper's worker Pthread)."""
@@ -831,26 +867,40 @@ class World:
                 time.sleep(0.0005)
 
 
+@am_handler("__ping__")
+def _on_ping(ctx, am) -> None:
+    # Answered by the rank's own drain: a hung rank stays silent.
+    ctx.world._probe(ctx.rank, am.src_rank, "__pong__")
+
+
+@am_handler("__pong__")
+def _on_pong(ctx, am) -> None:
+    ctx.world._last_heard[am.src_rank] = time.monotonic()
+
+
 def _wrap_reliable(conduit, reliability):
-    """Resolve the World ``reliability=`` knob into a ReliableConduit."""
+    """Resolve the World ``reliability=`` knob: ``(the conduit probes
+    travel on, the conduit stack, the config or None)``.  The stack
+    gains a ReliableConduit only over a lossy conduit."""
     from repro.gasnet.reliability import ReliabilityConfig, ReliableConduit
 
     if isinstance(conduit, ReliableConduit):
-        return conduit  # already wrapped; the knob is a no-op
-    if isinstance(reliability, ReliableConduit):
-        raise PgasError(
-            "pass a ReliableConduit via conduit=, not reliability="
-        )
+        return conduit._inner, conduit, conduit.cfg  # honoured as given
+    if reliability is None or reliability is False:
+        return conduit, conduit, None
     if reliability is True:
-        return ReliableConduit(conduit)
-    if isinstance(reliability, ReliabilityConfig):
-        return ReliableConduit(conduit, config=reliability)
-    if isinstance(reliability, dict):
-        return ReliableConduit(conduit, **reliability)
-    raise PgasError(
-        f"reliability= must be True, a dict of ReliabilityConfig fields, "
-        f"or a ReliabilityConfig (got {reliability!r})"
-    )
+        reliability = ReliabilityConfig()
+    elif isinstance(reliability, dict):
+        reliability = ReliabilityConfig(**reliability)
+    elif not isinstance(reliability, ReliabilityConfig):
+        raise PgasError(
+            f"reliability= must be True, a dict of ReliabilityConfig "
+            f"fields, or a ReliabilityConfig (got {reliability!r}); a "
+            f"ReliableConduit goes in conduit="
+        )
+    stack = (ReliableConduit(conduit, config=reliability)
+             if conduit.caps.lossy else conduit)
+    return conduit, stack, reliability
 
 
 class _RankKilled(BaseException):
@@ -860,10 +910,10 @@ class _RankKilled(BaseException):
 
 def die() -> None:
     """Simulate the calling rank crashing: it stops executing *without*
-    reporting an error, exactly like a killed process.  Detection is the
-    failure detector's job (``World(heartbeat_timeout=...)`` or the
-    reliable conduit's peer heartbeats); peers then observe
-    :class:`~repro.errors.PeerFailure` instead of hanging."""
+    reporting an error, exactly like a killed process.  The world's one
+    failure detector sees it by either signal — its progress stamp
+    (``heartbeat_timeout=``) or its silence to probes (``reliability=``);
+    peers then observe :class:`~repro.errors.PeerFailure`, not a hang."""
     ctx = current()
     ctx.dead = True
     ctx.world.poke_all()

@@ -16,11 +16,13 @@ breaks the transport's *contract*.  Under a seeded RNG it
   traffic to and from that rank is black-holed.
 
 The runtime's constructs assume reliable FIFO delivery and would corrupt
-state or deadlock directly on this conduit; the point is to run them
-through :class:`~repro.gasnet.reliability.ReliableConduit` wrapped around
-this one and prove the stack survives.  Injected events are counted in
-:class:`~repro.gasnet.stats.CommStats` (``chaos_drops``/``chaos_dups``/
-``chaos_reorders``/``chaos_faults``) and reported to an active
+state or deadlock directly on this conduit, so it advertises
+``caps.lossy``: ``World(reliability=...)`` then runs them through
+:class:`~repro.gasnet.reliability.ReliableConduit` wrapped around this
+one, and the point is to prove the stack survives.  Injected events
+are counted in :class:`~repro.gasnet.stats.CommStats` (``chaos_drops``/
+``chaos_dups``/``chaos_reorders``/``chaos_faults``) and reported to an
+active
 :class:`~repro.gasnet.trace.Trace`.
 """
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,6 +109,12 @@ class ChaosConduit(ConduitLayer):
         #: the next message to the pair — a pairwise-FIFO violation.
         self._held: dict[tuple[int, int], ActiveMessage] = {}
         self._killed: set[int] = set()
+
+    @property
+    def caps(self):
+        # Lossy whatever the rates: the reliability layer is installed
+        # for what this layer *can* do, not for what one seed rolls.
+        return replace(self._inner.caps, lossy=True)
 
     # -- failure control ---------------------------------------------------
     def kill_rank(self, rank: int) -> None:

@@ -33,9 +33,11 @@ The FIFO and exactly-once guarantees are what the *runtime* relies on;
 a conduit that cannot provide them natively (e.g.
 :class:`~repro.gasnet.chaos.ChaosConduit`, which drops/duplicates/
 reorders and raises :class:`~repro.errors.TransientCommError` from RMA)
-must be wrapped in :class:`~repro.gasnet.reliability.ReliableConduit`,
+says so with :attr:`ConduitCaps.lossy`, and ``World(reliability=...)``
+then wraps it in :class:`~repro.gasnet.reliability.ReliableConduit`,
 which restores the contract with sequence numbers, acks/retransmit,
-bounded RMA retry, and op-id-guarded exactly-once atomics.
+bounded RMA retry, and op-id-guarded exactly-once atomics.  A conduit
+that keeps the contract (smp, proc, delay) gets no such wrapper.
 
 Those wrappers — and the observing one,
 :class:`~repro.gasnet.trace.TelemetryConduit` — are
@@ -86,6 +88,11 @@ class ConduitCaps:
     #: spmd() must go through the process launcher: the conduit cannot
     #: be instantiated standalone in the calling process.
     needs_launcher: bool = False
+    #: The transport may drop, duplicate or reorder AMs or fail RMA
+    #: transiently: the runtime's FIFO/exactly-once contract needs the
+    #: reliability layer on top.  Derived from the stack (a fault layer
+    #: sets it, the reliability layer clears it), never a user option.
+    lossy: bool = False
 
 
 class Conduit(abc.ABC):

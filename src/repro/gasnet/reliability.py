@@ -6,6 +6,8 @@ either completes or the job dies.  :class:`ReliableConduit` restores that
 contract on top of a transport that drops, duplicates, reorders, and
 transiently fails — e.g. :class:`~repro.gasnet.chaos.ChaosConduit` — the
 way DART-MPI layers PGAS delivery semantics over an imperfect substrate.
+``World(reliability=...)`` installs it over a ``caps.lossy`` conduit
+only; liveness is the world's failure detector's job.
 
 Mechanisms
 ----------
@@ -33,19 +35,15 @@ Mechanisms
   :class:`~repro.errors.TransientCommError`; ``rma_atomic`` and
   ``rma_atomic_batch`` are guarded by op-ids so a retried update applies
   **exactly once** even when the fault fired after the update landed.
-* **Heartbeat failure detection** — the conduit pings every rank pair;
-  a rank silent past ``peer_timeout`` is declared dead via
-  :meth:`~repro.core.world.World.mark_dead`.  By default that fails the
-  world (:class:`~repro.errors.PeerFailure` on every blocked rank); with
-  ``survive_rank_death=True`` the survivors keep running — traffic
-  already in flight to the dead rank fails with
-  :class:`~repro.errors.RankDead` error replies, later sends to it
-  fail fast, and death subscribers (e.g. replicated containers) take
-  over the dead rank's duties.
+* **Rank death** — the layer subscribes to
+  :meth:`~repro.core.world.World.on_rank_death`: envelopes the dead
+  rank never acked become :class:`~repro.errors.RankDead` error replies
+  at once, and later sends to it fail fast instead of retransmitting
+  into a black hole.
 
 Retry/dup/timeout counts land in :class:`~repro.gasnet.stats.CommStats`
 (``am_retransmits``/``dup_ams``/``acks_sent``/``rma_retries``/
-``op_timeouts``/``heartbeats_sent``) and in an active
+``op_timeouts``) and in an active
 :class:`~repro.gasnet.trace.Trace` as control events.
 """
 
@@ -54,7 +52,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +69,9 @@ from repro.gasnet.conduit import Conduit, ConduitLayer
 
 @dataclass
 class ReliabilityConfig:
-    """Tuning knobs for :class:`ReliableConduit`.
+    """Tuning knobs for :class:`ReliableConduit` and, through
+    ``World(reliability=...)``, for the world's peer probes
+    (``heartbeat_period``/``peer_timeout``).
 
     Defaults are sized for the in-process SMP/chaos conduits (sub-ms
     "wire"); a real network would scale them up.
@@ -93,10 +93,10 @@ class ReliabilityConfig:
     op_deadline: float | None = None
     #: Initial backoff between RMA retries (seconds).
     rma_retry_delay: float = 0.002
-    #: Interval between heartbeat probe rounds (seconds).
+    #: Interval between the world detector's peer probe rounds (seconds).
     heartbeat_period: float = 0.05
-    #: Declare a peer dead after this much silence (seconds);
-    #: ``None`` disables the failure detector.
+    #: Declare a peer dead after its probes go this long unanswered
+    #: (seconds); ``None`` disables the wire signal.
     peer_timeout: float | None = 2.0
     #: Monitor-thread polling granularity (seconds).
     tick: float = 0.002
@@ -233,9 +233,8 @@ class _Link:
 
 
 class ReliableConduit(ConduitLayer):
-    """Wrap any conduit with sequencing, acks/retransmit, bounded RMA
-    retry, exactly-once atomics, per-op deadlines, and a heartbeat
-    failure detector.
+    """Wrap a lossy conduit with sequencing, acks/retransmit, bounded RMA
+    retry, exactly-once atomics and per-op deadlines.
 
     >>> conduit = ReliableConduit(ChaosConduit(seed=0, am_drop_rate=0.1))
     >>> repro.spmd(body, ranks=4, conduit=conduit)
@@ -260,18 +259,19 @@ class ReliableConduit(ConduitLayer):
         self._links: dict[tuple[int, int], _Link] = {}
         # exactly-once bookkeeping / diagnostics
         self._op_ids = itertools.count(1)
-        # failure detector
-        self._last_heard: dict[int, float] = {}
-        self._dead_peers: set[int] = set()
         self._stop = threading.Event()
         self._monitor: threading.Thread | None = None
+
+    @property
+    def caps(self):
+        # The contract is restored above this layer.
+        return replace(self._inner.caps, lossy=False)
 
     # -- lifecycle ---------------------------------------------------------
     def attach(self, world) -> None:
         super().attach(world)
         world._reliable = self
-        now = time.monotonic()
-        self._last_heard = {r: now for r in range(world.n_ranks)}
+        world.on_rank_death(self._abandon_peer)
         self._monitor = threading.Thread(
             target=self._monitor_main,
             name=f"pgas-reliable-{world.id}", daemon=True,
@@ -279,8 +279,8 @@ class ReliableConduit(ConduitLayer):
         self._monitor.start()
 
     def close(self) -> None:
-        """Stop the retransmit/heartbeat monitor and close the inner
-        conduit (the world is ending)."""
+        """Stop the retransmit monitor and close the inner conduit (the
+        world is ending)."""
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
@@ -290,7 +290,7 @@ class ReliableConduit(ConduitLayer):
     # -- helpers -----------------------------------------------------------
     def _deadline_for(self, now: float) -> float:
         limit = self.cfg.op_deadline
-        if limit is None and self.world is not None:
+        if limit is None:
             limit = self.world.op_timeout
         if limit is None:
             limit = 30.0
@@ -307,20 +307,11 @@ class ReliableConduit(ConduitLayer):
             return self._links.setdefault(
                 (me, peer), _Link(me, peer, self.cfg, self._jitter))
 
-    def _check_peer(self, dst: int, what: str) -> None:
-        if dst in self._dead_peers:
-            raise PeerFailure(dst, RankDead(
-                f"rank {dst} declared dead before {what}"
-            ))
-
-    def _note_peer_dead(self, rank: int, exc: BaseException) -> None:
-        """Record ``rank`` as dead and fail every in-flight AM addressed
-        to it: retransmitting into a black hole would only stall the
-        initiator until its op deadline, so pending token-carrying AMs
-        get an immediate RankDead error reply instead."""
-        if rank in self._dead_peers:
-            return
-        self._dead_peers.add(rank)
+    def _abandon_peer(self, rank: int, exc: BaseException) -> None:
+        """Death subscriber: fail every in-flight AM addressed to
+        ``rank``.  Retransmitting into a black hole would only stall
+        the initiator until its op deadline, so pending token-carrying
+        AMs get an immediate RankDead error reply instead."""
         self._emit_control("peer_dead", rank, rank, detail=str(exc))
         for link in list(self._links.values()):
             if link.peer == rank:
@@ -359,17 +350,16 @@ class ReliableConduit(ConduitLayer):
         if src == dst:  # loopback is reliable; skip the protocol
             self._inner.send_am(src, dst, am)
             return
-        if am.is_reply and self.world is not None:
+        if am.is_reply:
             # Replies are charged where the conduit sees the reply flag;
             # here the inner conduit only ever sees the data envelope,
             # so the counter must be fed before wrapping.
             self.world.ranks[src].stats.add(replies_sent=1)
-        if dst in self._dead_peers:
+        if dst in self.world.dead_ranks:
             # Fail fast instead of queueing for a peer that can never
             # ack: token AMs get an immediate RankDead error reply,
             # fire-and-forget AMs are dropped.
-            if self.world is not None:
-                self.world.ranks[src].stats.add(dead_peer_fastfails=1)
+            self.world.ranks[src].stats.add(dead_peer_fastfails=1)
             self._emit_control("dead_peer_fastfail", src, dst,
                                detail=am.handler)
             self._reply_error(src, dst, am, RankDead(
@@ -385,8 +375,8 @@ class ReliableConduit(ConduitLayer):
 
     def _try_send(self, src: int, dst: int, am: ActiveMessage) -> None:
         """Hand ``am`` to the inner conduit; a transient fault counts as
-        a drop, which the retransmitter (for an envelope or a lost ack)
-        or the next heartbeat round recovers."""
+        a drop, which the retransmitter recovers (an envelope, or the
+        lost ack a duplicate will ask for again)."""
         try:
             self._inner.send_am(src, dst, am)
         except TransientCommError:
@@ -402,9 +392,8 @@ class ReliableConduit(ConduitLayer):
         """Receiver side: take the ack, dedup, reorder into per-pair
         FIFO; the ack owed in return rides the next envelope back."""
         src, dst = env.src_rank, ctx.rank
-        self._last_heard[src] = now = time.monotonic()
         link = self._link(dst, src)
-        ready = link.on_data(env.aux, env.payload, now)
+        ready = link.on_data(env.aux, env.payload, time.monotonic())
         if ready is None:
             ctx.stats.add(dup_ams=1)
             self._emit_control("dup_suppressed", src, dst,
@@ -418,24 +407,14 @@ class ReliableConduit(ConduitLayer):
             ctx._handle(inner_am)
 
     def _on_ack(self, ctx, am: ActiveMessage) -> None:
-        self._last_heard[am.src_rank] = time.monotonic()
         self._link(ctx.rank, am.src_rank).acked(am.aux)
 
-    # -- monitor: retransmit, deadlines, heartbeats ------------------------
+    # -- monitor: retransmit, deadlines ------------------------------------
     def _monitor_main(self) -> None:
-        cfg = self.cfg
-        next_hb = 0.0
-        while not self._stop.wait(cfg.tick):
+        while not self._stop.wait(self.cfg.tick):
             world = self.world
-            if world is None:
-                continue
-            now = time.monotonic()
-            self._service_links(world, now)
-            if cfg.peer_timeout is not None and world.n_ranks > 1:
-                if now >= next_hb:
-                    next_hb = now + cfg.heartbeat_period
-                    self._send_heartbeats(world)
-                self._check_peers(world)
+            if world is not None:
+                self._service_links(world, time.monotonic())
 
     def _service_links(self, world, now: float) -> None:
         for link in list(self._links.values()):
@@ -483,55 +462,6 @@ class ReliableConduit(ConduitLayer):
         self._emit_control("op_timeout", e.src, e.dst, detail=diag)
         self._reply_error(e.src, e.dst, e.inner, CommTimeout(diag))
 
-    def _send_heartbeats(self, world) -> None:
-        # Only ranks executing in this process originate pings: on the
-        # proc backend a rank must not impersonate its remote peers.
-        for i in range(world.n_ranks):
-            if not world.is_local(i):
-                continue
-            if world.ranks[i].done or world.ranks[i].dead:
-                continue
-            for j in range(world.n_ranks):
-                if i == j or j in self._dead_peers:
-                    continue
-                world.ranks[i].stats.add(heartbeats_sent=1)
-                self._try_send(i, j, ActiveMessage(
-                    handler="__rel_ping__", src_rank=i))
-
-    def _check_peers(self, world) -> None:
-        now = time.monotonic()
-        timeout = self.cfg.peer_timeout
-        for r in range(world.n_ranks):
-            if world.local_ranks is not None and r in world.local_ranks:
-                # Local ranks never ping themselves; their liveness is
-                # the world heartbeat detector's job, not ours.
-                continue
-            rk = world.ranks[r]
-            if rk.done:
-                self._last_heard[r] = now  # finished ≠ failed
-                continue
-            if r in self._dead_peers:
-                continue
-            silent = now - self._last_heard.get(r, now)
-            if silent > timeout:
-                # mark_dead routes back through _note_peer_dead (adds r
-                # to _dead_peers, fails in-flight AMs), notifies death
-                # subscribers, and — unless the world opted into
-                # survivable death — fails the whole world.
-                world.mark_dead(r, RankDead(
-                    f"reliable conduit: rank {r} missed its heartbeat "
-                    f"deadline ({silent:.2f}s silent > "
-                    f"peer_timeout={timeout}s)"
-                ))
-
-    def _on_ping(self, ctx, am: ActiveMessage) -> None:
-        self._last_heard[am.src_rank] = time.monotonic()
-        self._try_send(ctx.rank, am.src_rank, ActiveMessage(
-            handler="__rel_pong__", src_rank=ctx.rank))
-
-    def _on_pong(self, ctx, am: ActiveMessage) -> None:
-        self._last_heard[am.src_rank] = time.monotonic()
-
     # -- RMA: bounded retry ------------------------------------------------
     def _retry_rma(self, attempt_fn, *, src: int, dst: int, what: str):
         """Run ``attempt_fn`` retrying TransientCommError with capped
@@ -542,19 +472,19 @@ class ReliableConduit(ConduitLayer):
         deadline = self._deadline_for(now)
         attempts = 0
         while True:
-            self._check_peer(dst, what)
+            if dst in self.world.dead_ranks:
+                raise PeerFailure(dst, RankDead(
+                    f"rank {dst} declared dead before {what}"))
             try:
                 return attempt_fn()
             except TransientCommError as exc:
                 attempts += 1
-                if self.world is not None:
-                    self.world.ranks[src].stats.add(rma_retries=1)
+                self.world.ranks[src].stats.add(rma_retries=1)
                 self._emit_control("rma_retry", src, dst,
                                    detail=f"{what} try={attempts}")
                 now = time.monotonic()
                 if attempts > cfg.max_retries or now >= deadline:
-                    if self.world is not None:
-                        self.world.ranks[src].stats.add(op_timeouts=1)
+                    self.world.ranks[src].stats.add(op_timeouts=1)
                     raise CommTimeout(
                         f"reliable conduit: {what} {src}->{dst} failed "
                         f"after {attempts} retries "
@@ -652,5 +582,3 @@ def _protocol_handler(name: str, method) -> None:
 
 _protocol_handler("__rel_data__", ReliableConduit._on_data)
 _protocol_handler("__rel_ack__", ReliableConduit._on_ack)
-_protocol_handler("__rel_ping__", ReliableConduit._on_ping)
-_protocol_handler("__rel_pong__", ReliableConduit._on_pong)

@@ -1,10 +1,12 @@
 """Where the reliable layer's acknowledgements travel.
 
 ``tests/gasnet/test_reliability_link.py`` model-checks the protocol
-world-free; here the message counts it promises are pinned on real
-conduits — a reply *is* the ack of its request, a one-way stream costs
-a delayed ack per window rather than one per message — together with
-the two places a still-owed ack could hurt: teardown and rank death.
+world-free; here the message counts it promises are pinned in a running
+world — a reply *is* the ack of its request, a one-way stream costs a
+delayed ack per window rather than one per message — together with the
+two places a still-owed ack could hurt: teardown and rank death.  The
+protocol is installed only over a conduit that can lose, so every leg
+runs it over a fault-free ChaosConduit.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import pytest
 import repro
 from repro.core.world import current
 from repro.errors import PeerFailure, RankDead
-from repro.gasnet import ChaosConduit
+from repro.gasnet import ChaosConduit, backends
 from repro.gasnet.am import am_handler
 from repro.gasnet.reliability import ReliabilityConfig
 from tests.conftest import run_spmd
 
-CONDUITS = ("smp", "proc+socket")
+CONDUITS = ("smp",)
 COUNTS = ("acks_sent", "am_retransmits", "dup_ams")
 
 _seen: list = []      # per process: what acks_sink handled, in order
@@ -42,6 +44,12 @@ def _sink(ctx, am):
 
 def _link(me: int, peer: int):
     return current().world._reliable._link(me, peer)
+
+
+def _lossy(backend: str) -> ChaosConduit:
+    """The named backend under a ChaosConduit with every fault rate at
+    zero: ``caps.lossy`` is the wrapper's, not its rates'."""
+    return ChaosConduit(backends.backend(backend).factory(), seed=0)
 
 
 def _delta(before: dict, after: dict) -> dict:
@@ -74,7 +82,7 @@ def test_request_reply_loop_sends_no_standalone_acks(conduit):
         repro.barrier()
         return _delta(before, ctx.stats.snapshot())
 
-    total = _total(run_spmd(body, ranks=2, conduit=conduit,
+    total = _total(run_spmd(body, ranks=2, conduit=_lossy(conduit),
                             reliability=True))
     assert total["acks_sent"] <= 4, total
     assert total["am_retransmits"] == 0, total
@@ -117,7 +125,7 @@ def test_one_way_stream_is_acked_once_per_window(conduit):
         return delta, drained_at, list(_seen), _seen_at[-1:]
 
     (d0, drained_at, _, _), (d1, _, seen, last_at) = run_spmd(
-        body, ranks=2, conduit=conduit, reliability=cfg)
+        body, ranks=2, conduit=_lossy(conduit), reliability=cfg)
     assert seen == list(range(n))
     assert d0["acks_sent"] == 0 and 1 <= d1["acks_sent"] <= 50, (d0, d1)
     assert d0["am_retransmits"] == 0 and d1["dup_ams"] == 0, (d0, d1)
@@ -138,8 +146,7 @@ def test_teardown_after_a_one_way_burst_is_clean(conduit, capfd):
         ctx = current()
         del _seen[:]
         repro.barrier()
-        if conduit == "smp":
-            holder["world"] = ctx.world
+        holder["world"] = ctx.world
         if ctx.rank == 0:
             for i in range(n):
                 ctx.send_am(1, "acks_sink", args=(i,))
@@ -149,21 +156,21 @@ def test_teardown_after_a_one_way_burst_is_clean(conduit, capfd):
         return _seen
 
     t0 = time.monotonic()
-    _, seen = run_spmd(body, ranks=2, conduit=conduit, reliability=True)
+    _, seen = run_spmd(body, ranks=2, conduit=_lossy(conduit),
+                       reliability=True)
     assert time.monotonic() - t0 < 5.0
     assert seen == list(range(n))
-    if conduit == "smp":
-        world = holder["world"]
+    world = holder["world"]
 
-        def retransmits():
-            return sum(r.stats.snapshot()["am_retransmits"]
-                       for r in world.ranks)
+    def retransmits():
+        return sum(r.stats.snapshot()["am_retransmits"]
+                   for r in world.ranks)
 
-        at_close = retransmits()
-        time.sleep(5 * world.conduit.cfg.ack_timeout)
-        assert retransmits() == at_close
-        assert not [t.name for t in threading.enumerate()
-                    if t.name.startswith("pgas-reliable-")]
+    at_close = retransmits()
+    time.sleep(5 * world.conduit.cfg.ack_timeout)
+    assert retransmits() == at_close
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("pgas-reliable-")]
     assert capfd.readouterr().err == ""
 
 

@@ -32,8 +32,8 @@ from repro.errors import (
     SerializationError,
     TransientCommError,
 )
-from repro.gasnet import backends
-from repro.gasnet.am import am_handler
+from repro.gasnet import DelayConduit, ReliableConduit, SmpConduit, backends
+from repro.gasnet.am import am_handler, handler_registry
 from repro.gasnet.chaos import ChaosConduit
 from tests.conftest import run_spmd
 
@@ -401,6 +401,108 @@ def test_killed_peer_fails_the_reply_it_owes_promptly():
     assert elapsed < 0.2 + peer_timeout + 1.0
 
 
+@am_handler("conformance_spinning")
+def _spinning(ctx, am):
+    ctx.scratch["spinning"] = True
+
+
+def test_hung_peer_fails_the_reply_it_owes_by_wire_silence():
+    """proc, reliability on: rank 1 computes in pure Python, calling
+    nothing in the runtime, for longer than ``peer_timeout``.  Its
+    process is alive and its socket open, so only the missing answers
+    to rank 0's liveness probes can tell: rank 0's pending request
+    fails with RankDead within ``peer_timeout + 1 s`` and the job tears
+    down with no leaked shared memory and no children."""
+    peer_timeout = 0.5
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        if me == 1:
+            ctx.send_am(0, "conformance_spinning")
+            _busy_until(time.perf_counter() + peer_timeout + 1.5)
+            return None
+        ctx.wait_until(lambda: ctx.scratch.get("spinning"),
+                       what="test: rank 1 computes")
+        t0 = time.perf_counter()
+        fut = repro.async_(1)(_bounce, 1)
+        try:
+            fut.get()
+        except (RankDead, PeerFailure) as exc:
+            return type(exc).__name__, time.perf_counter() - t0
+        return "no error", time.perf_counter() - t0
+
+    res = run_spmd(body, ranks=2, conduit="proc",
+                   reliability={"peer_timeout": peer_timeout},
+                   survive_rank_death=True)
+    kind, elapsed = res[0]
+    assert kind == "RankDead"
+    assert elapsed < peer_timeout + 1.0
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+    assert _no_leaked_shm() == []
+
+
+_rel_frames: list = []   # per process: __rel_data__ envelopes dispatched
+
+
+@am_handler("conformance_echo")
+def _echo(ctx, am):
+    ctx.reply(am, args=am.args)
+
+
+@pytest.mark.parametrize("conduit", ("smp", "proc"))
+def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit,
+                                                              monkeypatch):
+    """smp and proc keep the FIFO, exactly-once contract themselves, so
+    ``reliability=True`` installs no delivery protocol over them: a
+    200-AM echo moves no envelope and no ack.  What it does turn on is
+    the world's failure detector — one thread, sending probes — and
+    nothing it started outlives ``spmd()``."""
+    n = 200
+    data = handler_registry["__rel_data__"]
+    monkeypatch.setitem(handler_registry, "__rel_data__",
+                        lambda ctx, am: (_rel_frames.append(1),
+                                         data(ctx, am)))
+    del _rel_frames[:]
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        before = ctx.stats.snapshot()
+        if me == 0:
+            for i in range(n):
+                args, _ = ctx.send_am(1, "conformance_echo", args=(i,),
+                                      expect_reply=True).get()
+                assert args == (i,)
+        ctx.wait_until(lambda: ctx.stats.heartbeats_sent > 0,
+                       what="test: a probe round")
+        barrier()
+        after = ctx.stats.snapshot()
+        threads = [t.name for t in threading.enumerate()
+                   if t.name.startswith(("pgas-detector-",
+                                         "pgas-reliable-"))]
+        return (after["acks_sent"] - before["acks_sent"],
+                after["heartbeats_sent"], len(_rel_frames), threads)
+
+    res = run_spmd(body, ranks=2, conduit=conduit, reliability=True)
+    for acks, probes, envelopes, threads in res:
+        assert (acks, envelopes) == (0, 0)
+        assert probes > 0
+        assert len(threads) == 1 and threads[0].startswith(
+            "pgas-detector-"), threads
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("pgas-")]
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
 # -- collectives + telemetry ------------------------------------------------
 def test_collectives_and_metrics_reduce(conduit):
     def body():
@@ -552,6 +654,16 @@ def test_chaos_requires_in_process_hooks():
     stub.caps = caps
     with pytest.raises(PgasError):
         ChaosConduit(inner=stub)
+
+
+def test_lossy_is_derived_from_the_stack():
+    """Only a layer that can lose sets ``caps.lossy`` — at any fault
+    rate — and the reliable layer clears it; nothing else has it."""
+    assert ChaosConduit(seed=0).caps.lossy
+    assert not ReliableConduit(ChaosConduit(seed=0)).caps.lossy
+    assert not SmpConduit().caps.lossy
+    assert not DelayConduit().caps.lossy
+    assert not backends.backend("proc").caps.lossy
 
 
 def test_backend_registry_capabilities():

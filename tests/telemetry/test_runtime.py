@@ -109,8 +109,8 @@ def test_full_mode_wraps_outside_reliability():
         repro.barrier()
         return True
 
-    assert all(run_spmd(body, ranks=2, telemetry="full",
-                        reliability={"seed": 0}))
+    assert all(run_spmd(body, ranks=2, conduit=ChaosConduit(seed=0),
+                        telemetry="full", reliability={"seed": 0}))
 
 
 # ------------------------------------------------- conduit-op histograms
@@ -362,7 +362,7 @@ def test_flight_ring_logs_the_handler_not_its_envelope():
         return handled, ams_handled
 
     (_, _), (handled, ams_handled) = run_spmd(
-        body, ranks=2, reliability=True,
+        body, ranks=2, conduit=ChaosConduit(seed=0), reliability=True,
         telemetry={"mode": "flight", "flight_capacity": 4096})
     assert not [d for d in handled if d.startswith("__rel_")]
     assert handled.count("flight_echo") == n
