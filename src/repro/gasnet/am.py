@@ -27,9 +27,11 @@ handler_registry: dict[str, Callable] = {}
 def am_handler(name: str) -> Callable[[Callable], Callable]:
     """Decorator registering an active-message handler under ``name``.
 
-    Handler names must be globally unique; the function entry points are
-    assumed identical on all ranks (paper §IV's loader assumption, which
-    holds trivially in one process).
+    Handler names must be globally unique.  Paper §IV assumes every rank
+    loads the same handler table, so an index means the same thing
+    everywhere; here a frame carries the handler's name instead, so
+    ranks may register handlers in any order, before or after the fork.
+    A name the target never registered fails at dispatch.
     """
 
     def register(fn: Callable) -> Callable:

@@ -29,11 +29,11 @@ Design
   of delivering a dangling reference.
 
 * **Two AM transports, one message stream, no receive thread.**  Both
-  carry the same per-directed-pair byte stream (DEF records and
-  frames, below) and both wake the receiver through the pair's mesh
-  socket.  ``proc+socket`` — which plain ``proc`` names — writes the
-  message bytes to that socket (one ``sendmsg`` per message, chunked
-  buffered reads).  ``proc+ring`` is the same transport with the bytes
+  carry the same per-directed-pair byte stream of frames (below) and
+  both wake the receiver through the pair's mesh socket.
+  ``proc+socket`` — which plain ``proc`` names — writes the message
+  bytes to that socket (one ``sendmsg`` per message, chunked buffered
+  reads).  ``proc+ring`` is the same transport with the bytes
   in shared memory: a send publishes the message as slots of the
   pair's directed :mod:`repro.gasnet.ring` SPSC region (all regions
   live in one ``multiprocessing.shared_memory`` block the launcher
@@ -52,28 +52,24 @@ Design
   ``MSG_DONTWAIT``), or two ranks flooding each other would deadlock.
 
 * **Locks, and why each stays.**  Per-peer *send locks*: the rank
-  thread, the progress thread and the reliability monitor all send, and
-  messages must not interleave on a stream.  ``_recv_lock``: one
-  receiver at a time (parser state is not re-entrant, the rings are
-  single-consumer); a second caller — the progress thread, a
-  handler-nested wait, a blocked sender — tries it, or waits for it at
-  most its own timeout, and never spins.  The rank's *inbox condition*
-  is the parking place on smp and unused here: a delivery from another
-  thread of the process (the monitor's synthesized ``__error__``
-  replies, the launcher's ``proc-control`` thread) is a bare deque
+  thread, the progress thread and the failure detector (its
+  ``__ping__`` / ``__pong__`` probes) all send, and messages must not
+  interleave on a stream.  ``_recv_lock``: one receiver at a time
+  (parser state is not re-entrant, the rings are single-consumer); a
+  second caller — the progress thread, a handler-nested wait, a
+  blocked sender — tries it, or waits for it at most its own timeout,
+  and never spins.  The rank's *inbox condition* is the parking place
+  on smp and unused here: a delivery from another thread of the
+  process (the launcher's ``proc-control`` thread) is a bare deque
   append, which :meth:`ProcConduit.wake` follows with a byte on the
   self-pipe only when somebody is parked in ``select``.  (The core's
   ``_pending_lock``, ``_handler_lock`` and stats lock are in DESIGN.md's
   AM-path census.)
 
-* **Handler-id translation.**  Handler names are interned to 16-bit ids
-  per process in call order, so ids can diverge after the fork.  The
-  launcher interns every handler registered before the fork and records
-  that *agreed* prefix; ids above it are advertised to each peer with a
-  one-off ``DEF`` record before first use (the record rides the same
-  FIFO stream as the frames, on either transport), and the receiver
-  rewrites the id field (outer header and any nested reliability
-  envelope) in-place to its local id before the frame is thawed.
+* **A frame names its handler.**  Handlers registered after the fork,
+  or in a different order on each rank, need no agreement: the wire
+  carries the name (:mod:`repro.gasnet.wire.frame`), so a frame means
+  the same thing in every process and the stream is frames only.
 
 The conduit only ever *sends from* its own rank; peer
 :class:`~repro.core.world.RankState` objects in a rank process are
@@ -97,22 +93,12 @@ import numpy as np
 from multiprocessing import get_context, shared_memory
 
 from repro.errors import PgasError, SerializationError, TransientCommError
-from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
+from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.conduit import Conduit, ConduitCaps
 from repro.gasnet.ring import RingConsumer, RingProducer, RingSpec
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SegmentRma
-from repro.gasnet.wire.frame import (
-    CODEC_NESTED_AM,
-    F_HAS_REFS,
-    F_USED_PICKLE,
-    HEADER,
-    Frame,
-    _handler_names,
-    encode_am,
-    handler_code,
-    handler_name,
-)
+from repro.gasnet.wire.frame import F_HAS_REFS, F_USED_PICKLE, Frame, encode_am
 
 #: One capability set for both AM transports; which one a backend name
 #: pins is in ``Backend.options["transport"]``.
@@ -135,43 +121,18 @@ RING_SPILL_BYTES = 1 << 20   # per-ring OOB spill region (oversized frames)
 
 # -- message framing ---------------------------------------------------------
 #
-# Both transports carry one per-directed-pair byte stream of messages.
-# Every message starts with one type byte.  FRAME carries one wire
-# frame: <III> (ctrl_len, nbufs, refs_len) + nbufs u64 buffer lengths,
-# then the raw control bytes, the raw buffer spans, and the pickled
-# by-reference table.  DEF advertises one interned handler id:
-# <HH> (hid, name_len) + the UTF-8 name.
-
-MSG_FRAME = 0
-MSG_DEF = 1
+# Both transports carry one per-directed-pair byte stream of wire
+# frames.  Each is <III> (ctrl_len, nbufs, refs_len) + nbufs u64 buffer
+# lengths, then the raw control bytes, the raw buffer spans, and the
+# pickled by-reference table.
 
 _FRAME_HDR = struct.Struct("<III")
-# Type byte + frame header fused into one pack for buffer-less frames.
-_FRAME_HDR1 = struct.Struct("<BIII")
-_DEF_HDR = struct.Struct("<HH")
-_U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
-_NESTED_META = 20  # _5I splice prefix before a nested frame's ctrl
 
 _RECV_CHUNK = 1 << 18     # receive-loop read size (message or bell bytes)
 _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
 
 _fabric_ids = itertools.count(1)
-
-
-def _handler_sites(ctrl) -> list[int]:
-    """Byte offsets of every interned handler-id field in a control
-    stream: the outer header's, plus — when the payload is a nested
-    reliability envelope — each spliced inner frame's, recursively."""
-    sites = []
-    start = 0
-    while True:
-        (_ver, _flags, codec_id, _hid, _src, _tok, _aux, _nbuf,
-         args_len, _meta_len) = HEADER.unpack_from(ctrl, start)
-        sites.append(start + 4)  # handler id at header offset 4
-        if codec_id != CODEC_NESTED_AM:
-            return sites
-        start = start + HEADER.size + args_len + _NESTED_META
 
 
 def _buf_span(b):
@@ -205,33 +166,17 @@ class _StreamParser:
         self._buf += chunk
 
     def next_msg(self):
-        """One complete message as a tuple, or ``None`` if more bytes
-        are needed: ``(MSG_DEF, hid, name)`` or ``(MSG_FRAME, ctrl,
-        buffers, refs_blob)`` — ctrl/buffers are writable bytearrays."""
+        """One complete frame as ``(ctrl, buffers, refs_blob)``, or
+        ``None`` if more bytes are needed — ctrl/buffers are writable
+        bytearrays."""
         buf = self._buf
         off = self._off
         avail = len(buf) - off
-        if avail < 1:
+        if avail < _FRAME_HDR.size:
             return None
-        kind = buf[off]
-        if kind == MSG_DEF:
-            if avail < 1 + _DEF_HDR.size:
-                return None
-            hid, nlen = _DEF_HDR.unpack_from(buf, off + 1)
-            end = off + 1 + _DEF_HDR.size + nlen
-            if len(buf) < end:
-                return None
-            name = bytes(buf[off + 1 + _DEF_HDR.size:end]).decode("utf-8")
-            self._off = end
-            self._compact()
-            return (MSG_DEF, hid, name)
-        if kind != MSG_FRAME:
-            raise PgasError(f"proc conduit: bad message type {kind}")
-        if avail < 1 + _FRAME_HDR.size:
-            return None
-        ctrl_len, nbufs, refs_len = _FRAME_HDR.unpack_from(buf, off + 1)
-        p = off + 1 + _FRAME_HDR.size
-        if avail < 1 + _FRAME_HDR.size + 8 * nbufs:
+        ctrl_len, nbufs, refs_len = _FRAME_HDR.unpack_from(buf, off)
+        p = off + _FRAME_HDR.size
+        if avail < _FRAME_HDR.size + 8 * nbufs:
             return None
         lens = struct.unpack_from(f"<{nbufs}Q", buf, p) if nbufs else ()
         p += 8 * nbufs
@@ -249,7 +194,7 @@ class _StreamParser:
         refs_blob = bytes(buf[p:p + refs_len]) if refs_len else b""
         self._off = p + refs_len
         self._compact()
-        return (MSG_FRAME, ctrl, buffers, refs_blob)
+        return (ctrl, buffers, refs_blob)
 
     def _compact(self) -> None:
         off = self._off
@@ -316,13 +261,6 @@ class ProcFabric:
         #: boot[r]: (parent end, rank r's end) — ready/go handshake,
         #: death/failure broadcasts, and the rank's final result.
         self.boot = [socket.socketpair() for _ in range(n_ranks)]
-        # Intern every handler registered so far, so the forked
-        # processes share one agreed id prefix; ids past this point
-        # are per-process and need DEF advertisement on the wire.
-        for name in sorted(handler_registry):
-            handler_code(name)
-        handler_code("__reply__")
-        self.agreed_handlers = len(_handler_names)
 
     # -- ring layout -----------------------------------------------------
     def ring_region(self, src: int, dst: int) -> int:
@@ -438,10 +376,7 @@ class ProcConduit(SegmentRma, Conduit):
         peers = [r for r in range(fabric.n_ranks) if r != rank]
         self._socks = fabric.mesh_for(rank)
         self._send_locks = {p: threading.Lock() for p in peers}
-        self._advertised: dict[int, set[int]] = {p: set() for p in peers}
-        self._peer_names: dict[int, dict[int, str]] = {p: {} for p in peers}
         self._parsers = {p: _StreamParser() for p in peers}
-        self._agreed = fabric.agreed_handlers
         self._closing = False
         # The receive side: built by attach(), run under _recv_lock by
         # whoever calls poll().
@@ -543,9 +478,8 @@ class ProcConduit(SegmentRma, Conduit):
         prod = self._prod.get(dst)
         try:
             with self._send_locks[dst]:
-                head = self._def_records(dst, ctrl) or bytearray()
-                head += self._frame_head(ctrl, spans, len(refs_blob))
-                parts = [head, *spans]
+                parts = [self._frame_head(ctrl, spans, len(refs_blob)),
+                         *spans]
                 if refs_blob:
                     parts.append(refs_blob)
                 if prod is None:
@@ -560,41 +494,12 @@ class ProcConduit(SegmentRma, Conduit):
     def _frame_head(self, ctrl, spans, refs_len: int) -> bytes:
         if not spans:
             # Hot shape: header-only frame — one pack, one concat.
-            return _FRAME_HDR1.pack(MSG_FRAME, len(ctrl), 0,
-                                    refs_len) + ctrl
-        head = bytearray()
-        head.append(MSG_FRAME)
-        head += _FRAME_HDR.pack(len(ctrl), len(spans), refs_len)
+            return _FRAME_HDR.pack(len(ctrl), 0, refs_len) + ctrl
+        head = bytearray(_FRAME_HDR.pack(len(ctrl), len(spans), refs_len))
         for mv in spans:
             head += _U64.pack(_span_len(mv))
         head += ctrl
         return bytes(head)
-
-    def _def_records(self, dst: int, ctrl) -> bytearray | None:
-        """DEF records for any post-fork handler id in ``ctrl`` the
-        peer has not seen yet (caller holds the send lock and writes
-        them into the stream ahead of the frame, so a DEF always
-        precedes the first frame that uses its id)."""
-        seen = self._advertised[dst]
-        if ctrl[2] != CODEC_NESTED_AM:
-            # Common case: a flat frame has exactly one handler-id site
-            # (ctrl offset 4) — decide without the generator walk.
-            hid = _U16.unpack_from(ctrl, 4)[0]
-            if hid < self._agreed or hid in seen:
-                return None
-        out = None
-        for site in _handler_sites(ctrl):
-            hid = _U16.unpack_from(ctrl, site)[0]
-            if hid < self._agreed or hid in seen:
-                continue
-            name = handler_name(hid).encode("utf-8")
-            if out is None:
-                out = bytearray()
-            out.append(MSG_DEF)
-            out += _DEF_HDR.pack(hid, len(name))
-            out += name
-            seen.add(hid)
-        return out
 
     def _sendmsg_all(self, dst: int, sock: socket.socket, parts) -> None:
         """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
@@ -753,14 +658,10 @@ class ProcConduit(SegmentRma, Conduit):
             msg = parser.next_msg()
             if msg is None:
                 break
-            if msg[0] == MSG_DEF:
-                self._peer_names[peer][msg[1]] = msg[2]
-                continue
-            _kind, ctrl, buffers, refs_blob = msg
+            ctrl, buffers, refs_blob = msg
             refs: list = []
             if refs_blob:
                 refs = pickle.loads(refs_blob)
-            self._translate(peer, ctrl)
             flags = ctrl[1]
             frame = Frame(
                 ctrl, buffers, refs,
@@ -853,26 +754,6 @@ class ProcConduit(SegmentRma, Conduit):
             self._sel.unregister(sock)  # the stream is unparseable now
             self.world.fail(self.local_rank, exc)
             raise
-
-    def _translate(self, peer: int, ctrl: bytearray) -> None:
-        """Rewrite post-fork handler ids to this process's ids."""
-        if ctrl[2] != CODEC_NESTED_AM \
-                and _U16.unpack_from(ctrl, 4)[0] < self._agreed:
-            return  # flat frame, pre-agreed id: nothing to rewrite
-        names = self._peer_names[peer]
-        for site in _handler_sites(ctrl):
-            hid = _U16.unpack_from(ctrl, site)[0]
-            if hid < self._agreed:
-                continue
-            name = names.get(hid)
-            if name is None:
-                raise PgasError(
-                    f"proc conduit: rank {peer} used handler id {hid} "
-                    f"without advertising it"
-                )
-            lid = handler_code(name)
-            if lid != hid:
-                _U16.pack_into(ctrl, site, lid)
 
 
 @am_handler("__proc_done__")

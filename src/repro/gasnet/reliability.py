@@ -384,7 +384,7 @@ class ReliableConduit(ConduitLayer):
 
     def _send_ack(self, link: _Link, aux: int) -> None:
         self.world.ranks[link.me].stats.add(acks_sent=1)
-        # control traffic is a bare 42-byte header: no args
+        # control traffic is a bare header and the name: no args
         self._try_send(link.me, link.peer, ActiveMessage(
             handler="__rel_ack__", src_rank=link.me, aux=aux))
 

@@ -3,9 +3,11 @@
 Every AM that crosses the conduit is encoded into a :class:`Frame`:
 
 * a 42-byte struct header (``HEADER``) — version, flags, payload codec
-  id, interned handler id, source rank, token, the reliability layer's
-  ``aux`` word (seq/ack numbers), total out-of-band bytes, and the
-  lengths of the two control-stream regions that follow;
+  id, the handler name's byte length, source rank, token, the
+  reliability layer's ``aux`` word (seq/ack numbers), total out-of-band
+  bytes, and the lengths of the two control-stream regions that follow;
+* the handler's UTF-8 name — none on a reply, whose ``F_IS_REPLY``
+  flag already says ``__reply__``;
 * the *args region*: the positional args tuple, stream-encoded;
 * the *meta region*: the payload, as the header's codec byte says —
   ``CODEC_NONE`` (no payload), ``CODEC_NESTED_AM`` (the reliability
@@ -14,25 +16,25 @@ Every AM that crosses the conduit is encoded into a :class:`Frame`:
 * out-of-band buffer and by-reference tables, carried alongside the
   control bytes rather than copied into them.
 
-The envelope never touches pickle: handler names are interned to small
-ints and everything else in the header is fixed-width.  Each frame
-encodes into a fresh ``bytearray`` — the allocator is faster than any
-recycling scheme that has to lock.
+The envelope never touches pickle, and a frame means the same thing in
+every process: it names its handler rather than numbering it, so no two
+ranks have to agree on a table.  Each frame encodes into a fresh
+``bytearray`` — the allocator is faster than any recycling scheme that
+has to lock.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 import time
 
 from repro.gasnet.am import ActiveMessage
 from repro.gasnet.wire import codecs as _c
 
-# ver, flags, codec, pad, handler_id, src_rank, token, aux,
+# ver, flags, codec, pad, name_len, src_rank, token, aux,
 # oob_nbytes, args_len, meta_len
 HEADER = struct.Struct("<BBBxHiqqqII")
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 F_IS_REPLY = 1
 F_HAS_TOKEN = 2
@@ -44,42 +46,15 @@ F_HAS_TRACE = 16
 # region only when the AM carries a non-zero trace id.  Untraced
 # messages (telemetry off) pay zero wire bytes for it, and the header
 # layout is unchanged — receivers locate the trailer at
-# ``HEADER.size + args_len + meta_len`` when ``F_HAS_TRACE`` is set.
+# ``HEADER.size + name_len + args_len + meta_len`` when ``F_HAS_TRACE``
+# is set.
 TRACE_TRAILER = struct.Struct("<QQ")
 
 CODEC_NONE = 0
 CODEC_OBJ = 1
 CODEC_NESTED_AM = 2
 
-_HDR_ZEROS = bytes(HEADER.size)
 
-
-# -- handler-name interning --------------------------------------------------
-_handler_ids: dict[str, int] = {}
-_handler_names: list[str] = []
-_intern_lock = threading.Lock()
-
-
-def handler_code(name: str) -> int:
-    """Intern a handler name to a small stable int (process-wide)."""
-    hid = _handler_ids.get(name)
-    if hid is None:
-        with _intern_lock:
-            hid = _handler_ids.get(name)
-            if hid is None:
-                hid = len(_handler_names)
-                if hid > 0xFFFF:
-                    raise OverflowError("handler id space exhausted")
-                _handler_names.append(name)
-                _handler_ids[name] = hid
-    return hid
-
-
-def handler_name(hid: int) -> str:
-    return _handler_names[hid]
-
-
-# -- frames ------------------------------------------------------------------
 class Frame:
     """One encoded AM: control bytes + buffer/ref tables."""
 
@@ -103,14 +78,19 @@ class Frame:
         if am is not None:
             return am
         ctrl = self.ctrl
-        (_ver, flags, codec_id, hid, src, tok, aux, _nbuf, args_len,
+        (_ver, flags, codec_id, name_len, src, tok, aux, _nbuf, args_len,
          meta_len) = HEADER.unpack_from(ctrl, 0)
+        pos = HEADER.size + name_len
+        if flags & F_IS_REPLY:
+            handler = "__reply__"
+        else:
+            handler = ctrl[HEADER.size:pos].decode()
         if not args_len and codec_id == CODEC_NONE \
                 and not flags & F_HAS_TRACE:
             # Trivial frame (bare signal / ack / ping): nothing to
             # decode — skip the memoryview and decoder setup.
             am = ActiveMessage(
-                handler=handler_name(hid), src_rank=src, args=(),
+                handler=handler, src_rank=src, args=(),
                 payload=None,
                 token=tok if flags & F_HAS_TOKEN else None,
                 is_reply=bool(flags & F_IS_REPLY), aux=aux)
@@ -119,7 +99,6 @@ class Frame:
             return am
         mv = memoryview(ctrl)
         try:
-            pos = HEADER.size
             args = ()
             if args_len:
                 args = _c.Decoder(mv, pos, self.buffers,
@@ -137,9 +116,9 @@ class Frame:
         trace_id = span_id = 0
         if flags & F_HAS_TRACE:
             trace_id, span_id = TRACE_TRAILER.unpack_from(
-                ctrl, HEADER.size + args_len + meta_len)
+                ctrl, pos + meta_len)
         am = ActiveMessage(
-            handler=handler_name(hid), src_rank=src, args=args,
+            handler=handler, src_rank=src, args=args,
             payload=payload,
             token=tok if flags & F_HAS_TOKEN else None,
             is_reply=bool(flags & F_IS_REPLY), aux=aux,
@@ -182,9 +161,10 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
     frame = am._frame
     if frame is not None:
         return frame
+    name = b"" if am.is_reply else am.handler.encode()
     if not am.args and am.payload is None and not am.trace_id:
-        # Trivial AM (bare signal / ack / ping): the frame is exactly
-        # one fixed header — skip the encoder and codec dispatch
+        # Trivial AM (bare signal / ack / ping): the frame is one fixed
+        # header and the name — skip the encoder and codec dispatch
         # entirely.  This is the hot shape for request/reply latency
         # paths.
         tok = am.token
@@ -196,19 +176,21 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
                      else F_HAS_TOKEN)
         ctrl = bytearray(HEADER.size)
         HEADER.pack_into(ctrl, 0, WIRE_VERSION, flags, CODEC_NONE,
-                         handler_code(am.handler), am.src_rank, tok,
-                         am.aux, 0, 0, 0)
-        frame = Frame(ctrl, [], [], HEADER.size, False, False)
+                         len(name), am.src_rank, tok, am.aux, 0, 0, 0)
+        ctrl += name
+        frame = Frame(ctrl, [], [], len(ctrl), False, False)
         am._frame = frame
-        am._wire_bytes = HEADER.size
+        am._wire_bytes = frame.nbytes
         return frame
     t0 = time.perf_counter() if tel is not None and tel.full else None
-    enc = _c.Encoder(out=bytearray(_HDR_ZEROS))
-    out = enc.out
+    out = bytearray(HEADER.size)
+    out += name
+    start = len(out)
+    enc = _c.Encoder(out=out)
     args = am.args
     if args:
         enc.encode(args)
-    args_len = len(out) - HEADER.size
+    args_len = len(out) - start
     payload = am.payload
     codec_id = CODEC_NONE
     if payload is not None:
@@ -218,7 +200,7 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
         else:
             codec_id = CODEC_OBJ
             enc.encode(payload)
-    meta_len = len(out) - HEADER.size - args_len
+    meta_len = len(out) - start - args_len
     flags = 0
     if am.trace_id:
         # trailer sits after the meta region; args_len/meta_len are
@@ -240,7 +222,7 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
     for b in enc.buffers:
         nbuf += _c.buf_nbytes(b)
     HEADER.pack_into(out, 0, WIRE_VERSION, flags, codec_id,
-                     handler_code(am.handler), am.src_rank, tok,
+                     len(name), am.src_rank, tok,
                      am.aux, nbuf, args_len, meta_len)
     frame = Frame(out, enc.buffers, enc.refs, len(out) + nbuf,
                   enc.used_pickle, bool(enc.refs))

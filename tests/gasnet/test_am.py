@@ -31,7 +31,7 @@ def test_wire_bytes_includes_args_and_payload():
     from repro.gasnet.wire import HEADER
 
     small = ActiveMessage(handler="h", src_rank=0)
-    assert small.wire_bytes == HEADER.size  # bare header, nothing else
+    assert small.wire_bytes == HEADER.size + len("h")  # header + name
     with_args = ActiveMessage(handler="h", src_rank=0, args=(1, "abc"))
     assert with_args.wire_bytes > small.wire_bytes
     payload = np.zeros(100, dtype=np.float64)
@@ -107,8 +107,8 @@ def test_wire_bytes_fixed_layout_never_pickles(monkeypatch):
 
     bare = ActiveMessage(handler="h", src_rank=0, payload=b"1234")
     # bytes <= the inline threshold ride in the control stream: header
-    # + tag byte + u8 length + the 4 payload bytes.
-    assert bare.wire_bytes == HEADER.size + 1 + 1 + 4
+    # + name + tag byte + u8 length + the 4 payload bytes.
+    assert bare.wire_bytes == HEADER.size + len("h") + 1 + 1 + 4
     assert counter.dumps_calls == 0
 
 
@@ -117,11 +117,12 @@ def test_frame_roundtrips_args_and_payload():
     from repro.gasnet.wire import encode_am
 
     payload = np.arange(100, dtype=np.float64)
-    am = ActiveMessage(handler="h", src_rank=3, args=(1, "abc", None),
-                       payload=payload, token=42, is_reply=True, aux=7)
+    am = ActiveMessage(handler="__reply__", src_rank=3,
+                       args=(1, "abc", None), payload=payload, token=42,
+                       is_reply=True, aux=7)
     frame = encode_am(am)
     out = frame.thaw()
-    assert out.handler == "h" and out.src_rank == 3
+    assert out.handler == "__reply__" and out.src_rank == 3
     assert out.args == (1, "abc", None)
     assert out.token == 42 and out.is_reply and out.aux == 7
     np.testing.assert_array_equal(out.payload, payload)

@@ -578,6 +578,58 @@ def test_proc_rma_is_zero_copy_no_frames_no_pickle():
         assert pickles == 0      # nothing fell back to pickle
 
 
+def _pf_alpha(ctx, am):
+    ctx.reply(am, args=("pf_alpha", am.src_rank))
+
+
+def _pf_beta(ctx, am):
+    ctx.reply(am, args=("pf_beta", am.src_rank))
+
+
+@pytest.mark.parametrize("conduit", PROC_TRANSPORTS)
+def test_handlers_registered_after_the_fork_in_any_order(conduit):
+    """Each rank process registers two handlers in its body, in the
+    opposite order to its peer's; every call is answered by the handler
+    it names."""
+    def body():
+        me = repro.myrank()
+        order = [("pf_alpha", _pf_alpha), ("pf_beta", _pf_beta)]
+        if me == 1:
+            order.reverse()
+        for name, fn in order:
+            am_handler(name)(fn)
+        barrier()
+        ctx = repro.current_world().ranks[me]
+        got = [ctx.send_am(1 - me, name, expect_reply=True).get()[0]
+               for name, _fn in order]
+        barrier()
+        return got
+
+    assert run_spmd(body, ranks=2, conduit=conduit) == [
+        [("pf_alpha", 0), ("pf_beta", 0)],
+        [("pf_beta", 1), ("pf_alpha", 1)],
+    ]
+    assert "pf_alpha" not in handler_registry  # registered in the ranks
+
+
+def test_handler_registered_only_on_the_sender_fails_the_call():
+    def body():
+        me = repro.myrank()
+        if me == 0:
+            am_handler("pf_only_rank0")(_pf_alpha)
+        barrier()
+        if me == 0:
+            ctx = repro.current_world().ranks[0]
+            ctx.send_am(1, "pf_only_rank0", expect_reply=True).get()
+        barrier()
+
+    t0 = time.monotonic()
+    with pytest.raises(PgasError,
+                       match="unknown AM handler 'pf_only_rank0'"):
+        run_spmd(body, ranks=2, conduit="proc")
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_proc_byref_payload_raises_serialization_error():
     """A payload that only works by reference (an unpicklable closure)
     must fail loudly at the sender, not corrupt the wire."""

@@ -49,7 +49,7 @@ class Pair:
     def _ack(self, me: int, aux: int) -> None:
         ack = ActiveMessage(handler="__rel_ack__", src_rank=me, aux=aux)
         assert encode_am(ack).thaw().aux == aux
-        assert ack.wire_bytes == 42                   # a bare header
+        assert ack.wire_bytes == 42 + 11        # header + "__rel_ack__"
         self.standalone_acks[me] += 1
         self.owed_since[me] = None
         self.channel.append((1 - me, "ack", aux, None))

@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.gasnet.am import ActiveMessage
-from repro.gasnet.wire import UnencodableError, encode_am, preencode
+from repro.gasnet.am import ActiveMessage, make_reply
+from repro.gasnet.wire import HEADER, UnencodableError, encode_am, preencode
 from repro.gasnet.wire import codecs as codecs_mod
 from tests.conftest import run_spmd
 
@@ -408,6 +408,50 @@ def _frame_roundtrip(handler, payload):
     frame = encode_am(ActiveMessage(handler, 0, args=(1, 2),
                                     payload=payload, token=1))
     return frame.thaw().payload, frame
+
+
+# Handler names: any text UTF-8 encodes (a lone surrogate does not).
+handler_names = st.text(st.characters(exclude_categories=["Cs"]),
+                        min_size=1, max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(handler_names, st.one_of(st.none(), values))
+@example("rücksendung→✓", None)
+def test_frame_names_its_handler(name, payload):
+    """The handler's UTF-8 name follows the header, its byte length in
+    the header's name field; a reliability envelope carries two names,
+    its own and its inner frame's."""
+    raw = name.encode()
+    am = ActiveMessage(name, 0, args=(1, "a"), payload=payload, token=7)
+    frame = encode_am(am)
+    assert HEADER.unpack_from(frame.ctrl, 0)[3] == len(raw)
+    assert frame.ctrl[HEADER.size:HEADER.size + len(raw)] == raw
+    out = frame.thaw()
+    assert (out.handler, out.args, out.token) == (name, (1, "a"), 7)
+    assert out.payload == payload
+
+    env = encode_am(ActiveMessage("__rel_data__", 0, payload=am, aux=5))
+    assert env.ctrl[HEADER.size:HEADER.size + 12] == b"__rel_data__"
+    assert raw in env.ctrl[HEADER.size + 12:]
+    out = env.thaw()
+    assert (out.handler, out.aux) == ("__rel_data__", 5)
+    assert out.payload.handler == name and out.payload.payload == payload
+
+
+@pytest.mark.parametrize("args,payload", [
+    ((), None), ((1, "x"), None), ((), b"v" * 300),
+])
+def test_a_reply_carries_no_name(args, payload):
+    """``F_IS_REPLY`` already says ``__reply__``: zero name bytes."""
+    req = ActiveMessage("a_long_request_handler_name", 2, token=9)
+    frame = encode_am(make_reply(req, 1, args=args, payload=payload))
+    assert HEADER.unpack_from(frame.ctrl, 0)[3] == 0
+    out = frame.thaw()
+    assert out.is_reply and out.handler == "__reply__"
+    assert out.args == args and out.payload == payload
+    if not args and payload is None:
+        assert len(frame.ctrl) == HEADER.size
 
 
 @pytest.mark.parametrize("items", [
