@@ -156,12 +156,6 @@ class RankState:
         self._inbox.append(am)
         self.world.conduit.wake(self.rank)
 
-    def deliver_many(self, ams) -> None:
-        """What a conduit's ``poll`` calls with everything one read
-        produced: the caller is the receiver, so there is nobody to
-        wake."""
-        self._inbox.extend(ams)
-
     def new_token(self) -> int:
         return next(self._token_counter)
 
@@ -415,18 +409,23 @@ class RankState:
                 tel.record_span(f"task:{name}", t_run, dur)
 
     def _run_task_body(self, task: _Task) -> None:
-        with self._activate():
-            try:
-                result = task.fn(*task.args, **task.kwargs)
-            except BaseException as exc:
-                if task.reply_token is not None:
-                    self.send_reply_to(
-                        task.reply_rank, task.reply_token,
-                        args=("__error__", exc),
-                    )
-                    return
-                self.world.fail(self.rank, exc)
-                raise
+        # The progress thread runs tasks as this rank; the rank's own
+        # thread is bound to it already.
+        prev = getattr(_tls, "ctx", None)
+        if prev is not self:
+            _tls.ctx = self
+        try:
+            result = task.fn(*task.args, **task.kwargs)
+        except BaseException as exc:
+            if task.reply_token is not None:
+                self.send_reply_to(
+                    task.reply_rank, task.reply_token,
+                    args=("__error__", exc),
+                )
+                return
+            self.world.fail(self.rank, exc)
+            raise
+        else:
             if task.reply_token is not None:
                 # The wire layer serializes the result into the reply
                 # frame (by-reference fallback for unencodable values);
@@ -434,11 +433,9 @@ class RankState:
                 self.send_reply_to(
                     task.reply_rank, task.reply_token, payload=result,
                 )
-
-    def _activate(self):
-        """Temporarily bind this rank to the executing thread (progress
-        thread support)."""
-        return _ActivateCtx(self)
+        finally:
+            if prev is not self:
+                _tls.ctx = prev
 
     # -- blocking helper ---------------------------------------------------
     def wait_until(self, pred: Callable[[], bool], what: str = "",
@@ -488,24 +485,6 @@ class RankState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankState rank={self.rank}/{self.world.n_ranks}>"
-
-
-class _ActivateCtx:
-    """Binds/unbinds a rank context on the executing thread."""
-
-    __slots__ = ("ctx", "prev")
-
-    def __init__(self, ctx: RankState):
-        self.ctx = ctx
-        self.prev = None
-
-    def __enter__(self):
-        self.prev = getattr(_tls, "ctx", None)
-        _tls.ctx = self.ctx
-        return self.ctx
-
-    def __exit__(self, *exc):
-        _tls.ctx = self.prev
 
 
 class World:

@@ -12,7 +12,8 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
 * **Progress is the target's**: an AM arrives when its target polls.
   ``poll(rank, timeout)`` (GASNet's ``AMPoll``) moves whatever has
   arrived for ``rank`` into its inbox, parking up to ``timeout`` for the
-  first byte; ``wake(rank)`` brings a thread parked there back.
+  first byte (proc dispatches a reply it parsed right there when nothing
+  is queued before it); ``wake(rank)`` brings a thread parked there back.
   ``advance()`` is ``poll(rank)`` + drain, blocking calls park in
   ``poll``, and no backend receives on a rank's behalf — so where the
   transport is bounded (proc) a rank that computes without calling the
@@ -159,7 +160,9 @@ class Conduit(abc.ABC):
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Move whatever has arrived for ``rank`` into its inbox, parking
         up to ``timeout`` seconds for the first byte; returns whether the
-        inbox has anything in it.  The default serves conduits whose
+        inbox has anything in it.  Only threads that dispatch for
+        ``rank`` call it, so a backend may dispatch a reply here when
+        nothing is queued before it.  The default serves conduits whose
         ``send_am`` appends to the inbox directly: nothing to move, so
         parking is a wait on the rank's condition variable."""
         rk = self.world.ranks[rank]

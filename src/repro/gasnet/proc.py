@@ -44,12 +44,14 @@ Design
   (ROADMAP item 1 has the numbers).
 
 * **The waiting rank is the receiver** (paper §IV; GASNet's
-  ``AMPoll``): :meth:`ProcConduit.poll` — one ``select`` over the peer
-  sockets, one read per readable peer — runs in ``advance()`` and is
-  where ``wait_until`` parks, so a reply wakes the thread that wants it.
-  A rank that computes without polling throttles its senders, and **a
-  blocked sender polls** (:meth:`ProcConduit._blocked`; sends are
-  ``MSG_DONTWAIT``), or two ranks flooding each other would deadlock.
+  ``AMPoll``): :meth:`ProcConduit.poll` — one ``select.poll`` over the
+  peer sockets, one read per readable peer — runs in ``advance()`` and
+  is where ``wait_until`` parks, so a reply wakes the thread that wants
+  it, and completes its future right there when nothing is queued
+  before it.  A rank that computes without polling throttles its
+  senders, and **a blocked sender polls** (:meth:`ProcConduit._blocked`;
+  sends are ``MSG_DONTWAIT``), or two ranks flooding each other would
+  deadlock.
 
 * **Locks, and why each stays.**  Per-peer *send locks*: the rank
   thread, the progress thread and the failure detector (its
@@ -62,7 +64,7 @@ Design
   on smp and unused here: a delivery from another thread of the
   process (the launcher's ``proc-control`` thread) is a bare deque
   append, which :meth:`ProcConduit.wake` follows with a byte on the
-  self-pipe only when somebody is parked in ``select``.  (The core's
+  self-pipe only when somebody is parked in ``poll``.  (The core's
   ``_pending_lock``, ``_handler_lock`` and stats lock are in DESIGN.md's
   AM-path census.)
 
@@ -83,7 +85,7 @@ import errno
 import itertools
 import os
 import pickle
-import selectors
+import select
 import socket
 import struct
 import threading
@@ -98,7 +100,8 @@ from repro.gasnet.conduit import Conduit, ConduitCaps
 from repro.gasnet.ring import RingConsumer, RingProducer, RingSpec
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SegmentRma
-from repro.gasnet.wire.frame import F_HAS_REFS, F_USED_PICKLE, Frame, encode_am
+from repro.gasnet.wire.frame import (F_HAS_REFS, F_IS_REPLY, F_USED_PICKLE,
+                                     Frame, encode_am)
 
 #: One capability set for both AM transports; which one a backend name
 #: pins is in ``Backend.options["transport"]``.
@@ -379,15 +382,18 @@ class ProcConduit(SegmentRma, Conduit):
         self._parsers = {p: _StreamParser() for p in peers}
         self._closing = False
         # The receive side: built by attach(), run under _recv_lock by
-        # whoever calls poll().
-        self._sel: selectors.BaseSelector | None = None
+        # whoever calls poll().  _fds maps a registered fd to its
+        # (socket, peer); the self-pipe's peer is None.
+        self._poller = None
+        self._fds: dict[int, tuple] = {}
+        self._me = None
         self._recv_lock = threading.Lock()
         # One reusable receive buffer (``recv(n)`` would allocate n
         # bytes per read); the parser copies what it keeps.
         self._recv_view = memoryview(bytearray(_RECV_CHUNK))
-        # Self-pipe: wake() brings a parked poll() out of select() —
-        # and costs nothing unless one may be there (_parked is raised
-        # before poll() re-checks the inbox).
+        # Self-pipe: wake() brings a parked poll() back — and costs
+        # nothing unless one may be there (_parked is raised before
+        # poll() re-checks the inbox).
         self._wake_r, self._wake_w = socket.socketpair()
         self._parked = False
         #: Wire-level counters (the conformance suite's no-pickle /
@@ -413,24 +419,24 @@ class ProcConduit(SegmentRma, Conduit):
     # -- lifecycle -------------------------------------------------------
     def attach(self, world) -> None:
         super().attach(world)
-        self._stats = world.ranks[self.local_rank].stats
+        self._me = world.ranks[self.local_rank]
+        self._stats = self._me.stats
         if world.op_timeout:
             self._stall_limit = float(world.op_timeout)
-        self._sel = sel = selectors.DefaultSelector()
-        sel.register(self._wake_r, selectors.EVENT_READ, None)
-        for p, sock in self._socks.items():
-            sel.register(sock, selectors.EVENT_READ, p)
+        self._fds = {s.fileno(): (s, p) for p, s in
+                     [(None, self._wake_r), *self._socks.items()]}
+        self._poller = select.poll()
+        for fd in self._fds:
+            self._poller.register(fd, select.POLLIN)
 
     def close(self) -> None:
         self._closing = True
         with self._recv_lock:  # a parked poll() is back within its 1 ms
-            if self._sel is not None:
-                self._sel.close()
-        for s in (*self._socks.values(), self._wake_r, self._wake_w):
-            try:
-                s.close()
-            except OSError:
-                pass
+            for s in (*self._socks.values(), self._wake_r, self._wake_w):
+                try:
+                    s.close()
+                except OSError:
+                    pass
 
     # -- active messages -------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
@@ -502,16 +508,27 @@ class ProcConduit(SegmentRma, Conduit):
         return bytes(head)
 
     def _sendmsg_all(self, dst: int, sock: socket.socket, parts) -> None:
-        """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
-        syscall for header + control + buffers + refs on the common path
-        (vs. one ``sendall`` per piece), looping on partial writes and
-        never blocking in the kernel: a full socket buffer is a
-        :meth:`_blocked` turn."""
+        """Write all of ``parts`` with scatter-gather ``sendmsg``, never
+        blocking in the kernel.  The common case is one call that the
+        socket takes whole (header + control + buffers + refs); only a
+        remainder pays for the span bookkeeping below, and a full socket
+        buffer is a :meth:`_blocked` turn."""
+        sent = 0
+        if len(parts) <= _IOV_BATCH:
+            try:
+                sent = sock.sendmsg(parts, (), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                pass
+            if sent == sum(map(_span_len, parts)):
+                return
         spans = []
         for p in parts:
             m = p if isinstance(p, memoryview) else memoryview(p)
-            if m.nbytes:
-                spans.append(m)
+            if sent >= m.nbytes:
+                sent -= m.nbytes  # gone already, or empty
+            else:
+                spans.append(m[sent:])
+                sent = 0
         i = 0
         stall_t = None
         while i < len(spans):
@@ -537,9 +554,11 @@ class ProcConduit(SegmentRma, Conduit):
     def _blocked(self, dst: int, since: float, sock=None) -> bool:
         """One turn of a sender that cannot move bytes toward ``dst``
         (full socket buffer, full ring) and has not since ``since``:
-        poll inbound — GASNet's rule; the caller may hold ``dst``'s send
-        lock, and poll only fills the inbox — then wait for ``sock`` to
-        take bytes again.  False means drop the message (shutdown, dead
+        receive inbound — GASNet's rule; the caller may hold ``dst``'s
+        send lock and may be any thread that sends (the failure
+        detector's probes among them), so this receive only fills the
+        inbox and dispatches nothing — then wait for ``sock`` to take
+        bytes again.  False means drop the message (shutdown, dead
         peer); raises after ``_stall_limit``."""
         if self._closing:
             return False
@@ -551,11 +570,11 @@ class ProcConduit(SegmentRma, Conduit):
                 f"proc conduit: send {self.local_rank}->{dst} blocked "
                 f"for {self._stall_limit:.1f}s (receiver stalled)"
             )
-        self.poll(self.local_rank)
+        self._receive_all(0.0, None)
         if sock is not None:
-            with selectors.DefaultSelector() as sel:
-                sel.register(sock, selectors.EVENT_WRITE)
-                sel.select(0.001)
+            writable = select.poll()
+            writable.register(sock, select.POLLOUT)
+            writable.poll(1)
         return True
 
     def _send_error(self, dst: int, exc: OSError) -> None:
@@ -647,77 +666,98 @@ class ProcConduit(SegmentRma, Conduit):
             return 0
 
     # -- receive side ----------------------------------------------------
-    def _feed(self, peer: int, chunk) -> None:
-        """Advance one peer's stream parser and deliver every complete
-        message in it (messages from one chunk are delivered under one
-        inbox lock acquisition)."""
+    def _feed(self, peer: int, chunk, taken: list | None) -> None:
+        """Advance one peer's stream parser and queue every complete
+        message on the rank's inbox, in stream order; but the first
+        reply met with the inbox empty goes to ``taken``, for
+        :meth:`poll` to dispatch, under the rank's handler lock — got
+        without waiting and held until then, so no other drainer runs
+        anything around it.  ``taken`` is None for a blocked sender."""
         parser = self._parsers[peer]
         parser.feed(chunk)
-        shells = None
+        me = self._me
+        inbox = me._inbox
         while True:
             msg = parser.next_msg()
             if msg is None:
-                break
+                return
             ctrl, buffers, refs_blob = msg
             refs: list = []
             if refs_blob:
                 refs = pickle.loads(refs_blob)
             flags = ctrl[1]
             frame = Frame(
-                ctrl, buffers, refs,
-                len(ctrl) + sum(len(b) for b in buffers),
+                ctrl, buffers, refs, len(ctrl) + sum(map(len, buffers)),
                 bool(flags & F_USED_PICKLE), bool(flags & F_HAS_REFS),
             )
             shell = ActiveMessage(handler="", src_rank=peer)
             shell._frame = frame
             shell._wire_bytes = frame.nbytes
             self.frames_received += 1
-            if shells is None:
-                shells = [shell]
+            if (flags & F_IS_REPLY and taken is not None and not taken
+                    and not inbox and me._handler_lock.acquire(False)):
+                taken.append(shell)
             else:
-                shells.append(shell)
-        if shells and self.world is not None:
-            self.world.ranks[self.local_rank].deliver_many(shells)
+                inbox.append(shell)
 
-    def _drain(self, peer: int, cons: RingConsumer) -> None:
+    def _drain(self, peer: int, cons: RingConsumer,
+               taken: list | None) -> None:
         """Feed the parser every slot ``peer`` has published.  Called
         only under ``_recv_lock``: the ring is single-consumer."""
         chunk = cons.try_recv()
         if chunk is None:
             return  # a bell for slots an earlier wake-up already took
         while chunk is not None:
-            self._feed(peer, chunk)
+            self._feed(peer, chunk, taken)
             chunk = cons.try_recv()
         if self._stats is not None:
             self._stats.add(wire_ring_wakeups=1)
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
-        """The receive loop body, run by whoever waits: one ``select``
-        over the peer sockets, one read per readable peer — message
-        bytes (socket) or bell bytes saying that peer's ring has slots
-        (ring).  A second caller waits for the lock at most ``timeout``
-        and otherwise leaves the receiving to the first."""
-        inbox = self.world.ranks[rank]._inbox
+        """Receive, then dispatch the reply :meth:`_feed` took, so that
+        it completes its future in the poll that read it.  Only threads
+        that dispatch for the rank (its own, its progress thread) call
+        this; the dispatch runs after the receive lock is released, as
+        a completion callback may send or wait, and both receive."""
+        taken: list = []
+        me = self._me
+        try:
+            self._receive_all(timeout, taken)
+        finally:
+            if taken:
+                try:
+                    me._handle(taken[0])
+                finally:
+                    me._handler_lock.release()
+        return bool(me._inbox)
+
+    def _receive_all(self, timeout: float, taken: list | None) -> None:
+        """One ``select.poll`` over the peer sockets, one read per
+        readable peer — message bytes (socket) or bell bytes saying that
+        peer's ring has slots (ring).  A second caller waits for the
+        lock at most ``timeout`` and otherwise leaves the receiving to
+        the first."""
         lock = self._recv_lock
         if not (lock.acquire(False)
                 or (timeout > 0.0 and lock.acquire(timeout=timeout))):
-            return bool(inbox)
+            return
         try:
             if self._closing:
-                return bool(inbox)
+                return
             if timeout > 0.0:
                 self._parked = True
-                if inbox:  # delivered before wake() could see the flag
+                if self._me._inbox:  # delivered before wake() saw the flag
                     timeout = 0.0
             try:
-                events = self._sel.select(timeout)
+                events = self._poller.poll(timeout * 1000.0)
             finally:
                 self._parked = False
-            for key, _ in events:
-                self._receive(key.fileobj, key.data)
+            fds = self._fds
+            for fd, _ in events:
+                sock, peer = fds[fd]
+                self._receive(sock, peer, taken)
         finally:
             lock.release()
-        return bool(inbox)
 
     def wake(self, rank: int) -> None:
         if self._parked:
@@ -726,8 +766,11 @@ class ProcConduit(SegmentRma, Conduit):
             except OSError:
                 pass  # closed, or full of wake-ups already
 
-    def _receive(self, sock: socket.socket, peer: int | None) -> None:
-        """One read from a readable socket (caller holds ``_recv_lock``)."""
+    def _receive(self, sock: socket.socket, peer: int | None,
+                 taken: list | None) -> None:
+        """One read from a readable socket (caller holds ``_recv_lock``).
+        It only parses and queues, so what it raises is a broken stream;
+        a handler's error is raised by :meth:`poll`'s dispatch."""
         view = self._recv_view
         try:
             n = sock.recv_into(view, 0, socket.MSG_DONTWAIT)
@@ -740,18 +783,18 @@ class ProcConduit(SegmentRma, Conduit):
         if peer is None:
             return  # wake-up bytes: being back is the message
         if not n:
-            self._sel.unregister(sock)  # peer exited
+            self._poller.unregister(sock)  # peer exited
             return
         try:
             cons = self._cons.get(peer)
             if cons is None:
-                self._feed(peer, view[:n])
+                self._feed(peer, view[:n], taken)
             else:
-                self._drain(peer, cons)
+                self._drain(peer, cons, taken)
         except Exception as exc:
             if self._closing:
                 return
-            self._sel.unregister(sock)  # the stream is unparseable now
+            self._poller.unregister(sock)  # the stream is unparseable now
             self.world.fail(self.local_rank, exc)
             raise
 

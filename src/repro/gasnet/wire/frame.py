@@ -156,8 +156,10 @@ def _dec_nested_am(dec) -> ActiveMessage:
     return Frame(ctrl, buffers, refs, clen + nbuf, False, False).thaw()
 
 
-def encode_am(am: ActiveMessage, tel=None) -> Frame:
-    """Encode an AM into its wire frame (memoized on the message)."""
+def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
+    """Encode an AM into its wire frame (memoized on the message).
+    ``strict=True`` raises :class:`~repro.gasnet.wire.UnencodableError`
+    where a value would otherwise ship by reference."""
     frame = am._frame
     if frame is not None:
         return frame
@@ -186,7 +188,7 @@ def encode_am(am: ActiveMessage, tel=None) -> Frame:
     out = bytearray(HEADER.size)
     out += name
     start = len(out)
-    enc = _c.Encoder(out=out)
+    enc = _c.Encoder(out=out, strict=strict)
     args = am.args
     if args:
         enc.encode(args)

@@ -1,10 +1,14 @@
 """Remote function invocation: async_, futures, teams, errors."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import SerializationError
+from repro.gasnet import Trace
 from tests.conftest import run_spmd
 
 
@@ -221,3 +225,46 @@ def test_task_reply_shapes(conduit):
     assert raw_none == ((), None)
     assert raw_bad is None
     assert multi == [16, 16]
+
+
+def _first(v):
+    return int(v[0])
+
+
+def test_one_target_async_takes_its_arguments_by_value_at_the_call():
+    """The frame is encoded inside ``async_``: an ndarray argument the
+    caller mutates right after the call is not what the task sees."""
+    def body():
+        out = None
+        if repro.myrank() == 0:
+            x = np.zeros(8, dtype=np.int64)
+            fut = repro.async_(1)(_first, x)
+            x[0] = 99
+            out = fut.get()
+        repro.barrier()
+        return out
+
+    assert run_spmd(body, ranks=2)[0] == 0
+
+
+def test_one_target_async_request_is_86_bytes(monkeypatch):
+    """The rpc spine's request, with a 14-byte function name as the
+    bench's ``workloads:echo``: the 42-byte header, ``exec_task`` and
+    ``(fn, args, kwargs)`` written straight into the frame — 86 bytes,
+    with no pre-encoded payload spliced in (21 more)."""
+    mod = types.ModuleType("rpc_bench")
+    exec("def echo(x):\n    return x\n", mod.__dict__)
+    monkeypatch.setitem(sys.modules, "rpc_bench", mod)
+
+    def body():
+        sizes = None
+        world = repro.current_world()
+        repro.barrier()
+        if repro.myrank() == 0:
+            with Trace(world) as trace:
+                assert repro.async_(1)(mod.echo, 1 << 29).get() == 1 << 29
+            sizes = [ev.nbytes for ev in trace.select(kind="am", src=0)]
+        repro.barrier()
+        return sizes
+
+    assert run_spmd(body, ranks=2)[0] == [86]

@@ -33,7 +33,7 @@ from repro.errors import (
     TransientCommError,
 )
 from repro.gasnet import DelayConduit, ReliableConduit, SmpConduit, backends
-from repro.gasnet.am import am_handler, handler_registry
+from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.chaos import ChaosConduit
 from tests.conftest import run_spmd
 
@@ -192,6 +192,68 @@ def test_handler_raising_after_its_reply_fails_with_its_own_error(conduit):
 
     with pytest.raises(ValueError, match="raised after replying"):
         run_spmd(body, ranks=2, conduit=conduit)
+
+
+@am_handler("conformance_mark")
+def _mark(ctx, am):
+    ctx.scratch.setdefault("marks", set()).add(am.args[0])
+
+
+@am_handler("conformance_mark_then_reply")
+def _mark_then_reply(ctx, am):
+    ctx.send_am(am.src_rank, "conformance_mark", args=am.args)
+    ctx.reply(am, args=am.args)
+
+
+@pytest.mark.parametrize("mode", ("serialized", "concurrent"))
+def test_a_reply_does_not_overtake_what_its_sender_sent_first(conduit,
+                                                              mode):
+    """Rank 1 answers request ``i`` with a one-way ``mark(i)`` and then
+    the reply.  Where a reply completes its future — in the poll that
+    parsed it, on proc — it must still come after every earlier frame of
+    its pair, so each reply's callback sees its mark handled.  The check
+    is in the callback: ``get()`` drains before it tests, so a check
+    after it passes even when the order is broken."""
+    count = 500
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        overtaken = None
+        if me == 0:
+            marks = ctx.scratch.setdefault("marks", set())
+            late: list = []
+            futs = []
+            for i in range(count):
+                fut = ctx.send_am(1, "conformance_mark_then_reply",
+                                  args=(i,), expect_reply=True)
+                fut.add_callback(
+                    lambda f, i=i: i in marks or late.append(i))
+                futs.append(fut)
+            for fut in futs:
+                fut.get()
+            overtaken = len(late)
+        barrier()
+        return overtaken
+
+    res = run_spmd(body, ranks=2, conduit=conduit, thread_mode=mode)
+    assert res[0] == 0
+
+
+def test_a_dispatch_error_fails_the_rank_promptly(conduit):
+    """A reply nobody waits for is a dispatch error, not a broken
+    stream: it reaches the receiving rank as the error it is, at once."""
+    def body():
+        if repro.myrank() == 1:
+            repro.current_world().conduit.send_am(1, 0, ActiveMessage(
+                "__reply__", 1, token=999_999, is_reply=True))
+        barrier()
+
+    t0 = time.monotonic()
+    with pytest.raises(PgasError, match="reply for unknown token 999999"):
+        run_spmd(body, ranks=2, conduit=conduit)
+    assert time.monotonic() - t0 < 1.0
 
 
 # -- progress: poll / wake ----------------------------------------------------
