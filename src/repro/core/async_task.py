@@ -43,7 +43,7 @@ from repro.core.team import Team
 from repro.core.world import RankState, _Task, current
 from repro.errors import SerializationError
 from repro.gasnet.am import ActiveMessage, am_handler
-from repro.gasnet.wire import UnencodableError, encode_am, preencode
+from repro.gasnet.wire import UnencodableError, encode_am
 from repro.gasnet.wire.codecs import Encoder
 
 Place = Union[int, Team]
@@ -59,29 +59,23 @@ def _exec_task_handler(ctx: RankState, am) -> None:
     ))
 
 
-def _encode_task(encode, task: tuple):
-    """``encode(strict)`` for ``task = (fn, args, kwargs)``, strict mode
-    first: an unencodable *function* (lambda/closure) is tolerated — it
-    ships by in-process reference — but unencodable *arguments* must
-    fail eagerly at the call site, honouring the paper's serialization
-    contract."""
+def _encode_task(am: ActiveMessage, tel=None) -> None:
+    """Encode an ``exec_task`` AM's ``(fn, args, kwargs)`` into its
+    frame, strict mode first: an unencodable *function* (lambda/closure)
+    is tolerated — it ships by in-process reference — but unencodable
+    *arguments* must fail eagerly at the call site, honouring the
+    paper's serialization contract."""
     try:
-        return encode(True)
+        encode_am(am, tel, strict=True)
     except UnencodableError:
-        fn, args, kwargs = task
+        fn, args, kwargs = am.payload
         try:
             Encoder(strict=True).encode((args, kwargs))
         except UnencodableError as exc:
             raise SerializationError(
                 f"arguments of async task {fn!r} are not serializable: {exc}"
             ) from exc
-        return encode(False)
-
-
-def _pack_task(fn: Callable, args: tuple, kwargs: dict):
-    """Encode (fn, args, kwargs) once for a team's fan-out."""
-    task = (fn, args, kwargs)
-    return _encode_task(lambda strict: preencode(task, strict), task)
+        encode_am(am, tel)
 
 
 class _AsyncCall:
@@ -97,9 +91,10 @@ class _AsyncCall:
 
     def __call__(self, fn: Callable, *args: Any, **kwargs: Any):
         ctx = current()
-        fan_out = isinstance(self._place, Team)
         targets = (
-            list(self._place.members) if fan_out else [int(self._place)]
+            list(self._place.members)
+            if isinstance(self._place, Team)
+            else [int(self._place)]
         )
         for t in targets:
             if not 0 <= t < ctx.world.n_ranks:
@@ -121,8 +116,6 @@ class _AsyncCall:
             sent = 0
             token = None
             try:
-                payload = (_pack_task(fn, args, kwargs) if fan_out
-                           else (fn, args, kwargs))
                 if ctx.telemetry.active:
                     name = getattr(fn, "__name__", None) or repr(fn)
                     for target in targets:
@@ -132,16 +125,14 @@ class _AsyncCall:
                         )
                 for target, fut in zip(targets, futures):
                     token = ctx.new_token()
-                    am = ActiveMessage(
-                        handler="exec_task", src_rank=ctx.rank,
-                        payload=payload, token=token,
-                    )
-                    if not fan_out:  # nothing to share: encode in place
-                        _encode_task(lambda strict: encode_am(
-                            am, ctx.telemetry, strict), payload)
                     fut._dst = target
                     with ctx._pending_lock:
                         ctx._pending[token] = fut
+                    am = ActiveMessage(
+                        handler="exec_task", src_rank=ctx.rank,
+                        payload=(fn, args, kwargs), token=token,
+                    )
+                    _encode_task(am, ctx.telemetry)  # by value, at the call
                     ctx.world.conduit.send_am(ctx.rank, target, am)
                     sent += 1
             except BaseException as exc:
@@ -159,7 +150,7 @@ class _AsyncCall:
             self._after.add_dependent(launch)
         else:
             launch()
-        if fan_out:
+        if isinstance(self._place, Team):
             return MultiFuture(futures)
         return futures[0]
 

@@ -121,6 +121,10 @@ class RankState:
         # rank's own advance() and the shared progress thread (paper's
         # "concurrent" thread-support mode).
         self._handler_lock = threading.RLock()
+        # Replies a conduit's poll dispatched itself (proc does, when
+        # nothing is queued before one), bumped under the handler lock:
+        # advance() counts those dispatched during its poll as its own.
+        self._poll_handled = 0
         # Finish-scope stack for the RAII finish construct (paper §III-G).
         self.finish_stack: list = []
         # Outstanding non-blocking copy handles (async_copy_fence).
@@ -256,8 +260,12 @@ class RankState:
         user code may call it explicitly; every blocking runtime
         operation calls it while waiting.
         """
+        before = self._poll_handled
         self.world.conduit.poll(self.rank)
-        return self._drain(max_items)
+        polled = self._poll_handled - before
+        if polled and max_items is not None:
+            max_items -= polled
+        return self._drain(max_items) or polled > 0
 
     def _drain(self, max_items: int | None = None) -> bool:
         """Run what is in the inbox and the task queue (the half of

@@ -508,31 +508,16 @@ class ProcConduit(SegmentRma, Conduit):
         return bytes(head)
 
     def _sendmsg_all(self, dst: int, sock: socket.socket, parts) -> None:
-        """Write all of ``parts`` with scatter-gather ``sendmsg``, never
-        blocking in the kernel.  The common case is one call that the
-        socket takes whole (header + control + buffers + refs); only a
-        remainder pays for the span bookkeeping below, and a full socket
-        buffer is a :meth:`_blocked` turn."""
-        sent = 0
-        if len(parts) <= _IOV_BATCH:
-            try:
-                sent = sock.sendmsg(parts, (), socket.MSG_DONTWAIT)
-            except BlockingIOError:
-                pass
-            if sent == sum(map(_span_len, parts)):
-                return
-        spans = []
-        for p in parts:
-            m = p if isinstance(p, memoryview) else memoryview(p)
-            if sent >= m.nbytes:
-                sent -= m.nbytes  # gone already, or empty
-            else:
-                spans.append(m[sent:])
-                sent = 0
+        """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
+        syscall for header + control + buffers + refs on the common path
+        (vs. one ``sendall`` per piece), looping on partial writes and
+        never blocking in the kernel: a full socket buffer is a
+        :meth:`_blocked` turn.  A part becomes a byte view only when a
+        write splits it."""
         i = 0
         stall_t = None
-        while i < len(spans):
-            batch = spans[i:i + _IOV_BATCH]
+        while i < len(parts):
+            batch = parts[i:i + _IOV_BATCH]
             try:
                 sent = sock.sendmsg(batch, (), socket.MSG_DONTWAIT)
             except BlockingIOError:
@@ -543,12 +528,12 @@ class ProcConduit(SegmentRma, Conduit):
                 continue
             stall_t = None
             for m in batch:
-                n = m.nbytes
+                n = _span_len(m)
                 if sent >= n:
                     sent -= n
                     i += 1
                 else:
-                    spans[i] = m[sent:]
+                    parts[i] = memoryview(m).cast("B")[sent:]
                     break
 
     def _blocked(self, dst: int, since: float, sock=None) -> bool:
@@ -715,20 +700,22 @@ class ProcConduit(SegmentRma, Conduit):
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Receive, then dispatch the reply :meth:`_feed` took, so that
-        it completes its future in the poll that read it.  Only threads
-        that dispatch for the rank (its own, its progress thread) call
-        this; the dispatch runs after the receive lock is released, as
-        a completion callback may send or wait, and both receive."""
+        it completes its future in the poll that read it (counted in
+        the rank's ``_poll_handled``, which ``advance()`` reports).
+        Only threads that dispatch for the rank (its own, its progress
+        thread) call this; the dispatch runs after the receive lock is
+        released, as a completion callback may send or wait, and both
+        receive."""
         taken: list = []
         me = self._me
         try:
             self._receive_all(timeout, taken)
+            if taken:  # not after a broken stream: that error stands
+                me._handle(taken[0])
+                me._poll_handled += 1
         finally:
             if taken:
-                try:
-                    me._handle(taken[0])
-                finally:
-                    me._handler_lock.release()
+                me._handler_lock.release()
         return bool(me._inbox)
 
     def _receive_all(self, timeout: float, taken: list | None) -> None:

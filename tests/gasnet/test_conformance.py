@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.core import proclaunch
 from repro.core.collectives import allreduce, barrier
+from repro.core.world import _Task
 from repro.errors import (
     PeerFailure,
     PgasError,
@@ -254,6 +255,44 @@ def test_a_dispatch_error_fails_the_rank_promptly(conduit):
     with pytest.raises(PgasError, match="reply for unknown token 999999"):
         run_spmd(body, ranks=2, conduit=conduit)
     assert time.monotonic() - t0 < 1.0
+
+
+@am_handler("conformance_reply")
+def _reply(ctx, am):
+    ctx.reply(am)
+
+
+@am_handler("conformance_go")
+def _go(ctx, am):
+    ctx.scratch["go"] = True
+
+
+def test_advance_counts_the_reply_that_completes_a_future(conduit):
+    """A reply is the only thing in flight to rank 0 (rank 1 holds its
+    barrier back until told to go).  The ``advance()`` that completes
+    the future — in the poll that read the reply, on proc — returns
+    True, and the reply spends its ``max_items=1``: a task the future's
+    callback queues waits for the next call."""
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        barrier()
+        out = None
+        if me == 0:
+            ran: list = []
+            fut = ctx.send_am(1, "conformance_reply", expect_reply=True)
+            fut.add_callback(lambda f: ctx.task_queue.append(
+                _Task(ran.append, (1,), {}, None, None)))
+            while not fut.done():
+                progressed = repro.advance(max_items=1)
+            out = (progressed, len(ran))
+            ctx.send_am(1, "conformance_go")
+        else:
+            ctx.wait_until(lambda: ctx.scratch.get("go"), what="go")
+        barrier()
+        return out
+
+    assert run_spmd(body, ranks=2, conduit=conduit)[0] == (True, 0)
 
 
 # -- progress: poll / wake ----------------------------------------------------

@@ -255,9 +255,9 @@ def test_stream_tags_are_pinned():
 
 
 def test_async_shape_is_a_name_and_a_tuple(pickle_counter):
-    """The ``exec_task`` payload as ``_pack_task`` and the bench ladder
-    build it: no pickle stream, nothing by reference, the function as
-    its name and ``{}`` as one byte."""
+    """The ``exec_task`` payload stream, which ``async_`` writes into its
+    frame and the bench ladder pre-encodes: no pickle stream, nothing by
+    reference, the function as its name and ``{}`` as one byte."""
     ep = preencode((echo, (7,), {}), strict=True)
     assert pickle_counter.dumps_calls == 0
     assert ep.used_pickle is False and ep.refs == [] and ep.buffers == []
@@ -351,15 +351,20 @@ def test_functions_without_a_module_level_name_keep_the_old_path():
 
 
 def test_pack_task_names_the_unserializable_argument():
-    from repro.core.async_task import _pack_task
+    from repro.core.async_task import _encode_task
     from repro.errors import SerializationError
 
+    def task_am(fn, args, kwargs):
+        return ActiveMessage("exec_task", 0, payload=(fn, args, kwargs),
+                             token=1)
+
     with pytest.raises(SerializationError, match="arguments of async task"):
-        _pack_task(echo, (lambda: None,), {})
+        _encode_task(task_am(echo, (lambda: None,), {}))
     with pytest.raises(SerializationError, match="arguments of async task"):
-        _pack_task(echo, (), {"k": lambda: None})
-    ep = _pack_task(lambda x: x, (1,), {})  # the function itself may
-    assert len(ep.refs) == 1 and not ep.used_pickle
+        _encode_task(task_am(echo, (), {"k": lambda: None}))
+    am = task_am(lambda x: x, (1,), {})     # the function itself may
+    _encode_task(am)
+    assert len(am._frame.refs) == 1 and not am._frame.used_pickle
 
 
 # ---------------------------------------------------------------------------
