@@ -10,10 +10,17 @@ Construction is collective: every rank allocates its local slab and the
 base addresses are allgathered into a directory, so any rank can compute
 the global pointer of any element without communication — which is what
 lets ``sa[i]`` be a single one-sided get/put (runtime Fig. 3).
+
+Every access takes one route: its index is checked once, translated
+to (owner, slab offset) by one divmod pair for every block size (with
+``block * nranks`` fixed at ``init``) and handed straight to
+:mod:`repro.gasnet.rma` — one call per element, one indexed call per
+owning rank of a vector; the owner's own elements use its slab view.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Iterator
 
@@ -24,15 +31,15 @@ from repro.core.global_ptr import GlobalPtr
 from repro.core.world import current
 from repro.errors import PgasError
 from repro.gasnet import rma
+from repro.gasnet.atomics import resolve_scalar
 
 
 # ---------------------------------------------------------------------------
 # pure layout math (unit-testable without a world)
 #
 # All three functions are expressed in ufunc arithmetic, so they accept
-# either Python ints or NumPy index arrays and translate a whole index
-# vector in one vectorized pass — the address-translation half of the
-# batched RMA engine.
+# either Python ints or NumPy index arrays.  They are the reference the
+# array's own translation (SharedArray._locate) is tested against.
 # ---------------------------------------------------------------------------
 
 def owner_of(i, block: int, nranks: int):
@@ -62,6 +69,16 @@ def slab_elements(size: int, block: int, nranks: int) -> int:
     return blocks_per_rank * block
 
 
+def _operands(values, dtype: np.dtype, shape) -> np.ndarray:
+    """``values`` as ``dtype``, broadcast to an index vector's ``shape``
+    only when its own shape differs."""
+    vals = np.asarray(values, dtype=dtype)
+    if vals.shape == shape:
+        return vals
+    return np.ascontiguousarray(
+        np.broadcast_to(vals.reshape(-1) if vals.ndim else vals, shape))
+
+
 class SharedArray:
     """A 1-D array distributed block-cyclically over all ranks."""
 
@@ -72,6 +89,8 @@ class SharedArray:
         self.dtype = np.dtype(dtype)
         self.block = int(block)
         self.size = 0
+        self._itemsize = self.dtype.itemsize
+        self._span = 0  # block * nranks: elements per round of blocks
         self._slab_len = 0
         self._bases: list[int] = []
         self._my_base = -1
@@ -92,9 +111,10 @@ class SharedArray:
         ctx = current()
         nranks = ctx.world.n_ranks
         self.size = int(size)
+        self._span = self.block * nranks
         self._slab_len = slab_elements(self.size, self.block, nranks)
-        nbytes = self._slab_len * self.dtype.itemsize
-        align = max(8, self.dtype.itemsize)
+        nbytes = self._slab_len * self._itemsize
+        align = max(8, self._itemsize)
         self._my_base = ctx.segment.alloc(nbytes, align=align)
         self._bases = collectives.allgather(self._my_base)
         # Owner-side fast path (runtime Fig. 3's "local access" branch):
@@ -110,34 +130,87 @@ class SharedArray:
         if not self.size:
             raise PgasError("shared_array used before init(size)")
 
-    # -- addressing --------------------------------------------------------
-    def _normalize(self, i: int) -> int:
-        i = int(i)
-        if i < 0:
-            i += self.size
-        if not 0 <= i < self.size:
+    # -- the route: index -> (owner, slab offset) ------------------------
+    def _locate(self, i):
+        """Translate ``i`` — one index in [0, size) or an int64 vector
+        of them — to (owner rank, element offset in the owner's slab);
+        the same pair as :func:`owner_of` / :func:`local_offset_of`."""
+        q, rem = divmod(i, self._span)
+        rank, within = divmod(rem, self.block)
+        return rank, q * self.block + within
+
+    def _element(self, i):
+        """Check one (Python or NumPy) integer index, negatives from
+        the end, and translate it: (owner, slab offset)."""
+        self._require_init()
+        try:
+            k = operator.index(i)
+        except TypeError:
+            raise IndexError(
+                f"shared_array indices must be integers, got "
+                f"{type(i).__name__}"
+            ) from None
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
             raise IndexError(
                 f"index {i} out of range for shared_array of {self.size}"
             )
-        return i
+        return self._locate(k)
+
+    def _indices(self, indices) -> np.ndarray:
+        """Check an index vector; return it flat, as int64 in [0, size).
+
+        Bounds are one ``min()`` and one ``max()``, taken before the cast
+        so an unsigned index past 2**63 cannot wrap to a negative one;
+        negatives are wrapped only when there are any.  The
+        :class:`IndexError` names the first bad index as written."""
+        self._require_init()
+        idx = np.asarray(indices).reshape(-1)
+        if not idx.size:
+            return idx.astype(np.int64)
+        if idx.dtype.kind not in "iu":
+            raise IndexError(
+                f"shared_array indices must be integers, got dtype "
+                f"{idx.dtype}"
+            )
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < -self.size or hi >= self.size:
+            bad = (idx < -self.size) | (idx >= self.size)
+            raise IndexError(
+                f"index {idx[bad.argmax()]} out of range for shared_array "
+                f"of {self.size}"
+            )
+        idx = idx.astype(np.int64, copy=False)
+        if lo < 0:
+            idx = np.where(idx < 0, idx + self.size, idx)
+        return idx
+
+    def _by_owner(self, idx: np.ndarray):
+        """Yield ``(rank, slab offsets, selection)`` once per rank owning
+        an element of the checked vector ``idx``; ``selection`` picks that
+        rank's positions out of ``idx``.  A vector that lands on one rank
+        comes whole, with no mask."""
+        owners, offs = self._locate(idx)
+        counts = np.bincount(owners)
+        first = int(owners[0])
+        if counts[first] == idx.size:
+            yield first, offs, slice(None)
+            return
+        for r in np.flatnonzero(counts).tolist():
+            sel = owners == r
+            yield r, offs[sel], sel
 
     def gptr(self, i: int) -> GlobalPtr:
         """Global pointer to element ``i`` (no communication)."""
-        self._require_init()
-        i = self._normalize(i)
-        nranks = len(self._bases)
-        r = owner_of(i, self.block, nranks)
-        off = local_offset_of(i, self.block, nranks)
-        return GlobalPtr(
-            rank=r,
-            offset=self._bases[r] + off * self.dtype.itemsize,
-            dtype=self.dtype,
-        )
+        rank, off = self._element(i)
+        return GlobalPtr(rank=rank,
+                         offset=self._bases[rank] + off * self._itemsize,
+                         dtype=self.dtype)
 
     def where(self, i: int) -> int:
         """Affinity of element ``i``."""
-        self._require_init()
-        return owner_of(self._normalize(i), self.block, len(self._bases))
+        return self._element(i)[0]
 
     # -- element access (the overloaded [] of the paper) ----------------
     def _local_slab(self, ctx):
@@ -162,29 +235,31 @@ class SharedArray:
             return self._local if self._ctx is ctx else None
 
     def __getitem__(self, i: int):
-        self._require_init()
-        i = self._normalize(i)
-        nranks = len(self._bases)
+        """Read element ``i``: one translation, then the owner's slab
+        view or one one-sided get."""
+        rank, off = self._element(i)
         ctx = current()
-        if owner_of(i, self.block, nranks) == ctx.rank:
+        if rank == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
                 ctx.stats.add(local_accesses=1)
-                return slab[local_offset_of(i, self.block, nranks)]
-        return self.gptr(i)[0]
+                return slab[off]
+        return rma.get(ctx, rank, self._bases[rank] + off * self._itemsize,
+                       self.dtype, 1)[0]
 
     def __setitem__(self, i: int, value) -> None:
-        self._require_init()
-        i = self._normalize(i)
-        nranks = len(self._bases)
+        """Write element ``i``: one translation, then the owner's slab
+        view or one one-sided put."""
+        rank, off = self._element(i)
         ctx = current()
-        if owner_of(i, self.block, nranks) == ctx.rank:
+        if rank == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
                 ctx.stats.add(local_accesses=1)
-                slab[local_offset_of(i, self.block, nranks)] = value
+                slab[off] = value
                 return
-        self.gptr(i)[0] = value
+        rma.put(ctx, rank, self._bases[rank] + off * self._itemsize,
+                np.asarray(value, dtype=self.dtype))
 
     def __getstate__(self):
         """Shared arrays travel as handles: the cached owner-side view
@@ -200,57 +275,29 @@ class SharedArray:
         self._rebind_lock = threading.Lock()
 
     def atomic(self, i: int, op, operand):
-        """Atomic read-modify-write of element ``i`` (GUPS xor path)."""
-        return self.gptr(i).atomic(op, operand)
+        """Atomic read-modify-write of element ``i`` (GUPS xor path):
+        one translation, then one conduit atomic; returns the old value.
+        ``op`` is an op name (see :meth:`atomic_batch`) or a callable."""
+        rank, off = self._element(i)
+        return rma.atomic(current(), rank,
+                          self._bases[rank] + off * self._itemsize,
+                          self.dtype, resolve_scalar(op), operand)
 
     def __len__(self) -> int:
         return self.size
 
     # -- batched access (one conduit op per owning rank) -----------------
-    def _normalize_indices(self, indices) -> np.ndarray:
-        """Vectorized index normalization: flatten, resolve negatives,
-        bounds-check."""
-        raw = np.asarray(indices)
-        if raw.size and not np.issubdtype(raw.dtype, np.integer):
-            raise IndexError(
-                f"batch indices must be integers, got dtype {raw.dtype}"
-            )
-        idx = raw.astype(np.int64, copy=False).reshape(-1)
-        if idx.size:
-            idx = np.where(idx < 0, idx + self.size, idx)
-            bad = (idx < 0) | (idx >= self.size)
-            if bad.any():
-                first = np.asarray(indices, dtype=np.int64).reshape(-1)[
-                    int(np.argmax(bad))
-                ]
-                raise IndexError(
-                    f"index {int(first)} out of range for shared_array "
-                    f"of {self.size}"
-                )
-        return idx
-
-    def _partition_by_owner(self, idx: np.ndarray):
-        """Vectorized Fig. 3 address translation for a whole index
-        vector: (owners, local element offsets)."""
-        nranks = len(self._bases)
-        return (owner_of(idx, self.block, nranks),
-                local_offset_of(idx, self.block, nranks))
-
     def gather(self, indices) -> np.ndarray:
         """Read ``a[indices]`` with **one** indexed get per owning rank
         (instead of one conduit op per element)."""
-        self._require_init()
-        idx = self._normalize_indices(indices)
+        idx = self._indices(indices)
         out = np.empty(idx.size, dtype=self.dtype)
-        if not idx.size:
-            return out
-        ctx = current()
-        owners, offs = self._partition_by_owner(idx)
-        for r in np.unique(owners):
-            sel = owners == r
-            out[sel] = rma.get_indexed(
-                ctx, int(r), self._bases[r], self.dtype, offs[sel]
-            )
+        if idx.size:
+            ctx = current()
+            for r, offs, sel in self._by_owner(idx):
+                out[sel] = rma.get_indexed(
+                    ctx, r, self._bases[r], self.dtype, offs
+                )
         return out
 
     def scatter(self, indices, values) -> None:
@@ -258,20 +305,13 @@ class SharedArray:
         rank.  ``values`` broadcasts against ``indices``; with duplicate
         indices the surviving value is unspecified (use
         :meth:`atomic_batch` for accumulation)."""
-        self._require_init()
-        idx = self._normalize_indices(indices)
+        idx = self._indices(indices)
         if not idx.size:
             return
-        vals = np.asarray(values, dtype=self.dtype)
-        vals = np.ascontiguousarray(np.broadcast_to(vals.reshape(-1)
-                                    if vals.ndim else vals, idx.shape))
+        vals = _operands(values, self.dtype, idx.shape)
         ctx = current()
-        owners, offs = self._partition_by_owner(idx)
-        for r in np.unique(owners):
-            sel = owners == r
-            rma.put_indexed(
-                ctx, int(r), self._bases[r], offs[sel], vals[sel]
-            )
+        for r, offs, sel in self._by_owner(idx):
+            rma.put_indexed(ctx, r, self._bases[r], offs, vals[sel])
 
     def atomic_batch(self, indices, op, operands,
                      return_old: bool = False):
@@ -284,21 +324,16 @@ class SharedArray:
         indices included); the batch as a whole is not one atomic unit.
         Returns the per-element old values when ``return_old`` is true.
         """
-        self._require_init()
-        idx = self._normalize_indices(indices)
+        idx = self._indices(indices)
         out = np.empty(idx.size, dtype=self.dtype) if return_old else None
         if not idx.size:
             return out
-        ops = np.asarray(operands, dtype=self.dtype)
-        ops = np.ascontiguousarray(np.broadcast_to(ops.reshape(-1)
-                                   if ops.ndim else ops, idx.shape))
+        ops = _operands(operands, self.dtype, idx.shape)
         ctx = current()
-        owners, offs = self._partition_by_owner(idx)
-        for r in np.unique(owners):
-            sel = owners == r
+        for r, offs, sel in self._by_owner(idx):
             old = rma.atomic_batch(
-                ctx, int(r), self._bases[r], self.dtype, offs[sel],
-                op, ops[sel], return_old,
+                ctx, r, self._bases[r], self.dtype, offs, op, ops[sel],
+                return_old,
             )
             if return_old:
                 out[sel] = old
@@ -321,25 +356,14 @@ class SharedArray:
         """Global indices owned by the caller, in slab storage order,
         clipped to the array size."""
         self._require_init()
-        ctx = current()
-        nranks = len(self._bases)
-        locals_ = np.arange(self._slab_len, dtype=np.int64)
-        lb, r = np.divmod(locals_, self.block)
-        gidx = (lb * nranks + ctx.rank) * self.block + r
+        gidx = global_index_of(current().rank,
+                               np.arange(self._slab_len, dtype=np.int64),
+                               self.block, len(self._bases))
         return gidx[gidx < self.size]
 
     def fill_local(self, value) -> None:
         """Owner-side fill of the local slab (no communication)."""
         self.local_view()[:] = value
-
-    def _range_by_owner(self, start: int, stop: int):
-        """Per-owner (offsets, selection) pairs for [start, stop): at most
-        ``nranks`` entries, offsets ascending within each owner."""
-        idx = np.arange(start, stop, dtype=np.int64)
-        owners, offs = self._partition_by_owner(idx)
-        for r in np.unique(owners):
-            sel = owners == r
-            yield int(r), offs[sel], sel
 
     def read_range(self, start: int, stop: int) -> np.ndarray:
         """Bulk read [start, stop) with **one** RMA per owning rank —
@@ -353,11 +377,11 @@ class SharedArray:
         if start == stop:
             return out
         ctx = current()
-        itemsize = self.dtype.itemsize
-        for r, offs, sel in self._range_by_owner(start, stop):
+        idx = np.arange(start, stop, dtype=np.int64)
+        for r, offs, sel in self._by_owner(idx):
             if int(offs[-1]) - int(offs[0]) + 1 == offs.size:
                 out[sel] = rma.get(
-                    ctx, r, self._bases[r] + int(offs[0]) * itemsize,
+                    ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
                     self.dtype, offs.size,
                 )
             else:
@@ -377,12 +401,13 @@ class SharedArray:
         if start == stop:
             return
         ctx = current()
-        itemsize = self.dtype.itemsize
-        for r, offs, sel in self._range_by_owner(start, stop):
+        idx = np.arange(start, stop, dtype=np.int64)
+        for r, offs, sel in self._by_owner(idx):
             chunk = np.ascontiguousarray(values[sel])
             if int(offs[-1]) - int(offs[0]) + 1 == offs.size:
                 rma.put(
-                    ctx, r, self._bases[r] + int(offs[0]) * itemsize, chunk
+                    ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
+                    chunk,
                 )
             else:
                 rma.put_indexed(ctx, r, self._bases[r], offs, chunk)

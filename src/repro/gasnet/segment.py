@@ -306,9 +306,9 @@ class Segment:
             view, idx = self._indexed_view(base, dtype, elem_offsets)
             if idx.size == 0:
                 return np.empty(0, dtype=dtype) if return_old else None
-            ops = np.broadcast_to(
-                np.asarray(operands, dtype=dtype), idx.shape
-            )
+            ops = np.asarray(operands, dtype=dtype)
+            if ops.shape != idx.shape:
+                ops = np.broadcast_to(ops, idx.shape)
             ufunc = ATOMIC_UFUNCS.get(op) if isinstance(op, str) else None
             with np.errstate(over="ignore"):
                 if ufunc is not None and not return_old:

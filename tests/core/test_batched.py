@@ -120,6 +120,34 @@ def test_gather_bounds_checked():
     assert all(run_spmd(body, ranks=2))
 
 
+def test_unsigned_index_past_int64_is_out_of_range():
+    """A uint64 index >= 2**63 must not wrap to a negative one and then
+    address element ``size - k``."""
+    def body():
+        sa = repro.SharedArray(np.int64, size=10)
+        if repro.myrank() == 0:
+            sa.scatter(np.arange(10), np.arange(10) * 10)
+        repro.barrier()
+        before = sa.read_range(0, 10)
+        for bad in (2**64 - 1, 2**64 - 2, 2**63):
+            idx = np.array([1, bad], dtype=np.uint64)
+            with pytest.raises(IndexError, match=rf"index {bad} out"):
+                sa.gather(idx)
+            with pytest.raises(IndexError, match=rf"index {bad} out"):
+                sa.scatter(idx, 5)
+            with pytest.raises(IndexError, match=rf"index {bad} out"):
+                sa.atomic_batch(idx, "add", 100)
+        assert np.array_equal(sa.read_range(0, 10), before)
+        # in-range unsigned indices stay accepted
+        assert list(sa.gather(np.array([9, 0], np.uint64))) == [90, 0]
+        with pytest.raises(IndexError, match=r"index -11 out"):
+            sa.gather([3, -11, 12])
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2))
+
+
 def test_empty_batches_are_noops():
     def body():
         sa = repro.SharedArray(np.int64, size=8)
@@ -191,6 +219,123 @@ def test_atomic_batch_callable_op():
         return True
 
     assert all(run_spmd(body, ranks=3))
+
+
+# -- one route: the array's own translation and ops vs. a model ----------
+
+#: NumPy model of each named op, applied one element at a time in issue
+#: order (what ``ufunc.at`` and the in-lock loop must both agree with).
+_MODEL_OPS = {
+    "xor": np.bitwise_xor, "add": np.add, "and": np.bitwise_and,
+    "or": np.bitwise_or, "min": np.minimum, "max": np.maximum,
+    "swap": lambda old, v: v,
+}
+
+
+def _reflect(old, v):
+    # not commutative: duplicates must apply in issue order
+    return 2 * v - old
+
+
+_BATCH_KINDS = ("atomic_batches", "gets_indexed", "puts_indexed")
+
+
+def _assert_counts(s0, s1, kind, owners):
+    """One ``kind`` op per remote owner, none of the other batched kinds,
+    and every element counted once as batched/remote or as local."""
+    remote = owners != 0
+    for k in _BATCH_KINDS:
+        want = len(set(owners[remote].tolist())) if k == kind else 0
+        assert s1[k] - s0[k] == want, (k, s1[k] - s0[k], want)
+    n_remote = int(remote.sum())
+    assert s1["batched_elements"] - s0["batched_elements"] == n_remote
+    assert s1["remote_accesses"] - s0["remote_accesses"] == n_remote
+    assert (s1["local_accesses"] - s0["local_accesses"]
+            == owners.size - n_remote)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.sampled_from([1, 2, 3, 7]),
+    nranks=st.integers(2, 4),
+    rounds=st.integers(0, 4),
+    rem=st.integers(0, 100),
+    op=st.sampled_from([*_MODEL_OPS, "callable"]),
+    return_old=st.booleans(),
+    scalar=st.booleans(),
+    one_rank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_route_matches_reference_and_model(block, nranks, rounds, rem,
+                                               op, return_old, scalar,
+                                               one_rank, seed):
+    """Rank 0 drives gather / atomic_batch / scatter over windows with
+    negatives and duplicates, some landing on one rank only; the array
+    must place, translate, compute and count like the module-level
+    reference math and a NumPy model."""
+    span = block * nranks
+    size = span * rounds + 1 + rem % (span - 1)  # never a multiple of span
+    everyone = owner_of(np.arange(size), block, nranks)
+    rng = np.random.default_rng(seed)
+    init = rng.integers(-1000, 1000, size)
+    pool = np.arange(size)
+    if one_rank:
+        pool = pool[everyone == everyone[rng.integers(size)]]
+    norm = rng.choice(pool, 24)                     # duplicates likely
+    idx = np.where(rng.random(24) < 0.3, norm - size, norm)
+    vals = int(rng.integers(-50, 50)) if scalar else rng.integers(-50, 50, 24)
+    uniq = rng.permutation(np.unique(norm))
+    uidx = np.where(rng.random(uniq.size) < 0.3, uniq - size, uniq)
+    new = vals if scalar else rng.integers(-50, 50, uniq.size)
+    fn = _reflect if op == "callable" else op
+    step = _reflect if op == "callable" else _MODEL_OPS[op]
+
+    def body():
+        me = repro.myrank()
+        sa = repro.SharedArray(np.int64, size=size, block=block)
+        # placement through the reference math only
+        mine = np.flatnonzero(everyone == me)
+        sa.local_view()[local_offset_of(mine, block, nranks)] = init[mine]
+        repro.barrier()
+        if me == 0:
+            stats = repro.current_world().ranks[0].stats
+            owners = owner_of(norm, block, nranks)
+            for i, k in zip(idx.tolist(), norm.tolist()):
+                p, r = sa.gptr(i), owner_of(k, block, nranks)
+                assert p.rank == sa.where(i) == r
+                assert (p.offset - sa.gptr(r * block).offset
+                        == local_offset_of(k, block, nranks) * 8)
+
+            s0 = stats.snapshot()
+            got = sa.gather(idx)
+            _assert_counts(s0, stats.snapshot(), "gets_indexed", owners)
+            assert np.array_equal(got, init[norm])
+
+            model = init.copy()
+            old = np.empty(norm.size, dtype=np.int64)
+            for k, (i, v) in enumerate(
+                    zip(norm, np.broadcast_to(vals, norm.shape))):
+                old[k] = model[i]
+                model[i] = step(model[i], v)
+            s0 = stats.snapshot()
+            res = sa.atomic_batch(idx, fn, vals, return_old=return_old)
+            _assert_counts(s0, stats.snapshot(), "atomic_batches", owners)
+            if return_old:
+                assert np.array_equal(res, old)
+            else:
+                assert res is None
+            assert np.array_equal(sa.read_range(0, size), model)
+
+            model[uniq] = new
+            s0 = stats.snapshot()
+            sa.scatter(uidx, new)
+            _assert_counts(s0, stats.snapshot(), "puts_indexed",
+                           owner_of(uniq, block, nranks))
+            assert np.array_equal(sa.read_range(0, size), model)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=nranks))
 
 
 # -- coalescing guarantees ----------------------------------------------

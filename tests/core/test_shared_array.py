@@ -140,6 +140,72 @@ def test_out_of_range_raises():
     assert all(run_spmd(body, ranks=2))
 
 
+@pytest.mark.parametrize("conduit", ["smp", "proc"])
+def test_scalar_index_must_be_an_integer(conduit):
+    """``sa[3.7]`` once read ``sa[3]``; every element entry point now
+    raises, and Python and NumPy integers stay accepted."""
+    def body():
+        sa = repro.SharedArray(np.int64, size=10)
+        if repro.myrank() == 0:
+            sa.write_range(0, np.arange(10) * 11)
+        repro.barrier()
+        for bad in (3.7, np.float64(3.0), "3", None):
+            with pytest.raises(IndexError, match="must be integers"):
+                sa[bad]
+            with pytest.raises(IndexError, match="must be integers"):
+                sa[bad] = -1
+            with pytest.raises(IndexError, match="must be integers"):
+                sa.atomic(bad, "add", 1)
+            with pytest.raises(IndexError, match="must be integers"):
+                sa.gptr(bad)
+            with pytest.raises(IndexError, match="must be integers"):
+                sa.where(bad)
+        with pytest.raises(IndexError, match="index -11 out"):
+            sa[-11]
+        assert sa[np.int32(3)] == sa[np.uint8(3)] == sa[3] == 33
+        assert sa.where(np.int64(-1)) == sa.where(9)
+        assert sa.gptr(np.uint64(7)) == sa.gptr(-3)
+        repro.barrier()
+        assert np.array_equal(sa.read_range(0, 10), np.arange(10) * 11)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc"])
+def test_element_access_is_one_rma_and_no_global_ptr(conduit, monkeypatch):
+    """A remote ``sa[i]``, ``sa[i] = v`` and ``sa.atomic`` are one
+    conduit op each; none of them builds a GlobalPtr."""
+    from repro.core import global_ptr
+
+    def no_ptr(*a, **k):
+        raise AssertionError("element access built a GlobalPtr")
+
+    monkeypatch.setattr(global_ptr.GlobalPtr, "__post_init__", no_ptr)
+
+    def body():
+        me = repro.myrank()
+        sa = repro.SharedArray(np.int64, size=8, block=2)
+        repro.barrier()
+        stats = repro.current_world().ranks[me].stats
+        theirs = 2 * (1 - me)           # first element the peer owns
+        s0 = stats.snapshot()
+        sa[theirs] = 40 + me
+        assert sa[theirs] == 40 + me
+        assert sa.atomic(theirs, "add", 2) == 40 + me
+        s1 = stats.snapshot()
+        assert [s1[k] - s0[k] for k in ("puts", "gets", "atomics")] == \
+            [1, 1, 1]
+        assert s1["remote_accesses"] - s0["remote_accesses"] == 3
+        with pytest.raises(PgasError, match="unknown atomic op"):
+            sa.atomic(theirs, "nope", 1)
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, conduit=conduit))
+
+
 def test_use_before_init_raises():
     def body():
         sa = repro.SharedArray(np.int64)

@@ -679,6 +679,68 @@ def test_proc_rma_is_zero_copy_no_frames_no_pickle():
         assert pickles == 0      # nothing fell back to pickle
 
 
+_ROUTE_SIZE = 41
+_ROUTE_COUNTS = ("atomic_batches", "gets_indexed", "puts_indexed", "puts",
+                 "gets", "batched_elements", "remote_accesses",
+                 "local_accesses")
+
+
+def _route_inputs(rank: int):
+    rng = np.random.default_rng(7 + rank)
+    return (rng.integers(-_ROUTE_SIZE, _ROUTE_SIZE, 96),
+            rng.integers(1, 1 << 63, 96, dtype=np.uint64))
+
+
+def _route_body():
+    """Both ranks at once: an xor atomic_batch window (negatives and
+    duplicates), a scatter into [0, 20), remote element writes into
+    [30, 41), then a gather and remote element reads of everything."""
+    me = repro.myrank()
+    sa = repro.SharedArray(np.uint64, size=_ROUTE_SIZE, block=3)
+    barrier()
+    stats = repro.current_world().ranks[me].stats
+    idx, vals = _route_inputs(me)
+    s0 = stats.snapshot()
+    sa.atomic_batch(idx, "xor", vals)
+    barrier()
+    mine = np.arange(me, 20, 2)
+    sa.scatter(mine, mine * 7 + 1)
+    for i in range(30, _ROUTE_SIZE):
+        if sa.where(i) != me:
+            sa[i] = i * 1000 + me
+    barrier()
+    table = sa.gather(np.arange(_ROUTE_SIZE)).tolist()
+    reads = [int(sa[i]) for i in range(_ROUTE_SIZE) if sa.where(i) != me]
+    s1 = stats.snapshot()
+    barrier()
+    return table, reads, {k: s1[k] - s0[k] for k in _ROUTE_COUNTS}
+
+
+def test_shared_array_route_is_the_same_across_processes():
+    """The batched engine and remote element access give the same table,
+    the same reads and the same counts on two rank processes as on two
+    rank threads — and the table is the NumPy model's."""
+    smp = run_spmd(_route_body, ranks=2, conduit="smp")
+    assert run_spmd(_route_body, ranks=2, conduit="proc") == smp
+    model = np.zeros(_ROUTE_SIZE, dtype=np.uint64)
+    for rank in (0, 1):
+        idx, vals = _route_inputs(rank)
+        np.bitwise_xor.at(model, idx % _ROUTE_SIZE, vals)
+    model[:20] = np.arange(20) * 7 + 1
+    owner = (np.arange(_ROUTE_SIZE) // 3) % 2
+    for i in range(30, _ROUTE_SIZE):
+        model[i] = i * 1000 + (1 - owner[i])
+    for rank, (table, reads, counts) in enumerate(smp):
+        assert table == model.tolist()
+        assert reads == model[owner != rank].tolist()
+        # one indexed op per batched call (each spans both owners), one
+        # put per remote element write, one get per remote element read
+        assert counts["atomic_batches"] == 1
+        assert counts["puts_indexed"] == counts["gets_indexed"] == 1
+        assert counts["puts"] == np.count_nonzero(owner[30:] != rank)
+        assert counts["gets"] == np.count_nonzero(owner != rank)
+
+
 def _pf_alpha(ctx, am):
     ctx.reply(am, args=("pf_alpha", am.src_rank))
 
