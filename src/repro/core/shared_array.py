@@ -141,15 +141,18 @@ class SharedArray:
 
     def _element(self, i):
         """Check one (Python or NumPy) integer index, negatives from
-        the end, and translate it: (owner, slab offset)."""
+        the end, and translate it: (owner, slab offset).  A bool is not
+        an index here, as it is not in a batch."""
         self._require_init()
         try:
             k = operator.index(i)
         except TypeError:
+            k = None
+        if k is None or isinstance(i, (bool, np.bool_)):
             raise IndexError(
                 f"shared_array indices must be integers, got "
                 f"{type(i).__name__}"
-            ) from None
+            )
         if k < 0:
             k += self.size
         if not 0 <= k < self.size:
@@ -189,17 +192,12 @@ class SharedArray:
     def _by_owner(self, idx: np.ndarray):
         """Yield ``(rank, slab offsets, selection)`` once per rank owning
         an element of the checked vector ``idx``; ``selection`` picks that
-        rank's positions out of ``idx``.  A vector that lands on one rank
-        comes whole, with no mask."""
+        rank's positions out of ``idx``."""
         owners, offs = self._locate(idx)
-        counts = np.bincount(owners)
-        first = int(owners[0])
-        if counts[first] == idx.size:
-            yield first, offs, slice(None)
-            return
-        for r in np.flatnonzero(counts).tolist():
-            sel = owners == r
-            yield r, offs[sel], sel
+        for r, n in enumerate(np.bincount(owners).tolist()):
+            if n:
+                sel = owners == r
+                yield r, offs[sel], sel
 
     def gptr(self, i: int) -> GlobalPtr:
         """Global pointer to element ``i`` (no communication)."""

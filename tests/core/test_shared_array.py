@@ -143,13 +143,14 @@ def test_out_of_range_raises():
 @pytest.mark.parametrize("conduit", ["smp", "proc"])
 def test_scalar_index_must_be_an_integer(conduit):
     """``sa[3.7]`` once read ``sa[3]``; every element entry point now
-    raises, and Python and NumPy integers stay accepted."""
+    raises on a non-integer (a bool included, as in a batch), and Python
+    and NumPy integers stay accepted."""
     def body():
         sa = repro.SharedArray(np.int64, size=10)
         if repro.myrank() == 0:
             sa.write_range(0, np.arange(10) * 11)
         repro.barrier()
-        for bad in (3.7, np.float64(3.0), "3", None):
+        for bad in (3.7, np.float64(3.0), "3", None, True, np.True_):
             with pytest.raises(IndexError, match="must be integers"):
                 sa[bad]
             with pytest.raises(IndexError, match="must be integers"):
@@ -160,6 +161,8 @@ def test_scalar_index_must_be_an_integer(conduit):
                 sa.gptr(bad)
             with pytest.raises(IndexError, match="must be integers"):
                 sa.where(bad)
+        with pytest.raises(IndexError, match="must be integers"):
+            sa.gather([True])
         with pytest.raises(IndexError, match="index -11 out"):
             sa[-11]
         assert sa[np.int32(3)] == sa[np.uint8(3)] == sa[3] == 33
