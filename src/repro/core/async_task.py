@@ -54,7 +54,7 @@ def _exec_task_handler(ctx: RankState, am) -> None:
     """Target side: the wire layer already decoded (fn, args, kwargs)."""
     fn, args, kwargs = am.payload
     ctx.task_queue.append(_Task(
-        fn, args, kwargs, reply_rank=am.src_rank, reply_token=am.token,
+        fn, args, kwargs, am,
         enqueued_at=time.perf_counter() if ctx.telemetry.full else 0.0,
     ))
 
@@ -114,7 +114,6 @@ class _AsyncCall:
 
         def launch() -> None:
             sent = 0
-            token = None
             try:
                 if ctx.telemetry.active:
                     name = getattr(fn, "__name__", None) or repr(fn)
@@ -124,24 +123,16 @@ class _AsyncCall:
                             detail=name
                         )
                 for target, fut in zip(targets, futures):
-                    token = ctx.new_token()
-                    fut._dst = target
-                    with ctx._pending_lock:
-                        ctx._pending[token] = fut
-                    am = ActiveMessage(
-                        handler="exec_task", src_rank=ctx.rank,
-                        payload=(fn, args, kwargs), token=token,
-                    )
-                    _encode_task(am, ctx.telemetry)  # by value, at the call
-                    ctx.world.conduit.send_am(ctx.rank, target, am)
+                    am = ActiveMessage("exec_task", ctx.rank,
+                                       payload=(fn, args, kwargs))
+                    # by value, at the call
+                    ctx._send(target, am, fut, _encode_task)
                     sent += 1
             except BaseException as exc:
                 # Failed at the call site: no reply will ever complete
                 # the futures that did not go out, so complete them here
                 # — the callback above (when there is a scope or an
                 # event to release) does the releasing.
-                with ctx._pending_lock:
-                    ctx._pending.pop(token, None)
                 for fut in futures[sent:]:
                     fut.set_exception(exc)
                 raise

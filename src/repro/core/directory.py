@@ -82,26 +82,18 @@ class Directory:
             self._cache[rank] = obj
         return obj
 
-    def lookup_all(self, cached: bool = True,
-                   skip_dead: bool = False) -> list:
+    def lookup_all(self, cached: bool = True) -> list:
         """Fetch every rank's slot, indexed by rank.
 
         All remote request AMs are issued up front and the reply futures
         gathered afterwards, so the round trips overlap — one
         longest-RTT wait instead of N sequential ones.  This is the
         constructor-rendezvous path for the distributed containers.
-
-        ``skip_dead=True`` returns ``None`` in the slots of ranks the
-        world has marked dead instead of timing out against them — the
-        refresh idiom for survivable-failure containers re-reading role
-        tables after a peer died.
         """
         ctx = current()
-        dead = ctx.world.dead_ranks if skip_dead else ()
         futs = {}
         for rank in range(ctx.world.n_ranks):
-            if (rank == ctx.rank or rank in dead
-                    or (cached and rank in self._cache)):
+            if rank == ctx.rank or (cached and rank in self._cache):
                 continue
             futs[rank] = ctx.send_am(
                 rank, "dir_get", args=(self.dir_id,), expect_reply=True
@@ -113,8 +105,6 @@ class Directory:
                 if cached:
                     self._cache[rank] = obj
                 out.append(obj)
-            elif rank in dead:
-                out.append(None)
             else:
                 out.append(self.lookup(rank, cached=cached))
         return out

@@ -19,7 +19,7 @@ class Future:
     """Completion handle for one async operation."""
 
     __slots__ = ("_ctx", "_lock", "_done", "_value", "_exc", "_callbacks",
-                 "_dst")
+                 "_dst", "_meta")
 
     def __init__(self, ctx):
         self._ctx = ctx
@@ -31,6 +31,9 @@ class Future:
         #: Destination rank of the request this future answers (set by
         #: the AM layer; consulted by the death-time pending sweep).
         self._dst = -1
+        #: ``(t0 monotonic, handler, trace_id)`` of that request when
+        #: telemetry is active: the straggler watchdog's view of it.
+        self._meta = None
 
     # -- completion (runtime side) --------------------------------------
     def set_result(self, value: Any) -> None:

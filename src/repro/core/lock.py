@@ -36,7 +36,7 @@ def _lock_acquire_handler(ctx: RankState, am) -> None:
         t["held_by"] = am.src_rank
         ctx.reply(am, args=("granted",))
     else:
-        t["queue"].append((am.src_rank, am.token))
+        t["queue"].append(am)  # granted by a reply when its turn comes
 
 
 @am_handler("lock_try")
@@ -60,9 +60,9 @@ def _lock_release_handler(ctx: RankState, am) -> None:
             f"{t['held_by']}"
         )
     if t["queue"]:
-        nxt_rank, nxt_token = t["queue"].popleft()
-        t["held_by"] = nxt_rank
-        ctx.send_reply_to(nxt_rank, nxt_token, args=("granted",))
+        waiting = t["queue"].popleft()
+        t["held_by"] = waiting.src_rank
+        ctx.reply(waiting, args=("granted",))
     else:
         t["held_by"] = None
     ctx.reply(am, args=("ok",))

@@ -25,6 +25,7 @@ import sys
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
 from repro.errors import (
@@ -76,18 +77,16 @@ def try_current() -> Optional["RankState"]:
 
 
 class _Task:
-    """An async task queued for execution on this rank."""
+    """An async task queued for execution on this rank, with the
+    ``exec_task`` request it answers."""
 
-    __slots__ = ("fn", "args", "kwargs", "reply_rank", "reply_token",
-                 "enqueued_at")
+    __slots__ = ("fn", "args", "kwargs", "request", "enqueued_at")
 
-    def __init__(self, fn, args, kwargs, reply_rank, reply_token,
-                 enqueued_at=0.0):
+    def __init__(self, fn, args, kwargs, request, enqueued_at=0.0):
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
-        self.reply_rank = reply_rank
-        self.reply_token = reply_token
+        self.request = request
         #: ``perf_counter()`` at enqueue when telemetry is "full" (the
         #: spawn->run wait histogram is its only reader), else 0.0.
         self.enqueued_at = enqueued_at
@@ -110,12 +109,9 @@ class RankState:
         self._inbox: deque[ActiveMessage] = deque()
         self.task_queue: deque[_Task] = deque()
         self._pending_lock = threading.Lock()
-        # token -> Future; the future's ``_dst`` slot carries the
-        # destination rank (one dict on the send hot path, not two).
+        # token -> Future; the future's ``_dst`` and ``_meta`` slots
+        # carry the destination rank and the straggler watchdog's view.
         self._pending: dict[int, Any] = {}
-        # token -> (t0 monotonic, handler, dst, trace_id); only fed when
-        # telemetry is active — the straggler watchdog's work list.
-        self._pending_meta: dict[int, tuple] = {}
         self._token_counter = itertools.count(1)
         # The handler lock serializes AM-handler/task execution between the
         # rank's own advance() and the shared progress thread (paper's
@@ -160,9 +156,6 @@ class RankState:
         self._inbox.append(am)
         self.world.conduit.wake(self.rank)
 
-    def new_token(self) -> int:
-        return next(self._token_counter)
-
     def send_am(
         self,
         dst: int,
@@ -173,35 +166,48 @@ class RankState:
     ):
         """Send an active message; optionally return a reply future."""
         fut = None
-        token = None
-        trace_id = span_id = 0
-        if self.telemetry.active:
-            # Stamp the thread's bound trace context into the message:
-            # the pair rides the wire frame as a trailer and re-binds in
-            # the target's handler dispatch (causal propagation).
-            trace_id, span_id = tracing.current_ids()
         if expect_reply:
-            token = self.new_token()
             fut = Future(self)
-            fut._dst = dst
-            with self._pending_lock:
-                self._pending[token] = fut
-            if self.telemetry.active:
-                self._pending_meta[token] = (
-                    time.monotonic(), handler, dst, trace_id)
             if self.telemetry.full:
                 # AM round-trip latency: request send -> reply handled.
                 tel, t0 = self.telemetry, time.perf_counter()
                 fut.add_callback(lambda _f: tel.record_latency(
                     "am_rtt", time.perf_counter() - t0
                 ))
-        am = ActiveMessage(
-            handler=handler, src_rank=self.rank, args=args,
-            payload=payload, token=token,
-            trace_id=trace_id, span_id=span_id,
-        )
-        self.world.conduit.send_am(self.rank, dst, am)
+        self._send(dst, ActiveMessage(handler, self.rank, args, payload),
+                   fut)
         return fut
+
+    def _send(self, dst: int, am: ActiveMessage, fut: Future | None,
+              encode=None) -> None:
+        """Send ``am`` to ``dst``: every AM a rank originates (a reply
+        excepted) leaves here, stamped with the thread's bound trace
+        context (the pair rides the wire frame as a trailer and re-binds
+        in the target's dispatch).  When ``fut`` is given, it is
+        registered under a fresh token to take the reply;
+        ``encode(am, telemetry)`` then runs first, so it can fail at the
+        call site, and a send that raises takes ``fut`` back out of the
+        pending table."""
+        tel = self.telemetry
+        if tel.active:
+            am.trace_id, am.span_id = tracing.current_ids()
+        if fut is None:
+            self.world.conduit.send_am(self.rank, dst, am)
+            return
+        am.token = token = next(self._token_counter)
+        fut._dst = dst
+        if tel.active:
+            fut._meta = (time.monotonic(), am.handler, am.trace_id)
+        with self._pending_lock:
+            self._pending[token] = fut
+        try:
+            if encode is not None:
+                encode(am, tel)
+            self.world.conduit.send_am(self.rank, dst, am)
+        except BaseException:
+            with self._pending_lock:
+                self._pending.pop(token, None)
+            raise
 
     def fail_pending(self, exc: BaseException,
                      dst: int | None = None) -> None:
@@ -211,23 +217,20 @@ class RankState:
         with self._pending_lock:
             doomed = [t for t, f in self._pending.items()
                       if dst is None or f._dst == dst]
-            futs = []
-            for t in doomed:
-                self._pending_meta.pop(t, None)
-                f = self._pending.pop(t, None)
-                if f is not None:
-                    futs.append(f)
+            futs = [self._pending.pop(t) for t in doomed]
         for f in futs:
             f.set_exception(exc)
 
     def reply(self, am: ActiveMessage, args: tuple = (),
               payload: Any = None) -> None:
-        """Send the reply for a request AM (used inside handlers).
+        """Send the reply for a request AM: the one way a rank answers
+        one, from a handler, a task, or a queue that held the request
+        (a global lock's waiters).  The reply carries the request's
+        trace context, whatever this thread is bound to.
 
-        ``replies_sent`` is charged by the conduit layer (every send
-        funnels through ``_encode_and_record``, which sees the reply
-        flag) — not here — so the hot reply path pays one stats lock,
-        not two.
+        ``replies_sent`` is charged by ``Conduit.send_am``, which sees
+        the reply flag — not here — so the hot reply path pays one
+        stats lock, not two.
 
         One reply per token: the request's token is cleared once its
         reply is out, so a handler that raises *after* replying takes
@@ -236,20 +239,6 @@ class RankState:
         reply = make_reply(am, self.rank, args=args, payload=payload)
         self.world.conduit.send_am(self.rank, am.src_rank, reply)
         am.token = None
-
-    def send_reply_to(self, dst: int, token: int, args: tuple = (),
-                      payload: Any = None) -> None:
-        """Reply to a previously stored (rank, token) pair — used by
-        owner-queued structures such as global locks."""
-        trace_id = span_id = 0
-        if self.telemetry.active:
-            trace_id, span_id = tracing.current_ids()
-        am = ActiveMessage(
-            handler="__reply__", src_rank=self.rank, args=args,
-            payload=payload, token=token, is_reply=True,
-            trace_id=trace_id, span_id=span_id,
-        )
-        self.world.conduit.send_am(self.rank, dst, am)
 
     # -- progress ---------------------------------------------------------
     def advance(self, max_items: int | None = None) -> bool:
@@ -331,8 +320,6 @@ class RankState:
         if am.is_reply:
             with self._pending_lock:
                 fut = self._pending.pop(am.token, None)
-                if self._pending_meta:
-                    self._pending_meta.pop(am.token, None)
             if fut is None:
                 # A reply can legally arrive after its future completed:
                 # past the reliability layer's op deadline, or from a
@@ -384,8 +371,7 @@ class RankState:
         """Surface a handler exception: error reply when the sender
         still waits for one, world failure otherwise."""
         if am.token is not None:
-            err = make_reply(am, self.rank, args=("__error__", exc))
-            self.world.conduit.send_am(self.rank, am.src_rank, err)
+            self.reply(am, args=("__error__", exc))
         else:
             self.world.fail(self.rank, exc)
             raise exc
@@ -397,24 +383,32 @@ class RankState:
         if not tel.active:
             self._run_task_body(task)
             return
+        req = task.request
         name = getattr(task.fn, "__name__", None) or repr(task.fn)
-        t_run = time.perf_counter()
-        tel.flight_event("task_run", src=task.reply_rank,
-                         dst=self.rank, detail=name)
-        if tel.full:
-            # Spawn -> run wait (time spent queued on this rank).
-            tel.histogram("task_queue_wait").record_seconds(
-                t_run - task.enqueued_at
-            )
-        try:
-            self._run_task_body(task)
-        finally:
-            dur = time.perf_counter() - t_run
-            tel.flight_event("task_done", src=task.reply_rank,
+        # Run in the request's trace, as _handle runs a handler: the
+        # task's span and every AM the task sends join the caller's.
+        span_id = tel.new_span_id() if req.trace_id else 0
+        with (tracing.bound(req.trace_id, span_id) if span_id
+              else nullcontext()):
+            t_run = time.perf_counter()
+            tel.flight_event("task_run", src=req.src_rank,
                              dst=self.rank, detail=name)
             if tel.full:
-                tel.histogram("task_exec").record_seconds(dur)
-                tel.record_span(f"task:{name}", t_run, dur)
+                # Spawn -> run wait (time spent queued on this rank).
+                tel.histogram("task_queue_wait").record_seconds(
+                    t_run - task.enqueued_at
+                )
+            try:
+                self._run_task_body(task)
+            finally:
+                dur = time.perf_counter() - t_run
+                tel.flight_event("task_done", src=req.src_rank,
+                                 dst=self.rank, detail=name)
+                if tel.full:
+                    tel.histogram("task_exec").record_seconds(dur)
+                    tel.record_span(f"task:{name}", t_run, dur,
+                                    trace_id=req.trace_id, span_id=span_id,
+                                    parent_id=req.span_id)
 
     def _run_task_body(self, task: _Task) -> None:
         # The progress thread runs tasks as this rank; the rank's own
@@ -425,22 +419,13 @@ class RankState:
         try:
             result = task.fn(*task.args, **task.kwargs)
         except BaseException as exc:
-            if task.reply_token is not None:
-                self.send_reply_to(
-                    task.reply_rank, task.reply_token,
-                    args=("__error__", exc),
-                )
-                return
-            self.world.fail(self.rank, exc)
-            raise
+            self._handler_error(task.request, exc)
         else:
-            if task.reply_token is not None:
+            if task.request.token is not None:
                 # The wire layer serializes the result into the reply
                 # frame (by-reference fallback for unencodable values);
                 # success is a reply whose args do not say "__error__".
-                self.send_reply_to(
-                    task.reply_rank, task.reply_token, payload=result,
-                )
+                self.reply(task.request, payload=result)
         finally:
             if prev is not self:
                 _tls.ctx = prev

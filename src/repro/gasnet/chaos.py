@@ -83,8 +83,6 @@ class ChaosConduit(ConduitLayer):
                 f"in_process_hooks=False)"
             )
         super().__init__(inner)
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
         self.am_drop_rate = float(am_drop_rate)
         self.am_dup_rate = float(am_dup_rate)
         self.am_reorder_rate = float(am_reorder_rate)
@@ -184,18 +182,12 @@ class ChaosConduit(ConduitLayer):
         )
 
     # -- active messages ---------------------------------------------------
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
-        self._encode_and_record(src, am)
-        self.deliver_encoded(src, dst, am)
+    send_am = Conduit.send_am
 
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
         """The drop/duplicate/hold decision for one already-charged AM;
-        zero, one or two copies go on down.  Also the entry point when a
-        fault layer stacked above (e.g. DelayConduit) did the charging."""
+        zero, one or two copies go on down."""
         if src == dst:  # loopback is reliable on any real transport
             self._inner.deliver_encoded(src, dst, am)
             return

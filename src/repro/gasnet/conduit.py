@@ -103,6 +103,8 @@ class Conduit(abc.ABC):
     #: Default capability set (in-process, full-featured); backends
     #: override the class attribute, wrappers forward the inner one.
     caps: ConduitCaps = ConduitCaps()
+    #: Test hook: when set, the next :meth:`send_am` raises it.
+    fail_next_am: Exception | None = None
 
     def attach(self, world: "World") -> None:
         """Bind the conduit to a world (called by the world constructor)."""
@@ -125,37 +127,33 @@ class Conduit(abc.ABC):
             )
         return self.world.ranks[r]
 
-    def _encode_and_record(self, src: int, am: ActiveMessage):
-        """Encode ``am`` into its wire frame and charge the sender's
-        stats.  Every conduit send path (smp, proc, chaos, delay)
-        funnels through here so the frame exists before delivery and the
-        share of frames that stayed out of pickle is observable.  ``src``
-        is the caller's own rank: the range check belongs to ``dst``."""
-        rank = self.world.ranks[src]
+    # -- active messages ------------------------------------------------
+    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
+        """Deliver ``am`` into rank ``dst``'s inbox.
+
+        The send decision, made once per AM: the :attr:`fail_next_am`
+        hook, the ``dst`` range check, the encode (so the frame exists
+        before delivery), one charge to the sender's stats, then
+        :meth:`deliver_encoded`.  ``src`` is the caller's own rank."""
+        if self.fail_next_am is not None:
+            exc, self.fail_next_am = self.fail_next_am, None
+            raise exc
+        world = self.world
+        if world is None or not 0 <= dst < world.n_ranks:
+            self._rank(dst)  # raises the canonical error
+        rank = world.ranks[src]
         frame = encode_am(am, rank.telemetry)
         rank.stats.record_am_wire(
-            frame.nbytes, frame.used_pickle, frame.has_refs,
-            am.is_reply)
-        return frame
+            frame.nbytes, frame.used_pickle, frame.has_refs, am.is_reply)
+        self.deliver_encoded(src, dst, am)
 
+    @abc.abstractmethod
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        """Transport an AM whose frame was already encoded and whose
-        stats were already recorded.
-
-        This is the raw delivery primitive the fault wrappers
-        (:class:`~repro.gasnet.chaos.ChaosConduit`,
-        :class:`~repro.gasnet.delay.DelayConduit`) use: they do the
-        encode/record once per *send decision* and then hand zero, one,
-        or two copies of the message to the backend without re-charging
-        the sender's counters.  The default simply re-enters
-        :meth:`send_am`."""
-        self.send_am(src, dst, am)
-
-    # -- active messages ------------------------------------------------
-    @abc.abstractmethod
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        """Deliver ``am`` into rank ``dst``'s inbox."""
+        """Transport an AM that :meth:`send_am` already encoded and
+        charged: a backend moves it to ``dst``, a fault layer decides
+        what becomes of it (drop, duplicate, delay) and hands each copy
+        that survives to its inner conduit's ``deliver_encoded``."""
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Move whatever has arrived for ``rank`` into its inbox, parking
@@ -286,9 +284,10 @@ class ConduitLayer(Conduit):
     * **forwarding** — ``world``/``caps``/``attach``/``close``/
       ``send_am``/``deliver_encoded``/``poll``/``wake`` go to the inner
       conduit, and any
-      other attribute (``fail_next_am``, ``kill_rank``, ``cfg``,
-      ``fault_events``, ...) is reached through :meth:`__getattr__`,
-      so test hooks and inner-layer knobs work through the whole stack.
+      other attribute (``kill_rank``, ``cfg``, ``fault_events``, ...)
+      is reached through :meth:`__getattr__`, so inner-layer knobs
+      work through the whole stack.  A fault layer that makes the send
+      decision itself takes :meth:`Conduit.send_am` back.
     * **RMA** — the six ``rma_*`` ops are declared once, each funnelling
       into the single around-hook :meth:`_rma`.
     * **control events** — :meth:`_emit_control` reports an event the
@@ -336,9 +335,6 @@ class ConduitLayer(Conduit):
 
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        """Pass an already-charged AM down.  A layer that overrides this
-        must not encode or record again: that happened once, in the
-        ``send_am`` of whichever layer made the send decision."""
         self._inner.deliver_encoded(src, dst, am)
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:

@@ -51,8 +51,6 @@ class DelayConduit(ConduitLayer):
 
             inner = SmpConduit()
         super().__init__(inner)
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
         self.base_delay = base_delay
         self.jitter = jitter
         self._rng = np.random.default_rng(seed)
@@ -69,18 +67,11 @@ class DelayConduit(ConduitLayer):
         self._dispatcher.start()
 
     # -- conduit surface ---------------------------------------------------
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
-        self._encode_and_record(src, am)
-        self.deliver_encoded(src, dst, am)
+    send_am = Conduit.send_am
 
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        """Queue one already-charged AM for delayed delivery.  Also the
-        entry point when a fault layer stacked above (e.g.
-        ChaosConduit) did the charging."""
+        """Queue one already-charged AM for delayed delivery."""
         delay = self.base_delay + float(self._rng.random()) * self.jitter
         with self._lock:
             due = time.monotonic() + delay

@@ -101,7 +101,7 @@ from repro.gasnet.ring import RingConsumer, RingProducer, RingSpec
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SegmentRma
 from repro.gasnet.wire.frame import (F_HAS_REFS, F_IS_REPLY, F_USED_PICKLE,
-                                     Frame, encode_am)
+                                     Frame)
 
 #: One capability set for both AM transports; which one a backend name
 #: pins is in ``Backend.options["transport"]``.
@@ -374,8 +374,6 @@ class ProcConduit(SegmentRma, Conduit):
         self.fabric = fabric
         self.local_rank = rank
         self.transport = fabric.transport
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
         peers = [r for r in range(fabric.n_ranks) if r != rank]
         self._socks = fabric.mesh_for(rank)
         self._send_locks = {p: threading.Lock() for p in peers}
@@ -439,25 +437,12 @@ class ProcConduit(SegmentRma, Conduit):
                     pass
 
     # -- active messages -------------------------------------------------
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
-        frame = self._encode_and_record(src, am)
-        if dst == self.local_rank:
-            self._rank(dst).deliver(am)  # loopback: no wire
-            return
-        if not 0 <= dst < self.world.n_ranks:
-            self._rank(dst)  # raises the canonical range error
-        self._send_frame(dst, frame)
-
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
         if dst == self.local_rank:
-            self._rank(dst).deliver(am)
-            return
-        self._rank(dst)
-        self._send_frame(dst, encode_am(am))
+            self._me.deliver(am)  # loopback: no wire
+        else:
+            self._send_frame(dst, am._frame)
 
     def _send_frame(self, dst: int, frame: Frame) -> None:
         refs_blob = b""

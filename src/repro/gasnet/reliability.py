@@ -62,7 +62,7 @@ from repro.errors import (
     RankDead,
     TransientCommError,
 )
-from repro.gasnet.am import ActiveMessage, am_handler
+from repro.gasnet.am import ActiveMessage, am_handler, make_reply
 from repro.gasnet.atomics import resolve_scalar
 from repro.gasnet.conduit import Conduit, ConduitLayer
 
@@ -327,11 +327,8 @@ class ReliableConduit(ConduitLayer):
         directly (never encoded): _handle accepts plain frameless AMs
         alongside thawed wire frames."""
         if am.token is not None and not am.is_reply:
-            self.world.ranks[src].deliver(ActiveMessage(
-                handler="__reply__", src_rank=dst,
-                args=("__error__", exc),
-                token=am.token, is_reply=True,
-            ))
+            self.world.ranks[src].deliver(
+                make_reply(am, dst, args=("__error__", exc)))
 
     def _fail_pending(self, e: _PendingAm, exc: BaseException) -> None:
         self.world.ranks[e.src].stats.add(dead_peer_fastfails=1)

@@ -11,7 +11,7 @@ into the calling process (threads over one heap, or processes over
 ``multiprocessing.shared_memory``) reuses it unchanged — which is what
 keeps the process conduit's RMA zero-copy.
 
-Optional fault injection (:attr:`SmpConduit.fail_next_am`) lets tests
+Optional fault injection (:attr:`Conduit.fail_next_am`) lets tests
 exercise the failure-propagation paths without contriving real crashes.
 """
 
@@ -91,20 +91,6 @@ class SegmentRma:
 class SmpConduit(SegmentRma, Conduit):
     """Threads-as-ranks conduit (the default real executor)."""
 
-    def __init__(self) -> None:
-        self.world = None
-        #: Test hook: when set, the next send_am raises (fault injection).
-        self.fail_next_am: Exception | None = None
-
-    # -- active messages ------------------------------------------------
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
-        target = self._rank(dst)
-        self._encode_and_record(src, am)
-        target.deliver(am)
-
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        self._rank(dst).deliver(am)
+        self.world.ranks[dst].deliver(am)

@@ -227,19 +227,23 @@ class MetricsSampler(threading.Thread):
             if ctx.rank in self.world.dead_ranks:
                 continue
             tel = ctx.telemetry
-            pending = list(ctx._pending_meta.items())
+            with ctx._pending_lock:
+                pending = list(ctx._pending.items())
             if not pending:
                 continue
             deadline = self._deadline_for(tel)
             live = set()
-            for token, (t0, handler, dst, trace_id) in pending:
+            for token, fut in pending:
+                if fut._meta is None:
+                    continue
+                t0, handler, trace_id = fut._meta
                 key = (ctx.rank, token)
                 live.add(key)
                 age = now - t0
                 if age > deadline and key not in self._flagged:
                     self._flagged.add(key)
                     tel.flight_event(
-                        "slow_op", src=ctx.rank, dst=dst,
+                        "slow_op", src=ctx.rank, dst=fut._dst,
                         detail=(f"{handler} token={token} in flight "
                                 f"{age * 1e3:.1f}ms > deadline "
                                 f"{deadline * 1e3:.1f}ms"),

@@ -20,7 +20,7 @@ import repro
 from repro.core.world import current
 from repro.errors import PeerFailure, RankDead
 from repro.gasnet import ChaosConduit, backends
-from repro.gasnet.am import am_handler
+from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.reliability import ReliabilityConfig
 from tests.conftest import run_spmd
 
@@ -200,7 +200,9 @@ def test_peer_death_fails_envelopes_delivered_but_not_yet_acked():
 
     @am_handler("acks_answer")
     def _answer(ctx, am):
-        ctx.send_reply_to(am.args[0], am.args[1], args=("from 2",))
+        origin, token = am.args   # answer the forwarded request for rank 1
+        ctx.reply(ActiveMessage("acks_forward", origin, token=token),
+                  args=("from 2",))
 
     def body():
         ctx = current()

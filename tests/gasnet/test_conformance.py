@@ -282,7 +282,7 @@ def test_advance_counts_the_reply_that_completes_a_future(conduit):
             ran: list = []
             fut = ctx.send_am(1, "conformance_reply", expect_reply=True)
             fut.add_callback(lambda f: ctx.task_queue.append(
-                _Task(ran.append, (1,), {}, None, None)))
+                _Task(ran.append, (1,), {}, ActiveMessage("local", 0))))
             while not fut.done():
                 progressed = repro.advance(max_items=1)
             out = (progressed, len(ran))
@@ -293,6 +293,40 @@ def test_advance_counts_the_reply_that_completes_a_future(conduit):
         return out
 
     assert run_spmd(body, ranks=2, conduit=conduit)[0] == (True, 0)
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_a_send_that_raises_leaves_no_reply_pending(conduit):
+    """A request whose send raises takes its reply future back out of
+    the pending table: nothing is left for the death sweep to fail or
+    for the sampler to count.  A failed Team async still releases its
+    finish scope and its event."""
+    def body():
+        me = repro.myrank()
+        world = repro.current_world()
+        ctx = world.ranks[me]
+        barrier()
+        out = None
+        if me == 0:
+            world.conduit.fail_next_am = TransientCommError("injected")
+            try:
+                ctx.send_am(1, "conformance_reply", expect_reply=True)
+            except TransientCommError:
+                pass
+            after_send = len(ctx._pending)
+            done = repro.Event()
+            world.conduit.fail_next_am = TransientCommError("injected")
+            try:
+                with repro.finish() as scope:
+                    repro.async_(repro.Team([0, 1]), signal=done)(abs, -3)
+            except TransientCommError:
+                pass
+            out = (after_send, len(ctx._pending), scope.outstanding,
+                   done.test())
+        barrier()
+        return out
+
+    assert run_spmd(body, ranks=2, conduit=conduit)[0] == (0, 0, 0, True)
 
 
 # -- progress: poll / wake ----------------------------------------------------

@@ -6,7 +6,8 @@
   argument added to the contract is added in one place);
 * a layer that overrides nothing is transparent anywhere in the stack —
   ops, attribute forwarding and all;
-* stacked fault layers charge the sender's counters once per AM.
+* the send decision is ``Conduit.send_am``'s alone, and stacked fault
+  layers charge the sender's counters once per AM.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ def test_progress_ops_are_written_out_in_three_classes_only():
         owners = {cls.__name__ for cls in (Conduit,) + LAYERS + BACKENDS
                   if op in vars(cls)}
         assert owners == {"Conduit", "ConduitLayer", "ProcConduit"}
+
+
+def test_the_send_decision_is_written_once():
+    """The ``fail_next_am`` hook, the range check, the encode and the
+    charge are ``Conduit.send_am``'s: backends and fault layers write
+    only ``deliver_encoded``, and the other layers forward."""
+    for cls in (SmpConduit, ProcConduit, ChaosConduit, DelayConduit):
+        assert cls.send_am is Conduit.send_am
+        assert "deliver_encoded" in vars(cls)
+    owners = {cls.__name__ for cls in (Conduit,) + LAYERS + BACKENDS
+              if "fail_next_am" in vars(cls)}
+    assert owners == {"Conduit"}
 
 
 def test_layers_are_conduits():

@@ -275,3 +275,35 @@ def test_watchdog_flags_slow_op_before_timeout():
     assert any(ev.trace_id for ev in slow), \
         "slow_op events should carry the client op's trace id"
     assert world.ranks[0].stats.snapshot()["slow_ops_flagged"] >= 1
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_watchdog_flags_a_slow_async():
+    """An async is a request like any other: while its task runs longer
+    than the deadline, the watchdog flags its ``exec_task``."""
+    holder: dict = {}
+
+    def body():
+        me = repro.myrank()
+        if me == 0:
+            holder["world"] = repro.current_world()
+        repro.barrier()
+        if me == 0:
+            assert repro.async_(1)(_nap, 0.3).get(timeout=10.0) == 0.3
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(
+        body, ranks=2,
+        telemetry={"mode": "full", "watchdog_period": 0.01,
+                   "slow_op_min_s": 0.05},
+    ))
+    world = holder["world"]
+    slow = [ev for ev in world.telemetry.ranks[0].flight.snapshot()
+            if ev.kind == "slow_op"]
+    assert any(ev.detail.startswith("exec_task ") and ev.dst == 1
+               for ev in slow), slow

@@ -215,6 +215,78 @@ def test_trace_ids_are_rank_salted_and_unique():
             assert (s.trace_id >> 40) == s.rank + 1
 
 
+# ------------------------------------------------------------ async tasks
+
+def _bound_trace_id():
+    return tracing.current_trace_id()
+
+
+def test_async_runs_in_the_callers_trace():
+    """An async is stamped like any AM: rank 1 handles the
+    ``exec_task`` in rank 0's trace, and runs the task in it, so the
+    ``task:`` span and anything the task does join that trace."""
+    holder: dict = {}
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        if me == 0:
+            holder["world"] = ctx.world
+        repro.barrier()
+        out = None
+        if me == 0:
+            with tracing.span(ctx.telemetry, "client_op") as sp:
+                out = (sp.trace_id, repro.async_(1)(_bound_trace_id).get())
+        repro.barrier()
+        return out
+
+    trace_id, seen = run_spmd(body, ranks=2, telemetry="full")[0]
+    assert trace_id and seen == trace_id
+    world = holder["world"]
+    handled = [ev for ev in world.telemetry.ranks[1].flight.snapshot()
+               if ev.kind == "am_handled" and ev.detail == "exec_task"]
+    assert [ev.trace_id for ev in handled] == [trace_id]
+    tasks = [s for s in world.telemetry.all_spans()
+             if s.name == "task:_bound_trace_id"]
+    assert [(s.rank, s.trace_id) for s in tasks] == [(1, trace_id)]
+
+
+def _mark_ran():
+    repro.current_world().ranks[repro.myrank()].scratch["ran"] = True
+    return 7
+
+
+def test_reply_carries_its_requests_trace_not_the_drainers():
+    """Rank 1 runs an untraced async from rank 0 while it is inside a
+    span of its own; the reply answers an untraced request, so it must
+    reach rank 0 untraced, not stamped with rank 1's unrelated trace."""
+    holder: dict = {}
+
+    def body():
+        me = repro.myrank()
+        ctx = repro.current_world().ranks[me]
+        if me == 0:
+            holder["world"] = ctx.world
+        if me == 1:
+            with tracing.span(ctx.telemetry, "unrelated") as sp:
+                repro.barrier()
+                ctx.wait_until(lambda: ctx.scratch.get("ran"),
+                               what="the async from rank 0")
+            holder["unrelated"] = sp.trace_id
+        else:
+            repro.barrier()
+            assert repro.async_(1)(_mark_ran).get() == 7
+        repro.barrier()
+        return True
+
+    assert all(run_spmd(body, ranks=2, telemetry="full"))
+    replies = [ev for ev in holder["world"].telemetry.ranks[0]
+               .flight.snapshot()
+               if ev.kind == "am_handled" and ev.detail == "__reply__"]
+    assert holder["unrelated"] and replies
+    assert [ev.trace_id for ev in replies] == [0] * len(replies)
+
+
 # ------------------------------------------------- chaos flight bridge
 
 def test_chaos_faults_appear_in_flight_dump():
