@@ -13,8 +13,9 @@ compile down to the runtime's one-sided primitives and active messages.
   :class:`~repro.core.workqueue.DistWorkQueue` steal machinery for
   producer/consumer workloads, with remote push.
 
-Both compose with the rest of the stack: exactly-once mutation under
-``ReliableConduit(ChaosConduit)``, ``kv_*`` counters in
+Both compose with the rest of the stack: failover across a rank death
+(``DistHashMap(replicas=1)``, ``update()``'s op-id dedup), ``kv_*``
+counters in
 :class:`~repro.gasnet.stats.CommStats`, and ``kv_get``/``kv_put``/
 ``kv_multi`` latency histograms plus flight-recorder events when
 telemetry is enabled.

@@ -22,7 +22,7 @@ Design
   backup bumps its repl_epoch, and a deposed (falsely-suspected)
   primary whose log arrives with a stale repl_epoch is rejected with
   :class:`KvStalePrimary` and drops the shard.
-* **Failover** — the reliability layer's failure detector feeds
+* **Failover** — the world's failure detector feeds
   :meth:`World.mark_dead`; death subscribers and ``dead_ranks`` checks
   let clients fail over to the backup, which self-promotes on the
   first write it receives for a dead primary's shard (bumping
@@ -554,11 +554,6 @@ class DistHashMap:
     ----------
     cache:
         Enable the per-rank read-through cache (epoch-invalidated).
-    retry_attempts:
-        Client-level retries of an op whose reply timed out (only
-        reachable under a reliability layer with per-op deadlines).
-        ``update`` stays exactly-once across retries via owner-side
-        op-id dedup; put/delete are idempotent.
     replicas:
         0 (default) for the classic single-copy map; 1 to log every
         mutation synchronously to a backup rank before acking, making
@@ -570,8 +565,8 @@ class DistHashMap:
         staler reads.  Requires ``replicas=1``.
     """
 
-    def __init__(self, cache: bool = True, retry_attempts: int = 4,
-                 replicas: int = 0, read_replicas: bool = False):
+    def __init__(self, cache: bool = True, replicas: int = 0,
+                 read_replicas: bool = False):
         if replicas not in (0, 1):
             raise PgasError("only replicas=0 or replicas=1 is supported")
         ctx = current()
@@ -581,7 +576,6 @@ class DistHashMap:
         self.nshards = self.nranks
         self.replicas = replicas if self.nranks > 1 else 0
         self.read_replicas = bool(read_replicas) and self.replicas > 0
-        self.retry_attempts = max(1, int(retry_attempts))
         self._op_seq = itertools.count(1)
         self._rr = 0
         self._cache_enabled = bool(cache)
@@ -628,8 +622,8 @@ class DistHashMap:
                   (sid + 1) % self.nranks if self.replicas else None)
             for sid in range(self.nshards)}
         self._ingest_roles(infos)
-        # Failure-notification hook: deaths recorded by the runtime /
-        # reliability detector flip this client's table at its next op.
+        # Failure-notification hook: deaths recorded by the world's
+        # failure detector flip this client's table at its next op.
         ctx.world.on_rank_death(self._on_rank_death)
 
     # -- plumbing ----------------------------------------------------------
@@ -788,17 +782,19 @@ class DistHashMap:
         one ``(map_id, -1)`` AM per rank whose keys the server regroups
         — each ending with the epochs this client last saw of its
         shards — and issues every AM before gathering any reply.  One ladder
-        handles the replies: a timeout is retried ``retry_attempts``
-        times, a dead server fails its shards over to their backup
-        (:class:`KvOwnerDead` without one), a redirect repoints the
-        table; what did not complete is pending for the next round.  A
+        handles the replies: a timeout (the world's ``op_timeout``
+        expired) raises, a dead server fails its shards over to their
+        backup (:class:`KvOwnerDead` without one), a redirect repoints
+        the table; what did not complete is pending for the next round.
+        ``update`` stays exactly-once across a failover retry via
+        owner-side op-id dedup; put/delete are idempotent.  A
         point op is the one-key case; ``read`` lets it alternate
         primary/backup (``read_replicas``).  ``event`` names the flight
         event recorded when the op first goes to the wire.
         """
         tel = ctx.telemetry
         replies = []
-        attempt = hops = 0
+        hops = 0
         t_fail = None
         first_round = True
         while pending:
@@ -849,14 +845,9 @@ class DistHashMap:
                         raise RankDead(f"rank {target} is dead")
                     args, reply = fut.get()
                 except CommTimeout as exc:
-                    attempt += 1
-                    if attempt >= self.retry_attempts:
-                        raise CommTimeout(
-                            f"{what}: rank {target} unreachable after "
-                            f"{attempt} attempts ({len(ks)} keys)"
-                        ) from exc
-                    tel.flight_event("kv_retry", src=ctx.rank,
-                                     dst=target, detail=what)
+                    raise CommTimeout(
+                        f"{what}: rank {target} did not answer "
+                        f"({len(ks)} keys)") from exc
                 except (RankDead, PeerFailure) as exc:
                     hops += 1
                     if not self.replicas or hops > _MAX_HOPS:

@@ -8,10 +8,10 @@ on one rank still keeps every rank busy.  Ordering is FIFO per
 (producer, target) pair and unordered globally (it is a *bag* with FIFO
 bias, which is what load-balanced consumption requires).
 
-Remote push is exactly-once under ``ReliableConduit(ChaosConduit)``:
-the push AM is sequenced/deduped by the reliability layer, and the
-outstanding-items counter is bumped by the *producer* (an exactly-once
-retried atomic) only **after** the target acks the push.  Bumping
+Remote push is exactly-once: the transport delivers the push AM once
+(crash-stop, see :mod:`repro.gasnet.conduit`), and the outstanding-items
+counter is bumped by the *producer* (one atomic) only **after** the
+target acks the push.  Bumping
 before the send looks safer (the count can never dip while an item is
 in flight) but silently over-counts when the target rank dies before
 delivery — the items never land, yet quiesce waits for acks that can
@@ -98,11 +98,10 @@ class DistQueue:
                 f"items were not enqueued ({exc})"
             ) from exc
         # Producer bumps the quiesce counter only after the target
-        # acked: the counter (an exactly-once retried atomic) then
-        # counts items that actually landed, so a push to a dead rank
-        # can never leave quiesce waiting on phantom items.  The push
-        # future blocks, so the producer observes count-then-consume
-        # ordering just as before.
+        # acked: the counter then counts items that actually landed, so
+        # a push to a dead rank can never leave quiesce waiting on
+        # phantom items.  The push future blocks, so the producer
+        # observes count-then-consume ordering just as before.
         self._wq._outstanding.atomic("add", n)
         self.pushed_remote += n
         if ctx.telemetry.active:

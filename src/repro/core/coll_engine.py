@@ -4,9 +4,9 @@ The rendezvous-slot exchange this replaces funnelled every rank through
 one dict under the world lock — O(N) deep copies at a single point of
 serialization, invisible to the conduit stack.  Here every collective is
 a small per-rank state machine advanced purely by active messages, so
-the traffic is ordinary point-to-point AMs that the chaos conduit, the
-reliability layer, the flight recorder and the latency histograms all
-see for free, and per-rank work is O(log N) rounds:
+the traffic is ordinary point-to-point AMs that the fault layers, the
+flight recorder and the latency histograms all see for free, and
+per-rank work is O(log N) rounds:
 
 ===========  ==================================  =======================
 collective   algorithm                           per-rank sends
@@ -32,9 +32,9 @@ State transitions happen either at initiation (on the calling thread,
 under the rank's handler lock) or inside the AM handler (already under
 the handler lock); completion resolves a :class:`~repro.core.future.
 Future`, which is what the non-blocking ``*_async`` API hands out.
-Handlers are idempotent — a duplicated message (bare chaos conduit, no
-reliability layer) re-applies a keyed update and changes nothing — and
-messages that arrive before the local rank has initiated the matching
+Handlers are idempotent — a message for a finished collective is
+dropped, a keyed update applied twice changes nothing — and messages
+that arrive before the local rank has initiated the matching
 collective are buffered and replayed.  Values cross rank boundaries
 through the wire codec (pre-encoded once per fan-out, spliced into each
 frame), which supplies the by-value contract of a real network.
@@ -58,7 +58,7 @@ from repro.telemetry import tracing
 COLL_AM = "coll"
 
 #: Completed-collective keys remembered for stray-message filtering
-#: (duplicates from the chaos conduit, retransmits racing completion).
+#: (and for naming a kind mismatch that arrives after completion).
 _COMPLETED_LRU = 256
 
 
@@ -581,7 +581,7 @@ class CollEngine:
         if done_kind is not None:
             if done_kind != kind:
                 self._mismatch(key, done_kind, kind, src_index)
-            return  # stray duplicate for a finished collective: drop
+            return  # stray message for a finished collective: drop
         # Arrived before this rank initiated (team_key, seq): buffer.
         self.pending.setdefault(key, []).append(
             (kind, tag, src_index, am.payload)
@@ -591,7 +591,7 @@ class CollEngine:
         if kind != st.kind:
             self._mismatch(key, st.kind, kind, src_index)
         if st.done:
-            return  # duplicate delivery racing completion
+            return  # late message racing completion
         # The wire layer already decoded the payload to a fresh value.
         st.on_msg(tag, src_index, payload)
 

@@ -8,7 +8,7 @@ bcast/reduce/gather/scatter, a dissemination barrier, a Bruck
 allgather, and pairwise exchange for alltoall — O(log N) rounds of
 point-to-point active messages per rank instead of the old O(N)
 rendezvous under one world lock, and every message is visible to the
-conduit stack (chaos, reliability, telemetry).
+conduit stack (fault layers, telemetry).
 
 Each collective has a **non-blocking variant** (``barrier_async``,
 ``reduce_async``, ...) returning a :class:`~repro.core.future.Future`

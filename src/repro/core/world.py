@@ -26,6 +26,7 @@ import threading
 import time
 from collections import deque
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import (
@@ -192,6 +193,9 @@ class RankState:
         if tel.active:
             am.trace_id, am.span_id = tracing.current_ids()
         if fut is None:
+            if dst in self.world.dead_ranks:
+                self._refuse(dst, am)  # nobody waits: dropped
+                return
             self.world.conduit.send_am(self.rank, dst, am)
             return
         am.token = token = next(self._token_counter)
@@ -200,6 +204,16 @@ class RankState:
             fut._meta = (time.monotonic(), am.handler, am.trace_id)
         with self._pending_lock:
             self._pending[token] = fut
+        # Checked after the registration: a death declared from here on
+        # finds ``fut`` in mark_dead's sweep, one declared before is in
+        # the dead set — either way nothing waits out the op timeout.
+        if dst in self.world.dead_ranks:
+            with self._pending_lock:
+                swept = self._pending.pop(token, None) is None
+            exc = self._refuse(dst, am)
+            if not swept:
+                fut.set_exception(exc)
+            return
         try:
             if encode is not None:
                 encode(am, tel)
@@ -208,6 +222,15 @@ class RankState:
             with self._pending_lock:
                 self._pending.pop(token, None)
             raise
+
+    def _refuse(self, dst: int, am: ActiveMessage) -> RankDead:
+        """Count a send not made because ``dst`` is already dead; the
+        error a request fails with."""
+        self.stats.add(dead_peer_fastfails=1)
+        self.telemetry.flight_event("dead_peer_fastfail", src=self.rank,
+                                    dst=dst, detail=am.handler)
+        return RankDead(f"rank {self.rank}: AM {am.handler!r} not sent: "
+                        f"rank {dst} is dead")
 
     def fail_pending(self, exc: BaseException,
                      dst: int | None = None) -> None:
@@ -311,8 +334,8 @@ class RankState:
                 am = frame.thaw()
         self.stats.record_am_handled()
         if self.telemetry.active and am.handler not in (
-            "__ping__", "__pong__", "__rel_ack__", "__rel_data__",
-        ):  # protocol chatter would drown out the useful history
+            "__ping__", "__pong__",
+        ):  # probe chatter would drown out the useful history
             self.telemetry.flight_event(
                 "am_handled", src=am.src_rank, dst=self.rank,
                 detail=am.handler, trace_id=am.trace_id,
@@ -322,11 +345,9 @@ class RankState:
                 fut = self._pending.pop(am.token, None)
             if fut is None:
                 # A reply can legally arrive after its future completed:
-                # past the reliability layer's op deadline, or from a
-                # rank declared dead (its waiters already got RankDead)
-                # that was only hung — drop it, counted.
-                if (self.world._reliable is not None
-                        or am.src_rank in self.world.dead_ranks):
+                # from a rank declared dead (its waiters already got
+                # RankDead) that was only hung — drop it, counted.
+                if am.src_rank in self.world.dead_ranks:
                     self.stats.add(stale_replies=1)
                     return
                 raise PgasError(
@@ -483,10 +504,13 @@ class RankState:
 class World:
     """One SPMD execution: ``n_ranks`` ranks over a conduit.
 
-    Reliability knobs
-    -----------------
-    One failure detector thread checks two signals and records every
-    death in the one dead set, :attr:`dead_ranks`:
+    Failure knobs
+    -------------
+    The fault model is crash-stop: a rank works or dies, and the
+    transport loses nothing between live ranks.  One failure detector
+    thread checks two signals and records every death in the one dead
+    set, :attr:`dead_ranks`; from then on a request to the dead rank
+    fails with :class:`~repro.errors.RankDead` at the call:
 
     ``heartbeat_timeout``:
         When set, a rank of this process that makes no runtime progress
@@ -496,15 +520,12 @@ class World:
         of hanging.  Must exceed the longest pure-compute phase of the
         program.  ``heartbeat_period`` is how often it is checked.
     ``reliability``:
-        ``True``, a dict of
-        :class:`~repro.gasnet.reliability.ReliabilityConfig` fields or a
+        ``True``, a dict of :class:`ReliabilityConfig` fields or a
         config: every ``heartbeat_period`` each local rank probes every
         peer, and a peer whose rank thread answers no probe for
         ``peer_timeout`` seconds — hung, or cut off from the wire — is
-        declared dead.  Over a ``caps.lossy`` conduit only, it also adds
-        :class:`~repro.gasnet.reliability.ReliableConduit` (FIFO,
-        exactly-once); a ``ReliableConduit`` passed as ``conduit=`` is
-        honoured as given.
+        declared dead.  A rank is judged by probe silence only while
+        another live rank of this process probes it.
     ``telemetry``:
         ``None``/``"off"`` (default) records nothing and leaves the
         conduit unwrapped; ``"flight"`` runs only the per-rank flight
@@ -519,9 +540,9 @@ class World:
         ``True`` a detected death is *survivable*: the dead rank is
         recorded in :attr:`dead_ranks`, subscribers registered via
         :meth:`on_rank_death` are notified (this is what drives
-        DistHashMap backup promotion), in-flight AMs to the dead peer
-        fail fast with ``RankDead``, and the surviving ranks keep
-        running.  The implicit finalize barrier degrades to a
+        DistHashMap backup promotion), in-flight and later requests to
+        the dead peer fail fast with ``RankDead``, and the surviving
+        ranks keep running.  The implicit finalize barrier degrades to a
         done-or-dead wait so survivors can exit without the dead rank.
     """
 
@@ -569,13 +590,10 @@ class World:
         #: installs no conduit wrapper.
         self.telemetry = WorldTelemetry(n_ranks, _resolve_telemetry(telemetry))
         conduit = conduit if conduit is not None else SmpConduit()
-        #: Set by ReliableConduit.attach; consulted by the AM layer to
-        #: tolerate post-deadline (stale) replies.
-        self._reliable = None
-        #: Where liveness probes travel: beneath the reliability and
-        #: telemetry layers (a probe needs no delivery guarantee and is
-        #: no application traffic).
-        self._wire, conduit, rel = _wrap_reliable(conduit, reliability)
+        #: Where liveness probes travel: beneath the telemetry layer (a
+        #: probe is no application traffic).
+        self._wire = conduit
+        rel = _resolve_reliability(reliability)
         self._peer_timeout = self._probe_period = None
         if rel is not None and n_ranks > 1:
             self._peer_timeout = rel.peer_timeout
@@ -583,8 +601,8 @@ class World:
         #: rank -> when it last answered one of this process's probes.
         self._last_heard = dict.fromkeys(range(n_ranks), time.monotonic())
         if self.telemetry.enabled:
-            # Outermost layer: latencies include reliability retries, and
-            # inner layers' trace_control events reach the flight ring.
+            # Outermost layer: inner layers' trace_control events reach
+            # the flight ring.
             conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
                                        timed=self.telemetry.full)
         self.conduit = conduit
@@ -627,9 +645,9 @@ class World:
         ``sys.stderr`` for the classic crash dump) and return it.
 
         When the conduit stack contains a chaos conduit, its injected
-        faults (``chaos_drop``/``chaos_dup``/``chaos_kill``/...) are
-        spliced into the merged timeline as instants, so the dump shows
-        fault injection and runtime reaction side by side.
+        faults (``chaos_kill``) are spliced into the merged timeline as
+        instants, so the dump shows fault injection and runtime
+        reaction side by side.
         """
         extra = None
         fault_events = getattr(self.conduit, "fault_events", None)
@@ -696,7 +714,7 @@ class World:
 
         Always records the death in :attr:`dead_ranks`, marks the rank
         state, fails the futures waiting on it, and notifies
-        :meth:`on_rank_death` subscribers (reliability's too).  Then:
+        :meth:`on_rank_death` subscribers.  Then:
         without ``survive_rank_death`` the world fails (the historical
         fatal contract); with it the survivors are merely poked so
         blocked waits re-evaluate.
@@ -777,9 +795,10 @@ class World:
             if self._failure is not None:
                 return
             now = time.monotonic()
-            if peer_timeout is not None and now >= next_probe:
+            probers = self._probers() if peer_timeout is not None else ()
+            if probers and now >= next_probe:
                 next_probe = now + self._probe_period
-                self._send_probes()
+                self._send_probes(probers)
             for rk in self.ranks:
                 r, why = rk.rank, None
                 stamp = self.is_local(r) and hb_timeout is not None
@@ -793,24 +812,32 @@ class World:
                     why = (f"rank {r} made no runtime progress for "
                            f"{now - rk.last_heartbeat:.2f}s "
                            f"(heartbeat_timeout={hb_timeout}s)")
-                elif (peer_timeout is not None
-                      and now - heard[r] > peer_timeout
-                      and (self.local_ranks is None
-                           or r not in self.local_ranks)):
+                elif (any(p != r for p in probers)
+                      and now - heard[r] > peer_timeout):
+                    # Silence means something only while someone asks:
+                    # a rank no other live rank here probes is not
+                    # judged by it (the last live rank on smp, or this
+                    # process's own rank on proc).
                     why = (f"rank {r} answered no liveness probe for "
                            f"{now - heard[r]:.2f}s "
                            f"(peer_timeout={peer_timeout}s)")
                 if why is not None:
                     self.mark_dead(r, RankDead(why))
 
-    def _send_probes(self) -> None:
-        for rk in self.ranks:
-            if not self.is_local(rk.rank) or rk.done or rk.dead:
-                continue  # a rank must not probe on a remote's behalf
+    def _probers(self) -> list[int]:
+        """The live ranks of this process: the ones that probe (a rank
+        must not probe on a remote's behalf)."""
+        return [rk.rank for rk in self.ranks
+                if self.is_local(rk.rank) and not (rk.done or rk.dead)
+                and rk.rank not in self.dead_ranks]
+
+    def _send_probes(self, probers: list[int]) -> None:
+        for src in probers:
+            stats = self.ranks[src].stats
             for peer in range(self.n_ranks):
-                if peer != rk.rank and peer not in self.dead_ranks:
-                    rk.stats.add(heartbeats_sent=1)
-                    self._probe(rk.rank, peer, "__ping__")
+                if peer != src and peer not in self.dead_ranks:
+                    stats.add(heartbeats_sent=1)
+                    self._probe(src, peer, "__ping__")
 
     def _probe(self, src: int, dst: int, handler: str) -> None:
         try:
@@ -850,29 +877,32 @@ def _on_pong(ctx, am) -> None:
     ctx.world._last_heard[am.src_rank] = time.monotonic()
 
 
-def _wrap_reliable(conduit, reliability):
-    """Resolve the World ``reliability=`` knob: ``(the conduit probes
-    travel on, the conduit stack, the config or None)``.  The stack
-    gains a ReliableConduit only over a lossy conduit."""
-    from repro.gasnet.reliability import ReliabilityConfig, ReliableConduit
+@dataclass
+class ReliabilityConfig:
+    """The failure detector's peer probes, as ``World(reliability=...)``
+    sets them."""
 
-    if isinstance(conduit, ReliableConduit):
-        return conduit._inner, conduit, conduit.cfg  # honoured as given
+    #: Interval between the detector's probe rounds (seconds).
+    heartbeat_period: float = 0.05
+    #: Declare a peer dead after its probes go this long unanswered
+    #: (seconds); ``None`` disables the wire signal.
+    peer_timeout: float | None = 2.0
+
+
+def _resolve_reliability(reliability) -> ReliabilityConfig | None:
+    """The World ``reliability=`` knob as a config, or None (no probes)."""
     if reliability is None or reliability is False:
-        return conduit, conduit, None
+        return None
     if reliability is True:
-        reliability = ReliabilityConfig()
-    elif isinstance(reliability, dict):
-        reliability = ReliabilityConfig(**reliability)
-    elif not isinstance(reliability, ReliabilityConfig):
-        raise PgasError(
-            f"reliability= must be True, a dict of ReliabilityConfig "
-            f"fields, or a ReliabilityConfig (got {reliability!r}); a "
-            f"ReliableConduit goes in conduit="
-        )
-    stack = (ReliableConduit(conduit, config=reliability)
-             if conduit.caps.lossy else conduit)
-    return conduit, stack, reliability
+        return ReliabilityConfig()
+    if isinstance(reliability, dict):
+        return ReliabilityConfig(**reliability)
+    if isinstance(reliability, ReliabilityConfig):
+        return reliability
+    raise PgasError(
+        f"reliability= must be True, a dict of ReliabilityConfig "
+        f"fields, or a ReliabilityConfig (got {reliability!r})"
+    )
 
 
 class _RankKilled(BaseException):

@@ -57,16 +57,17 @@ class CommTimeout(PgasError):
 
 
 class TransientCommError(PgasError):
-    """A conduit operation failed transiently (lost packet, NIC hiccup,
-    unreachable peer).  Retryable: the reliability layer
-    (:mod:`repro.gasnet.reliability`) retries these with backoff; without
-    that layer they surface to the caller."""
+    """A conduit operation could not complete: proc's receiver stalled
+    past the op timeout, a socket closed under a send, or the target is
+    partitioned (:meth:`~repro.gasnet.chaos.ChaosConduit.kill_rank`).
+    Nothing retries it; it surfaces to the caller."""
 
 
 class RankDead(PgasError):
-    """A rank was declared dead by a failure detector (missed heartbeats
-    or a simulated crash).  Peers blocked on the dead rank observe it as
-    the ``original`` of a :class:`PeerFailure`."""
+    """A rank was declared dead by the failure detector (missed
+    heartbeats or probes, or a simulated crash).  A request to it fails
+    with this at the call once the death is known; peers blocked on it
+    observe it as the ``original`` of a :class:`PeerFailure`."""
 
 
 class SerializationError(PgasError):

@@ -23,6 +23,9 @@ Two real conduits are implemented, selected via
   segments live in ``multiprocessing.shared_memory`` (RMA stays
   zero-copy across processes) and active messages cross Unix-domain
   socket pairs as the struct-packed wire frames.
+
+Both deliver reliably and in pair order, as GASNet does: the fault
+model is crash-stop (see :mod:`repro.gasnet.conduit`).
 """
 
 from repro.gasnet.segment import Segment
@@ -32,7 +35,6 @@ from repro.gasnet.smp import SmpConduit
 from repro.gasnet.delay import DelayConduit
 from repro.gasnet.chaos import ChaosConduit
 from repro.gasnet.proc import ProcConduit, ProcFabric
-from repro.gasnet.reliability import ReliabilityConfig, ReliableConduit
 from repro.gasnet.stats import CommStats
 from repro.gasnet.trace import CommEvent, TelemetryConduit, Trace
 from repro.gasnet import backends
@@ -50,8 +52,6 @@ __all__ = [
     "ChaosConduit",
     "ProcConduit",
     "ProcFabric",
-    "ReliableConduit",
-    "ReliabilityConfig",
     "CommStats",
     "Trace",
     "CommEvent",

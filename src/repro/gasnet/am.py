@@ -58,10 +58,9 @@ class ActiveMessage:
         (mirroring the paper's "pack the task function pointer and its
         arguments into a contiguous buffer").
     payload:
-        Optional payload: a nested :class:`ActiveMessage` (the
-        reliability envelope) or one value of the tagged stream (NumPy
-        array, ``bytes``, dict, ...); bulk bytes travel as out-of-band
-        buffers, not pickled streams.
+        Optional payload: one value of the tagged stream (NumPy array,
+        ``bytes``, dict, ...); bulk bytes travel as out-of-band buffers,
+        not pickled streams.
     token:
         Correlation token for request/reply pairs; ``None`` when no reply
         is expected.
@@ -69,9 +68,8 @@ class ActiveMessage:
         True when this message completes the initiator's future for
         ``token`` instead of running a named handler.
     aux:
-        One fixed-width header word for transport-layer bookkeeping —
-        the reliability conduit's sequence/ack numbers ride here instead
-        of in the args tuple, keeping control traffic pickle-free.
+        One fixed-width header word, reserved: nothing sets it, so it
+        travels as 0 (dropping it would change every frame size).
     trace_id / span_id:
         Causal trace context (repro.telemetry.tracing).  When non-zero
         the pair rides the wire frame as a 16-byte trailer so handler

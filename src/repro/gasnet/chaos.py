@@ -1,29 +1,19 @@
-"""A lossy, failing conduit for reliability hardening.
+"""A partitioning conduit for crash-stop fault tests.
 
 :class:`DelayConduit` scrambles message *timing*; :class:`ChaosConduit`
-breaks the transport's *contract*.  Under a seeded RNG it
+can cut one rank off mid-run (:meth:`ChaosConduit.kill_rank`): every AM
+to or from it is dropped and every RMA touching it raises
+:class:`~repro.errors.TransientCommError`, while the rank's thread keeps
+running.  That is a zombie — alive, but silent to its peers — so the
+survivors must find it through the world's failure detector (its
+probes go unanswered) rather than through the in-process dead flag
+:func:`repro.die` sets.  The fencing tests need exactly that.
 
-* **drops** active messages (silently — the classic lost packet),
-* **duplicates** them (at-least-once delivery),
-* **reorders** adjacent messages of the same (src, dst) pair, violating
-  the pairwise-FIFO guarantee GASNet normally provides,
-* raises :class:`~repro.errors.TransientCommError` from the one-sided
-  RMA primitives (``rma_put``/``rma_get``/``rma_atomic`` and the indexed
-  bulk ops) — either *before* the operation applies (nothing happened)
-  or *after* it applied (the completion was lost, the dangerous case for
-  non-idempotent atomics),
-* can sever one rank's connectivity mid-run (:meth:`kill_rank`): all
-  traffic to and from that rank is black-holed.
-
-The runtime's constructs assume reliable FIFO delivery and would corrupt
-state or deadlock directly on this conduit, so it advertises
-``caps.lossy``: ``World(reliability=...)`` then runs them through
-:class:`~repro.gasnet.reliability.ReliableConduit` wrapped around this
-one, and the point is to prove the stack survives.  Injected events
-are counted in :class:`~repro.gasnet.stats.CommStats` (``chaos_drops``/
-``chaos_dups``/``chaos_reorders``/``chaos_faults``) and reported to an
-active
-:class:`~repro.gasnet.trace.Trace`.
+The fault model is crash-stop: a rank either works or dies.  Nothing
+here drops, duplicates or reorders a message between two live ranks,
+so no delivery protocol is stacked on top.  Each kill is logged (see
+:meth:`ChaosConduit.fault_schedule`) and reported to an active
+:class:`~repro.gasnet.trace.Trace` as a ``chaos_kill`` control event.
 """
 
 from __future__ import annotations
@@ -31,9 +21,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import replace
-
-import numpy as np
 
 from repro.errors import PgasError, TransientCommError
 from repro.gasnet.am import ActiveMessage
@@ -42,36 +29,18 @@ from repro.gasnet.trace import CommEvent
 
 
 class ChaosConduit(ConduitLayer):
-    """Conduit wrapper + seeded drop/dup/reorder/fault/partition injection.
+    """Conduit wrapper that can partition a rank.
 
     Wraps any in-process backend (default: a fresh
-    :class:`~repro.gasnet.smp.SmpConduit`), doing the fault roll once per
-    *send decision* and handing the survivors to the inner conduit's
-    :meth:`~repro.gasnet.conduit.Conduit.deliver_encoded`.  Requires
-    ``inner.caps.in_process_hooks``: chaos injection needs one process-
-    wide view of the wire (a cross-process backend would let each rank
-    roll its own divergent fault schedule).
-
-    Parameters
-    ----------
-    inner:
-        The transport to break; ``None`` builds an SMP conduit.
-    seed:
-        RNG seed; a fixed seed gives a reproducible fault *mix* (exact
-        interleaving still depends on thread scheduling).
-    am_drop_rate, am_dup_rate, am_reorder_rate:
-        Per-message probabilities of dropping, duplicating, or holding a
-        message back past its successor (pairwise-FIFO violation).
-    rma_fault_rate:
-        Per-operation probability that an RMA primitive raises
-        :class:`TransientCommError`; half the faults fire *after* the
-        operation applied at the target.
+    :class:`~repro.gasnet.smp.SmpConduit`) and hands the AMs of live
+    ranks to the inner conduit's
+    :meth:`~repro.gasnet.conduit.Conduit.deliver_encoded` unchanged.
+    Requires ``inner.caps.in_process_hooks``: a partition needs one
+    process-wide view of the wire (a cross-process backend would let
+    each rank keep its own divergent set of killed ranks).
     """
 
-    def __init__(self, inner: Conduit | None = None, seed: int = 0,
-                 am_drop_rate: float = 0.0,
-                 am_dup_rate: float = 0.0, am_reorder_rate: float = 0.0,
-                 rma_fault_rate: float = 0.0):
+    def __init__(self, inner: Conduit | None = None):
         if inner is None:
             from repro.gasnet.smp import SmpConduit
 
@@ -83,18 +52,12 @@ class ChaosConduit(ConduitLayer):
                 f"in_process_hooks=False)"
             )
         super().__init__(inner)
-        self.am_drop_rate = float(am_drop_rate)
-        self.am_dup_rate = float(am_dup_rate)
-        self.am_reorder_rate = float(am_reorder_rate)
-        self.rma_fault_rate = float(rma_fault_rate)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(seed)
         self._chaos_lock = threading.Lock()
         #: Bounded trace of every injected fault, ``(t_rel, kind, src,
         #: dst, detail)`` with ``t_rel`` seconds since construction —
-        #: together with :attr:`seed` this is the run's *fault schedule*
-        #: (what was injected, when, to whom), exportable via
-        #: :meth:`fault_schedule` for post-mortem replay/diagnosis.
+        #: the run's *fault schedule* (what was injected, when, to
+        #: whom), exportable via :meth:`fault_schedule` for post-mortem
+        #: diagnosis.
         self.fault_log: deque[tuple[float, str, int, int, str]] = (
             deque(maxlen=4096)
         )
@@ -103,16 +66,7 @@ class ChaosConduit(ConduitLayer):
         # monotonic-relative fault log can be rebased onto the flight
         # recorder's perf_counter timeline (see fault_events()).
         self._t0_perf = time.perf_counter()
-        #: One held-back message per (src, dst) pair, delivered *after*
-        #: the next message to the pair — a pairwise-FIFO violation.
-        self._held: dict[tuple[int, int], ActiveMessage] = {}
         self._killed: set[int] = set()
-
-    @property
-    def caps(self):
-        # Lossy whatever the rates: the reliability layer is installed
-        # for what this layer *can* do, not for what one seed rolls.
-        return replace(self._inner.caps, lossy=True)
 
     # -- failure control ---------------------------------------------------
     def kill_rank(self, rank: int) -> None:
@@ -121,10 +75,6 @@ class ChaosConduit(ConduitLayer):
         it is partitioned, not stopped)."""
         with self._chaos_lock:
             self._killed.add(rank)
-            self._held = {
-                k: v for k, v in self._held.items()
-                if rank not in k
-            }
         self._log_fault("chaos_kill", rank, rank, "partitioned")
         self._emit_control("chaos_kill", rank, rank, detail="partitioned")
 
@@ -132,7 +82,7 @@ class ChaosConduit(ConduitLayer):
         with self._chaos_lock:
             return rank in self._killed
 
-    # -- helpers -----------------------------------------------------------
+    # -- fault log ---------------------------------------------------------
     def _log_fault(self, kind: str, src: int, dst: int,
                    detail: str = "") -> None:
         self.fault_log.append(
@@ -140,10 +90,10 @@ class ChaosConduit(ConduitLayer):
         )
 
     def fault_schedule(self) -> dict:
-        """The run's injected-fault trace: ``{"seed", "faults"}`` where
-        ``faults`` is a list of ``(t_rel, kind, src, dst, detail)``
-        records (bounded to the most recent 4096)."""
-        return {"seed": self.seed, "faults": list(self.fault_log)}
+        """The run's injected-fault trace: ``{"faults"}``, a list of
+        ``(t_rel, kind, src, dst, detail)`` records (bounded to the most
+        recent 4096)."""
+        return {"faults": list(self.fault_log)}
 
     def fault_events(self) -> list:
         """The fault schedule as events (``chaos_*`` instants on the
@@ -157,90 +107,31 @@ class ChaosConduit(ConduitLayer):
             for (t_rel, kind, src, dst, detail) in self.fault_log
         ]
 
-    def _fault_point(self, kind: str, src: int, dst: int) -> str | None:
-        """Roll the RMA fault dice; returns None | "pre" | "post".
-
-        Raises immediately when either endpoint is partitioned.
-        """
+    def _cut(self, src: int, dst: int) -> int | None:
+        """The partitioned end of ``src -> dst``, or None."""
         with self._chaos_lock:
-            if src in self._killed or dst in self._killed:
-                bad = dst if dst in self._killed else src
-                raise TransientCommError(
-                    f"chaos: rank {bad} unreachable ({kind} {src}->{dst})"
-                )
-            if float(self._rng.random()) >= self.rma_fault_rate:
-                return None
-            when = "pre" if float(self._rng.random()) < 0.5 else "post"
-        self._rank(src).stats.add(chaos_faults=1)
-        self._log_fault("chaos_fault", src, dst, f"{kind}:{when}")
-        self._emit_control("chaos_fault", src, dst, detail=f"{kind}:{when}")
-        return when
-
-    def _raise_fault(self, kind: str, src: int, dst: int, when: str):
-        raise TransientCommError(
-            f"chaos: transient {kind} fault {src}->{dst} ({when}-completion)"
-        )
+            if dst in self._killed:
+                return dst
+            if src in self._killed:
+                return src
+        return None
 
     # -- active messages ---------------------------------------------------
     send_am = Conduit.send_am
 
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
-        """The drop/duplicate/hold decision for one already-charged AM;
-        zero, one or two copies go on down."""
-        if src == dst:  # loopback is reliable on any real transport
-            self._inner.deliver_encoded(src, dst, am)
+        """Drop an already-charged AM to or from a partitioned rank;
+        pass everything else down."""
+        if src != dst and self._cut(src, dst) is not None:
             return
-        to_deliver: list[ActiveMessage] = []
-        dropped = duplicated = held_now = False
-        with self._chaos_lock:
-            held_prev = self._held.pop((src, dst), None)
-            if src in self._killed or dst in self._killed:
-                dropped = True
-                held_prev = None  # partitioned: the held message dies too
-            else:
-                r_drop, r_dup, r_hold = (
-                    float(self._rng.random()) for _ in range(3)
-                )
-                if r_drop < self.am_drop_rate:
-                    dropped = True
-                elif held_prev is None and r_hold < self.am_reorder_rate:
-                    self._held[(src, dst)] = am
-                    held_now = True
-                else:
-                    to_deliver.append(am)
-                    if r_dup < self.am_dup_rate:
-                        to_deliver.append(am)
-                        duplicated = True
-            if held_prev is not None:
-                to_deliver.append(held_prev)  # after its successor: reorder
-        if dropped:
-            self._rank(src).stats.add(chaos_drops=1)
-            self._log_fault("chaos_drop", src, dst, am.handler)
-            self._emit_control("chaos_drop", src, dst, am.wire_bytes,
-                               detail=am.handler)
-        if duplicated:
-            self._rank(src).stats.add(chaos_dups=1)
-            self._log_fault("chaos_dup", src, dst, am.handler)
-            self._emit_control("chaos_dup", src, dst, am.wire_bytes,
-                               detail=am.handler)
-        if held_now:
-            self._rank(src).stats.add(chaos_reorders=1)
-            self._log_fault("chaos_reorder", src, dst, am.handler)
-            self._emit_control("chaos_reorder", src, dst, am.wire_bytes,
-                               detail=am.handler)
-        for m in to_deliver:
-            self._inner.deliver_encoded(src, dst, m)
+        self._inner.deliver_encoded(src, dst, am)
 
     # -- one-sided RMA -----------------------------------------------------
     def _rma(self, kind: str, fn, src: int, dst: int, *args):
-        when = self._fault_point(kind, src, dst)
-        if when == "pre":
-            self._raise_fault(kind, src, dst, when)
-        out = fn(src, dst, *args)
-        if when == "post":
-            # The op applied; the "completion" is lost.  For an atomic a
-            # naive retry would double-apply — exactly what the
-            # reliability layer's op-id guard must prevent.
-            self._raise_fault(kind, src, dst, when)
-        return out
+        bad = self._cut(src, dst)
+        if bad is not None:
+            raise TransientCommError(
+                f"chaos: rank {bad} unreachable ({kind} {src}->{dst})"
+            )
+        return fn(src, dst, *args)

@@ -30,17 +30,21 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
   them; conduits able to do better (the SMP conduit's fancy-indexed
   single-lock implementation) override them.
 
-The FIFO and exactly-once guarantees are what the *runtime* relies on;
-a conduit that cannot provide them natively (e.g.
-:class:`~repro.gasnet.chaos.ChaosConduit`, which drops/duplicates/
-reorders and raises :class:`~repro.errors.TransientCommError` from RMA)
-says so with :attr:`ConduitCaps.lossy`, and ``World(reliability=...)``
-then wraps it in :class:`~repro.gasnet.reliability.ReliableConduit`,
-which restores the contract with sequence numbers, acks/retransmit,
-bounded RMA retry, and op-id-guarded exactly-once atomics.  A conduit
-that keeps the contract (smp, proc, delay) gets no such wrapper.
+**The fault model is crash-stop.**  Between two live ranks every AM is
+delivered exactly once, in pair order, and every RMA completes — as
+GASNet gives UPC++ (paper §IV), so the runtime adds no retransmission
+layer of its own.  What can fail is a rank: it dies (:func:`repro.die`,
+a killed process) or falls silent
+(:meth:`~repro.gasnet.chaos.ChaosConduit.kill_rank`, a hung process),
+the world's one failure detector declares it dead, and every request to
+it fails with :class:`~repro.errors.RankDead` — at the call once the
+death is known, else when it is declared.  A send a transport cannot
+complete (proc's stalled receiver, a closed socket) raises
+:class:`~repro.errors.TransientCommError` at the caller.
 
-Those wrappers — and the observing one,
+The wrappers — the fault layers
+:class:`~repro.gasnet.chaos.ChaosConduit` and
+:class:`~repro.gasnet.delay.DelayConduit`, and the observing one,
 :class:`~repro.gasnet.trace.TelemetryConduit` — are
 :class:`ConduitLayer` subclasses: the contract is written out twice in
 this file (abstract in :class:`Conduit`, forwarding in
@@ -89,11 +93,6 @@ class ConduitCaps:
     #: spmd() must go through the process launcher: the conduit cannot
     #: be instantiated standalone in the calling process.
     needs_launcher: bool = False
-    #: The transport may drop, duplicate or reorder AMs or fail RMA
-    #: transiently: the runtime's FIFO/exactly-once contract needs the
-    #: reliability layer on top.  Derived from the stack (a fault layer
-    #: sets it, the reliability layer clears it), never a user option.
-    lossy: bool = False
 
 
 class Conduit(abc.ABC):
@@ -152,8 +151,8 @@ class Conduit(abc.ABC):
                         am: ActiveMessage) -> None:
         """Transport an AM that :meth:`send_am` already encoded and
         charged: a backend moves it to ``dst``, a fault layer decides
-        what becomes of it (drop, duplicate, delay) and hands each copy
-        that survives to its inner conduit's ``deliver_encoded``."""
+        what becomes of it (drop at a partition, delay) and hands it, if
+        it survives, to its inner conduit's ``deliver_encoded``."""
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Move whatever has arrived for ``rank`` into its inbox, parking
@@ -284,18 +283,18 @@ class ConduitLayer(Conduit):
     * **forwarding** — ``world``/``caps``/``attach``/``close``/
       ``send_am``/``deliver_encoded``/``poll``/``wake`` go to the inner
       conduit, and any
-      other attribute (``kill_rank``, ``cfg``, ``fault_events``, ...)
+      other attribute (``kill_rank``, ``fault_events``, ...)
       is reached through :meth:`__getattr__`, so inner-layer knobs
       work through the whole stack.  A fault layer that makes the send
       decision itself takes :meth:`Conduit.send_am` back.
     * **RMA** — the six ``rma_*`` ops are declared once, each funnelling
       into the single around-hook :meth:`_rma`.
     * **control events** — :meth:`_emit_control` reports an event the
-      application never sees (a retransmit, an injected drop) to the
+      application never sees (an injected partition) to the
       *outermost* conduit; :meth:`trace_control` is the receiving half:
       :meth:`_on_control` for this layer, then on down the chain.
 
-    Layers compose by wrapping (``Telemetry(Reliable(Chaos(smp)))``);
+    Layers compose by wrapping (``Telemetry(Chaos(smp))``);
     the ``_inner`` chain is the one composition mechanism, which
     :class:`~repro.gasnet.trace.Trace` splices at run time and foreign
     decorators may sit in — so nothing here assumes its neighbours are
@@ -391,8 +390,8 @@ class ConduitLayer(Conduit):
 
     def trace_control(self, kind: str, src: int, dst: int,
                       nbytes: int = 0, detail: str = "") -> None:
-        """Receive a control event (retransmission, duplicate
-        suppression, injected drop, peer death, ...): handle it here,
+        """Receive a control event (an injected partition, ...): handle
+        it here,
         then forward it down the chain so a stacked consumer (another
         Trace, the flight recorder) sees it too.  Such traffic never
         crosses the decorated surface, which is why it travels this way."""

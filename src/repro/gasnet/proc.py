@@ -3,7 +3,7 @@
 or shared-memory rings whose doorbell is that same socket pair.
 
 This is the GASNet-style "different conduit, same runtime" split: the
-whole UPC++-layer stack (collectives, reliability, telemetry, tracing,
+whole UPC++-layer stack (collectives, failure detection, telemetry, tracing,
 distributed containers) runs unmodified because :class:`ProcConduit`
 implements the full abstract :class:`~repro.gasnet.conduit.Conduit`
 contract.

@@ -43,20 +43,16 @@ class CommStats:
     coll_msgs: int = 0
     local_accesses: int = 0
     remote_accesses: int = 0
-    # Reliability layer (repro.gasnet.reliability): retries, duplicate
-    # suppression, acks, deadline expiries, liveness probes.
+    # Nothing retransmits or acks on a crash-stop transport, so these
+    # two always read 0; they stay only because the bench spine's
+    # COUNT_KEYS (bench/workloads.py) and its gasnet.reliability.*
+    # rungs (bench/ladder.py) index them.
     am_retransmits: int = 0
-    dup_ams: int = 0
     acks_sent: int = 0
-    rma_retries: int = 0
-    op_timeouts: int = 0
+    # Failure detector (repro.core.world): replies that arrived from a
+    # rank already declared dead, liveness probes sent.
     stale_replies: int = 0
     heartbeats_sent: int = 0
-    # Chaos conduit (repro.gasnet.chaos): injected failures.
-    chaos_drops: int = 0
-    chaos_dups: int = 0
-    chaos_reorders: int = 0
-    chaos_faults: int = 0
     # Distributed containers (repro.containers): per-key op counts and
     # the multi-op coalescing/caching counters.
     kv_gets: int = 0
@@ -67,10 +63,11 @@ class CommStats:
     kv_batched_keys: int = 0
     kv_cache_hits: int = 0
     kv_cache_misses: int = 0
-    # Replication / failover (repro.containers.hashmap + reliability):
-    # backup-log records shipped, client-side failovers, owner-side
-    # backup promotions, reads served from a replica, live shard
-    # migrations, and sends refused because the peer is already dead.
+    # Replication / failover (repro.containers.hashmap): backup-log
+    # records shipped, client-side failovers, owner-side backup
+    # promotions, reads served from a replica, live shard migrations;
+    # and sends refused because the peer is already dead
+    # (RankState._send).
     kv_repl_records: int = 0
     kv_failovers: int = 0
     kv_promotions: int = 0

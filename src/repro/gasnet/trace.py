@@ -1,9 +1,9 @@
 """Communication events: the record, the layer that emits it, a trace.
 
-Every conduit operation — and every control event the reliability and
-chaos layers report (retransmit, duplicate suppression, injected drop,
-peer death) — that crosses a :class:`TelemetryConduit` becomes one
-:class:`CommEvent`, handed to that layer's sink.  The record has three
+Every conduit operation — and every control event a fault layer
+reports (an injected partition) — that crosses a
+:class:`TelemetryConduit` becomes one :class:`CommEvent`, handed to
+that layer's sink.  The record has three
 consumers and one spelling:
 
 * :class:`Trace` (below) appends it to a list, for debugging patterns
@@ -44,11 +44,9 @@ class CommEvent:
     kind: str         # the conduit contract's op names — "put" | "get"
                       # | "atomic" | "put_indexed" | "get_indexed"
                       # | "atomic_batch" | "am" | "reply" — plus control
-                      # kinds ("retransmit" | "dup_suppressed" |
-                      # "rma_retry" | "op_timeout" | "peer_dead" |
-                      # "chaos_drop" | "chaos_dup" | "chaos_reorder" |
-                      # "chaos_fault" | ...) and runtime kinds
-                      # ("task_run" | "slow_op" | "kv_failover" | ...)
+                      # kinds ("chaos_kill" | ...) and runtime kinds
+                      # ("task_run" | "slow_op" | "kv_failover" |
+                      # "dead_peer_fastfail" | ...)
     src: int = -1     # initiator (-1: not a point-to-point event)
     dst: int = -1     # target (-1: not a point-to-point event)
     nbytes: int = 0
@@ -64,10 +62,9 @@ class TelemetryConduit(ConduitLayer):
     a control event), else ``None``.  The event is recorded when the op
     returns *or raises*, so a failure dump shows the op that gave up.
 
-    :class:`~repro.core.world.World` installs one — outermost, outside
-    :class:`~repro.gasnet.reliability.ReliableConduit`, so durations are
-    what the application experienced, retries and backoff included —
-    when telemetry is on; :class:`Trace` splices one in for the length
+    :class:`~repro.core.world.World` installs one — outermost, so
+    durations are what the application experienced — when telemetry is
+    on; :class:`Trace` splices one in for the length
     of a ``with`` block.  Control events travel on down the chain
     (:meth:`ConduitLayer.trace_control`), so stacking the two loses
     nothing.

@@ -16,7 +16,6 @@ from repro.gasnet.wire.codecs import (  # noqa: F401
     preencode,
 )
 from repro.gasnet.wire.frame import (  # noqa: F401
-    CODEC_NESTED_AM,
     CODEC_NONE,
     CODEC_OBJ,
     HEADER,
@@ -27,6 +26,6 @@ from repro.gasnet.wire.frame import (  # noqa: F401
 
 __all__ = [
     "EncodedPayload", "UnencodableError", "preencode",
-    "CODEC_NESTED_AM", "CODEC_NONE", "CODEC_OBJ",
+    "CODEC_NONE", "CODEC_OBJ",
     "HEADER", "WIRE_VERSION", "Frame", "encode_am",
 ]

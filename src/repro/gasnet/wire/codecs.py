@@ -28,7 +28,7 @@ Strings travel as UTF-8 with ``surrogatepass``: a lone surrogate (what
 Snapshot-at-send rule: mutable buffers (``bytearray``, writable
 ``ndarray``, writable pickle-5 buffers) are copied **once** at encode
 time, so the sender may mutate its objects immediately after ``send``
-returns and delayed/retransmitted deliveries still see the original
+returns and delayed deliveries still see the original
 value.  ``bytes`` and read-only memoryviews ship zero-copy.
 
 Objects that cannot be pickled at all (lambdas, closures, live handles)

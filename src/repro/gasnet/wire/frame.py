@@ -3,16 +3,15 @@
 Every AM that crosses the conduit is encoded into a :class:`Frame`:
 
 * a 42-byte struct header (``HEADER``) — version, flags, payload codec
-  id, the handler name's byte length, source rank, token, the
-  reliability layer's ``aux`` word (seq/ack numbers), total out-of-band
-  bytes, and the lengths of the two control-stream regions that follow;
+  id, the handler name's byte length, source rank, token, a reserved
+  ``aux`` word (always 0), total out-of-band bytes, and the lengths of
+  the two control-stream regions that follow;
 * the handler's UTF-8 name — none on a reply, whose ``F_IS_REPLY``
   flag already says ``__reply__``;
 * the *args region*: the positional args tuple, stream-encoded;
 * the *meta region*: the payload, as the header's codec byte says —
-  ``CODEC_NONE`` (no payload), ``CODEC_NESTED_AM`` (the reliability
-  envelope: a whole inner frame spliced in) or ``CODEC_OBJ`` (one
-  stream value, a pre-encoded fan-out payload among them);
+  ``CODEC_NONE`` (no payload) or ``CODEC_OBJ`` (one stream value, a
+  pre-encoded fan-out payload among them);
 * out-of-band buffer and by-reference tables, carried alongside the
   control bytes rather than copied into them.
 
@@ -52,14 +51,13 @@ TRACE_TRAILER = struct.Struct("<QQ")
 
 CODEC_NONE = 0
 CODEC_OBJ = 1
-CODEC_NESTED_AM = 2
 
 
 class Frame:
     """One encoded AM: control bytes + buffer/ref tables."""
 
     __slots__ = ("ctrl", "buffers", "refs", "nbytes", "used_pickle",
-                 "has_refs", "_decoded")
+                 "has_refs")
 
     def __init__(self, ctrl, buffers, refs, nbytes, used_pickle,
                  has_refs):
@@ -69,14 +67,10 @@ class Frame:
         self.nbytes = nbytes
         self.used_pickle = used_pickle
         self.has_refs = has_refs
-        self._decoded = None
 
     def thaw(self) -> ActiveMessage:
-        """Decode into a fresh :class:`ActiveMessage` (memoized, so a
-        duplicated delivery of the same frame decodes once)."""
-        am = self._decoded
-        if am is not None:
-            return am
+        """Decode into a fresh :class:`ActiveMessage`: the target's own
+        objects, whatever the sender still holds (by-value delivery)."""
         ctrl = self.ctrl
         (_ver, flags, codec_id, name_len, src, tok, aux, _nbuf, args_len,
          meta_len) = HEADER.unpack_from(ctrl, 0)
@@ -87,7 +81,7 @@ class Frame:
             handler = ctrl[HEADER.size:pos].decode()
         if not args_len and codec_id == CODEC_NONE \
                 and not flags & F_HAS_TRACE:
-            # Trivial frame (bare signal / ack / ping): nothing to
+            # Trivial frame (bare signal / ping): nothing to
             # decode — skip the memoryview and decoder setup.
             am = ActiveMessage(
                 handler=handler, src_rank=src, args=(),
@@ -95,7 +89,6 @@ class Frame:
                 token=tok if flags & F_HAS_TOKEN else None,
                 is_reply=bool(flags & F_IS_REPLY), aux=aux)
             am._wire_bytes = self.nbytes
-            self._decoded = am
             return am
         mv = memoryview(ctrl)
         try:
@@ -106,11 +99,8 @@ class Frame:
                 pos += args_len
             payload = None
             if codec_id != CODEC_NONE:
-                dec = _c.Decoder(mv, pos, self.buffers, self.refs)
-                if codec_id == CODEC_NESTED_AM:
-                    payload = _dec_nested_am(dec)
-                else:
-                    payload = dec.decode()
+                payload = _c.Decoder(mv, pos, self.buffers,
+                                     self.refs).decode()
         finally:
             mv.release()
         trace_id = span_id = 0
@@ -124,36 +114,7 @@ class Frame:
             is_reply=bool(flags & F_IS_REPLY), aux=aux,
             trace_id=trace_id, span_id=span_id)
         am._wire_bytes = self.nbytes
-        self._decoded = am
         return am
-
-
-def _enc_nested_am(enc, inner_am) -> None:
-    """Splice a whole inner frame (the reliability data envelope) —
-    the inner encode is memoized, so retransmitted envelopes reuse it."""
-    inner = encode_am(inner_am)
-    enc.out += _c._5I.pack(len(inner.ctrl), len(enc.buffers),
-                           len(inner.buffers), len(enc.refs),
-                           len(inner.refs))
-    enc.out += inner.ctrl
-    enc.buffers += inner.buffers
-    enc.refs += inner.refs
-    if inner.used_pickle:
-        enc.used_pickle = True
-
-
-def _dec_nested_am(dec) -> ActiveMessage:
-    clen, bstart, bcount, rstart, rcount = _c._5I.unpack_from(
-        dec.mv, dec.pos)
-    dec.pos += 20
-    ctrl = bytes(dec.mv[dec.pos:dec.pos + clen])
-    dec.pos += clen
-    buffers = dec.buffers[bstart:bstart + bcount]
-    refs = dec.refs[rstart:rstart + rcount]
-    nbuf = 0
-    for b in buffers:
-        nbuf += _c.buf_nbytes(b)
-    return Frame(ctrl, buffers, refs, clen + nbuf, False, False).thaw()
 
 
 def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
@@ -165,7 +126,7 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
         return frame
     name = b"" if am.is_reply else am.handler.encode()
     if not am.args and am.payload is None and not am.trace_id:
-        # Trivial AM (bare signal / ack / ping): the frame is one fixed
+        # Trivial AM (bare signal / ping): the frame is one fixed
         # header and the name — skip the encoder and codec dispatch
         # entirely.  This is the hot shape for request/reply latency
         # paths.
@@ -196,12 +157,8 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
     payload = am.payload
     codec_id = CODEC_NONE
     if payload is not None:
-        if type(payload) is ActiveMessage:
-            codec_id = CODEC_NESTED_AM
-            _enc_nested_am(enc, payload)
-        else:
-            codec_id = CODEC_OBJ
-            enc.encode(payload)
+        codec_id = CODEC_OBJ
+        enc.encode(payload)
     meta_len = len(out) - start - args_len
     flags = 0
     if am.trace_id:

@@ -4,7 +4,7 @@ PGAS bugs are *pattern* bugs: by the time a ``CommTimeout`` or
 ``PeerFailure`` surfaces, the interesting part — what every rank was
 doing in the moments before — is gone.  Each rank therefore keeps a
 bounded ring buffer of recent runtime events (conduit ops, AM handling,
-task lifecycle, reliability control traffic, failures); when a failure
+task lifecycle, injected faults, failures); when a failure
 propagates out of :func:`repro.spmd`, all rings are merged into one
 time-ordered, human-readable dump — the black box read-out.
 

@@ -13,8 +13,8 @@ this module adds what turns the per-rank ones into a cluster view:
   snapshots (asserted in tests);
 * a **background sampler + straggler watchdog**
   (:class:`MetricsSampler`) — one daemon thread sampling runtime depths
-  (task queue, pending reply futures, outstanding retransmits, segment
-  bytes, steal rate) into ``sampled_*`` histograms and flagging
+  (task queue, pending reply futures, segment bytes, steal rate) into
+  ``sampled_*`` histograms and flagging
   in-flight AMs that exceed a percentile-derived deadline as
   ``slow_op`` flight-recorder events *before* they escalate to
   ``CommTimeout``.
@@ -137,8 +137,8 @@ class MetricsSampler(threading.Thread):
     in-flight ops.
 
     Sampled per live rank every ``sample_period``: task queue depth,
-    pending reply futures, outstanding retransmits (reliability layer),
-    segment bytes in use, and work-steal rate — each into a mergeable
+    pending reply futures, segment bytes in use, and work-steal rate —
+    each into a mergeable
     ``sampled_*`` histogram (count/sum/min/max/mean and quantiles), so
     ``metrics_reduce`` sees cluster-wide distributions.
 
@@ -185,12 +185,6 @@ class MetricsSampler(threading.Thread):
     # -- depth sampling ---------------------------------------------------
     def _sample(self) -> None:
         world = self.world
-        rc = getattr(world, "_reliable", None)
-        unacked_by_src: dict[int, int] = {}
-        if rc is not None:
-            for (src, _peer), link in list(rc._links.items()):
-                unacked_by_src[src] = (unacked_by_src.get(src, 0)
-                                       + len(link.unacked))
         local = getattr(world, "local_ranks", None)
         for ctx in world.ranks:
             if ctx.rank in world.dead_ranks:
@@ -205,8 +199,6 @@ class MetricsSampler(threading.Thread):
                              len(ctx.task_queue), "items")
             tel.record_value("sampled_pending_replies",
                              len(ctx._pending), "items")
-            tel.record_value("sampled_retransmit_backlog",
-                             unacked_by_src.get(ctx.rank, 0), "items")
             tel.record_value("sampled_segment_bytes",
                              ctx.segment._bytes_in_use, "bytes")
             tel.record_value("sampled_steal_rate",

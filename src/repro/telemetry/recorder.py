@@ -55,8 +55,8 @@ class TelemetryConfig:
     #: Upper bound on retained spans per rank (Perfetto export size).
     max_spans: int = 20000
     #: Background sampler period in seconds (task queue depth, pending
-    #: replies, retransmit backlog, segment bytes, steal rate, each into
-    #: a ``sampled_*`` histogram); ``None`` leaves the sampling
+    #: replies, segment bytes, steal rate, each into a ``sampled_*``
+    #: histogram); ``None`` leaves the sampling
     #: unstarted, and so does any mode but ``"full"`` — the only one
     #: that keeps histograms, so the only one it could record into.
     sample_period: float | None = None

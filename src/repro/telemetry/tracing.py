@@ -5,7 +5,7 @@ client op span is the root, and every AM sent while it is open carries
 the pair ``(trace_id, span_id)`` in a 16-byte wire-frame trailer (see
 ``repro.gasnet.wire.frame.F_HAS_TRACE``).  The receiving rank's handler
 dispatch rebinds that context for the duration of the handler, so
-handler spans, replication hops (``kv_repl``), retransmits, and replies
+handler spans, replication hops (``kv_repl``), failover retries and replies
 all join the originating trace — exactly the "context propagation" half
 of Dapper-style tracing, scaled down to one process full of rank
 threads.

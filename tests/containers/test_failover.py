@@ -1,9 +1,8 @@
 """Replicated DistHashMap under rank death: promotion, exactly-once,
 zero acked-write loss, live rebalancing.
 
-Every test runs with ``survive_rank_death=True`` over
-``ReliableConduit(ChaosConduit)`` with **zero** random fault rates and a
-fixed seed: the only injected fault is the deterministic
+Every kill test runs with ``survive_rank_death=True`` over
+``ChaosConduit``: the only injected fault is the deterministic
 ``kill_rank`` partition, so failures replay exactly.  The victim
 partitions itself and parks (a zombie, not an exit), which forces the
 survivors through the real detection path — heartbeat silence ->
@@ -21,10 +20,10 @@ from repro.containers import DistHashMap, KvOwnerDead
 from repro.containers.hashmap import shard_of
 from repro.gasnet import ChaosConduit
 from repro.gasnet.am import handler_registry
+from tests.conftest import run_spmd
 
 
-RELIABILITY = {"seed": 0, "peer_timeout": 0.3, "heartbeat_period": 0.01,
-               "op_deadline": 3.0}
+RELIABILITY = {"peer_timeout": 0.3, "heartbeat_period": 0.01}
 
 
 def _key_on_shard(sid: int, nshards: int, prefix: str = "k") -> str:
@@ -74,9 +73,9 @@ def test_replicated_roundtrip_and_roles():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit(seed=1)
+    conduit = ChaosConduit()
     assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=dict(RELIABILITY, seed=1),
+                          reliability=RELIABILITY,
                           timeout=30.0))
 
 
@@ -103,18 +102,17 @@ def test_write_amplification_is_one_record_per_mutation():
         repro.barrier()
         return stats.snapshot()["kv_repl_records"] - before
 
-    conduit = ChaosConduit(seed=1)
+    conduit = ChaosConduit()
     deltas = repro.spmd(body, ranks=4, conduit=conduit,
-                        reliability=dict(RELIABILITY, seed=1),
+                        reliability=RELIABILITY,
                         timeout=30.0)
     assert sum(deltas) == 4 * (n_put + n_upd + n_del)
 
 
 def test_replicated_put_is_four_active_messages():
     """No failure: a replicated put is the request, the ``kv_repl`` hop
-    to the backup and their two replies — the reliability layer's acks
-    ride those four (eight AMs when every envelope was acked by a frame
-    of its own).  Default heartbeat period: pings are AMs too."""
+    to the backup and their two replies.  Default heartbeat period:
+    pings are AMs too."""
     n_put = 100
 
     def body():
@@ -136,6 +134,41 @@ def test_replicated_put_is_four_active_messages():
 
     sent = repro.spmd(body, ranks=2, reliability=True, timeout=30.0)
     assert 4.0 <= sum(sent) / (2 * n_put) <= 4.2, sent
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_die_fails_over_to_the_promoted_backup(conduit):
+    """The same guarantee on the backend we ship, with a real crash:
+    rank 1 calls ``die()`` (on proc its process exits).  No acked key
+    is lost, and puts and ``update()`` calls after the death go through
+    the promoted backup."""
+    def body():
+        me = repro.myrank()
+        world = repro.current_world()
+        m = DistHashMap(replicas=1, cache=False)
+        if me == 0:
+            for i in range(60):
+                m.put(f"k{i}", i)
+        repro.barrier()
+        if me == 1:
+            repro.die()
+        world.ranks[me].wait_until(lambda: 1 in world.dead_ranks,
+                                   what="test: rank 1 declared dead")
+        if me != 0:
+            return None  # keeps serving in the done-or-dead finalize
+        lost = [i for i in range(60) if m.get(f"k{i}") != i]
+        moved = [k for k in (f"post{i}" for i in range(200))
+                 if shard_of(k, 3) == 1][:10]
+        for i, k in enumerate(moved):
+            m.put(k, i)
+            assert m.update(k, "add", 100) == i + 100
+        assert [m.get(k) for k in moved] == [i + 100
+                                             for i in range(len(moved))]
+        return lost, m.owner_of(moved[0])
+
+    res = run_spmd(body, ranks=3, conduit=conduit, reliability=RELIABILITY,
+                   survive_rank_death=True, timeout=30.0)
+    assert res[0] == ([], 2)
 
 
 def test_kill_primary_promotes_backup_zero_acked_loss():
@@ -178,10 +211,10 @@ def test_kill_primary_promotes_backup_zero_acked_loss():
                                    if r != victim), what="rendezvous")
         return stats["kv_promotions"]
 
-    conduit = ChaosConduit(seed=2)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=2),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     promos = [r for r in res if r is not None]
     assert sum(promos) >= 1  # exactly one rank promoted the shard
@@ -228,10 +261,10 @@ def test_kill_primary_mid_multi_put():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit(seed=3)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=3),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -272,10 +305,10 @@ def test_update_exactly_once_across_failover():
         total = m.get(key)
         return acked, total
 
-    conduit = ChaosConduit(seed=4)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=4),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     alive = [r for r in res if r is not None]
     want = sum(acked for acked, _total in alive)
@@ -330,12 +363,12 @@ def test_kill_between_replication_log_and_ack():
         m.refresh()
         return m.get(key)
 
-    conduit = ChaosConduit(seed=5)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     handler_registry["kv_repl"] = killing_repl
     try:
         res = repro.spmd(body, ranks=4, conduit=conduit,
-                         reliability=dict(RELIABILITY, seed=5),
+                         reliability=RELIABILITY,
                          survive_rank_death=True, timeout=30.0)
     finally:
         handler_registry["kv_repl"] = orig
@@ -391,9 +424,9 @@ def test_rebalance_migrates_data_and_update_records():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit(seed=6)
+    conduit = ChaosConduit()
     assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=dict(RELIABILITY, seed=6),
+                          reliability=RELIABILITY,
                           survive_rank_death=True, timeout=30.0))
 
 
@@ -447,10 +480,10 @@ def test_cached_keys_follow_the_shard_to_its_promoted_backup():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit(seed=11)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=11),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -484,9 +517,9 @@ def test_cached_keys_follow_a_rebalanced_shard():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit(seed=12)
+    conduit = ChaosConduit()
     assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=dict(RELIABILITY, seed=12),
+                          reliability=RELIABILITY,
                           survive_rank_death=True, timeout=30.0))
 
 
@@ -535,10 +568,10 @@ def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit(seed=8)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=8),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -580,9 +613,9 @@ def test_read_replicas_serve_reads_and_survive():
                                    if r != victim), what="rendezvous")
         return stats["kv_replica_reads"]
 
-    conduit = ChaosConduit(seed=9)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=dict(RELIABILITY, seed=9),
+                     reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert sum(r for r in res if r is not None) > 0

@@ -1,4 +1,4 @@
-"""DistQueue: FIFO/bag semantics, remote push, stealing, reliability."""
+"""DistQueue: FIFO/bag semantics, remote push, stealing, rank death."""
 
 import pytest
 
@@ -94,37 +94,7 @@ def test_explicit_ack_mode():
     assert all(run_spmd(body, ranks=2))
 
 
-def test_remote_push_exactly_once_under_chaos():
-    """Pushed items survive drops/dups/reorders without loss or
-    duplication: the reliable layer dedups the push AM and the producer
-    bumps the quiesce counter with an exactly-once atomic."""
-    def body():
-        me = repro.myrank()
-        q = DistQueue()
-        per_rank = 10
-        for i in range(per_rank):
-            q.put((me, i), to=(me + 1) % repro.ranks())
-        repro.barrier()
-        got = []
-        while (it := q.get()) is not None:
-            got.append(it)
-        all_got = collectives.gather(got, root=0)
-        if me == 0:
-            flat = sorted(x for chunk in all_got for x in chunk)
-            want = sorted((r, i) for r in range(repro.ranks())
-                          for i in range(per_rank))
-            assert flat == want
-        repro.barrier()
-        return True
-
-    conduit = ChaosConduit(seed=7, am_drop_rate=0.08, am_dup_rate=0.08,
-                           am_reorder_rate=0.08)
-    assert all(run_spmd(body, ranks=3, conduit=conduit,
-                        reliability={"seed": 7}, timeout=60.0))
-
-
-_RELIABILITY = {"seed": 0, "peer_timeout": 0.3, "heartbeat_period": 0.01,
-                "op_deadline": 3.0}
+_RELIABILITY = {"peer_timeout": 0.3, "heartbeat_period": 0.01}
 
 
 def test_push_to_dead_rank_diagnostic_and_quiesce():
@@ -172,10 +142,10 @@ def test_push_to_dead_rank_diagnostic_and_quiesce():
         assert q.get(max_steal_rounds=1) is None  # quiesced
         return True
 
-    conduit = ChaosConduit(seed=11)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = run_spmd(body, ranks=4, conduit=conduit,
-                   reliability=dict(_RELIABILITY, seed=11),
+                   reliability=_RELIABILITY,
                    survive_rank_death=True)
     assert all(r for r in res if r is not None)
 
@@ -228,9 +198,9 @@ def test_queue_exactly_once_under_kill():
         assert q.outstanding() == 0
         return True
 
-    conduit = ChaosConduit(seed=12)
+    conduit = ChaosConduit()
     holder["conduit"] = conduit
     res = run_spmd(body, ranks=4, conduit=conduit,
-                   reliability=dict(_RELIABILITY, seed=12),
+                   reliability=_RELIABILITY,
                    survive_rank_death=True)
     assert all(r for r in res if r is not None)

@@ -1,17 +1,13 @@
-"""Tree collectives over a lossy conduit.
+"""Tree collectives when a participant crashes.
 
-The engine's AM traffic rides whatever conduit the world uses, so under
-``ReliableConduit(ChaosConduit)`` every token/fragment is retransmitted
-until acked and duplicates are suppressed — collectives must deliver
-exactly-once results under drops, dups, and reordering, and convert a
-participant's death into a clean failure rather than a hang.  Seeds are
-fixed so CI reruns the same fault schedule."""
+The engine's AM traffic rides whatever conduit the world uses, the
+fault layer included: a participant's death must convert into a clean
+failure on the survivors rather than a hang."""
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 import repro
@@ -19,74 +15,6 @@ from repro.core import collectives as coll
 from repro.core.world import die
 from repro.errors import PeerFailure, RankDead
 from repro.gasnet import ChaosConduit
-
-
-CHAOS = dict(am_drop_rate=0.15, am_dup_rate=0.15, am_reorder_rate=0.3)
-
-
-def _spmd_chaos(body, ranks=4, seed=0, **kw):
-    return repro.spmd(body, ranks=ranks,
-                      conduit=ChaosConduit(seed=seed, **CHAOS),
-                      reliability={"seed": seed}, timeout=60.0, **kw)
-
-
-def test_all_collectives_exactly_once_under_chaos():
-    """One pass over the whole surface: dropped tokens are
-    retransmitted, duplicated ones are suppressed — every result is
-    bit-identical to the fault-free answer."""
-    def body():
-        me, n = repro.myrank(), repro.ranks()
-        repro.barrier()
-        assert coll.allreduce(me + 1) == n * (n + 1) // 2
-        assert coll.bcast("payload" if me == 0 else None,
-                          root=0) == "payload"
-        assert coll.allgather(me) == list(range(n))
-        g = coll.gather(me * 2, root=1)
-        assert g == ([x * 2 for x in range(n)] if me == 1 else None)
-        got = coll.alltoall([f"{me}->{d}" for d in range(n)])
-        assert got == [f"{s}->{me}" for s in range(n)]
-        arr = coll.allreduce(np.full(8, me, dtype=np.int64))
-        assert np.array_equal(arr, np.full(8, n * (n - 1) // 2))
-        assert coll.scan(1) == me + 1
-        repro.barrier()
-        return True
-
-    for seed in (0, 1, 7):
-        assert all(_spmd_chaos(body, ranks=4, seed=seed))
-
-
-def test_repeated_barriers_under_chaos_stay_in_step():
-    """Sequence numbers keep 30 back-to-back barriers from absorbing a
-    late retransmit of an earlier round's token."""
-    import threading
-    counter = {"n": 0}
-    lock = threading.Lock()
-
-    def body():
-        for i in range(30):
-            with lock:
-                counter["n"] += 1
-            repro.barrier()
-            with lock:
-                # after barrier i, every rank has done i+1 increments
-                assert counter["n"] >= (i + 1) * repro.ranks()
-        return True
-
-    assert all(_spmd_chaos(body, ranks=4, seed=3))
-
-
-def test_nonpower_of_two_under_chaos():
-    """Bruck rounds and the dissemination pattern are irregular at P=5;
-    chaos must not break the round bookkeeping."""
-    def body():
-        me, n = repro.myrank(), repro.ranks()
-        assert coll.allgather((me, me * me)) == [(r, r * r)
-                                                 for r in range(n)]
-        assert coll.allreduce(me, op="max") == n - 1
-        repro.barrier()
-        return True
-
-    assert all(_spmd_chaos(body, ranks=5, seed=2))
 
 
 def test_rank_death_mid_collective_raises_rankdead():
@@ -109,23 +37,7 @@ def test_rank_death_mid_collective_raises_rankdead():
         pytest.fail("allreduce completed despite dead participant")
 
     with pytest.raises(RankDead):
-        repro.spmd(body, ranks=4,
-                   conduit=ChaosConduit(seed=0, am_drop_rate=0.05,
-                                        am_dup_rate=0.05),
-                   reliability={"seed": 0}, heartbeat_timeout=1.0,
-                   timeout=30.0)
+        repro.spmd(body, ranks=4, conduit=ChaosConduit(),
+                   heartbeat_timeout=1.0, timeout=30.0)
     assert set(observed) == {0, 1, 3}
     assert all(f == 2 for f in observed.values())
-
-
-def test_async_collectives_under_chaos():
-    def body():
-        me, n = repro.myrank(), repro.ranks()
-        f1 = coll.allgather_async(me)
-        f2 = coll.allreduce_async(me + 1)
-        assert f1.get() == list(range(n))
-        assert f2.get() == n * (n + 1) // 2
-        repro.barrier()
-        return True
-
-    assert all(_spmd_chaos(body, ranks=4, seed=5))

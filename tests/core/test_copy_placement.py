@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.gasnet import ChaosConduit
 from tests.conftest import run_spmd
 
 CONDUITS = ("smp", "proc+socket")
@@ -138,40 +137,3 @@ def test_no_intermediate_copy(conduit, direction):
         return True
 
     assert all(run_spmd(body, ranks=2, conduit=conduit))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exact_bytes_through_chaos_retries(seed):
-    """Both one-pass directions under ReliableConduit(ChaosConduit):
-    a put fed from a live view and a get into one are retried whole and
-    still deliver exactly the source bytes.  smp only — chaos needs
-    in-process hooks."""
-    def body():
-        me = repro.myrank()
-        n = 4096
-        mine = repro.allocate(me, n, np.int64)
-        inbox = repro.allocate(me, n, np.int64)
-        mine.local(n)[:] = _pattern(n) + me
-        peer_mine, peer_inbox = repro.collectives.allgather(
-            (mine, inbox))[1 - me]
-        repro.barrier()
-        retries = 0
-        if me == 0:
-            before = _stats()["rma_retries"]
-            for k in range(40):
-                mine.local(n)[0] = k
-                repro.copy(mine, peer_inbox, n)          # local -> remote
-                repro.copy(peer_mine, inbox, n)          # remote -> local
-                assert np.array_equal(inbox.local(n), _pattern(n) + 1)
-            retries = _stats()["rma_retries"] - before
-        repro.barrier()
-        if me == 1:
-            want = _pattern(n)
-            want[0] = 39
-            assert np.array_equal(inbox.local(n), want)
-        repro.barrier()
-        return retries
-
-    chaos = ChaosConduit(seed=seed, rma_fault_rate=0.3)
-    res = run_spmd(body, ranks=2, conduit=chaos, reliability={"seed": seed})
-    assert res[0] > 0, "no fault was injected: the test exercised nothing"

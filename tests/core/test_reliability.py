@@ -1,10 +1,10 @@
-"""Delivery guarantees and failure detection of the reliable layer.
+"""Crash-stop failure detection and blocking-op deadlines.
 
-Complements ``tests/gasnet/test_chaos_conduit.py`` (which proves the
-construct stack *works* under chaos): here we pin down the protocol
-itself — FIFO preservation under reordering, per-op deadlines with
-diagnostics, and the two failure detectors (world heartbeat for crashed
-ranks, conduit ping/pong for severed connectivity).
+The fault model is crash-stop: a rank works or dies.  Here we pin down
+the world's one failure detector and its two signals (the progress
+stamp for crashed ranks, ping/pong probes for severed or hung ones),
+the ``reliability=`` knob that configures the probes, and deadlines
+with diagnostics for waits that can never complete.
 """
 
 from __future__ import annotations
@@ -15,49 +15,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.world import current, die
-from repro.errors import CommTimeout, PeerFailure, RankDead
-from repro.gasnet import ChaosConduit, ReliableConduit, SmpConduit
-from repro.gasnet.reliability import ReliabilityConfig
-
-
-# ------------------------------------------------------------- ordering
-
-def test_fifo_preserved_under_reordering():
-    """Reliable delivery restores per-(src,dst) FIFO even when the chaos
-    conduit reorders: asyncs sent 0..N-1 to one target append in order."""
-    order: list = []   # shared across rank threads
-
-    def body():
-        r = repro.myrank()
-
-        def record(i):
-            order.append(i)
-
-        if r == 1:
-            with repro.finish():
-                for i in range(40):
-                    repro.async_(0)(record, i)
-        repro.barrier()
-        if r == 0:
-            assert order == list(range(40)), order[:10]
-        repro.barrier()
-        return True
-
-    conduit = ChaosConduit(seed=0, am_drop_rate=0.15, am_dup_rate=0.15,
-                           am_reorder_rate=0.3)
-    assert all(repro.spmd(body, ranks=2, conduit=conduit,
-                          reliability={"seed": 0}))
+from repro.core.world import ReliabilityConfig, current, die
+from repro.errors import CommTimeout, PeerFailure, PgasError, RankDead
+from repro.gasnet import ChaosConduit, SmpConduit
 
 
 # ------------------------------------------------------- rank death
 
 @pytest.mark.parametrize("make_conduit", [
     pytest.param(lambda: SmpConduit(), id="smp"),
-    pytest.param(
-        lambda: ChaosConduit(seed=0, am_drop_rate=0.05, am_dup_rate=0.05),
-        id="chaos",
-    ),
+    pytest.param(lambda: ChaosConduit(), id="chaos"),
 ])
 def test_rank_death_mid_barrier(make_conduit):
     """Killing one rank mid-barrier must convert into PeerFailure on
@@ -77,12 +44,9 @@ def test_rank_death_mid_barrier(make_conduit):
             raise
         pytest.fail("barrier completed despite dead rank")
 
-    conduit = make_conduit()
-    kw = {"reliability": {"seed": 0}} if isinstance(
-        conduit, ChaosConduit) else {}
     with pytest.raises(RankDead):
-        repro.spmd(body, ranks=4, conduit=conduit,
-                   heartbeat_timeout=1.0, **kw)
+        repro.spmd(body, ranks=4, conduit=make_conduit(),
+                   heartbeat_timeout=1.0)
     assert set(observed) == {0, 2, 3}
     for rank, (failed, dt) in observed.items():
         assert failed == 1, (rank, failed)
@@ -118,9 +82,9 @@ def test_dead_rank_fails_pending_lock_acquire():
 
 def test_severed_connectivity_detected_by_peer_detector():
     """``kill_rank`` cuts a rank off at the conduit (it keeps running!);
-    the reliable layer's ping/pong detector must declare it dead and
-    fail peers blocked on it."""
-    chaos = ChaosConduit(seed=0)
+    the detector's ping/pong probes must declare it dead and fail peers
+    blocked on it."""
+    chaos = ChaosConduit()
     observed: dict = {}
 
     def body():
@@ -143,7 +107,7 @@ def test_severed_connectivity_detected_by_peer_detector():
     t0 = time.monotonic()
     with pytest.raises((RankDead, PeerFailure)):
         repro.spmd(body, ranks=3, conduit=chaos,
-                   reliability={"seed": 0, "peer_timeout": 1.0})
+                   reliability={"peer_timeout": 1.0})
     elapsed = time.monotonic() - t0
     assert observed == {0: 1, 2: 1}
     # Prompt failure: once detected (peer_timeout), nobody — the
@@ -155,10 +119,8 @@ def test_severed_connectivity_detected_by_peer_detector():
 
 def test_op_deadline_raises_commtimeout_with_diagnostic():
     """A reply that can never arrive must surface as CommTimeout naming
-    the stuck operation, not hang (peer detector disabled to isolate
-    the per-op deadline path)."""
-    chaos = ChaosConduit(seed=0)
-
+    the stuck operation at the op's deadline, not hang (no failure
+    detector: the holder is alive, just not releasing)."""
     def body():
         r = repro.myrank()
         lk = repro.GlobalLock(owner=0)
@@ -166,24 +128,18 @@ def test_op_deadline_raises_commtimeout_with_diagnostic():
         if r == 1:
             # Hold the lock and go silent past rank 0's deadline; the
             # release (and with it rank 0's acquire reply) never comes.
-            # (No kill_rank here: collectives ride the conduit now, so a
-            # permanently partitioned rank would wedge finalization with
-            # every failure detector disabled.)
             lk.acquire()
-            time.sleep(2.5)
+            time.sleep(1.2)
             return "held"
         time.sleep(0.2)
         try:
-            lk.acquire(timeout=1.0)
+            lk.acquire(timeout=0.5)
         except CommTimeout as e:
             assert "lock" in str(e)
             return str(e)
         pytest.fail("expected CommTimeout")
 
-    res = repro.spmd(
-        body, ranks=2, conduit=chaos,
-        reliability={"seed": 0, "peer_timeout": None, "op_deadline": 0.5},
-    )
+    res = repro.spmd(body, ranks=2)
     assert "lock" in res[0]
 
 
@@ -224,44 +180,55 @@ def test_lock_acquire_timeout_names_lock():
 
 # -------------------------------------------------------- configuration
 
-def _reliable_layers(conduit) -> int:
-    n = 0
-    while conduit is not None:
-        n += isinstance(conduit, ReliableConduit)
-        conduit = getattr(conduit, "_inner", None)
-    return n
-
-
 def test_reliability_knobs_through_world():
     """The ``reliability=`` World knob accepts True, a dict, or a
-    ReliabilityConfig.  It installs the delivery protocol only over a
-    lossy conduit — exactly once over chaos, never over bare smp — and
-    an explicit ``conduit=ReliableConduit(...)`` is honoured as given."""
-    def layers():
-        return _reliable_layers(current().world.conduit)
+    ReliabilityConfig, and configures the detector's probes only: the
+    conduit stack stays as given.  Anything else is refused, and so is a
+    field the config does not have."""
+    def probes():
+        world = current().world
+        return (type(world.conduit).__name__, world._probe_period,
+                world._peer_timeout)
 
-    for knob in (True, {"ack_timeout": 0.02}, ReliabilityConfig(seed=1)):
-        assert repro.spmd(layers, ranks=2, reliability=knob) == [0, 0]
-        assert repro.spmd(layers, ranks=2, conduit=ChaosConduit(seed=0),
-                          reliability=knob) == [1, 1]
-    assert repro.spmd(
-        layers, ranks=2,
-        conduit=ReliableConduit(SmpConduit(), ReliabilityConfig(seed=1)),
-    ) == [1, 1]
+    assert ReliabilityConfig() == ReliabilityConfig(heartbeat_period=0.05,
+                                                    peer_timeout=2.0)
+    for knob, want in ((True, (0.05, 2.0)),
+                       ({"peer_timeout": 0.7}, (0.05, 0.7)),
+                       (ReliabilityConfig(heartbeat_period=0.01),
+                        (0.01, 2.0))):
+        assert repro.spmd(probes, ranks=2, reliability=knob) == [
+            ("SmpConduit", *want)] * 2
+    assert repro.spmd(probes, ranks=2) == [("SmpConduit", None, None)] * 2
+    with pytest.raises(PgasError, match="reliability="):
+        repro.spmd(probes, ranks=2, reliability="on")
+    with pytest.raises(TypeError):
+        repro.spmd(probes, ranks=2, reliability={"ack_timeout": 0.01})
 
 
-def test_retransmit_backoff_is_capped():
-    cfg = ReliabilityConfig(ack_timeout=0.01, backoff=2.0, rto_max=0.1)
-    rto = cfg.ack_timeout
-    for _ in range(20):
-        rto = min(rto * cfg.backoff, cfg.rto_max)
-    assert rto == cfg.rto_max
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_the_last_live_rank_is_not_judged_by_probe_silence(ranks):
+    """A rank that no other live rank of its process probes answers no
+    probe, and that silence means nothing: after rank 1 dies, the
+    survivors drain for three times ``peer_timeout`` and only rank 1
+    is dead — also when rank 0 is left alone (2 ranks)."""
+    def body():
+        me, world = repro.myrank(), current().world
+        if me == 1:
+            die()
+        t0 = time.monotonic()
+        current().wait_until(lambda: time.monotonic() - t0 > 0.75,
+                             what="test: drain past three peer_timeouts")
+        return sorted(world.dead_ranks)
+
+    res = repro.spmd(body, ranks=ranks, survive_rank_death=True,
+                     reliability={"peer_timeout": 0.25})
+    assert [r for r in res if r is not None] == [[1]] * (ranks - 1)
 
 
 def test_delay_conduit_wrapped_reliable():
     """DelayConduit delays but keeps pair FIFO and loses nothing, so
-    ``reliability=`` installs no delivery protocol over it — only the
-    peer probes — and the construct stack runs as is."""
+    ``reliability=`` adds only the peer probes over it, and the
+    construct stack runs as is."""
     from repro.gasnet import DelayConduit
 
     def body():
@@ -269,10 +236,10 @@ def test_delay_conduit_wrapped_reliable():
         with repro.finish():
             repro.async_((r + 1) % n)(lambda: None)
         repro.barrier()
-        return _reliable_layers(current().world.conduit)
+        return type(current().world.conduit).__name__
 
     assert repro.spmd(
         body, ranks=3,
         conduit=DelayConduit(base_delay=0.001, jitter=0.003),
-        reliability={"seed": 0},
-    ) == [0, 0, 0]
+        reliability=True,
+    ) == ["DelayConduit"] * 3

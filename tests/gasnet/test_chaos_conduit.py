@@ -1,16 +1,8 @@
-"""The construct stack under a lossy, faulty transport.
+"""The partitioning fault layer: what ``ChaosConduit.kill_rank`` does.
 
-Every test runs the full UPC++ surface over
-``ReliableConduit(ChaosConduit(...))`` with a fixed seed: drops,
-duplicates, reorderings and transient RMA faults are injected
-deterministically, and the reliability layer must hide all of them.
-The acceptance bar from the fault-model contract:
-
-* programs produce exactly the results they produce on the pristine
-  SMP conduit (incl. exactly-once retried atomics);
-* the injected trouble is *visible* in CommStats (retransmits,
-  suppressed duplicates, RMA retries) — i.e. the layer really was
-  exercised, not bypassed.
+A killed rank keeps running but is cut off: AMs to and from it are
+dropped, RMA touching it raises, and the world's failure detector finds
+it by probe silence.  Every kill lands in the fault log.
 """
 
 from __future__ import annotations
@@ -20,265 +12,84 @@ import pytest
 
 import repro
 from repro.core.world import current
-from repro.errors import CommTimeout
-from repro.gasnet import ChaosConduit, ReliableConduit
+from repro.errors import CommTimeout, RankDead, TransientCommError
+from repro.gasnet import ChaosConduit, SmpConduit
 
 
-def _run(body, ranks=4, seed=0, drop=0.1, dup=0.1, reorder=0.05,
-         fault=0.05, **spmd_kw):
-    """Run ``body`` over a seeded chaos conduit wrapped in reliability."""
-    conduit = ChaosConduit(
-        seed=seed, am_drop_rate=drop, am_dup_rate=dup,
-        am_reorder_rate=reorder, rma_fault_rate=fault,
-    )
-    spmd_kw.setdefault("reliability", {"seed": seed})
-    return repro.spmd(body, ranks=ranks, conduit=conduit, **spmd_kw)
+def test_takes_only_the_conduit_it_wraps():
+    smp = SmpConduit()
+    assert ChaosConduit(smp)._inner is smp
+    assert isinstance(ChaosConduit()._inner, SmpConduit)
+    with pytest.raises(TypeError):
+        ChaosConduit(seed=0)
 
 
-def _aggregate(snapshots):
-    agg: dict = {}
-    for s in snapshots:
-        for k, v in s.items():
-            if isinstance(v, (int, float)):
-                agg[k] = agg.get(k, 0) + v
-    return agg
+def test_kill_rank_cuts_ams_and_rma_but_not_the_rank():
+    """After ``kill_rank(1)``: rank 0's request to rank 1 is dropped and
+    fails with RankDead once the detector declares rank 1 dead; RMA to
+    rank 1 raises at once; rank 1 itself keeps running and still
+    reaches its own segment.  (Three ranks: with two, a partition cuts
+    each off from the only rank that probes it.)"""
+    chaos = ChaosConduit()
+    shared = {"killed": False}
 
-
-# ---------------------------------------------------------------- asyncs
-
-def test_finish_asyncs_under_chaos():
     def body():
-        r, n = repro.myrank(), repro.ranks()
-        sa = repro.SharedArray(np.int64, size=n)
+        me, ctx = repro.myrank(), current()
+        sa = repro.SharedArray(np.int64, size=2, block=1)
         repro.barrier()
+        if me == 2:
+            return None
+        if me == 1:
+            chaos.kill_rank(1)
+            shared["killed"] = True
+            sa[1] = 7                      # local: no conduit op
+            ctx.wait_until(lambda: shared.get("checked"),
+                           what="test: rank 0 checks")
+            return int(sa[1])
+        ctx.wait_until(lambda: shared["killed"], what="test: kill")
+        assert chaos.is_killed(1) and not chaos.is_killed(0)
+        with pytest.raises(TransientCommError, match="rank 1 unreachable"):
+            sa[1] = 5
+        with pytest.raises(RankDead):
+            repro.async_(1)(abs, -1).get()
+        shared["checked"] = True
+        return sorted(ctx.world.dead_ranks)
 
-        def bump(i):
-            sa.local_view()[0] += i
-
-        with repro.finish():
-            for i in range(n):
-                repro.async_(i)(bump, r + 1)
-        repro.barrier()
-        # every rank ran one bump from each rank: sum(1..n)
-        assert sa[r] == n * (n + 1) // 2
-        return True
-
-    assert all(_run(body))
-
-
-def test_events_under_chaos():
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        sa = repro.SharedArray(np.int64, size=n)
-        repro.barrier()
-        ev = repro.Event()
-
-        def stage1(i):
-            sa.local_view()[0] = i
-
-        def stage2():
-            sa.local_view()[0] *= 2
-
-        with repro.finish():
-            repro.async_((r + 1) % n, signal=ev)(stage1, 21)
-            repro.async_after((r + 1) % n, ev)(stage2)
-        repro.barrier()
-        assert sa[r] == 42
-        return True
-
-    assert all(_run(body))
+    res = repro.spmd(body, ranks=3, conduit=chaos, survive_rank_death=True,
+                     reliability={"peer_timeout": 0.3,
+                                  "heartbeat_period": 0.01},
+                     timeout=30.0)
+    assert res == [[1], 7, None]
 
 
-# ----------------------------------------------------------------- locks
+def test_every_kill_is_in_the_fault_schedule():
+    chaos = ChaosConduit()
+    chaos.kill_rank(2)
+    chaos.kill_rank(0)
+    faults = chaos.fault_schedule()["faults"]
+    assert [(kind, src, dst, detail) for _t, kind, src, dst, detail
+            in faults] == [("chaos_kill", 2, 2, "partitioned"),
+                           ("chaos_kill", 0, 0, "partitioned")]
+    events = chaos.fault_events()
+    assert [(e.kind, e.rank) for e in events] == [("chaos_kill", 2),
+                                                  ("chaos_kill", 0)]
+    assert events[0].t <= events[1].t
 
-def test_lock_mutual_exclusion_under_chaos():
-    def body():
-        n = repro.ranks()
-        sa = repro.SharedArray(np.int64, size=n)
-        repro.barrier()
-        lk = repro.GlobalLock(owner=0)
-        for _ in range(8):
-            with lk:
-                # read-modify-write race unless the lock really excludes
-                v = sa[0]
-                sa[0] = v + 1
-        repro.barrier()
-        return int(sa[0])
-
-    assert _run(body, ranks=3) == [24, 24, 24]
-
-
-# ----------------------------------------------------------- collectives
-
-def test_collectives_under_chaos():
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        assert repro.collectives.allreduce(r, op="sum") == n * (n - 1) // 2
-        assert repro.collectives.bcast(r * 7 if r == 2 else None,
-                                       root=2) == 14
-        assert repro.collectives.allgather(r) == list(range(n))
-        repro.barrier()
-        return True
-
-    assert all(_run(body))
-
-
-# ----------------------------------------------------------- batched RMA
-
-def test_gather_scatter_under_chaos():
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        per = 16
-        sa = repro.SharedArray(np.int64, size=per * n, block=per)
-        sa.local_view()[:] = np.arange(per) + r * 1000
-        repro.barrier()
-        peer = (r + 1) % n
-        idx = np.arange(per) + peer * per
-        got = sa.gather(idx)
-        assert np.array_equal(got, np.arange(per) + peer * 1000)
-        sa.scatter(idx, got + 5)
-        repro.barrier()
-        expect = np.arange(per) + r * 1000 + 5
-        assert np.array_equal(sa.local_view()[:per], expect)
-        repro.barrier()
-        return True
-
-    assert all(_run(body))
-
-
-def test_atomic_batch_exactly_once_under_faults():
-    """The counter-sum proof: N ranks apply M batched increments with
-    duplicate indices at a high fault rate; the total must be *exact* —
-    a single double-applied retry breaks it."""
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        sa = repro.SharedArray(np.int64, size=8, block=8)  # all on rank 0
-        repro.barrier()
-        idx = np.array([0, 1, 0, 2, 0])  # duplicate index 0
-        for _ in range(10):
-            sa.atomic_batch(idx, "add", np.ones(5, dtype=np.int64))
-        repro.barrier()
-        if r == 0:
-            lv = sa.local_view()
-            assert lv[0] == 3 * 10 * n, lv[:3]
-            assert lv[1] == 10 * n and lv[2] == 10 * n
-        repro.barrier()
-        return True
-
-    assert all(_run(body, fault=0.2))
-
-
-def test_scalar_atomics_exactly_once_under_faults():
-    def body():
-        n = repro.ranks()
-        sv = repro.SharedVar(np.int64, init=0, owner=0)
-        sv = repro.collectives.bcast(sv, root=0)
-        repro.barrier()
-        for _ in range(25):
-            sv.atomic("add", 1)
-        repro.barrier()
-        got = int(sv.get())
-        assert got == 25 * n, got
-        return True
-
-    assert all(_run(body, fault=0.25))
-
-
-# ----------------------------------------------------------- sample sort
-
-def test_sample_sort_under_chaos():
-    from repro.bench.sample_sort import sample_sort
-
-    res = _run(lambda: sample_sort(keys_per_rank=512, variant="upcxx"),
-               ranks=4)
-    assert all(r.verified for r in res)
-
-
-# ----------------------------------------------------- stats visibility
-
-def test_chaos_is_visible_in_stats():
-    """High injection rates must leave traces in the counters — proof
-    the reliability machinery actually fired rather than the chaos
-    layer being bypassed."""
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        sa = repro.SharedArray(np.int64, size=n)
-        repro.barrier()
-        with repro.finish():
-            for i in range(n):
-                for _ in range(4):
-                    repro.async_(i)(lambda: None)
-        for _ in range(10):
-            sa[(r + 1) % n] = r
-            _ = sa[(r + 2) % n]
-        repro.barrier()
-        return current().stats.snapshot()
-
-    agg = _aggregate(_run(body, drop=0.2, dup=0.2, reorder=0.1,
-                          fault=0.15))
-    assert agg["chaos_drops"] > 0
-    assert agg["chaos_dups"] > 0
-    assert agg["chaos_reorders"] > 0
-    assert agg["chaos_faults"] > 0
-    assert agg["am_retransmits"] > 0     # drops were retried
-    assert agg["dup_ams"] > 0            # duplicates were suppressed
-    assert agg["rma_retries"] > 0        # faults were retried
-    assert agg["acks_sent"] > 0
-
-
-def test_determinism_same_seed_same_chaos():
-    """Same seed → identical injected-chaos counters (the chaos RNG is
-    the only nondeterminism source the conduit itself introduces)."""
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        sv = repro.SharedVar(np.int64, init=0, owner=0)
-        sv = repro.collectives.bcast(sv, root=0)
-        repro.barrier()
-        for _ in range(10):
-            sv.atomic("add", 1)
-        repro.barrier()
-        return int(sv.get())
-
-    a = _run(body, seed=7, fault=0.2)
-    b = _run(body, seed=7, fault=0.2)
-    assert a == b == [40, 40, 40, 40]
-
-
-# -------------------------------------------- without the reliable layer
 
 def test_chaos_without_reliability_times_out():
-    """A total blackout with no reliability layer must surface as a
-    CommTimeout, not a hang: the raw conduit makes no delivery
-    promises."""
+    """A partitioned peer with no failure detector (no ``reliability=``,
+    no ``heartbeat_timeout=``) is never declared dead: a request to it
+    surfaces as a CommTimeout at its deadline, not a hang."""
+    chaos = ChaosConduit()
+
     def body():
-        r = repro.myrank()
-        if r == 0:
-            fut = current().send_am(1, "noop_probe", args=(),
-                                    expect_reply=True)
-            fut.get(timeout=1.0)
+        if repro.myrank() == 0:
+            chaos.kill_rank(1)
+            with pytest.raises(CommTimeout):
+                repro.async_(1)(abs, -1).get(timeout=0.5)
         return True
 
-    from repro.gasnet.am import am_handler
-
-    @am_handler("noop_probe")
-    def _probe(ctx, am):  # pragma: no cover - never delivered
-        ctx.reply(am, args=("ok",))
-
-    conduit = ChaosConduit(seed=0, am_drop_rate=1.0)
-    with pytest.raises(CommTimeout):
-        repro.spmd(body, ranks=2, conduit=conduit)
-
-
-def test_reliable_wrapper_composes_explicitly():
-    """ReliableConduit can be constructed by hand around any conduit."""
-    def body():
-        r, n = repro.myrank(), repro.ranks()
-        with repro.finish():
-            repro.async_((r + 1) % n)(lambda: None)
-        repro.barrier()
-        return True
-
-    conduit = ReliableConduit(
-        ChaosConduit(seed=3, am_drop_rate=0.2), seed=3
-    )
-    assert all(repro.spmd(body, ranks=4, conduit=conduit))
+    # survive mode: the finalize is a done-or-dead wait, which needs no
+    # message to the partitioned rank.
+    assert all(repro.spmd(body, ranks=2, conduit=chaos,
+                          survive_rank_death=True, timeout=30.0))

@@ -33,7 +33,7 @@ from repro.errors import (
     SerializationError,
     TransientCommError,
 )
-from repro.gasnet import DelayConduit, ReliableConduit, SmpConduit, backends
+from repro.gasnet import backends
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.chaos import ChaosConduit
 from tests.conftest import run_spmd
@@ -508,7 +508,7 @@ def test_peer_failure_wakes_a_parked_rank(conduit, tmp_path):
 
 
 def test_killed_peer_fails_the_reply_it_owes_promptly():
-    """proc+socket under the reliability layer: the death reaches the
+    """proc+socket with the failure detector on: the death reaches the
     waiter as an error reply delivered by another thread of its own
     process, which has to wake it out of its poll."""
     peer_timeout = 0.5
@@ -542,7 +542,7 @@ def _spinning(ctx, am):
 
 
 def test_hung_peer_fails_the_reply_it_owes_by_wire_silence():
-    """proc, reliability on: rank 1 computes in pure Python, calling
+    """proc, failure detector on: rank 1 computes in pure Python, calling
     nothing in the runtime, for longer than ``peer_timeout``.  Its
     process is alive and its socket open, so only the missing answers
     to rank 0's liveness probes can tell: rank 0's pending request
@@ -581,28 +581,19 @@ def test_hung_peer_fails_the_reply_it_owes_by_wire_silence():
     assert _no_leaked_shm() == []
 
 
-_rel_frames: list = []   # per process: __rel_data__ envelopes dispatched
-
-
 @am_handler("conformance_echo")
 def _echo(ctx, am):
     ctx.reply(am, args=am.args)
 
 
 @pytest.mark.parametrize("conduit", ("smp", "proc"))
-def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit,
-                                                              monkeypatch):
+def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit):
     """smp and proc keep the FIFO, exactly-once contract themselves, so
-    ``reliability=True`` installs no delivery protocol over them: a
-    200-AM echo moves no envelope and no ack.  What it does turn on is
-    the world's failure detector — one thread, sending probes — and
-    nothing it started outlives ``spmd()``."""
+    ``reliability=True`` adds no delivery protocol: a 200-AM echo sends
+    no ack and its conduit stack is the bare backend.  What it does turn
+    on is the world's failure detector — one thread, sending probes —
+    and nothing it started outlives ``spmd()``."""
     n = 200
-    data = handler_registry["__rel_data__"]
-    monkeypatch.setitem(handler_registry, "__rel_data__",
-                        lambda ctx, am: (_rel_frames.append(1),
-                                         data(ctx, am)))
-    del _rel_frames[:]
 
     def body():
         me = repro.myrank()
@@ -619,14 +610,17 @@ def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit,
         barrier()
         after = ctx.stats.snapshot()
         threads = [t.name for t in threading.enumerate()
-                   if t.name.startswith(("pgas-detector-",
-                                         "pgas-reliable-"))]
+                   if t.name.startswith("pgas-")
+                   and not t.name.startswith("pgas-rank-")]
         return (after["acks_sent"] - before["acks_sent"],
-                after["heartbeats_sent"], len(_rel_frames), threads)
+                after["heartbeats_sent"],
+                type(repro.current_world().conduit).__name__, threads)
 
     res = run_spmd(body, ranks=2, conduit=conduit, reliability=True)
-    for acks, probes, envelopes, threads in res:
-        assert (acks, envelopes) == (0, 0)
+    for acks, probes, stack, threads in res:
+        assert acks == 0
+        assert stack == ("SmpConduit" if conduit == "smp"
+                         else "ProcConduit")
         assert probes > 0
         assert len(threads) == 1 and threads[0].startswith(
             "pgas-detector-"), threads
@@ -890,6 +884,39 @@ def test_proc_survive_rank_death():
     assert res[0] == 0 and res[1] is None and res[2] == 20
 
 
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_request_to_a_dead_rank_fails_at_the_call(conduit):
+    """Once a death is known, a request to the dead rank raises RankDead
+    naming the handler and the rank at once — not after the op timeout
+    — and leaves nothing pending; a one-way AM to it is dropped.  Both
+    count ``dead_peer_fastfails``."""
+    def body():
+        me = repro.myrank()
+        world = repro.current_world()
+        ctx = world.ranks[me]
+        if me == 1:
+            repro.die()
+        if me == 2:
+            return None
+        ctx.wait_until(lambda: 1 in world.dead_ranks,
+                       what="test: rank 1 declared dead")
+        before = ctx.stats.dead_peer_fastfails
+        t0 = time.perf_counter()
+        with pytest.raises(RankDead, match=r"'exec_task'.*rank 1 is dead"):
+            repro.async_(1)(abs, -3).get()
+        elapsed = time.perf_counter() - t0
+        ctx.send_am(1, "conformance_echo")      # one-way: dropped
+        return (elapsed, len(ctx._pending),
+                ctx.stats.dead_peer_fastfails - before)
+
+    res = run_spmd(body, ranks=3, conduit=conduit, timeout=6.0,
+                   reliability={"peer_timeout": 0.5},
+                   survive_rank_death=True)
+    elapsed, pending, fastfails = res[0]
+    assert elapsed < 1.0
+    assert (pending, fastfails) == (0, 2)
+
+
 def test_chaos_requires_in_process_hooks():
     """Capability gate: the chaos wrapper needs same-process delivery
     hooks, which a cross-process conduit cannot offer."""
@@ -903,16 +930,6 @@ def test_chaos_requires_in_process_hooks():
     stub.caps = caps
     with pytest.raises(PgasError):
         ChaosConduit(inner=stub)
-
-
-def test_lossy_is_derived_from_the_stack():
-    """Only a layer that can lose sets ``caps.lossy`` — at any fault
-    rate — and the reliable layer clears it; nothing else has it."""
-    assert ChaosConduit(seed=0).caps.lossy
-    assert not ReliableConduit(ChaosConduit(seed=0)).caps.lossy
-    assert not SmpConduit().caps.lossy
-    assert not DelayConduit().caps.lossy
-    assert not backends.backend("proc").caps.lossy
 
 
 def test_backend_registry_capabilities():

@@ -27,7 +27,6 @@ from repro.gasnet import (
     ConduitLayer,
     DelayConduit,
     ProcConduit,
-    ReliableConduit,
     SmpConduit,
     TelemetryConduit,
     Trace,
@@ -36,8 +35,7 @@ from tests.conftest import run_spmd
 
 OPS = ("send_am", "rma_put", "rma_get", "rma_atomic", "rma_put_indexed",
        "rma_get_indexed", "rma_atomic_batch", "poll", "wake")
-LAYERS = (ConduitLayer, TelemetryConduit, ReliableConduit, ChaosConduit,
-          DelayConduit)
+LAYERS = (ConduitLayer, TelemetryConduit, ChaosConduit, DelayConduit)
 BACKENDS = (SmpConduit, ProcConduit)
 
 
@@ -80,7 +78,7 @@ def test_copy_of_a_layer_does_not_recurse():
     """copy.copy builds the instance without __init__ and probes it for
     dunders before ``_inner`` exists; an unguarded __getattr__ recursed."""
     smp = SmpConduit()
-    for layer in (TelemetryConduit(smp, sink=None), ReliableConduit(smp)):
+    for layer in (TelemetryConduit(smp, sink=None), ChaosConduit(smp)):
         dup = copy.copy(layer)
         assert type(dup) is type(layer)
         assert dup._inner is smp
@@ -135,23 +133,17 @@ class _SpySmp(SmpConduit):
 
 
 def _stack(position: str):
-    """``Telemetry(Reliable(Chaos(smp)))`` minus the telemetry layer (the
-    world adds it), with a ``_Noop`` at ``position``; also returns the
-    chaos layer and the backend for identity checks."""
+    """``Telemetry(Chaos(smp))`` minus the telemetry layer (the world
+    adds it), with a ``_Noop`` at ``position``; also returns the chaos
+    layer and the backend for identity checks."""
     smp = _SpySmp()
-    chaos = ChaosConduit(_Noop(smp) if position == "under_chaos" else smp,
-                         seed=5, am_drop_rate=0.1, am_dup_rate=0.1,
-                         rma_fault_rate=0.2)
-    stack = ReliableConduit(
-        _Noop(chaos) if position == "under_reliable" else chaos,
-        seed=5, ack_timeout=0.005)
-    if position == "under_telemetry":
-        stack = _Noop(stack)
+    chaos = ChaosConduit(_Noop(smp) if position == "under_chaos" else smp)
+    stack = _Noop(chaos) if position == "under_telemetry" else chaos
     return stack, chaos, smp
 
 
-@pytest.mark.parametrize("position", ["under_chaos", "under_reliable",
-                                      "under_telemetry", "outermost"])
+@pytest.mark.parametrize("position", ["under_chaos", "under_telemetry",
+                                      "outermost"])
 def test_noop_layer_is_transparent(position):
     stack, chaos, smp = _stack(position)
 
@@ -181,8 +173,6 @@ def test_noop_layer_is_transparent(position):
         assert isinstance(top, _Noop if position == "outermost"
                           else TelemetryConduit)
         assert top.kill_rank.__self__ is chaos
-        assert top.cfg.ack_timeout == 0.005
-        # chaos marks the stack lossy and the reliable layer clears it
         assert top.caps == SmpConduit.caps
         assert isinstance(top.fault_events(), list)
         # poll / wake reach the backend from the outermost layer

@@ -12,9 +12,8 @@ SNAPSHOT_KEYS = (
     "gets_indexed", "atomic_batches", "batched_elements", "ams_sent",
     "am_bytes", "ams_handled", "replies_sent", "barriers",
     "collectives", "coll_msgs", "local_accesses", "remote_accesses",
-    "am_retransmits", "dup_ams", "acks_sent", "rma_retries",
-    "op_timeouts", "stale_replies", "heartbeats_sent", "chaos_drops",
-    "chaos_dups", "chaos_reorders", "chaos_faults", "kv_gets",
+    "am_retransmits", "acks_sent", "stale_replies", "heartbeats_sent",
+    "kv_gets",
     "kv_puts", "kv_deletes", "kv_updates", "kv_multi_ops",
     "kv_batched_keys", "kv_cache_hits", "kv_cache_misses",
     "kv_repl_records", "kv_failovers", "kv_promotions",
@@ -119,18 +118,18 @@ def test_aggregate():
     assert total["gets"] == 1
 
 
-def test_chaos_reorders_counted_snapshot_reset_aggregate():
+def test_detector_counters_snapshot_reset_aggregate():
     s = CommStats()
-    s.add(chaos_reorders=1)
-    s.add(chaos_reorders=1)
-    s.add(chaos_drops=1)
-    assert s.snapshot()["chaos_reorders"] == 2
+    s.add(stale_replies=1)
+    s.add(stale_replies=1)
+    s.add(dead_peer_fastfails=1)
+    assert s.snapshot()["stale_replies"] == 2
     t = CommStats()
-    t.add(chaos_reorders=1)
-    assert aggregate([s, t])["chaos_reorders"] == 3
+    t.add(stale_replies=1)
+    assert aggregate([s, t])["stale_replies"] == 3
     s.reset()
-    assert s.snapshot()["chaos_reorders"] == 0
-    assert s.snapshot()["chaos_drops"] == 0
+    assert s.snapshot()["stale_replies"] == 0
+    assert s.snapshot()["dead_peer_fastfails"] == 0
 
 
 def test_derived_properties_consistent_under_concurrent_updates():

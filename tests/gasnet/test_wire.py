@@ -425,8 +425,7 @@ handler_names = st.text(st.characters(exclude_categories=["Cs"]),
 @example("rücksendung→✓", None)
 def test_frame_names_its_handler(name, payload):
     """The handler's UTF-8 name follows the header, its byte length in
-    the header's name field; a reliability envelope carries two names,
-    its own and its inner frame's."""
+    the header's name field."""
     raw = name.encode()
     am = ActiveMessage(name, 0, args=(1, "a"), payload=payload, token=7)
     frame = encode_am(am)
@@ -435,13 +434,6 @@ def test_frame_names_its_handler(name, payload):
     out = frame.thaw()
     assert (out.handler, out.args, out.token) == (name, (1, "a"), 7)
     assert out.payload == payload
-
-    env = encode_am(ActiveMessage("__rel_data__", 0, payload=am, aux=5))
-    assert env.ctrl[HEADER.size:HEADER.size + 12] == b"__rel_data__"
-    assert raw in env.ctrl[HEADER.size + 12:]
-    out = env.thaw()
-    assert (out.handler, out.aux) == ("__rel_data__", 5)
-    assert out.payload.handler == name and out.payload.payload == payload
 
 
 @pytest.mark.parametrize("args,payload", [

@@ -100,7 +100,7 @@ def test_aggregate_sums_wire_and_failover_counters():
     b.add(kv_promotions=1)
     b.add(kv_migrations=1)
     a.add(am_retransmits=1)
-    b.add(dup_ams=1)
+    b.add(stale_replies=1)
     total = aggregate([a, b])
     assert total["wire_frames"] == 3
     assert total["wire_fixed"] == 2
@@ -111,7 +111,7 @@ def test_aggregate_sums_wire_and_failover_counters():
     assert total["kv_promotions"] == 1
     assert total["kv_migrations"] == 1
     assert total["am_retransmits"] == 1
-    assert total["dup_ams"] == 1
+    assert total["stale_replies"] == 1
 
 
 # ------------------------------------------------ the reduce collective
