@@ -126,7 +126,7 @@ class _AsyncCall:
                     am = ActiveMessage("exec_task", ctx.rank,
                                        payload=(fn, args, kwargs))
                     # by value, at the call
-                    ctx._send(target, am, fut, _encode_task)
+                    ctx.endpoint.send(target, am, fut, _encode_task)
                     sent += 1
             except BaseException as exc:
                 # Failed at the call site: no reply will ever complete

@@ -18,8 +18,7 @@ from repro.errors import PgasError
 class Future:
     """Completion handle for one async operation."""
 
-    __slots__ = ("_ctx", "_lock", "_done", "_value", "_exc", "_callbacks",
-                 "_dst", "_meta")
+    __slots__ = ("_ctx", "_lock", "_done", "_value", "_exc", "_callbacks")
 
     def __init__(self, ctx):
         self._ctx = ctx
@@ -28,12 +27,6 @@ class Future:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["Future"], None]] = []
-        #: Destination rank of the request this future answers (set by
-        #: the AM layer; consulted by the death-time pending sweep).
-        self._dst = -1
-        #: ``(t0 monotonic, handler, trace_id)`` of that request when
-        #: telemetry is active: the straggler watchdog's view of it.
-        self._meta = None
 
     # -- completion (runtime side) --------------------------------------
     def set_result(self, value: Any) -> None:
@@ -78,7 +71,8 @@ class Future:
 
     def get(self, timeout: float | None = None) -> Any:
         """Block (making progress) until done; return value or raise."""
-        self.wait(timeout=timeout)
+        if not self._done:
+            self._ctx.wait_until(self.done, what="future", timeout=timeout)
         if self._exc is not None:
             raise self._exc
         return self._value

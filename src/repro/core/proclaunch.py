@@ -140,9 +140,7 @@ def _child_main(job: _Job, rank: int) -> None:
         world = worldmod.World(
             job.ranks, segment_size=job.segment_size, conduit=conduit,
             thread_mode=job.thread_mode, op_timeout=job.timeout,
-            reliability=job.reliability,
-            heartbeat_timeout=job.heartbeat_timeout,
-            heartbeat_period=job.heartbeat_period, telemetry=job.telemetry,
+            reliability=job.reliability, telemetry=job.telemetry,
             survive_rank_death=job.survive_rank_death,
             local_ranks=(rank,), segment_factory=fabric.make_segment,
         )
@@ -280,8 +278,6 @@ def spmd_proc(
     thread_mode: str = "serialized",
     timeout: float | None = 60.0,
     reliability=None,
-    heartbeat_timeout: float | None = None,
-    heartbeat_period: float = 0.02,
     telemetry=None,
     survive_rank_death: bool = False,
     transport: str | None = None,
@@ -293,9 +289,7 @@ def spmd_proc(
     job = _Job(
         fabric=fabric, fn=fn, args=args, kwargs=kwargs, ranks=ranks,
         segment_size=segment_size, thread_mode=thread_mode,
-        timeout=timeout, reliability=reliability,
-        heartbeat_timeout=heartbeat_timeout,
-        heartbeat_period=heartbeat_period, telemetry=telemetry,
+        timeout=timeout, reliability=reliability, telemetry=telemetry,
         survive_rank_death=survive_rank_death,
     )
     procs = []

@@ -20,12 +20,12 @@ exception is re-raised on the launching thread.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -38,9 +38,9 @@ from repro.errors import (
     TransientCommError,
 )
 from repro.core.coll_engine import CollEngine
+from repro.core.endpoint import Endpoint
 from repro.core.future import Future
-from repro.gasnet.am import (ActiveMessage, am_handler, handler_registry,
-                             make_reply)
+from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
@@ -94,7 +94,8 @@ class _Task:
 
 
 class RankState:
-    """Everything one rank owns: segment, inbox, task queue, futures."""
+    """Everything one rank owns: segment, inbox, task queue, and the
+    :class:`~repro.core.endpoint.Endpoint` its messages go through."""
 
     def __init__(self, world: "World", rank: int, segment_size: int):
         self.world = world
@@ -109,11 +110,13 @@ class RankState:
         self._cv = threading.Condition()
         self._inbox: deque[ActiveMessage] = deque()
         self.task_queue: deque[_Task] = deque()
-        self._pending_lock = threading.Lock()
-        # token -> Future; the future's ``_dst`` and ``_meta`` slots
-        # carry the destination rank and the straggler watchdog's view.
-        self._pending: dict[int, Any] = {}
-        self._token_counter = itertools.count(1)
+        #: The request/reply protocol; ``reply(am, args, payload)`` is
+        #: its answer (see :meth:`Endpoint.reply`).
+        self.endpoint = Endpoint(rank, self._wire, world.dead_ranks,
+                                 self._dispatch,
+                                 functools.partial(world.fail, rank),
+                                 self.stats, self.telemetry)
+        self.reply = self.endpoint.reply
         # The handler lock serializes AM-handler/task execution between the
         # rank's own advance() and the shared progress thread (paper's
         # "concurrent" thread-support mode).
@@ -144,8 +147,7 @@ class RankState:
         #: Set when this rank "crashed" (see :func:`die`); the failure
         #: detector converts it into a PeerFailure on every other rank.
         self.dead = False
-        #: Stamped on every progress call — the local liveness signal
-        #: the world's failure detector watches.
+        #: Stamped by every drain: ``wait_until``'s deadline reads it.
         self.last_heartbeat = time.monotonic()
 
     # -- messaging ------------------------------------------------------
@@ -175,93 +177,20 @@ class RankState:
                 fut.add_callback(lambda _f: tel.record_latency(
                     "am_rtt", time.perf_counter() - t0
                 ))
-        self._send(dst, ActiveMessage(handler, self.rank, args, payload),
-                   fut)
+        self.endpoint.send(
+            dst, ActiveMessage(handler, self.rank, args, payload), fut)
         return fut
 
-    def _send(self, dst: int, am: ActiveMessage, fut: Future | None,
-              encode=None) -> None:
-        """Send ``am`` to ``dst``: every AM a rank originates (a reply
-        excepted) leaves here, stamped with the thread's bound trace
-        context (the pair rides the wire frame as a trailer and re-binds
-        in the target's dispatch).  When ``fut`` is given, it is
-        registered under a fresh token to take the reply;
-        ``encode(am, telemetry)`` then runs first, so it can fail at the
-        call site, and a send that raises takes ``fut`` back out of the
-        pending table."""
-        tel = self.telemetry
-        if tel.active:
-            am.trace_id, am.span_id = tracing.current_ids()
-        if fut is None:
-            if dst in self.world.dead_ranks:
-                self._refuse(dst, am)  # nobody waits: dropped
-                return
-            self.world.conduit.send_am(self.rank, dst, am)
-            return
-        am.token = token = next(self._token_counter)
-        fut._dst = dst
-        if tel.active:
-            fut._meta = (time.monotonic(), am.handler, am.trace_id)
-        with self._pending_lock:
-            self._pending[token] = fut
-        # Checked after the registration: a death declared from here on
-        # finds ``fut`` in mark_dead's sweep, one declared before is in
-        # the dead set — either way nothing waits out the op timeout.
-        if dst in self.world.dead_ranks:
-            with self._pending_lock:
-                swept = self._pending.pop(token, None) is None
-            exc = self._refuse(dst, am)
-            if not swept:
-                fut.set_exception(exc)
-            return
-        try:
-            if encode is not None:
-                encode(am, tel)
-            self.world.conduit.send_am(self.rank, dst, am)
-        except BaseException:
-            with self._pending_lock:
-                self._pending.pop(token, None)
-            raise
+    def _wire(self, dst: int, am: ActiveMessage) -> None:
+        # The endpoint's send; late-bound, as a Trace splices layers in.
+        self.world.conduit.send_am(self.rank, dst, am)
 
-    def _refuse(self, dst: int, am: ActiveMessage) -> RankDead:
-        """Count a send not made because ``dst`` is already dead; the
-        error a request fails with."""
-        self.stats.add(dead_peer_fastfails=1)
-        self.telemetry.flight_event("dead_peer_fastfail", src=self.rank,
-                                    dst=dst, detail=am.handler)
-        return RankDead(f"rank {self.rank}: AM {am.handler!r} not sent: "
-                        f"rank {dst} is dead")
-
-    def fail_pending(self, exc: BaseException,
-                     dst: int | None = None) -> None:
-        """Fail outstanding reply futures addressed to ``dst`` (all
-        destinations when ``dst`` is None) with ``exc``: the death-time
-        sweep, so no waiter on a dead rank outlives its death."""
-        with self._pending_lock:
-            doomed = [t for t, f in self._pending.items()
-                      if dst is None or f._dst == dst]
-            futs = [self._pending.pop(t) for t in doomed]
-        for f in futs:
-            f.set_exception(exc)
-
-    def reply(self, am: ActiveMessage, args: tuple = (),
-              payload: Any = None) -> None:
-        """Send the reply for a request AM: the one way a rank answers
-        one, from a handler, a task, or a queue that held the request
-        (a global lock's waiters).  The reply carries the request's
-        trace context, whatever this thread is bound to.
-
-        ``replies_sent`` is charged by ``Conduit.send_am``, which sees
-        the reply flag — not here — so the hot reply path pays one
-        stats lock, not two.
-
-        One reply per token: the request's token is cleared once its
-        reply is out, so a handler that raises *after* replying takes
-        :meth:`_handler_error`'s fire-and-forget branch instead of
-        sending a second reply for a future already completed."""
-        reply = make_reply(am, self.rank, args=args, payload=payload)
-        self.world.conduit.send_am(self.rank, am.src_rank, reply)
-        am.token = None
+    def _dispatch(self, am: ActiveMessage) -> None:
+        """The endpoint's dispatch: run ``am``'s handler as this rank."""
+        handler = handler_registry.get(am.handler)
+        if handler is None:
+            raise PgasError(f"unknown AM handler {am.handler!r}")
+        handler(self, am)
 
     # -- progress ---------------------------------------------------------
     def advance(self, max_items: int | None = None) -> bool:
@@ -290,21 +219,23 @@ class RankState:
         # handler lock: with two drainers (the rank and the progress
         # thread) that is what keeps a pair's messages in order.
         lock, inbox, tasks = self._handler_lock, self._inbox, self.task_queue
+        receive = self.endpoint.receive
         while inbox and (max_items is None or handled < max_items):
             with lock:
                 try:
                     am = inbox.popleft()
                 except IndexError:  # the other drainer took it
                     break
-                self._handle(am)
+                receive(am)
             handled += 1
+        run = self._run_traced if tel.active else self._run_task
         while tasks and (max_items is None or handled < max_items):
             with lock:
                 try:
                     task = tasks.popleft()
                 except IndexError:
                     break
-                self._run_task(task)
+                run(task)
             handled += 1
         if tel.full and handled:
             # The progress engine's poll latency: how long one advance()
@@ -317,100 +248,14 @@ class RankState:
             )
         return handled > 0
 
-    def _handle(self, am: ActiveMessage) -> None:
-        """Dispatch one message; the caller holds ``_handler_lock``."""
-        frame = am._frame
-        if frame is not None:
-            # Decode-at-target: the receiver materializes fresh objects
-            # from the wire frame (by-value delivery semantics).
-            tel = self.telemetry
-            if tel.full:
-                t0 = time.perf_counter()
-                am = frame.thaw()
-                tel.histogram("deser").record_seconds(
-                    time.perf_counter() - t0
-                )
-            else:
-                am = frame.thaw()
-        self.stats.record_am_handled()
-        if self.telemetry.active and am.handler not in (
-            "__ping__", "__pong__",
-        ):  # probe chatter would drown out the useful history
-            self.telemetry.flight_event(
-                "am_handled", src=am.src_rank, dst=self.rank,
-                detail=am.handler, trace_id=am.trace_id,
-            )
-        if am.is_reply:
-            with self._pending_lock:
-                fut = self._pending.pop(am.token, None)
-            if fut is None:
-                # A reply can legally arrive after its future completed:
-                # from a rank declared dead (its waiters already got
-                # RankDead) that was only hung — drop it, counted.
-                if am.src_rank in self.world.dead_ranks:
-                    self.stats.add(stale_replies=1)
-                    return
-                raise PgasError(
-                    f"rank {self.rank}: reply for unknown token {am.token}"
-                )
-            if am.args and am.args[0] == "__error__":
-                fut.set_exception(am.args[1])
-            else:
-                fut.set_result((am.args, am.payload))
-            return
-        handler = handler_registry.get(am.handler)
-        if handler is None:
-            raise PgasError(f"unknown AM handler {am.handler!r}")
+    def _run_traced(self, task: _Task) -> None:
+        """:meth:`_run_task` in the request's trace (telemetry active), so
+        the task's span and every AM it sends join the caller's."""
         tel = self.telemetry
-        if am.trace_id and tel.active:
-            # Restore the sender's trace context for the handler's
-            # duration: spans recorded and AMs sent inside it
-            # (replies, replication hops) join the originating
-            # client op's trace.
-            span_id = tel.new_span_id()
-            t0 = time.perf_counter() if tel.full else 0.0
-            with tracing.bound(am.trace_id, span_id):
-                try:
-                    handler(self, am)
-                except BaseException as exc:
-                    self._handler_error(am, exc)
-                finally:
-                    if tel.full:
-                        tel.record_span(
-                            f"am:{am.handler}", t0,
-                            time.perf_counter() - t0,
-                            detail=f"from rank {am.src_rank}",
-                            trace_id=am.trace_id, span_id=span_id,
-                            parent_id=am.span_id)
-            return
-        try:
-            handler(self, am)
-        except BaseException as exc:  # surface handler errors
-            self._handler_error(am, exc)
-
-    def _handler_error(self, am: ActiveMessage, exc: BaseException) -> None:
-        """Surface a handler exception: error reply when the sender
-        still waits for one, world failure otherwise."""
-        if am.token is not None:
-            self.reply(am, args=("__error__", exc))
-        else:
-            self.world.fail(self.rank, exc)
-            raise exc
-
-    def _run_task(self, task: _Task) -> None:
-        """Execute one queued async task and reply with its result; the
-        caller holds ``_handler_lock``."""
-        tel = self.telemetry
-        if not tel.active:
-            self._run_task_body(task)
-            return
         req = task.request
         name = getattr(task.fn, "__name__", None) or repr(task.fn)
-        # Run in the request's trace, as _handle runs a handler: the
-        # task's span and every AM the task sends join the caller's.
         span_id = tel.new_span_id() if req.trace_id else 0
-        with (tracing.bound(req.trace_id, span_id) if span_id
-              else nullcontext()):
+        with tracing.bound(req.trace_id, span_id):  # (0, 0): untraced
             t_run = time.perf_counter()
             tel.flight_event("task_run", src=req.src_rank,
                              dst=self.rank, detail=name)
@@ -420,7 +265,7 @@ class RankState:
                     t_run - task.enqueued_at
                 )
             try:
-                self._run_task_body(task)
+                self._run_task(task)
             finally:
                 dur = time.perf_counter() - t_run
                 tel.flight_event("task_done", src=req.src_rank,
@@ -431,22 +276,24 @@ class RankState:
                                     trace_id=req.trace_id, span_id=span_id,
                                     parent_id=req.span_id)
 
-    def _run_task_body(self, task: _Task) -> None:
+    def _run_task(self, task: _Task) -> None:
+        """Run one queued async task and answer its request with the result
+        or what it raised; the caller holds ``_handler_lock``."""
         # The progress thread runs tasks as this rank; the rank's own
         # thread is bound to it already.
         prev = getattr(_tls, "ctx", None)
         if prev is not self:
             _tls.ctx = self
+        req = task.request
         try:
             result = task.fn(*task.args, **task.kwargs)
-        except BaseException as exc:
-            self._handler_error(task.request, exc)
-        else:
-            if task.request.token is not None:
+            if req.token is not None:
                 # The wire layer serializes the result into the reply
                 # frame (by-reference fallback for unencodable values);
                 # success is a reply whose args do not say "__error__".
-                self.reply(task.request, payload=result)
+                self.endpoint.reply(req, payload=result)
+        except BaseException as exc:
+            self.endpoint.raised(req, exc)
         finally:
             if prev is not self:
                 _tls.ctx = prev
@@ -508,24 +355,18 @@ class World:
     -------------
     The fault model is crash-stop: a rank works or dies, and the
     transport loses nothing between live ranks.  One failure detector
-    thread checks two signals and records every death in the one dead
-    set, :attr:`dead_ranks`; from then on a request to the dead rank
-    fails with :class:`~repro.errors.RankDead` at the call:
+    thread, started by ``reliability=``, records every death in the one
+    dead set, :attr:`dead_ranks`; from then on a request to the dead
+    rank fails with :class:`~repro.errors.RankDead` at the call:
 
-    ``heartbeat_timeout``:
-        When set, a rank of this process that makes no runtime progress
-        for this many seconds (or that called :func:`die`) is declared
-        dead, failing the world with :class:`~repro.errors.RankDead` so
-        blocked peers raise :class:`~repro.errors.PeerFailure` instead
-        of hanging.  Must exceed the longest pure-compute phase of the
-        program.  ``heartbeat_period`` is how often it is checked.
     ``reliability``:
         ``True``, a dict of :class:`ReliabilityConfig` fields or a
         config: every ``heartbeat_period`` each local rank probes every
         peer, and a peer whose rank thread answers no probe for
         ``peer_timeout`` seconds — hung, or cut off from the wire — is
-        declared dead.  A rank is judged by probe silence only while
-        another live rank of this process probes it.
+        declared dead; so is, at the next round, a rank of this process
+        that called :func:`die`.  A rank is judged by probe silence only
+        while another live rank of this process probes it.
     ``telemetry``:
         ``None``/``"off"`` (default) records nothing and leaves the
         conduit unwrapped; ``"flight"`` runs only the per-rank flight
@@ -554,8 +395,6 @@ class World:
         thread_mode: str = "serialized",
         op_timeout: float | None = 60.0,
         reliability=None,
-        heartbeat_timeout: float | None = None,
-        heartbeat_period: float = 0.02,
         telemetry=None,
         survive_rank_death: bool = False,
         local_ranks=None,
@@ -578,8 +417,6 @@ class World:
         self._segment_factory = segment_factory
         self.thread_mode = thread_mode
         self.op_timeout = op_timeout
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_period = heartbeat_period
         self.survive_rank_death = bool(survive_rank_death)
         #: The one dead set, fed by the detector (and, on proc, the
         #: launcher).  Read freely; written via mark_dead.
@@ -606,20 +443,20 @@ class World:
             conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
                                        timed=self.telemetry.full)
         self.conduit = conduit
-        self.ranks = [RankState(self, r, segment_size) for r in range(n_ranks)]
         self._glock = threading.Lock()
-        self.conduit.attach(self)
         self._failure: tuple[int, BaseException] | None = None
         #: Who recorded it: a rank's own failure unwinds its thread by
         #: itself only when that thread is the one that failed.
         self._failure_thread: int | None = None
+        self.ranks = [RankState(self, r, segment_size) for r in range(n_ranks)]
+        self.conduit.attach(self)
         self._lock_ids = itertools.count(1)
         self._dir_ids = itertools.count(1)
         self._progress_stop = threading.Event()
         self._progress_thread: threading.Thread | None = None
         self._detector_stop = threading.Event()
         self._detector_thread: threading.Thread | None = None
-        if heartbeat_timeout is not None or self._peer_timeout is not None:
+        if self._peer_timeout is not None:
             self._detector_thread = threading.Thread(
                 target=self._failure_detector_main,
                 name=f"pgas-detector-{self.id}", daemon=True,
@@ -732,7 +569,7 @@ class World:
         # inside a handler.
         for r in range(self.n_ranks):
             try:
-                self.ranks[r].fail_pending(
+                self.ranks[r].endpoint.sweep(
                     exc, dst=None if r == rank else rank)
             except Exception:
                 pass
@@ -774,7 +611,7 @@ class World:
             self._progress_thread.join(timeout=5.0)
             self._progress_thread = None
 
-    # -- failure detector: one thread, two signals ---------------------------
+    # -- failure detector: one thread, one signal ----------------------------
     def stop_failure_detector(self) -> None:
         self._detector_stop.set()
         if self._detector_thread is not None:
@@ -782,36 +619,23 @@ class World:
             self._detector_thread = None
 
     def _failure_detector_main(self) -> None:
-        """Declare dead, instead of letting the world hang until the op
-        timeout, a rank that fails either liveness signal (see the class
-        docstring): its progress stamp, for a rank of this process, or
-        its answers to the probes, for a peer."""
-        hb_timeout, peer_timeout = self.heartbeat_timeout, self._peer_timeout
-        tick = min(period for period, timeout in (
-            (self.heartbeat_period, hb_timeout),
-            (self._probe_period, peer_timeout)) if timeout is not None)
-        heard, next_probe = self._last_heard, 0.0
-        while not self._detector_stop.wait(tick):
+        """Declare dead a peer that answers no probe for ``peer_timeout``
+        and, at the next round, a local rank that called :func:`die`."""
+        peer_timeout, heard = self._peer_timeout, self._last_heard
+        while not self._detector_stop.wait(self._probe_period):
             if self._failure is not None:
                 return
             now = time.monotonic()
-            probers = self._probers() if peer_timeout is not None else ()
-            if probers and now >= next_probe:
-                next_probe = now + self._probe_period
-                self._send_probes(probers)
+            probers = self._probers()
+            self._send_probes(probers)
             for rk in self.ranks:
                 r, why = rk.rank, None
-                stamp = self.is_local(r) and hb_timeout is not None
                 if rk.done:
                     heard[r] = now  # finished ≠ failed
                 elif r in self.dead_ranks:
                     continue
-                elif stamp and rk.dead:
+                elif rk.dead and self.is_local(r):
                     why = f"rank {r} died (simulated crash)"
-                elif stamp and now - rk.last_heartbeat > hb_timeout:
-                    why = (f"rank {r} made no runtime progress for "
-                           f"{now - rk.last_heartbeat:.2f}s "
-                           f"(heartbeat_timeout={hb_timeout}s)")
                 elif (any(p != r for p in probers)
                       and now - heard[r] > peer_timeout):
                     # Silence means something only while someone asks:
@@ -885,7 +709,7 @@ class ReliabilityConfig:
     #: Interval between the detector's probe rounds (seconds).
     heartbeat_period: float = 0.05
     #: Declare a peer dead after its probes go this long unanswered
-    #: (seconds); ``None`` disables the wire signal.
+    #: (seconds); ``None`` runs no detector.
     peer_timeout: float | None = 2.0
 
 
@@ -912,9 +736,9 @@ class _RankKilled(BaseException):
 
 def die() -> None:
     """Simulate the calling rank crashing: it stops executing *without*
-    reporting an error, exactly like a killed process.  The world's one
-    failure detector sees it by either signal — its progress stamp
-    (``heartbeat_timeout=``) or its silence to probes (``reliability=``);
+    reporting an error, exactly like a killed process.  The world's
+    failure detector (``reliability=``) declares it dead at its next
+    probe round — on proc the launcher reports the exit as well — and
     peers then observe :class:`~repro.errors.PeerFailure`, not a hang."""
     ctx = current()
     ctx.dead = True
@@ -933,8 +757,6 @@ def spmd(
     thread_mode: str = "serialized",
     timeout: float | None = 60.0,
     reliability=None,
-    heartbeat_timeout: float | None = None,
-    heartbeat_period: float = 0.02,
     telemetry=None,
     survive_rank_death: bool = False,
 ) -> list:
@@ -967,17 +789,14 @@ def spmd(
         return spmd_proc(
             fn, ranks, args=args, kwargs=kwargs,
             segment_size=segment_size, thread_mode=thread_mode,
-            timeout=timeout, reliability=reliability,
-            heartbeat_timeout=heartbeat_timeout,
-            heartbeat_period=heartbeat_period, telemetry=telemetry,
+            timeout=timeout, reliability=reliability, telemetry=telemetry,
             survive_rank_death=survive_rank_death,
             transport=(backend.options or {}).get("transport"),
         )
     world = World(
         ranks, segment_size=segment_size, conduit=conduit,
         thread_mode=thread_mode, op_timeout=timeout,
-        reliability=reliability, heartbeat_timeout=heartbeat_timeout,
-        heartbeat_period=heartbeat_period, telemetry=telemetry,
+        reliability=reliability, telemetry=telemetry,
         survive_rank_death=survive_rank_death,
     )
     results: list = [None] * ranks

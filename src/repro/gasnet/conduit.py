@@ -42,6 +42,9 @@ death is known, else when it is declared.  A send a transport cannot
 complete (proc's stalled receiver, a closed socket) raises
 :class:`~repro.errors.TransientCommError` at the caller.
 
+Its executable form is ``tests/gasnet/test_contract_model.py``: a state
+machine over bare endpoints, then generated SPMD programs per backend.
+
 The wrappers — the fault layers
 :class:`~repro.gasnet.chaos.ChaosConduit` and
 :class:`~repro.gasnet.delay.DelayConduit`, and the observing one,

@@ -65,7 +65,7 @@ Design
   process (the launcher's ``proc-control`` thread) is a bare deque
   append, which :meth:`ProcConduit.wake` follows with a byte on the
   self-pipe only when somebody is parked in ``poll``.  (The core's
-  ``_pending_lock``, ``_handler_lock`` and stats lock are in DESIGN.md's
+  endpoint lock, ``_handler_lock`` and stats lock are in DESIGN.md's
   AM-path census.)
 
 * **A frame names its handler.**  Handlers registered after the fork,
@@ -696,7 +696,7 @@ class ProcConduit(SegmentRma, Conduit):
         try:
             self._receive_all(timeout, taken)
             if taken:  # not after a broken stream: that error stands
-                me._handle(taken[0])
+                me.endpoint.receive(taken[0])
                 me._poll_handled += 1
         finally:
             if taken:

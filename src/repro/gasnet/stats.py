@@ -67,7 +67,7 @@ class CommStats:
     # records shipped, client-side failovers, owner-side backup
     # promotions, reads served from a replica, live shard migrations;
     # and sends refused because the peer is already dead
-    # (RankState._send).
+    # (Endpoint.send).
     kv_repl_records: int = 0
     kv_failovers: int = 0
     kv_promotions: int = 0

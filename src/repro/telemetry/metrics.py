@@ -198,7 +198,7 @@ class MetricsSampler(threading.Thread):
             tel.record_value("sampled_task_queue_depth",
                              len(ctx.task_queue), "items")
             tel.record_value("sampled_pending_replies",
-                             len(ctx._pending), "items")
+                             len(ctx.endpoint.in_flight()), "items")
             tel.record_value("sampled_segment_bytes",
                              ctx.segment._bytes_in_use, "bytes")
             tel.record_value("sampled_steal_rate",
@@ -219,23 +219,22 @@ class MetricsSampler(threading.Thread):
             if ctx.rank in self.world.dead_ranks:
                 continue
             tel = ctx.telemetry
-            with ctx._pending_lock:
-                pending = list(ctx._pending.items())
+            pending = ctx.endpoint.in_flight()
             if not pending:
                 continue
             deadline = self._deadline_for(tel)
             live = set()
-            for token, fut in pending:
-                if fut._meta is None:
+            for token, dst, meta in pending:
+                if meta is None:
                     continue
-                t0, handler, trace_id = fut._meta
+                t0, handler, trace_id = meta
                 key = (ctx.rank, token)
                 live.add(key)
                 age = now - t0
                 if age > deadline and key not in self._flagged:
                     self._flagged.add(key)
                     tel.flight_event(
-                        "slow_op", src=ctx.rank, dst=fut._dst,
+                        "slow_op", src=ctx.rank, dst=dst,
                         detail=(f"{handler} token={token} in flight "
                                 f"{age * 1e3:.1f}ms > deadline "
                                 f"{deadline * 1e3:.1f}ms"),

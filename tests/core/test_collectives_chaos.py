@@ -19,7 +19,7 @@ from repro.gasnet import ChaosConduit
 
 def test_rank_death_mid_collective_raises_rankdead():
     """A participant dying between initiating and completing an
-    allreduce must surface as PeerFailure on survivors (heartbeat
+    allreduce must surface as PeerFailure on survivors (failure
     detector) and RankDead from spmd — not a silent hang."""
     observed: dict = {}
 
@@ -38,6 +38,6 @@ def test_rank_death_mid_collective_raises_rankdead():
 
     with pytest.raises(RankDead):
         repro.spmd(body, ranks=4, conduit=ChaosConduit(),
-                   heartbeat_timeout=1.0, timeout=30.0)
+                   reliability={"peer_timeout": 1.0}, timeout=30.0)
     assert set(observed) == {0, 1, 3}
     assert all(f == 2 for f in observed.values())

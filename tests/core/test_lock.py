@@ -147,7 +147,7 @@ def test_acquire_timeout_raises_commtimeout():
 
 def test_pending_acquire_observes_holder_death():
     """A queued acquire unblocks with PeerFailure when the holder dies
-    (heartbeat detector), instead of waiting out its full timeout."""
+    (failure detector), instead of waiting out its full timeout."""
     from repro.core.world import die
     from repro.errors import PeerFailure, RankDead
 
@@ -170,5 +170,5 @@ def test_pending_acquire_observes_holder_death():
             raise
 
     with pytest.raises(RankDead):
-        repro.spmd(body, ranks=2, heartbeat_timeout=0.8)
+        repro.spmd(body, ranks=2, reliability={"peer_timeout": 0.8})
     assert observed == {0: 1}

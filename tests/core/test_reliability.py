@@ -1,10 +1,10 @@
 """Crash-stop failure detection and blocking-op deadlines.
 
 The fault model is crash-stop: a rank works or dies.  Here we pin down
-the world's one failure detector and its two signals (the progress
-stamp for crashed ranks, ping/pong probes for severed or hung ones),
-the ``reliability=`` knob that configures the probes, and deadlines
-with diagnostics for waits that can never complete.
+the world's one failure detector and its one signal (ping/pong probes
+for severed or hung ranks; a rank that called ``die()`` is a flag read
+at the next probe round), the ``reliability=`` knob that configures
+it, and deadlines with diagnostics for waits that can never complete.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.gasnet import ChaosConduit, SmpConduit
 def test_rank_death_mid_barrier(make_conduit):
     """Killing one rank mid-barrier must convert into PeerFailure on
     *every* other rank within the detection deadline — collectives are
-    rendezvous-based, so only the heartbeat detector can see this."""
+    rendezvous-based, so only the failure detector can see this."""
     observed: dict = {}
 
     def body():
@@ -46,7 +46,7 @@ def test_rank_death_mid_barrier(make_conduit):
 
     with pytest.raises(RankDead):
         repro.spmd(body, ranks=4, conduit=make_conduit(),
-                   heartbeat_timeout=1.0)
+                   reliability={"peer_timeout": 1.0})
     assert set(observed) == {0, 2, 3}
     for rank, (failed, dt) in observed.items():
         assert failed == 1, (rank, failed)
@@ -76,7 +76,7 @@ def test_dead_rank_fails_pending_lock_acquire():
         pytest.fail("acquired a lock held by a dead rank")
 
     with pytest.raises(RankDead):
-        repro.spmd(body, ranks=3, heartbeat_timeout=0.8)
+        repro.spmd(body, ranks=3, reliability={"peer_timeout": 0.8})
     assert observed == {0: 1, 2: 1}
 
 

@@ -77,8 +77,8 @@ def test_every_kill_is_in_the_fault_schedule():
 
 
 def test_chaos_without_reliability_times_out():
-    """A partitioned peer with no failure detector (no ``reliability=``,
-    no ``heartbeat_timeout=``) is never declared dead: a request to it
+    """A partitioned peer with no failure detector (no ``reliability=``)
+    is never declared dead: a request to it
     surfaces as a CommTimeout at its deadline, not a hang."""
     chaos = ChaosConduit()
 

@@ -295,38 +295,52 @@ def test_advance_counts_the_reply_that_completes_a_future(conduit):
     assert run_spmd(body, ranks=2, conduit=conduit)[0] == (True, 0)
 
 
+def _make_lock():
+    return threading.Lock()
+
+
+class _LockedBoom(Exception):
+    """An error that does not pickle: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("boom")
+        self.lock = threading.Lock()
+
+
+def _raise_locked_boom():
+    raise _LockedBoom()
+
+
+@pytest.mark.parametrize("shape", ("result", "exception"))
 @pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
-def test_a_send_that_raises_leaves_no_reply_pending(conduit):
-    """A request whose send raises takes its reply future back out of
-    the pending table: nothing is left for the death sweep to fail or
-    for the sampler to count.  A failed Team async still releases its
-    finish scope and its event."""
+def test_an_answer_that_cannot_cross_the_wire_fails_the_call(conduit,
+                                                             shape):
+    """A task whose return value, or whose exception, cannot cross the
+    wire: smp hands it over by reference; proc answers the call once
+    with a SerializationError naming the task and the value's type, and
+    the target keeps serving — it answers the next request."""
+    task = _make_lock if shape == "result" else _raise_locked_boom
+
     def body():
-        me = repro.myrank()
-        world = repro.current_world()
-        ctx = world.ranks[me]
-        barrier()
         out = None
-        if me == 0:
-            world.conduit.fail_next_am = TransientCommError("injected")
+        if repro.myrank() == 0:
             try:
-                ctx.send_am(1, "conformance_reply", expect_reply=True)
-            except TransientCommError:
-                pass
-            after_send = len(ctx._pending)
-            done = repro.Event()
-            world.conduit.fail_next_am = TransientCommError("injected")
-            try:
-                with repro.finish() as scope:
-                    repro.async_(repro.Team([0, 1]), signal=done)(abs, -3)
-            except TransientCommError:
-                pass
-            out = (after_send, len(ctx._pending), scope.outstanding,
-                   done.test())
+                got = repro.async_(1)(task).get()
+            except Exception as exc:
+                got = exc
+            out = (type(got).__name__, str(got),
+                   repro.async_(1)(_bounce, 4).get())
         barrier()
         return out
 
-    assert run_spmd(body, ranks=2, conduit=conduit)[0] == (0, 0, 0, True)
+    kind, message, later = run_spmd(body, ranks=2, conduit=conduit)[0]
+    assert later == 8
+    if conduit == "smp":
+        assert kind == ("lock" if shape == "result" else "_LockedBoom")
+    else:
+        assert kind == "SerializationError"
+        value = "lock" if shape == "result" else "_LockedBoom"
+        assert f"the answer to '{task.__name__}' is a {value}," in message
 
 
 # -- progress: poll / wake ----------------------------------------------------
@@ -882,39 +896,6 @@ def test_proc_survive_rank_death():
     res = run_spmd(body, ranks=3, conduit="proc",
                    survive_rank_death=True, timeout=60.0)
     assert res[0] == 0 and res[1] is None and res[2] == 20
-
-
-@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
-def test_request_to_a_dead_rank_fails_at_the_call(conduit):
-    """Once a death is known, a request to the dead rank raises RankDead
-    naming the handler and the rank at once — not after the op timeout
-    — and leaves nothing pending; a one-way AM to it is dropped.  Both
-    count ``dead_peer_fastfails``."""
-    def body():
-        me = repro.myrank()
-        world = repro.current_world()
-        ctx = world.ranks[me]
-        if me == 1:
-            repro.die()
-        if me == 2:
-            return None
-        ctx.wait_until(lambda: 1 in world.dead_ranks,
-                       what="test: rank 1 declared dead")
-        before = ctx.stats.dead_peer_fastfails
-        t0 = time.perf_counter()
-        with pytest.raises(RankDead, match=r"'exec_task'.*rank 1 is dead"):
-            repro.async_(1)(abs, -3).get()
-        elapsed = time.perf_counter() - t0
-        ctx.send_am(1, "conformance_echo")      # one-way: dropped
-        return (elapsed, len(ctx._pending),
-                ctx.stats.dead_peer_fastfails - before)
-
-    res = run_spmd(body, ranks=3, conduit=conduit, timeout=6.0,
-                   reliability={"peer_timeout": 0.5},
-                   survive_rank_death=True)
-    elapsed, pending, fastfails = res[0]
-    assert elapsed < 1.0
-    assert (pending, fastfails) == (0, 2)
 
 
 def test_chaos_requires_in_process_hooks():
