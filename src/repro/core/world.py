@@ -107,7 +107,10 @@ class RankState:
         #: This rank's telemetry state (histograms, flight recorder);
         #: always present — a no-op object when telemetry is "off".
         self.telemetry = world.telemetry.rank(rank)
-        self._cv = threading.Condition()
+        # The doorbell smp parks on: held whenever no ring is pending,
+        # released by ``conduit.wake`` (see :meth:`Conduit.poll`).
+        self._bell = threading.Lock()
+        self._bell.acquire()
         self._inbox: deque[ActiveMessage] = deque()
         self.task_queue: deque[_Task] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
@@ -154,8 +157,8 @@ class RankState:
     def deliver(self, am: ActiveMessage) -> None:
         """Enqueue an incoming message from any thread and wake the
         rank if it is parked.  The append is atomic by itself; the wake
-        takes the lock the parker checks the inbox under, so it cannot
-        fall between that check and the wait."""
+        after it rings a doorbell that stays rung until a park spends
+        it, so it cannot fall between the parker's check and its wait."""
         self._inbox.append(am)
         self.world.conduit.wake(self.rank)
 

@@ -164,20 +164,30 @@ class Conduit(abc.ABC):
         ``rank`` call it, so a backend may dispatch a reply here when
         nothing is queued before it.  The default serves conduits whose
         ``send_am`` appends to the inbox directly: nothing to move, so
-        parking is a wait on the rank's condition variable."""
+        parking is a wait on the rank's doorbell, a lock held while no
+        ring is pending.  A ring left by an earlier :meth:`wake` is
+        spent first, so it cannot end this park with an empty inbox; a
+        zero ``timeout`` leaves the bell alone.  One ring ends one park:
+        a second thread parked for the same rank (the progress thread,
+        in ``concurrent`` mode) comes back at its timeout."""
         rk = self.world.ranks[rank]
         if timeout > 0.0:
-            with rk._cv:
-                if not rk._inbox:
-                    rk._cv.wait(timeout)
+            bell = rk._bell
+            bell.acquire(False)
+            if not rk._inbox:
+                bell.acquire(True, timeout)
         return bool(rk._inbox)
 
     def wake(self, rank: int) -> None:
         """Bring a thread parked in :meth:`poll` for ``rank`` back:
-        something changed in this process."""
-        rk = self.world.ranks[rank]
-        with rk._cv:
-            rk._cv.notify_all()
+        something changed in this process.  Rings the doorbell (releases
+        it); a ring already pending stays one ring."""
+        bell = self.world.ranks[rank]._bell
+        if bell.locked():
+            try:
+                bell.release()
+            except RuntimeError:
+                pass  # a racing wake rang it first
 
     # -- one-sided RMA ---------------------------------------------------
     @abc.abstractmethod

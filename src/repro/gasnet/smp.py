@@ -3,7 +3,7 @@
 One-sided RMA is implemented as a direct, locked access to the peer's
 segment buffer — a faithful model of RDMA (the target CPU executes
 nothing).  Active messages are appended to the target's inbox deque and
-its condition variable is signalled so blocked waiters wake up.
+its doorbell is rung (``Conduit.wake``) so a parked waiter wakes up.
 
 :class:`SegmentRma` factors the direct-segment RMA implementation out of
 the conduit itself: any backend whose world maps *every* rank's segment

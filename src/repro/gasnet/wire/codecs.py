@@ -18,9 +18,12 @@ ranks share an image) and a *name* here: ``T_FUNC`` carries
 no pickle stream around it.  Both ends resolve the name on every
 message — the sender to check that the name still means this function
 (otherwise it takes the generic path below), the receiver because a
-rebound module attribute must be honoured — so nothing is remembered
-about a function at either end.  The empty dict (an async's usual ``kwargs``) is
-one byte.
+rebound module attribute must be honoured — so no function object is
+remembered at either end.  What is remembered is the *parse*: each end
+keeps a bounded string memo (``_func_name`` on the sender,
+``_func_parse`` on the receiver) so that the ``getattr`` walk, not the
+splitting and formatting of ``module:qualname``, is what a message
+pays.  The empty dict (an async's usual ``kwargs``) is one byte.
 
 Strings travel as UTF-8 with ``surrogatepass``: a lone surrogate (what
 ``os.fsdecode`` makes of a non-UTF-8 file name) round-trips.
@@ -41,6 +44,7 @@ instead, which is how eager serialization checks are implemented.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import pickle
 import struct
@@ -104,6 +108,24 @@ T_ENCODED = 27       # spliced pre-encoded payload (fan-out reuse)
 T_FUNC = 28          # module-level function, by "module:qualname"
 T_EMPTYDICT = 29     # {}
 T_DICT = 30          # u32 n + n key/value pairs (exact dict only)
+
+# -- function names ----------------------------------------------------------
+# Parse memos for ``T_FUNC`` names (see the module docstring): strings
+# only, never a function object, so a rebound name still resolves anew.
+FUNC_MEMO_MAX = 1024
+
+
+@functools.lru_cache(maxsize=FUNC_MEMO_MAX)
+def _func_name(module, qualname):
+    """Sender: ``(module, qualname)`` -> (qualname parts, wire bytes)."""
+    return tuple(qualname.split(".")), f"{module}:{qualname}".encode("utf-8")
+
+
+@functools.lru_cache(maxsize=FUNC_MEMO_MAX)
+def _func_parse(raw):
+    """Receiver: wire bytes -> (module, qualname parts)."""
+    module, _, qualname = raw.decode("utf-8").partition(":")
+    return module, tuple(qualname.split("."))
 
 
 # -- encoder -----------------------------------------------------------------
@@ -303,11 +325,11 @@ def _enc_npscalar(enc, v):
 
 
 def _enc_func(enc, fn):
-    mod, qual = fn.__module__, fn.__qualname__
+    mod = fn.__module__
+    parts, raw = _func_name(mod, fn.__qualname__)
     obj = sys.modules.get(mod)
-    for part in qual.split("."):
+    for part in parts:
         obj = getattr(obj, part, None)
-    raw = f"{mod}:{qual}".encode("utf-8")
     if obj is not fn or len(raw) > 255:
         # a lambda, a closure, a decorated-over or rebound name: the
         # name would run something else over there
@@ -592,7 +614,7 @@ def _dec_buf_mview(dec):
 
 def _dec_tuple(dec):
     n = _read_I(dec)
-    return tuple(_decode(dec) for _ in range(n))
+    return tuple([_decode(dec) for _ in range(n)])
 
 
 def _dec_list(dec):
@@ -700,14 +722,15 @@ def _dec_encoded(dec):
 
 
 def _dec_func(dec):
-    n = dec.mv[dec.pos]
+    mv = dec.mv
     pos = dec.pos + 1
-    mod, _, qual = str(dec.mv[pos:pos + n], "utf-8").partition(":")
-    dec.pos = pos + n
+    end = pos + mv[dec.pos]
+    dec.pos = end
+    mod, parts = _func_parse(bytes(mv[pos:end]))
     obj = sys.modules.get(mod)
     if obj is None:  # the sender imported it after launch
         obj = importlib.import_module(mod)
-    for part in qual.split("."):
+    for part in parts:
         obj = getattr(obj, part)
     return obj
 

@@ -90,23 +90,20 @@ class Frame:
                 is_reply=bool(flags & F_IS_REPLY), aux=aux)
             am._wire_bytes = self.nbytes
             return am
+        # one cursor over both regions: the meta region starts where
+        # the args region ends
         mv = memoryview(ctrl)
         try:
-            args = ()
-            if args_len:
-                args = _c.Decoder(mv, pos, self.buffers,
-                                  self.refs).decode()
-                pos += args_len
-            payload = None
-            if codec_id != CODEC_NONE:
-                payload = _c.Decoder(mv, pos, self.buffers,
-                                     self.refs).decode()
+            dec = _c.Decoder(mv, pos, self.buffers, self.refs)
+            args = _c._decode(dec) if args_len else ()
+            payload = (None if codec_id == CODEC_NONE
+                       else _c._decode(dec))
         finally:
             mv.release()
         trace_id = span_id = 0
         if flags & F_HAS_TRACE:
             trace_id, span_id = TRACE_TRAILER.unpack_from(
-                ctrl, pos + meta_len)
+                ctrl, pos + args_len + meta_len)
         am = ActiveMessage(
             handler=handler, src_rank=src, args=args,
             payload=payload,

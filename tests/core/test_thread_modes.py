@@ -219,3 +219,39 @@ def test_parked_rank_wakes_on_a_deliver_from_another_thread():
         worst = max(worst, woke - t_sent[0])
         rank._inbox.clear()
     assert worst < 0.05
+
+
+def test_a_spent_ring_does_not_end_the_next_park():
+    """A ``deliver`` whose message is gone by the time anyone parks
+    leaves a ring behind; the next park spends it first, so it still
+    sits out its whole timeout on an empty inbox."""
+    world = World(1, op_timeout=10.0)
+    rank = world.ranks[0]
+    rank.deliver(ActiveMessage("hammer.none", 0))
+    rank._inbox.clear()
+    t0 = time.perf_counter()
+    assert not world.conduit.poll(0, 0.05)
+    assert time.perf_counter() - t0 >= 0.04
+
+
+def test_poke_all_brings_back_a_parked_poll():
+    """``poke_all`` from another thread ends a park with nothing in the
+    inbox: a state change that is no message still wakes the rank."""
+    world = World(1, op_timeout=10.0)
+    worst = 0.0
+    for _ in range(20):
+        t_poked = []
+
+        def poker():
+            time.sleep(0.005)
+            t_poked.append(time.perf_counter())
+            world.poke_all()
+
+        t = threading.Thread(target=poker)
+        t.start()
+        assert not world.conduit.poll(0, 5.0)
+        woke = time.perf_counter()
+        t.join(5)
+        assert not t.is_alive()
+        worst = max(worst, woke - t_poked[0])
+    assert worst < 0.05

@@ -13,6 +13,7 @@ stub threaded under the codec module, and with each rank's
 import collections
 import json
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -332,6 +333,23 @@ def test_function_name_is_resolved_at_each_end_each_time(monkeypatch):
 
 
 _ORIGINAL_ECHO = echo
+
+
+def test_function_name_memos_stay_bounded(monkeypatch):
+    """Each end keeps a parse memo per function name; 5 000 distinct
+    module-level functions through both ends leave neither memo above
+    its bound, and every one still travels by name."""
+    mod = types.ModuleType("repro_wire_many_funcs")
+    exec("\n".join(f"def f{i}(x):\n    return x + {i}"
+                   for i in range(5000)), mod.__dict__)
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)
+    for i in range(5000):
+        fn = getattr(mod, f"f{i}")
+        ep = preencode(fn, strict=True)
+        assert ep.decode() is fn
+    for memo in (codecs_mod._func_name, codecs_mod._func_parse):
+        assert memo.cache_info().currsize <= codecs_mod.FUNC_MEMO_MAX
+    assert roundtrip(echo) is echo
 
 
 def test_functions_without_a_module_level_name_keep_the_old_path():
