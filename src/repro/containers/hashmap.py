@@ -274,7 +274,7 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
     guard = 0
     while True:
         if ctx.rank in ctx.world.dead_ranks:
-            # We were declared dead (e.g. partitioned) mid-replication:
+            # We were declared dead (hung, then resumed) mid-replication:
             # stop acting as primary — repl_epoch fencing makes any
             # promoted backup reject our stale log anyway.
             raise RankDead(

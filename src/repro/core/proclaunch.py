@@ -41,10 +41,6 @@ from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.telemetry import resolve_config as _resolve_telemetry
 from repro.telemetry.flight import FlightRecorder, merge_dump
 
-#: The launcher's most recent merged flight-recorder dump (the
-#: cross-process analogue of the stderr dump; tests read it back).
-LAST_DUMP: str | None = None
-
 _LEN = struct.Struct("<I")
 
 
@@ -245,15 +241,12 @@ def _shipped_ring(rank: int, events=(), dropped: int = 0) -> FlightRecorder:
 
 def _dump_failure(tel_cfg, header: str, events_by_rank: dict,
                   n_ranks: int) -> None:
-    global LAST_DUMP
     if tel_cfg.mode == "off":
         return
     try:
         recs = [_shipped_ring(r, *events_by_rank.get(r, ()))
                 for r in range(n_ranks)]
-        text = merge_dump(recs, header=header)
-        LAST_DUMP = text
-        sys.stderr.write(text)
+        sys.stderr.write(merge_dump(recs, header=header))
     except Exception:
         pass  # a broken dump must never mask the real failure
 

@@ -320,7 +320,7 @@ class RankState:
             failure = self.world.failure
             # Our own failure normally unwinds this thread by itself, so
             # it is skipped here — unless peers declared us dead while we
-            # keep running (a partitioned rank): nothing else will wake
+            # keep running (a hung rank that resumed): nothing else will wake
             # us, and waiting would sit out the whole op_timeout.
             if failure is not None:
                 if failure[0] != self.rank or self.dead:
@@ -366,10 +366,11 @@ class World:
         ``True``, a dict of :class:`ReliabilityConfig` fields or a
         config: every ``heartbeat_period`` each local rank probes every
         peer, and a peer whose rank thread answers no probe for
-        ``peer_timeout`` seconds — hung, or cut off from the wire — is
-        declared dead; so is, at the next round, a rank of this process
-        that called :func:`die`.  A rank is judged by probe silence only
-        while another live rank of this process probes it.
+        ``peer_timeout`` seconds — it hung — is declared dead; so is, at
+        the next round, a rank of this process that called :func:`die`.
+        A rank is judged by probe silence only while another live rank
+        of this process probes it and has drained within half a
+        ``peer_timeout`` (it reads the answers).
     ``telemetry``:
         ``None``/``"off"`` (default) records nothing and leaves the
         conduit unwrapped; ``"flight"`` runs only the per-rank flight
@@ -441,8 +442,7 @@ class World:
         #: rank -> when it last answered one of this process's probes.
         self._last_heard = dict.fromkeys(range(n_ranks), time.monotonic())
         if self.telemetry.enabled:
-            # Outermost layer: inner layers' trace_control events reach
-            # the flight ring.
+            # Outermost, so an op's duration is what the caller saw.
             conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
                                        timed=self.telemetry.full)
         self.conduit = conduit
@@ -483,21 +483,10 @@ class World:
         """Merge every rank's flight-recorder ring into one time-ordered
         human-readable dump; write it to ``file`` when given (pass
         ``sys.stderr`` for the classic crash dump) and return it.
-
-        When the conduit stack contains a chaos conduit, its injected
-        faults (``chaos_kill``) are spliced into the merged timeline as
-        instants, so the dump shows fault injection and runtime
-        reaction side by side.
+        Every declared death is in it as one ``rank_dead`` line (see
+        :meth:`mark_dead`).
         """
-        extra = None
-        fault_events = getattr(self.conduit, "fault_events", None)
-        if callable(fault_events):
-            try:
-                extra = fault_events()
-            except Exception:
-                extra = None
-        text = self.telemetry.dump_flight_recorder(header=header,
-                                                   extra_events=extra)
+        text = self.telemetry.dump_flight_recorder(header=header)
         if file is not None:
             file.write(text)
         return text
@@ -552,8 +541,10 @@ class World:
     def mark_dead(self, rank: int, exc: BaseException) -> None:
         """Declare ``rank`` dead (idempotent).
 
-        Always records the death in :attr:`dead_ranks`, marks the rank
-        state, fails the futures waiting on it, and notifies
+        Always records the death in :attr:`dead_ranks`, logs one
+        ``rank_dead`` flight event (src and dst the dead rank, detail
+        the reason) in the ring of the lowest live local rank, marks the
+        rank state, fails the futures waiting on it, and notifies
         :meth:`on_rank_death` subscribers.  Then:
         without ``survive_rank_death`` the world fails (the historical
         fatal contract); with it the survivors are merely poked so
@@ -564,11 +555,15 @@ class World:
                 return
             self.dead_ranks.add(rank)
             subs = list(self._death_subs)
+        witness = next(iter(self._probers()), None)
+        if witness is not None:
+            self.ranks[witness].telemetry.flight_event(
+                "rank_dead", src=rank, dst=rank, detail=str(exc))
         if 0 <= rank < self.n_ranks:
             self.ranks[rank].dead = True
         # Sweep orphaned reply futures: waiters on the dead rank get the
         # death as their answer, and the dead rank's own waits unwind so
-        # a partitioned primary does not sit out its full op deadline
+        # a hung primary that resumes does not sit out its op deadline
         # inside a handler.
         for r in range(self.n_ranks):
             try:
@@ -631,6 +626,12 @@ class World:
             now = time.monotonic()
             probers = self._probers()
             self._send_probes(probers)
+            # A pong is read by the rank it answers, so a prober that
+            # has not drained lately (hung, or computing) has heard no
+            # one either: it judges no peer by silence.
+            judges = [p for p in probers
+                      if now - self.ranks[p].last_heartbeat
+                      <= peer_timeout / 2]
             for rk in self.ranks:
                 r, why = rk.rank, None
                 if rk.done:
@@ -639,12 +640,12 @@ class World:
                     continue
                 elif rk.dead and self.is_local(r):
                     why = f"rank {r} died (simulated crash)"
-                elif (any(p != r for p in probers)
+                elif (any(p != r for p in judges)
                       and now - heard[r] > peer_timeout):
-                    # Silence means something only while someone asks:
-                    # a rank no other live rank here probes is not
-                    # judged by it (the last live rank on smp, or this
-                    # process's own rank on proc).
+                    # Silence means something only while someone asks
+                    # and listens: a rank no other attentive live rank
+                    # here probes is not judged by it (the last live
+                    # rank on smp, or this process's own rank on proc).
                     why = (f"rank {r} answered no liveness probe for "
                            f"{now - heard[r]:.2f}s "
                            f"(peer_timeout={peer_timeout}s)")

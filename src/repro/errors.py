@@ -58,9 +58,8 @@ class CommTimeout(PgasError):
 
 class TransientCommError(PgasError):
     """A conduit operation could not complete: proc's receiver stalled
-    past the op timeout, a socket closed under a send, or the target is
-    partitioned (:meth:`~repro.gasnet.chaos.ChaosConduit.kill_rank`).
-    Nothing retries it; it surfaces to the caller."""
+    past the op timeout, or a socket closed under a send.  Nothing
+    retries it; it surfaces to the caller."""
 
 
 class RankDead(PgasError):

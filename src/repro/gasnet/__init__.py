@@ -33,7 +33,6 @@ from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.conduit import Conduit, ConduitCaps, ConduitLayer
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.delay import DelayConduit
-from repro.gasnet.chaos import ChaosConduit
 from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.gasnet.stats import CommStats
 from repro.gasnet.trace import CommEvent, TelemetryConduit, Trace
@@ -49,7 +48,6 @@ __all__ = [
     "ConduitLayer",
     "SmpConduit",
     "DelayConduit",
-    "ChaosConduit",
     "ProcConduit",
     "ProcFabric",
     "CommStats",

@@ -16,7 +16,7 @@ Selection precedence:
    otherwise ``"smp"``.
 
 Every backend carries :class:`~repro.gasnet.conduit.ConduitCaps`; the
-fault wrappers and tests consult the flags instead of type checks.
+runtime and tests consult the flags instead of type checks.
 """
 
 from __future__ import annotations

@@ -34,22 +34,19 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
 delivered exactly once, in pair order, and every RMA completes — as
 GASNet gives UPC++ (paper §IV), so the runtime adds no retransmission
 layer of its own.  What can fail is a rank: it dies (:func:`repro.die`,
-a killed process) or falls silent
-(:meth:`~repro.gasnet.chaos.ChaosConduit.kill_rank`, a hung process),
-the world's one failure detector declares it dead, and every request to
-it fails with :class:`~repro.errors.RankDead` — at the call once the
-death is known, else when it is declared.  A send a transport cannot
+a killed process) or hangs (it stops polling, so its peers' probes go
+unanswered), the world's one failure detector declares it dead, and
+every request to it fails with :class:`~repro.errors.RankDead` — at the
+call once the death is known, else when it is declared.  A send a transport cannot
 complete (proc's stalled receiver, a closed socket) raises
 :class:`~repro.errors.TransientCommError` at the caller.
 
 Its executable form is ``tests/gasnet/test_contract_model.py``: a state
 machine over bare endpoints, then generated SPMD programs per backend.
 
-The wrappers — the fault layers
-:class:`~repro.gasnet.chaos.ChaosConduit` and
-:class:`~repro.gasnet.delay.DelayConduit`, and the observing one,
-:class:`~repro.gasnet.trace.TelemetryConduit` — are
-:class:`ConduitLayer` subclasses: the contract is written out twice in
+The wrappers — the timing layer :class:`~repro.gasnet.delay.DelayConduit`
+and the observing one, :class:`~repro.gasnet.trace.TelemetryConduit` —
+are :class:`ConduitLayer` subclasses: the contract is written out twice in
 this file (abstract in :class:`Conduit`, forwarding in
 :class:`ConduitLayer`) and nowhere else outside the backends.
 """
@@ -74,25 +71,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ConduitCaps:
     """Capability flags a conduit advertises to the runtime and to tests.
 
-    The backend factory (:mod:`repro.gasnet.backends`) and the fault
-    wrappers consult these instead of isinstance checks, so new backends
-    compose with the existing stack by declaring what they can do.
+    The backend factory (:mod:`repro.gasnet.backends`) and the runtime
+    consult these instead of isinstance checks, so new backends compose
+    with the existing stack by declaring what they can do.
     """
 
     #: Ranks live in separate OS processes: objects cannot be shared by
     #: reference across the conduit, and per-process state (handler
     #: interning, telemetry rings) is not globally visible.
     cross_process: bool = False
-    #: :func:`repro.die` produces a detectable rank death on this
-    #: backend (thread simulation or a real process exit).
-    supports_kill_rank: bool = True
-    #: Chaos/delay fault injection can hook delivery in-process.  False
-    #: for cross-process transports, where the wrapper would only see
-    #: one rank's side of the wire.
-    in_process_hooks: bool = True
-    #: RMA reads/writes the target segment with no serialization and no
-    #: intermediate copy beyond the transfer itself.
-    zero_copy_rma: bool = True
     #: spmd() must go through the process launcher: the conduit cannot
     #: be instantiated standalone in the calling process.
     needs_launcher: bool = False
@@ -153,9 +140,9 @@ class Conduit(abc.ABC):
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
         """Transport an AM that :meth:`send_am` already encoded and
-        charged: a backend moves it to ``dst``, a fault layer decides
-        what becomes of it (drop at a partition, delay) and hands it, if
-        it survives, to its inner conduit's ``deliver_encoded``."""
+        charged: a backend moves it to ``dst``; a layer that holds it
+        back (a delay) hands it on to its inner conduit's
+        ``deliver_encoded``."""
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Move whatever has arrived for ``rank`` into its inbox, parking
@@ -293,21 +280,14 @@ class ConduitLayer(Conduit):
     overrides only what it changes and a contract change (a new RMA
     argument, say) touches this class and the backends — not each layer:
 
-    * **forwarding** — ``world``/``caps``/``attach``/``close``/
-      ``send_am``/``deliver_encoded``/``poll``/``wake`` go to the inner
-      conduit, and any
-      other attribute (``kill_rank``, ``fault_events``, ...)
-      is reached through :meth:`__getattr__`, so inner-layer knobs
-      work through the whole stack.  A fault layer that makes the send
-      decision itself takes :meth:`Conduit.send_am` back.
+    * **forwarding** — ``world``/``caps``/``fail_next_am``/``attach``/
+      ``close``/``send_am``/``deliver_encoded``/``poll``/``wake`` go to
+      the inner conduit; nothing else crosses a layer.  A layer that
+      makes the send decision itself takes :meth:`Conduit.send_am` back.
     * **RMA** — the six ``rma_*`` ops are declared once, each funnelling
       into the single around-hook :meth:`_rma`.
-    * **control events** — :meth:`_emit_control` reports an event the
-      application never sees (an injected partition) to the
-      *outermost* conduit; :meth:`trace_control` is the receiving half:
-      :meth:`_on_control` for this layer, then on down the chain.
 
-    Layers compose by wrapping (``Telemetry(Chaos(smp))``);
+    Layers compose by wrapping (``Telemetry(Delay(smp))``);
     the ``_inner`` chain is the one composition mechanism, which
     :class:`~repro.gasnet.trace.Trace` splices at run time and foreign
     decorators may sit in — so nothing here assumes its neighbours are
@@ -321,10 +301,17 @@ class ConduitLayer(Conduit):
     # -- forwarding --------------------------------------------------------
     @property
     def caps(self):
-        # ``Conduit.caps`` is a class attribute and would shadow
-        # __getattr__ delegation: forward explicitly so capability checks
-        # see through the stack.
         return self._inner.caps
+
+    @property
+    def fail_next_am(self):
+        # The send decision runs in the innermost conduit, so the hook
+        # must be set there, whichever layer a test sets it on.
+        return self._inner.fail_next_am
+
+    @fail_next_am.setter
+    def fail_next_am(self, exc) -> None:
+        self._inner.fail_next_am = exc
 
     def attach(self, world) -> None:
         self.world = world
@@ -332,14 +319,6 @@ class ConduitLayer(Conduit):
 
     def close(self) -> None:
         self._inner.close()
-
-    def __getattr__(self, name):
-        # Dunder probes (copy, pickle) and a missing ``_inner`` (an
-        # instance made without __init__, as copy.copy does) must fail
-        # here rather than recurse.
-        if name.startswith("__") or name == "_inner":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
 
     # -- active messages ---------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
@@ -395,37 +374,3 @@ class ConduitLayer(Conduit):
         return self._rma("atomic_batch", self._inner.rma_atomic_batch,
                          src, dst, base, dtype, elem_offsets, op, operands,
                          return_old)
-
-    # -- control events ----------------------------------------------------
-    def _on_control(self, kind: str, src: int, dst: int, nbytes: int,
-                    detail: str) -> None:
-        """This layer's reaction to a control event (default: none)."""
-
-    def trace_control(self, kind: str, src: int, dst: int,
-                      nbytes: int = 0, detail: str = "") -> None:
-        """Receive a control event (an injected partition, ...): handle
-        it here,
-        then forward it down the chain so a stacked consumer (another
-        Trace, the flight recorder) sees it too.  Such traffic never
-        crosses the decorated surface, which is why it travels this way."""
-        self._on_control(kind, src, dst, nbytes, detail)
-        fwd = getattr(self._inner, "trace_control", None)
-        if fwd is not None:
-            try:
-                fwd(kind, src, dst, nbytes, detail)
-            except Exception:  # observation must never break the transport
-                pass
-
-    def _emit_control(self, kind: str, src: int, dst: int,
-                      nbytes: int = 0, detail: str = "") -> None:
-        """Report a control event from this layer to the world's
-        outermost conduit, from where :meth:`trace_control` carries it
-        down through every observer."""
-        hook = None
-        if self.world is not None:
-            hook = getattr(self.world.conduit, "trace_control", None)
-        if hook is not None:
-            try:
-                hook(kind, src, dst, nbytes, detail)
-            except Exception:  # observation must never break the transport
-                pass

@@ -107,9 +107,6 @@ from repro.gasnet.wire.frame import (F_HAS_REFS, F_IS_REPLY, F_USED_PICKLE,
 #: pins is in ``Backend.options["transport"]``.
 PROC_CAPS = ConduitCaps(
     cross_process=True,
-    supports_kill_rank=True,
-    in_process_hooks=False,
-    zero_copy_rma=True,
     needs_launcher=True,
 )
 

@@ -1,10 +1,8 @@
 """Communication events: the record, the layer that emits it, a trace.
 
-Every conduit operation — and every control event a fault layer
-reports (an injected partition) — that crosses a
-:class:`TelemetryConduit` becomes one :class:`CommEvent`, handed to
-that layer's sink.  The record has three
-consumers and one spelling:
+Every conduit operation that crosses a :class:`TelemetryConduit`
+becomes one :class:`CommEvent`, handed to that layer's sink.  The
+record has three consumers and one spelling:
 
 * :class:`Trace` (below) appends it to a list, for debugging patterns
   ("which rank is hammering rank 0?") and asserting *pattern shapes*
@@ -36,17 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class CommEvent:
-    """One recorded event: a conduit op, a control event, or (from the
-    runtime, via the flight ring) a task/lock/container milestone."""
+    """One recorded event: a conduit op or (from the runtime, via the
+    flight ring) a task/lock/container milestone or a rank's death."""
 
     t: float          # time.perf_counter() at record time
     rank: int         # the rank that recorded the event
     kind: str         # the conduit contract's op names — "put" | "get"
                       # | "atomic" | "put_indexed" | "get_indexed"
-                      # | "atomic_batch" | "am" | "reply" — plus control
-                      # kinds ("chaos_kill" | ...) and runtime kinds
-                      # ("task_run" | "slow_op" | "kv_failover" |
-                      # "dead_peer_fastfail" | ...)
+                      # | "atomic_batch" | "am" | "reply" — plus runtime
+                      # kinds ("task_run" | "slow_op" | "kv_failover" |
+                      # "dead_peer_fastfail" | "rank_dead" | ...)
     src: int = -1     # initiator (-1: not a point-to-point event)
     dst: int = -1     # target (-1: not a point-to-point event)
     nbytes: int = 0
@@ -55,19 +52,16 @@ class CommEvent:
 
 
 class TelemetryConduit(ConduitLayer):
-    """The one observing layer: every op and control event crossing it
-    is reported as ``sink(event, seconds)``, charged to its initiator.
+    """The one observing layer: every op crossing it is reported as
+    ``sink(event, seconds)``, charged to its initiator.
 
-    ``seconds`` is the op's duration when ``timed`` (and the op is not
-    a control event), else ``None``.  The event is recorded when the op
+    ``seconds`` is the op's duration when ``timed``, else ``None``.  The event is recorded when the op
     returns *or raises*, so a failure dump shows the op that gave up.
 
     :class:`~repro.core.world.World` installs one — outermost, so
     durations are what the application experienced — when telemetry is
     on; :class:`Trace` splices one in for the length
-    of a ``with`` block.  Control events travel on down the chain
-    (:meth:`ConduitLayer.trace_control`), so stacking the two loses
-    nothing.
+    of a ``with`` block.
     """
 
     def __init__(self, inner, sink: Callable[[CommEvent, float | None], None],
@@ -98,11 +92,6 @@ class TelemetryConduit(ConduitLayer):
                 CommEvent(t, src, kind, src, dst, nbytes,
                           "" if elems is None else f"{elems} elems"),
                 None if t0 is None else t - t0)
-
-    def _on_control(self, kind: str, src: int, dst: int, nbytes: int,
-                    detail: str) -> None:
-        self._sink(CommEvent(perf_counter(), src, kind, src, dst, nbytes,
-                             detail), None)
 
 
 class Trace:

@@ -4,7 +4,7 @@ PGAS bugs are *pattern* bugs: by the time a ``CommTimeout`` or
 ``PeerFailure`` surfaces, the interesting part — what every rank was
 doing in the moments before — is gone.  Each rank therefore keeps a
 bounded ring buffer of recent runtime events (conduit ops, AM handling,
-task lifecycle, injected faults, failures); when a failure
+task lifecycle, rank deaths, failures); when a failure
 propagates out of :func:`repro.spmd`, all rings are merged into one
 time-ordered, human-readable dump — the black box read-out.
 
@@ -68,16 +68,13 @@ class FlightRecorder:
 
 
 def merge_dump(recorders: Iterable[FlightRecorder],
-               header: str = "", limit_per_rank: int | None = None,
-               extra_events: Iterable[CommEvent] | None = None) -> str:
+               header: str = "", limit_per_rank: int | None = None) -> str:
     """Merge per-rank rings into one human-readable, time-ordered dump.
 
     ``header`` names the triggering failure (e.g. the ``CommTimeout``
     message — which itself names the stuck op).  Timestamps are printed
     relative to the earliest merged event so the dump reads as a
-    countdown to the failure.  ``extra_events`` lets out-of-band sources
-    (e.g. the chaos conduit's injected-fault schedule) splice instants
-    into the same timeline.
+    countdown to the failure.
     """
     per_rank: list[tuple[FlightRecorder, list[CommEvent]]] = []
     for rec in recorders:
@@ -85,10 +82,8 @@ def merge_dump(recorders: Iterable[FlightRecorder],
         if limit_per_rank is not None:
             evs = evs[-limit_per_rank:]
         per_rank.append((rec, evs))
-    pool: list[CommEvent] = [ev for _, evs in per_rank for ev in evs]
-    if extra_events is not None:
-        pool.extend(extra_events)
-    merged = sorted(pool, key=lambda ev: ev.t)
+    merged = sorted((ev for _, evs in per_rank for ev in evs),
+                    key=lambda ev: ev.t)
     lines = ["=" * 72, "FLIGHT RECORDER DUMP"]
     if header:
         lines.append(f"trigger: {header}")

@@ -30,12 +30,12 @@ def _sec_to_us(seconds: float) -> float:
     return seconds * 1e6
 
 
-def to_perfetto(trace=None, telemetry=None, extra_events=None) -> dict:
+def to_perfetto(trace=None, telemetry=None) -> dict:
     """Build a trace_event JSON object (a plain dict, ready to dump).
 
     ``trace`` is a :class:`~repro.gasnet.trace.Trace` (or None);
     ``telemetry`` is a :class:`~repro.telemetry.recorder.WorldTelemetry`
-    (or None); ``extra_events`` appends pre-built trace_event dicts.
+    (or None).
     """
     spans = telemetry.all_spans() if telemetry is not None else []
     trace_events = list(trace.events) if trace is not None else []
@@ -146,8 +146,6 @@ def to_perfetto(trace=None, telemetry=None, extra_events=None) -> dict:
             "args": {"name": f"runtime-{tid}"},
         })
 
-    if extra_events:
-        events.extend(extra_events)
     return {
         "traceEvents": meta + events,
         "displayTimeUnit": "ms",
@@ -155,12 +153,10 @@ def to_perfetto(trace=None, telemetry=None, extra_events=None) -> dict:
     }
 
 
-def write_perfetto(path: str, trace=None, telemetry=None,
-                   extra_events=None) -> dict:
+def write_perfetto(path: str, trace=None, telemetry=None) -> dict:
     """Export to ``path`` (conventionally ``*.perfetto.json``) and
     return the written object."""
-    data = to_perfetto(trace=trace, telemetry=telemetry,
-                       extra_events=extra_events)
+    data = to_perfetto(trace=trace, telemetry=telemetry)
     with open(path, "w") as f:
         json.dump(data, f)
     return data

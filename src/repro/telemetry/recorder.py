@@ -249,8 +249,6 @@ class WorldTelemetry:
         (tagged with the thread's bound trace, as
         :meth:`RankTelemetry.flight_event` does) and, in ``"full"`` (the
         layer is timed), the op's duration into its latency histogram."""
-        if not 0 <= ev.rank < len(self.ranks):
-            return  # a control event charged to no rank
         tel = self.ranks[ev.rank]
         if seconds is not None:
             tel.histogram(_OP_HISTOGRAM[ev.kind]).record_seconds(seconds)
@@ -262,17 +260,10 @@ class WorldTelemetry:
 
     # -- flight recorder --------------------------------------------------
     def dump_flight_recorder(self, header: str = "",
-                             limit_per_rank: int | None = None,
-                             extra_events=None) -> str:
-        """The merged, human-readable black-box read-out.
-
-        ``extra_events`` splices out-of-band events
-        (e.g. the chaos conduit's injected-fault schedule) into the
-        merged timeline.
-        """
+                             limit_per_rank: int | None = None) -> str:
+        """The merged, human-readable black-box read-out."""
         if not self.enabled:
             return ("(flight recorder inactive: telemetry mode is 'off'; "
                     "run with telemetry='flight' or 'full')\n")
         return merge_dump((rt.flight for rt in self.ranks),
-                          header=header, limit_per_rank=limit_per_rank,
-                          extra_events=extra_events)
+                          header=header, limit_per_rank=limit_per_rank)

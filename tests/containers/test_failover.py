@@ -1,26 +1,26 @@
 """Replicated DistHashMap under rank death: promotion, exactly-once,
 zero acked-write loss, live rebalancing.
 
-Every kill test runs with ``survive_rank_death=True`` over
-``ChaosConduit``: the only injected fault is the deterministic
-``kill_rank`` partition, so failures replay exactly.  The victim
-partitions itself and parks (a zombie, not an exit), which forces the
-survivors through the real detection path — heartbeat silence ->
-RankDead after ``peer_timeout`` — rather than the in-process dead-flag
-shortcut.  Post-kill rendezvous uses shared-memory flags, never
-collectives: a tree barrier would hang on the dead member.
+Every kill test runs with ``survive_rank_death=True``, and the victim
+*hangs* (``hang_until_declared``): it stops calling the runtime, so it
+answers no probe and serves no AM.  That forces the survivors through
+the real detection path — probe silence -> RankDead after
+``peer_timeout`` — rather than the dead flag :func:`repro.die` sets.
+Post-kill rendezvous uses shared-memory flags, never collectives: a
+tree barrier would hang on the dead member.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 import repro
 from repro.containers import DistHashMap, KvOwnerDead
 from repro.containers.hashmap import shard_of
-from repro.gasnet import ChaosConduit
 from repro.gasnet.am import handler_registry
-from tests.conftest import run_spmd
+from tests.conftest import hang_until_declared, run_spmd, stall_until_declared
 
 
 RELIABILITY = {"peer_timeout": 0.3, "heartbeat_period": 0.01}
@@ -31,20 +31,30 @@ def _key_on_shard(sid: int, nshards: int, prefix: str = "k") -> str:
                 if shard_of(f"{prefix}{i}", nshards) == sid)
 
 
-def _park_victim(ctx, conduit, flags, done, victim, n):
-    """Victim-side kill: partition, signal, wait out the survivors."""
-    conduit.kill_rank(ctx.rank)
+def _hang(ctx, flags):
+    """Victim: tell the survivors, then hang until declared dead."""
     flags["killed"] = True
-    ctx.wait_until(
-        lambda: all(done[r] for r in range(n) if r != victim),
-        what="test: partitioned victim parks",
-    )
+    ctx.world.poke_all()
+    hang_until_declared()
+
+
+def _hang_on_request(ctx, flags):
+    """Victim: serve AMs until a survivor calls :func:`_kill`, then hang."""
+    ctx.wait_until(lambda: flags.get("kill"), what="test: victim serves")
+    _hang(ctx, flags)
+
+
+def _kill(ctx, flags):
+    """Survivor: make the victim hang; return once it serves no more."""
+    flags["kill"] = True
+    ctx.world.poke_all()
+    ctx.wait_until(lambda: flags["killed"], what="test: victim hangs")
 
 
 def _sync_shared(ctx, ready, n):
     """Shared-memory rendezvous: no rank proceeds (in particular, no
-    rank partitions itself) until every rank has *returned* from the
-    preceding barrier — a freshly killed rank can still owe release
+    rank hangs) until every rank has *returned* from the preceding
+    barrier — a rank that hangs at once can still owe release
     forwarding to tree children that would otherwise strand them."""
     ready[ctx.rank] = True
     ctx.world.poke_all()
@@ -73,9 +83,7 @@ def test_replicated_roundtrip_and_roles():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit()
-    assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=RELIABILITY,
+    assert all(repro.spmd(body, ranks=4, reliability=RELIABILITY,
                           timeout=30.0))
 
 
@@ -102,9 +110,7 @@ def test_write_amplification_is_one_record_per_mutation():
         repro.barrier()
         return stats.snapshot()["kv_repl_records"] - before
 
-    conduit = ChaosConduit()
-    deltas = repro.spmd(body, ranks=4, conduit=conduit,
-                        reliability=RELIABILITY,
+    deltas = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                         timeout=30.0)
     assert sum(deltas) == 4 * (n_put + n_upd + n_del)
 
@@ -173,13 +179,11 @@ def test_die_fails_over_to_the_promoted_backup(conduit):
 
 def test_kill_primary_promotes_backup_zero_acked_loss():
     """Acked writes survive the primary's death: the backup is promoted
-    and every key written before the kill reads back."""
+    and every key written before the hang reads back."""
     victim = 1
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -190,11 +194,7 @@ def test_kill_primary_promotes_backup_zero_acked_loss():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
-        if me == 0:
-            holder["conduit"].kill_rank(victim)
-            flags["killed"] = True
+            _hang(ctx, flags)
         ctx.wait_until(lambda: flags["killed"], what="wait for kill")
         # every acked write — including the victim's — reads back
         for r in range(n):
@@ -211,13 +211,51 @@ def test_kill_primary_promotes_backup_zero_acked_loss():
                                    if r != victim), what="rendezvous")
         return stats["kv_promotions"]
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     promos = [r for r in res if r is not None]
-    assert sum(promos) >= 1  # exactly one rank promoted the shard
+    assert sum(promos) == 1  # exactly one rank promoted the shard
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_a_hung_primary_fails_over(conduit):
+    """A primary that hangs after 30 puts per rank, on the backend we
+    ship as well: probe silence declares it dead within
+    ``peer_timeout`` plus slack, every acked key reads back, puts to its
+    shard land on the promoted backup, and exactly one rank promotes.
+    No shared-memory flag: on proc only the runtime crosses processes."""
+    victim, backup = 1, 2
+
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        ctx = repro.current_world().ranks[me]
+        m = DistHashMap(replicas=1, cache=False)
+        for i in range(30):
+            m.put((me, i), me * 100 + i)
+        repro.barrier()
+        if me == victim:
+            hang_until_declared(1.5)   # proc: outlives its detection
+        t0 = time.monotonic()
+        lost = [(r, i) for r in range(n) for i in range(30)
+                if m.get((r, i)) != r * 100 + i]
+        detected = time.monotonic() - t0
+        moved = [k for k in (f"post{me}-{i}" for i in range(200))
+                 if shard_of(k, n) == victim][:5]
+        for i, k in enumerate(moved):
+            m.put(k, i)
+        assert [m.get(k) for k in moved] == list(range(len(moved)))
+        return (lost, detected, m.owner_of(moved[0]),
+                ctx.stats.snapshot()["kv_promotions"])
+
+    res = run_spmd(body, ranks=4, conduit=conduit, reliability=RELIABILITY,
+                   survive_rank_death=True, timeout=30.0)
+    assert res[victim] is None
+    survivors = [r for r in res if r is not None]
+    assert [lost for lost, *_ in survivors] == [[]] * 3
+    assert all(detected < RELIABILITY["peer_timeout"] + 0.9
+               for _lost, detected, *_ in survivors), survivors
+    assert [owner for _l, _d, owner, _p in survivors] == [backup] * 3
+    assert sum(promos for *_, promos in survivors) == 1
 
 
 def test_kill_primary_mid_multi_put():
@@ -227,7 +265,6 @@ def test_kill_primary_mid_multi_put():
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -236,16 +273,14 @@ def test_kill_primary_mid_multi_put():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            _hang_on_request(ctx, flags)
         if me == 0:
-            # partition the victim while batches are in flight:
+            # hang the victim while batches are in flight:
             # every batch spans all shards including the victim's
             acked = {}
             for round_ in range(6):
                 if round_ == 2:
-                    holder["conduit"].kill_rank(victim)
-                    flags["killed"] = True
+                    _kill(ctx, flags)
                 batch = {f"r{round_}:{me}:{i}": (round_, i)
                          for i in range(32)}
                 m.multi_put(batch)   # returns only once acked
@@ -261,10 +296,7 @@ def test_kill_primary_mid_multi_put():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -277,7 +309,6 @@ def test_update_exactly_once_across_failover():
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -287,13 +318,11 @@ def test_update_exactly_once_across_failover():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            _hang_on_request(ctx, flags)
         acked = 0
         for i in range(10):
             if me == 0 and i == 4:
-                holder["conduit"].kill_rank(victim)
-                flags["killed"] = True
+                _kill(ctx, flags)
             m.update(key, "add", 1, default=0)  # returns only once acked
             acked += 1
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
@@ -305,10 +334,7 @@ def test_update_exactly_once_across_failover():
         total = m.get(key)
         return acked, total
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     alive = [r for r in res if r is not None]
     want = sum(acked for acked, _total in alive)
@@ -318,7 +344,7 @@ def test_update_exactly_once_across_failover():
 
 def test_kill_between_replication_log_and_ack():
     """The nastiest window: the backup applied the replication record
-    but the primary died before acking the client.  The client's retry
+    but the primary hung before acking the client.  The client's retry
     lands on the promoted backup, which replays the recorded result —
     applied exactly once."""
     victim = 1
@@ -326,17 +352,21 @@ def test_kill_between_replication_log_and_ack():
     flags = {"killed": False, "armed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
     orig = handler_registry["kv_repl"]
 
-    def killing_repl(ctx, am):
-        # Partition the primary the instant its replication record
-        # reaches the backup: the record applies below, but the ack —
-        # and the primary's reply to the client — are blackholed.
+    def hang_here(ctx, am):
+        # Runs on the primary, where it stays until declared dead.
+        flags["killed"] = True
+        stall_until_declared(2.0)
+
+    def hanging_repl(ctx, am):
+        # The primary's replication record reached the backup: before
+        # applying it (and acking), send the primary a one-way AM that
+        # hangs it.  Pair FIFO runs that AM on the primary ahead of the
+        # ack, so the record applies here but the primary never replies.
         if flags["armed"] and am.src_rank == victim:
             flags["armed"] = False
-            holder["conduit"].kill_rank(victim)
-            flags["killed"] = True
+            ctx.send_am(victim, "test_hang_here")
         orig(ctx, am)
 
     def body():
@@ -348,13 +378,12 @@ def test_kill_between_replication_log_and_ack():
         _sync_shared(ctx, ready, n)
         if me == client:
             flags["armed"] = True
-            new = m.update(key, "add", 1, default=0)  # spans the kill
+            new = m.update(key, "add", 1, default=0)  # spans the hang
             assert new == 1
             assert m.get(key) == 1
         elif me == victim:
-            ctx.wait_until(lambda: flags["killed"], what="wait own kill")
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            ctx.wait_until(lambda: flags["killed"], what="wait own hang")
+            hang_until_declared()
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         done[me] = True
         ctx.world.poke_all()
@@ -363,15 +392,14 @@ def test_kill_between_replication_log_and_ack():
         m.refresh()
         return m.get(key)
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    handler_registry["kv_repl"] = killing_repl
+    handler_registry["kv_repl"] = hanging_repl
+    handler_registry["test_hang_here"] = hang_here
     try:
-        res = repro.spmd(body, ranks=4, conduit=conduit,
-                         reliability=RELIABILITY,
+        res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                          survive_rank_death=True, timeout=30.0)
     finally:
         handler_registry["kv_repl"] = orig
+        del handler_registry["test_hang_here"]
     assert not flags["armed"]  # the window actually fired
     alive = [r for r in res if r is not None]
     assert alive and all(v == 1 for v in alive)
@@ -424,9 +452,7 @@ def test_rebalance_migrates_data_and_update_records():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit()
-    assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=RELIABILITY,
+    assert all(repro.spmd(body, ranks=4, reliability=RELIABILITY,
                           survive_rank_death=True, timeout=30.0))
 
 
@@ -439,7 +465,6 @@ def test_cached_keys_follow_the_shard_to_its_promoted_backup():
     flags = {"killed": False, "rewritten": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -456,11 +481,9 @@ def test_cached_keys_follow_the_shard_to_its_promoted_backup():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            _hang_on_request(ctx, flags)
         if me == 0:
-            holder["conduit"].kill_rank(victim)
-            flags["killed"] = True
+            _kill(ctx, flags)
             for k in held[:10]:         # lands on the promoted backup
                 m.put(k, "new")
             flags["rewritten"] = True
@@ -480,10 +503,7 @@ def test_cached_keys_follow_the_shard_to_its_promoted_backup():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -517,9 +537,7 @@ def test_cached_keys_follow_a_rebalanced_shard():
         repro.barrier()
         return True
 
-    conduit = ChaosConduit()
-    assert all(repro.spmd(body, ranks=4, conduit=conduit,
-                          reliability=RELIABILITY,
+    assert all(repro.spmd(body, ranks=4, reliability=RELIABILITY,
                           survive_rank_death=True, timeout=30.0))
 
 
@@ -531,7 +549,6 @@ def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -543,11 +560,9 @@ def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            _hang_on_request(ctx, flags)
         if me == 0:
-            holder["conduit"].kill_rank(victim)
-            flags["killed"] = True
+            _kill(ctx, flags)
             with pytest.raises(KvOwnerDead) as ei:
                 m.multi_get(mine)
             assert ei.value.owner == victim
@@ -568,10 +583,7 @@ def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert all(r for r in res if r is not None)
 
@@ -584,7 +596,6 @@ def test_read_replicas_serve_reads_and_survive():
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -594,14 +605,12 @@ def test_read_replicas_serve_reads_and_survive():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            _park_victim(ctx, holder["conduit"], flags, done, victim, n)
-            return None
+            _hang_on_request(ctx, flags)
         for _ in range(4):          # both parities of the round-robin
             for r in range(n):
                 assert m.get(("rr", r)) == r
         if me == 0:
-            holder["conduit"].kill_rank(victim)
-            flags["killed"] = True
+            _kill(ctx, flags)
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         for _ in range(4):
             for r in range(n):
@@ -613,9 +622,6 @@ def test_read_replicas_serve_reads_and_survive():
                                    if r != victim), what="rendezvous")
         return stats["kv_replica_reads"]
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
     assert sum(r for r in res if r is not None) > 0

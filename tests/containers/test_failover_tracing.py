@@ -1,9 +1,9 @@
 """Observability of the failover path: a failover chain is ONE causal
-trace, and the RankDead auto-dump includes the victim's final events.
+trace, and the RankDead auto-dump includes the victim's final events
+and its death.
 
-Same deterministic-kill recipe as ``test_failover.py``: the
-only injected fault is the ``kill_rank`` partition, the victim parks as
-a zombie, and post-kill rendezvous uses shared-memory flags.
+Same recipe as ``test_failover.py``: the victim hangs until declared
+dead, and post-kill rendezvous uses shared-memory flags.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import repro
 from repro.containers import DistHashMap
 from repro.containers.hashmap import shard_of
 from repro.errors import PgasError
-from repro.gasnet import ChaosConduit
+from tests.conftest import hang_until_declared
 
 
 RELIABILITY = {"peer_timeout": 0.3, "heartbeat_period": 0.01}
@@ -36,7 +36,7 @@ def _sync_shared(ctx, ready, n):
 
 
 def test_failover_chain_is_one_causal_trace():
-    """kill primary -> client put blocks -> RankDead -> failover ->
+    """hung primary -> client put blocks -> RankDead -> failover ->
     retry -> promotion on the backup: every link must carry the trace
     id of the *triggering client op*, across rank boundaries."""
     victim = 1
@@ -56,13 +56,8 @@ def test_failover_chain_is_one_causal_trace():
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            holder["conduit"].kill_rank(me)
             flags["killed"] = True
-            ctx.wait_until(
-                lambda: all(done[r] for r in range(n) if r != victim),
-                what="test: partitioned victim parks",
-            )
-            return None
+            hang_until_declared()
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         if me == 0:
             # The one triggering client op: a put whose primary is dead.
@@ -79,10 +74,7 @@ def test_failover_chain_is_one_causal_trace():
                                    if r != victim), what="rendezvous")
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = repro.spmd(body, ranks=4, conduit=conduit,
-                     reliability=RELIABILITY,
+    res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, telemetry="full",
                      timeout=30.0)
     assert all(r for r in res if r is not None)
@@ -116,15 +108,14 @@ def test_failover_chain_is_one_causal_trace():
 
 
 def test_rankdead_mid_multi_put_dump_includes_victims_final_events(capsys):
-    """Unreplicated map, primary killed while batched multi_puts are in
+    """Unreplicated map, primary hung while batched multi_puts are in
     flight: the RankDead that propagates out of spmd must auto-dump a
     merged flight recorder that (a) contains the victim's last recorded
-    events, (b) splices the ``chaos_kill`` instant inline, and (c) is
-    globally time-ordered."""
+    events, (b) shows its death inline, once, and (c) is globally
+    time-ordered."""
     victim = 1
     flags = {"killed": False}
     ready = {r: False for r in range(4)}
-    holder: dict = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -136,31 +127,24 @@ def test_rankdead_mid_multi_put_dump_includes_victims_final_events(capsys):
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
-            holder["conduit"].kill_rank(me)
             # the victim's final ring entry, written right before it
             # goes dark — the merged dump must still show it
             ctx.telemetry.flight_event(
                 "victim_last_words", src=me, dst=-1,
-                detail="partitioned mid-batch")
+                detail="hung mid-batch")
             flags["killed"] = True
-            try:
-                ctx.wait_until(lambda: False, what="victim parks")
-            except BaseException:
-                return None
+            hang_until_declared()
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         # batches span every shard, including the dead primary's
         for round_ in range(4):
             m.multi_put({f"mid{me}:{round_}:{i}": i for i in range(16)})
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
     t0 = time.monotonic()
     with pytest.raises(PgasError):
-        repro.spmd(body, ranks=4, conduit=conduit,
-                   reliability=RELIABILITY,
+        repro.spmd(body, ranks=4, reliability=RELIABILITY,
                    telemetry="flight", timeout=30.0)
-    # Prompt failure: the parked victim must unwind once it is declared
+    # Prompt failure: the hung victim must unwind once it is declared
     # dead (peer_timeout), not sit out its op_timeout.
     elapsed = time.monotonic() - t0
     assert elapsed < RELIABILITY["peer_timeout"] + 3.0, elapsed
@@ -168,13 +152,15 @@ def test_rankdead_mid_multi_put_dump_includes_victims_final_events(capsys):
     assert "FLIGHT RECORDER DUMP" in err
     assert f"rank {victim}" in err
     assert "victim_last_words" in err          # (a) victim's final event
-    assert "chaos_kill" in err                 # (b) bridged fault instant
+    deaths = re.findall(rf"rank_dead {victim}->{victim} .*"
+                        r"answered no liveness probe", err)
+    assert len(deaths) == 1                    # (b) one death, one line
     times = [float(m.group(1)) for m in
              re.finditer(r"^\[\s*(-?[0-9.]+) ms\]", err, re.M)]
     assert len(times) > 4
     assert times == sorted(times)              # (c) one merged timeline
-    # the kill instant precedes the victim's last words in the timeline
+    # the victim's last words precede its death in the timeline
     lines = [ln for ln in err.splitlines() if ln.startswith("[")]
-    k = next(i for i, ln in enumerate(lines) if "chaos_kill" in ln)
     w = next(i for i, ln in enumerate(lines) if "victim_last_words" in ln)
-    assert k < w
+    k = next(i for i, ln in enumerate(lines) if "rank_dead" in ln)
+    assert w < k

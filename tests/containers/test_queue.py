@@ -6,8 +6,7 @@ import repro
 from repro.containers import DistQueue
 from repro.core import collectives
 from repro.errors import PgasError, RankDead
-from repro.gasnet import ChaosConduit
-from tests.conftest import run_spmd
+from tests.conftest import hang_until_declared, run_spmd
 
 
 def test_local_fifo_order():
@@ -105,7 +104,6 @@ def test_push_to_dead_rank_diagnostic_and_quiesce():
     flags = {"killed": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -117,12 +115,8 @@ def test_push_to_dead_rank_diagnostic_and_quiesce():
         ctx.wait_until(lambda: all(ready[r] for r in range(n)),
                        what="test: past-the-barrier rendezvous")
         if me == victim:
-            holder["conduit"].kill_rank(me)
             flags["killed"] = True
-            ctx.wait_until(lambda: all(done[r] for r in range(n)
-                                       if r != victim),
-                           what="test: partitioned victim parks")
-            return None
+            hang_until_declared()
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         ctx.wait_until(lambda: victim in ctx.world.dead_ranks,
                        what="victim declared dead")
@@ -142,10 +136,7 @@ def test_push_to_dead_rank_diagnostic_and_quiesce():
         assert q.get(max_steal_rounds=1) is None  # quiesced
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = run_spmd(body, ranks=4, conduit=conduit,
-                   reliability=_RELIABILITY,
+    res = run_spmd(body, ranks=4, reliability=_RELIABILITY,
                    survive_rank_death=True)
     assert all(r for r in res if r is not None)
 
@@ -159,7 +150,6 @@ def test_queue_exactly_once_under_kill():
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
     got_all = {r: [] for r in range(4)}
-    holder = {}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
@@ -172,11 +162,8 @@ def test_queue_exactly_once_under_kill():
         ctx.wait_until(lambda: all(ready[r] for r in range(n)),
                        what="test: past-the-barrier rendezvous")
         if me == victim:
-            holder["conduit"].kill_rank(me)
             flags["killed"] = True
-            ctx.wait_until(lambda: all(done[r] for r in survivors),
-                           what="test: partitioned victim parks")
-            return None
+            hang_until_declared()
         ctx.wait_until(lambda: flags["killed"], what="wait kill")
         ctx.wait_until(lambda: victim in ctx.world.dead_ranks,
                        what="victim declared dead")
@@ -198,9 +185,6 @@ def test_queue_exactly_once_under_kill():
         assert q.outstanding() == 0
         return True
 
-    conduit = ChaosConduit()
-    holder["conduit"] = conduit
-    res = run_spmd(body, ranks=4, conduit=conduit,
-                   reliability=_RELIABILITY,
+    res = run_spmd(body, ranks=4, reliability=_RELIABILITY,
                    survive_rank_death=True)
     assert all(r for r in res if r is not None)

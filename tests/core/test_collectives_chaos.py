@@ -1,8 +1,8 @@
 """Tree collectives when a participant crashes.
 
-The engine's AM traffic rides whatever conduit the world uses, the
-fault layer included: a participant's death must convert into a clean
-failure on the survivors rather than a hang."""
+The engine's AM traffic rides whatever conduit the world uses: a
+participant's death must convert into a clean failure on the survivors
+rather than a hang."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import repro
 from repro.core import collectives as coll
 from repro.core.world import die
 from repro.errors import PeerFailure, RankDead
-from repro.gasnet import ChaosConduit
 
 
 def test_rank_death_mid_collective_raises_rankdead():
@@ -37,7 +36,6 @@ def test_rank_death_mid_collective_raises_rankdead():
         pytest.fail("allreduce completed despite dead participant")
 
     with pytest.raises(RankDead):
-        repro.spmd(body, ranks=4, conduit=ChaosConduit(),
-                   reliability={"peer_timeout": 1.0}, timeout=30.0)
+        repro.spmd(body, ranks=4, reliability={"peer_timeout": 1.0}, timeout=30.0)
     assert set(observed) == {0, 1, 3}
     assert all(f == 2 for f in observed.values())

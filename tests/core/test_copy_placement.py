@@ -111,7 +111,7 @@ def test_overlapping_local_ranges_are_memmove(conduit, shift):
 
 @pytest.mark.parametrize("direction", ["local-remote", "remote-local"])
 def test_no_intermediate_copy(conduit, direction):
-    """ConduitCaps.zero_copy_rma, asserted: a 4 MiB copy() allocates
+    """Zero-copy RMA, asserted: a 4 MiB copy() allocates
     next to nothing (a staging buffer would show as 4 MiB)."""
     def body():
         me = repro.myrank()

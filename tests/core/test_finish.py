@@ -103,12 +103,16 @@ def test_finish_propagates_user_exception_without_hanging():
     assert all(run_spmd(body, ranks=2))
 
 
-@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
-def test_async_failing_at_its_call_site_releases_scope_and_event(conduit):
+@pytest.mark.parametrize("conduit,telemetry", [
+    ("smp", None), ("proc+socket", None), ("smp", "flight"),
+], ids=["smp", "proc+socket", "smp-flight"])
+def test_async_failing_at_its_call_site_releases_scope_and_event(
+        conduit, telemetry):
     """An async that never went out completes with the call-site error:
     the finish block raises it at once (it used to sit out the whole
     op timeout, and a peer's CommTimeout masked the real error) and the
-    event still fires."""
+    event still fires.  Under telemetry the ``fail_next_am`` hook is set
+    on the telemetry layer and must still reach the send decision."""
     def body():
         me = repro.myrank()
         world = repro.current_world()
@@ -134,7 +138,7 @@ def test_async_failing_at_its_call_site_releases_scope_and_event(conduit):
         return out
 
     right_error, elapsed, outstanding, fired = run_spmd(
-        body, ranks=2, conduit=conduit, timeout=5.0)[0]
+        body, ranks=2, conduit=conduit, telemetry=telemetry, timeout=5.0)[0]
     assert right_error and elapsed < 1.0
     assert outstanding == 0 and fired
 

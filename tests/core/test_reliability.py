@@ -2,7 +2,7 @@
 
 The fault model is crash-stop: a rank works or dies.  Here we pin down
 the world's one failure detector and its one signal (ping/pong probes
-for severed or hung ranks; a rank that called ``die()`` is a flag read
+for hung ranks; a rank that called ``die()`` is a flag read
 at the next probe round), the ``reliability=`` knob that configures
 it, and deadlines with diagnostics for waits that can never complete.
 """
@@ -17,14 +17,14 @@ import pytest
 import repro
 from repro.core.world import ReliabilityConfig, current, die
 from repro.errors import CommTimeout, PeerFailure, PgasError, RankDead
-from repro.gasnet import ChaosConduit, SmpConduit
+from repro.gasnet import SmpConduit
+from tests.conftest import hang_until_declared
 
 
 # ------------------------------------------------------- rank death
 
 @pytest.mark.parametrize("make_conduit", [
     pytest.param(lambda: SmpConduit(), id="smp"),
-    pytest.param(lambda: ChaosConduit(), id="chaos"),
 ])
 def test_rank_death_mid_barrier(make_conduit):
     """Killing one rank mid-barrier must convert into PeerFailure on
@@ -81,10 +81,10 @@ def test_dead_rank_fails_pending_lock_acquire():
 
 
 def test_severed_connectivity_detected_by_peer_detector():
-    """``kill_rank`` cuts a rank off at the conduit (it keeps running!);
-    the detector's ping/pong probes must declare it dead and fail peers
-    blocked on it."""
-    chaos = ChaosConduit()
+    """A rank that hangs holding a lock is cut off from its peers as
+    surely as a severed link: it answers nothing.  The detector's
+    ping/pong probes must declare it dead and fail peers blocked on
+    it."""
     observed: dict = {}
 
     def body():
@@ -93,9 +93,7 @@ def test_severed_connectivity_detected_by_peer_detector():
         repro.barrier()
         if r == 1:
             lk.acquire()
-            chaos.kill_rank(1)      # now unreachable, still alive
-            time.sleep(2.5)
-            return True
+            hang_until_declared(2.5)    # alive, and silent
         time.sleep(0.2)
         try:
             lk.acquire(timeout=10.0)
@@ -106,12 +104,11 @@ def test_severed_connectivity_detected_by_peer_detector():
 
     t0 = time.monotonic()
     with pytest.raises((RankDead, PeerFailure)):
-        repro.spmd(body, ranks=3, conduit=chaos,
-                   reliability={"peer_timeout": 1.0})
+        repro.spmd(body, ranks=3, reliability={"peer_timeout": 1.0})
     elapsed = time.monotonic() - t0
     assert observed == {0: 1, 2: 1}
     # Prompt failure: once detected (peer_timeout), nobody — the
-    # partitioned rank included — may sit out a default op_timeout.
+    # hung rank included — may sit out a default op_timeout.
     assert elapsed < 1.0 + 3.0, elapsed
 
 

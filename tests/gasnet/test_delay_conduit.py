@@ -154,7 +154,7 @@ def test_workqueue_under_delay(seed):
 
 @pytest.mark.parametrize("seed", [21, 42])
 def test_chaos_mix_under_delay(seed):
-    """The randomized mixed-API stress test on the chaos conduit."""
+    """The randomized mixed-API stress test on the delay conduit."""
     def body():
         me, n = repro.myrank(), repro.ranks()
         rng = np.random.default_rng(5000 + me)

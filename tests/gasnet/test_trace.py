@@ -241,67 +241,6 @@ def test_trace_matrix_and_partners_filter_by_kind():
     assert all(run_spmd(body, ranks=4))
 
 
-def test_control_events_reach_trace_through_chaos():
-    """The chaos layer's ``chaos_kill`` control event climbs from the
-    inner layer to the outermost conduit's ``trace_control`` hook."""
-    from repro.gasnet import ChaosConduit
-
-    traced = {"done": False}
-
-    def body():
-        me = repro.myrank()
-        world = repro.current_world()
-        repro.barrier()
-        if me == 1:  # serve rank 0's asyncs, then go idle
-            world.ranks[me].wait_until(lambda: traced["done"],
-                                       what="test: rank 0 traces")
-            return None
-        with Trace(world) as trace:
-            for _ in range(15):
-                with repro.finish():
-                    repro.async_(1)(abs, -1)
-            world.conduit.kill_rank(1)   # the peer sends nothing more
-        traced["done"] = True
-        world.poke_all()
-        return [ev.kind for ev in trace.events]
-
-    # survive mode: the finalize is a done-or-dead wait, which needs no
-    # message to the partitioned rank.
-    kinds = repro.spmd(body, ranks=2, conduit=ChaosConduit(),
-                       survive_rank_death=True, timeout=30.0)[0]
-    assert "am" in kinds
-    assert kinds.count("chaos_kill") == 1
-
-
-def test_trace_control_forwards_down_the_chain():
-    """A stacked consumer below a Trace still receives control events
-    (the telemetry flight recorder relies on this)."""
-    def body():
-        me = repro.myrank()
-        repro.barrier()
-        if me == 0:
-            world = repro.current_world()
-            seen = []
-
-            class _Sink(_Passthrough):
-                def trace_control(self, kind, src, dst, nbytes=0,
-                                  detail=""):
-                    seen.append(kind)
-
-            original = world.conduit
-            world.conduit = _Sink(original)
-            trace = Trace(world)
-            with trace:
-                world.conduit.trace_control("retransmit", 0, 1)
-            assert trace.count(kind="retransmit") == 1
-            assert seen == ["retransmit"]
-            world.conduit = original
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=2))
-
-
 def test_trace_timestamps_monotone():
     def body():
         if repro.myrank() == 0:
@@ -326,7 +265,7 @@ def test_trace_and_flight_ring_hold_the_same_records():
     """One observing layer, one record, one spelling: what a Trace
     collects and what the initiator's flight ring keeps are the same
     ``(kind, src, dst, nbytes, detail)``, op for op, in the same order —
-    RMA, AM, reply and control events alike."""
+    RMA, AM and reply alike."""
     holder = {}
 
     def body():
@@ -341,8 +280,6 @@ def test_trace_and_flight_ring_hold_the_same_records():
                 assert sa[4] == 7                            # get
                 sa.atomic_batch(np.arange(4, 8), "add", 1)   # atomic_batch
                 assert repro.async_(1)(abs, -3).get() == 3   # am + reply
-                world.conduit.trace_control("retransmit", 0, 1, 42,
-                                            "injected")
             holder.update(trace=trace, world=world)
         repro.barrier()
         return True
@@ -353,8 +290,7 @@ def test_trace_and_flight_ring_hold_the_same_records():
     def key(ev):
         return ev.kind, ev.src, ev.dst, ev.nbytes, ev.detail
 
-    conduit_kinds = {"put", "get", "atomic_batch", "am", "reply",
-                     "retransmit"}
+    conduit_kinds = {"put", "get", "atomic_batch", "am", "reply"}
     seen = set()
     for rank in (0, 1):
         traced = [key(ev) for ev in trace.select(src=rank)]
@@ -370,4 +306,3 @@ def test_trace_and_flight_ring_hold_the_same_records():
     assert seen == conduit_kinds
     assert ("put", 0, 1, 8, "") in map(key, trace.events)
     assert ("atomic_batch", 0, 1, 32, "4 elems") in map(key, trace.events)
-    assert ("retransmit", 0, 1, 42, "injected") in map(key, trace.events)

@@ -1,5 +1,5 @@
 """Cross-rank causal tracing: wire propagation, handler restoration,
-Perfetto flow events, and the fault-log bridge.
+Perfetto flow events, and a death's line in the flight dump.
 
 The contract under test is the tentpole of the tracing plane: a client
 op (``kv_put`` etc.) opens a root span, every AM it issues carries the
@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 import repro
 from repro.containers import DistHashMap
-from repro.gasnet import ChaosConduit
+from repro.errors import RankDead
 from repro.gasnet.am import ActiveMessage, make_reply
 from repro.gasnet.wire.frame import (
     F_HAS_TRACE, HEADER, TRACE_TRAILER, encode_am,
 )
 from repro.telemetry import to_perfetto, tracing
-from tests.conftest import run_spmd
+from tests.conftest import hang_until_declared, run_spmd
 
 
 RELIABILITY = {"peer_timeout": 1.0, "heartbeat_period": 0.05}
@@ -76,7 +78,7 @@ def test_span_noop_without_telemetry():
 
 # -------------------------------------------- cross-rank causal chains
 
-def _traced_kv_run(ranks=4, conduit=None, reliability=None, puts=8):
+def _traced_kv_run(ranks=4, reliability=None, puts=8):
     """Every rank does remote kv puts/gets under full telemetry;
     returns the (still-live) world for span/flow inspection."""
     holder: dict = {}
@@ -96,8 +98,6 @@ def _traced_kv_run(ranks=4, conduit=None, reliability=None, puts=8):
         return True
 
     kwargs = {}
-    if conduit is not None:
-        kwargs["conduit"] = conduit
     if reliability is not None:
         kwargs["reliability"] = reliability
     assert all(run_spmd(body, ranks=ranks, telemetry="full", **kwargs))
@@ -127,8 +127,7 @@ def test_kv_op_spans_one_trace_across_ranks():
 
 
 def test_replication_hop_joins_client_trace():
-    world = _traced_kv_run(reliability=RELIABILITY,
-                           conduit=ChaosConduit())
+    world = _traced_kv_run(reliability=RELIABILITY)
     spans = world.telemetry.all_spans()
     by_trace: dict[int, set] = {}
     for s in spans:
@@ -253,37 +252,57 @@ def test_reply_carries_its_requests_trace_not_the_drainers():
     assert [ev.trace_id for ev in replies] == [0] * len(replies)
 
 
-# ------------------------------------------------- chaos flight bridge
+# ------------------------------------------------- a death in the dump
 
-def test_chaos_faults_appear_in_flight_dump():
-    """Injected faults bridge into the merged flight dump as inline
-    ``chaos_*`` instants, time-ordered with the rank events."""
-    holder: dict = {}
-    conduit = ChaosConduit()
+_SAW_THE_DEATH: set = set()
+
+
+def _saw_the_death(rank: int) -> None:
+    _SAW_THE_DEATH.add(rank)
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_one_death_is_one_rank_dead_line_per_process(conduit, capsys):
+    """A declared death is one ``rank_dead`` flight event, logged by the
+    process that declared it: one line in the merged dump on smp, one
+    per surviving process on proc — inline and time-ordered with the
+    rank events around it."""
+    _SAW_THE_DEATH.clear()
 
     def body():
         me = repro.myrank()
-        if me == 0:
-            holder["world"] = repro.current_world()
+        world = repro.current_world()
+        ctx = world.ranks[me]
         m = DistHashMap()
+        for i in range(8):
+            m.put(f"d{me}:{i}", i)
         repro.barrier()
-        for i in range(24):
-            m.put(f"c{me}:{i}", i)
-        repro.barrier()
-        if me == 0:
-            conduit.kill_rank(1)   # rank 1 has nothing left to send
-        return True
+        if me == 1:
+            hang_until_declared(1.5)
+        ctx.wait_until(lambda: 1 in world.dead_ranks,
+                       what="test: rank 1 declared dead")
+        if me == 2:
+            repro.async_(0)(_saw_the_death, me).get()
+            return me
+        ctx.wait_until(lambda: 2 in _SAW_THE_DEATH,
+                       what="test: rank 2 declared it too")
+        # RankDead at the call: the run fails, and the rings are dumped
+        return repro.async_(1)(abs, -1).get()
 
-    # survive mode: the finalize is a done-or-dead wait, which needs no
-    # message to the partitioned rank.
-    assert all(run_spmd(body, ranks=2, conduit=conduit,
-                        survive_rank_death=True, telemetry="flight"))
-    events = conduit.fault_events()
-    assert [e.kind for e in events] == ["chaos_kill"]
-    text = holder["world"].dump_flight_recorder(header="test")
-    assert "chaos_kill" in text
-    # bridged instants share the merged, time-ordered timeline
+    with pytest.raises(RankDead):
+        run_spmd(body, ranks=3, conduit=conduit,
+                 reliability={"peer_timeout": 0.3, "heartbeat_period": 0.01},
+                 survive_rank_death=True, telemetry="flight")
+    err = capsys.readouterr().err
+    assert "FLIGHT RECORDER DUMP" in err
+    deaths = [ln for ln in err.splitlines() if "rank_dead" in ln]
+    assert len(deaths) == (1 if conduit == "smp" else 2), deaths
+    assert all(re.search(r"rank_dead 1->1 .*answered no liveness probe", ln)
+               for ln in deaths), deaths
+    if conduit != "smp":   # each survivor logs it in its own ring
+        assert sorted(int(re.search(r"rank (\d+): rank_dead", ln).group(1))
+                      for ln in deaths) == [0, 2]
     times = [float(m.group(1)) for m in
-             re.finditer(r"^\[\s*(-?[0-9.]+) ms\]", text, re.M)]
+             re.finditer(r"^\[\s*(-?[0-9.]+) ms\]", err, re.M)]
     assert times == sorted(times)
-    assert len(times) > len(events)  # interleaved with rank events
+    assert len(times) > len(deaths)   # interleaved with rank events
