@@ -154,7 +154,8 @@ def _resolve_update(op) -> Callable:
 
 def _traced(name: str, hist: str | None = None) -> Callable:
     """Open a causal trace root span around a client kv op and, with
-    ``hist``, record the op's latency under that histogram name.
+    ``hist``, record the op's latency (``full`` only) under that
+    histogram name.
 
     Every AM the op sends (the request, a replication hop, retries
     after failover) inherits this span's trace id via the wire-frame
@@ -170,13 +171,11 @@ def _traced(name: str, hist: str | None = None) -> Callable:
             if ctx is None or not ctx.telemetry.active:
                 return fn(self, *args, **kwargs)
             tel = ctx.telemetry
-            t0 = time.perf_counter()
+            opened = tracing.open_span(tel)
             try:
-                with tracing.span(tel, name):
-                    return fn(self, *args, **kwargs)
+                return fn(self, *args, **kwargs)
             finally:
-                if hist is not None:
-                    tel.record_latency(hist, time.perf_counter() - t0)
+                tracing.close_span(tel, opened, name, hist=hist)
 
         return wrapper
 

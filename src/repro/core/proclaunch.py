@@ -232,10 +232,9 @@ def _child_main(job: _Job, rank: int) -> None:
 # -- launcher side -----------------------------------------------------------
 def _shipped_ring(rank: int, events=(), dropped: int = 0) -> FlightRecorder:
     """A flight ring shipped from a rank process, as a recorder again."""
-    rec = FlightRecorder(rank, capacity=len(events))
+    rec = FlightRecorder(rank, capacity=len(events), dropped=dropped)
     for ev in events:
         rec.append(ev)
-    rec.dropped = dropped
     return rec
 
 

@@ -111,6 +111,9 @@ class RankState:
         # released by ``conduit.wake`` (see :meth:`Conduit.poll`).
         self._bell = threading.Lock()
         self._bell.acquire()
+        #: Raised by ``World.poke_all`` before it wakes the rank: the
+        #: next park returns at once (see :meth:`Conduit.poll`).
+        self._poked = False
         self._inbox: deque[ActiveMessage] = deque()
         self.task_queue: deque[_Task] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
@@ -588,9 +591,11 @@ class World:
         return [r for r in range(self.n_ranks) if r not in dead]
 
     def poke_all(self) -> None:
-        """Wake all ranks blocked in wait_until (state changed)."""
+        """Wake all ranks blocked in wait_until (state changed), and end
+        the next park of any rank not parked yet."""
         wake = self.conduit.wake
-        for r in range(self.n_ranks):
+        for r, rk in enumerate(self.ranks):
+            rk._poked = True
             wake(r)
 
     # -- progress thread (concurrent mode) -----------------------------------

@@ -153,15 +153,22 @@ class Conduit(abc.ABC):
         ``send_am`` appends to the inbox directly: nothing to move, so
         parking is a wait on the rank's doorbell, a lock held while no
         ring is pending.  A ring left by an earlier :meth:`wake` is
-        spent first, so it cannot end this park with an empty inbox; a
-        zero ``timeout`` leaves the bell alone.  One ring ends one park:
-        a second thread parked for the same rank (the progress thread,
-        in ``concurrent`` mode) comes back at its timeout."""
+        spent first: a delivery's ring is covered by the inbox check, so
+        it cannot end this park with an empty inbox.  A poke (a state
+        change that is no message, :meth:`World.poke_all`) raises the
+        rank's ``_poked`` flag before it rings, and a park that finds
+        the flag up lowers it and returns at once, so a poke that lands
+        before the park is not lost.  A zero ``timeout`` leaves bell and
+        flag alone.  One ring ends one park: a second thread parked for
+        the same rank (the progress thread, in ``concurrent`` mode)
+        comes back at its timeout."""
         rk = self.world.ranks[rank]
         if timeout > 0.0:
             bell = rk._bell
             bell.acquire(False)
-            if not rk._inbox:
+            if rk._poked:
+                rk._poked = False
+            elif not rk._inbox:
                 bell.acquire(True, timeout)
         return bool(rk._inbox)
 

@@ -715,7 +715,11 @@ class ProcConduit(SegmentRma, Conduit):
                 return
             if timeout > 0.0:
                 self._parked = True
-                if self._me._inbox:  # delivered before wake() saw the flag
+                me = self._me
+                if me._poked:  # poked before this park (Conduit.poll)
+                    me._poked = False
+                    timeout = 0.0
+                elif me._inbox:  # delivered before wake() saw the flag
                     timeout = 0.0
             try:
                 events = self._poller.poll(timeout * 1000.0)

@@ -19,9 +19,8 @@ and :mod:`repro.gasnet` imports nothing from :mod:`repro.telemetry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,10 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.world import World
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     """One recorded event: a conduit op or (from the runtime, via the
-    flight ring) a task/lock/container milestone or a rank's death."""
+    flight ring) a task/lock/container milestone or a rank's death.
+
+    A tuple, so building one per AM costs a tuple's build and it is
+    immutable: derive a changed copy with ``ev._replace(...)``."""
 
     t: float          # time.perf_counter() at record time
     rank: int         # the rank that recorded the event

@@ -8,16 +8,17 @@ task lifecycle, rank deaths, failures); when a failure
 propagates out of :func:`repro.spmd`, all rings are merged into one
 time-ordered, human-readable dump — the black box read-out.
 
-Recording one event is a timestamp plus a bounded ``deque.append``;
-cheap enough for the ``"flight"`` telemetry mode to ride along on every
-conduit operation.
+Recording one event is a timestamp, a tuple and a bounded
+``deque.append`` — no lock: the append, the ring's copy and ``next`` on
+the append count are each atomic under the GIL — cheap enough for the
+``"flight"`` telemetry mode to ride along on every conduit operation.
 """
 
 from __future__ import annotations
 
-import threading
-import time
+import itertools
 from collections import deque
+from time import perf_counter
 from typing import Iterable
 
 from repro.gasnet.trace import CommEvent
@@ -27,44 +28,52 @@ DEFAULT_CAPACITY = 256
 
 
 class FlightRecorder:
-    """A bounded per-rank ring of :class:`~repro.gasnet.trace.CommEvent`."""
+    """A bounded per-rank ring of :class:`~repro.gasnet.trace.CommEvent`.
 
-    __slots__ = ("rank", "capacity", "_ring", "_lock", "dropped")
+    ``dropped`` seeds the eviction count: a ring shipped from a rank
+    process keeps the count it was shipped with."""
 
-    def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
+    __slots__ = ("rank", "capacity", "_ring", "_appends", "_shipped")
+
+    def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY,
+                 dropped: int = 0):
         self.rank = rank
         self.capacity = capacity
         self._ring: deque[CommEvent] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: Events evicted by the ring bound (how much history was lost).
-        self.dropped = 0
+        self._appends = itertools.count()
+        self._shipped = dropped
 
     def record(self, kind: str, src: int = -1, dst: int = -1,
                nbytes: int = 0, detail: str = "",
                trace_id: int = 0) -> None:
-        self.append(CommEvent(time.perf_counter(), self.rank, kind, src,
-                              dst, nbytes, detail, trace_id))
+        self._ring.append(CommEvent(perf_counter(), self.rank, kind, src,
+                                    dst, nbytes, detail, trace_id))
+        next(self._appends)
 
     def append(self, ev: CommEvent) -> None:
         """Keep an event built elsewhere (the conduit layer's, or a
         ring shipped from a rank process)."""
-        with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(ev)
+        self._ring.append(ev)
+        next(self._appends)
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted by the ring bound (how much history was lost);
+        exact once appends stop."""
+        # A count's repr is its next value, read without advancing it.
+        appends = int(repr(self._appends)[6:-1])
+        return self._shipped + max(0, appends - self.capacity)
 
     def snapshot(self) -> list[CommEvent]:
-        with self._lock:
-            return list(self._ring)
+        return list(self._ring)
 
     def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self.dropped = 0
+        self._ring.clear()
+        self._appends = itertools.count()
+        self._shipped = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
+        return len(self._ring)
 
 
 def merge_dump(recorders: Iterable[FlightRecorder],

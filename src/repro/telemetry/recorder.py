@@ -24,9 +24,11 @@ in ``"off"`` mode so call sites never need existence checks.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.gasnet.trace import CommEvent
 from repro.telemetry import tracing
@@ -96,9 +98,9 @@ def resolve_config(telemetry) -> TelemetryConfig:
     )
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed timed region (Perfetto "complete" event)."""
+class Span(NamedTuple):
+    """One completed timed region (Perfetto "complete" event); an
+    immutable tuple like :class:`~repro.gasnet.trace.CommEvent`."""
 
     name: str
     t0: float        # time.perf_counter() at start
@@ -117,11 +119,17 @@ class RankTelemetry:
 
     The two gate attributes are plain bools read on hot paths:
     ``active`` (any recording at all) and ``full`` (histograms + spans).
+
+    ``new_trace_id()`` and ``new_span_id()`` mint from one rank-salted
+    sequence, ``(rank + 1) << 40 | n`` for n = 1, 2, ... — never 0, and
+    the same ids on every fixed-seed run.  Each is ``next`` on an
+    ``itertools.count``, atomic under the GIL, so minting takes no lock.
     """
 
     __slots__ = ("rank", "mode", "active", "full", "flight",
                  "_hist", "_hist_lock", "_spans", "_span_lock",
-                 "spans_dropped", "max_spans", "_id_counter", "_id_lock")
+                 "spans_dropped", "max_spans", "new_trace_id",
+                 "new_span_id")
 
     def __init__(self, rank: int, config: TelemetryConfig):
         self.rank = rank
@@ -135,24 +143,8 @@ class RankTelemetry:
         self._span_lock = threading.Lock()
         self.spans_dropped = 0
         self.max_spans = config.max_spans
-        # Trace/span ids are rank-salted counter values, not random
-        # bits, so fixed-seed runs reproduce identical ids.
-        self._id_counter = 0
-        self._id_lock = threading.Lock()
-
-    # -- trace/span id generation -----------------------------------------
-    def _next_id(self) -> int:
-        with self._id_lock:
-            self._id_counter += 1
-            return ((self.rank + 1) << 40) | self._id_counter
-
-    def new_trace_id(self) -> int:
-        """A fresh, deterministic, rank-unique trace id (never 0)."""
-        return self._next_id()
-
-    def new_span_id(self) -> int:
-        """A fresh span id (same sequence as trace ids; never 0)."""
-        return self._next_id()
+        self.new_trace_id = self.new_span_id = itertools.count(
+            ((rank + 1) << 40) | 1).__next__
 
     # -- histograms -------------------------------------------------------
     def histogram(self, name: str, unit: str = "ns") -> LogHistogram:
@@ -181,13 +173,12 @@ class RankTelemetry:
     def flight_event(self, kind: str, src: int = -1, dst: int = -1,
                      nbytes: int = 0, detail: str = "",
                      trace_id: int = 0) -> None:
+        # An untagged event inherits the thread's bound trace context, so
+        # e.g. kv_failover/kv_promote events inside a traced client op or
+        # handler are tagged without caller changes.
         if self.active:
-            if trace_id == 0:
-                # inherit the thread's bound trace context, so e.g.
-                # kv_failover/kv_promote events inside a traced client
-                # op or handler are tagged without caller changes
-                trace_id = tracing.current_trace_id()
-            self.flight.record(kind, src, dst, nbytes, detail, trace_id)
+            self.flight.record(kind, src, dst, nbytes, detail,
+                               trace_id or tracing.current_trace_id())
 
     # -- spans ------------------------------------------------------------
     def record_span(self, name: str, t0: float, dur: float,
@@ -196,10 +187,8 @@ class RankTelemetry:
         """Retain a completed span for export (no-op unless "full")."""
         if not self.full:
             return
-        span = Span(name=name, t0=t0, dur=dur, rank=self.rank,
-                    tid=threading.get_ident(), detail=detail,
-                    trace_id=trace_id, span_id=span_id,
-                    parent_id=parent_id)
+        span = Span(name, t0, dur, self.rank, threading.get_ident(),
+                    detail, trace_id, span_id, parent_id)
         with self._span_lock:
             if len(self._spans) >= self.max_spans:
                 self.spans_dropped += 1
@@ -255,7 +244,7 @@ class WorldTelemetry:
         if not ev.trace_id:
             trace_id = tracing.current_trace_id()
             if trace_id:
-                ev = replace(ev, trace_id=trace_id)
+                ev = ev._replace(trace_id=trace_id)
         tel.flight.append(ev)
 
     # -- flight recorder --------------------------------------------------

@@ -61,8 +61,35 @@ class bound:
         _tls.ids = self._prev
 
 
+def open_span(tel) -> tuple:
+    """Bind a fresh span on ``tel`` (an active :class:`RankTelemetry`)
+    to the calling thread: the root of a new trace when none is bound,
+    else a child of the bound one.  Returns what :func:`close_span`
+    takes, ``(previous ids, this span's ids, start time)``; only
+    ``full`` reads the clock."""
+    prev = getattr(_tls, "ids", _UNBOUND)
+    _tls.ids = ids = (prev[0] or tel.new_trace_id(), tel.new_span_id())
+    return prev, ids, time.perf_counter() if tel.full else 0.0
+
+
+def close_span(tel, opened: tuple, name: str, detail: str = "",
+               hist: Optional[str] = None) -> None:
+    """Restore the ids :func:`open_span` replaced and, in ``full``,
+    record the span — its duration also into the ``hist`` latency
+    histogram when one is named."""
+    prev, (trace_id, span_id), t0 = opened
+    _tls.ids = prev
+    if tel.full:
+        dur = time.perf_counter() - t0
+        if hist is not None:
+            tel.histogram(hist).record_seconds(dur)
+        tel.record_span(name, t0, dur, detail, trace_id, span_id, prev[1])
+
+
 class span:
-    """Open a traced span on ``tel`` (a :class:`RankTelemetry`).
+    """Open a traced span on ``tel`` (a :class:`RankTelemetry`) for the
+    length of a ``with`` block: :func:`open_span` on entry,
+    :func:`close_span` on exit.
 
     * If no trace is bound on this thread, a fresh ``trace_id`` is
       minted — this span is the trace **root** (a client op).
@@ -76,44 +103,28 @@ class span:
     whole object is a no-op and ``trace_id`` stays 0.
     """
 
-    __slots__ = ("tel", "name", "detail", "trace_id", "span_id",
-                 "parent_id", "_t0", "_bound")
+    __slots__ = ("tel", "name", "detail", "_opened")
 
     def __init__(self, tel, name: str, detail: str = ""):
         self.tel = tel
         self.name = name
         self.detail = detail
-        self.trace_id = 0
-        self.span_id = 0
-        self.parent_id = 0
-        self._t0 = 0.0
-        self._bound: Optional[bound] = None
+        self._opened = None
 
     def __enter__(self) -> "span":
         tel = self.tel
-        if tel is None or not tel.active:
-            return self
-        cur_trace, cur_span = current_ids()
-        self.trace_id = cur_trace or tel.new_trace_id()
-        self.parent_id = cur_span
-        self.span_id = tel.new_span_id()
-        self._bound = bound(self.trace_id, self.span_id)
-        self._bound.__enter__()
-        if tel.full:
-            self._t0 = time.perf_counter()
+        if tel is not None and tel.active:
+            self._opened = open_span(tel)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._bound is None:
-            return
-        self._bound.__exit__()
-        self._bound = None
-        tel = self.tel
-        if tel.full and self._t0:
-            tel.record_span(
-                self.name, self._t0, time.perf_counter() - self._t0,
-                detail=self.detail, trace_id=self.trace_id,
-                span_id=self.span_id, parent_id=self.parent_id)
+        if self._opened is not None:
+            close_span(self.tel, self._opened, self.name, self.detail)
+
+    @property
+    def trace_id(self) -> int:
+        return self._opened[1][0] if self._opened else 0
 
 
-__all__ = ["bound", "span", "current_ids", "current_trace_id"]
+__all__ = ["bound", "span", "open_span", "close_span", "current_ids",
+           "current_trace_id"]

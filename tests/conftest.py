@@ -3,16 +3,86 @@
 ``run_spmd`` wraps :func:`repro.spmd` with a short watchdog timeout so a
 regression that deadlocks a collective fails the test quickly instead of
 hanging the suite.  ``hang_until_declared`` turns the calling rank into
-a hung one, the fault the failure detector exists for.
+a hung one, the fault the failure detector exists for.  Every test runs
+under ``no_leaks``: what it starts — threads, ``/dev/shm/repro_*``
+blocks, child processes — must be gone when it ends.
 """
 
 from __future__ import annotations
 
+import glob
+import os
+import threading
 import time
 
 import pytest
 
 import repro
+
+
+LEAK_GRACE_S = 1.0
+
+
+def _threads() -> set:
+    return set(threading.enumerate())
+
+
+def _shm_blocks() -> set:
+    return set(glob.glob("/dev/shm/repro_*"))
+
+
+def _children() -> set:
+    """This process's child processes (zombies included), but
+    multiprocessing's resource tracker: one serves the whole session."""
+    me = str(os.getpid()).encode()
+    kids = set()
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            if _read(f"/proc/{pid}/stat").rsplit(b")", 1)[1].split()[1] != me:
+                continue
+            if b"resource_tracker" in _read(f"/proc/{pid}/cmdline"):
+                continue
+        except (OSError, IndexError):
+            continue  # gone meanwhile
+        kids.add(int(pid))
+    return kids
+
+
+def _read(path: str) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 4096)
+    finally:
+        os.close(fd)
+
+
+def _left_behind(probe, before: set) -> set:
+    """What ``probe`` finds that was not there ``before``, once
+    :data:`LEAK_GRACE_S` has passed without it all going away."""
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while True:
+        new = probe() - before
+        if not new or time.monotonic() >= deadline:
+            return new
+        time.sleep(0.01)
+
+
+@pytest.fixture(autouse=True)
+def no_leaks():
+    """Fail a test that leaves a thread, a shared-memory block or a
+    child process behind (each gets :data:`LEAK_GRACE_S` to go)."""
+    probes = {"threads": _threads, "/dev/shm blocks": _shm_blocks,
+              "child processes": _children}
+    before = {name: probe() for name, probe in probes.items()}
+    yield
+    leaks = {name: _left_behind(probe, before[name])
+             for name, probe in probes.items()}
+    leaks = {name: sorted(map(str, new)) for name, new in leaks.items()
+             if new}
+    if leaks:
+        pytest.fail(f"test left behind {leaks}", pytrace=False)
 
 
 def run_spmd(fn, ranks: int = 4, timeout: float = 30.0, **kwargs):

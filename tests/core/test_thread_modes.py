@@ -234,6 +234,22 @@ def test_a_spent_ring_does_not_end_the_next_park():
     assert time.perf_counter() - t0 >= 0.04
 
 
+def _poke_then_park() -> float:
+    world = repro.current_world()
+    world.poke_all()
+    t0 = time.perf_counter()
+    assert not world.conduit.poll(repro.myrank(), 1.0)
+    return time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_a_poke_before_the_park_ends_it(conduit):
+    """A ``poke_all`` that lands before the park is not spent as a
+    stale ring: the park it precedes returns at once, inbox empty."""
+    [took] = run_spmd(_poke_then_park, ranks=1, conduit=conduit)
+    assert took < 0.05
+
+
 def test_poke_all_brings_back_a_parked_poll():
     """``poke_all`` from another thread ends a park with nothing in the
     inbox: a state change that is no message still wakes the rank."""
