@@ -12,10 +12,11 @@ the global pointer of any element without communication — which is what
 lets ``sa[i]`` be a single one-sided get/put (runtime Fig. 3).
 
 Every access takes one route: its index is checked once, translated
-to (owner, slab offset) by one divmod pair for every block size (with
-``block * nranks`` fixed at ``init``) and handed straight to
-:mod:`repro.gasnet.rma` — one call per element, one indexed call per
-owning rank of a vector; the owner's own elements use its slab view.
+to (owner, slab offset) — by one divmod by ``nranks`` for ``BS = 1``,
+by a divmod pair for other block sizes (with ``block * nranks`` fixed
+at ``init``) — and handed straight to :mod:`repro.gasnet.rma`: one call
+per element, one indexed call per owning rank of a vector; the owner's
+own elements use its slab view.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ class SharedArray:
         of them — to (owner rank, element offset in the owner's slab);
         the same pair as :func:`owner_of` / :func:`local_offset_of`."""
         q, rem = divmod(i, self._span)
+        if self.block == 1:  # cyclic: the remainder is the owner
+            return rem, q
         rank, within = divmod(rem, self.block)
         return rank, q * self.block + within
 

@@ -17,6 +17,7 @@ paper, and ordering it against peers' RMA is the program's job
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Iterator
 
@@ -30,6 +31,16 @@ _ALIGN_DEFAULT = 8
 
 def _align_up(x: int, align: int) -> int:
     return (x + align - 1) & ~(align - 1)
+
+
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _quiet_overflow(dtype: np.dtype):
+    """Silence NumPy's overflow warning where array arithmetic on
+    ``dtype`` can raise it: float and complex.  Integer arrays wrap
+    modulo 2**bits without one, so they get no ``np.errstate``."""
+    return np.errstate(over="ignore") if dtype.kind in "fc" else _NO_GUARD
 
 
 class Segment:
@@ -253,17 +264,22 @@ class Segment:
         """A typed view covering all elements named by ``elem_offsets``
         (element indices relative to byte offset ``base``), plus the
         normalized index array.  Caller must hold :attr:`lock` while the
-        view is alive."""
+        view is alive.
+
+        Bounds are one ``max()`` over the offsets viewed as ``uint64``,
+        where a negative offset reads as 2**63 or more; ``min()`` runs
+        only to name it."""
         dtype = np.dtype(dtype)
         idx = np.asarray(elem_offsets, dtype=np.int64).reshape(-1)
         if idx.size == 0:
             return np.empty(0, dtype=dtype), idx
-        lo = int(idx.min())
-        if lo < 0:
+        hi = int(idx.view(np.uint64).max())
+        if hi >> 63:
             raise BadPointer(
-                f"rank {self.rank}: negative element offset {lo} in batch"
+                f"rank {self.rank}: negative element offset "
+                f"{int(idx.min())} in batch"
             )
-        extent = (int(idx.max()) + 1) * dtype.itemsize
+        extent = (hi + 1) * dtype.itemsize
         self._check_range(base, extent)
         if dtype.itemsize and base % dtype.itemsize:
             raise BadPointer(
@@ -310,22 +326,28 @@ class Segment:
             if ops.shape != idx.shape:
                 ops = np.broadcast_to(ops, idx.shape)
             ufunc = ATOMIC_UFUNCS.get(op) if isinstance(op, str) else None
-            with np.errstate(over="ignore"):
-                if ufunc is not None and not return_old:
+            if ufunc is not None and not return_old:
+                with _quiet_overflow(dtype):
                     ufunc.at(view, idx, ops)
-                    return None
-                unique = np.unique(idx).size == idx.size
-                if unique and (ufunc is not None or op == "swap"):
-                    old = view[idx]  # copy
-                    view[idx] = ufunc(old, ops) if ufunc is not None else ops
-                    return old if return_old else None
-                fn = resolve_scalar(op)
-                old = np.empty(idx.shape, dtype=dtype)
+                return None
+            unique = np.unique(idx).size == idx.size
+            if unique and (ufunc is not None or op == "swap"):
+                old = view[idx]  # copy
+                if ufunc is None:
+                    view[idx] = ops
+                else:
+                    with _quiet_overflow(dtype):
+                        view[idx] = ufunc(old, ops)
+                return old if return_old else None
+            fn = resolve_scalar(op)
+            old = np.empty(idx.shape, dtype=dtype)
+            # NumPy scalar arithmetic warns on integer overflow too
+            with np.errstate(over="ignore"):
                 for k in range(idx.size):
                     cur = view[idx[k]].copy()
                     old[k] = cur
                     view[idx[k]] = fn(cur, ops[k])
-                return old if return_old else None
+            return old if return_old else None
 
     def atomic_update(self, offset: int, dtype: np.dtype, op, operand):
         """Read-modify-write one element under the segment lock.

@@ -80,9 +80,8 @@ class SegmentRma:
                          dtype: np.dtype, elem_offsets: np.ndarray,
                          op, operands, return_old: bool = False):
         target = self._rank(dst)
-        count = np.asarray(elem_offsets).size
-        self._rank(src).stats.add(atomic_batches=1, batched_elements=count,
-                                  remote_accesses=count)
+        self._rank(src).stats.record_atomic_batch(
+            np.asarray(elem_offsets).size)
         return target.segment.atomic_batch_update(
             base, dtype, elem_offsets, op, operands, return_old
         )

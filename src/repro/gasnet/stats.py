@@ -139,6 +139,16 @@ class CommStats:
             if by_ref:
                 self.wire_byref += 1
 
+    def record_atomic_batch(self, count: int) -> None:
+        """One batched atomic of ``count`` elements on a remote owner's
+        segment: one conduit op.  Hand-written like
+        :meth:`record_am_wire`: it runs once per remote owner of every
+        GUPS window."""
+        with self._lock:
+            self.atomic_batches += 1
+            self.batched_elements += count
+            self.remote_accesses += count
+
     # Derived properties read several counters that a concurrent
     # add() may be mid-update on, so they all go through snapshot()
     # (one consistent locked copy) instead of reading fields directly.

@@ -403,6 +403,58 @@ def test_gups_batched_coalesces_vs_element_baseline():
     assert batched.updates == element.updates == 4 * 512
 
 
+def _window_counts():
+    """Rank 0 of 2 sends one seeded 256-update xor window to a cyclic
+    table; returns its counter deltas and the window's indices."""
+    idx = np.random.default_rng(38).integers(0, 1 << 16, 256)
+    vals = np.random.default_rng(39).integers(1, 1 << 63, 256,
+                                              dtype=np.uint64)
+    sa = repro.SharedArray(np.uint64, 1 << 16, block=1)
+    repro.barrier()
+    delta = None
+    if repro.myrank() == 0:
+        stats = repro.current_world().ranks[0].stats
+        s0 = stats.snapshot()
+        sa.atomic_batch(idx, "xor", vals)
+        s1 = stats.snapshot()
+        delta = {k: s1[k] - s0[k] for k in s1}
+    repro.barrier()
+    return delta, idx
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc"])
+def test_gups_window_counter_parity(conduit):
+    """One GUPS window charges exactly the counters it always has: one
+    batched atomic for rank 1's (odd) half, one remote access per odd
+    index and one local access per even one — and no other conduit op."""
+    (delta, idx), _ = run_spmd(_window_counts, ranks=2, conduit=conduit)
+    odd = int(np.count_nonzero(idx % 2))
+    assert 0 < odd < idx.size
+    assert delta["atomic_batches"] == 1
+    assert delta["batched_elements"] == delta["remote_accesses"] == odd
+    assert delta["local_accesses"] == idx.size - odd
+    assert _conduit_ops(delta) + delta["ams_sent"] == 1
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc"])
+def test_gups_remote_fraction_and_conduit_ops_are_pinned(conduit):
+    """gups.run's locality and coalescing figures follow from the update
+    stream alone: the odd share of rank 0's indices, and one batched
+    atomic per window plus the one AM rank 0 sends in the barrier that
+    closes its timed loop."""
+    from repro.bench import gups
+    from repro.util.rng import splitmix64_array
+
+    res = gups.run(ranks=2, log2_table_size=10, updates_per_rank=1024,
+                   conduit=conduit)
+    stream = gups.hpcc_stream(gups.hpcc_starts(0), 1024)
+    idx = (splitmix64_array(stream) & np.uint64(1023)).astype(np.int64)
+    owners = owner_of(idx, 1, 2).reshape(-1, gups.BATCH_WINDOW)
+    assert res.verified
+    assert res.remote_fraction == np.count_nonzero(owners) / idx.size
+    assert res.conduit_ops == int(owners.any(axis=1).sum()) + 1
+
+
 def test_batched_and_element_gups_index_identically():
     from repro.bench.gups import _index_of
     from repro.util.rng import splitmix64_array

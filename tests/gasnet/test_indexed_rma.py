@@ -1,11 +1,14 @@
 """Indexed bulk RMA: segment substrate, conduit contract (fast path and
 generic per-element fallback), stats accounting, and tracing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import BadPointer
+from repro.gasnet.atomics import ATOMIC_OPS
 from repro.gasnet.conduit import Conduit
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
@@ -62,6 +65,103 @@ def test_segment_atomic_batch_swap_and_old_values():
                                   [7, 8], return_old=True)
     assert list(old) == [2, 7]
     assert seg.view(base, np.int64, 4)[1] == 8
+
+
+# -- overflow: wraparound without a warning -------------------------------
+
+def test_float_batch_overflow_to_inf_is_silent():
+    seg = Segment(256)
+    base = seg.alloc(4 * 8, align=8)
+    seg.view(base, np.float64, 4)[:] = np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seg.atomic_batch_update(base, np.float64, [0, 0, 2], "add",
+                                np.finfo(np.float64).max)
+        old = seg.atomic_batch_update(base, np.float64, [1], "add",
+                                      np.finfo(np.float64).max,
+                                      return_old=True)
+    assert old[0] == np.finfo(np.float64).max
+    assert list(np.isinf(seg.view(base, np.float64, 4))) == [
+        True, True, True, False]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("return_old", [False, True])
+def test_integer_batch_add_wraps_like_sequential_atomics(dtype, return_old):
+    """``add`` wraps modulo 2**64 with no warning, on the ``ufunc.at``
+    path (duplicates) and on the unique-offset ``return_old`` path, and
+    lands where one scalar atomic per element does."""
+    info = np.iinfo(dtype)
+    offs = [0, 1, 2, 3] if return_old else [0, 1, 1, 3, 3, 3]
+    vals = np.full(len(offs), info.max, dtype=dtype)
+    vals[1] = 7
+    start = np.array([info.max, 9, info.min, info.max - 1], dtype=dtype)
+    batch, seq = Segment(256), Segment(256)
+    b_base, s_base = batch.alloc(4 * 8, align=8), seq.alloc(4 * 8, align=8)
+    batch.view(b_base, dtype, 4)[:] = start
+    seq.view(s_base, dtype, 4)[:] = start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        old = batch.atomic_batch_update(b_base, dtype, offs, "add", vals,
+                                        return_old=return_old)
+        want_old = [seq.atomic_update(s_base + k * 8, dtype,
+                                      ATOMIC_OPS["add"], v)
+                    for k, v in zip(offs, vals)]
+    assert np.array_equal(batch.view(b_base, dtype, 4),
+                          seq.view(s_base, dtype, 4))
+    wrapped = [int(x) % 2**64 for x in start]
+    for k, v in zip(offs, vals):
+        wrapped[k] = (wrapped[k] + int(v)) % 2**64
+    assert [int(x) % 2**64 for x in batch.view(b_base, dtype, 4)] == wrapped
+    if return_old:
+        assert list(old) == want_old
+    else:
+        assert old is None
+
+
+def test_callable_batch_overflow_in_scalar_loop_is_silent():
+    seg = Segment(256)
+    base = seg.alloc(2 * 8, align=8)
+    seg.view(base, np.int64, 2)[:] = np.iinfo(np.int64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        old = seg.atomic_batch_update(base, np.int64, [0, 0, 1],
+                                      lambda old, v: old + v, [1, 1, 2],
+                                      return_old=True)
+    assert list(old) == [2**63 - 1, -2**63, 2**63 - 1]
+    assert list(seg.view(base, np.int64, 2)) == [-2**63 + 1, -2**63 + 1]
+
+
+# -- bounds: one reduction, every bad offset named -------------------------
+
+_INDEXED_OPS = {
+    "typed_read_indexed":
+        lambda seg, base, offs: seg.typed_read_indexed(base, np.int64, offs),
+    "typed_write_indexed":
+        lambda seg, base, offs: seg.typed_write_indexed(
+            base, offs, np.zeros(len(offs), np.int64)),
+    "atomic_batch_update":
+        lambda seg, base, offs: seg.atomic_batch_update(
+            base, np.int64, offs, "add", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_INDEXED_OPS))
+def test_indexed_bounds_name_the_bad_offset(name):
+    access = _INDEXED_OPS[name]
+    seg = Segment(256)
+    base = seg.alloc(8 * 8, align=8)
+    last = (seg.size - base) // 8 - 1
+    access(seg, base, np.array([3, last, 0]))            # last valid one
+    with pytest.raises(BadPointer, match=r"outside segment"):
+        access(seg, base, np.array([3, last + 1, 0]))  # first one past
+    with pytest.raises(BadPointer, match=r"offset -3 in batch"):
+        access(seg, base, np.array([5, -3, 2]))
+    # a negative offset is named even beside one past the end
+    with pytest.raises(BadPointer, match=r"offset -1 in batch"):
+        access(seg, base, np.array([last + 1, -1]))
+    with pytest.raises(BadPointer, match=rf"offset {-2**63} in batch"):
+        access(seg, base, np.array([0, -2**63]))
 
 
 # -- conduit fallback vs SMP fast path ----------------------------------
