@@ -208,6 +208,12 @@ def _child_main(job: _Job, rank: int) -> None:
     world.stop_progress_thread()
     world.stop_failure_detector()
     world.stop_sampler()
+    failure = world.failure
+    if exc_out is None and failure is not None and failure[0] == rank:
+        # Recorded by the progress thread after this rank's last wait
+        # looked (a finalize that found its barrier done): the thread
+        # backend's spmd() raises it after the join, and so does this.
+        exc_out = failure[1]
     try:
         world.conduit.close()
     except Exception:

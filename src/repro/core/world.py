@@ -60,6 +60,17 @@ DEFAULT_SEGMENT_SIZE = 16 * 1024 * 1024
 
 _world_ids = itertools.count(1)
 
+#: The longest one park in :meth:`RankState.wait_until` lasts (seconds).
+#: A park ends by a ring — every message, self-send and poke rings the
+#: rank's doorbell — so this clock is only the safety net for a
+#: predicate nobody rings for (one that reads the clock) and for the
+#: failure detector, which judges a peer only by a prober that drained
+#: within half a ``peer_timeout``.  It must exceed a kernel tick (4 ms
+#: at ``HZ=250``): on a 2-vCPU Firecracker VM, arming and cancelling a
+#: timer shorter than that reprograms the clock event device on every
+#: park, 5-10 us a round trip.
+PARK_S = 0.02
+
 
 def current() -> "RankState":
     """The calling thread's rank state; raises outside an SPMD region."""
@@ -309,6 +320,11 @@ class RankState:
                    timeout: float | None = None) -> None:
         """Poll ``pred`` while making progress; the blocking idiom.
 
+        Each turn drains, tests ``pred``, and parks in the conduit's
+        ``poll`` until the rank's doorbell rings (a message, a self-send
+        or a :meth:`World.poke_all`) — at most :data:`PARK_S`, clipped to
+        what is left of the deadline.
+
         Raises :class:`PeerFailure` if another rank fails while we wait and
         :class:`CommTimeout` after ``timeout`` (default: the world's
         operation timeout) seconds.
@@ -348,7 +364,9 @@ class RankState:
                 raise CommTimeout(
                     f"rank {self.rank}: timed out waiting for {what or pred}"
                 )
-            poll(self.rank, 0.001)
+            left = (PARK_S if deadline is None
+                    else deadline - self.last_heartbeat)
+            poll(self.rank, left if left < PARK_S else PARK_S)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankState rank={self.rank}/{self.world.n_ranks}>"
@@ -689,7 +707,14 @@ class World:
                 if rank.done or rank.dead:
                     continue
                 try:
-                    progressed |= rank.advance(max_items=16)
+                    if rank.advance(max_items=16):
+                        progressed = True
+                        # What ran here may be what the rank's own
+                        # thread waits for, and took the message that
+                        # rang it: poke, so its park ends (or its next
+                        # one does) and it retests.
+                        rank._poked = True
+                        self.conduit.wake(rank.rank)
                 except Exception as exc:
                     # Not every dispatch error went through world.fail
                     # (unknown handler or token, a decode error): record
@@ -718,7 +743,9 @@ class ReliabilityConfig:
     #: Interval between the detector's probe rounds (seconds).
     heartbeat_period: float = 0.05
     #: Declare a peer dead after its probes go this long unanswered
-    #: (seconds); ``None`` runs no detector.
+    #: (seconds); ``None`` runs no detector.  Must exceed 2 ×
+    #: :data:`PARK_S` (40 ms): a prober judges only if it drained within
+    #: ``peer_timeout / 2``, and an idle one drains once per park.
     peer_timeout: float | None = 2.0
 
 

@@ -161,7 +161,10 @@ class Conduit(abc.ABC):
         before the park is not lost.  A zero ``timeout`` leaves bell and
         flag alone.  One ring ends one park: a second thread parked for
         the same rank (the progress thread, in ``concurrent`` mode)
-        comes back at its timeout."""
+        comes back at its timeout.  ``wait_until`` parks for
+        :data:`~repro.core.world.PARK_S` clipped to its deadline, longer
+        than a kernel tick so that the timer costs no clock reprogram:
+        a park ends by a ring, and the timeout is a safety net."""
         rk = self.world.ranks[rank]
         if timeout > 0.0:
             bell = rk._bell

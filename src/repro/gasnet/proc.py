@@ -48,8 +48,10 @@ Design
   peer sockets, one read per readable peer — runs in ``advance()`` and
   is where ``wait_until`` parks, so a reply wakes the thread that wants
   it, and completes its future right there when nothing is queued
-  before it.  A rank that computes without polling throttles its
-  senders, and **a blocked sender polls** (:meth:`ProcConduit._blocked`;
+  before it.  The park ends by a readable socket (a peer's bytes) or
+  the self-pipe (a wake); its timeout,
+  :data:`~repro.core.world.PARK_S`, is only a safety net.  A rank that
+  computes without polling throttles its senders, and **a blocked sender polls** (:meth:`ProcConduit._blocked`;
   sends are ``MSG_DONTWAIT``), or two ranks flooding each other would
   deadlock.
 
@@ -60,8 +62,8 @@ Design
   (parser state is not re-entrant, the rings are single-consumer); a
   second caller — the progress thread, a handler-nested wait, a
   blocked sender — tries it, or waits for it at most its own timeout,
-  and never spins.  The rank's *inbox condition* is the parking place
-  on smp and unused here: a delivery from another thread of the
+  and never spins.  The rank's doorbell (``RankState._bell``) is the
+  parking place on smp and unused here: a delivery from another thread of the
   process (the launcher's ``proc-control`` thread) is a bare deque
   append, which :meth:`ProcConduit.wake` follows with a byte on the
   self-pipe only when somebody is parked in ``poll``.  (The core's
@@ -426,7 +428,13 @@ class ProcConduit(SegmentRma, Conduit):
 
     def close(self) -> None:
         self._closing = True
-        with self._recv_lock:  # a parked poll() is back within its 1 ms
+        # Ring before taking the lock: a parked poll() holds it, and
+        # would otherwise hold teardown for the rest of its park.
+        try:
+            self._wake_w.send(b"\0", socket.MSG_DONTWAIT)
+        except OSError:
+            pass  # closed already, or full of wake-ups
+        with self._recv_lock:
             for s in (*self._socks.values(), self._wake_r, self._wake_w):
                 try:
                     s.close()
@@ -701,11 +709,13 @@ class ProcConduit(SegmentRma, Conduit):
         return bool(me._inbox)
 
     def _receive_all(self, timeout: float, taken: list | None) -> None:
-        """One ``select.poll`` over the peer sockets, one read per
-        readable peer — message bytes (socket) or bell bytes saying that
-        peer's ring has slots (ring).  A second caller waits for the
-        lock at most ``timeout`` and otherwise leaves the receiving to
-        the first."""
+        """One ``select.poll`` over the peer sockets and the self-pipe,
+        parked up to ``timeout``, then one read per readable peer —
+        message bytes (socket) or bell bytes saying that peer's ring has
+        slots (ring).  A peer's bytes or a :meth:`wake` ends the park;
+        the timeout is only a safety net.  A second caller waits for
+        the lock at most ``timeout`` and otherwise leaves the receiving
+        to the first."""
         lock = self._recv_lock
         if not (lock.acquire(False)
                 or (timeout > 0.0 and lock.acquire(timeout=timeout))):

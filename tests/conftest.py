@@ -5,7 +5,8 @@ regression that deadlocks a collective fails the test quickly instead of
 hanging the suite.  ``hang_until_declared`` turns the calling rank into
 a hung one, the fault the failure detector exists for.  Every test runs
 under ``no_leaks``: what it starts — threads, ``/dev/shm/repro_*``
-blocks, child processes — must be gone when it ends.
+blocks, child processes — must be gone when it ends; and under a
+:data:`CALL_BUDGET_S` wall budget for its call phase.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import repro
 
 
 LEAK_GRACE_S = 1.0
+#: The longest a test's call phase may take.  The slowest test takes a
+#: few seconds by construction, so one over this sat out a timeout —
+#: a lost wake-up, say — and fails instead of passing slowly.
+CALL_BUDGET_S = 20.0
 
 
 def _threads() -> set:
@@ -83,6 +88,19 @@ def no_leaks():
              if new}
     if leaks:
         pytest.fail(f"test left behind {leaks}", pytrace=False)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose call phase passed but took over
+    :data:`CALL_BUDGET_S`."""
+    t0 = time.monotonic()
+    result = yield
+    took = time.monotonic() - t0
+    if took > CALL_BUDGET_S:
+        pytest.fail(f"test took {took:.1f}s, over its {CALL_BUDGET_S:.0f}s "
+                    f"budget (did a wait sit out a timeout?)", pytrace=False)
+    return result
 
 
 def run_spmd(fn, ranks: int = 4, timeout: float = 30.0, **kwargs):

@@ -122,6 +122,21 @@ def test_concurrent_mode_reports_dispatch_errors(conduit):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("conduit", CONDUITS)
+def test_a_failure_recorded_after_the_last_wait_is_still_reported(conduit):
+    """The progress thread fails rank 1 while it computes, and rank 1's
+    finalize wait finds its barrier already complete, so no wait of its
+    own ever sees the failure: ``spmd`` must still raise it."""
+    def body():
+        if repro.myrank() == 0:
+            repro.current_world().ranks[0].send_am(1, "no_such_handler")
+        else:
+            _busy_loop(time.perf_counter() + 0.3)
+
+    with pytest.raises(PgasError, match="no_such_handler"):
+        run_spmd(body, ranks=2, thread_mode="concurrent", conduit=conduit)
+
+
 def test_concurrent_mode_runs_full_workload():
     """The whole shared-object API works under the progress thread."""
     def body():
@@ -248,6 +263,33 @@ def test_a_poke_before_the_park_ends_it(conduit):
     stale ring: the park it precedes returns at once, inbox empty."""
     [took] = run_spmd(_poke_then_park, ranks=1, conduit=conduit)
     assert took < 0.05
+
+
+def _close_under_a_parked_poll() -> tuple[bool, float, bool]:
+    world = repro.current_world()
+    conduit, me = world.conduit, repro.myrank()
+    parker = threading.Thread(target=conduit.poll, args=(me, 5.0))
+    parker.start()
+    deadline = time.monotonic() + 5.0
+    while not conduit._parked and time.monotonic() < deadline:
+        time.sleep(0.001)
+    was_parked = conduit._parked
+    t0 = time.perf_counter()
+    conduit.close()
+    took = time.perf_counter() - t0
+    parker.join(5.0)
+    return was_parked, took, parker.is_alive()
+
+
+def test_close_rings_a_parked_poll_out_of_its_park():
+    """A thread parked in a proc rank's ``poll`` (a progress thread in a
+    handler's nested wait, say) holds the receive lock; ``close`` rings
+    it out of the park instead of waiting for its timeout."""
+    [(was_parked, took, still_parked)] = run_spmd(
+        _close_under_a_parked_poll, ranks=1, conduit="proc+socket")
+    assert was_parked
+    assert took < 0.5
+    assert not still_parked
 
 
 def test_poke_all_brings_back_a_parked_poll():

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.world import PARK_S
 from repro.gasnet import (
     Conduit,
     ConduitLayer,
@@ -188,7 +189,7 @@ def test_noop_layer_is_transparent(position):
 
     assert all(run_spmd(body, ranks=2, conduit=stack, telemetry="flight"))
     # every blocking call above parked in the backend's poll
-    assert {(0, 0.001), (1, 0.001)} <= set(smp.polled)
+    assert {(0, PARK_S), (1, PARK_S)} <= set(smp.polled)
 
 
 # -- stacked fault layers charge each AM once --------------------------------
