@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from repro.errors import PgasError, RankDead, SerializationError
 from repro.gasnet.am import ActiveMessage, make_reply
+from repro.gasnet.wire.frame import Frame
 from repro.telemetry import tracing
 
 
@@ -121,12 +122,15 @@ class Endpoint:
             self._fail(exc)
             raise exc
 
-    def receive(self, am: ActiveMessage) -> None:
-        """Handle one arrived message, its frame thawed (by-value delivery):
-        a reply completes its future, a request is dispatched in its
-        sender's trace context.  The caller holds the handler lock."""
+    def receive(self, am: ActiveMessage | Frame) -> None:
+        """Handle one arrived message, thawed from its frame (by-value
+        delivery): a :class:`~repro.gasnet.wire.Frame` as proc's parse
+        queues it, or an :class:`ActiveMessage`, whose frame (if any) is
+        thawed.  A reply completes its future, a request is dispatched
+        in its sender's trace context.  The caller holds the handler
+        lock."""
         tel = self.telemetry
-        frame = am._frame
+        frame = am if am.__class__ is Frame else am._frame
         if frame is not None:
             t0 = time.perf_counter() if tel.full else 0.0
             am = frame.thaw()

@@ -125,7 +125,9 @@ class RankState:
         #: Raised by ``World.poke_all`` before it wakes the rank: the
         #: next park returns at once (see :meth:`Conduit.poll`).
         self._poked = False
-        self._inbox: deque[ActiveMessage] = deque()
+        # Arrived messages: ActiveMessages, or on proc the Frames its
+        # poll parsed; ``endpoint.receive`` takes either.
+        self._inbox: deque = deque()
         self.task_queue: deque[_Task] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
         #: its answer (see :meth:`Endpoint.reply`).

@@ -32,16 +32,16 @@ Design
   carry the same per-directed-pair byte stream of frames (below) and
   both wake the receiver through the pair's mesh socket.
   ``proc+socket`` — which plain ``proc`` names — writes the message
-  bytes to that socket (one ``sendmsg`` per message, chunked buffered
-  reads).  ``proc+ring`` is the same transport with the bytes
-  in shared memory: a send publishes the message as slots of the
-  pair's directed :mod:`repro.gasnet.ring` SPSC region (all regions
-  live in one ``multiprocessing.shared_memory`` block the launcher
-  creates before the fork) and then sends **one bell byte** on the
-  socket; whoever reads the bell drains that peer's ring until it is
-  empty.  A bell per send does everything a ``sendmsg`` does plus a
-  slot copy, so the ring does not beat the socket on small frames
-  (ROADMAP item 1 has the numbers).
+  bytes to that socket (one ``sendmsg`` per message; one buffered read
+  per readable peer, parsed in one pass).  ``proc+ring`` is the same
+  transport with the bytes in shared memory: a send publishes the
+  message as slots of the pair's directed :mod:`repro.gasnet.ring`
+  SPSC region (all regions live in one ``multiprocessing.shared_memory``
+  block the launcher creates before the fork) and then sends **one bell
+  byte** on the socket; whoever reads the bell drains that peer's ring
+  until it is empty.  A bell per send does everything a ``sendmsg``
+  does plus a slot copy, so the ring does not beat the socket on small
+  frames (ROADMAP item 1 has the numbers).
 
 * **The waiting rank is the receiver** (paper §IV; GASNet's
   ``AMPoll``): :meth:`ProcConduit.poll` — one ``select.poll`` over the
@@ -126,10 +126,12 @@ RING_SPILL_BYTES = 1 << 20   # per-ring OOB spill region (oversized frames)
 # Both transports carry one per-directed-pair byte stream of wire
 # frames.  Each is <III> (ctrl_len, nbufs, refs_len) + nbufs u64 buffer
 # lengths, then the raw control bytes, the raw buffer spans, and the
-# pickled by-reference table.
+# pickled by-reference table.  One pass per frame each way: a send lays
+# the frame out for one sendmsg (ProcConduit.deliver_encoded), and a
+# receive parses every frame a chunk completes in one loop
+# (ProcConduit._feed), queuing the Frame itself; the endpoint thaws it.
 
 _FRAME_HDR = struct.Struct("<III")
-_U64 = struct.Struct("<Q")
 
 _RECV_CHUNK = 1 << 18     # receive-loop read size (message or bell bytes)
 _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
@@ -137,75 +139,16 @@ _IOV_BATCH = 128          # spans per sendmsg (stay far under IOV_MAX)
 _fabric_ids = itertools.count(1)
 
 
-def _buf_span(b):
-    """A sendable view of an out-of-band buffer table entry."""
-    if isinstance(b, (bytes, bytearray, memoryview)):
-        return b
-    return memoryview(b)  # e.g. pickle.PickleBuffer
-
-
-def _span_len(mv) -> int:
-    return mv.nbytes if isinstance(mv, memoryview) else len(mv)
-
-
 class _StreamParser:
-    """Incremental parser for one peer's message stream.
+    """One peer's stream bytes not yet parsed: ``buf[off:]`` is the
+    start of a frame the next chunk completes.  :meth:`ProcConduit._feed`
+    is the parse."""
 
-    Fed arbitrary chunks (a ring slot's bytes, a buffered socket read),
-    yields complete messages; partial messages wait for the next chunk.
-    This replaces the old ``recv(1)``-per-message framing: the socket
-    path now costs ~one ``recv`` per *chunk of messages* instead of
-    ~six syscalls per message.
-    """
-
-    __slots__ = ("_buf", "_off")
+    __slots__ = ("buf", "off")
 
     def __init__(self):
-        self._buf = bytearray()
-        self._off = 0
-
-    def feed(self, chunk) -> None:
-        self._buf += chunk
-
-    def next_msg(self):
-        """One complete frame as ``(ctrl, buffers, refs_blob)``, or
-        ``None`` if more bytes are needed — ctrl/buffers are writable
-        bytearrays."""
-        buf = self._buf
-        off = self._off
-        avail = len(buf) - off
-        if avail < _FRAME_HDR.size:
-            return None
-        ctrl_len, nbufs, refs_len = _FRAME_HDR.unpack_from(buf, off)
-        p = off + _FRAME_HDR.size
-        if avail < _FRAME_HDR.size + 8 * nbufs:
-            return None
-        lens = struct.unpack_from(f"<{nbufs}Q", buf, p) if nbufs else ()
-        p += 8 * nbufs
-        if len(buf) - p < ctrl_len + sum(lens) + refs_len:
-            return None
-        # Writable bytearrays: the ndarray codec's zero-copy decode
-        # (np.frombuffer) yields writable arrays over them, matching
-        # the SMP conduit's by-value delivery semantics.
-        ctrl = buf[p:p + ctrl_len]
-        p += ctrl_len
-        buffers = []
-        for n in lens:
-            buffers.append(buf[p:p + n])
-            p += n
-        refs_blob = bytes(buf[p:p + refs_len]) if refs_len else b""
-        self._off = p + refs_len
-        self._compact()
-        return (ctrl, buffers, refs_blob)
-
-    def _compact(self) -> None:
-        off = self._off
-        if off == len(self._buf):
-            self._buf = bytearray()
-            self._off = 0
-        elif off > (1 << 16):
-            del self._buf[:off]
-            self._off = 0
+        self.buf = bytearray()
+        self.off = 0
 
 
 class ProcFabric:
@@ -444,12 +387,26 @@ class ProcConduit(SegmentRma, Conduit):
     # -- active messages -------------------------------------------------
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
+        """Send ``am``'s frame to ``dst``: the one send path.  Lay it out
+        as the stream carries it — the ``<III>`` header, a u64 length
+        per out-of-band buffer and the control bytes as one part, then
+        the buffers and the pickled by-reference table — and hand the
+        parts to one ``sendmsg``; only a write that was partial or
+        blocked goes on in :meth:`_sendmsg_all`.  On the ring transport
+        the same parts become slots.  A by-reference payload that does
+        not pickle raises :class:`~repro.errors.SerializationError`
+        here, at the sender; a send to this rank is a loopback."""
         if dst == self.local_rank:
-            self._me.deliver(am)  # loopback: no wire
-        else:
-            self._send_frame(dst, am._frame)
-
-    def _send_frame(self, dst: int, frame: Frame) -> None:
+            self._me.deliver(am)
+            return
+        sock = self._socks.get(dst)
+        if sock is None:
+            raise PgasError(
+                f"proc conduit: no wire to rank {dst} "
+                f"(local rank {self.local_rank})"
+            )
+        frame = am._frame
+        ctrl = frame.ctrl
         refs_blob = b""
         if frame.refs:
             try:
@@ -463,68 +420,69 @@ class ProcConduit(SegmentRma, Conduit):
                     f"encodable data instead"
                 ) from None
         bufs = frame.buffers
-        spans = [_buf_span(b) for b in bufs] if bufs else bufs
-        ctrl = frame.ctrl
-        sock = self._socks.get(dst)
-        if sock is None:
-            raise PgasError(
-                f"proc conduit: no wire to rank {dst} "
-                f"(local rank {self.local_rank})"
-            )
+        if bufs:
+            spans = [memoryview(b) for b in bufs]  # e.g. a PickleBuffer
+            lens = [mv.nbytes for mv in spans]
+            head = (_FRAME_HDR.pack(len(ctrl), len(spans), len(refs_blob))
+                    + struct.pack(f"<{len(lens)}Q", *lens) + ctrl)
+            parts = [head, *spans]
+            total = len(head) + sum(lens)
+        else:
+            head = _FRAME_HDR.pack(len(ctrl), 0, len(refs_blob)) + ctrl
+            parts = [head]
+            total = len(head)
+        if refs_blob:
+            parts.append(refs_blob)
+            total += len(refs_blob)
         prod = self._prod.get(dst)
         try:
             with self._send_locks[dst]:
-                parts = [self._frame_head(ctrl, spans, len(refs_blob)),
-                         *spans]
-                if refs_blob:
-                    parts.append(refs_blob)
-                if prod is None:
-                    self._sendmsg_all(dst, sock, parts)
-                else:
+                if prod is not None:
                     self._ring_send(dst, prod, sock, parts)
+                else:
+                    try:
+                        sent = sock.sendmsg(parts[:_IOV_BATCH], (),
+                                            socket.MSG_DONTWAIT)
+                    except BlockingIOError:
+                        sent = 0
+                    if sent < total:
+                        self._sendmsg_all(dst, sock, parts, sent)
         except OSError as exc:
             self._send_error(dst, exc)
             return
         self.frames_sent += 1
 
-    def _frame_head(self, ctrl, spans, refs_len: int) -> bytes:
-        if not spans:
-            # Hot shape: header-only frame — one pack, one concat.
-            return _FRAME_HDR.pack(len(ctrl), 0, refs_len) + ctrl
-        head = bytearray(_FRAME_HDR.pack(len(ctrl), len(spans), refs_len))
-        for mv in spans:
-            head += _U64.pack(_span_len(mv))
-        head += ctrl
-        return bytes(head)
-
-    def _sendmsg_all(self, dst: int, sock: socket.socket, parts) -> None:
-        """Write all of ``parts`` with scatter-gather ``sendmsg`` — one
-        syscall for header + control + buffers + refs on the common path
-        (vs. one ``sendall`` per piece), looping on partial writes and
-        never blocking in the kernel: a full socket buffer is a
-        :meth:`_blocked` turn.  A part becomes a byte view only when a
-        write splits it."""
+    def _sendmsg_all(self, dst: int, sock: socket.socket, parts,
+                     sent: int) -> None:
+        """Go on with a write of ``parts`` whose first ``sendmsg`` took
+        only ``sent`` bytes: scatter-gather ``sendmsg`` again, looping on
+        partial writes and never blocking in the kernel — a full socket
+        buffer is a :meth:`_blocked` turn.  A part becomes a byte view
+        only when a write splits it."""
         i = 0
         stall_t = None
-        while i < len(parts):
-            batch = parts[i:i + _IOV_BATCH]
+        while True:
+            while i < len(parts):
+                n = memoryview(parts[i]).nbytes
+                if sent < n:
+                    if sent:
+                        parts[i] = memoryview(parts[i]).cast("B")[sent:]
+                    break
+                sent -= n
+                i += 1
+            else:
+                return
             try:
-                sent = sock.sendmsg(batch, (), socket.MSG_DONTWAIT)
+                sent = sock.sendmsg(parts[i:i + _IOV_BATCH], (),
+                                    socket.MSG_DONTWAIT)
             except BlockingIOError:
                 if stall_t is None:
                     stall_t = time.monotonic()
                 if not self._blocked(dst, stall_t, sock):
                     return
+                sent = 0
                 continue
             stall_t = None
-            for m in batch:
-                n = _span_len(m)
-                if sent >= n:
-                    sent -= n
-                    i += 1
-                else:
-                    parts[i] = memoryview(m).cast("B")[sent:]
-                    break
 
     def _blocked(self, dst: int, since: float, sock=None) -> bool:
         """One turn of a sender that cannot move bytes toward ``dst``
@@ -642,38 +600,65 @@ class ProcConduit(SegmentRma, Conduit):
 
     # -- receive side ----------------------------------------------------
     def _feed(self, peer: int, chunk, taken: list | None) -> None:
-        """Advance one peer's stream parser and queue every complete
-        message on the rank's inbox, in stream order; but the first
+        """Parse ``chunk``, the next bytes of ``peer``'s stream, in one
+        pass: every frame it completes becomes a :class:`Frame` on the
+        rank's inbox, in stream order, thawed later by
+        :meth:`~repro.core.endpoint.Endpoint.receive`.  But the first
         reply met with the inbox empty goes to ``taken``, for
         :meth:`poll` to dispatch, under the rank's handler lock — got
         without waiting and held until then, so no other drainer runs
-        anything around it.  ``taken`` is None for a blocked sender."""
+        anything around it.  ``taken`` is None for a blocked sender.
+        What ends in a partial frame waits in the peer's
+        :class:`_StreamParser` for the next chunk."""
         parser = self._parsers[peer]
-        parser.feed(chunk)
+        buf = parser.buf
+        buf += chunk
+        off = parser.off
+        end = len(buf)
+        hdr = _FRAME_HDR.size
         me = self._me
         inbox = me._inbox
-        while True:
-            msg = parser.next_msg()
-            if msg is None:
-                return
-            ctrl, buffers, refs_blob = msg
-            refs: list = []
-            if refs_blob:
-                refs = pickle.loads(refs_blob)
+        while end - off >= hdr:
+            ctrl_len, nbufs, refs_len = _FRAME_HDR.unpack_from(buf, off)
+            p = off + hdr
+            size = ctrl_len + refs_len
+            lens = ()
+            if nbufs:
+                if end - p < 8 * nbufs:
+                    break
+                lens = struct.unpack_from(f"<{nbufs}Q", buf, p)
+                p += 8 * nbufs
+                size += sum(lens)
+            if end - p < size:
+                break
+            # Writable bytearrays: the ndarray codec's zero-copy decode
+            # (np.frombuffer) yields writable arrays over them, matching
+            # the SMP conduit's by-value delivery semantics.
+            ctrl = buf[p:p + ctrl_len]
+            p += ctrl_len
+            buffers = []
+            for n in lens:
+                buffers.append(buf[p:p + n])
+                p += n
+            refs = pickle.loads(buf[p:p + refs_len]) if refs_len else []
+            off = p + refs_len
             flags = ctrl[1]
-            frame = Frame(
-                ctrl, buffers, refs, len(ctrl) + sum(map(len, buffers)),
-                bool(flags & F_USED_PICKLE), bool(flags & F_HAS_REFS),
-            )
-            shell = ActiveMessage(handler="", src_rank=peer)
-            shell._frame = frame
-            shell._wire_bytes = frame.nbytes
+            frame = Frame(ctrl, buffers, refs, size - refs_len,
+                          bool(flags & F_USED_PICKLE),
+                          bool(flags & F_HAS_REFS))
             self.frames_received += 1
             if (flags & F_IS_REPLY and taken is not None and not taken
                     and not inbox and me._handler_lock.acquire(False)):
-                taken.append(shell)
+                taken.append(frame)
             else:
-                inbox.append(shell)
+                inbox.append(frame)
+        if off == end:
+            buf.clear()
+            off = 0
+        elif off > (1 << 16):
+            del buf[:off]
+            off = 0
+        parser.off = off
 
     def _drain(self, peer: int, cons: RingConsumer,
                taken: list | None) -> None:
@@ -689,13 +674,14 @@ class ProcConduit(SegmentRma, Conduit):
             self._stats.add(wire_ring_wakeups=1)
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
-        """Receive, then dispatch the reply :meth:`_feed` took, so that
-        it completes its future in the poll that read it (counted in
-        the rank's ``_poll_handled``, which ``advance()`` reports).
-        Only threads that dispatch for the rank (its own, its progress
-        thread) call this; the dispatch runs after the receive lock is
-        released, as a completion callback may send or wait, and both
-        receive."""
+        """Receive, then hand the reply frame :meth:`_feed` took to
+        :meth:`~repro.core.endpoint.Endpoint.receive`, so that it
+        completes its future in the poll that read it (counted in the
+        rank's ``_poll_handled``, which ``advance()`` reports); every
+        other frame waits on the inbox.  Only threads that dispatch for
+        the rank (its own, its progress thread) call this; the dispatch
+        runs after the receive lock is released, as a completion
+        callback may send or wait, and both receive."""
         taken: list = []
         me = self._me
         try:
