@@ -166,27 +166,7 @@ def _child_main(job: _Job, rank: int) -> None:
     secondary = False
     try:
         result = job.fn(*job.args, **job.kwargs)
-        # Implicit finalize, exactly as the thread backend: a rank keeps
-        # servicing AMs until every peer is done issuing work.
-        ctx.body_done = True
-        world.poke_all()
-        if world.survive_rank_death:
-            # done-or-dead finalize needs the done flags of *remote*
-            # ranks, which only travel by message here.
-            for d in range(world.n_ranks):
-                if d != rank and not world.ranks[d].dead:
-                    try:
-                        ctx.send_am(d, "__proc_done__")
-                    except Exception:
-                        pass
-            ctx.wait_until(
-                lambda: all(p.body_done or p.dead for p in world.ranks),
-                what="finalize (done-or-dead)",
-            )
-        else:
-            from repro.core.collectives import barrier as _finalize
-
-            _finalize()
+        world.finalize(ctx)
     except worldmod._RankKilled:
         # Simulated crash: report the death, then vanish without any
         # orderly teardown (peers see the socket EOF + the broadcast).
@@ -205,9 +185,7 @@ def _child_main(job: _Job, rank: int) -> None:
         ctx.done = not ctx.dead
         worldmod._tls.ctx = None
 
-    world.stop_progress_thread()
-    world.stop_failure_detector()
-    world.stop_sampler()
+    world.stop_threads()
     failure = world.failure
     if exc_out is None and failure is not None and failure[0] == rank:
         # Recorded by the progress thread after this rank's last wait

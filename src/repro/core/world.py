@@ -40,6 +40,7 @@ from repro.errors import (
 from repro.core.coll_engine import CollEngine
 from repro.core.endpoint import Endpoint
 from repro.core.future import Future
+from repro.core.liveness import Liveness
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
@@ -380,10 +381,11 @@ class World:
     Failure knobs
     -------------
     The fault model is crash-stop: a rank works or dies, and the
-    transport loses nothing between live ranks.  One failure detector
-    thread, started by ``reliability=``, records every death in the one
-    dead set, :attr:`dead_ranks`; from then on a request to the dead
-    rank fails with :class:`~repro.errors.RankDead` at the call:
+    transport loses nothing between live ranks.  The failure detector,
+    a step of the housekeeping thread that ``reliability=`` starts,
+    records every death in the one dead set, :attr:`dead_ranks`; from
+    then on a request to the dead rank fails with
+    :class:`~repro.errors.RankDead` at the call:
 
     ``reliability``:
         ``True``, a dict of :class:`ReliabilityConfig` fields or a
@@ -458,12 +460,11 @@ class World:
         #: probe is no application traffic).
         self._wire = conduit
         rel = _resolve_reliability(reliability)
-        self._peer_timeout = self._probe_period = None
-        if rel is not None and n_ranks > 1:
-            self._peer_timeout = rel.peer_timeout
-            self._probe_period = rel.heartbeat_period
-        #: rank -> when it last answered one of this process's probes.
-        self._last_heard = dict.fromkeys(range(n_ranks), time.monotonic())
+        #: The failure detector's decisions; None runs no detector.
+        self._liveness = None
+        if rel is not None and rel.peer_timeout is not None and n_ranks > 1:
+            self._liveness = Liveness(n_ranks, rel.heartbeat_period,
+                                      rel.peer_timeout, time.monotonic())
         if self.telemetry.enabled:
             # Outermost, so an op's duration is what the caller saw.
             conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
@@ -478,28 +479,27 @@ class World:
         self.conduit.attach(self)
         self._lock_ids = itertools.count(1)
         self._dir_ids = itertools.count(1)
-        self._progress_stop = threading.Event()
-        self._progress_thread: threading.Thread | None = None
-        self._detector_stop = threading.Event()
-        self._detector_thread: threading.Thread | None = None
-        if self._peer_timeout is not None:
-            self._detector_thread = threading.Thread(
-                target=self._failure_detector_main,
-                name=f"pgas-detector-{self.id}", daemon=True,
-            )
-            self._detector_thread.start()
-        # Background metrics sampler + straggler watchdog (see
-        # repro.telemetry.metrics); only started when the telemetry
-        # config asks for either — and the sampling half only in "full",
-        # where its histograms exist.
-        self._sampler: MetricsSampler | None = None
+        self._stop = threading.Event()
+        self._threads: list[threading.Thread] = []
+        # One housekeeping thread runs every periodic step asked for:
+        # the detector round, and the metrics sample ("full" only, where
+        # its histograms exist) and straggler watchdog of the telemetry.
+        steps = []
+        if self._liveness is not None:
+            steps.append((self._liveness.heartbeat_period,
+                          self._detector_round))
         cfg = self.telemetry.config
-        sample_period = cfg.sample_period if self.telemetry.full else None
-        if self.telemetry.enabled and (sample_period or cfg.watchdog_period):
-            self._sampler = MetricsSampler(
-                self, sample_period, cfg.watchdog_period,
-                cfg.slow_op_factor, cfg.slow_op_min_s)
-            self._sampler.start()
+        sampler = MetricsSampler(cfg.sample_period, cfg.slow_op_factor,
+                                 cfg.slow_op_min_s)
+        if self.telemetry.full and cfg.sample_period:
+            steps.append((cfg.sample_period,
+                          lambda: sampler.sample(self._local_live())))
+        if self.telemetry.enabled and cfg.watchdog_period:
+            steps.append((cfg.watchdog_period,
+                          lambda: sampler.watchdog(self._local_live())))
+        if steps:
+            self._start_thread("housekeeping", self._housekeeping_main,
+                               steps)
 
     # -- observability -------------------------------------------------------
     def dump_flight_recorder(self, header: str = "", file=None) -> str:
@@ -513,12 +513,6 @@ class World:
         if file is not None:
             file.write(text)
         return text
-
-    def stop_sampler(self) -> None:
-        if self._sampler is not None:
-            self._sampler.stop()
-            self._sampler.join(timeout=5.0)
-            self._sampler = None
 
     def metrics_reduce(self, team=None, snapshot: dict | None = None) -> dict:
         """Collective cluster-wide metrics aggregation: every rank's
@@ -552,7 +546,7 @@ class World:
                       ) -> None:
         """Subscribe to rank-death events (RankDead).
 
-        ``callback(rank, exc)`` runs on the detector's thread — it must
+        ``callback(rank, exc)`` runs on the housekeeping thread — it must
         be quick and must not block on communication (record the event,
         consume it from a rank thread).  This is the failover hook: the
         replicated containers subscribe to flip their shard tables and
@@ -578,9 +572,9 @@ class World:
                 return
             self.dead_ranks.add(rank)
             subs = list(self._death_subs)
-        witness = next(iter(self._probers()), None)
+        witness = next(iter(self._local_live()), None)
         if witness is not None:
-            self.ranks[witness].telemetry.flight_event(
+            witness.telemetry.flight_event(
                 "rank_dead", src=rank, dst=rank, detail=str(exc))
         if 0 <= rank < self.n_ranks:
             self.ranks[rank].dead = True
@@ -604,6 +598,29 @@ class World:
         else:
             self.fail(rank, exc)
 
+    def finalize(self, ctx: RankState) -> None:
+        """The implicit finalize barrier of ``ctx``'s body (cf.
+        upcxx::finalize / UPC's implicit barrier at exit): a rank keeps
+        servicing active messages until every peer is done issuing work,
+        so trailing asyncs/RMA addressed to it are never stranded."""
+        ctx.body_done = True
+        self.poke_all()
+        if not self.survive_rank_death:
+            from repro.core.collectives import barrier
+
+            return barrier()
+        # A tree barrier would hang on a dead member: the finalize
+        # degrades to a done-or-dead wait (serving AMs meanwhile).  A
+        # remote rank's done flag only travels by message.
+        for d in range(self.n_ranks):
+            if not (self.is_local(d) or self.ranks[d].dead):
+                try:
+                    ctx.send_am(d, "__proc_done__")
+                except Exception:
+                    pass
+        ctx.wait_until(lambda: all(p.body_done or p.dead for p in self.ranks),
+                       what="finalize (done-or-dead)")
+
     def live_ranks(self) -> list[int]:
         """Ranks not declared dead (sorted)."""
         with self._glock:
@@ -618,79 +635,57 @@ class World:
             rk._poked = True
             wake(r)
 
-    # -- progress thread (concurrent mode) -----------------------------------
+    # -- the helper threads: progress (concurrent mode), housekeeping --------
     def start_progress_thread(self) -> None:
-        if self._progress_thread is not None:
-            return
-        self._progress_thread = threading.Thread(
-            target=self._progress_main, name=f"pgas-progress-{self.id}",
-            daemon=True,
-        )
-        self._progress_thread.start()
+        self._start_thread("progress", self._progress_main)
 
-    def stop_progress_thread(self) -> None:
-        self._progress_stop.set()
-        if self._progress_thread is not None:
-            self._progress_thread.join(timeout=5.0)
-            self._progress_thread = None
+    def _start_thread(self, name: str, target, *args) -> None:
+        t = threading.Thread(target=target, args=args, daemon=True,
+                             name=f"pgas-{name}-{self.id}")
+        t.start()
+        self._threads.append(t)
 
-    # -- failure detector: one thread, one signal ----------------------------
-    def stop_failure_detector(self) -> None:
-        self._detector_stop.set()
-        if self._detector_thread is not None:
-            self._detector_thread.join(timeout=5.0)
-            self._detector_thread = None
+    def stop_threads(self) -> None:
+        """Stop and join the progress and housekeeping threads."""
+        self._stop.set()
+        for t in self._threads:
+            t.join(timeout=5.0)
+        self._threads.clear()
 
-    def _failure_detector_main(self) -> None:
-        """Declare dead a peer that answers no probe for ``peer_timeout``
-        and, at the next round, a local rank that called :func:`die`."""
-        peer_timeout, heard = self._peer_timeout, self._last_heard
-        while not self._detector_stop.wait(self._probe_period):
-            if self._failure is not None:
-                return
-            now = time.monotonic()
-            probers = self._probers()
-            self._send_probes(probers)
-            # A pong is read by the rank it answers, so a prober that
-            # has not drained lately (hung, or computing) has heard no
-            # one either: it judges no peer by silence.
-            judges = [p for p in probers
-                      if now - self.ranks[p].last_heartbeat
-                      <= peer_timeout / 2]
-            for rk in self.ranks:
-                r, why = rk.rank, None
-                if rk.done:
-                    heard[r] = now  # finished ≠ failed
-                elif r in self.dead_ranks:
-                    continue
-                elif rk.dead and self.is_local(r):
-                    why = f"rank {r} died (simulated crash)"
-                elif (any(p != r for p in judges)
-                      and now - heard[r] > peer_timeout):
-                    # Silence means something only while someone asks
-                    # and listens: a rank no other attentive live rank
-                    # here probes is not judged by it (the last live
-                    # rank on smp, or this process's own rank on proc).
-                    why = (f"rank {r} answered no liveness probe for "
-                           f"{now - heard[r]:.2f}s "
-                           f"(peer_timeout={peer_timeout}s)")
-                if why is not None:
-                    self.mark_dead(r, RankDead(why))
-
-    def _probers(self) -> list[int]:
-        """The live ranks of this process: the ones that probe (a rank
-        must not probe on a remote's behalf)."""
-        return [rk.rank for rk in self.ranks
+    def _local_live(self) -> list[RankState]:
+        """The live ranks of this process: the ones that probe, drain on
+        the progress thread, witness a death and are sampled (a rank
+        must not act on a remote's behalf)."""
+        return [rk for rk in self.ranks
                 if self.is_local(rk.rank) and not (rk.done or rk.dead)
                 and rk.rank not in self.dead_ranks]
 
-    def _send_probes(self, probers: list[int]) -> None:
-        for src in probers:
-            stats = self.ranks[src].stats
-            for peer in range(self.n_ranks):
-                if peer != src and peer not in self.dead_ranks:
-                    stats.add(heartbeats_sent=1)
-                    self._probe(src, peer, "__ping__")
+    def _housekeeping_main(self, steps) -> None:
+        """Run each ``(period, step)`` whenever its period has passed."""
+        due = [time.monotonic() + period for period, _ in steps]
+        while not self._stop.wait(max(0.0, min(due) - time.monotonic())):
+            for i, (period, step) in enumerate(steps):
+                now = time.monotonic()
+                if now >= due[i]:
+                    due[i] = now + period
+                    try:
+                        step()
+                    except Exception:
+                        pass  # housekeeping must never take the runtime down
+
+    def _detector_round(self) -> None:
+        """Ask :class:`Liveness` who probes whom and who died; send the
+        probes, declare the deaths."""
+        if self._failure is not None:
+            return
+        probes, deaths = self._liveness.round(
+            time.monotonic(), self.ranks,
+            [rk.rank for rk in self._local_live()], self.dead_ranks)
+        for src, dst in probes:
+            self.ranks[src].stats.add(heartbeats_sent=1)
+            self._probe(src, dst, "__ping__")
+        for r, why in deaths:
+            self.mark_dead(r, RankDead(why))
 
     def _probe(self, src: int, dst: int, handler: str) -> None:
         try:
@@ -701,13 +696,9 @@ class World:
 
     def _progress_main(self) -> None:
         """Drain inboxes of busy ranks (the paper's worker Pthread)."""
-        while not self._progress_stop.is_set():
+        while not self._stop.is_set():
             progressed = False
-            for rank in self.ranks:
-                if not self.is_local(rank.rank):
-                    continue
-                if rank.done or rank.dead:
-                    continue
+            for rank in self._local_live():
                 try:
                     if rank.advance(max_items=16):
                         progressed = True
@@ -734,7 +725,7 @@ def _on_ping(ctx, am) -> None:
 
 @am_handler("__pong__")
 def _on_pong(ctx, am) -> None:
-    ctx.world._last_heard[am.src_rank] = time.monotonic()
+    ctx.world._liveness.heard(am.src_rank, time.monotonic())
 
 
 @dataclass
@@ -742,13 +733,23 @@ class ReliabilityConfig:
     """The failure detector's peer probes, as ``World(reliability=...)``
     sets them."""
 
-    #: Interval between the detector's probe rounds (seconds).
+    #: Interval between the detector's probe rounds (seconds); > 0.
     heartbeat_period: float = 0.05
     #: Declare a peer dead after its probes go this long unanswered
-    #: (seconds); ``None`` runs no detector.  Must exceed 2 ×
-    #: :data:`PARK_S` (40 ms): a prober judges only if it drained within
-    #: ``peer_timeout / 2``, and an idle one drains once per park.
+    #: (seconds); ``None`` runs no detector.  At least 2 ×
+    #: (``heartbeat_period`` + :data:`PARK_S`): an answer can be a period
+    #: plus two parks late (the peer drains once per park, and so does
+    #: the prober that reads it), and a prober judges only if it drained
+    #: within ``peer_timeout / 2``.
     peer_timeout: float | None = 2.0
+
+    def __post_init__(self) -> None:
+        floor = 2 * (self.heartbeat_period + PARK_S)
+        if not self.heartbeat_period > 0 or (
+                self.peer_timeout is not None and self.peer_timeout < floor):
+            raise ValueError(
+                f"reliability needs heartbeat_period > 0 and peer_timeout "
+                f"None or >= 2 * (heartbeat_period + {PARK_S}) (got {self})")
 
 
 def _resolve_reliability(reliability) -> ReliabilityConfig | None:
@@ -845,26 +846,7 @@ def spmd(
         _tls.ctx = ctx
         try:
             results[r] = fn(*args, **kwargs)
-            # Implicit finalization barrier (cf. upcxx::finalize / UPC's
-            # implicit barrier at exit): a rank keeps servicing active
-            # messages until every peer is done issuing work, so
-            # trailing asyncs/RMA addressed to it are never stranded.
-            ctx.body_done = True
-            world.poke_all()
-            if world.survive_rank_death:
-                # A tree barrier would hang on a dead member; in
-                # survivable-death mode the finalize degrades to a
-                # done-or-dead wait over process-shared rank state (the
-                # rank keeps servicing AMs inside wait_until, so the
-                # trailing-traffic guarantee is unchanged).
-                ctx.wait_until(
-                    lambda: all(p.body_done or p.dead for p in world.ranks),
-                    what="finalize (done-or-dead)",
-                )
-            else:
-                from repro.core.collectives import barrier as _finalize
-
-                _finalize()
+            world.finalize(ctx)
         except _RankKilled:
             pass  # simulated crash: disappear without reporting
         except BaseException as exc:
@@ -906,9 +888,7 @@ def spmd(
             _dump_on_failure(world, exc)
             raise exc
     finally:
-        world.stop_progress_thread()
-        world.stop_failure_detector()
-        world.stop_sampler()
+        world.stop_threads()
         close = getattr(world.conduit, "close", None)
         if callable(close):
             close()

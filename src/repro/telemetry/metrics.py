@@ -11,18 +11,16 @@ this module adds what turns the per-rank ones into a cluster view:
   commutative, so the tree's reduction order is irrelevant: the result
   is **bit-identical** to offline merging of the same per-rank
   snapshots (asserted in tests);
-* a **background sampler + straggler watchdog**
-  (:class:`MetricsSampler`) — one daemon thread sampling runtime depths
-  (task queue, pending reply futures, segment bytes, steal rate) into
-  ``sampled_*`` histograms and flagging
-  in-flight AMs that exceed a percentile-derived deadline as
-  ``slow_op`` flight-recorder events *before* they escalate to
-  ``CommTimeout``.
+* a **sampler + straggler watchdog** (:class:`MetricsSampler`) — two
+  periodic steps of the world's housekeeping thread: one samples
+  runtime depths (task queue, pending reply futures, segment bytes,
+  steal rate) into ``sampled_*`` histograms, the other flags in-flight
+  AMs that exceed a percentile-derived deadline as ``slow_op``
+  flight-recorder events *before* they escalate to ``CommTimeout``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.telemetry.histogram import LogHistogram
@@ -131,66 +129,36 @@ def metrics_reduce(team=None, snapshot: dict | None = None) -> dict:
     return finalize_snapshot(merged)
 
 
-# -- background sampler + straggler watchdog ---------------------------------
-class MetricsSampler(threading.Thread):
-    """Daemon thread sampling runtime depth metrics and flagging slow
-    in-flight ops.
+# -- sampler + straggler watchdog ---------------------------------------------
+class MetricsSampler:
+    """Sample runtime depth metrics and flag slow in-flight ops, one
+    step at a time; the caller runs the steps and passes in the ranks
+    to look at (``World``: the live ranks of its process).
 
-    Sampled per live rank every ``sample_period``: task queue depth,
-    pending reply futures, segment bytes in use, and work-steal rate —
-    each into a mergeable
-    ``sampled_*`` histogram (count/sum/min/max/mean and quantiles), so
-    ``metrics_reduce`` sees cluster-wide distributions.
+    :meth:`sample`, every ``sample_period``, records per rank its task
+    queue depth, pending reply futures, segment bytes in use, and
+    work-steal rate — each into a mergeable ``sampled_*`` histogram
+    (count/sum/min/max/mean and quantiles), so ``metrics_reduce`` sees
+    cluster-wide distributions.
 
-    The watchdog half scans in-flight request metadata every
-    ``watchdog_period`` and emits a ``slow_op`` flight event for any op
-    older than ``max(slow_op_min_s, slow_op_factor * p99(am_rtt))`` —
-    the flight recorder shows the straggler while it is still alive,
-    not after the 15 s op timeout declares it dead.
+    :meth:`watchdog` scans in-flight request metadata and emits a
+    ``slow_op`` flight event for any op older than
+    ``max(slow_op_min_s, slow_op_factor * p99(am_rtt))`` — the flight
+    recorder shows the straggler while it is still alive, not after the
+    15 s op timeout declares it dead.
     """
 
-    def __init__(self, world, sample_period: float | None,
-                 watchdog_period: float | None,
+    def __init__(self, sample_period: float | None,
                  slow_op_factor: float, slow_op_min_s: float):
-        super().__init__(name="pgas-metrics-sampler", daemon=True)
-        self.world = world
         self.sample_period = sample_period
-        self.watchdog_period = watchdog_period
         self.slow_op_factor = slow_op_factor
         self.slow_op_min_s = slow_op_min_s
-        self._stop_ev = threading.Event()
         self._flagged: set[tuple[int, int]] = set()
         self._last_steals: dict[int, int] = {}
-        periods = [p for p in (sample_period, watchdog_period) if p]
-        self._tick = min(periods) if periods else 0.05
-
-    def stop(self) -> None:
-        self._stop_ev.set()
-
-    def run(self) -> None:
-        next_sample = next_watchdog = time.monotonic()
-        while not self._stop_ev.wait(self._tick):
-            now = time.monotonic()
-            try:
-                if self.sample_period and now >= next_sample:
-                    next_sample = now + self.sample_period
-                    self._sample()
-                if self.watchdog_period and now >= next_watchdog:
-                    next_watchdog = now + self.watchdog_period
-                    self._watchdog()
-            except Exception:
-                # sampling must never take the runtime down
-                pass
 
     # -- depth sampling ---------------------------------------------------
-    def _sample(self) -> None:
-        world = self.world
-        local = getattr(world, "local_ranks", None)
-        for ctx in world.ranks:
-            if ctx.rank in world.dead_ranks:
-                continue
-            if local is not None and ctx.rank not in local:
-                continue  # proc backend: remote stubs have no metrics
+    def sample(self, ranks) -> None:
+        for ctx in ranks:
             tel = ctx.telemetry
             steals = ctx.stats.wq_steals_ok
             prev = self._last_steals.get(ctx.rank, steals)
@@ -213,11 +181,9 @@ class MetricsSampler(threading.Thread):
                        self.slow_op_factor * h.p99 / 1e9)
         return self.slow_op_min_s
 
-    def _watchdog(self) -> None:
+    def watchdog(self, ranks) -> None:
         now = time.monotonic()
-        for ctx in self.world.ranks:
-            if ctx.rank in self.world.dead_ranks:
-                continue
+        for ctx in ranks:
             tel = ctx.telemetry
             pending = ctx.endpoint.in_flight()
             if not pending:

@@ -56,13 +56,14 @@ class TelemetryConfig:
     flight_capacity: int = DEFAULT_CAPACITY
     #: Upper bound on retained spans per rank (Perfetto export size).
     max_spans: int = 20000
-    #: Background sampler period in seconds (task queue depth, pending
+    #: Sample period in seconds, > 0 (task queue depth, pending
     #: replies, segment bytes, steal rate, each into a ``sampled_*``
     #: histogram); ``None`` leaves the sampling
     #: unstarted, and so does any mode but ``"full"`` — the only one
     #: that keeps histograms, so the only one it could record into.
     sample_period: float | None = None
-    #: Straggler-watchdog scan period in seconds; ``None`` disables it.
+    #: Straggler-watchdog scan period in seconds, > 0; ``None`` disables
+    #: it.  Both run on the world's housekeeping thread.
     watchdog_period: float | None = None
     #: An in-flight AM is flagged ``slow_op`` once older than
     #: ``max(slow_op_min_s, slow_op_factor * p99(am_rtt))``.
@@ -74,6 +75,10 @@ class TelemetryConfig:
             raise ValueError(
                 f"telemetry mode must be one of {MODES} (got {self.mode!r})"
             )
+        for period in (self.sample_period, self.watchdog_period):
+            if period is not None and not period > 0:
+                raise ValueError(f"telemetry periods must be None or > 0 "
+                                 f"(got {period!r})")
 
 
 def resolve_config(telemetry) -> TelemetryConfig:

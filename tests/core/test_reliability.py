@@ -181,11 +181,14 @@ def test_reliability_knobs_through_world():
     """The ``reliability=`` World knob accepts True, a dict, or a
     ReliabilityConfig, and configures the detector's probes only: the
     conduit stack stays as given.  Anything else is refused, and so is a
-    field the config does not have."""
+    field the config does not have, a period not above 0 and a
+    ``peer_timeout`` short enough to declare live ranks dead."""
     def probes():
         world = current().world
-        return (type(world.conduit).__name__, world._probe_period,
-                world._peer_timeout)
+        det = world._liveness
+        return (type(world.conduit).__name__,
+                *((None, None) if det is None
+                  else (det.heartbeat_period, det.peer_timeout)))
 
     assert ReliabilityConfig() == ReliabilityConfig(heartbeat_period=0.05,
                                                     peer_timeout=2.0)
@@ -200,6 +203,13 @@ def test_reliability_knobs_through_world():
         repro.spmd(probes, ranks=2, reliability="on")
     with pytest.raises(TypeError):
         repro.spmd(probes, ranks=2, reliability={"ack_timeout": 0.01})
+    for knob in ({"peer_timeout": 0.03}, {"peer_timeout": 0.05},
+                 {"peer_timeout": 0.3, "heartbeat_period": 0.5},
+                 {"peer_timeout": 0.045, "heartbeat_period": 0.01},
+                 {"peer_timeout": 0.045, "heartbeat_period": 0.03},
+                 {"heartbeat_period": -1}, {"heartbeat_period": 0}):
+        with pytest.raises(ValueError, match="heartbeat_period"):
+            repro.spmd(probes, ranks=2, reliability=knob)
 
 
 @pytest.mark.parametrize("ranks", [2, 3])

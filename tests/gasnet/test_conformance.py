@@ -501,8 +501,9 @@ def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit):
     """smp and proc keep the FIFO, exactly-once contract themselves, so
     ``reliability=True`` adds no delivery protocol: a 200-AM echo sends
     no ack and its conduit stack is the bare backend.  What it does turn
-    on is the world's failure detector — one thread, sending probes —
-    and nothing it started outlives ``spmd()``."""
+    on is the world's failure detector — a step of one housekeeping
+    thread, sending probes, which a telemetry watchdog shares — and
+    nothing it started outlives ``spmd()``."""
     n = 200
 
     def body():
@@ -526,14 +527,17 @@ def test_reliability_over_a_lossless_conduit_is_liveness_only(conduit):
                 after["heartbeats_sent"],
                 type(repro.current_world().conduit).__name__, threads)
 
-    res = run_spmd(body, ranks=2, conduit=conduit, reliability=True)
-    for acks, probes, stack, threads in res:
-        assert acks == 0
-        assert stack == ("SmpConduit" if conduit == "smp"
-                         else "ProcConduit")
-        assert probes > 0
-        assert len(threads) == 1 and threads[0].startswith(
-            "pgas-detector-"), threads
+    bare = "SmpConduit" if conduit == "smp" else "ProcConduit"
+    for telemetry, want in ((None, bare), ({"mode": "flight",
+                             "watchdog_period": 0.05}, "TelemetryConduit")):
+        res = run_spmd(body, ranks=2, conduit=conduit, reliability=True,
+                       telemetry=telemetry)
+        for acks, probes, stack, threads in res:
+            assert acks == 0
+            assert stack == want
+            assert probes > 0
+            assert len(threads) == 1 and threads[0].startswith(
+                "pgas-housekeeping-"), threads
     assert not [t.name for t in threading.enumerate()
                 if t.name.startswith("pgas-")]
     deadline = time.monotonic() + 5.0

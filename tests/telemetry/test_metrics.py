@@ -1,6 +1,6 @@
 """The cluster metrics plane: order-independent snapshot merging, the
-``metrics_reduce`` collective, the background sampler, and the
-straggler watchdog.
+``metrics_reduce`` collective, and the sampler and straggler watchdog
+steps of the housekeeping thread.
 
 The load-bearing property is *bit-identical aggregation*: the merge
 operates on raw integer histogram/counter state (associative and
@@ -12,6 +12,7 @@ per-rank snapshots, byte for byte.
 from __future__ import annotations
 
 import functools
+import threading
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -209,7 +210,7 @@ def test_sampler_records_runtime_gauges():
         if repro.myrank() == 0:
             holder["world"] = repro.current_world()
             # live while the workload runs; stopped at spmd teardown
-            assert repro.current_world()._sampler is not None
+            holder["threads"] = _helper_threads()
         return body()
 
     assert all(run_spmd(
@@ -217,7 +218,8 @@ def test_sampler_records_runtime_gauges():
         telemetry={"mode": "full", "sample_period": 0.02},
     ))
     world = holder["world"]
-    assert world._sampler is None  # teardown joined and cleared it
+    assert holder["threads"] == [f"pgas-housekeeping-{world.id}"]
+    assert _helper_threads() == []  # teardown joined it
     tel0 = world.telemetry.rank(0)
     hists = tel0.histograms()
     assert hists["sampled_task_queue_depth"].count > 0
@@ -229,10 +231,20 @@ def test_sampler_records_runtime_gauges():
 def test_sampler_not_started_without_period():
     def body():
         repro.barrier()
-        assert repro.current_world()._sampler is None
-        return True
+        time.sleep(0.05)
+        threads = _helper_threads()
+        repro.barrier()
+        return threads, [name for name in current().telemetry.histograms()
+                         if name.startswith("sampled_")]
 
-    assert all(run_spmd(body, ranks=2, telemetry="full"))
+    assert run_spmd(body, ranks=2, telemetry="full") == [([], [])] * 2
+
+
+def _helper_threads() -> list[str]:
+    """The runtime's threads other than the rank threads."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("pgas-")
+            and not t.name.startswith("pgas-rank-")]
 
 
 def test_watchdog_flags_slow_op_before_timeout():

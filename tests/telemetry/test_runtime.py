@@ -28,6 +28,10 @@ def test_resolve_config_forms():
         resolve_config("loud")
     with pytest.raises(ValueError):
         resolve_config(3.14)
+    for period in (-1, 0):
+        for field in ("sample_period", "watchdog_period"):
+            with pytest.raises(ValueError, match="periods"):
+                resolve_config({"mode": "full", field: period})
 
 
 def test_off_mode_installs_no_wrapper():
