@@ -300,23 +300,20 @@ class NdArray:
         update of the paper:
 
         ``A.constrict(ghost_domain).copy(B)``
+
+        The copy is done when this returns, so ``event`` (the paper's
+        signature) is never left with it outstanding.
         """
         if np.dtype(src.dtype).itemsize != self.dtype.itemsize:
             raise DomainError("copy between incompatible dtypes")
         inter = self.domain.intersect(src.domain)
-        if event is not None:
-            event.incref()
-        try:
-            if inter.is_empty:
-                return
-            s, d = src.constrict(inter), self.constrict(inter)
-            if s._packed and d._packed:
-                bulk_copy(s._ptr(), d._ptr(), inter.size)
-            else:
-                _write(d, _read(s).view(self.dtype))
-        finally:
-            if event is not None:
-                event.decref()
+        if inter.is_empty:
+            return
+        s, d = src.constrict(inter), self.constrict(inter)
+        if s._packed and d._packed:
+            bulk_copy(s._ptr(), d._ptr(), inter.size)
+        else:
+            _write(d, _read(s).view(self.dtype))
 
     async_copy = copy  # data movement is eager in the SMP conduit
 

@@ -27,6 +27,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core import collectives
+from repro.core.future import Future
 from repro.core.world import RankState, current
 from repro.errors import PgasError
 from repro.gasnet.am import am_handler
@@ -43,45 +44,39 @@ def _state(ctx: RankState) -> dict:
     return st
 
 
-class Request:
-    """Completion handle for a non-blocking operation."""
+class Request(Future):
+    """Completion handle for a non-blocking operation: a future whose
+    value is ``(data, source, tag)``."""
 
-    __slots__ = ("_done", "_data", "_source", "_tag", "_decode")
+    __slots__ = ("_decode",)
+
+    _what = "mpi request"
 
     def __init__(self, done: bool = False, data: Any = None,
                  source: int = -1, tag: int = -1, decode=None):
-        self._done = done
-        self._data = data
-        self._source = source
-        self._tag = tag
+        super().__init__(current(), 0 if done else 1)
+        self._value = (data, source, tag)
         self._decode = decode
 
-    def _complete(self, data, source: int, tag: int) -> None:
-        self._data = data
-        self._source = source
-        self._tag = tag
-        self._done = True
-
     def test(self) -> bool:
-        current().advance()
-        return self._done
+        self._ctx.advance()
+        return self.done()
 
     def wait(self, timeout: float | None = None) -> Any:
         """Block until complete; returns the received object (recv
         requests) or None (send requests)."""
-        current().wait_until(lambda: self._done, what="mpi request",
-                             timeout=timeout)
+        data = self.get(timeout=timeout)[0]
         if self._decode is not None:
-            return self._decode(self._data)
-        return self._data
+            return self._decode(data)
+        return data
 
     @property
     def source(self) -> int:
-        return self._source
+        return self._value[1]
 
     @property
     def tag(self) -> int:
-        return self._tag
+        return self._value[2]
 
 
 def waitall(requests: list[Request]) -> list:
@@ -97,7 +92,7 @@ def _mpi_msg_handler(ctx: RankState, am) -> None:
         if (src_want in (ANY_SOURCE, am.src_rank)
                 and tag_want in (ANY_TAG, tag)):
             del st["posted"][i]
-            req._complete(am.payload, am.src_rank, tag)
+            req.set_result((am.payload, am.src_rank, tag))
             return
     st["unexpected"].append((am.src_rank, tag, am.payload))
 

@@ -86,7 +86,7 @@ from repro.containers.shard import (
     ShardSnapshot,
 )
 from repro.core import collectives
-from repro.core.collectives import _copy_value as _copy
+from repro.core.coll_engine import copy_value as _copy
 from repro.core.directory import Directory
 from repro.core.world import RankState, current, try_current
 from repro.telemetry import tracing

@@ -69,14 +69,11 @@ def fence() -> None:
 
     Orders the calling rank's outstanding remote operations: on return,
     all previously issued puts/gets and async copies by this rank are
-    globally complete.  Blocking RMA in the SMP conduit completes
-    eagerly, so the fence reduces to draining the non-blocking copy set
-    plus one progress pass — but code written against the documented
-    relaxed model stays correct on any conduit.
+    globally complete.  Every conduit's RMA, and so every async copy,
+    completes before its call returns, so the fence reduces to one
+    progress pass — but code written against the documented relaxed
+    model stays correct on any conduit.
     """
-    from repro.core.copy import async_copy_fence
-
-    async_copy_fence()
     current().advance()
 
 

@@ -22,8 +22,9 @@ as one byte; arguments are stream-encoded by value (pickle-5 only for
 genuinely dynamic objects, measured and charged to the communication
 stats).  The target unpacks and enqueues the task; its ``advance()``
 executes it and replies with the encoded return value, which completes
-the initiator-side future, decrements enclosing finish scopes, and
-signals events.
+the initiator-side future; the enclosing finish scope and the event to
+signal count that future as a dependency, so its completion releases
+them.
 
 Unlike X10, only the function and explicit arguments travel — never the
 enclosing closure (the paper's deliberate design decision).  Functions
@@ -104,15 +105,12 @@ class _AsyncCall:
         futures = [TaskFuture(ctx) for _ in targets]
 
         # Register completions *before* anything can run.
-        if signal is not None:
-            signal.incref(len(targets))
-        if scope is not None:
-            scope.register(len(targets))
-        if signal is not None or scope is not None:
-            for fut in futures:
-                fut.add_callback(_completion_cb(signal, scope))
+        for holder in (scope, signal):
+            if holder is not None:
+                for fut in futures:
+                    holder._depend_on(fut)
 
-        def launch() -> None:
+        def launch(after: Optional[Event] = None) -> None:
             sent = 0
             try:
                 if ctx.telemetry.active:
@@ -129,32 +127,23 @@ class _AsyncCall:
                     ctx.endpoint.send(target, am, fut, _encode_task)
                     sent += 1
             except BaseException as exc:
-                # Failed at the call site: no reply will ever complete
-                # the futures that did not go out, so complete them here
-                # — the callback above (when there is a scope or an
-                # event to release) does the releasing.
+                # Failed at the call site: no reply will complete the
+                # futures that did not go out (nor release their scope
+                # and event), so complete them here.  Launched by the
+                # event it waited on, the error is theirs alone.
                 for fut in futures[sent:]:
                     fut.set_exception(exc)
-                raise
+                if after is None:
+                    raise
 
-        if self._after is not None:
-            self._after.add_dependent(launch)
-        else:
+        after = self._after
+        if after is None or after.done():
             launch()
+        else:
+            after.add_callback(launch)
         if isinstance(self._place, Team):
             return MultiFuture(futures)
         return futures[0]
-
-
-def _completion_cb(signal: Optional[Event], scope):
-    def cb(fut) -> None:
-        exc = fut._exc
-        if scope is not None:
-            scope.complete(exc)
-        if signal is not None:
-            signal.decref()
-
-    return cb
 
 
 def async_(place: Place, signal: Optional[Event] = None) -> _AsyncCall:

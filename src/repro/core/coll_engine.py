@@ -42,6 +42,7 @@ frame), which supplies the by-value contract of a real network.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time
 from collections import OrderedDict
@@ -49,6 +50,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.future import Future
 from repro.errors import PgasError
 from repro.gasnet.am import am_handler
 from repro.gasnet.wire import preencode
@@ -105,18 +107,15 @@ class _Collective:
 
     kind = "?"
 
-    __slots__ = ("eng", "key", "members", "P", "my_index", "future", "done")
+    __slots__ = ("eng", "key", "members", "P", "my_index", "future")
 
     def __init__(self, eng: "CollEngine", key: tuple, members: tuple):
-        from repro.core.future import Future
-
         self.eng = eng
         self.key = key
         self.members = members
         self.P = len(members)
         self.my_index = members.index(eng.ctx.rank)
         self.future = Future(eng.ctx)
-        self.done = False
 
     # -- outgoing traffic ---------------------------------------------------
     def send(self, dst_index: int, tag, data: Any = None) -> None:
@@ -139,9 +138,8 @@ class _Collective:
 
     # -- completion ---------------------------------------------------------
     def complete(self, result: Any = None) -> None:
-        if self.done:
+        if self.future.done():
             return
-        self.done = True
         self.eng.retire(self.key, self.kind)
         self.future.set_result(result)
 
@@ -436,21 +434,36 @@ class _Allgather(_Collective):
 
 
 class _Scan(_Allgather):
-    """Allgather with a distinct kind; the caller folds the prefix
-    locally (sequential in-order fold — exact old semantics)."""
+    """Allgather delivered as this rank's prefix, inclusive (or exclusive
+    from ``initial``: :class:`_Exscan`), folded in team order."""
 
     kind = "scan"
-    __slots__ = ()
+    __slots__ = ("op", "initial")
+
+    def __init__(self, eng, key, members, value=None, op=None, initial=None):
+        super().__init__(eng, key, members, value)
+        self.op, self.initial = op, copy_value(initial)
+
+    def _deliver(self) -> None:
+        inclusive = self.kind == "scan"
+        blocks = [self.held[r] for r in range(self.my_index + inclusive)]
+        self.complete(functools.reduce(self.op, blocks) if inclusive
+                      else functools.reduce(self.op, blocks, self.initial))
 
 
-class _Exscan(_Allgather):
+class _Exscan(_Scan):
     kind = "exscan"
     __slots__ = ()
 
 
 class _Gatherv(_Gather):
+    """Gather, delivered at the root as one concatenated array."""
+
     kind = "gatherv"
     __slots__ = ()
+
+    def _deliver(self) -> None:
+        self.complete(np.concatenate([self.parts[i] for i in range(self.P)]))
 
 
 class _Alltoall(_Collective):
@@ -590,7 +603,7 @@ class CollEngine:
     def _dispatch(self, st, key, kind, tag, src_index, payload) -> None:
         if kind != st.kind:
             self._mismatch(key, st.kind, kind, src_index)
-        if st.done:
+        if st.future.done():
             return  # late message racing completion
         # The wire layer already decoded the payload to a fresh value.
         st.on_msg(tag, src_index, payload)

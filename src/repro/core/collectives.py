@@ -38,7 +38,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core import coll_engine as _eng
-from repro.core.coll_engine import copy_value as _copy_value
 from repro.core.future import Future
 from repro.core.team import Team
 from repro.core.world import current
@@ -86,23 +85,6 @@ def _wait(fut: Future, what: str) -> Any:
     """Block (making progress) on a collective's future."""
     current().wait_until(fut.done, what=f"collective {what}")
     return fut.get()
-
-
-def _mapped(ctx, fut: Future, fn: Callable[[Any], Any]) -> Future:
-    """A future resolving to ``fn(result)`` of ``fut``."""
-    out = Future(ctx)
-
-    def _chain(f: Future) -> None:
-        if f._exc is not None:
-            out.set_exception(f._exc)
-            return
-        try:
-            out.set_result(fn(f._value))
-        except BaseException as exc:
-            out.set_exception(exc)
-
-    fut.add_callback(_chain)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +184,10 @@ def gatherv_async(array: np.ndarray, root: int = 0,
     if arr.ndim != 1:
         raise PgasError("gatherv expects 1-D arrays; ravel first")
     ctx = current()
-    key, members, my_index = _participants(ctx, team)
+    key, members, _ = _participants(ctx, team)
     _check_root(root, len(members), "gatherv")
-    fut = ctx.coll.initiate(_eng._Gatherv, key, members,
-                            value=arr, root=root)
-    if my_index != root:
-        return fut  # resolves to None off-root
-    return _mapped(ctx, fut, np.concatenate)
+    return ctx.coll.initiate(_eng._Gatherv, key, members,
+                             value=arr, root=root)
 
 
 def gatherv(array: np.ndarray, root: int = 0,
@@ -282,16 +261,8 @@ def alltoallv(arrays: Sequence[np.ndarray],
 def scan_async(value: Any, op="sum", team: Team | None = None) -> Future:
     ctx = current()
     fn = _resolve_op(op)
-    key, members, my_index = _participants(ctx, team)
-    fut = ctx.coll.initiate(_eng._Scan, key, members, value=value)
-
-    def _prefix(values: list) -> Any:
-        acc = values[0]
-        for r in range(1, my_index + 1):
-            acc = fn(acc, values[r])
-        return acc
-
-    return _mapped(ctx, fut, _prefix)
+    key, members, _ = _participants(ctx, team)
+    return ctx.coll.initiate(_eng._Scan, key, members, value=value, op=fn)
 
 
 def scan(value: Any, op="sum", team: Team | None = None) -> Any:
@@ -309,16 +280,9 @@ def exscan_async(value: Any, op="sum", initial: Any = 0,
                  team: Team | None = None) -> Future:
     ctx = current()
     fn = _resolve_op(op)
-    key, members, my_index = _participants(ctx, team)
-    fut = ctx.coll.initiate(_eng._Exscan, key, members, value=value)
-
-    def _prefix(values: list) -> Any:
-        acc = _copy_value(initial)
-        for r in range(my_index):
-            acc = fn(acc, values[r])
-        return acc
-
-    return _mapped(ctx, fut, _prefix)
+    key, members, _ = _participants(ctx, team)
+    return ctx.coll.initiate(_eng._Exscan, key, members, value=value,
+                             op=fn, initial=initial)
 
 
 def exscan(value: Any, op="sum", initial: Any = 0,

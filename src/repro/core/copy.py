@@ -3,8 +3,8 @@
 ``copy(src, dst, count)`` moves ``count`` contiguous elements between
 global pointers; ``async_copy`` is its non-blocking form, completed by
 ``async_copy_fence()`` (wait for *all* outstanding copies — the paper's
-"handle-less" model the LULESH port praises) or by an event registered
-per operation.
+"handle-less" model the LULESH port praises), by its handle or by an
+event.
 
 The bytes move exactly once, under exactly one segment lock — the
 *remote* end's.  The initiator's own end is its unlocked owner-side view
@@ -13,11 +13,10 @@ handed to the put as a live view, a local destination is what the get
 reads into.  Only a third-party copy (both ends remote) stages the data,
 as a get followed by a put.
 
-On the shared-memory conduits the data movement itself is immediate, but
-the completion bookkeeping — handles, events, the fence — is identical
-to the real runtime, so programs written against the non-blocking API
-have the same structure and the same stats profile the performance model
-consumes.
+On every conduit the data movement completes before ``async_copy``
+returns: a handle is done when the caller gets it, and the fence has
+nothing to wait for.  Programs written against the non-blocking API
+keep the paper's structure and the stats profile the model consumes.
 """
 
 from __future__ import annotations
@@ -28,50 +27,24 @@ from typing import Optional
 import numpy as np
 
 from repro.core.event import Event
+from repro.core.future import Future
 from repro.core.global_ptr import GlobalPtr
 from repro.core.world import current
 from repro.errors import BadPointer
 from repro.gasnet import rma
 
 
-class CopyHandle:
-    """Completion handle for one non-blocking copy (MPI_Request-like)."""
+class CopyHandle(Future):
+    """Completion handle for one non-blocking copy (MPI_Request-like): a
+    future whose value is the number of bytes moved."""
 
-    __slots__ = ("_done", "_event", "nbytes")
+    __slots__ = ()
 
-    def __init__(self, nbytes: int, event: Optional[Event]):
-        self._done = False
-        self._event = event
-        self.nbytes = nbytes
+    _what = "async_copy"
 
-    def _complete(self) -> None:
-        if not self._done:
-            self._done = True
-            if self._event is not None:
-                self._event.decref()
-
-    def done(self) -> bool:
-        return self._done
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block until this specific copy completed.
-
-        ``timeout`` defaults to the world's ``op_timeout``; on expiry a
-        :class:`~repro.errors.CommTimeout` is raised (and a peer failure
-        while waiting raises :class:`~repro.errors.PeerFailure`), like
-        every other blocking runtime call.
-        """
-        ctx = current()
-        tel = ctx.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        ctx.wait_until(
-            lambda: self._done, what="async_copy", timeout=timeout
-        )
-        if tel.full:
-            # Completion-wait latency: issue-to-done for this handle.
-            tel.histogram("copy_wait").record_seconds(
-                time.perf_counter() - t0
-            )
+    @property
+    def nbytes(self) -> int:
+        return self._value
 
 
 def _transfer(src: GlobalPtr, dst: GlobalPtr, count: int) -> int:
@@ -118,40 +91,29 @@ def async_copy(src: GlobalPtr, dst: GlobalPtr, count: int,
                event: Optional[Event] = None) -> CopyHandle:
     """Non-blocking bulk copy.
 
-    Completion is observed through ``async_copy_fence()``, the returned
-    handle, or ``event`` (which is registered before the transfer starts,
-    as the paper's event-driven model requires).
+    Every conduit's RMA completes before its call returns, so the copy
+    is done when this returns: the handle is complete, and neither
+    ``event`` (the paper's signature) nor ``async_copy_fence()`` is ever
+    left with it outstanding.  A rejected copy raises before any byte
+    moves.
     """
     ctx = current()
-    if event is not None:
-        event.incref()
-    handle = CopyHandle(0, event)
-    # Prune already-completed handles (completed via .wait() or an
-    # event) so programs that never call async_copy_fence() don't
-    # accumulate handles without bound.  In-place so a concurrently
-    # captured reference to the list (the fence) stays valid.
-    pending = ctx.outstanding_copies
-    if pending:
-        pending[:] = [h for h in pending if not h.done()]
-    pending.append(handle)
-    try:
-        handle.nbytes = _transfer(src, dst, count)
-    except BaseException:
-        # A rejected copy must not leave a never-done handle for the
-        # next fence to sit out op_timeout on.
-        pending.remove(handle)
-        raise
-    finally:
-        handle._complete()      # also releases the event's reference
+    tel = ctx.telemetry
+    t0 = time.perf_counter() if tel.full else 0.0
+    handle = CopyHandle(ctx)
+    handle.set_result(_transfer(src, dst, count))
+    if tel.full:
+        # Issue-to-done latency (the handle is done when returned).
+        tel.histogram("copy_wait").record_seconds(time.perf_counter() - t0)
     return handle
 
 
 def async_copy_fence() -> None:
     """Wait for completion of *all* previously issued async copies on
-    this rank — the "handle-less" synchronization (paper §V-E)."""
-    ctx = current()
-    pending = ctx.outstanding_copies
-    ctx.wait_until(
-        lambda: all(h.done() for h in pending), what="async_copy_fence"
-    )
-    pending.clear()
+    this rank — the "handle-less" synchronization (paper §V-E).
+
+    Every conduit's RMA completes before :func:`async_copy` returns, so
+    no copy is ever outstanding here and there is nothing to wait for;
+    the call is kept for programs written against the paper's API.
+    """
+    current()  # still a rank-context call: raises outside spmd()

@@ -4,82 +4,45 @@ An event counts outstanding operations registered against it.  Async
 invocations and async copies may *signal* an event on completion; other
 asyncs may be launched *after* an event fires (``async_after``), which is
 how the paper builds task-dependency graphs (Listing 1 / Fig. 1).
-
-Events are rank-local objects: registration, signaling and dependent
-firing all happen on the issuing rank (completion replies arrive there).
+An event is a :class:`~repro.core.future.Future` under the paper's
+names, owned by the rank that made it: reaching zero pokes that rank.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
+from repro.core.future import Future
 from repro.core.world import current
-from repro.errors import PgasError
 
 
-class Event:
+class Event(Future):
     """A countdown event with dependent-task firing."""
 
-    def __init__(self) -> None:
-        self._ctx = current()
-        self._lock = threading.Lock()
-        self._count = 0
-        self._registered = 0
-        self._dependents: list[Callable[[], None]] = []
+    __slots__ = ()
 
-    # -- runtime side -----------------------------------------------------
-    def incref(self, n: int = 1) -> None:
-        """Register ``n`` more operations that will signal this event."""
-        if n < 0:
-            raise ValueError("incref amount must be non-negative")
-        with self._lock:
-            self._count += n
-            self._registered += n
+    _what = "event"
+    _overdone = "event signaled more times than registered"
+    _pokes = True
+
+    def __init__(self) -> None:
+        super().__init__(current(), 0)
 
     def decref(self) -> None:
         """One registered operation completed (the *signal*)."""
-        fire: list[Callable[[], None]] = []
-        with self._lock:
-            if self._count <= 0:
-                raise PgasError("event signaled more times than registered")
-            self._count -= 1
-            if self._count == 0:
-                fire, self._dependents = self._dependents, []
-        for dep in fire:
-            dep()
-        if fire or self._count == 0:
-            self._ctx.world.poke_all()
+        self._settle()
 
     signal = decref
 
-    # -- user side ----------------------------------------------------------
-    def pending(self) -> int:
-        return self._count
-
-    def test(self) -> bool:
-        """True when no registered operation is still outstanding."""
-        return self._count == 0
+    #: True when no registered operation is still outstanding.
+    test = Future.done
 
     def wait(self, timeout: float | None = None) -> None:
-        """Block (making progress) until all registered ops completed."""
-        ctx = current()
-        ctx.wait_until(lambda: self._count == 0, what="event", timeout=timeout)
+        """Block (making progress on the calling rank) until all
+        registered ops completed."""
+        if self._count:
+            current().wait_until(self.done, what=self._what, timeout=timeout)
 
     def add_dependent(self, launch: Callable[[], None]) -> None:
-        """Run ``launch()`` once the event fires (immediately if it has).
-
-        Used by :func:`repro.async_after`; the callable runs on the rank
-        that owns the event, in its progress context.
-        """
-        run_now = False
-        with self._lock:
-            if self._count == 0:
-                run_now = True
-            else:
-                self._dependents.append(launch)
-        if run_now:
-            launch()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Event pending={self._count} registered={self._registered}>"
+        """Run ``launch()`` once the event fires (at once if it has)."""
+        self.add_callback(lambda _event: launch())

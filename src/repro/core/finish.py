@@ -15,39 +15,38 @@ As in the paper, ``finish`` waits only for asyncs spawned in the
 *dynamic scope* of the block on this rank — not for tasks transitively
 spawned by those tasks (distributed termination detection is expensive;
 the paper makes the same trade-off).
+
+A scope is a :class:`~repro.core.future.Future` that each async spawned
+in the block counts up and its completion down; the exit raises the
+first exception.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
+from repro.core.future import Future
 from repro.core.world import current
 
 
-class FinishScope:
-    """Tracks the number of outstanding asyncs spawned inside the block."""
+class FinishScope(Future):
+    """Counts the asyncs spawned inside the block still outstanding."""
+
+    __slots__ = ("_t0",)
+
+    _what = "finish scope"
+    _overdone = "finish scope completed more times than registered"
+    _pokes = True
 
     def __init__(self, ctx) -> None:
-        self._ctx = ctx
-        self._lock = threading.Lock()
-        self.outstanding = 0
-        self.errors: list[BaseException] = []
-        self._t0 = 0.0
-        self._spawned = 0
+        super().__init__(ctx, 0)
 
-    def register(self, n: int = 1) -> None:
-        with self._lock:
-            self.outstanding += n
-            self._spawned += n
+    register = Future.incref
 
     def complete(self, exc: BaseException | None = None) -> None:
-        with self._lock:
-            self.outstanding -= 1
-            if exc is not None:
-                self.errors.append(exc)
-        if self.outstanding == 0:
-            self._ctx.world.poke_all()
+        self._settle(None, exc)
+
+    outstanding = property(Future.pending)
 
     # -- context manager ----------------------------------------------------
     def __enter__(self) -> "FinishScope":
@@ -59,30 +58,20 @@ class FinishScope:
         popped = self._ctx.finish_stack.pop()
         assert popped is self, "finish scopes must nest properly"
         try:
-            if exc is not None:
-                # Still drain our asyncs so peers are not left with
-                # dangling reply targets, but let the original
-                # exception propagate.
-                try:
-                    self._drain()
-                except Exception:
-                    pass
-                return
-            self._drain()
+            # Drained even when the block raised, so peers are not left
+            # with dangling reply targets; the block's exception wins.
+            self.wait()
+        except Exception:
+            if exc is None:
+                raise
         finally:
             tel = self._ctx.telemetry
             if tel.full:
                 dur = time.perf_counter() - self._t0
                 tel.histogram("finish_block").record_seconds(dur)
-                tel.record_span("finish", self._t0, dur,
-                                detail=f"{self._spawned} asyncs")
-        if self.errors:
-            raise self.errors[0]
-
-    def _drain(self) -> None:
-        self._ctx.wait_until(
-            lambda: self.outstanding == 0, what="finish scope"
-        )
+                tel.record_span("finish", self._t0, dur)
+        if exc is None and self._exc is not None:
+            raise self._exc
 
 
 def finish() -> FinishScope:

@@ -1,10 +1,14 @@
-"""Futures for asynchronous remote operations (paper §III-G).
+"""The one completion type (paper §III-G).
 
-A future is created on the *initiating* rank and completed when the
-corresponding reply AM is processed — which happens inside that rank's
-own ``advance()`` (serialized mode) or on the progress thread
-(concurrent mode).  ``get()`` therefore polls progress while waiting,
-mirroring ``future.get()`` in the paper.
+Futures, events, ``finish`` scopes and async-copy handles are one class,
+as UPC++ v1.0 later folded them onto futures and promises (Bachan et
+al., IPDPS 2019): a count of outstanding dependencies (1 for a future, 0
+for an event or a scope), a value or the first exception, and callbacks
+run each time the count reaches zero.  Completions run in the owning
+rank's ``advance()`` or on the progress thread, which pokes the rank
+itself, so a future's completion wakes nobody; an event or a scope,
+which another rank's thread may count down, pokes its owner at zero.
+``get()`` polls progress while waiting, like ``future.get()`` in the paper.
 """
 
 from __future__ import annotations
@@ -16,63 +20,93 @@ from repro.errors import PgasError
 
 
 class Future:
-    """Completion handle for one async operation."""
+    """A countdown completion: ``count`` dependencies outstanding."""
 
-    __slots__ = ("_ctx", "_lock", "_done", "_value", "_exc", "_callbacks")
+    __slots__ = ("_ctx", "_lock", "_count", "_value", "_exc", "_callbacks")
 
-    def __init__(self, ctx):
+    #: Its name in a timeout; what a completion past zero says; whether
+    #: reaching zero pokes the owning rank.
+    _what = "future"
+    _overdone = "future completed twice"
+    _pokes = False
+
+    def __init__(self, ctx, count: int = 1):
         self._ctx = ctx
         self._lock = threading.Lock()
-        self._done = False
+        self._count = count
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["Future"], None]] = []
 
     # -- completion (runtime side) --------------------------------------
-    def set_result(self, value: Any) -> None:
+    def incref(self, n: int = 1) -> None:
+        """Register ``n`` more dependencies."""
+        if n < 0:
+            raise ValueError("incref amount must be non-negative")
         with self._lock:
-            if self._done:
-                raise PgasError("future completed twice")
-            self._value = value
-            self._done = True
+            self._count += n
+
+    def _settle(self, value: Any = None,
+                exc: Optional[BaseException] = None) -> None:
+        """Complete one dependency: with ``value`` (None keeps the value
+        there: a MultiFuture's members), or failed with ``exc`` (the
+        first exception is the one kept)."""
+        with self._lock:
+            if self._count <= 0:
+                raise PgasError(self._overdone)
+            if exc is not None:
+                if self._exc is None:
+                    self._exc = exc
+            elif value is not None:
+                self._value = value
+            self._count -= 1
+            if self._count:
+                return
             callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
+        if self._pokes:
+            self._ctx.poke()
+
+    set_result = _settle
 
     def set_exception(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._done:
-                raise PgasError("future completed twice")
-            self._exc = exc
-            self._done = True
-            callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        self._settle(None, exc)
+
+    def _depend_on(self, dep: "Future") -> None:
+        """Count ``dep`` as one more dependency: its completion counts
+        this one down, and its exception is offered as this one's."""
+        self.incref()
+        dep.add_callback(self._release)
+
+    def _release(self, dep: "Future") -> None:
+        self._settle(None, dep._exc)
 
     def add_callback(self, cb: Callable[["Future"], None]) -> None:
-        """Run ``cb(self)`` on completion (immediately if already done)."""
-        run_now = False
+        """Run ``cb(self)`` when the count next reaches zero (at once if
+        it is zero)."""
         with self._lock:
-            if self._done:
-                run_now = True
-            else:
+            if self._count:
                 self._callbacks.append(cb)
-        if run_now:
-            cb(self)
+                return
+        cb(self)
 
     # -- consumption (user side) -----------------------------------------
     def done(self) -> bool:
-        return self._done
+        return self._count == 0
+
+    def pending(self) -> int:
+        return self._count
 
     def wait(self, timeout: float | None = None) -> "Future":
-        if not self._done:
-            self._ctx.wait_until(self.done, what="future", timeout=timeout)
+        if self._count:
+            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
         return self
 
     def get(self, timeout: float | None = None) -> Any:
         """Block (making progress) until done; return value or raise."""
-        if not self._done:
-            self._ctx.wait_until(self.done, what="future", timeout=timeout)
+        if self._count:
+            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
         if self._exc is not None:
             raise self._exc
         return self._value
@@ -82,8 +116,7 @@ class Future:
         return self._value
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "done" if self._done else "pending"
-        return f"<Future {state}>"
+        return f"<{type(self).__name__} pending={self._count}>"
 
 
 class TaskFuture(Future):
@@ -93,34 +126,32 @@ class TaskFuture(Future):
     __slots__ = ()
 
     def get(self, timeout: float | None = None) -> Any:
-        _args, payload = super().get(timeout=timeout)
-        return payload
+        if self._count:
+            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
+        if self._exc is not None:
+            raise self._exc
+        return self._value[1]
 
 
-class MultiFuture:
-    """Aggregate future for asyncs targeted at a :class:`~repro.core.team.Team`.
+class MultiFuture(Future):
+    """Aggregate future for asyncs targeted at a :class:`~repro.core.team.Team`:
+    its value is the member futures, each of which counts it down;
+    ``get()`` returns their results in team order."""
 
-    ``get()`` returns the list of per-member results in team order.
-    """
-
-    __slots__ = ("_futures",)
+    __slots__ = ()
 
     def __init__(self, futures: list[Future]):
-        self._futures = futures
-
-    def done(self) -> bool:
-        return all(f.done() for f in self._futures)
-
-    def wait(self, timeout: float | None = None) -> "MultiFuture":
-        for f in self._futures:
-            f.wait(timeout=timeout)
-        return self
+        super().__init__(futures[0]._ctx, 0)
+        self._value = futures
+        for f in futures:
+            self._depend_on(f)
 
     def get(self, timeout: float | None = None) -> list:
-        return [f.get(timeout=timeout) for f in self._futures]
+        self.wait(timeout=timeout)
+        return [f.get() for f in self._value]
 
     def __len__(self) -> int:
-        return len(self._futures)
+        return len(self._value)
 
     def __iter__(self):
-        return iter(self._futures)
+        return iter(self._value)

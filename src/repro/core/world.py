@@ -123,8 +123,8 @@ class RankState:
         # released by ``conduit.wake`` (see :meth:`Conduit.poll`).
         self._bell = threading.Lock()
         self._bell.acquire()
-        #: Raised by ``World.poke_all`` before it wakes the rank: the
-        #: next park returns at once (see :meth:`Conduit.poll`).
+        #: Raised by :meth:`poke` before it wakes the rank: the next
+        #: park returns at once (see :meth:`Conduit.poll`).
         self._poked = False
         # Arrived messages: ActiveMessages, or on proc the Frames its
         # poll parsed; ``endpoint.receive`` takes either.
@@ -147,8 +147,6 @@ class RankState:
         self._poll_handled = 0
         # Finish-scope stack for the RAII finish construct (paper §III-G).
         self.finish_stack: list = []
-        # Outstanding non-blocking copy handles (async_copy_fence).
-        self.outstanding_copies: list = []
         # Per-collective sequence counters so that collective AM keys line
         # up across ranks (all ranks execute collectives in the same
         # order); the engine owns the in-flight tree state machines.
@@ -171,6 +169,11 @@ class RankState:
         self.last_heartbeat = time.monotonic()
 
     # -- messaging ------------------------------------------------------
+    def poke(self) -> None:
+        """End this rank's park, or its next one (state changed)."""
+        self._poked = True
+        self.world.conduit.wake(self.rank)
+
     def deliver(self, am: ActiveMessage) -> None:
         """Enqueue an incoming message from any thread and wake the
         rank if it is parked.  The append is atomic by itself; the wake
@@ -325,7 +328,7 @@ class RankState:
 
         Each turn drains, tests ``pred``, and parks in the conduit's
         ``poll`` until the rank's doorbell rings (a message, a self-send
-        or a :meth:`World.poke_all`) — at most :data:`PARK_S`, clipped to
+        or a :meth:`poke`) — at most :data:`PARK_S`, clipped to
         what is left of the deadline.
 
         Raises :class:`PeerFailure` if another rank fails while we wait and
@@ -630,10 +633,8 @@ class World:
     def poke_all(self) -> None:
         """Wake all ranks blocked in wait_until (state changed), and end
         the next park of any rank not parked yet."""
-        wake = self.conduit.wake
-        for r, rk in enumerate(self.ranks):
-            rk._poked = True
-            wake(r)
+        for rk in self.ranks:
+            rk.poke()
 
     # -- the helper threads: progress (concurrent mode), housekeeping --------
     def start_progress_thread(self) -> None:
@@ -706,8 +707,7 @@ class World:
                         # thread waits for, and took the message that
                         # rang it: poke, so its park ends (or its next
                         # one does) and it retests.
-                        rank._poked = True
-                        self.conduit.wake(rank.rank)
+                        rank.poke()
                 except Exception as exc:
                     # Not every dispatch error went through world.fail
                     # (unknown handler or token, a decode error): record

@@ -108,6 +108,16 @@ def run_spmd(fn, ranks: int = 4, timeout: float = 30.0, **kwargs):
     return repro.spmd(fn, ranks=ranks, timeout=timeout, **kwargs)
 
 
+def run_spmd_both_modes(fn, ranks: int = 4, **kwargs):
+    """:func:`run_spmd` in the ``serialized`` thread mode, then in
+    ``concurrent`` mode, where the progress thread completes futures,
+    events and finish scopes too; the per-rank results of the two runs,
+    one after the other."""
+    return [result for mode in ("serialized", "concurrent")
+            for result in run_spmd(fn, ranks=ranks, thread_mode=mode,
+                                   **kwargs)]
+
+
 def stall_until_declared(bound: float) -> None:
     """Stop calling the runtime: sleep in 5 ms steps, answering no probe
     and running no AM, until this rank's world declares it dead (on

@@ -1,10 +1,11 @@
-"""Events and event-driven task dependencies (paper §III-G)."""
+"""Events and event-driven task dependencies (paper §III-G), in both
+thread modes."""
 
 import pytest
 
 import repro
 from repro.errors import PgasError
-from tests.conftest import run_spmd
+from tests.conftest import run_spmd_both_modes as run_spmd
 
 
 def test_event_counts_registered_operations():

@@ -12,14 +12,15 @@ The paper's example builds this graph with events::
     e3.wait();
 
 Constraints (Fig. 1): t1 and t2 precede t3; t3 and t4 precede t5 and
-t6; e3.wait() returns only after t5 and t6 complete.
+t6; e3.wait() returns only after t5 and t6 complete.  Every test runs
+in both thread modes.
 """
 
 import threading
 import time
 
 import repro
-from tests.conftest import run_spmd
+from tests.conftest import run_spmd_both_modes as run_spmd
 
 
 def _run_dag(task_sleep=0.0):

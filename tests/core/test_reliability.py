@@ -145,7 +145,7 @@ def test_copy_handle_wait_timeout():
 
     def body():
         if repro.myrank() == 0:
-            h = CopyHandle(0, None)    # never completed
+            h = CopyHandle(repro.current_world().ranks[0])  # never done
             with pytest.raises(CommTimeout):
                 h.wait(timeout=0.2)
         repro.barrier()
