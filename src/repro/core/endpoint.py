@@ -113,9 +113,11 @@ class Endpoint:
                     f"({exc})"))))
         am.token = None
 
-    def raised(self, am: ActiveMessage, exc: BaseException) -> None:
+    def raised(self, am: ActiveMessage, exc: Exception) -> None:
         """``am``'s handler or task raised ``exc``: an error reply if its
-        sender still waits, else this rank fails and ``exc`` propagates."""
+        sender still waits, else this rank fails and ``exc`` propagates.
+        Only an ``Exception`` is an answer: a ``die()`` is no error, and
+        unwinds the rank that ran the handler."""
         if am.token is not None:
             self.reply(am, ("__error__", exc))
         else:
@@ -166,7 +168,7 @@ class Endpoint:
             t0 = time.perf_counter() if tel.full else 0.0
         try:
             self._dispatch(am)
-        except BaseException as exc:
+        except Exception as exc:
             self.raised(am, exc)
         finally:
             if bound is not None:

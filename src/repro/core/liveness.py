@@ -3,10 +3,12 @@
 Every ``heartbeat_period`` each live rank of the process probes every
 peer; a probe is answered by the peer's own drain, and the answer is
 read by the prober's.  :class:`Liveness` decides who probes whom and
-who is declared dead.  It owns no thread, world, conduit or clock: the
-caller passes in the time and the ranks' state (``World`` does, from
-its housekeeping thread, or ``tests/core/test_liveness.py`` on a virtual
-clock).
+who is declared dead.  It watches one signal, probe silence: a rank
+that calls ``die()`` is declared by its launcher, at once and on every
+backend, and reaches the detector only as a declared rank.  It owns no
+thread, world, conduit or clock: the caller passes in the time and the
+ranks' state (``World`` does, from its housekeeping thread, or
+``tests/core/test_liveness.py`` on a virtual clock).
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ class Liveness:
         """One round at ``now``: ``(probes, deaths)``.
 
         ``ranks`` are every rank's state as this process sees it
-        (``rank``, ``done``, ``dead``, ``last_heartbeat``: its last
-        drain), ``local`` the live ranks of this process and
-        ``declared`` the ranks declared dead.  ``probes`` are the
-        ``(prober, peer)`` pairs to ping, ``deaths`` the ``(rank,
-        reason)`` pairs to declare: a rank of this process that called
-        ``die()`` (a remote rank's ``dead`` is only ever set by
-        declaring it), and a rank silent for ``peer_timeout``.
+        (``rank``, ``done``, ``last_heartbeat``: its last drain),
+        ``local`` the live ranks of this process and ``declared`` the
+        ranks declared dead.  ``probes`` are the ``(prober, peer)``
+        pairs to ping, ``deaths`` the ``(rank, reason)`` pairs to
+        declare: each rank silent for ``peer_timeout``.
         """
         timeout, heard = self.peer_timeout, self._heard
         probes = [(p, r) for p in local for r in range(len(ranks))
@@ -55,8 +55,6 @@ class Liveness:
                 heard[r] = now  # finished ≠ failed
             elif r in declared:
                 continue
-            elif rk.dead:
-                deaths.append((r, f"rank {r} died (simulated crash)"))
             elif any(p != r for p in judges) and now - heard[r] > timeout:
                 # Silence means something only while someone asks and
                 # listens: a rank no other attentive live rank here

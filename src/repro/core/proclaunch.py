@@ -11,9 +11,11 @@ rank, and supervises them over per-rank bootstrap sockets:
   is announced to the survivors, which convert the announcement into
   the same ``world.fail``/``world.mark_dead`` calls the thread backend
   makes, so PeerFailure/RankDead semantics are identical;
-* **final collection** — each rank ships its return value (or its
-  exception) plus its flight-recorder ring back to the launcher, which
-  merges the rings into one cross-process crash dump on failure;
+* **final collection** — each rank runs :meth:`World.run_rank`, the
+  thread backend's rank body too, and ships how it ended (its return
+  value, its exception, or its death) plus its flight-recorder ring
+  back to the launcher, which merges the rings into one cross-process
+  crash dump on failure;
 * **orphan reaping** — children are daemonic, self-destruct when the
   launcher's bootstrap socket goes away, and are terminate()/kill()ed
   on timeout; the fabric's shared-memory blocks are always unlinked.
@@ -26,7 +28,6 @@ import pickle
 import selectors
 import socket
 import struct
-import sys
 import threading
 import time
 
@@ -39,7 +40,7 @@ from repro.errors import (
 )
 from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.telemetry import resolve_config as _resolve_telemetry
-from repro.telemetry.flight import FlightRecorder, merge_dump
+from repro.telemetry.flight import FlightRecorder, dump_on_failure
 
 _LEN = struct.Struct("<I")
 
@@ -93,9 +94,8 @@ class _Job:
 
 
 # -- rank-process side -------------------------------------------------------
-def _gather_events(world, rank: int):
-    if not world.telemetry.enabled:
-        return [], 0
+def _ring(world, rank: int) -> tuple:
+    """``rank``'s flight ring as it ships: ``(events, dropped)``."""
     rec = world.telemetry.rank(rank).flight
     return rec.snapshot(), rec.dropped
 
@@ -157,83 +157,44 @@ def _child_main(job: _Job, rank: int) -> None:
     threading.Thread(target=_control_main, args=(boot, world),
                      name="proc-control", daemon=True).start()
 
-    ctx = world.ranks[rank]
-    worldmod._tls.ctx = ctx
-    if job.thread_mode == "concurrent":
-        world.start_progress_thread()
-    result = None
-    exc_out: BaseException | None = None
-    secondary = False
-    try:
-        result = job.fn(*job.args, **job.kwargs)
-        world.finalize(ctx)
-    except worldmod._RankKilled:
+    ended, value = world.run_rank(world.ranks[rank], job.fn, job.args,
+                                  job.kwargs)
+    if ended == "died":
         # Simulated crash: report the death, then vanish without any
         # orderly teardown (peers see the socket EOF + the broadcast).
-        ctx.done = False
-        events, dropped = _gather_events(world, rank)
         try:
-            _send_msg(boot, ("died", rank, events, dropped))
+            _send_msg(boot, ("died", rank, str(worldmod._died(rank)),
+                             *_ring(world, rank)))
         except Exception:
             pass
         os._exit(1)
-    except BaseException as exc:
-        if isinstance(exc, PeerFailure):
-            secondary = True
-        exc_out = exc
-    finally:
-        ctx.done = not ctx.dead
-        worldmod._tls.ctx = None
-
     world.stop_threads()
     failure = world.failure
-    if exc_out is None and failure is not None and failure[0] == rank:
+    if ended == "result" and failure is not None and failure[0] == rank:
         # Recorded by the progress thread after this rank's last wait
         # looked (a finalize that found its barrier done): the thread
         # backend's spmd() raises it after the join, and so does this.
-        exc_out = failure[1]
+        ended, value = "error", failure[1]
     try:
         world.conduit.close()
     except Exception:
         pass
-    events, dropped = _gather_events(world, rank)
+    ring = _ring(world, rank)
+    if ended == "error":
+        value = _picklable(value)
     try:
-        if exc_out is not None:
-            _send_msg(boot, ("error", rank, _picklable(exc_out),
-                             secondary, events, dropped))
-        else:
-            try:
-                _send_msg(boot, ("result", rank, result, events, dropped))
-            except Exception as e:  # pickling errors are not one type
-                _send_msg(boot, ("error", rank, SerializationError(
-                    f"rank {rank}: SPMD return value of type "
-                    f"{type(result).__name__} is not picklable across "
-                    f"the proc backend: {e}"), False, events, dropped))
+        try:
+            _send_msg(boot, (ended, rank, value, *ring))
+        except Exception as e:  # pickling errors are not one type
+            _send_msg(boot, ("error", rank, SerializationError(
+                f"rank {rank}: SPMD return value of type "
+                f"{type(value).__name__} is not picklable across "
+                f"the proc backend: {e}"), *ring))
     except Exception:
         pass
 
 
 # -- launcher side -----------------------------------------------------------
-def _shipped_ring(rank: int, events=(), dropped: int = 0) -> FlightRecorder:
-    """A flight ring shipped from a rank process, as a recorder again."""
-    rec = FlightRecorder(rank, capacity=len(events), dropped=dropped)
-    for ev in events:
-        rec.append(ev)
-    return rec
-
-
-def _dump_failure(tel_cfg, header: str, events_by_rank: dict,
-                  n_ranks: int) -> None:
-    if tel_cfg.mode == "off":
-        return
-    try:
-        recs = [_shipped_ring(r, *events_by_rank.get(r, ()))
-                for r in range(n_ranks)]
-        sys.stderr.write(merge_dump(recs, header=header))
-    except Exception:
-        pass  # a broken dump must never mask the real failure
-
-
 def _broadcast(boots, open_ranks, origin: int, msg) -> None:
     for r in sorted(open_ranks):
         if r == origin:
@@ -270,10 +231,8 @@ def spmd_proc(
     )
     procs = []
     results: list = [None] * ranks
-    finals: dict[int, BaseException] = {}       # primary errors, by rank
-    secondaries: dict[int, BaseException] = {}
     died: dict[int, str] = {}
-    events_by_rank: dict[int, tuple] = {}
+    rings: dict[int, tuple] = {}    # rank -> (events, dropped)
     first_primary: tuple[int, BaseException] | None = None
     timed_out: set[int] = set()
     try:
@@ -329,44 +288,24 @@ def spmd_proc(
                         msg = _recv_msg(key.fileobj)
                     except Exception:
                         msg = None
-                    if msg is None:
-                        # Hard crash: exited without a final report.
-                        sel.unregister(key.fileobj)
-                        open_ranks.discard(r)
-                        died[r] = (f"rank {r} process exited without "
-                                   f"reporting (crash)")
-                        _broadcast(boots, open_ranks, r,
-                                   ("peer_dead", r, died[r]))
-                        continue
-                    kind = msg[0]
-                    if kind == "died":
-                        _, _r, events, dropped = msg
-                        events_by_rank[r] = (events, dropped)
-                        died[r] = f"rank {r} died (simulated crash)"
-                        sel.unregister(key.fileobj)
-                        open_ranks.discard(r)
-                        _broadcast(boots, open_ranks, r,
-                                   ("peer_dead", r, died[r]))
-                    elif kind in ("error", "fatal"):
-                        _, _r, exc, *rest = msg
-                        sec = rest[0] if kind == "error" else False
-                        events_by_rank[r] = (rest[-2], rest[-1])
-                        sel.unregister(key.fileobj)
-                        open_ranks.discard(r)
-                        if sec:
-                            secondaries[r] = exc
-                        else:
-                            finals[r] = exc
-                            if first_primary is None:
-                                first_primary = (r, exc)
-                                _broadcast(boots, open_ranks, r,
-                                           ("peer_failed", r, exc))
-                    elif kind == "result":
-                        _, _r, value, events, dropped = msg
-                        events_by_rank[r] = (events, dropped)
+                    sel.unregister(key.fileobj)
+                    open_ranks.discard(r)
+                    if msg is None:  # exited without a final report
+                        msg = ("died", r, f"rank {r} process exited "
+                               f"without reporting (crash)", [], 0)
+                    ended, _r, value, events, dropped = msg
+                    rings[r] = (events, dropped)
+                    if ended == "result":
                         results[r] = value
-                        sel.unregister(key.fileobj)
-                        open_ranks.discard(r)
+                    elif ended == "died":
+                        died[r] = value
+                        _broadcast(boots, open_ranks, r,
+                                   ("peer_dead", r, value))
+                    elif (first_primary is None
+                          and not isinstance(value, PeerFailure)):
+                        first_primary = (r, value)
+                        _broadcast(boots, open_ranks, r,
+                                   ("peer_failed", r, value))
         finally:
             sel.close()
 
@@ -396,17 +335,13 @@ def spmd_proc(
             f"spmd[proc]: {len(timed_out)} of {ranks} ranks did not "
             f"terminate (ranks {sorted(timed_out)})"
         )
-        _dump_failure(tel_cfg, f"CommTimeout: {exc}", events_by_rank, ranks)
-        raise exc
-    if first_primary is not None:
-        _r, exc = first_primary
-        if isinstance(exc, (CommTimeout, PeerFailure, RankDead)):
-            _dump_failure(tel_cfg, f"{type(exc).__name__}: {exc}",
-                          events_by_rank, ranks)
-        raise exc
-    if died and not survive_rank_death:
-        r = min(died)
-        exc = RankDead(died[r])
-        _dump_failure(tel_cfg, f"RankDead: {exc}", events_by_rank, ranks)
-        raise exc
-    return results
+    elif first_primary is not None:
+        exc = first_primary[1]
+    elif died and not survive_rank_death:
+        exc = RankDead(died[min(died)])
+    else:
+        return results
+    dump_on_failure(exc, [] if tel_cfg.mode == "off" else [
+        FlightRecorder(r, tel_cfg.flight_capacity, *rings.get(r, ((), 0)))
+        for r in range(ranks)])
+    raise exc

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 import threading
 import time
 from collections import deque
@@ -52,6 +51,7 @@ from repro.telemetry import (
     resolve_config as _resolve_telemetry,
     tracing,
 )
+from repro.telemetry.flight import dump_on_failure
 
 _tls = threading.local()
 
@@ -158,13 +158,12 @@ class RankState:
         self.dir_table: dict[int, Any] = {}
         # Free-form per-rank scratch space for applications/benchmarks.
         self.scratch: dict[str, Any] = {}
+        #: Set when the rank's SPMD body ended, however it ended (a
+        #: remote rank's on proc: when its done notice arrives).
         self.done = False
         #: Set when the rank's SPMD body returned (survivable-death
         #: finalize waits on this instead of a world barrier).
         self.body_done = False
-        #: Set when this rank "crashed" (see :func:`die`); the failure
-        #: detector converts it into a PeerFailure on every other rank.
-        self.dead = False
         #: Stamped by every drain: ``wait_until``'s deadline reads it.
         self.last_heartbeat = time.monotonic()
 
@@ -301,12 +300,8 @@ class RankState:
 
     def _run_task(self, task: _Task) -> None:
         """Run one queued async task and answer its request with the result
-        or what it raised; the caller holds ``_handler_lock``."""
-        # The progress thread runs tasks as this rank; the rank's own
-        # thread is bound to it already.
-        prev = getattr(_tls, "ctx", None)
-        if prev is not self:
-            _tls.ctx = self
+        or what it raised; the caller holds ``_handler_lock`` and is
+        bound to this rank (its own thread, or the progress thread)."""
         req = task.request
         try:
             result = task.fn(*task.args, **task.kwargs)
@@ -315,11 +310,9 @@ class RankState:
                 # frame (by-reference fallback for unencodable values);
                 # success is a reply whose args do not say "__error__".
                 self.endpoint.reply(req, payload=result)
-        except BaseException as exc:
+        except Exception as exc:
+            # (a die() is no error to reply with: it unwinds the rank)
             self.endpoint.raised(req, exc)
-        finally:
-            if prev is not self:
-                _tls.ctx = prev
 
     # -- blocking helper ---------------------------------------------------
     def wait_until(self, pred: Callable[[], bool], what: str = "",
@@ -348,7 +341,8 @@ class RankState:
             # keep running (a hung rank that resumed): nothing else will wake
             # us, and waiting would sit out the whole op_timeout.
             if failure is not None:
-                if failure[0] != self.rank or self.dead:
+                if (failure[0] != self.rank
+                        or self.rank in self.world.dead_ranks):
                     raise PeerFailure(failure[0], failure[1])
                 if self.world._failure_thread != threading.get_ident():
                     # Ours, but recorded by the progress thread, which
@@ -394,11 +388,12 @@ class World:
         ``True``, a dict of :class:`ReliabilityConfig` fields or a
         config: every ``heartbeat_period`` each local rank probes every
         peer, and a peer whose rank thread answers no probe for
-        ``peer_timeout`` seconds — it hung — is declared dead; so is, at
-        the next round, a rank of this process that called :func:`die`.
-        A rank is judged by probe silence only while another live rank
-        of this process probes it and has drained within half a
-        ``peer_timeout`` (it reads the answers).
+        ``peer_timeout`` seconds — it hung — is declared dead.  A rank
+        is judged by probe silence only while another live rank of this
+        process probes it and has drained within half a
+        ``peer_timeout`` (it reads the answers).  A rank that calls
+        :func:`die` needs no detector: its launcher declares it at once,
+        on every backend.
     ``telemetry``:
         ``None``/``"off"`` (default) records nothing and leaves the
         conduit unwrapped; ``"flight"`` runs only the per-rank flight
@@ -484,16 +479,19 @@ class World:
         self._dir_ids = itertools.count(1)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        # One housekeeping thread runs every periodic step asked for:
-        # the detector round, and the metrics sample ("full" only, where
-        # its histograms exist) and straggler watchdog of the telemetry.
+        # The helper threads start here.  The progress thread drains the
+        # busy ranks in concurrent mode; one housekeeping thread runs
+        # every periodic step asked for: the detector round, and the
+        # metrics sample ("full" only, where its histograms exist) and
+        # straggler watchdog of the telemetry.
+        if thread_mode == "concurrent":
+            self._start_thread("progress", self._progress_main)
         steps = []
         if self._liveness is not None:
             steps.append((self._liveness.heartbeat_period,
                           self._detector_round))
         cfg = self.telemetry.config
-        sampler = MetricsSampler(cfg.sample_period, cfg.slow_op_factor,
-                                 cfg.slow_op_min_s)
+        sampler = MetricsSampler(cfg.sample_period, cfg.slow_op_min_s)
         if self.telemetry.full and cfg.sample_period:
             steps.append((cfg.sample_period,
                           lambda: sampler.sample(self._local_live())))
@@ -563,8 +561,8 @@ class World:
 
         Always records the death in :attr:`dead_ranks`, logs one
         ``rank_dead`` flight event (src and dst the dead rank, detail
-        the reason) in the ring of the lowest live local rank, marks the
-        rank state, fails the futures waiting on it, and notifies
+        the reason) in the ring of the lowest live local rank, fails
+        the futures waiting on it, and notifies
         :meth:`on_rank_death` subscribers.  Then:
         without ``survive_rank_death`` the world fails (the historical
         fatal contract); with it the survivors are merely poked so
@@ -579,8 +577,6 @@ class World:
         if witness is not None:
             witness.telemetry.flight_event(
                 "rank_dead", src=rank, dst=rank, detail=str(exc))
-        if 0 <= rank < self.n_ranks:
-            self.ranks[rank].dead = True
         # Sweep orphaned reply futures: waiters on the dead rank get the
         # death as their answer, and the dead rank's own waits unwind so
         # a hung primary that resumes does not sit out its op deadline
@@ -616,12 +612,13 @@ class World:
         # degrades to a done-or-dead wait (serving AMs meanwhile).  A
         # remote rank's done flag only travels by message.
         for d in range(self.n_ranks):
-            if not (self.is_local(d) or self.ranks[d].dead):
+            if not (self.is_local(d) or d in self.dead_ranks):
                 try:
                     ctx.send_am(d, "__proc_done__")
                 except Exception:
                     pass
-        ctx.wait_until(lambda: all(p.body_done or p.dead for p in self.ranks),
+        ctx.wait_until(lambda: all(p.body_done or p.rank in self.dead_ranks
+                                   for p in self.ranks),
                        what="finalize (done-or-dead)")
 
     def live_ranks(self) -> list[int]:
@@ -636,10 +633,30 @@ class World:
         for rk in self.ranks:
             rk.poke()
 
-    # -- the helper threads: progress (concurrent mode), housekeeping --------
-    def start_progress_thread(self) -> None:
-        self._start_thread("progress", self._progress_main)
+    def run_rank(self, ctx: RankState, fn: Callable, args: tuple,
+                 kwargs: dict) -> tuple[str, Any]:
+        """The rank body of both launchers: run ``fn`` as ``ctx`` on the
+        calling thread, then its :meth:`finalize`, and mark it done.
+        Returns how the rank ended: ``("result", value)``, ``("error",
+        exc)`` or ``("died", None)`` (it called :func:`die`; the
+        launcher declares the death).  An error that is not a
+        :class:`PeerFailure` is recorded with :meth:`fail`."""
+        _tls.ctx = ctx
+        try:
+            result = fn(*args, **kwargs)
+            self.finalize(ctx)
+            return "result", result
+        except _RankKilled:
+            return "died", None
+        except BaseException as exc:
+            if not isinstance(exc, PeerFailure):
+                self.fail(ctx.rank, exc)
+            return "error", exc
+        finally:
+            ctx.done = True
+            _tls.ctx = None
 
+    # -- the helper threads: progress (concurrent mode), housekeeping --------
     def _start_thread(self, name: str, target, *args) -> None:
         t = threading.Thread(target=target, args=args, daemon=True,
                              name=f"pgas-{name}-{self.id}")
@@ -658,7 +675,7 @@ class World:
         the progress thread, witness a death and are sampled (a rank
         must not act on a remote's behalf)."""
         return [rk for rk in self.ranks
-                if self.is_local(rk.rank) and not (rk.done or rk.dead)
+                if self.is_local(rk.rank) and not rk.done
                 and rk.rank not in self.dead_ranks]
 
     def _housekeeping_main(self, steps) -> None:
@@ -700,6 +717,7 @@ class World:
         while not self._stop.is_set():
             progressed = False
             for rank in self._local_live():
+                _tls.ctx = rank  # its tasks and handlers run as it
                 try:
                     if rank.advance(max_items=16):
                         progressed = True
@@ -708,6 +726,11 @@ class World:
                         # rang it: poke, so its park ends (or its next
                         # one does) and it retests.
                         rank.poke()
+                except _RankKilled:
+                    # A task or handler run here called die(): that is
+                    # its rank's failure; the rank unwinds at its next
+                    # wait, and the other ranks are still served.
+                    self.fail(rank.rank, _died(rank.rank))
                 except Exception as exc:
                     # Not every dispatch error went through world.fail
                     # (unknown handler or token, a decode error): record
@@ -773,15 +796,20 @@ class _RankKilled(BaseException):
     :func:`die` without reporting a failure (it simulates a crash)."""
 
 
+def _died(rank: int) -> RankDead:
+    return RankDead(f"rank {rank} died (simulated crash)")
+
+
 def die() -> None:
     """Simulate the calling rank crashing: it stops executing *without*
-    reporting an error, exactly like a killed process.  The world's
-    failure detector (``reliability=``) declares it dead at its next
-    probe round — on proc the launcher reports the exit as well — and
-    peers then observe :class:`~repro.errors.PeerFailure`, not a hang."""
-    ctx = current()
-    ctx.dead = True
-    ctx.world.poke_all()
+    reporting an error, exactly like a killed process — also from
+    inside an async task or an AM handler it runs.  Its launcher
+    declares it dead at once, on every backend and with no
+    ``reliability=``, and peers then observe
+    :class:`~repro.errors.PeerFailure` (or, with
+    ``survive_rank_death``, :class:`~repro.errors.RankDead` on requests
+    to it), not a hang."""
+    current()  # outside an SPMD region, NotInSpmdRegion
     raise _RankKilled()
 
 
@@ -839,35 +867,21 @@ def spmd(
         survive_rank_death=survive_rank_death,
     )
     results: list = [None] * ranks
-    secondary: list[BaseException | None] = [None] * ranks
 
     def rank_main(r: int) -> None:
-        ctx = world.ranks[r]
-        _tls.ctx = ctx
-        try:
-            results[r] = fn(*args, **kwargs)
-            world.finalize(ctx)
-        except _RankKilled:
-            pass  # simulated crash: disappear without reporting
-        except BaseException as exc:
-            if isinstance(exc, PeerFailure):
-                secondary[r] = exc
-            else:
-                world.fail(r, exc)
-        finally:
-            # A dead rank must not look "finished" — the failure
-            # detector distinguishes the two.
-            ctx.done = not ctx.dead
-            _tls.ctx = None
+        ended, value = world.run_rank(world.ranks[r], fn, args, kwargs)
+        if ended == "result":
+            results[r] = value
+        elif ended == "died":
+            world.mark_dead(r, _died(r))
 
-    if thread_mode == "concurrent":
-        world.start_progress_thread()
     threads = [
         threading.Thread(
             target=rank_main, args=(r,), name=f"pgas-rank-{r}", daemon=True
         )
         for r in range(ranks)
     ]
+    exc = None
     try:
         for t in threads:
             t.start()
@@ -885,32 +899,16 @@ def spmd(
             exc = CommTimeout(
                 f"spmd: {len(stuck)} of {ranks} ranks did not terminate"
             )
-            _dump_on_failure(world, exc)
-            raise exc
     finally:
         world.stop_threads()
         close = getattr(world.conduit, "close", None)
         if callable(close):
             close()
-    if world.failure is not None:
-        failed_rank, exc = world.failure
-        _dump_on_failure(world, exc)
+    if exc is None and world.failure is not None:
+        exc = world.failure[1]
+    if exc is not None:
+        tel = world.telemetry
+        dump_on_failure(exc, [rt.flight for rt in tel.ranks]
+                        if tel.enabled else [])
         raise exc
     return results
-
-
-def _dump_on_failure(world: World, exc: BaseException) -> None:
-    """The flight recorder's trigger: a communication failure is about
-    to propagate to the caller — dump every rank's recent history to
-    stderr first (the exception alone says *what* gave up; the merged
-    ring says what every rank was *doing*)."""
-    if not world.telemetry.enabled:
-        return
-    if not isinstance(exc, (CommTimeout, PeerFailure, RankDead)):
-        return
-    try:
-        world.dump_flight_recorder(
-            header=f"{type(exc).__name__}: {exc}", file=sys.stderr
-        )
-    except Exception:  # a broken dump must never mask the real failure
-        pass

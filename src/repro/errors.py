@@ -63,8 +63,8 @@ class TransientCommError(PgasError):
 
 
 class RankDead(PgasError):
-    """A rank was declared dead by the failure detector (missed
-    heartbeats or probes, or a simulated crash).  A request to it fails
+    """A rank was declared dead: by the failure detector (it answered
+    no probe) or by its launcher (it died).  A request to it fails
     with this at the call once the death is known; peers blocked on it
     observe it as the ``original`` of a :class:`PeerFailure`."""
 

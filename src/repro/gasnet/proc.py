@@ -496,7 +496,7 @@ class ProcConduit(SegmentRma, Conduit):
         if self._closing:
             return False
         world = self.world
-        if world is not None and world.ranks[dst].dead:
+        if world is not None and dst in world.dead_ranks:
             return False
         if time.monotonic() - since > self._stall_limit:
             raise TransientCommError(
@@ -518,7 +518,7 @@ class ProcConduit(SegmentRma, Conduit):
         world = self.world
         if world is not None and 0 <= dst < world.n_ranks:
             rk = world.ranks[dst]
-            if rk.done or rk.dead or rk.body_done:
+            if rk.done or rk.body_done or dst in world.dead_ranks:
                 return  # trailing chatter to a finished/dead peer
         if exc.errno in (errno.EPIPE, errno.ECONNRESET, errno.ESHUTDOWN,
                          errno.ENOTCONN):

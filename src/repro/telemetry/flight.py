@@ -5,8 +5,9 @@ PGAS bugs are *pattern* bugs: by the time a ``CommTimeout`` or
 doing in the moments before — is gone.  Each rank therefore keeps a
 bounded ring buffer of recent runtime events (conduit ops, AM handling,
 task lifecycle, rank deaths, failures); when a failure
-propagates out of :func:`repro.spmd`, all rings are merged into one
-time-ordered, human-readable dump — the black box read-out.
+propagates out of :func:`repro.spmd`, on either launcher,
+:func:`dump_on_failure` merges all rings into one time-ordered,
+human-readable dump — the black box read-out.
 
 Recording one event is a timestamp, a tuple and a bounded
 ``deque.append`` — no lock: the append, the ring's copy and ``next`` on
@@ -17,10 +18,12 @@ the append count are each atomic under the GIL — cheap enough for the
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from time import perf_counter
 from typing import Iterable
 
+from repro.errors import CommTimeout, PeerFailure, RankDead
 from repro.gasnet.trace import CommEvent
 
 #: Default ring capacity (events kept per rank).
@@ -30,17 +33,17 @@ DEFAULT_CAPACITY = 256
 class FlightRecorder:
     """A bounded per-rank ring of :class:`~repro.gasnet.trace.CommEvent`.
 
-    ``dropped`` seeds the eviction count: a ring shipped from a rank
-    process keeps the count it was shipped with."""
+    ``events`` and ``dropped`` seed the ring and its eviction count: a
+    ring shipped from a rank process keeps what it was shipped with."""
 
     __slots__ = ("rank", "capacity", "_ring", "_appends", "_shipped")
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY,
-                 dropped: int = 0):
+                 events: Iterable[CommEvent] = (), dropped: int = 0):
         self.rank = rank
         self.capacity = capacity
-        self._ring: deque[CommEvent] = deque(maxlen=capacity)
-        self._appends = itertools.count()
+        self._ring: deque[CommEvent] = deque(events, maxlen=capacity)
+        self._appends = itertools.count(len(self._ring))
         self._shipped = dropped
 
     def record(self, kind: str, src: int = -1, dst: int = -1,
@@ -51,8 +54,7 @@ class FlightRecorder:
         next(self._appends)
 
     def append(self, ev: CommEvent) -> None:
-        """Keep an event built elsewhere (the conduit layer's, or a
-        ring shipped from a rank process)."""
+        """Keep an event built elsewhere (the conduit layer's)."""
         self._ring.append(ev)
         next(self._appends)
 
@@ -117,3 +119,19 @@ def merge_dump(recorders: Iterable[FlightRecorder],
             )
     lines.append("=" * 72)
     return "\n".join(lines) + "\n"
+
+
+def dump_on_failure(exc: BaseException,
+                    recorders: list[FlightRecorder]) -> None:
+    """The flight recorder's trigger, on both launchers: ``exc`` is about
+    to propagate out of :func:`repro.spmd`.  When it is a communication
+    failure (``CommTimeout``, ``PeerFailure``, ``RankDead``), write every
+    rank's ring, merged, to stderr first: the exception says *what* gave
+    up, the rings what every rank was *doing*.  ``recorders`` is empty
+    when telemetry is off."""
+    if recorders and isinstance(exc, (CommTimeout, PeerFailure, RankDead)):
+        try:
+            sys.stderr.write(merge_dump(
+                recorders, header=f"{type(exc).__name__}: {exc}"))
+        except Exception:  # a broken dump must never mask the real failure
+            pass

@@ -130,6 +130,11 @@ def metrics_reduce(team=None, snapshot: dict | None = None) -> dict:
 
 
 # -- sampler + straggler watchdog ---------------------------------------------
+#: An in-flight AM is flagged ``slow_op`` once older than this many
+#: times its rank's p99 AM round trip (and ``slow_op_min_s``).
+SLOW_OP_FACTOR = 8.0
+
+
 class MetricsSampler:
     """Sample runtime depth metrics and flag slow in-flight ops, one
     step at a time; the caller runs the steps and passes in the ranks
@@ -143,15 +148,13 @@ class MetricsSampler:
 
     :meth:`watchdog` scans in-flight request metadata and emits a
     ``slow_op`` flight event for any op older than
-    ``max(slow_op_min_s, slow_op_factor * p99(am_rtt))`` — the flight
+    ``max(slow_op_min_s, SLOW_OP_FACTOR * p99(am_rtt))`` — the flight
     recorder shows the straggler while it is still alive, not after the
     15 s op timeout declares it dead.
     """
 
-    def __init__(self, sample_period: float | None,
-                 slow_op_factor: float, slow_op_min_s: float):
+    def __init__(self, sample_period: float | None, slow_op_min_s: float):
         self.sample_period = sample_period
-        self.slow_op_factor = slow_op_factor
         self.slow_op_min_s = slow_op_min_s
         self._flagged: set[tuple[int, int]] = set()
         self._last_steals: dict[int, int] = {}
@@ -178,7 +181,7 @@ class MetricsSampler:
         h = tel.histograms().get("am_rtt")
         if h is not None and h.count >= 32:
             return max(self.slow_op_min_s,
-                       self.slow_op_factor * h.p99 / 1e9)
+                       SLOW_OP_FACTOR * h.p99 / 1e9)
         return self.slow_op_min_s
 
     def watchdog(self, ranks) -> None:

@@ -37,6 +37,9 @@ from repro.telemetry.histogram import LogHistogram
 
 MODES = ("off", "flight", "full")
 
+#: Upper bound on retained spans per rank (Perfetto export size).
+MAX_SPANS = 20000
+
 #: Conduit-op kind -> the latency histogram its duration lands in.
 _OP_HISTOGRAM = {
     "am": "send_am", "reply": "send_am",
@@ -54,8 +57,6 @@ class TelemetryConfig:
     mode: str = "off"
     #: Flight-recorder ring capacity (events kept per rank).
     flight_capacity: int = DEFAULT_CAPACITY
-    #: Upper bound on retained spans per rank (Perfetto export size).
-    max_spans: int = 20000
     #: Sample period in seconds, > 0 (task queue depth, pending
     #: replies, segment bytes, steal rate, each into a ``sampled_*``
     #: histogram); ``None`` leaves the sampling
@@ -66,8 +67,8 @@ class TelemetryConfig:
     #: it.  Both run on the world's housekeeping thread.
     watchdog_period: float | None = None
     #: An in-flight AM is flagged ``slow_op`` once older than
-    #: ``max(slow_op_min_s, slow_op_factor * p99(am_rtt))``.
-    slow_op_factor: float = 8.0
+    #: ``max(slow_op_min_s, SLOW_OP_FACTOR * p99(am_rtt))`` (see
+    #: :data:`repro.telemetry.metrics.SLOW_OP_FACTOR`).
     slow_op_min_s: float = 0.05
 
     def __post_init__(self) -> None:
@@ -133,7 +134,7 @@ class RankTelemetry:
 
     __slots__ = ("rank", "mode", "active", "full", "flight",
                  "_hist", "_hist_lock", "_spans", "_span_lock",
-                 "spans_dropped", "max_spans", "new_trace_id",
+                 "spans_dropped", "new_trace_id",
                  "new_span_id")
 
     def __init__(self, rank: int, config: TelemetryConfig):
@@ -147,7 +148,6 @@ class RankTelemetry:
         self._spans: list[Span] = []
         self._span_lock = threading.Lock()
         self.spans_dropped = 0
-        self.max_spans = config.max_spans
         self.new_trace_id = self.new_span_id = itertools.count(
             ((rank + 1) << 40) | 1).__next__
 
@@ -195,7 +195,7 @@ class RankTelemetry:
         span = Span(name, t0, dur, self.rank, threading.get_ident(),
                     detail, trace_id, span_id, parent_id)
         with self._span_lock:
-            if len(self._spans) >= self.max_spans:
+            if len(self._spans) >= MAX_SPANS:
                 self.spans_dropped += 1
                 return
             self._spans.append(span)

@@ -5,7 +5,8 @@ Every kill test runs with ``survive_rank_death=True``, and the victim
 *hangs* (``hang_until_declared``): it stops calling the runtime, so it
 answers no probe and serves no AM.  That forces the survivors through
 the real detection path — probe silence -> RankDead after
-``peer_timeout`` — rather than the dead flag :func:`repro.die` sets.
+``peer_timeout`` — rather than the launcher's declaration of a
+:func:`repro.die`.
 Post-kill rendezvous uses shared-memory flags, never collectives: a
 tree barrier would hang on the dead member.
 """

@@ -6,9 +6,9 @@ over 1–3 processes × 1–3 ranks.  The machine plays what the runtime
 plays around the detector: ranks that drain — at least every
 ``PARK_S`` unless stalled — and answer a probe or stamp an answer only
 when they do; the probes, answers and done notices in flight, delivered
-or delayed; ``die()``; finishing; and the dead set each process
-declares into.  It checks the properties of Chandra & Toueg (JACM
-1996):
+or delayed; ``die()``, which the launcher declares in every process at
+once; finishing; and the dead set each process declares into.  It
+checks the properties of Chandra & Toueg (JACM 1996):
 
 * **accuracy** — a rank that keeps draining is never declared;
 * **completeness** — a rank whose last drain was at ``s`` is declared
@@ -16,8 +16,7 @@ declares into.  It checks the properties of Chandra & Toueg (JACM
   PARK_S)`` — ``peer_timeout + 2 × heartbeat_period`` when the period
   is at least a park — by every process with an attentive prober (its
   last answer takes up to a park to be read, and then up to a period
-  to meet a round), and a rank that called ``die()`` at the next round
-  of its own process;
+  to meet a round);
 * **finality** — a declaration is final, and each process makes it
   once; a declared rank is probed no more.
 
@@ -43,11 +42,11 @@ _which = st.integers(0, 8)      # a rank, modulo the world's size
 
 class _Rank:
     """A rank as ``Liveness.round`` reads it; a process's stub of a
-    remote rank is one too, with only ``done`` and ``dead`` ever set."""
+    remote rank is one too, with only ``done`` ever set."""
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.done = self.dead = self.stalled = False
+        self.done = self.stalled = False
         self.last_heartbeat = 0     # its last drain
         self.inbox: list = []
 
@@ -81,7 +80,7 @@ class Detectors(RuleBasedStateMachine):
     # -- what the runtime does around the detector ----------------------
     def _attentive(self, r: int) -> bool:
         rk = self.ranks[r]
-        return not (rk.stalled or rk.dead or rk.done)
+        return not (rk.stalled or rk.done)
 
     def _drain(self, r: int) -> None:
         rk, p = self.ranks[r], self.home[r]
@@ -102,8 +101,7 @@ class Detectors(RuleBasedStateMachine):
     def _round(self, p: int) -> None:
         view, declared = self.views[p], self.declared[p]
         local = [r for r in range(self.n) if self.home[r] == p
-                 and not (view[r].done or view[r].dead)
-                 and r not in declared]
+                 and not view[r].done and r not in declared]
         probes, deaths = self.detectors[p].round(self.now, view, local,
                                                  declared)
         for src, dst in probes:
@@ -116,8 +114,7 @@ class Detectors(RuleBasedStateMachine):
             assert not self._attentive(r), (
                 f"accuracy: process {p} declared rank {r}, which keeps "
                 f"draining, at t={self.now}")
-            declared.add(r)
-            view[r].dead = True     # mark_dead
+            declared.add(r)         # mark_dead
         self._check_completeness(p)
 
     def _check_completeness(self, p: int) -> None:
@@ -128,9 +125,6 @@ class Detectors(RuleBasedStateMachine):
         for r, since in self.silent_since.items():
             if r in declared or view[r].done:
                 continue
-            assert not (self.home[r] == p and self.ranks[r].dead), (
-                f"rank {r} called die() but its process's round at "
-                f"t={self.now} did not declare it")
             assert not (listens and self.now > since + bound), (
                 f"completeness: rank {r} silent since t={since} is not "
                 f"declared by process {p} at t={self.now}")
@@ -175,8 +169,9 @@ class Detectors(RuleBasedStateMachine):
 
     @rule(i=_which, how=st.sampled_from(["stall", "die", "finish"]))
     def go_silent(self, i, how):
-        """The rank drains no more: it hangs, calls ``die()``, or its
-        body returns — done, with a done notice to every rank of another
+        """The rank drains no more: it hangs; calls ``die()``, and its
+        launcher declares it in every process at once; or its body
+        returns — done, with a done notice to every rank of another
         process not declared dead here (``World.finalize``)."""
         r = i % self.n
         if not self._attentive(r):
@@ -185,12 +180,14 @@ class Detectors(RuleBasedStateMachine):
         if how == "stall":
             self.ranks[r].stalled = True
         elif how == "die":
-            self.ranks[r].dead = True
+            self.ranks[r].stalled = True
+            for declared in self.declared:
+                declared.add(r)
         else:
             self.ranks[r].done = True
             p = self.home[r]
             self.wire += [("done", r, d) for d in range(self.n)
-                          if self.home[d] != p and not self.views[p][d].dead]
+                          if self.home[d] != p and d not in self.declared[p]]
 
 
 Detectors.TestCase.settings = settings(

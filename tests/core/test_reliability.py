@@ -2,9 +2,9 @@
 
 The fault model is crash-stop: a rank works or dies.  Here we pin down
 the world's one failure detector and its one signal (ping/pong probes
-for hung ranks; a rank that called ``die()`` is a flag read
-at the next probe round), the ``reliability=`` knob that configures
-it, and deadlines with diagnostics for waits that can never complete.
+for hung ranks; a rank that called ``die()`` is declared by its
+launcher at once), the ``reliability=`` knob that configures it, and
+deadlines with diagnostics for waits that can never complete.
 """
 
 from __future__ import annotations

@@ -762,10 +762,12 @@ def test_proc_unpicklable_return_value_raises():
         run_spmd(body, ranks=2, conduit="proc")
 
 
-def test_proc_die_produces_dump_with_all_ranks_events(capsys):
+@pytest.mark.parametrize("conduit", ("smp", "proc"))
+def test_proc_die_produces_dump_with_all_ranks_events(conduit, capsys):
     """A simulated crash surfaces as RankDead and the launcher merges
     every rank's flight ring — including the dead rank's — into one
-    cross-process dump, each with its count of evicted events."""
+    dump (on proc, shipped across processes), each with its count of
+    evicted events.  No ``reliability=``: the launcher declares it."""
     def body():
         me = repro.myrank()
         for _ in range(3):      # everyone records some traffic first:
@@ -775,8 +777,8 @@ def test_proc_die_produces_dump_with_all_ranks_events(capsys):
         allreduce(1, op="sum")
         return me
 
-    with pytest.raises(RankDead):
-        run_spmd(body, ranks=3, conduit="proc", timeout=60.0,
+    with pytest.raises(RankDead, match=r"rank 1 died \(simulated crash\)"):
+        run_spmd(body, ranks=3, conduit=conduit, timeout=60.0,
                  telemetry={"mode": "flight", "flight_capacity": 2})
     dump = capsys.readouterr().err
     assert "FLIGHT RECORDER DUMP" in dump
@@ -785,16 +787,62 @@ def test_proc_die_produces_dump_with_all_ranks_events(capsys):
             rf"rank {r}: 2 events \(\d+ older events evicted\)", dump), dump
 
 
-def test_proc_survive_rank_death():
+@pytest.mark.parametrize("conduit", ("smp", "proc"))
+def test_proc_survive_rank_death(conduit):
+    """The survivors of a die() learn it from the launcher, with no
+    ``reliability=``, and complete."""
     def body():
-        me = repro.myrank()
+        me, world = repro.myrank(), repro.current_world()
         if me == 1:
             repro.die()
+        world.ranks[me].wait_until(lambda: 1 in world.dead_ranks,
+                                   what="test: rank 1 declared",
+                                   timeout=5.0)
         return me * 10
 
-    res = run_spmd(body, ranks=3, conduit="proc",
+    res = run_spmd(body, ranks=3, conduit=conduit,
                    survive_rank_death=True, timeout=60.0)
     assert res[0] == 0 and res[1] is None and res[2] == 20
+
+
+def _die_stamped(path: str) -> None:
+    with open(path, "w") as f:
+        f.write(repr(time.monotonic()))
+    repro.die()
+
+
+@am_handler("die_stamped")
+def _die_stamped_handler(ctx, am):
+    _die_stamped(am.payload)
+
+
+@pytest.mark.parametrize("where", ("body", "async", "handler"))
+@pytest.mark.parametrize("thread_mode", ("serialized", "concurrent"))
+@pytest.mark.parametrize("conduit", ("smp", "proc+socket"))
+def test_die_ends_the_rank_that_calls_it(conduit, thread_mode, where,
+                                         tmp_path):
+    """Rank 1 calls die() in its body, in an async rank 0 waits on, or
+    in an AM handler rank 0 waits on: rank 1 is the one that ends — a
+    die() is no error to reply with — its launcher declares it with no
+    ``reliability=``, and spmd raises RankDead naming it within a
+    second of the die()."""
+    stamp = str(tmp_path / "died_at")
+
+    def body():
+        me, ctx = repro.myrank(), repro.current_world().ranks[0]
+        if me == 1 and where == "body":
+            _die_stamped(stamp)
+        if me == 0 and where == "async":
+            repro.async_(1)(_die_stamped, stamp).get()
+        if me == 0 and where == "handler":
+            ctx.send_am(1, "die_stamped", payload=stamp,
+                        expect_reply=True).get()
+        barrier()
+
+    with pytest.raises(RankDead, match=r"rank 1 died \(simulated crash\)"):
+        run_spmd(body, ranks=2, conduit=conduit, thread_mode=thread_mode)
+    with open(stamp) as f:
+        assert time.monotonic() - float(f.read()) < 1.0
 
 
 def test_backend_registry_capabilities():

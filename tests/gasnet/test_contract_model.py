@@ -361,8 +361,8 @@ TestEndpointModel = EndpointModel.TestCase
 
 N = 3
 VICTIM = N - 1
-#: Death to RankDead at a waiter: smp reads the dead flag at the next
-#: probe round (20 ms here), proc hears the launcher's broadcast.
+#: Death to RankDead at a waiter: the launcher declares a die() at once
+#: (smp's spmd marks it dead, proc's launcher broadcasts it).
 DETECTION_S = 1.0
 
 

@@ -17,7 +17,6 @@ from collections import Counter
 import repro
 from repro.containers import DistHashMap
 from repro.containers.hashmap import shard_of
-from repro.core.proclaunch import _shipped_ring
 from repro.gasnet.trace import CommEvent
 from repro.telemetry import FlightRecorder, merge_dump
 from tests.conftest import run_spmd
@@ -76,7 +75,7 @@ def test_concurrent_records_and_snapshots_lose_no_count():
 
 def test_a_shipped_ring_keeps_its_eviction_count():
     evs = [CommEvent(float(i), 2, "am", 2, 0, 8, f"h{i}") for i in range(3)]
-    rec = _shipped_ring(2, evs, 517)
+    rec = FlightRecorder(2, events=evs, dropped=517)
     assert rec.snapshot() == evs
     assert rec.dropped == 517
     text = merge_dump([rec])
