@@ -70,6 +70,10 @@ def slab_elements(size: int, block: int, nranks: int) -> int:
     return blocks_per_rank * block
 
 
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
+
+
 def _operands(values, dtype: np.dtype, shape) -> np.ndarray:
     """``values`` as ``dtype``, broadcast to an index vector's ``shape``
     only when its own shape differs."""
@@ -92,6 +96,7 @@ class SharedArray:
         self.size = 0
         self._itemsize = self.dtype.itemsize
         self._span = 0  # block * nranks: elements per round of blocks
+        self._edges = None  # 0..nranks: rank runs of a sorted owner vector
         self._slab_len = 0
         self._bases: list[int] = []
         self._my_base = -1
@@ -113,6 +118,7 @@ class SharedArray:
         nranks = ctx.world.n_ranks
         self.size = int(size)
         self._span = self.block * nranks
+        self._edges = np.arange(nranks + 1)
         self._slab_len = slab_elements(self.size, self.block, nranks)
         nbytes = self._slab_len * self._itemsize
         align = max(8, self._itemsize)
@@ -167,12 +173,21 @@ class SharedArray:
     def _indices(self, indices) -> np.ndarray:
         """Check an index vector; return it flat, as int64 in [0, size).
 
-        Bounds are one ``min()`` and one ``max()``, taken before the cast
-        so an unsigned index past 2**63 cannot wrap to a negative one;
-        negatives are wrapped only when there are any.  The
+        An in-range int64 or uint64 vector is proved so by one C
+        reduction over its ``uint64`` view (where a negative index reads
+        as 2**63 or more) and returned as it is.  Others take ``min()``
+        and ``max()`` before the cast, so an unsigned index past 2**63
+        cannot wrap; negatives are wrapped only when there are any.  The
         :class:`IndexError` names the first bad index as written."""
-        self._require_init()
-        idx = np.asarray(indices).reshape(-1)
+        if not self.size:
+            raise PgasError("shared_array used before init(size)")
+        idx = np.asarray(indices)
+        if idx.ndim != 1:
+            idx = idx.reshape(-1)
+        dt = idx.dtype
+        if ((dt is _INT64 or dt is _UINT64) and idx.size
+                and np.maximum.reduce(idx.view(_UINT64)) < self.size):
+            return idx if dt is _INT64 else idx.view(_INT64)
         if not idx.size:
             return idx.astype(np.int64)
         if idx.dtype.kind not in "iu":
@@ -192,15 +207,16 @@ class SharedArray:
             idx = np.where(idx < 0, idx + self.size, idx)
         return idx
 
-    def _by_owner(self, idx: np.ndarray):
-        """Yield ``(rank, slab offsets, selection)`` once per rank owning
-        an element of the checked vector ``idx``; ``selection`` picks that
-        rank's positions out of ``idx``."""
+    def _by_owner(self, idx: np.ndarray) -> list:
+        """One ``(rank, slab offsets, selection)`` per rank owning an
+        element of the checked vector ``idx``: a stable partition, so
+        ``selection``, that rank's positions in ``idx``, keeps their
+        order (and duplicates their issue order)."""
         owners, offs = self._locate(idx)
-        for r, n in enumerate(np.bincount(owners).tolist()):
-            if n:
-                sel = owners == r
-                yield r, offs[sel], sel
+        order = owners.argsort(kind="stable")
+        cuts = owners[order].searchsorted(self._edges).tolist()
+        return [(r, offs[order[lo:hi]], order[lo:hi])
+                for r, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
 
     def gptr(self, i: int) -> GlobalPtr:
         """Global pointer to element ``i`` (no communication)."""
@@ -293,12 +309,10 @@ class SharedArray:
         (instead of one conduit op per element)."""
         idx = self._indices(indices)
         out = np.empty(idx.size, dtype=self.dtype)
-        if idx.size:
-            ctx = current()
-            for r, offs, sel in self._by_owner(idx):
-                out[sel] = rma.get_indexed(
-                    ctx, r, self._bases[r], self.dtype, offs
-                )
+        ctx = current()
+        for r, offs, sel in self._by_owner(idx):
+            out[sel] = rma.get_indexed(ctx, r, self._bases[r], self.dtype,
+                                       offs)
         return out
 
     def scatter(self, indices, values) -> None:
@@ -367,10 +381,9 @@ class SharedArray:
         self.local_view()[:] = value
 
     def read_range(self, start: int, stop: int) -> np.ndarray:
-        """Bulk read [start, stop) with **one** RMA per owning rank —
-        contiguous when the owner's elements form a single run (always
-        true for ``block >= stop - start`` and for ``block == 1``),
-        indexed otherwise.  At most ``nranks`` conduit ops either way."""
+        """Bulk read [start, stop) with **one** contiguous get per owning
+        rank: an owner's elements of a range are one run of its slab (its
+        global indices map to slab offsets in order, without gaps)."""
         self._require_init()
         if not 0 <= start <= stop <= self.size:
             raise IndexError("range out of bounds")
@@ -378,22 +391,16 @@ class SharedArray:
         if start == stop:
             return out
         ctx = current()
-        idx = np.arange(start, stop, dtype=np.int64)
-        for r, offs, sel in self._by_owner(idx):
-            if int(offs[-1]) - int(offs[0]) + 1 == offs.size:
-                out[sel] = rma.get(
-                    ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
-                    self.dtype, offs.size,
-                )
-            else:
-                out[sel] = rma.get_indexed(
-                    ctx, r, self._bases[r], self.dtype, offs
-                )
+        for r, offs, sel in self._by_owner(np.arange(start, stop)):
+            out[sel] = rma.get(
+                ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
+                self.dtype, offs.size,
+            )
         return out
 
     def write_range(self, start: int, values: np.ndarray) -> None:
-        """Bulk write starting at ``start`` with one RMA per owning rank
-        (the converse of :meth:`read_range`)."""
+        """Bulk write starting at ``start`` with one contiguous put per
+        owning rank (the converse of :meth:`read_range`)."""
         self._require_init()
         values = np.asarray(values, dtype=self.dtype).reshape(-1)
         stop = start + values.size
@@ -402,16 +409,9 @@ class SharedArray:
         if start == stop:
             return
         ctx = current()
-        idx = np.arange(start, stop, dtype=np.int64)
-        for r, offs, sel in self._by_owner(idx):
-            chunk = np.ascontiguousarray(values[sel])
-            if int(offs[-1]) - int(offs[0]) + 1 == offs.size:
-                rma.put(
-                    ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
-                    chunk,
-                )
-            else:
-                rma.put_indexed(ctx, r, self._bases[r], offs, chunk)
+        for r, offs, sel in self._by_owner(np.arange(start, stop)):
+            rma.put(ctx, r, self._bases[r] + int(offs[0]) * self._itemsize,
+                    values[sel])
 
     #: Elements fetched per chunk while iterating.
     _ITER_CHUNK = 1024

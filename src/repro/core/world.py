@@ -164,6 +164,8 @@ class RankState:
         #: Set when the rank's SPMD body returned (survivable-death
         #: finalize waits on this instead of a world barrier).
         self.body_done = False
+        #: Set when the progress thread ran a die() for this rank.
+        self.killed = False
         #: Stamped by every drain: ``wait_until``'s deadline reads it.
         self.last_heartbeat = time.monotonic()
 
@@ -328,13 +330,15 @@ class RankState:
         :class:`CommTimeout` after ``timeout`` (default: the world's
         operation timeout) seconds.
         """
-        if pred():
+        if pred() and not self.killed:
             return
         if timeout is None:
             timeout = self.world.op_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         poll = self.world.conduit.poll
         while True:
+            if self.killed:  # a die() the progress thread ran for us
+                raise _RankKilled()
             failure = self.world.failure
             # Our own failure normally unwinds this thread by itself, so
             # it is skipped here — unless peers declared us dead while we
@@ -645,7 +649,7 @@ class World:
         try:
             result = fn(*args, **kwargs)
             self.finalize(ctx)
-            return "result", result
+            return ("died", None) if ctx.killed else ("result", result)
         except _RankKilled:
             return "died", None
         except BaseException as exc:
@@ -675,7 +679,7 @@ class World:
         the progress thread, witness a death and are sampled (a rank
         must not act on a remote's behalf)."""
         return [rk for rk in self.ranks
-                if self.is_local(rk.rank) and not rk.done
+                if self.is_local(rk.rank) and not rk.done and not rk.killed
                 and rk.rank not in self.dead_ranks]
 
     def _housekeeping_main(self, steps) -> None:
@@ -727,10 +731,11 @@ class World:
                         # one does) and it retests.
                         rank.poke()
                 except _RankKilled:
-                    # A task or handler run here called die(): that is
-                    # its rank's failure; the rank unwinds at its next
-                    # wait, and the other ranks are still served.
-                    self.fail(rank.rank, _died(rank.rank))
+                    # A task or handler run here called die(): the rank's
+                    # own thread unwinds at its next wait, as for a die()
+                    # there, and nothing more of the rank is served here.
+                    rank.killed = True
+                    rank.poke()
                 except Exception as exc:
                     # Not every dispatch error went through world.fail
                     # (unknown handler or token, a decode error): record

@@ -264,7 +264,8 @@ class ProcFabric:
                 f"world asked for {size}"
             )
         buf = np.frombuffer(self.shms[rank].buf, dtype=np.uint8)
-        return Segment(size, rank=rank, buf=buf, lock=self.locks[rank])
+        lock = self.locks[rank]._semlock  # the RLock's own C semaphore
+        return Segment(size, rank=rank, buf=buf, lock=lock)
 
     def destroy(self) -> None:
         """Launcher-side teardown: close every fd, unlink the blocks."""

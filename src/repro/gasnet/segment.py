@@ -17,7 +17,7 @@ paper, and ordering it against peers' RMA is the program's job
 
 from __future__ import annotations
 
-import contextlib
+import bisect
 import threading
 from typing import Iterator
 
@@ -33,14 +33,8 @@ def _align_up(x: int, align: int) -> int:
     return (x + align - 1) & ~(align - 1)
 
 
-_NO_GUARD = contextlib.nullcontext()
-
-
-def _quiet_overflow(dtype: np.dtype):
-    """Silence NumPy's overflow warning where array arithmetic on
-    ``dtype`` can raise it: float and complex.  Integer arrays wrap
-    modulo 2**bits without one, so they get no ``np.errstate``."""
-    return np.errstate(over="ignore") if dtype.kind in "fc" else _NO_GUARD
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
 
 
 class Segment:
@@ -63,8 +57,8 @@ class Segment:
     lock:
         Optional externally owned lock guarding raw access.  Must support
         the context-manager protocol and reentrancy; the process conduit
-        passes a ``multiprocessing.RLock`` so atomics serialize across
-        processes, not just across threads.
+        passes the semaphore of a ``multiprocessing.RLock`` so atomics
+        serialize across processes, not just across threads.
     """
 
     def __init__(self, size: int, rank: int = -1, buf: np.ndarray | None = None,
@@ -144,13 +138,7 @@ class Segment:
 
     def _insert_hole(self, offset: int, length: int) -> None:
         """Insert a hole into the sorted free list, coalescing neighbours."""
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < offset:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(self._free, (offset,))
         self._free.insert(lo, (offset, length))
         # Coalesce with successor then predecessor.
         if lo + 1 < len(self._free):
@@ -263,24 +251,29 @@ class Segment:
                       elem_offsets) -> tuple[np.ndarray, np.ndarray]:
         """A typed view covering all elements named by ``elem_offsets``
         (element indices relative to byte offset ``base``), plus the
-        normalized index array.  Caller must hold :attr:`lock` while the
-        view is alive.
+        flat int64 index array (``elem_offsets`` itself when it is one).
+        Caller must hold :attr:`lock` while the view is alive.
 
-        Bounds are one ``max()`` over the offsets viewed as ``uint64``,
-        where a negative offset reads as 2**63 or more; ``min()`` runs
-        only to name it."""
-        dtype = np.dtype(dtype)
-        idx = np.asarray(elem_offsets, dtype=np.int64).reshape(-1)
+        Bounds are one ``np.maximum.reduce`` over the offsets viewed as
+        ``uint64``, where a negative offset reads as 2**63 or more;
+        ``min()`` runs only to name it."""
+        if not isinstance(dtype, np.dtype):
+            dtype = np.dtype(dtype)
+        idx = elem_offsets
+        if (idx.__class__ is not np.ndarray or idx.dtype is not _INT64
+                or idx.ndim != 1):
+            idx = np.asarray(idx, dtype=_INT64).reshape(-1)
         if idx.size == 0:
             return np.empty(0, dtype=dtype), idx
-        hi = int(idx.view(np.uint64).max())
+        hi = int(np.maximum.reduce(idx.view(_UINT64)))
         if hi >> 63:
             raise BadPointer(
                 f"rank {self.rank}: negative element offset "
                 f"{int(idx.min())} in batch"
             )
         extent = (hi + 1) * dtype.itemsize
-        self._check_range(base, extent)
+        if base < 0 or base + extent > self.size:
+            self._check_range(base, extent)  # raises, naming the access
         if dtype.itemsize and base % dtype.itemsize:
             raise BadPointer(
                 f"offset {base} misaligned for dtype {dtype} batch access"
@@ -303,7 +296,7 @@ class Segment:
         data = np.asarray(data)
         with self.lock:
             view, idx = self._indexed_view(base, data.dtype, elem_offsets)
-            view[idx] = data.reshape(-1)
+            view[idx] = data if data.ndim == 1 else data.reshape(-1)
 
     def atomic_batch_update(self, base: int, dtype: np.dtype, elem_offsets,
                             op, operands, return_old: bool = False):
@@ -317,28 +310,31 @@ class Segment:
         sequential in-lock loop, preserving issue-order semantics.
         Returns the array of old values when ``return_old`` is true.
         """
-        dtype = np.dtype(dtype)
         with self.lock:
             view, idx = self._indexed_view(base, dtype, elem_offsets)
+            dtype = view.dtype
             if idx.size == 0:
                 return np.empty(0, dtype=dtype) if return_old else None
-            ops = np.asarray(operands, dtype=dtype)
+            ops = operands
+            if ops.__class__ is not np.ndarray or ops.dtype is not dtype:
+                ops = np.asarray(ops, dtype=dtype)
             if ops.shape != idx.shape:
                 ops = np.broadcast_to(ops, idx.shape)
             ufunc = ATOMIC_UFUNCS.get(op) if isinstance(op, str) else None
-            if ufunc is not None and not return_old:
-                with _quiet_overflow(dtype):
-                    ufunc.at(view, idx, ops)
-                return None
-            unique = np.unique(idx).size == idx.size
-            if unique and (ufunc is not None or op == "swap"):
-                old = view[idx]  # copy
+            # Vectorized: a ufunc.at that need not return old values
+            # (duplicates are safe), or any named op on unique indices.
+            if (ufunc is not None and not return_old) or (
+                    (ufunc is not None or op == "swap")
+                    and np.unique(idx).size == idx.size):
+                old = view[idx] if return_old else None  # a copy
                 if ufunc is None:
                     view[idx] = ops
+                elif dtype.kind not in "fc":  # integers wrap silently
+                    ufunc.at(view, idx, ops)
                 else:
-                    with _quiet_overflow(dtype):
-                        view[idx] = ufunc(old, ops)
-                return old if return_old else None
+                    with np.errstate(over="ignore"):
+                        ufunc.at(view, idx, ops)
+                return old
             fn = resolve_scalar(op)
             old = np.empty(idx.shape, dtype=dtype)
             # NumPy scalar arithmetic warns on integer overflow too

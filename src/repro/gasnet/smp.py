@@ -59,12 +59,11 @@ class SegmentRma:
     def rma_put_indexed(self, src: int, dst: int, base: int,
                         elem_offsets: np.ndarray, data: np.ndarray) -> None:
         target = self._rank(dst)
-        raw = np.ascontiguousarray(data)
-        count = np.asarray(elem_offsets).size
-        self._rank(src).stats.add(puts_indexed=1, put_bytes=raw.nbytes,
+        count = elem_offsets.size
+        self._rank(src).stats.add(puts_indexed=1, put_bytes=data.nbytes,
                                   batched_elements=count,
                                   remote_accesses=count)
-        target.segment.typed_write_indexed(base, elem_offsets, raw)
+        target.segment.typed_write_indexed(base, elem_offsets, data)
 
     def rma_get_indexed(self, src: int, dst: int, base: int,
                         dtype: np.dtype, elem_offsets: np.ndarray
@@ -80,8 +79,7 @@ class SegmentRma:
                          dtype: np.dtype, elem_offsets: np.ndarray,
                          op, operands, return_old: bool = False):
         target = self._rank(dst)
-        self._rank(src).stats.record_atomic_batch(
-            np.asarray(elem_offsets).size)
+        self._rank(src).stats.record_atomic_batch(elem_offsets.size)
         return target.segment.atomic_batch_update(
             base, dtype, elem_offsets, op, operands, return_old
         )

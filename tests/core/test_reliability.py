@@ -64,8 +64,10 @@ def test_dead_rank_fails_pending_lock_acquire():
         repro.barrier()
         if r == 1:
             lk.acquire()
-            # crash while holding the lock: rank 2's queued acquire can
-            # only be unblocked by the failure detector
+            # crash while holding the lock, once the others' acquires
+            # are queued behind it (and they are out of the barrier,
+            # which a death would fail instead)
+            time.sleep(0.4)
             die()
         time.sleep(0.2)  # let rank 1 take the lock first
         try:

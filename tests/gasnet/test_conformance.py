@@ -845,6 +845,41 @@ def test_die_ends_the_rank_that_calls_it(conduit, thread_mode, where,
         assert time.monotonic() - float(f.read()) < 1.0
 
 
+def _die_now() -> None:
+    repro.die()
+
+
+@pytest.mark.parametrize("survive", (True, False))
+@pytest.mark.parametrize("conduit", ("smp", "proc+socket"))
+def test_die_on_the_progress_thread_is_a_rank_death(conduit, survive):
+    """Rank 1 computes for 0.3 s without calling the runtime, so the
+    concurrent-mode progress thread runs rank 0's async for it, and the
+    async calls die(): rank 1 ends as if its own thread had called it.
+    With ``survive_rank_death`` rank 0 gets RankDead for its request
+    and completes; without it spmd raises RankDead naming rank 1."""
+    def body():
+        if repro.myrank() == 1:
+            end = time.monotonic() + 0.3
+            while time.monotonic() < end:
+                pass
+            return "rank 1 lived"
+        try:
+            repro.async_(1)(_die_now).get()
+        except RankDead as exc:
+            return type(exc).__name__
+        return "no death"
+
+    if survive:
+        res = run_spmd(body, ranks=2, conduit=conduit,
+                       thread_mode="concurrent", survive_rank_death=True)
+        assert res == ["RankDead", None]
+    else:
+        with pytest.raises(RankDead,
+                           match=r"rank 1 died \(simulated crash\)"):
+            run_spmd(body, ranks=2, conduit=conduit,
+                     thread_mode="concurrent")
+
+
 def test_backend_registry_capabilities():
     smp = backends.backend("smp").caps
     proc = backends.backend("proc").caps
