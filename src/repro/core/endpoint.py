@@ -17,7 +17,7 @@ import time
 from typing import Any, Callable
 
 from repro.errors import PgasError, RankDead, SerializationError
-from repro.gasnet.am import ActiveMessage, make_reply
+from repro.gasnet.am import PROBES, ActiveMessage, make_reply
 from repro.gasnet.wire.frame import Frame
 from repro.telemetry import tracing
 
@@ -140,7 +140,7 @@ class Endpoint:
                 tel.histogram("deser").record_seconds(
                     time.perf_counter() - t0)
         self.stats.record_am_handled()
-        if tel.active and am.handler not in ("__ping__", "__pong__"):
+        if tel.active and am.handler not in PROBES:
             # (probe chatter would drown out the useful history)
             tel.flight_event("am_handled", src=am.src_rank, dst=self.rank,
                              detail=am.handler, trace_id=am.trace_id)

@@ -44,7 +44,6 @@ from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
-from repro.gasnet.trace import TelemetryConduit
 from repro.telemetry import (
     MetricsSampler,
     WorldTelemetry,
@@ -132,7 +131,10 @@ class RankState:
         self.task_queue: deque[_Task] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
         #: its answer (see :meth:`Endpoint.reply`).
-        self.endpoint = Endpoint(rank, self._wire, world.dead_ranks,
+        self.endpoint = Endpoint(rank,
+                                 functools.partial(world.conduit.send_am,
+                                                   rank),
+                                 world.dead_ranks,
                                  self._dispatch,
                                  functools.partial(world.fail, rank),
                                  self.stats, self.telemetry)
@@ -204,10 +206,6 @@ class RankState:
         self.endpoint.send(
             dst, ActiveMessage(handler, self.rank, args, payload), fut)
         return fut
-
-    def _wire(self, dst: int, am: ActiveMessage) -> None:
-        # The endpoint's send; late-bound, as a Trace splices layers in.
-        self.world.conduit.send_am(self.rank, dst, am)
 
     def _dispatch(self, am: ActiveMessage) -> None:
         """The endpoint's dispatch: run ``am``'s handler as this rank."""
@@ -399,8 +397,8 @@ class World:
         :func:`die` needs no detector: its launcher declares it at once,
         on every backend.
     ``telemetry``:
-        ``None``/``"off"`` (default) records nothing and leaves the
-        conduit unwrapped; ``"flight"`` runs only the per-rank flight
+        ``None``/``"off"`` (default) records nothing and adds no sink
+        to :attr:`sinks`; ``"flight"`` runs only the per-rank flight
         recorder (dumped on failure); ``"full"``/``True`` adds per-op
         latency histograms and spans.  Also accepts a dict of
         :class:`~repro.telemetry.TelemetryConfig` fields or a ready
@@ -454,24 +452,22 @@ class World:
         self.dead_ranks: set[int] = set()
         self._death_subs: list[Callable[[int, BaseException], None]] = []
         #: Observability state (histograms, flight recorder, spans) —
-        #: see :mod:`repro.telemetry`.  Mode "off" records nothing and
-        #: installs no conduit wrapper.
+        #: see :mod:`repro.telemetry`.  Mode "off" records nothing.
         self.telemetry = WorldTelemetry(n_ranks, _resolve_telemetry(telemetry))
-        conduit = conduit if conduit is not None else SmpConduit()
-        #: Where liveness probes travel: beneath the telemetry layer (a
-        #: probe is no application traffic).
-        self._wire = conduit
+        #: Where every conduit op's CommEvent goes (see
+        #: :mod:`repro.gasnet.conduit`): the flight ring's sink when
+        #: telemetry is on, plus each open Trace's; empty, and free,
+        #: otherwise.  Replaced whole, never mutated.
+        self.sinks: tuple = ((self.telemetry.conduit_event,)
+                             if self.telemetry.enabled else ())
+        #: The backend, for the whole life of the world.
+        self.conduit = conduit if conduit is not None else SmpConduit()
         rel = _resolve_reliability(reliability)
         #: The failure detector's decisions; None runs no detector.
         self._liveness = None
         if rel is not None and rel.peer_timeout is not None and n_ranks > 1:
             self._liveness = Liveness(n_ranks, rel.heartbeat_period,
                                       rel.peer_timeout, time.monotonic())
-        if self.telemetry.enabled:
-            # Outermost, so an op's duration is what the caller saw.
-            conduit = TelemetryConduit(conduit, self.telemetry.conduit_event,
-                                       timed=self.telemetry.full)
-        self.conduit = conduit
         self._glock = threading.Lock()
         self._failure: tuple[int, BaseException] | None = None
         #: Who recorded it: a rank's own failure unwinds its thread by
@@ -507,6 +503,18 @@ class World:
                                steps)
 
     # -- observability -------------------------------------------------------
+    def add_sink(self, sink: Callable) -> None:
+        """Add ``sink`` to :attr:`sinks`: from now on it is called with
+        each conduit op's :class:`~repro.gasnet.trace.CommEvent`."""
+        with self._glock:
+            self.sinks = (*self.sinks, sink)
+
+    def remove_sink(self, sink: Callable) -> None:
+        """Take ``sink`` (the object :meth:`add_sink` was given) out of
+        :attr:`sinks`; not there, nothing happens."""
+        with self._glock:
+            self.sinks = tuple(s for s in self.sinks if s is not sink)
+
     def dump_flight_recorder(self, header: str = "", file=None) -> str:
         """Merge every rank's flight-recorder ring into one time-ordered
         human-readable dump; write it to ``file`` when given (pass
@@ -711,7 +719,7 @@ class World:
 
     def _probe(self, src: int, dst: int, handler: str) -> None:
         try:
-            self._wire.send_am(src, dst, ActiveMessage(
+            self.conduit.send_am(src, dst, ActiveMessage(
                 handler=handler, src_rank=src))
         except TransientCommError:
             pass  # a lost probe is what the timeout already allows for

@@ -30,12 +30,12 @@ model is crash-stop (see :mod:`repro.gasnet.conduit`).
 
 from repro.gasnet.segment import Segment
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
-from repro.gasnet.conduit import Conduit, ConduitCaps, ConduitLayer
+from repro.gasnet.conduit import Conduit, ConduitCaps
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.delay import DelayConduit
 from repro.gasnet.proc import ProcConduit, ProcFabric
 from repro.gasnet.stats import CommStats
-from repro.gasnet.trace import CommEvent, TelemetryConduit, Trace
+from repro.gasnet.trace import CommEvent, Trace
 from repro.gasnet import backends
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "handler_registry",
     "Conduit",
     "ConduitCaps",
-    "ConduitLayer",
     "SmpConduit",
     "DelayConduit",
     "ProcConduit",
@@ -53,6 +52,5 @@ __all__ = [
     "CommStats",
     "Trace",
     "CommEvent",
-    "TelemetryConduit",
     "backends",
 ]

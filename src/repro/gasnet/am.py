@@ -106,6 +106,11 @@ class ActiveMessage:
         return self._wire_bytes
 
 
+#: The failure detector's probe handlers: no application traffic, so
+#: neither the conduit's event stream nor the flight ring records them.
+PROBES = ("__ping__", "__pong__")
+
+
 def make_reply(request: ActiveMessage, src_rank: int,
                args: tuple = (), payload: Any = None) -> ActiveMessage:
     """Build the reply message for ``request`` (must carry a token)."""

@@ -25,10 +25,7 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
   the guarantee GASNet provides and the runtime relies on.
 * ``rma_put_indexed``/``rma_get_indexed``/``rma_atomic_batch`` are the
   **indexed bulk** primitives behind the batched RMA engine: one call
-  moves/updates a whole vector of same-rank elements.  The base class
-  supplies a generic per-element fallback, so every conduit supports
-  them; conduits able to do better (the SMP conduit's fancy-indexed
-  single-lock implementation) override them.
+  moves/updates a whole vector of same-rank elements.
 
 **The fault model is crash-stop.**  Between two live ranks every AM is
 delivered exactly once, in pair order, and every RMA completes — as
@@ -44,23 +41,32 @@ complete (proc's stalled receiver, a closed socket) raises
 Its executable form is ``tests/gasnet/test_contract_model.py``: a state
 machine over bare endpoints, then generated SPMD programs per backend.
 
-The wrappers — the timing layer :class:`~repro.gasnet.delay.DelayConduit`
-and the observing one, :class:`~repro.gasnet.trace.TelemetryConduit` —
-are :class:`ConduitLayer` subclasses: the contract is written out twice in
-this file (abstract in :class:`Conduit`, forwarding in
-:class:`ConduitLayer`) and nowhere else outside the backends.
+**Each op is written once, here.**  Every backend maps every rank's
+segment into the calling process (threads over one heap, or processes
+over ``multiprocessing.shared_memory``), so the six ``rma_*`` ops are
+direct segment accesses in :class:`Conduit` itself, and a backend
+writes only its transport: ``deliver_encoded``, ``poll``, ``wake``,
+``attach`` and ``close``.  Each op is charged to the initiator's
+:class:`~repro.gasnet.stats.CommStats` and observed at the same site:
+while the world has sinks (``world.sinks``: the telemetry's flight ring,
+an open :class:`~repro.gasnet.trace.Trace`) the op's
+:class:`~repro.gasnet.trace.CommEvent` goes to each of them when it
+returns or raises; liveness probes (:data:`~repro.gasnet.am.PROBES`)
+stay out.  With no sinks the cost is one test of an empty tuple.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import PgasError
-from repro.gasnet.am import ActiveMessage
+from repro.gasnet.am import PROBES, ActiveMessage
+from repro.gasnet.trace import CommEvent
 from repro.gasnet.wire import encode_am
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,7 +96,7 @@ class Conduit(abc.ABC):
 
     world: "World | None" = None
     #: Default capability set (in-process, full-featured); backends
-    #: override the class attribute, wrappers forward the inner one.
+    #: override the class attribute.
     caps: ConduitCaps = ConduitCaps()
     #: Test hook: when set, the next :meth:`send_am` raises it.
     fail_next_am: Exception | None = None
@@ -106,15 +112,25 @@ class Conduit(abc.ABC):
         is a no-op so simple conduits need not define it.
         """
 
-    # -- shared send-path helpers ----------------------------------------
-    def _rank(self, r: int):
-        if self.world is None:
-            raise PgasError("conduit not attached to a world")
-        if not 0 <= r < self.world.n_ranks:
-            raise PgasError(
-                f"rank {r} out of range [0, {self.world.n_ranks})"
-            )
-        return self.world.ranks[r]
+    # -- shared helpers ------------------------------------------------------
+    def _out_of_range(self, r: int):
+        """Raise the error for rank ``r``: each op tests ``0 <= dst <
+        n_ranks`` inline and calls this only when it fails."""
+        raise PgasError(f"rank {r} out of range [0, {self.world.n_ranks})")
+
+    def _observe(self, t0: float, kind: str, src: int, dst: int,
+                 nbytes: int, detail: str = "", trace_id: int = 0) -> None:
+        """Hand one op's :class:`CommEvent` to every sink of the world,
+        and its duration since ``t0`` (stamped in ``"full"`` only, else
+        0) to the initiator's latency histogram.  Ops call it, returned
+        or raised, only while the world has sinks."""
+        world = self.world
+        t = perf_counter()
+        if t0:
+            world.ranks[src].telemetry.record_op(kind, t - t0)
+        ev = CommEvent(t, src, kind, src, dst, nbytes, detail, trace_id)
+        for sink in world.sinks:
+            sink(ev)
 
     # -- active messages ------------------------------------------------
     def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
@@ -123,26 +139,35 @@ class Conduit(abc.ABC):
         The send decision, made once per AM: the :attr:`fail_next_am`
         hook, the ``dst`` range check, the encode (so the frame exists
         before delivery), one charge to the sender's stats, then
-        :meth:`deliver_encoded`.  ``src`` is the caller's own rank."""
-        if self.fail_next_am is not None:
-            exc, self.fail_next_am = self.fail_next_am, None
-            raise exc
+        :meth:`deliver_encoded`; however it ends, the AM's event goes to
+        the world's sinks, probes aside.  ``src`` is the caller's own
+        rank."""
         world = self.world
-        if world is None or not 0 <= dst < world.n_ranks:
-            self._rank(dst)  # raises the canonical error
-        rank = world.ranks[src]
-        frame = encode_am(am, rank.telemetry)
-        rank.stats.record_am_wire(
-            frame.nbytes, frame.used_pickle, frame.has_refs, am.is_reply)
-        self.deliver_encoded(src, dst, am)
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        nbytes = 0
+        try:
+            if self.fail_next_am is not None:
+                exc, self.fail_next_am = self.fail_next_am, None
+                raise exc
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            rank = world.ranks[src]
+            frame = encode_am(am, rank.telemetry)
+            nbytes = frame.nbytes
+            rank.stats.record_am_wire(
+                nbytes, frame.used_pickle, frame.has_refs, am.is_reply)
+            self.deliver_encoded(src, dst, am)
+        finally:
+            if sinks and am.handler not in PROBES:
+                self._observe(t0, "reply" if am.is_reply else "am", src,
+                              dst, nbytes, am.handler, am.trace_id)
 
     @abc.abstractmethod
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
         """Transport an AM that :meth:`send_am` already encoded and
-        charged: a backend moves it to ``dst``; a layer that holds it
-        back (a delay) hands it on to its inner conduit's
-        ``deliver_encoded``."""
+        charged to ``dst``: the one op a backend must write."""
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
         """Move whatever has arrived for ``rank`` into its inbox, parking
@@ -187,16 +212,36 @@ class Conduit(abc.ABC):
                 pass  # a racing wake rang it first
 
     # -- one-sided RMA ---------------------------------------------------
-    @abc.abstractmethod
+    #
+    # Direct segment access: one conduit call and one target-lock
+    # acquisition per (batched) op, the "wire" carrying a whole index
+    # vector as a NIC's gather/scatter does.  A batched op counts once
+    # as a conduit operation but per element as remote accesses, so
+    # access-locality metrics (GUPS remote_fraction) stay comparable
+    # across batched and scalar paths.  ``src`` is the caller's own
+    # rank.
+
     def rma_put(self, src: int, dst: int, offset: int,
                 data: np.ndarray) -> None:
         """Write ``data`` into ``dst``'s segment at ``offset``.
 
-        ``data`` must be consumed before the call returns (every backend
-        and wrapper does: none defers or retains it), so callers may pass
-        a live view of their own segment."""
+        ``data`` is consumed before the call returns (one copy under
+        the target's lock; nothing defers or retains it), so callers may
+        pass a live view of their own segment."""
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            nbytes = ranks[dst].segment.typed_write(offset, data)
+            ranks[src].stats.add(puts=1, put_bytes=nbytes,
+                                 remote_accesses=1)
+        finally:
+            if sinks:
+                self._observe(t0, "put", src, dst, data.nbytes)
 
-    @abc.abstractmethod
     def rma_get(self, src: int, dst: int, offset: int,
                 dtype: np.dtype, count: int,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -205,40 +250,89 @@ class Conduit(abc.ABC):
         Returns a fresh array, or — when ``out`` (writable, C-contiguous,
         the same byte length) is given — reads straight into ``out`` and
         returns it.  Idempotent either way, so it may be retried whole."""
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            out = ranks[dst].segment.typed_read(offset, dtype, count, out)
+            ranks[src].stats.add(gets=1, get_bytes=out.nbytes,
+                                 remote_accesses=1)
+            return out
+        finally:
+            if sinks:
+                self._observe(t0, "get", src, dst,
+                              np.dtype(dtype).itemsize * count)
 
-    @abc.abstractmethod
     def rma_atomic(self, src: int, dst: int, offset: int,
                    dtype: np.dtype, op, operand):
         """Atomically read-modify-write one element; returns old value."""
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            ranks[src].stats.add(atomics=1, remote_accesses=1)
+            return ranks[dst].segment.atomic_update(offset, dtype, op,
+                                                    operand)
+        finally:
+            if sinks:
+                self._observe(t0, "atomic", src, dst,
+                              np.dtype(dtype).itemsize)
 
     # -- indexed bulk RMA (batched engine) -------------------------------
     #
     # ``elem_offsets`` is an int64 array of *element* offsets relative to
     # byte offset ``base`` in ``dst``'s segment: element k lives at byte
-    # ``base + elem_offsets[k] * dtype.itemsize``.  The defaults below
-    # loop over the scalar primitives so any conduit works unmodified.
+    # ``base + elem_offsets[k] * dtype.itemsize``.
 
     def rma_put_indexed(self, src: int, dst: int, base: int,
                         elem_offsets: np.ndarray, data: np.ndarray) -> None:
         """Scatter ``data[k]`` to element offset ``elem_offsets[k]``."""
-        data = np.ascontiguousarray(data)
-        itemsize = data.dtype.itemsize
-        for off, val in zip(np.asarray(elem_offsets, dtype=np.int64), data):
-            self.rma_put(src, dst, base + int(off) * itemsize,
-                         np.asarray([val], dtype=data.dtype))
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        count = elem_offsets.size
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            ranks[src].stats.add(puts_indexed=1, put_bytes=data.nbytes,
+                                 batched_elements=count,
+                                 remote_accesses=count)
+            ranks[dst].segment.typed_write_indexed(base, elem_offsets, data)
+        finally:
+            if sinks:
+                self._observe(t0, "put_indexed", src, dst, data.nbytes,
+                              f"{count} elems")
 
     def rma_get_indexed(self, src: int, dst: int, base: int,
                         dtype: np.dtype, elem_offsets: np.ndarray
                         ) -> np.ndarray:
         """Gather the elements at ``elem_offsets`` into a new array."""
-        dtype = np.dtype(dtype)
-        idx = np.asarray(elem_offsets, dtype=np.int64)
-        out = np.empty(idx.size, dtype=dtype)
-        for k, off in enumerate(idx):
-            out[k] = self.rma_get(
-                src, dst, base + int(off) * dtype.itemsize, dtype, 1
-            )[0]
-        return out
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        count = elem_offsets.size
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            out = ranks[dst].segment.typed_read_indexed(base, dtype,
+                                                        elem_offsets)
+            ranks[src].stats.add(gets_indexed=1, get_bytes=out.nbytes,
+                                 batched_elements=count,
+                                 remote_accesses=count)
+            return out
+        finally:
+            if sinks:
+                self._observe(t0, "get_indexed", src, dst,
+                              np.dtype(dtype).itemsize * count,
+                              f"{count} elems")
 
     def rma_atomic_batch(self, src: int, dst: int, base: int,
                          dtype: np.dtype, elem_offsets: np.ndarray,
@@ -250,137 +344,19 @@ class Conduit(abc.ABC):
         Elements are updated atomically; the batch as a whole need not
         be.  Returns the old values when ``return_old`` is true.
         """
-        from repro.gasnet.atomics import resolve_scalar
-
-        fn = resolve_scalar(op)
-        dtype = np.dtype(dtype)
-        idx = np.asarray(elem_offsets, dtype=np.int64)
-        ops = np.broadcast_to(np.asarray(operands, dtype=dtype), idx.shape)
-        old = np.empty(idx.size, dtype=dtype)
-        for k, off in enumerate(idx):
-            old[k] = self.rma_atomic(
-                src, dst, base + int(off) * dtype.itemsize, dtype, fn, ops[k]
-            )
-        return old if return_old else None
-
-
-def rma_extent(kind: str, args: tuple) -> tuple[int, int | None]:
-    """``(nbytes, elems)`` moved by one RMA op, from the arguments that
-    follow ``src, dst`` in its signature (what :meth:`ConduitLayer._rma`
-    receives as ``*args``).  ``elems`` is the index-vector length of the
-    indexed bulk ops and ``None`` for the scalar ones.  Only the
-    observing layer pays for this."""
-    if kind == "put":
-        return np.asarray(args[1]).nbytes, None
-    if kind == "get":
-        return np.dtype(args[1]).itemsize * args[2], None
-    if kind == "atomic":
-        return np.dtype(args[1]).itemsize, None
-    if kind == "put_indexed":
-        return np.asarray(args[2]).nbytes, np.asarray(args[1]).size
-    # get_indexed and atomic_batch: (base, dtype, elem_offsets, ...)
-    n = np.asarray(args[2]).size
-    return np.dtype(args[1]).itemsize * n, n
-
-
-class ConduitLayer(Conduit):
-    """A conduit that decorates another one, ``self._inner``.
-
-    Everything a layer would otherwise repeat lives here, so a subclass
-    overrides only what it changes and a contract change (a new RMA
-    argument, say) touches this class and the backends — not each layer:
-
-    * **forwarding** — ``world``/``caps``/``fail_next_am``/``attach``/
-      ``close``/``send_am``/``deliver_encoded``/``poll``/``wake`` go to
-      the inner conduit; nothing else crosses a layer.  A layer that
-      makes the send decision itself takes :meth:`Conduit.send_am` back.
-    * **RMA** — the six ``rma_*`` ops are declared once, each funnelling
-      into the single around-hook :meth:`_rma`.
-
-    Layers compose by wrapping (``Telemetry(Delay(smp))``);
-    the ``_inner`` chain is the one composition mechanism, which
-    :class:`~repro.gasnet.trace.Trace` splices at run time and foreign
-    decorators may sit in — so nothing here assumes its neighbours are
-    ``ConduitLayer`` instances.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.world = getattr(inner, "world", None)
-
-    # -- forwarding --------------------------------------------------------
-    @property
-    def caps(self):
-        return self._inner.caps
-
-    @property
-    def fail_next_am(self):
-        # The send decision runs in the innermost conduit, so the hook
-        # must be set there, whichever layer a test sets it on.
-        return self._inner.fail_next_am
-
-    @fail_next_am.setter
-    def fail_next_am(self, exc) -> None:
-        self._inner.fail_next_am = exc
-
-    def attach(self, world) -> None:
-        self.world = world
-        self._inner.attach(world)
-
-    def close(self) -> None:
-        self._inner.close()
-
-    # -- active messages ---------------------------------------------------
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        self._inner.send_am(src, dst, am)
-
-    def deliver_encoded(self, src: int, dst: int,
-                        am: ActiveMessage) -> None:
-        self._inner.deliver_encoded(src, dst, am)
-
-    def poll(self, rank: int, timeout: float = 0.0) -> bool:
-        return self._inner.poll(rank, timeout)
-
-    def wake(self, rank: int) -> None:
-        self._inner.wake(rank)
-
-    # -- one-sided RMA: six signatures, one hook ---------------------------
-    def _rma(self, kind: str, fn, src: int, dst: int, *args):
-        """Around-hook for every RMA op: ``fn`` is the inner conduit's
-        bound method for ``kind`` (``"put"``, ``"get"``, ``"atomic"``,
-        ``"put_indexed"``, ``"get_indexed"``, ``"atomic_batch"``) and
-        ``args`` what follows ``src, dst`` in its signature."""
-        return fn(src, dst, *args)
-
-    def rma_put(self, src: int, dst: int, offset: int,
-                data: np.ndarray) -> None:
-        return self._rma("put", self._inner.rma_put, src, dst, offset, data)
-
-    def rma_get(self, src: int, dst: int, offset: int,
-                dtype: np.dtype, count: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-        return self._rma("get", self._inner.rma_get, src, dst, offset,
-                         dtype, count, out)
-
-    def rma_atomic(self, src: int, dst: int, offset: int,
-                   dtype: np.dtype, op, operand):
-        return self._rma("atomic", self._inner.rma_atomic, src, dst,
-                         offset, dtype, op, operand)
-
-    def rma_put_indexed(self, src: int, dst: int, base: int,
-                        elem_offsets: np.ndarray, data: np.ndarray) -> None:
-        return self._rma("put_indexed", self._inner.rma_put_indexed,
-                         src, dst, base, elem_offsets, data)
-
-    def rma_get_indexed(self, src: int, dst: int, base: int,
-                        dtype: np.dtype, elem_offsets: np.ndarray
-                        ) -> np.ndarray:
-        return self._rma("get_indexed", self._inner.rma_get_indexed,
-                         src, dst, base, dtype, elem_offsets)
-
-    def rma_atomic_batch(self, src: int, dst: int, base: int,
-                         dtype: np.dtype, elem_offsets: np.ndarray,
-                         op, operands, return_old: bool = False):
-        return self._rma("atomic_batch", self._inner.rma_atomic_batch,
-                         src, dst, base, dtype, elem_offsets, op, operands,
-                         return_old)
+        world = self.world
+        sinks = world.sinks
+        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        count = elem_offsets.size
+        try:
+            if not 0 <= dst < world.n_ranks:
+                self._out_of_range(dst)
+            ranks = world.ranks
+            ranks[src].stats.record_atomic_batch(count)
+            return ranks[dst].segment.atomic_batch_update(
+                base, dtype, elem_offsets, op, operands, return_old)
+        finally:
+            if sinks:
+                self._observe(t0, "atomic_batch", src, dst,
+                              np.dtype(dtype).itemsize * count,
+                              f"{count} elems")

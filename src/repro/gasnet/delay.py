@@ -29,28 +29,22 @@ import warnings
 import numpy as np
 
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import Conduit, ConduitLayer
+from repro.gasnet.smp import SmpConduit
 
 
-class DelayConduit(ConduitLayer):
-    """Conduit wrapper + randomized, FIFO-preserving delivery delay.
+class DelayConduit(SmpConduit):
+    """The SMP conduit with a randomized, FIFO-preserving delivery delay.
 
-    Wraps any conduit (default: a fresh
-    :class:`~repro.gasnet.smp.SmpConduit`): the delay is applied on the
-    *sender* side, so per-(src, dst) FIFO is preserved regardless of the
-    inner transport; expiry hands the already-encoded message to the
-    inner conduit's :meth:`~repro.gasnet.conduit.Conduit.deliver_encoded`.
-    RMA passes straight through (RDMA semantics: immediate completion).
+    Only :meth:`deliver_encoded` differs: the send decision and its
+    charge stay :meth:`~repro.gasnet.conduit.Conduit.send_am`'s, the
+    delay is applied on the *sender* side, so per-(src, dst) FIFO holds,
+    and expiry hands the already-encoded message to
+    :meth:`SmpConduit.deliver_encoded`.  RMA is the SMP conduit's
+    (RDMA semantics: immediate completion).
     """
 
-    def __init__(self, inner: Conduit | None = None,
-                 base_delay: float = 0.0005,
+    def __init__(self, base_delay: float = 0.0005,
                  jitter: float = 0.002, seed: int = 0):
-        if inner is None:
-            from repro.gasnet.smp import SmpConduit
-
-            inner = SmpConduit()
-        super().__init__(inner)
         self.base_delay = base_delay
         self.jitter = jitter
         self._rng = np.random.default_rng(seed)
@@ -67,8 +61,6 @@ class DelayConduit(ConduitLayer):
         self._dispatcher.start()
 
     # -- conduit surface ---------------------------------------------------
-    send_am = Conduit.send_am
-
     def deliver_encoded(self, src: int, dst: int,
                         am: ActiveMessage) -> None:
         """Queue one already-charged AM for delayed delivery."""
@@ -87,23 +79,14 @@ class DelayConduit(ConduitLayer):
         while True:
             with self._lock:
                 while not self._stop and (
-                    not self._heap
-                    or self._heap[0][0] > time.monotonic()
-                ):
-                    if self._stop:
-                        break
-                    timeout = None
-                    if self._heap:
-                        timeout = max(
-                            0.0, self._heap[0][0] - time.monotonic()
-                        )
-                    self._cv.wait(timeout=timeout if timeout is not None
-                                  else 0.05)
+                        not self._heap or self._heap[0][0] > time.monotonic()):
+                    self._cv.wait(max(0.0, self._heap[0][0] - time.monotonic())
+                                  if self._heap else 0.05)
                 if self._stop:
                     return
                 due, _seq, dst, am = heapq.heappop(self._heap)
             try:
-                self._inner.deliver_encoded(am.src_rank, dst, am)
+                super().deliver_encoded(am.src_rank, dst, am)
             except Exception:  # world torn down mid-flight
                 return
 
@@ -133,10 +116,9 @@ class DelayConduit(ConduitLayer):
             self._heap.clear()
         for _due, _seq, dst, am in stragglers:
             try:
-                self._inner.deliver_encoded(am.src_rank, dst, am)
+                super().deliver_encoded(am.src_rank, dst, am)
             except Exception:  # world already torn down
                 break
-        self._inner.close()
 
     @property
     def pending_messages(self) -> int:

@@ -14,11 +14,10 @@ Design
   block, created by the launcher before the fork and mapped in every
   rank process.  A rank's :class:`~repro.gasnet.segment.Segment` is
   built over a NumPy view of the mapping with a cross-process
-  ``multiprocessing.RLock``, so the exact
-  :class:`~repro.gasnet.smp.SegmentRma` code the SMP conduit uses —
-  including the indexed gather/scatter and batched-atomic fast paths —
-  works across processes with no serialization and no intermediate
-  copy.
+  ``multiprocessing.RLock``, so :class:`~repro.gasnet.conduit.Conduit`'s
+  own ``rma_*`` ops — the code the SMP conduit runs, including the
+  indexed gather/scatter and batched-atomic fast paths — work across
+  processes with no serialization and no intermediate copy.
 
 * **AMs ship as the PR-6 wire frames, not pickles.**  A send writes the
   frame's struct-packed control bytes followed by its pickle-5
@@ -101,7 +100,6 @@ from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.conduit import Conduit, ConduitCaps
 from repro.gasnet.ring import RingConsumer, RingProducer, RingSpec
 from repro.gasnet.segment import Segment
-from repro.gasnet.smp import SegmentRma
 from repro.gasnet.wire.frame import (F_HAS_REFS, F_IS_REPLY, F_USED_PICKLE,
                                      Frame)
 
@@ -303,7 +301,7 @@ class ProcFabric:
             self.ring_shm = None
 
 
-class ProcConduit(SegmentRma, Conduit):
+class ProcConduit(Conduit):
     """Processes-as-ranks conduit over a pre-forked :class:`ProcFabric`.
 
     Exists only inside a rank process (``caps.needs_launcher``); the

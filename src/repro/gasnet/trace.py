@@ -1,7 +1,10 @@
-"""Communication events: the record, the layer that emits it, a trace.
+"""Communication events: the record, and a trace that collects them.
 
-Every conduit operation that crosses a :class:`TelemetryConduit`
-becomes one :class:`CommEvent`, handed to that layer's sink.  The
+Every conduit op is one :class:`CommEvent`, built where the op is
+charged to :class:`~repro.gasnet.stats.CommStats` — in
+:meth:`Conduit.send_am <repro.gasnet.conduit.Conduit.send_am>` for an
+AM, in the ``rma_*`` op itself for RMA — and handed to each of the
+world's sinks, ``world.sinks``, when the op returns or raises.  The
 record has three consumers and one spelling:
 
 * :class:`Trace` (below) appends it to a list, for debugging patterns
@@ -19,13 +22,9 @@ and :mod:`repro.gasnet` imports nothing from :mod:`repro.telemetry`.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
-
-from repro.gasnet.am import ActiveMessage
-from repro.gasnet.conduit import ConduitLayer, rma_extent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.world import World
@@ -52,57 +51,16 @@ class CommEvent(NamedTuple):
     trace_id: int = 0  # causal trace (repro.telemetry.tracing); 0 = untraced
 
 
-class TelemetryConduit(ConduitLayer):
-    """The one observing layer: every op crossing it is reported as
-    ``sink(event, seconds)``, charged to its initiator.
-
-    ``seconds`` is the op's duration when ``timed``, else ``None``.  The event is recorded when the op
-    returns *or raises*, so a failure dump shows the op that gave up.
-
-    :class:`~repro.core.world.World` installs one — outermost, so
-    durations are what the application experienced — when telemetry is
-    on; :class:`Trace` splices one in for the length
-    of a ``with`` block.
-    """
-
-    def __init__(self, inner, sink: Callable[[CommEvent, float | None], None],
-                 timed: bool = False):
-        super().__init__(inner)
-        self._sink = sink
-        self._timed = timed
-
-    def send_am(self, src: int, dst: int, am: ActiveMessage) -> None:
-        t0 = perf_counter() if self._timed else None
-        try:
-            self._inner.send_am(src, dst, am)
-        finally:
-            t = perf_counter()
-            self._sink(
-                CommEvent(t, src, "reply" if am.is_reply else "am", src,
-                          dst, am.wire_bytes, am.handler, am.trace_id),
-                None if t0 is None else t - t0)
-
-    def _rma(self, kind: str, fn, src: int, dst: int, *args):
-        t0 = perf_counter() if self._timed else None
-        try:
-            return fn(src, dst, *args)
-        finally:
-            t = perf_counter()
-            nbytes, elems = rma_extent(kind, args)
-            self._sink(
-                CommEvent(t, src, kind, src, dst, nbytes,
-                          "" if elems is None else f"{elems} elems"),
-                None if t0 is None else t - t0)
-
-
 class Trace:
     """Context manager recording a world's communication.
 
-    Collective discipline is the caller's business: installing/removing
-    the layer swaps one attribute and is safe while other ranks
-    communicate, but for meaningful traces bracket the region with
-    barriers (see tests).  Recording is one list append per op — cheap,
-    not free; keep it out of timed regions.
+    Entering adds the trace's ``events.append`` to the world's sinks
+    and exiting removes it, so inside the block every op any rank of
+    this process initiates is appended, liveness probes aside.
+    Collective discipline is the caller's business: for meaningful
+    traces bracket the region with barriers (see tests).  Recording is
+    one list append per op — cheap, not free; keep it out of timed
+    regions.
 
     >>> trace = Trace(repro.current_world())
     >>> with trace:
@@ -114,38 +72,22 @@ class Trace:
     def __init__(self, world: World):
         self.world = world
         self.events: list[CommEvent] = []
-        self._layer: TelemetryConduit | None = None
+        self._sink = None
 
     # -- lifecycle ----------------------------------------------------------
     def __enter__(self) -> "Trace":
-        if self._layer is not None:
+        if self._sink is not None:
             raise RuntimeError("trace already active")
-        events = self.events
-        self._layer = TelemetryConduit(
-            self.world.conduit, lambda ev, seconds: events.append(ev))
-        self.world.conduit = self._layer
+        self._sink = self.events.append
+        self.world.add_sink(self._sink)
         return self
 
     def __exit__(self, *exc) -> None:
-        # Splice out *our* layer, wherever it now sits.  Popping
-        # ``world.conduit._inner`` unconditionally would unwind whatever
-        # decorator happens to be outermost — wrong if another layer was
-        # installed inside the ``with`` block.  Idempotent: exiting twice
-        # (e.g. after an exception already triggered cleanup) is a no-op.
-        layer, self._layer = self._layer, None
-        if layer is None:
-            return
-        node = self.world.conduit
-        if node is layer:
-            self.world.conduit = layer._inner
-            return
-        while node is not None:
-            inner = getattr(node, "_inner", None)
-            if inner is layer:
-                node._inner = layer._inner
-                return
-            node = inner
-        # Layer no longer in the chain (someone else removed it): done.
+        # Idempotent: exiting twice (e.g. after an exception already
+        # triggered cleanup) is a no-op.
+        sink, self._sink = self._sink, None
+        if sink is not None:
+            self.world.remove_sink(sink)
 
     # -- queries ---------------------------------------------------------------
     def select(self, kind: str | None = None, src: int | None = None,

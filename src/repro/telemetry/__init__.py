@@ -13,9 +13,10 @@ package gives the runtime the instruments to answer that on live runs:
 * :mod:`~repro.telemetry.perfetto` — Chrome/Perfetto ``trace_event``
   export of traces + spans (ranks as pids).
 
-The conduit boundary is observed by the one layer
-:class:`repro.gasnet.trace.TelemetryConduit`, which the world installs
-with :meth:`WorldTelemetry.conduit_event` as its sink.
+The conduit boundary is observed where each op is charged: the conduit
+hands every op's :class:`~repro.gasnet.trace.CommEvent` to the world's
+sinks, and while telemetry is on :meth:`WorldTelemetry.conduit_event`
+is one of them (see :mod:`repro.gasnet.conduit`).
 
 Enable per world::
 
@@ -23,8 +24,9 @@ Enable per world::
     repro.spmd(body, ranks=4,
                telemetry={"mode": "flight", "flight_capacity": 512})
 
-The default is ``"off"``: no conduit wrapper is installed and the hot
-paths are unchanged.
+The default is ``"off"``: no event sink is added, and with no
+:class:`~repro.gasnet.trace.Trace` open a conduit op pays one test of
+an empty tuple.
 """
 
 from repro.telemetry import tracing

@@ -54,7 +54,7 @@ class FlightRecorder:
         next(self._appends)
 
     def append(self, ev: CommEvent) -> None:
-        """Keep an event built elsewhere (the conduit layer's)."""
+        """Keep an event built elsewhere (a conduit op's)."""
         self._ring.append(ev)
         next(self._appends)
 

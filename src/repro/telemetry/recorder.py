@@ -4,10 +4,10 @@ Three modes, resolved from the ``telemetry=`` knob on
 :class:`~repro.core.world.World` / :func:`repro.spmd`:
 
 ``"off"`` (default)
-    Nothing is recorded and **no conduit wrapper is installed** — the
-    communication fast path is byte-identical to a world built before
-    this subsystem existed.  Runtime call sites guard on a single
-    attribute read (``tel.full``).
+    Nothing is recorded and no event sink is added to the world — with
+    no ``Trace`` open either, a conduit op pays one test of an empty
+    tuple.  Runtime call sites guard on a single attribute read
+    (``tel.full``).
 ``"flight"``
     Only the :class:`~repro.telemetry.flight.FlightRecorder` ring runs:
     one bounded append per conduit op / task event.  This is the mode
@@ -165,6 +165,12 @@ class RankTelemetry:
         if self.full:
             self.histogram(name).record_seconds(seconds)
 
+    def record_op(self, kind: str, seconds: float) -> None:
+        """Record one conduit op's duration in its latency histogram
+        (``"am"`` and ``"reply"`` in ``send_am``, an RMA kind in its
+        ``rma_*`` one); the conduit times ops only in ``"full"``."""
+        self.histogram(_OP_HISTOGRAM[kind]).record_seconds(seconds)
+
     def record_value(self, name: str, value: int, unit: str) -> None:
         """Record a non-latency sample, e.g. a queue depth."""
         if self.full:
@@ -236,21 +242,18 @@ class WorldTelemetry:
     def all_spans(self) -> list[Span]:
         return [s for rt in self.ranks for s in rt.spans()]
 
-    # -- the conduit layer's sink ------------------------------------------
-    def conduit_event(self, ev: CommEvent, seconds: float | None) -> None:
-        """What the world's :class:`~repro.gasnet.trace.TelemetryConduit`
-        reports to: the event goes into its initiator's flight ring
-        (tagged with the thread's bound trace, as
-        :meth:`RankTelemetry.flight_event` does) and, in ``"full"`` (the
-        layer is timed), the op's duration into its latency histogram."""
-        tel = self.ranks[ev.rank]
-        if seconds is not None:
-            tel.histogram(_OP_HISTOGRAM[ev.kind]).record_seconds(seconds)
+    # -- the conduit's event sink ---------------------------------------------
+    def conduit_event(self, ev: CommEvent) -> None:
+        """The world's sink while telemetry is on (``world.sinks``): each
+        conduit op's event goes into its initiator's flight ring, tagged
+        with the thread's bound trace when it carries none, as
+        :meth:`RankTelemetry.flight_event` does.  (The op's duration, in
+        ``"full"``, goes to :meth:`RankTelemetry.record_op`.)"""
         if not ev.trace_id:
             trace_id = tracing.current_trace_id()
             if trace_id:
                 ev = ev._replace(trace_id=trace_id)
-        tel.flight.append(ev)
+        self.ranks[ev.rank].flight.append(ev)
 
     # -- flight recorder --------------------------------------------------
     def dump_flight_recorder(self, header: str = "",

@@ -30,7 +30,7 @@ import repro
 from tests.conftest import run_spmd
 
 WINDOWS = 200
-WINDOW_CALLS = 17
+WINDOW_CALLS = 15
 WRAPPERS = (os.path.join("_core", "_methods.py"), "contextlib")
 
 

@@ -42,22 +42,41 @@ def _round_trips():
     return t0, time.perf_counter()
 
 
+class _Bell:
+    """A rank's doorbell, noting when each park on it began and whether
+    it ended rung (``acquire`` got the lock) or by its timeout."""
+
+    def __init__(self, lock, parks: list):
+        self._lock = lock
+        self._parks = parks
+
+    def acquire(self, blocking=True, timeout=-1):
+        if not blocking or timeout != PARK_S:
+            return self._lock.acquire(blocking, timeout)
+        began = time.perf_counter()
+        rung = self._lock.acquire(True, timeout)
+        self._parks.append((began, rung))
+        return rung
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+
 class _ParkSpy(SmpConduit):
-    """The smp backend, noting when every park ``wait_until`` asks for
-    began and how long it lasted."""
+    """The smp backend with every rank's doorbell spied on: ``parks``
+    holds ``(began, rung)`` per park ``wait_until`` asks for."""
 
     def __init__(self):
         super().__init__()
-        self.parks: list[tuple[float, float]] = []
+        self.parks: list[tuple[float, bool]] = []
 
-    def poll(self, rank, timeout=0.0):
-        if timeout != PARK_S:
-            return super().poll(rank, timeout)
-        t0 = time.perf_counter()
-        try:
-            return super().poll(rank, timeout)
-        finally:
-            self.parks.append((t0, time.perf_counter() - t0))
+    def attach(self, world):
+        super().attach(world)
+        for rk in world.ranks:
+            rk._bell = _Bell(rk._bell, self.parks)
 
 
 @pytest.mark.parametrize("thread_mode", ["serialized", "concurrent"])
@@ -69,10 +88,11 @@ def test_round_trips_are_ended_by_rings(conduit, thread_mode):
     assert t1 - t0 < ROUND_TRIPS_BUDGET_S
     if spy is not None:
         # Both ranks' parks in the timed window: rank 1's for the next
-        # request, rank 0's for each reply.
-        parks = [took for began, took in spy.parks if t0 <= began < t1]
+        # request, rank 0's for each reply.  A park that is preempted
+        # still ends rung; one that nothing rang ends by its timeout.
+        parks = [rung for began, rung in spy.parks if t0 <= began < t1]
         assert parks, "no wait_until parked in the backend's poll"
-        assert max(parks) < PARK_S / 2
+        assert all(parks), f"{parks.count(False)} parks ended by timeout"
 
 
 def _wait_for_the_clock() -> float:

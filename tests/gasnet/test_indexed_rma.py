@@ -9,9 +9,7 @@ import pytest
 import repro
 from repro.errors import BadPointer
 from repro.gasnet.atomics import ATOMIC_OPS
-from repro.gasnet.conduit import Conduit
 from repro.gasnet.segment import Segment
-from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
 from repro.gasnet.trace import Trace
 from tests.conftest import run_spmd
@@ -162,56 +160,6 @@ def test_indexed_bounds_name_the_bad_offset(name):
         access(seg, base, np.array([last + 1, -1]))
     with pytest.raises(BadPointer, match=rf"offset {-2**63} in batch"):
         access(seg, base, np.array([0, -2**63]))
-
-
-# -- conduit fallback vs SMP fast path ----------------------------------
-
-class _FallbackConduit(SmpConduit):
-    """SMP transport but *without* the indexed overrides: resolves the
-    indexed primitives through the base-class per-element fallback."""
-
-    rma_put_indexed = Conduit.rma_put_indexed
-    rma_get_indexed = Conduit.rma_get_indexed
-    rma_atomic_batch = Conduit.rma_atomic_batch
-
-
-def test_generic_fallback_matches_fast_path():
-    def body():
-        sa = repro.SharedArray(np.int64, size=40, block=3)
-        mine = sa.local_indices()
-        sa.local_view()[: len(mine)] = mine
-        repro.barrier()
-        if repro.myrank() == 0:
-            idx = np.array([1, 5, 11, 38, 5])
-            assert np.array_equal(sa.gather(idx), idx)
-            sa.scatter([7, 19], [70, 190])
-            assert sa[7] == 70 and sa[19] == 190
-            old = sa.atomic_batch([7, 7], "add", [1, 1], return_old=True)
-            assert list(old) == [70, 71]
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=3, conduit=_FallbackConduit()))
-
-
-def test_fallback_counts_per_element_ops():
-    """The fallback issues one scalar conduit op per element — visible in
-    stats as zero batched ops (an honest no-coalescing signal)."""
-    def body():
-        me = repro.myrank()
-        sa = repro.SharedArray(np.int64, size=16, block=1)
-        repro.barrier()
-        stats = repro.current_world().ranks[me].stats
-        if me == 0:
-            s0 = stats.snapshot()
-            sa.gather([1, 2, 3])  # ranks 1, 2, 3 at block=1
-            s1 = stats.snapshot()
-            assert s1["gets"] - s0["gets"] == 3
-            assert s1["gets_indexed"] == s0["gets_indexed"]
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=4, conduit=_FallbackConduit()))
 
 
 def test_smp_batches_count_once_per_target():

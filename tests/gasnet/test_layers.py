@@ -1,88 +1,69 @@
-"""The conduit-layer contract: what every layer inherits from
-:class:`~repro.gasnet.conduit.ConduitLayer` and must not break.
+"""The conduit contract, as the conduit classes write it.
 
 * the contract's ops — the seven data ops plus ``poll``/``wake`` —
-  keep ``Conduit``'s signatures on every layer and backend (an
-  argument added to the contract is added in one place);
-* a layer that overrides nothing is transparent anywhere in the stack —
-  ops, ``caps`` and the ``fail_next_am`` hook — and forwards nothing
-  else;
-* the send decision is ``Conduit.send_am``'s alone, and stacked fault
-  layers charge the sender's counters once per AM.
+  keep ``Conduit``'s signatures on every backend and on the delay
+  conduit (an argument added to the contract is added in one place);
+* the send decision and the six RMA ops are ``Conduit``'s alone: a
+  backend writes its transport, and the delay conduit only its
+  ``deliver_encoded``, which charges the sender's counters once per AM;
+* the substrate imports nothing from the packages above it.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
 import inspect
 import pathlib
 
-import numpy as np
 import pytest
 
 import repro
-from repro.core.world import PARK_S
-from repro.gasnet import (
-    Conduit,
-    ConduitLayer,
-    DelayConduit,
-    ProcConduit,
-    SmpConduit,
-    TelemetryConduit,
-)
+from repro.gasnet import Conduit, DelayConduit, ProcConduit, SmpConduit
 from tests.conftest import run_spmd
 
 OPS = ("send_am", "rma_put", "rma_get", "rma_atomic", "rma_put_indexed",
        "rma_get_indexed", "rma_atomic_batch", "poll", "wake")
-LAYERS = (ConduitLayer, TelemetryConduit, DelayConduit)
-BACKENDS = (SmpConduit, ProcConduit)
+RMA_OPS = OPS[1:7]
+CLASSES = (SmpConduit, ProcConduit, DelayConduit)
 
 
-@pytest.mark.parametrize("cls", LAYERS + BACKENDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("op", OPS)
 def test_op_signatures_match_the_contract(cls, op):
     assert (inspect.signature(getattr(cls, op))
             == inspect.signature(getattr(Conduit, op)))
 
 
-def test_progress_ops_are_written_out_in_three_classes_only():
-    """``poll``/``wake``: declared in ``Conduit`` (the condition-variable
-    default every in-process conduit uses), forwarded in
-    ``ConduitLayer``, overridden by the one backend that has a wire to
-    read — no layer re-implements them."""
+def test_progress_ops_are_written_out_in_two_classes_only():
+    """``poll``/``wake``: declared in ``Conduit`` (the doorbell default
+    every in-process conduit uses) and overridden by the one backend
+    that has a wire to read."""
     for op in ("poll", "wake"):
-        owners = {cls.__name__ for cls in (Conduit,) + LAYERS + BACKENDS
+        owners = {cls.__name__ for cls in (Conduit,) + CLASSES
                   if op in vars(cls)}
-        assert owners == {"Conduit", "ConduitLayer", "ProcConduit"}
+        assert owners == {"Conduit", "ProcConduit"}
 
 
 def test_the_send_decision_is_written_once():
-    """The ``fail_next_am`` hook, the range check, the encode and the
-    charge are ``Conduit.send_am``'s: backends and the delay layer write
-    only ``deliver_encoded``, and the other layers forward — the hook
-    too, so it is set where the send decision runs."""
-    for cls in (SmpConduit, ProcConduit, DelayConduit):
+    """The ``fail_next_am`` hook, the range check, the encode, the
+    charge and the event are ``Conduit.send_am``'s, and each RMA op is
+    ``Conduit``'s: the backends and the delay conduit write only
+    ``deliver_encoded`` (and their transport)."""
+    for cls in CLASSES:
         assert cls.send_am is Conduit.send_am
         assert "deliver_encoded" in vars(cls)
-    owners = {cls.__name__ for cls in (Conduit,) + LAYERS + BACKENDS
+        for op in RMA_OPS:
+            assert getattr(cls, op) is getattr(Conduit, op), (cls, op)
+    owners = {cls.__name__ for cls in (Conduit,) + CLASSES
               if "fail_next_am" in vars(cls)}
-    assert owners == {"Conduit", "ConduitLayer"}
+    assert owners == {"Conduit"}
 
 
 def test_layers_are_conduits():
-    smp = SmpConduit()
-    assert isinstance(TelemetryConduit(smp, sink=None), Conduit)
-
-
-def test_copy_of_a_layer_does_not_recurse():
-    """copy.copy builds the instance without __init__ and probes it for
-    dunders before ``_inner`` exists."""
-    smp = SmpConduit()
-    for layer in (ConduitLayer(smp), TelemetryConduit(smp, sink=None)):
-        dup = copy.copy(layer)
-        assert type(dup) is type(layer)
-        assert dup._inner is smp
+    """The delay conduit is the smp backend with a different
+    ``deliver_encoded``: no layer wraps a backend."""
+    assert DelayConduit.__bases__ == (SmpConduit,)
+    assert SmpConduit.__bases__ == ProcConduit.__bases__ == (Conduit,)
 
 
 def test_gasnet_imports_nothing_from_the_layers_above_it():
@@ -108,91 +89,7 @@ def test_gasnet_imports_nothing_from_the_layers_above_it():
     assert offenders == []
 
 
-# -- a do-nothing layer is transparent anywhere in the stack ----------------
-
-class _Noop(ConduitLayer):
-    """Overrides nothing: pure ConduitLayer forwarding."""
-
-
-class _SpySmp(SmpConduit):
-    """The smp backend, noting the progress ops that reach it (a layer
-    that failed to forward them would run ``Conduit``'s default on
-    itself, which works on smp and so would go unnoticed)."""
-
-    def __init__(self):
-        super().__init__()
-        self.polled: list = []
-        self.woken: list = []
-
-    def poll(self, rank, timeout=0.0):
-        self.polled.append((rank, timeout))
-        return super().poll(rank, timeout)
-
-    def wake(self, rank):
-        self.woken.append(rank)
-        super().wake(rank)
-
-
-def _stack(position: str):
-    """``Telemetry(Delay(smp))`` minus the telemetry layer (the world
-    adds it), with a ``_Noop`` at ``position``; also returns the
-    backend for identity checks."""
-    smp = _SpySmp()
-    delay = DelayConduit(_Noop(smp) if position == "under_delay" else smp,
-                         base_delay=0.0, jitter=0.0)
-    stack = _Noop(delay) if position == "under_telemetry" else delay
-    return stack, smp
-
-
-@pytest.mark.parametrize("position", ["under_delay", "under_telemetry",
-                                      "outermost"])
-def test_noop_layer_is_transparent(position):
-    stack, smp = _stack(position)
-
-    def body():
-        me, n = repro.myrank(), repro.ranks()
-        world = repro.current_world()
-        sa = repro.SharedArray(np.int64, size=8 * n, block=8)
-        repro.barrier()
-        if position == "outermost" and me == 0:
-            world.conduit = _Noop(world.conduit)
-        repro.barrier()
-        peer = (me + 1) % n
-        lo = 8 * peer                          # peer's block
-        assert repro.async_(peer)(abs, -7).get() == 7           # AM + reply
-        sa[lo] = 10 + me                                        # put
-        assert sa[lo] == 10 + me                                # get
-        assert sa.atomic(lo, "add", 5) == 10 + me               # atomic
-        idx = np.arange(lo + 1, lo + 5)
-        sa.scatter(idx, idx * 2)                                # put_indexed
-        assert list(sa.gather(idx)) == list(idx * 2)            # get_indexed
-        old = sa.atomic_batch(idx, "add", 1, return_old=True)   # atomic_batch
-        assert list(old) == list(idx * 2)
-        assert list(sa.gather(idx)) == list(idx * 2 + 1)
-        repro.barrier()
-        # The backend's caps and hook, reached from the outermost layer.
-        top = world.conduit
-        assert isinstance(top, _Noop if position == "outermost"
-                          else TelemetryConduit)
-        assert top.caps == SmpConduit.caps
-        assert top.fail_next_am is None
-        # poll / wake reach the backend from the outermost layer
-        before = len(smp.polled), len(smp.woken)
-        assert isinstance(top.poll(me), bool)
-        top.wake(me)
-        assert (me, 0.0) in smp.polled[before[0]:]
-        assert me in smp.woken[before[1]:]
-        with pytest.raises(AttributeError):
-            top.polled                    # the backend's own attribute
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=2, conduit=stack, telemetry="flight"))
-    # every blocking call above parked in the backend's poll
-    assert {(0, PARK_S), (1, PARK_S)} <= set(smp.polled)
-
-
-# -- stacked fault layers charge each AM once --------------------------------
+# -- a delay charges each AM once ------------------------------------------
 
 def _am_counts(conduit) -> list[tuple[int, int]]:
     def body():
@@ -209,11 +106,9 @@ def _am_counts(conduit) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("make", [
     lambda: DelayConduit(base_delay=0.0, jitter=0.0005),
-    lambda: DelayConduit(DelayConduit(base_delay=0.0, jitter=0.0005),
-                         base_delay=0.0, jitter=0.0005),
-], ids=["delay", "delay(delay)"])
+], ids=["delay"])
 def test_fault_layers_count_what_bare_smp_counts(make):
-    """A delay layer charges the sender in ``send_am`` and only decides
-    in ``deliver_encoded``; stacking two used to re-enter ``send_am`` and
-    double every ``ams_sent``/``wire_frames``."""
+    """The delay conduit charges the sender in ``send_am`` and only
+    decides in ``deliver_encoded``, so it counts every ``ams_sent`` and
+    ``wire_frames`` once, as bare smp does."""
     assert _am_counts(make()) == _am_counts(SmpConduit())

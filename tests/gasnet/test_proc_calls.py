@@ -3,7 +3,7 @@
 Python calls per ``async_(1)(echo, i).get()`` on ``proc+socket``, on each
 rank's thread: a count repeats to well under one call between runs and
 machines, where microseconds do not.  The counts are pinned at what the
-code measures: 48 calls on the caller and 38 on the target, plus the
+code measures: 47 calls on the caller and 37 on the target, plus the
 closing barrier's share (0.1–0.2 a round trip), so one more call per
 round trip crosses the next whole number.  To re-pin: a change that
 adds a call to the round trip raises the pin to its new count and says
@@ -17,8 +17,8 @@ import repro
 from tests.conftest import run_spmd
 
 ROUND_TRIPS = 500
-CALLER_CALLS = 48
-TARGET_CALLS = 38
+CALLER_CALLS = 47
+TARGET_CALLS = 37
 
 
 def _echo(x):

@@ -1,11 +1,19 @@
-"""Communication tracing tests."""
+"""Communication tracing tests: the conduit's event stream as a Trace
+and the flight ring see it."""
+
+import sys
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core import current
+from repro.errors import BadPointer, TransientCommError
+from repro.gasnet.am import PROBES
 from repro.gasnet.trace import Trace
 from tests.conftest import run_spmd
+
+BACKENDS = ("smp", "proc+socket")
 
 
 def test_trace_records_puts_and_gets():
@@ -112,46 +120,6 @@ def test_trace_uninstalls_cleanly():
     assert all(run_spmd(body, ranks=2))
 
 
-class _Passthrough:
-    """A minimal decorating conduit, as another subsystem would install."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.world = inner.world
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def test_trace_exit_restores_exact_conduit():
-    """Exiting a Trace must splice out *its own* wrapper — not blindly
-    pop the outermost layer, which may belong to someone else by then."""
-    def body():
-        me = repro.myrank()
-        sa = repro.SharedArray(np.int64, size=2, block=1)
-        repro.barrier()
-        if me == 0:
-            world = repro.current_world()
-            original = world.conduit
-            trace = Trace(world)
-            with trace:
-                # Another decorator lands *inside* the with block and
-                # stays installed after it.
-                deco = _Passthrough(world.conduit)
-                world.conduit = deco
-                sa[1] = 1
-            # The foreign decorator survives; the tracing layer is gone
-            # from underneath it.
-            assert world.conduit is deco
-            assert deco._inner is original
-            assert trace.count(kind="put") == 1
-            world.conduit = original  # leave the world as found
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=2))
-
-
 def test_trace_exit_idempotent():
     def body():
         me = repro.myrank()
@@ -168,22 +136,6 @@ def test_trace_exit_idempotent():
             trace.__exit__(None, None, None)  # second exit: no-op
             assert world.conduit is original
             sa[1] = 1  # the conduit still works
-        repro.barrier()
-        return True
-
-    assert all(run_spmd(body, ranks=2))
-
-
-def test_trace_exit_noop_if_wrapper_already_removed():
-    def body():
-        if repro.myrank() == 0:
-            world = repro.current_world()
-            original = world.conduit
-            trace = Trace(world)
-            trace.__enter__()
-            world.conduit = original  # someone force-uninstalled it
-            trace.__exit__(None, None, None)
-            assert world.conduit is original
         repro.barrier()
         return True
 
@@ -306,3 +258,144 @@ def test_trace_and_flight_ring_hold_the_same_records():
     assert seen == conduit_kinds
     assert ("put", 0, 1, 8, "") in map(key, trace.events)
     assert ("atomic_batch", 0, 1, 32, "4 elems") in map(key, trace.events)
+
+
+def _own_records_agree():
+    """Rank 0's half of the test above, checked where its records live
+    (on proc, its own process): the same ops, the same records, in a
+    Trace and in rank 0's flight ring."""
+    me = repro.myrank()
+    sa = repro.SharedArray(np.int64, size=8, block=4)
+    repro.barrier()
+    out = None
+    if me == 0:
+        world = repro.current_world()
+        trace = Trace(world)
+        with trace:
+            sa[4] = 7                                    # put
+            assert sa[4] == 7                            # get
+            sa.atomic_batch(np.arange(4, 8), "add", 1)   # atomic_batch
+            assert repro.async_(1)(abs, -3).get() == 3   # am
+        conduit_kinds = {"put", "get", "atomic_batch", "am", "reply"}
+
+        def key(ev):
+            return ev.kind, ev.src, ev.dst, ev.nbytes, ev.detail
+
+        traced = [key(ev) for ev in trace.select(src=0)]
+        ring = [key(ev) for ev in world.telemetry.rank(0).flight.snapshot()
+                if ev.kind in conduit_kinds]
+        n = len(traced)
+        out = (any(ring[i:i + n] == traced for i in range(len(ring) - n + 1)),
+               {k[0] for k in traced}, traced)
+    repro.barrier()
+    return out
+
+
+def test_trace_and_flight_ring_hold_the_same_records_on_proc():
+    """The same agreement across a process boundary, for the records a
+    rank process holds: its own ops, in the same order (its peer's
+    replies are in the peer's process)."""
+    same, kinds, traced = run_spmd(_own_records_agree, ranks=2,
+                                   conduit="proc+socket",
+                                   telemetry="flight")[0]
+    assert same, traced
+    assert kinds == {"put", "get", "atomic_batch", "am"}
+    assert ("put", 0, 1, 8, "") in traced
+    assert ("atomic_batch", 0, 1, 32, "4 elems") in traced
+
+
+def _failed_ops_recorded():
+    """Rank 0 sends an AM that ``fail_next_am`` fails and puts to an
+    offset past rank 1's segment, with a Trace open; returns the two
+    ops' records as the Trace and the flight ring hold them."""
+    me = repro.myrank()
+    repro.barrier()
+    out = None
+    if me == 0:
+        world = repro.current_world()
+        conduit = world.conduit
+        trace = Trace(world)
+        with trace:
+            conduit.fail_next_am = TransientCommError("injected")
+            with pytest.raises(TransientCommError, match="injected"):
+                current().send_am(1, "trace_test_never_sent")
+            past = world.ranks[1].segment.size
+            with pytest.raises(BadPointer):
+                conduit.rma_put(0, 1, past, np.ones(1, dtype=np.int64))
+
+        def key(ev):
+            return ev.kind, ev.src, ev.dst, ev.nbytes, ev.detail
+
+        ring = world.telemetry.rank(0).flight.snapshot()
+        out = ([key(ev) for ev in trace.events],
+               [key(ev) for ev in ring if ev.kind in ("am", "put")])
+    repro.barrier()
+    return out
+
+
+@pytest.mark.parametrize("conduit", BACKENDS)
+def test_an_op_that_raises_is_still_recorded(conduit):
+    """An op is recorded when it returns *or raises*, so a failure dump
+    shows the op that gave up: an AM failed at the send and an RMA out
+    of the target's segment are in the Trace and in the flight ring."""
+    traced, ring = run_spmd(_failed_ops_recorded, ranks=2, conduit=conduit,
+                            telemetry="flight")[0]
+    failed = [("am", 0, 1, 0, "trace_test_never_sent"), ("put", 0, 1, 8, "")]
+    assert traced == failed
+    assert ring[-2:] == failed
+
+
+def _probe_census():
+    """Every rank waits out a few of its own probe rounds, idle, with a
+    Trace open on rank 0; returns the probes sent and any probe event
+    the Trace or this rank's flight ring holds."""
+    me = repro.myrank()
+    world = repro.current_world()
+    ctx = current()
+    trace = Trace(world) if me == 0 else None
+    repro.barrier()
+    if trace is not None:
+        trace.__enter__()
+    ctx.wait_until(lambda: ctx.stats.heartbeats_sent >= 3,
+                   what="test: three probe rounds")
+    repro.barrier()
+    if trace is not None:
+        trace.__exit__(None, None, None)
+    events = (trace.events if trace is not None else []) + list(
+        world.telemetry.rank(me).flight.snapshot())
+    return (ctx.stats.heartbeats_sent,
+            [ev for ev in events if ev.detail in PROBES])
+
+
+@pytest.mark.parametrize("conduit", BACKENDS)
+def test_probes_stay_out_of_the_event_stream(conduit):
+    """Liveness probes are no application traffic: idle ranks send them,
+    but neither a Trace nor the flight ring records one."""
+    res = run_spmd(_probe_census, ranks=2, conduit=conduit,
+                   reliability=True, telemetry="flight")
+    for sent, probe_events in res:
+        assert sent > 0
+        assert probe_events == []
+
+
+def test_traces_opened_on_every_rank_at_once_leave_no_sink():
+    """``world.sinks`` is replaced whole under the world's lock: four
+    rank threads (more than the cores) opening and closing Traces at
+    once, with the interpreter switching threads as often as it can,
+    leave no sink behind (without the lock, a few of 20 000 rounds a
+    rank left one)."""
+    def body():
+        world = repro.current_world()
+        repro.barrier()
+        for _ in range(20000):
+            with Trace(world):
+                pass
+        repro.barrier()
+        return world.sinks
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_spmd(body, ranks=4) == [()] * 4
+    finally:
+        sys.setswitchinterval(old)
