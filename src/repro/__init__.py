@@ -57,7 +57,6 @@ from repro.core import (
     escalate,
     fence,
     finish,
-    live_ranks,
     myrank,
     null_ptr,
     ranks,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "spmd", "myrank", "ranks", "MYTHREAD", "THREADS",
     "barrier", "fence", "advance", "current_world",
-    "live_ranks", "dead_ranks",
+    "dead_ranks",
     "GlobalPtr", "null_ptr", "allocate", "deallocate", "escalate",
     "SharedVar", "SharedArray", "Directory",
     "copy", "async_copy", "async_copy_fence", "CopyHandle",

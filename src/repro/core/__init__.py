@@ -16,7 +16,6 @@ from repro.core.api import (
     fence,
     advance,
     current_world,
-    live_ranks,
     dead_ranks,
 )
 from repro.core.global_ptr import GlobalPtr, null_ptr
@@ -38,7 +37,7 @@ __all__ = [
     "World", "RankState", "spmd", "current", "try_current", "die",
     "myrank", "ranks", "MYTHREAD", "THREADS",
     "barrier", "fence", "advance", "current_world",
-    "live_ranks", "dead_ranks",
+    "dead_ranks",
     "GlobalPtr", "null_ptr", "allocate", "deallocate", "escalate",
     "SharedVar", "SharedArray",
     "copy", "async_copy", "async_copy_fence", "CopyHandle",

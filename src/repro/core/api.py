@@ -13,7 +13,7 @@ UPC / UPC++ (paper)       PyPGAS
 
 from __future__ import annotations
 
-from repro.core import collectives
+from repro.core.collectives import barrier  # noqa: F401 (re-export)
 from repro.core.world import World, current
 
 
@@ -42,26 +42,10 @@ def current_world() -> World:
     return current().world
 
 
-def live_ranks() -> list[int]:
-    """Ranks not marked dead by the failure detector.
-
-    Equal to ``range(ranks())`` unless the world runs with
-    ``survive_rank_death=True`` and a peer has died; survivable-failure
-    code (replicated containers, failover benchmarks) iterates this
-    instead of ``range(ranks())`` to avoid addressing dead peers.
-    """
-    return current().world.live_ranks()
-
-
 def dead_ranks() -> frozenset[int]:
     """Ranks the failure detector has declared dead (empty set unless
     running with ``survive_rank_death=True`` and a peer died)."""
     return frozenset(current().world.dead_ranks)
-
-
-def barrier() -> None:
-    """Global barrier (also drives progress while waiting)."""
-    collectives.barrier()
 
 
 def fence() -> None:

@@ -2,21 +2,20 @@
 
 UPC++ inherits barriers from UPC and adds the collectives its case
 studies need (the Embree port uses a gatherv and a sum-reduction; Sample
-Sort needs allgather/alltoallv).  All collectives run on the tree-based
-engine in :mod:`repro.core.coll_engine`: binomial trees for
-bcast/reduce/gather/scatter, a dissemination barrier, a Bruck
+Sort needs allgather/alltoallv).  Each one starts a state machine of
+:mod:`repro.core.coll_engine` on the calling rank's engine: binomial
+trees for bcast/reduce/gather/scatter, a dissemination barrier, a Bruck
 allgather, and pairwise exchange for alltoall — O(log N) rounds of
-point-to-point active messages per rank instead of the old O(N)
-rendezvous under one world lock, and every message is visible to the
-conduit stack (fault layers, telemetry).
+point-to-point active messages per rank, each one an ordinary AM that
+the rank's stats, trace sinks and flight ring see.
 
 Each collective has a **non-blocking variant** (``barrier_async``,
 ``reduce_async``, ...) returning a :class:`~repro.core.future.Future`
 that completes via ``advance()`` progress, so communication can overlap
-computation (the UPC++ v1.0 direction).  The blocking API is a thin
-``initiate + wait`` wrapper.  Every function is **team-aware** via the
-``team=`` keyword (``None`` means the world team); for team-scoped
-calls ``root`` is a *team index*.
+computation (the UPC++ v1.0 direction); the blocking form waits on it.
+Every function is **team-aware** via the ``team=`` keyword (``None``
+means the world team); for team-scoped calls ``root`` is a *team
+index*.
 
 Contributions cross the wire through the frame codec (NumPy ``copy``
 for local fast paths) so the exchange has by-value semantics — the
@@ -33,7 +32,7 @@ associative (all named ones are).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -41,153 +40,79 @@ from repro.core import coll_engine as _eng
 from repro.core.future import Future
 from repro.core.team import Team
 from repro.core.world import current
-from repro.errors import PgasError
 
-_REDUCERS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
-    "xor": lambda a, b: a ^ b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-}
-
-
-def _resolve_op(op) -> Callable[[Any, Any], Any]:
-    if callable(op):
-        return op
-    try:
-        return _REDUCERS[op]
-    except KeyError:
-        raise PgasError(
-            f"unknown reduction {op!r}; known: {sorted(_REDUCERS)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# engine plumbing
-# ---------------------------------------------------------------------------
-
-def _participants(ctx, team: Team | None) -> tuple[tuple, tuple, int]:
-    """(team_key, members, my_index) for a collective's participants."""
-    if team is None:
-        return (), tuple(range(ctx.world.n_ranks)), ctx.rank
-    return team.members, team.members, team.index_of(ctx.rank)
-
-
-def _check_root(root: int, nparties: int, what: str) -> None:
-    if not 0 <= root < nparties:
-        raise PgasError(f"{what} root {root} out of range")
-
-
-def _wait(fut: Future, what: str) -> Any:
-    """Block (making progress) on a collective's future."""
-    current().wait_until(fut.done, what=f"collective {what}")
-    return fut.get()
-
-
-# ---------------------------------------------------------------------------
-# collectives — non-blocking variants (initiate; future completes via
-# advance() progress) and their blocking thin wrappers
-# ---------------------------------------------------------------------------
 
 def barrier_async(team: Team | None = None) -> Future:
     """Start a dissemination barrier; the future completes once every
     participant has entered it."""
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    return ctx.coll.initiate(_eng._Barrier, key, members)
+    return current().coll.start(_eng.Barrier, team)
 
 
 def barrier(team: Team | None = None) -> None:
     """Block until every participant has entered (paper's barrier())."""
-    ctx = current()
-    _wait(barrier_async(team), "barrier")
-    ctx.stats.add(barriers=1)
+    current().coll.start(_eng.Barrier, team).get()
 
 
 def bcast_async(value: Any = None, root: int = 0,
                 team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    _check_root(root, len(members), "bcast")
-    return ctx.coll.initiate(_eng._Bcast, key, members,
-                             value=value, root=root)
+    return current().coll.start(_eng.Bcast, team, value=value, root=root)
 
 
 def bcast(value: Any = None, root: int = 0,
           team: Team | None = None) -> Any:
     """Broadcast ``value`` from ``root`` to all participants."""
-    return _wait(bcast_async(value, root=root, team=team), "bcast")
+    return current().coll.start(_eng.Bcast, team, value=value,
+                                root=root).get()
 
 
 def reduce_async(value: Any, op="sum", root: int = 0,
                  team: Team | None = None) -> Future:
-    ctx = current()
-    fn = _resolve_op(op)
-    key, members, _ = _participants(ctx, team)
-    _check_root(root, len(members), "reduce")
-    return ctx.coll.initiate(_eng._Reduce, key, members,
-                             value=value, root=root, op=fn)
+    return current().coll.start(_eng.Reduce, team, value=value, op=op,
+                                root=root)
 
 
 def reduce(value: Any, op="sum", root: int = 0,
            team: Team | None = None) -> Any:
     """Reduce contributions to ``root``; other ranks receive ``None``."""
-    return _wait(reduce_async(value, op=op, root=root, team=team), "reduce")
+    return current().coll.start(_eng.Reduce, team, value=value, op=op,
+                                root=root).get()
 
 
 def allreduce_async(value: Any, op="sum",
                     team: Team | None = None) -> Future:
-    ctx = current()
-    fn = _resolve_op(op)
-    key, members, _ = _participants(ctx, team)
-    return ctx.coll.initiate(_eng._Allreduce, key, members,
-                             value=value, op=fn)
+    return current().coll.start(_eng.Allreduce, team, value=value, op=op)
 
 
 def allreduce(value: Any, op="sum", team: Team | None = None) -> Any:
     """Reduce contributions; every participant receives the result."""
-    return _wait(allreduce_async(value, op=op, team=team), "allreduce")
+    return current().coll.start(_eng.Allreduce, team, value=value,
+                                op=op).get()
 
 
 def gather_async(value: Any, root: int = 0,
                  team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    _check_root(root, len(members), "gather")
-    return ctx.coll.initiate(_eng._Gather, key, members,
-                             value=value, root=root)
+    return current().coll.start(_eng.Gather, team, value=value, root=root)
 
 
 def gather(value: Any, root: int = 0,
            team: Team | None = None) -> list | None:
     """Gather one value per participant to ``root`` (team order)."""
-    return _wait(gather_async(value, root=root, team=team), "gather")
+    return current().coll.start(_eng.Gather, team, value=value,
+                                root=root).get()
 
 
 def allgather_async(value: Any, team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    return ctx.coll.initiate(_eng._Allgather, key, members, value=value)
+    return current().coll.start(_eng.Allgather, team, value=value)
 
 
 def allgather(value: Any, team: Team | None = None) -> list:
     """Gather one value per participant to every participant."""
-    return _wait(allgather_async(value, team=team), "allgather")
+    return current().coll.start(_eng.Allgather, team, value=value).get()
 
 
 def gatherv_async(array: np.ndarray, root: int = 0,
                   team: Team | None = None) -> Future:
-    arr = np.ascontiguousarray(array)
-    if arr.ndim != 1:
-        raise PgasError("gatherv expects 1-D arrays; ravel first")
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    _check_root(root, len(members), "gatherv")
-    return ctx.coll.initiate(_eng._Gatherv, key, members,
-                             value=arr, root=root)
+    return current().coll.start(_eng.Gatherv, team, value=array, root=root)
 
 
 def gatherv(array: np.ndarray, root: int = 0,
@@ -197,72 +122,45 @@ def gatherv(array: np.ndarray, root: int = 0,
     This is the collective the paper's Embree port uses to combine image
     tiles ("a final gather operation combines the tiles").
     """
-    return _wait(gatherv_async(array, root=root, team=team), "gatherv")
+    return current().coll.start(_eng.Gatherv, team, value=array,
+                                root=root).get()
 
 
 def scatter_async(values: Sequence | None = None, root: int = 0,
                   team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, my_index = _participants(ctx, team)
-    _check_root(root, len(members), "scatter")
-    if my_index == root:
-        if values is None or len(values) != len(members):
-            raise PgasError(
-                f"scatter root must supply {len(members)} values"
-            )
-        values = list(values)
-    else:
-        values = None
-    return ctx.coll.initiate(_eng._Scatter, key, members,
-                             value=values, root=root)
+    return current().coll.start(_eng.Scatter, team, value=values, root=root)
 
 
 def scatter(values: Sequence | None = None, root: int = 0,
             team: Team | None = None) -> Any:
     """Root provides one value per participant; each receives its own."""
-    return _wait(scatter_async(values, root=root, team=team), "scatter")
+    return current().coll.start(_eng.Scatter, team, value=values,
+                                root=root).get()
 
 
 def alltoall_async(values: Sequence, team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    n = len(members)
-    if len(values) != n:
-        raise PgasError(f"alltoall needs exactly {n} values, one per rank")
-    return ctx.coll.initiate(_eng._Alltoall, key, members,
-                             value=list(values))
+    return current().coll.start(_eng.Alltoall, team, value=values)
 
 
 def alltoall(values: Sequence, team: Team | None = None) -> list:
     """Each rank provides one value per destination; receives one per
     source (the key redistribution primitive of Sample Sort baselines)."""
-    return _wait(alltoall_async(values, team=team), "alltoall")
+    return current().coll.start(_eng.Alltoall, team, value=values).get()
 
 
 def alltoallv_async(arrays: Sequence[np.ndarray],
                     team: Team | None = None) -> Future:
-    ctx = current()
-    key, members, _ = _participants(ctx, team)
-    n = len(members)
-    if len(arrays) != n:
-        raise PgasError(f"alltoall needs exactly {n} values, one per rank")
-    return ctx.coll.initiate(
-        _eng._Alltoallv, key, members,
-        value=[np.ascontiguousarray(a) for a in arrays],
-    )
+    return current().coll.start(_eng.Alltoallv, team, value=arrays)
 
 
 def alltoallv(arrays: Sequence[np.ndarray],
               team: Team | None = None) -> list[np.ndarray]:
     """alltoall for variable-length NumPy arrays."""
-    return _wait(alltoallv_async(arrays, team=team), "alltoallv")
+    return current().coll.start(_eng.Alltoallv, team, value=arrays).get()
 
 
 def scan_async(value: Any, op="sum", team: Team | None = None) -> Future:
-    ctx = current()
-    fn = _resolve_op(op)
-    key, members, _ = _participants(ctx, team)
-    return ctx.coll.initiate(_eng._Scan, key, members, value=value, op=fn)
+    return current().coll.start(_eng.Scan, team, value=value, op=op)
 
 
 def scan(value: Any, op="sum", team: Team | None = None) -> Any:
@@ -273,38 +171,18 @@ def scan(value: Any, op="sum", team: Team | None = None) -> Any:
     is performed locally over the allgathered contributions, strictly
     in team order — exact sequential-fold semantics.
     """
-    return _wait(scan_async(value, op=op, team=team), "scan")
+    return current().coll.start(_eng.Scan, team, value=value, op=op).get()
 
 
 def exscan_async(value: Any, op="sum", initial: Any = 0,
                  team: Team | None = None) -> Future:
-    ctx = current()
-    fn = _resolve_op(op)
-    key, members, _ = _participants(ctx, team)
-    return ctx.coll.initiate(_eng._Exscan, key, members, value=value,
-                             op=fn, initial=initial)
+    return current().coll.start(_eng.Exscan, team, value=value, op=op,
+                                initial=initial)
 
 
 def exscan(value: Any, op="sum", initial: Any = 0,
            team: Team | None = None) -> Any:
     """Exclusive prefix reduction: rank r receives op(v_0 ... v_{r-1});
     rank 0 receives ``initial``."""
-    return _wait(exscan_async(value, op=op, initial=initial, team=team),
-                 "exscan")
-
-
-# ---------------------------------------------------------------------------
-# team-scoped aliases (pre-engine API; kept for compatibility)
-# ---------------------------------------------------------------------------
-
-def team_barrier(team: Team) -> None:
-    barrier(team=team)
-
-
-def team_bcast(team: Team, value: Any, root: int = 0) -> Any:
-    return bcast(value, root=root, team=team)
-
-
-def _team_exchange(team: Team, value: Any) -> list:
-    """Allgather within a team (team order) — used by Team.split."""
-    return allgather(value, team=team)
+    return current().coll.start(_eng.Exscan, team, value=value, op=op,
+                                initial=initial).get()

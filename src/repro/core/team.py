@@ -62,9 +62,9 @@ class Team:
         me = ctx.rank
         if me not in self.members:
             raise PgasError("split called by non-member")
-        from repro.core.collectives import _team_exchange
+        from repro.core.collectives import allgather
 
-        pairs = _team_exchange(self, (color, key))
+        pairs = allgather((color, key), team=self)
         mine = [
             (k, r)
             for r, (c, k) in zip(self.members, pairs)

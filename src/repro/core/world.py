@@ -149,12 +149,11 @@ class RankState:
         self._poll_handled = 0
         # Finish-scope stack for the RAII finish construct (paper §III-G).
         self.finish_stack: list = []
-        # Per-collective sequence counters so that collective AM keys line
-        # up across ranks (all ranks execute collectives in the same
-        # order); the engine owns the in-flight tree state machines.
-        self.coll_seq = 0
-        self.team_seq: dict[tuple, int] = {}
-        self.coll = CollEngine(self)
+        # The collectives: sequence numbers, machines in flight and
+        # early messages, sent through this rank's endpoint.
+        self.coll = CollEngine(rank, world.n_ranks, self.endpoint.send,
+                               self._handler_lock, self.stats,
+                               self.telemetry, self)
         # Owner-side tables: global locks, directory objects, ...
         self.lock_table: dict[int, dict] = {}
         self.dir_table: dict[int, Any] = {}
@@ -632,12 +631,6 @@ class World:
         ctx.wait_until(lambda: all(p.body_done or p.rank in self.dead_ranks
                                    for p in self.ranks),
                        what="finalize (done-or-dead)")
-
-    def live_ranks(self) -> list[int]:
-        """Ranks not declared dead (sorted)."""
-        with self._glock:
-            dead = set(self.dead_ranks)
-        return [r for r in range(self.n_ranks) if r not in dead]
 
     def poke_all(self) -> None:
         """Wake all ranks blocked in wait_until (state changed), and end

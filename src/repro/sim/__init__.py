@@ -15,7 +15,7 @@ machine models:
   phases, used to validate the closed-form models at small scale;
 * :mod:`repro.sim.patterns` — per-benchmark communication patterns;
 * :mod:`repro.sim.collmodel` — closed-form LogGP costs for the tree
-  collectives engine (and the retired centralized baseline);
+  collectives engine;
 * :mod:`repro.sim.perfmodel` — the per-figure/table series generators;
 * :mod:`repro.sim.calibrate` — measures the real per-op software
   overheads of this library's code paths (UPC veneer vs UPC++ path) and
@@ -35,9 +35,7 @@ from repro.sim.collmodel import (
     alltoall_time,
     barrier_time,
     bcast_time,
-    centralized_exchange_time,
     reduce_time,
-    tree_speedup,
 )
 
 __all__ = [
@@ -45,6 +43,5 @@ __all__ = [
     "Machine", "EDISON", "VESTA",
     "DesEngine", "Compute", "Put", "Send", "Recv", "Barrier",
     "barrier_time", "bcast_time", "reduce_time", "allreduce_time",
-    "allgather_time", "alltoall_time", "centralized_exchange_time",
-    "tree_speedup",
+    "allgather_time", "alltoall_time",
 ]

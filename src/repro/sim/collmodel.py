@@ -2,9 +2,10 @@
 
 Closed forms for the algorithms :mod:`repro.core.coll_engine` runs —
 dissemination barrier, binomial bcast/reduce, Bruck allgather, pairwise
-alltoall — plus the retired centralized-rendezvous baseline, so the
-machine models can answer "at what P does the tree win, and by how
-much" without running anything.
+alltoall — so the machine models can price a collective without
+running anything.  On a unit-latency network (``LogGP(L=1, o=0, g=1,
+G=0)``) each form is the collective's round count, which
+``tests/core/test_coll_model.py`` checks against the engine.
 
 Conventions match :class:`~repro.sim.loggp.LogGP`: times in seconds,
 ``L_eff`` lets a topology fold hop latency in.  Rounds in a tree
@@ -15,12 +16,8 @@ within a round is injection-gap limited.
 
 from __future__ import annotations
 
+from repro.core.coll_engine import ceil_log2
 from repro.sim.loggp import LogGP
-
-
-def ceil_log2(p: int) -> int:
-    """Rounds needed to span ``p`` participants by doubling."""
-    return max(p - 1, 0).bit_length()
 
 
 def barrier_time(net: LogGP, p: int, L_eff: float | None = None) -> float:
@@ -72,25 +69,3 @@ def alltoall_time(net: LogGP, p: int, nbytes_per_pair: int,
     """Pairwise exchange: P-1 non-blocking sends injected back-to-back
     (gap-limited), the last arrival completes the collective."""
     return net.pipelined(p - 1, nbytes_per_pair, L_eff)
-
-
-def centralized_exchange_time(net: LogGP, p: int, nbytes: int,
-                              L_eff: float | None = None) -> float:
-    """The retired rendezvous-slot path, modelled as communication: every
-    rank deposits its ``nbytes`` contribution through one serialization
-    point, then every rank extracts the published result — 2P serialized
-    transfers through a single bottleneck, O(P) on the critical path
-    versus the trees' O(log P)."""
-    L = net.L if L_eff is None else L_eff
-    deposit = net.o + max(net.g, nbytes * net.G)
-    extract = net.o + max(net.g, nbytes * net.G)
-    return L + p * (deposit + extract)
-
-
-def tree_speedup(net: LogGP, p: int, nbytes: int,
-                 L_eff: float | None = None) -> float:
-    """Modelled centralized/tree time ratio for an allgather-shaped
-    exchange (every rank contributes and receives everything)."""
-    tree = allgather_time(net, p, nbytes, L_eff)
-    central = centralized_exchange_time(net, p, nbytes, L_eff)
-    return central / tree if tree > 0 else float("inf")

@@ -48,6 +48,10 @@ _OP_HISTOGRAM = {
     "atomic_batch": "rma_atomic_batch",
 }
 
+#: Event kinds of messages, which ``Endpoint.send`` (or the reply to a
+#: request) stamped with their trace id before the conduit saw them.
+_AM_KINDS = ("am", "reply")
+
 
 @dataclass
 class TelemetryConfig:
@@ -245,11 +249,13 @@ class WorldTelemetry:
     # -- the conduit's event sink ---------------------------------------------
     def conduit_event(self, ev: CommEvent) -> None:
         """The world's sink while telemetry is on (``world.sinks``): each
-        conduit op's event goes into its initiator's flight ring, tagged
-        with the thread's bound trace when it carries none, as
-        :meth:`RankTelemetry.flight_event` does.  (The op's duration, in
-        ``"full"``, goes to :meth:`RankTelemetry.record_op`.)"""
-        if not ev.trace_id:
+        conduit op's event goes into its initiator's flight ring.  An
+        RMA op's event is tagged with the thread's bound trace, as
+        :meth:`RankTelemetry.flight_event` does; an ``am`` or ``reply``
+        event carries the id its message was stamped with from that
+        same context.  (The op's duration, in ``"full"``, goes to
+        :meth:`RankTelemetry.record_op`.)"""
+        if not ev.trace_id and ev.kind not in _AM_KINDS:
             trace_id = tracing.current_trace_id()
             if trace_id:
                 ev = ev._replace(trace_id=trace_id)

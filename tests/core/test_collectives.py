@@ -12,17 +12,13 @@ from tests.conftest import run_spmd
 
 def test_barrier_orders_all_ranks():
     """No rank exits the barrier before every rank has entered it."""
-    import threading
-    entered = []
-    lock = threading.Lock()
-
     def body():
-        with lock:
-            entered.append(repro.myrank())
+        n = repro.ranks()
+        entered = repro.SharedArray(np.int64, n, block=1)  # collective
+        entered[repro.myrank()] = 1
         repro.barrier()
-        with lock:
-            count = len(entered)
-        assert count == repro.ranks()
+        count = int(entered.gather(np.arange(n)).sum())
+        assert count == n
         repro.barrier()
         return True
 
@@ -288,6 +284,11 @@ def test_scan_offsets_idiom():
 
 # -- team-scoped collectives ------------------------------------------------
 
+def _noop():
+    # module-level: an async's function crosses processes by name
+    return None
+
+
 def test_subset_team_collectives_ignore_outsiders():
     """A strict-subset team runs its full collective surface while the
     left-out rank does unrelated communication — no cross-talk."""
@@ -297,7 +298,7 @@ def test_subset_team_collectives_ignore_outsiders():
         if me == 2:
             # outsider: unrelated traffic while the team collects
             with repro.finish():
-                repro.async_(0)(lambda: None)
+                repro.async_(0)(_noop)
             return "outsider"
         idx = sub.index_of(me)
         assert sub.allgather(idx) == [0, 1, 2]

@@ -7,6 +7,7 @@ clock never ends a park; it stays only as the safety net for a predicate
 nobody rings for.
 """
 
+import threading
 import time
 
 import pytest
@@ -121,3 +122,50 @@ def test_a_park_is_clipped_to_the_deadline(conduit):
     [took] = run_spmd(_wait_past_a_short_deadline, ranks=1,
                       conduit=conduit)
     assert took < 0.005 + 0.05
+
+
+class _RankParkSpy(SmpConduit):
+    """The smp backend with one park list per rank: ``parks[r]`` holds
+    ``(began, rung)`` for each park rank ``r``'s waits ask for."""
+
+    def attach(self, world):
+        super().attach(world)
+        self.parks = [[] for _ in world.ranks]
+        for rk in world.ranks:
+            rk._bell = _Bell(rk._bell, self.parks[rk.rank])
+
+
+def test_a_rank_is_poked_after_its_progress_thread_runs_for_it():
+    """In ``concurrent`` mode the progress thread runs a task for rank 1
+    while rank 1's own thread is outside the runtime, so that run takes
+    the message whose ring rank 1 would have woken to.  The progress
+    thread must poke rank 1 after the run: rank 1's next wait, which
+    tested its predicate before the run, parks and comes back at once
+    instead of sitting out :data:`PARK_S`."""
+    ready, ran, done = (threading.Event() for _ in range(3))
+
+    def mark():
+        ran.set()
+
+    def body():
+        ctx = current()
+        if ctx.rank == 0:
+            assert ready.wait(5)
+            repro.async_(1)(mark).get()
+            assert done.wait(5)  # send nothing more until rank 1 parked
+            return None
+        ctx._poked = False  # no earlier poke may stand in for this one
+        ready.set()
+        assert ran.wait(5)
+        time.sleep(0.05)  # the progress thread finishes its advance
+        tests = iter((False, False))  # tested before the run, and once more
+        began = time.perf_counter()
+        ctx.wait_until(lambda: next(tests, True), what="the poke")
+        done.set()
+        return began
+
+    spy = _RankParkSpy()
+    _, began = run_spmd(body, ranks=2, conduit=spy,
+                        thread_mode="concurrent")
+    timed_out = [b for b, rung in spy.parks[1] if b >= began and not rung]
+    assert not timed_out, "rank 1's park sat out PARK_S: it was not poked"

@@ -1,5 +1,5 @@
-"""Closed-form LogGP costs of the tree collectives vs the centralized
-baseline: logarithmic growth, monotonicity, and the crossover."""
+"""Closed-form LogGP costs of the tree collectives: logarithmic growth
+and monotonicity."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.sim import (
     alltoall_time,
     barrier_time,
     bcast_time,
-    centralized_exchange_time,
     reduce_time,
-    tree_speedup,
 )
 from repro.sim.collmodel import ceil_log2
 from repro.sim.loggp import LogGP
@@ -31,22 +29,6 @@ def test_barrier_grows_logarithmically():
     assert t8 - t4 == pytest.approx(t16 - t8)
     assert t8 < 2 * t4
     assert barrier_time(NET, 1) == 0.0
-
-
-def test_centralized_grows_linearly():
-    t4 = centralized_exchange_time(NET, 4, 64)
-    t8 = centralized_exchange_time(NET, 8, 64)
-    t16 = centralized_exchange_time(NET, 16, 64)
-    assert (t16 - t8) == pytest.approx(2 * (t8 - t4), rel=1e-6)
-
-
-def test_tree_beats_centralized_at_scale():
-    """The speedup ratio grows with P (O(P) vs O(log P) critical path)
-    and exceeds 1 well before paper scales."""
-    s = [tree_speedup(NET, p, 64) for p in (4, 16, 64, 256, 1024)]
-    assert s == sorted(s)
-    assert s[-1] > s[0]
-    assert tree_speedup(NET, 256, 64) > 1.0
 
 
 def test_costs_monotone_in_payload_and_ranks():

@@ -12,7 +12,9 @@ handler does — replication hops, replies — lands in the
 from __future__ import annotations
 
 import re
+import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -250,6 +252,63 @@ def test_reply_carries_its_requests_trace_not_the_drainers():
                if ev.kind == "am_handled" and ev.detail == "__reply__"]
     assert holder["unrelated"] and replies
     assert [ev.trace_id for ev in replies] == [0] * len(replies)
+
+
+# ------------------------------------------ the flight ring's trace ids
+
+def _ring_trace_ids():
+    """Rank 0, inside a span, puts one element to rank 1 and calls one
+    async there.  Returns, per rank, the span's trace id and the trace
+    ids its flight ring gave the put, the async's request and its reply;
+    and on rank 0, the ``current_trace_id`` calls of an untraced round
+    trip."""
+    me = repro.myrank()
+    tel = repro.current_world().ranks[me].telemetry
+    sa = repro.SharedArray(np.int64, 2, block=1)
+    trace_id, calls = 0, 0
+    if me == 0:
+        with tracing.span(tel, "client_op") as sp:
+            sa[1] = 5
+            repro.async_(1)(_bound_trace_id).get()
+        trace_id = sp.trace_id
+    repro.barrier()
+    ring = tel.flight.snapshot()
+    if me == 0:
+        code = tracing.current_trace_id.__code__
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is code:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            for _ in range(100):
+                repro.async_(1)(_bound_trace_id).get()
+        finally:
+            sys.setprofile(None)
+    return (trace_id,
+            [ev.trace_id for ev in ring if ev.kind == "put"],
+            [ev.trace_id for ev in ring if ev.detail == "exec_task"
+             and ev.kind == "am"],
+            [ev.trace_id for ev in ring if ev.kind == "reply"],
+            calls / 100)
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_the_flight_ring_tags_rma_by_context_and_keeps_an_ams_stamp(
+        conduit):
+    """The ``flight`` sink tags an RMA op with the thread's trace, and
+    keeps the id an AM was stamped with, looking it up only for RMA: an
+    untraced round trip costs its caller two ``current_trace_id`` calls,
+    for the flight events of the async's launch and of the reply's
+    handling, and none for the request's ``am`` event."""
+    (trace_id, puts, requests, _, calls), (_, _, _, replies, _) = run_spmd(
+        _ring_trace_ids, ranks=2, conduit=conduit, telemetry="flight")
+    assert trace_id and puts == [trace_id]
+    assert requests == [trace_id]
+    assert replies[0] == trace_id      # then rank 0's untraced ones
+    assert calls == 2
 
 
 # ------------------------------------------------- a death in the dump
