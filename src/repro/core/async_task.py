@@ -35,13 +35,14 @@ API pleasant; their argument tuple is still serialized.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Callable, Optional, Union
 
 from repro.core.event import Event
 from repro.core.future import MultiFuture, TaskFuture
 from repro.core.team import Team
-from repro.core.world import RankState, _Task, current
+from repro.core.world import RankState, current
 from repro.errors import SerializationError
 from repro.gasnet.am import ActiveMessage, am_handler
 from repro.gasnet.wire import UnencodableError, encode_am
@@ -52,12 +53,10 @@ Place = Union[int, Team]
 
 @am_handler("exec_task")
 def _exec_task_handler(ctx: RankState, am) -> None:
-    """Target side: the wire layer already decoded (fn, args, kwargs)."""
-    fn, args, kwargs = am.payload
-    ctx.task_queue.append(_Task(
-        fn, args, kwargs, am,
-        enqueued_at=time.perf_counter() if ctx.telemetry.full else 0.0,
-    ))
+    """Target side: the wire layer already decoded (fn, args, kwargs)
+    into ``am.payload``; the request is the task."""
+    ctx.task_queue.append(
+        (am, time.perf_counter() if ctx.telemetry.full else 0.0))
 
 
 def _encode_task(am: ActiveMessage, tel=None) -> None:
@@ -67,7 +66,7 @@ def _encode_task(am: ActiveMessage, tel=None) -> None:
     *arguments* must fail eagerly at the call site, honouring the
     paper's serialization contract."""
     try:
-        encode_am(am, tel, strict=True)
+        encode_am(am, tel, True)
     except UnencodableError:
         fn, args, kwargs = am.payload
         try:
@@ -79,71 +78,68 @@ def _encode_task(am: ActiveMessage, tel=None) -> None:
         encode_am(am, tel)
 
 
+def _launch(ctx: RankState, targets: tuple, futures: tuple, fn: Callable,
+            args: tuple, kwargs: dict, after: Optional[Event] = None) -> None:
+    """Send ``fn(*args, **kwargs)`` to each target, by value, at the
+    call: one ``exec_task`` request per target, whose reply completes
+    its future.  A send that fails at the call site leaves no reply to
+    complete the futures that did not go out (nor to release their
+    scope and event), so they complete here with its error, which is
+    raised too, unless the event ``after`` launched this (it is then
+    theirs alone)."""
+    sent = 0
+    try:
+        tel, src = ctx.telemetry, ctx.rank
+        if tel.active:
+            name = getattr(fn, "__name__", None) or repr(fn)
+            for target in targets:
+                tel.flight_event("task_spawn", src=src, dst=target,
+                                 detail=name)
+        send, payload = ctx.endpoint.send, (fn, args, kwargs)
+        for target in targets:
+            send(target, ActiveMessage("exec_task", src, (), payload),
+                 futures[sent], _encode_task)
+            sent += 1
+    except BaseException as exc:
+        for fut in futures[sent:]:
+            fut.set_exception(exc)
+        if after is None:
+            raise
+
+
 class _AsyncCall:
     """The object returned by ``async_(place)``; calling it launches."""
 
-    __slots__ = ("_place", "_signal", "_after")
+    __slots__ = ("_targets", "_team", "_signal", "_after")
 
     def __init__(self, place: Place, signal: Optional[Event],
                  after: Optional[Event]):
-        self._place = place
+        self._team = isinstance(place, Team)
+        self._targets = place.members if self._team else (int(place),)
         self._signal = signal
         self._after = after
 
     def __call__(self, fn: Callable, *args: Any, **kwargs: Any):
         ctx = current()
-        targets = (
-            list(self._place.members)
-            if isinstance(self._place, Team)
-            else [int(self._place)]
-        )
+        targets = self._targets
+        n_ranks = ctx.world.n_ranks
         for t in targets:
-            if not 0 <= t < ctx.world.n_ranks:
+            if not 0 <= t < n_ranks:
                 raise ValueError(f"async target rank {t} out of range")
-        signal = self._signal
-        scope = ctx.finish_stack[-1] if ctx.finish_stack else None
-        futures = [TaskFuture(ctx) for _ in targets]
-
+        futures = tuple(map(TaskFuture, (ctx,) * len(targets)))
         # Register completions *before* anything can run.
-        for holder in (scope, signal):
+        stack = ctx.finish_stack
+        for holder in (stack[-1] if stack else None, self._signal):
             if holder is not None:
                 for fut in futures:
                     holder._depend_on(fut)
-
-        def launch(after: Optional[Event] = None) -> None:
-            sent = 0
-            try:
-                if ctx.telemetry.active:
-                    name = getattr(fn, "__name__", None) or repr(fn)
-                    for target in targets:
-                        ctx.telemetry.flight_event(
-                            "task_spawn", src=ctx.rank, dst=target,
-                            detail=name
-                        )
-                for target, fut in zip(targets, futures):
-                    am = ActiveMessage("exec_task", ctx.rank,
-                                       payload=(fn, args, kwargs))
-                    # by value, at the call
-                    ctx.endpoint.send(target, am, fut, _encode_task)
-                    sent += 1
-            except BaseException as exc:
-                # Failed at the call site: no reply will complete the
-                # futures that did not go out (nor release their scope
-                # and event), so complete them here.  Launched by the
-                # event it waited on, the error is theirs alone.
-                for fut in futures[sent:]:
-                    fut.set_exception(exc)
-                if after is None:
-                    raise
-
         after = self._after
         if after is None or after.done():
-            launch()
+            _launch(ctx, targets, futures, fn, args, kwargs)
         else:
-            after.add_callback(launch)
-        if isinstance(self._place, Team):
-            return MultiFuture(futures)
-        return futures[0]
+            after.add_callback(functools.partial(
+                _launch, ctx, targets, futures, fn, args, kwargs))
+        return MultiFuture(futures) if self._team else futures[0]
 
 
 def async_(place: Place, signal: Optional[Event] = None) -> _AsyncCall:
@@ -154,7 +150,7 @@ def async_(place: Place, signal: Optional[Event] = None) -> _AsyncCall:
     (the paper's ``async(place, event *ack)`` form).  Returns a future
     (or a :class:`~repro.core.future.MultiFuture` for teams).
     """
-    return _AsyncCall(place, signal, after=None)
+    return _AsyncCall(place, signal, None)
 
 
 def async_after(place: Place, after: Event,
@@ -162,7 +158,7 @@ def async_after(place: Place, after: Event,
     """Launch once ``after`` has fired (the paper's ``async_after``)."""
     if after is None:
         raise ValueError("async_after requires an event to wait on")
-    return _AsyncCall(place, signal, after=after)
+    return _AsyncCall(place, signal, after)
 
 
 def async_wait() -> None:

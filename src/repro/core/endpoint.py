@@ -3,7 +3,7 @@
 An AM names a handler, a request carries a token, exactly one reply
 completes the initiator's future, and all of it runs when the target
 calls ``advance()``.  :class:`Endpoint` owns the token counter and the
-table of requests awaiting their reply, with its lock — no thread, no
+table of requests awaiting their reply — no lock, no thread, no
 conduit, no world: ``send(dst, am)``, the dead set and ``dispatch(am)``
 are given to it (by :class:`~repro.core.world.RankState`, or by
 ``tests/gasnet/test_contract_model.py`` over queues it controls).
@@ -12,7 +12,6 @@ are given to it (by :class:`~repro.core.world.RankState`, or by
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from typing import Any, Callable
 
@@ -31,7 +30,7 @@ class Endpoint:
     """
 
     __slots__ = ("rank", "stats", "telemetry", "_send", "_dead",
-                 "_dispatch", "_fail", "_tokens", "_lock", "_pending")
+                 "_dispatch", "_fail", "_tokens", "_pending")
 
     def __init__(self, rank: int, send: Callable, dead, dispatch: Callable,
                  fail: Callable, stats, telemetry):
@@ -39,8 +38,11 @@ class Endpoint:
         self._send, self._dead = send, dead
         self._dispatch, self._fail = dispatch, fail
         self._tokens = itertools.count(1)
-        self._lock = threading.Lock()
-        # token -> (future, dst, (t0, handler, trace_id) if telemetry)
+        # token -> (future, dst, (t0, handler, trace_id) if telemetry).
+        # Its threads (sender, the progress thread's reply dispatch, the
+        # death sweep, the metrics sampler) touch it only by single dict
+        # operations, atomic under the GIL, and each token is popped by
+        # one of them only; a walk over it walks a copy.
         self._pending: dict[int, tuple] = {}
 
     def send(self, dst: int, am: ActiveMessage, fut=None,
@@ -61,16 +63,14 @@ class Endpoint:
             self._send(dst, am)
             return
         am.token = token = next(self._tokens)
-        meta = ((time.monotonic(), am.handler, am.trace_id) if tel.active
-                else None)
-        with self._lock:
-            self._pending[token] = (fut, dst, meta)
+        pending = self._pending
+        pending[token] = (fut, dst, (time.monotonic(), am.handler,
+                                     am.trace_id) if tel.active else None)
         # Checked after the registration: a death declared from here on
         # finds ``fut`` in the sweep, one declared before is in the dead
         # set — either way nothing waits out the op timeout.
         if dst in self._dead:
-            with self._lock:
-                swept = self._pending.pop(token, None) is None
+            swept = pending.pop(token, None) is None
             exc = self._refuse(dst, am)
             if not swept:
                 fut.set_exception(exc)
@@ -80,8 +80,7 @@ class Endpoint:
                 encode(am, tel)
             self._send(dst, am)
         except BaseException:
-            with self._lock:
-                self._pending.pop(token, None)
+            pending.pop(token, None)
             raise
 
     def _refuse(self, dst: int, am: ActiveMessage) -> RankDead:
@@ -145,8 +144,7 @@ class Endpoint:
             tel.flight_event("am_handled", src=am.src_rank, dst=self.rank,
                              detail=am.handler, trace_id=am.trace_id)
         if am.is_reply:
-            with self._lock:
-                entry = self._pending.pop(am.token, None)
+            entry = self._pending.pop(am.token, None)
             if entry is None:
                 # Legal only from a rank declared dead (its waiters got
                 # RankDead already) that was merely hung: dropped, counted.
@@ -183,15 +181,13 @@ class Endpoint:
     def sweep(self, exc: BaseException, dst: int | None = None) -> None:
         """Fail with ``exc`` the requests to ``dst`` (all of them when
         None: this rank died), so no waiter outlives a death."""
-        with self._lock:
-            doomed = [t for t, entry in self._pending.items()
-                      if dst is None or entry[1] == dst]
-            entries = [self._pending.pop(t) for t in doomed]
-        for fut, _dst, _meta in entries:
-            fut.set_exception(exc)
+        pending = self._pending
+        for token, entry in list(pending.items()):
+            if (dst is None or entry[1] == dst) \
+                    and pending.pop(token, None) is not None:
+                entry[0].set_exception(exc)
 
     def in_flight(self) -> list[tuple]:
         """``(token, dst, meta)`` per request awaiting its reply."""
-        with self._lock:
-            return [(token, dst, meta)
-                    for token, (_fut, dst, meta) in self._pending.items()]
+        return [(token, dst, meta)
+                for token, (_fut, dst, meta) in list(self._pending.items())]

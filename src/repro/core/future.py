@@ -100,13 +100,13 @@ class Future:
 
     def wait(self, timeout: float | None = None) -> "Future":
         if self._count:
-            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
+            self._ctx.wait_until(self.done, self._what, timeout)
         return self
 
     def get(self, timeout: float | None = None) -> Any:
         """Block (making progress) until done; return value or raise."""
         if self._count:
-            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
+            self._ctx.wait_until(self.done, self._what, timeout)
         if self._exc is not None:
             raise self._exc
         return self._value
@@ -127,7 +127,7 @@ class TaskFuture(Future):
 
     def get(self, timeout: float | None = None) -> Any:
         if self._count:
-            self._ctx.wait_until(self.done, what=self._what, timeout=timeout)
+            self._ctx.wait_until(self.done, self._what, timeout)
         if self._exc is not None:
             raise self._exc
         return self._value[1]

@@ -88,22 +88,6 @@ def try_current() -> Optional["RankState"]:
     return getattr(_tls, "ctx", None)
 
 
-class _Task:
-    """An async task queued for execution on this rank, with the
-    ``exec_task`` request it answers."""
-
-    __slots__ = ("fn", "args", "kwargs", "request", "enqueued_at")
-
-    def __init__(self, fn, args, kwargs, request, enqueued_at=0.0):
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-        self.request = request
-        #: ``perf_counter()`` at enqueue when telemetry is "full" (the
-        #: spawn->run wait histogram is its only reader), else 0.0.
-        self.enqueued_at = enqueued_at
-
-
 class RankState:
     """Everything one rank owns: segment, inbox, task queue, and the
     :class:`~repro.core.endpoint.Endpoint` its messages go through."""
@@ -128,7 +112,11 @@ class RankState:
         # Arrived messages: ActiveMessages, or on proc the Frames its
         # poll parsed; ``endpoint.receive`` takes either.
         self._inbox: deque = deque()
-        self.task_queue: deque[_Task] = deque()
+        #: Queued async tasks: ``(request, enqueued_at)``, the
+        #: ``exec_task`` request whose payload is ``(fn, args, kwargs)``
+        #: and the ``perf_counter()`` at enqueue when telemetry is
+        #: "full" (the spawn->run wait histogram reads it), else 0.0.
+        self.task_queue: deque[tuple] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
         #: its answer (see :meth:`Endpoint.reply`).
         self.endpoint = Endpoint(rank,
@@ -236,28 +224,20 @@ class RankState:
         tel = self.telemetry
         t0 = time.perf_counter() if tel.full else 0.0
         handled = 0
-        # Each item is taken and dispatched under one hold of the
+        # The items are taken and dispatched under one hold of the
         # handler lock: with two drainers (the rank and the progress
         # thread) that is what keeps a pair's messages in order.
-        lock, inbox, tasks = self._handler_lock, self._inbox, self.task_queue
-        receive = self.endpoint.receive
-        while inbox and (max_items is None or handled < max_items):
-            with lock:
-                try:
-                    am = inbox.popleft()
-                except IndexError:  # the other drainer took it
-                    break
-                receive(am)
-            handled += 1
-        run = self._run_traced if tel.active else self._run_task
-        while tasks and (max_items is None or handled < max_items):
-            with lock:
-                try:
-                    task = tasks.popleft()
-                except IndexError:
-                    break
-                run(task)
-            handled += 1
+        inbox, tasks = self._inbox, self.task_queue
+        if inbox or tasks:
+            receive = self.endpoint.receive
+            run = self._run_traced if tel.active else self._run_task
+            with self._handler_lock:
+                while inbox and (max_items is None or handled < max_items):
+                    receive(inbox.popleft())
+                    handled += 1
+                while tasks and (max_items is None or handled < max_items):
+                    run(tasks.popleft())
+                    handled += 1
         if tel.full and handled:
             # The progress engine's poll latency: how long one advance()
             # held the rank (p99 here is the paper's attentiveness
@@ -269,12 +249,13 @@ class RankState:
             )
         return handled > 0
 
-    def _run_traced(self, task: _Task) -> None:
+    def _run_traced(self, task: tuple) -> None:
         """:meth:`_run_task` in the request's trace (telemetry active), so
         the task's span and every AM it sends join the caller's."""
         tel = self.telemetry
-        req = task.request
-        name = getattr(task.fn, "__name__", None) or repr(task.fn)
+        req, enqueued_at = task
+        fn = req.payload[0]
+        name = getattr(fn, "__name__", None) or repr(fn)
         span_id = tel.new_span_id() if req.trace_id else 0
         with tracing.bound(req.trace_id, span_id):  # (0, 0): untraced
             t_run = time.perf_counter()
@@ -283,7 +264,7 @@ class RankState:
             if tel.full:
                 # Spawn -> run wait (time spent queued on this rank).
                 tel.histogram("task_queue_wait").record_seconds(
-                    t_run - task.enqueued_at
+                    t_run - enqueued_at
                 )
             try:
                 self._run_task(task)
@@ -297,18 +278,19 @@ class RankState:
                                     trace_id=req.trace_id, span_id=span_id,
                                     parent_id=req.span_id)
 
-    def _run_task(self, task: _Task) -> None:
+    def _run_task(self, task: tuple) -> None:
         """Run one queued async task and answer its request with the result
         or what it raised; the caller holds ``_handler_lock`` and is
         bound to this rank (its own thread, or the progress thread)."""
-        req = task.request
+        req = task[0]
+        fn, args, kwargs = req.payload
         try:
-            result = task.fn(*task.args, **task.kwargs)
+            result = fn(*args, **kwargs)
             if req.token is not None:
                 # The wire layer serializes the result into the reply
                 # frame (by-reference fallback for unencodable values);
                 # success is a reply whose args do not say "__error__".
-                self.endpoint.reply(req, payload=result)
+                self.endpoint.reply(req, (), result)
         except Exception as exc:
             # (a die() is no error to reply with: it unwinds the rank)
             self.endpoint.raised(req, exc)
@@ -329,33 +311,39 @@ class RankState:
         """
         if pred() and not self.killed:
             return
+        world = self.world
         if timeout is None:
-            timeout = self.world.op_timeout
+            timeout = world.op_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
-        poll = self.world.conduit.poll
+        poll, inbox, tasks = world.conduit.poll, self._inbox, self.task_queue
         while True:
             if self.killed:  # a die() the progress thread ran for us
                 raise _RankKilled()
-            failure = self.world.failure
+            failure = world._failure
             # Our own failure normally unwinds this thread by itself, so
             # it is skipped here — unless peers declared us dead while we
             # keep running (a hung rank that resumed): nothing else will wake
             # us, and waiting would sit out the whole op_timeout.
             if failure is not None:
                 if (failure[0] != self.rank
-                        or self.rank in self.world.dead_ranks):
+                        or self.rank in world.dead_ranks):
                     raise PeerFailure(failure[0], failure[1])
-                if self.world._failure_thread != threading.get_ident():
+                if world._failure_thread != threading.get_ident():
                     # Ours, but recorded by the progress thread, which
                     # carries on: this is where the rank unwinds.
                     raise failure[1]
             # Drain, test, park: a full drain leaves nothing runnable
             # here, so the park can block — and it returns at once when
-            # the network (or a self-send) already has something.
-            self._drain()
+            # the network (or a self-send) already has something.  A
+            # turn with nothing queued is a drain that finds nothing:
+            # it only stamps the heartbeat.
+            if inbox or tasks:
+                self._drain()
+            else:
+                self.last_heartbeat = time.monotonic()
             if pred():
                 return
-            # _drain just stamped the heartbeat: that is the time
+            # this turn just stamped the heartbeat: that is the time
             if deadline is not None and self.last_heartbeat > deadline:
                 self.telemetry.flight_event(
                     "op_timeout", src=self.rank, dst=-1,

@@ -137,11 +137,11 @@ class Conduit(abc.ABC):
         """Deliver ``am`` into rank ``dst``'s inbox.
 
         The send decision, made once per AM: the :attr:`fail_next_am`
-        hook, the ``dst`` range check, the encode (so the frame exists
-        before delivery), one charge to the sender's stats, then
-        :meth:`deliver_encoded`; however it ends, the AM's event goes to
-        the world's sinks, probes aside.  ``src`` is the caller's own
-        rank."""
+        hook, the ``dst`` range check, the encode unless the AM has its
+        frame already (so the frame exists before delivery), one charge
+        to the sender's stats, then :meth:`deliver_encoded`; however it
+        ends, the AM's event goes to the world's sinks, probes aside.
+        ``src`` is the caller's own rank."""
         world = self.world
         sinks = world.sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
@@ -153,7 +153,9 @@ class Conduit(abc.ABC):
             if not 0 <= dst < world.n_ranks:
                 self._out_of_range(dst)
             rank = world.ranks[src]
-            frame = encode_am(am, rank.telemetry)
+            frame = am._frame
+            if frame is None:
+                frame = encode_am(am, rank.telemetry)
             nbytes = frame.nbytes
             rank.stats.record_am_wire(
                 nbytes, frame.used_pickle, frame.has_refs, am.is_reply)

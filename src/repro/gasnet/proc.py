@@ -700,7 +700,9 @@ class ProcConduit(Conduit):
         slots (ring).  A peer's bytes or a :meth:`wake` ends the park;
         the timeout is only a safety net.  A second caller waits for
         the lock at most ``timeout`` and otherwise leaves the receiving
-        to the first."""
+        to the first.  It only parses and queues, so what it raises is
+        a broken stream; a handler's error is raised by :meth:`poll`'s
+        dispatch."""
         lock = self._recv_lock
         if not (lock.acquire(False)
                 or (timeout > 0.0 and lock.acquire(timeout=timeout))):
@@ -720,10 +722,35 @@ class ProcConduit(Conduit):
                 events = self._poller.poll(timeout * 1000.0)
             finally:
                 self._parked = False
-            fds = self._fds
+            fds, view = self._fds, self._recv_view
             for fd, _ in events:
                 sock, peer = fds[fd]
-                self._receive(sock, peer, taken)
+                try:
+                    n = sock.recv_into(view, 0, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    continue
+                except OSError:
+                    if self._closing:
+                        continue
+                    n = 0
+                if peer is None:
+                    continue  # wake-up bytes: being back is the message
+                if not n:
+                    self._poller.unregister(sock)  # peer exited
+                    continue
+                try:
+                    cons = self._cons.get(peer)
+                    if cons is None:
+                        self._feed(peer, view[:n], taken)
+                    else:
+                        self._drain(peer, cons, taken)
+                except Exception as exc:
+                    if self._closing:
+                        continue
+                    # the stream is unparseable now
+                    self._poller.unregister(sock)
+                    self.world.fail(self.local_rank, exc)
+                    raise
         finally:
             lock.release()
 
@@ -733,38 +760,6 @@ class ProcConduit(Conduit):
                 self._wake_w.send(b"\0", socket.MSG_DONTWAIT)
             except OSError:
                 pass  # closed, or full of wake-ups already
-
-    def _receive(self, sock: socket.socket, peer: int | None,
-                 taken: list | None) -> None:
-        """One read from a readable socket (caller holds ``_recv_lock``).
-        It only parses and queues, so what it raises is a broken stream;
-        a handler's error is raised by :meth:`poll`'s dispatch."""
-        view = self._recv_view
-        try:
-            n = sock.recv_into(view, 0, socket.MSG_DONTWAIT)
-        except BlockingIOError:
-            return
-        except OSError:
-            if self._closing:
-                return
-            n = 0
-        if peer is None:
-            return  # wake-up bytes: being back is the message
-        if not n:
-            self._poller.unregister(sock)  # peer exited
-            return
-        try:
-            cons = self._cons.get(peer)
-            if cons is None:
-                self._feed(peer, view[:n], taken)
-            else:
-                self._drain(peer, cons, taken)
-        except Exception as exc:
-            if self._closing:
-                return
-            self._poller.unregister(sock)  # the stream is unparseable now
-            self.world.fail(self.local_rank, exc)
-            raise
 
 
 @am_handler("__proc_done__")

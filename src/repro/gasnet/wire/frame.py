@@ -84,10 +84,9 @@ class Frame:
             # Trivial frame (bare signal / ping): nothing to
             # decode — skip the memoryview and decoder setup.
             am = ActiveMessage(
-                handler=handler, src_rank=src, args=(),
-                payload=None,
-                token=tok if flags & F_HAS_TOKEN else None,
-                is_reply=bool(flags & F_IS_REPLY), aux=aux)
+                handler, src, (), None,
+                tok if flags & F_HAS_TOKEN else None,
+                bool(flags & F_IS_REPLY), aux)
             am._wire_bytes = self.nbytes
             return am
         # one cursor over both regions: the meta region starts where
@@ -105,11 +104,9 @@ class Frame:
             trace_id, span_id = TRACE_TRAILER.unpack_from(
                 ctrl, pos + args_len + meta_len)
         am = ActiveMessage(
-            handler=handler, src_rank=src, args=args,
-            payload=payload,
-            token=tok if flags & F_HAS_TOKEN else None,
-            is_reply=bool(flags & F_IS_REPLY), aux=aux,
-            trace_id=trace_id, span_id=span_id)
+            handler, src, args, payload,
+            tok if flags & F_HAS_TOKEN else None,
+            bool(flags & F_IS_REPLY), aux, trace_id, span_id)
         am._wire_bytes = self.nbytes
         return am
 
@@ -146,16 +143,16 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
     out = bytearray(HEADER.size)
     out += name
     start = len(out)
-    enc = _c.Encoder(out=out, strict=strict)
+    enc = _c.Encoder(out, strict)
     args = am.args
     if args:
-        enc.encode(args)
+        _c._encode(enc, args)
     args_len = len(out) - start
     payload = am.payload
     codec_id = CODEC_NONE
     if payload is not None:
         codec_id = CODEC_OBJ
-        enc.encode(payload)
+        _c._encode(enc, payload)
     meta_len = len(out) - start - args_len
     flags = 0
     if am.trace_id:

@@ -145,6 +145,75 @@ def test_async_failing_at_its_call_site_releases_scope_and_event(
         assert outstanding == 0 and fired
 
 
+def _echo(x):
+    # module-level: an async's function crosses processes by name
+    return x
+
+
+@pytest.mark.parametrize("launch", ["call", "after"])
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_team_async_failing_part_way_at_its_call_site(conduit, launch,
+                                                       monkeypatch):
+    """A Team async to ranks 1, 2 and 3 whose second send raises: the
+    first request went out and completes normally, the second and the
+    third (never sent) complete with the call-site error, and so the
+    finish scope and the signal event both release.  Launched at the
+    call, the call raises the error; launched by an ``async_after``
+    event, the futures carry it alone and the finish block raises it."""
+    from repro.core import async_task
+    from repro.core.endpoint import Endpoint
+
+    boom = TransientCommError("injected at the second member's send")
+    real_send = Endpoint.send
+    made, sends = [], []
+
+    def send(self, dst, am, fut=None, encode=None):
+        if self.rank == 0 and am.handler == "exec_task":
+            sends.append(dst)
+            if len(sends) == 2:
+                raise boom
+        return real_send(self, dst, am, fut, encode)
+
+    class Spy(async_task.TaskFuture):
+        __slots__ = ()
+
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            made.append(self)
+
+    monkeypatch.setattr(Endpoint, "send", send)
+    monkeypatch.setattr(async_task, "TaskFuture", Spy)
+
+    def body():
+        out = None
+        if repro.myrank() == 0:
+            made.clear()
+            sends.clear()
+            team, done = repro.Team([1, 2, 3]), repro.Event()
+            with pytest.raises(TransientCommError) as raised:
+                with repro.finish() as scope:
+                    if launch == "call":
+                        repro.async_(team, signal=done)(_echo, 7)
+                    else:
+                        after = repro.Event()
+                        after.incref()
+                        repro.async_after(team, after, signal=done)(
+                            _echo, 7)
+                        after.signal()
+            errors = []
+            for fut in made[1:]:
+                with pytest.raises(TransientCommError) as err:
+                    fut.get()
+                errors.append(err.value is boom)
+            out = (raised.value is boom, list(sends), made[0].get(),
+                   errors, scope.outstanding, done.test())
+        repro.barrier()
+        return out
+
+    for got in run_spmd(body, ranks=4, conduit=conduit, timeout=5.0)[::4]:
+        assert got == (True, [1, 2], 7, [True, True], 0, True)
+
+
 def test_many_tasks_in_one_finish():
     def body():
         me = repro.myrank()

@@ -110,6 +110,40 @@ def test_a_predicate_nobody_rings_for_is_retested_by_the_safety_net(
     assert took < 0.1 + PARK_S + 0.05
 
 
+def _heartbeat_ages() -> list:
+    """Wait on a predicate nobody rings for, five parks long, with a spy
+    on the backend's ``poll`` that notes, at each park, how long ago the
+    rank's heartbeat was stamped."""
+    ctx = current()
+    conduit = ctx.world.conduit
+    real_poll = conduit.poll
+    ages = []
+
+    def poll(rank, timeout=0.0):
+        if timeout > 0.0:
+            ages.append(time.monotonic() - ctx.last_heartbeat)
+        return real_poll(rank, timeout)
+
+    conduit.poll = poll
+    try:
+        t_end = time.monotonic() + 5 * PARK_S
+        ctx.wait_until(lambda: time.monotonic() > t_end, what="the clock")
+    finally:
+        del conduit.poll
+    return ages
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_an_idle_wait_turn_stamps_the_heartbeat(conduit):
+    """A wait turn with nothing queued runs no drain, but it stamps the
+    heartbeat all the same: the deadline and the failure detector read
+    it as the rank's last drain.  So at every park it is fresh, however
+    many parks the wait has sat through."""
+    [ages] = run_spmd(_heartbeat_ages, ranks=1, conduit=conduit)
+    assert len(ages) >= 4, ages
+    assert max(ages) < PARK_S, ages
+
+
 def _wait_past_a_short_deadline() -> float:
     t0 = time.monotonic()
     with pytest.raises(CommTimeout):

@@ -44,7 +44,6 @@ import repro
 from repro.core.collectives import allgather, barrier
 from repro.core.endpoint import Endpoint
 from repro.core.future import Future
-from repro.core.world import _Task
 from repro.errors import (
     PgasError,
     RankDead,
@@ -508,8 +507,9 @@ class _Client:
         for _ in range(size):
             ran = []
             fut = self.request(dst, "cm_echo", self.seq(dst))
-            fut.add_callback(lambda f, ran=ran: ctx.task_queue.append(_Task(
-                ran.append, (1,), {}, ActiveMessage("cm_local", ctx.rank))))
+            fut.add_callback(lambda f, ran=ran: ctx.task_queue.append((
+                ActiveMessage("cm_local", ctx.rank,
+                              payload=(ran.append, (1,), {})), 0.0)))
             progressed = None
             while not fut.done():
                 progressed = repro.advance(max_items=1)

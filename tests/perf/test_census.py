@@ -53,6 +53,20 @@ def _rpc(i):
     return repro.async_(1)(_echo, i).get()
 
 
+def _finish_rpc(i):
+    with repro.finish():
+        repro.async_(1)(_echo, i)
+
+
+def _after():
+    """``async_after`` on an event signalled before the op: it launches
+    at the call, through the same ``_launch`` as ``async_``."""
+    fired = repro.Event()
+    fired.incref()
+    fired.signal()
+    return lambda i: repro.async_after(1, fired)(_echo, i).get()
+
+
 def _barrier(i):
     repro.barrier()
 
@@ -87,6 +101,8 @@ class Cell(NamedTuple):
 #: op -> (make the op on every rank, ops counted, only rank 0 issues it)
 OPS = {
     "rpc": (lambda: _rpc, 500, True),
+    "finish_rpc": (lambda: _finish_rpc, 500, True),
+    "after_rpc": (_after, 500, True),
     "gups": (_gups, 200, True),
     "barrier": (lambda: _barrier, 300, False),
     "allreduce": (lambda: _allreduce, 300, False),
@@ -94,19 +110,29 @@ OPS = {
 
 CELLS = [
     # async_(1)(echo, i).get(): caller / target
-    Cell("rpc", "proc+socket", "off", (47, 37)),
-    Cell("rpc", "smp", "flight", (55, 51)),
-    Cell("rpc", "proc+socket", "flight", (57, 53)),
+    Cell("rpc", "smp", "off", (40, 32)),
+    Cell("rpc", "proc+socket", "off", (40, 33)),
+    Cell("rpc", "smp", "flight", (50, 48)),
+    Cell("rpc", "proc+socket", "flight", (50, 49)),
+    # with finish(): async_(1)(echo, i) -- the scope's wait, not get().
+    # The last op's scope left a poke that ends this one's first park at
+    # once; on proc, when the reply is not in yet by then, that costs a
+    # wait turn more: 53.1-56.1 measured
+    Cell("finish_rpc", "smp", "off", (55, 32)),
+    Cell("finish_rpc", "proc+socket", "off", (56, 33)),
+    # async_after(1, fired)(echo, i).get(), the event already signalled
+    Cell("after_rpc", "smp", "off", (41, 32)),
+    Cell("after_rpc", "proc+socket", "off", (41, 33)),
     # SharedArray.atomic_batch, one 256-update window; rank 1 runs
     # nothing for it (the RMA is one-sided)
     Cell("gups", "smp", "off", (15, None)),
     Cell("gups", "proc+socket", "off", (15, None)),
     # every rank calls it.  A proc barrier costs one more poll when its
-    # peer's token is not in yet as it starts to wait: 48-53.2 measured
-    Cell("barrier", "smp", "off", (47, 47)),
-    Cell("barrier", "proc+socket", "off", (54, 54)),
-    Cell("allreduce", "smp", "off", (63, 62)),
-    Cell("allreduce", "proc+socket", "off", (65, 64)),
+    # peer's token is not in yet as it starts to wait: 46.2-48.2 measured
+    Cell("barrier", "smp", "off", (44, 44)),
+    Cell("barrier", "proc+socket", "off", (48, 48)),
+    Cell("allreduce", "smp", "off", (58, 57)),
+    Cell("allreduce", "proc+socket", "off", (59, 58)),
 ]
 
 
