@@ -62,7 +62,7 @@ from repro.core import (
     ranks,
     spmd,
 )
-from repro.containers import DistHashMap, DistQueue
+from repro.containers import DistHashMap
 from repro.errors import (
     BadPointer,
     CommTimeout,
@@ -87,7 +87,7 @@ __all__ = [
     "copy", "async_copy", "async_copy_fence", "CopyHandle",
     "Event", "Future", "async_", "async_after", "async_wait", "finish",
     "Team", "GlobalLock", "collectives", "DistWorkQueue",
-    "DistHashMap", "DistQueue",
+    "DistHashMap",
     "PgasError", "NotInSpmdRegion", "PeerFailure", "SegmentOutOfMemory",
     "BadPointer", "CommTimeout", "SerializationError", "DomainError",
     "TransientCommError", "RankDead", "die",

@@ -9,11 +9,8 @@ compile down to the runtime's one-sided primitives and active messages.
   storage served by AM handlers; ``put/get/delete/update`` plus batched
   ``multi_get``/``multi_put`` that coalesce into one AM per owning rank;
   optional per-rank read-through cache with epoch-based invalidation.
-* :class:`DistQueue` — a FIFO/bag built on the
-  :class:`~repro.core.workqueue.DistWorkQueue` steal machinery for
-  producer/consumer workloads, with remote push.
 
-Both compose with the rest of the stack: failover across a rank death
+It composes with the rest of the stack: failover across a rank death
 (``DistHashMap(replicas=1)``, ``update()``'s op-id dedup), ``kv_*``
 counters in
 :class:`~repro.gasnet.stats.CommStats`, and ``kv_get``/``kv_put``/
@@ -28,7 +25,6 @@ from repro.containers.hashmap import (
     KvStalePrimary,
     shard_of,
 )
-from repro.containers.queue import DistQueue
 
-__all__ = ["DistHashMap", "DistQueue", "shard_of",
+__all__ = ["DistHashMap", "shard_of",
            "KvOwnerDead", "KvRedirect", "KvStalePrimary"]

@@ -626,9 +626,6 @@ class DistHashMap:
         ctx.world.on_rank_death(self._on_rank_death)
 
     # -- plumbing ----------------------------------------------------------
-    def shard_of_key(self, key: Any) -> int:
-        return shard_of(key, self.nshards)
-
     def owner_of(self, key: Any) -> int:
         """The rank currently serving ``key``'s shard as primary (per
         this client's shard table)."""

@@ -5,12 +5,11 @@ invocations and async copies may *signal* an event on completion; other
 asyncs may be launched *after* an event fires (``async_after``), which is
 how the paper builds task-dependency graphs (Listing 1 / Fig. 1).
 An event is a :class:`~repro.core.future.Future` under the paper's
-names, owned by the rank that made it: reaching zero pokes that rank.
+names, owned by the rank that made it: reaching zero on a thread that
+does not act as that rank pokes it.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.core.future import Future
 from repro.core.world import current
@@ -42,7 +41,3 @@ class Event(Future):
         registered ops completed."""
         if self._count:
             current().wait_until(self.done, what=self._what, timeout=timeout)
-
-    def add_dependent(self, launch: Callable[[], None]) -> None:
-        """Run ``launch()`` once the event fires (at once if it has)."""
-        self.add_callback(lambda _event: launch())

@@ -7,8 +7,9 @@ for an event or a scope), a value or the first exception, and callbacks
 run each time the count reaches zero.  Completions run in the owning
 rank's ``advance()`` or on the progress thread, which pokes the rank
 itself, so a future's completion wakes nobody; an event or a scope,
-which another rank's thread may count down, pokes its owner at zero.
-``get()`` polls progress while waiting, like ``future.get()`` in the paper.
+which a thread acting as no rank or as another rank may count down,
+pokes its owner at zero.  ``get()`` polls progress while waiting, like
+``future.get()`` in the paper.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import threading
 from typing import Any, Callable, Optional
 
 from repro.errors import PgasError
+
+#: ``ctx``: the rank state the calling thread acts as, if any: set by
+#: :mod:`repro.core.world` on a rank's own thread, and on the progress
+#: thread while it serves that rank.
+_tls = threading.local()
 
 
 class Future:
@@ -65,7 +71,9 @@ class Future:
             callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
-        if self._pokes:
+        # The owner's own thread is not parked, and retests before it
+        # parks; a poke from it would end its next park for nothing.
+        if self._pokes and getattr(_tls, "ctx", None) is not self._ctx:
             self._ctx.poke()
 
     set_result = _settle

@@ -38,7 +38,7 @@ from repro.errors import (
 )
 from repro.core.coll_engine import CollEngine
 from repro.core.endpoint import Endpoint
-from repro.core.future import Future
+from repro.core.future import Future, _tls
 from repro.core.liveness import Liveness
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
@@ -51,8 +51,6 @@ from repro.telemetry import (
     tracing,
 )
 from repro.telemetry.flight import dump_on_failure
-
-_tls = threading.local()
 
 #: Default per-rank segment size (16 MiB) — plenty for the test suite,
 #: overridable per spmd() call for the benchmarks.

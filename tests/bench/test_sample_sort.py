@@ -1,8 +1,11 @@
 """Sample Sort: sortedness, permutation conservation, variants."""
 
+import numpy as np
 import pytest
 
+import repro
 from repro.bench import sample_sort
+from tests.conftest import run_spmd
 
 
 @pytest.mark.parametrize("variant", ["upcxx", "upc"])
@@ -44,3 +47,22 @@ def test_unknown_variant_rejected():
 def test_throughput_metric():
     r = sample_sort.run(ranks=2, keys_per_rank=2048)
     assert r.tb_per_min > 0
+
+
+def test_splitter_phase_agrees_on_ranks_minus_one_splitters():
+    """The sampling phase (fine-grained global reads, the paper's
+    excerpt) gives every rank the same P-1 sorted splitters."""
+    def body():
+        keys = repro.SharedArray(np.uint64, size=4096, block=1024)
+        keys.local_view()[:1024] = np.random.default_rng(
+            repro.myrank()).integers(0, 1 << 63, 1024, dtype=np.uint64)
+        repro.barrier()
+        splitters = sample_sort._select_splitters(keys, oversample=32,
+                                                  seed=1)
+        repro.barrier()
+        return splitters.tolist()
+
+    got = run_spmd(body, ranks=4)
+    assert len(got[0]) == 3
+    assert got[0] == sorted(got[0])
+    assert all(s == got[0] for s in got)

@@ -88,29 +88,32 @@ def test_a_failing_async_after_dependent_leaves_the_others_launched(conduit):
 
 @pytest.mark.parametrize("kind", ["event", "finish"])
 def test_reaching_zero_pokes_only_the_owner(kind):
-    """An event or a finish scope that reaches zero pokes the rank that
-    owns it; the other ranks' ``_poked`` stays down (it used to wake
-    every local rank).  The other ranks sit outside the runtime, so
-    nothing of theirs lowers or raises the flag meanwhile."""
-    hold = threading.Event()
+    """An event or a finish scope that reaches zero on another rank's
+    thread pokes the rank that owns it; the other ranks' ``_poked``
+    stays down (it used to wake every local rank).  The other ranks sit
+    outside the runtime, so nothing of theirs lowers or raises the flag
+    meanwhile.  (On the owner's own thread it pokes nobody:
+    ``tests/core/test_finish.py``.)"""
+    hold, out_of_barrier = threading.Event(), threading.Barrier(4)
+    shared = {}
 
     def body():
         me = repro.myrank()
         ranks = repro.current_world().ranks
-        repro.barrier()
-        flags = None
         if me == 0:
+            shared["done"] = (repro.Event() if kind == "event"
+                              else repro.finish())
+            shared["done"].incref(2)
+        repro.barrier()
+        out_of_barrier.wait(10.0)  # no rank's park can lower its flag now
+        flags = None
+        if me == 1:
             for rk in ranks:
                 rk._poked = False
-            if kind == "event":
-                e = repro.Event()
-                e.incref(2)
-                e.signal()
-                assert not any(rk._poked for rk in ranks)  # not zero yet
-                e.signal()
-            else:
-                with repro.finish():
-                    repro.async_(0)(abs, -1)
+            done = shared["done"]
+            done._settle()
+            assert not any(rk._poked for rk in ranks)  # not zero yet
+            done._settle()
             flags = [rk._poked for rk in ranks]
             hold.set()
         else:
@@ -118,7 +121,7 @@ def test_reaching_zero_pokes_only_the_owner(kind):
         repro.barrier()
         return flags
 
-    assert run_spmd(body, ranks=4)[0] == [True, False, False, False]
+    assert run_spmd(body, ranks=4)[1] == [True, False, False, False]
 
 
 def test_an_event_signalled_from_another_ranks_thread_wakes_its_owner(

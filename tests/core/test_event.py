@@ -1,10 +1,16 @@
 """Events and event-driven task dependencies (paper §III-G), in both
 thread modes."""
 
+import statistics
+import time
+
 import pytest
 
 import repro
+from repro.core import current
+from repro.core.world import PARK_S
 from repro.errors import PgasError
+from tests.conftest import run_spmd as run_one_mode
 from tests.conftest import run_spmd_both_modes as run_spmd
 
 
@@ -114,3 +120,66 @@ def test_event_chain_three_stages():
         return True
 
     assert all(run_spmd(body, ranks=2))
+
+
+
+def _mark_away():
+    """On rank 1: rank 0 has left the runtime."""
+    current().scratch["away"] = True
+
+
+def _signal_once_parked():
+    """A task for rank 0 that its progress thread runs while rank 0's own
+    thread is away from the runtime: it lets that thread come back and
+    park on the event, then signals the event, as rank 0."""
+    box = current().scratch["parked_on"]
+    box["started"] = True
+    deadline = time.monotonic() + 5.0
+    while not box["waiting"] and time.monotonic() < deadline:
+        time.sleep(0.0005)
+    time.sleep(0.002)  # long enough to be parked, a tenth of a park
+    box["event"].signal()
+
+
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_the_progress_thread_wakes_a_rank_parked_on_what_it_completed(
+        conduit):
+    """Concurrent mode: the progress thread takes the message that rank
+    0's park waits for, and the task it runs signals rank 0's event.  A
+    completion on a thread acting as the owner pokes nobody, and nothing
+    else rings rank 0 meanwhile, so the progress thread's poke after
+    the advance is what ends the park; without it the park runs out its
+    :data:`~repro.core.world.PARK_S`."""
+    def body():
+        ctx, waits = current(), []
+        for _ in range(10):
+            if ctx.rank == 1:
+                ctx.wait_until(lambda: ctx.scratch.pop("away", False))
+                signalled = repro.async_(0)(_signal_once_parked)
+                # Nothing else for rank 0 (the barrier's message would
+                # ring it) until its park has run out.
+                time.sleep(1.5 * PARK_S)
+                signalled.get()
+            else:
+                event = repro.Event()
+                event.incref()
+                box = ctx.scratch["parked_on"] = {
+                    "event": event, "started": False, "waiting": False}
+                told = repro.async_(1)(_mark_away)
+                # Away from the runtime: its reply, and then the task,
+                # are taken by the progress thread alone.
+                deadline = time.monotonic() + 5.0
+                while not box["started"] and time.monotonic() < deadline:
+                    time.sleep(0.0005)
+                assert box["started"]
+                box["waiting"] = True
+                t0 = time.perf_counter()
+                event.wait()
+                waits.append(time.perf_counter() - t0)
+                told.get()
+            repro.barrier()
+        return waits
+
+    waits = run_one_mode(body, ranks=2, conduit=conduit,
+                         thread_mode="concurrent")[0]
+    assert statistics.median(waits) < PARK_S / 2, waits

@@ -214,6 +214,32 @@ def test_team_async_failing_part_way_at_its_call_site(conduit, launch,
         assert got == (True, [1, 2], 7, [True, True], 0, True)
 
 
+@pytest.mark.parametrize("conduit", ["smp", "proc+socket"])
+def test_a_scope_its_own_rank_completes_leaves_no_poke(conduit):
+    """A finish scope and an event that their owner's own thread
+    completes (serialized mode: the reply is dispatched by that rank's
+    drain or by its poll) poke nobody.  The owner is not parked, and
+    retests before it parks; a poke raised by it would outlive the wait
+    it was for and end the rank's next park at once."""
+    from repro.core import current
+    from tests.conftest import run_spmd as run_serialized
+
+    def body():
+        raised = None
+        if repro.myrank() == 0:
+            me, raised = current(), 0
+            for i in range(50):
+                done = repro.Event()
+                with repro.finish():
+                    repro.async_(1, signal=done)(_echo, i)
+                raised += me._poked
+                done.wait()
+        repro.barrier()
+        return raised
+
+    assert run_serialized(body, ranks=2, conduit=conduit)[0] == 0
+
+
 def test_many_tasks_in_one_finish():
     def body():
         me = repro.myrank()

@@ -88,6 +88,39 @@ def _gups():
     return lambda i: sa.atomic_batch(idx[i % 8], "xor", vals[i % 8])
 
 
+def _kv(kind: str):
+    """The kv workloads' map, ``DistHashMap(cache=True, replicas=1)``
+    (collective), and one op on a key of theirs whose primary is rank 1
+    and whose backup is rank 0: a replicated ``put`` of a 64 B value, a
+    ``get`` its read cache serves, or an ``update(key, "add", 1)``."""
+    def make():
+        kv = repro.DistHashMap(cache=True, replicas=1)
+        key = next(key for key in (f"key:{k:06d}" for k in range(64))
+                   if kv.owner_of(key) == 1)
+        value = bytes(range(64))
+        if repro.myrank() == 0:
+            kv.put(key, 0 if kind == "update" else value)
+        if kind == "put":
+            return lambda i: kv.put(key, value)
+        if kind == "get":
+            return lambda i: kv.get(key)
+        return lambda i: kv.update(key, "add", 1)
+    return make
+
+
+def _element(kind: str):
+    """``sa[1]`` or ``sa[1] = i`` on a cyclic array: element 1 is rank
+    1's.  Collective: every rank builds it."""
+    def make():
+        sa = repro.SharedArray(np.int64, 4, block=1)
+        if kind == "get":
+            return lambda i: sa[1]
+        def put(i):
+            sa[1] = i
+        return put
+    return make
+
+
 class Cell(NamedTuple):
     op: str
     conduit: str
@@ -104,6 +137,11 @@ OPS = {
     "finish_rpc": (lambda: _finish_rpc, 500, True),
     "after_rpc": (_after, 500, True),
     "gups": (_gups, 200, True),
+    "kv_put": (_kv("put"), 600, True),
+    "kv_get": (_kv("get"), 500, True),
+    "kv_update": (_kv("update"), 600, True),
+    "sa_get": (_element("get"), 500, True),
+    "sa_put": (_element("put"), 500, True),
     "barrier": (lambda: _barrier, 300, False),
     "allreduce": (lambda: _allreduce, 300, False),
 }
@@ -114,12 +152,9 @@ CELLS = [
     Cell("rpc", "proc+socket", "off", (40, 33)),
     Cell("rpc", "smp", "flight", (50, 48)),
     Cell("rpc", "proc+socket", "flight", (50, 49)),
-    # with finish(): async_(1)(echo, i) -- the scope's wait, not get().
-    # The last op's scope left a poke that ends this one's first park at
-    # once; on proc, when the reply is not in yet by then, that costs a
-    # wait turn more: 53.1-56.1 measured
-    Cell("finish_rpc", "smp", "off", (55, 32)),
-    Cell("finish_rpc", "proc+socket", "off", (56, 33)),
+    # with finish(): async_(1)(echo, i) -- the scope's wait, not get()
+    Cell("finish_rpc", "smp", "off", (51, 32)),
+    Cell("finish_rpc", "proc+socket", "off", (51, 33)),
     # async_after(1, fired)(echo, i).get(), the event already signalled
     Cell("after_rpc", "smp", "off", (41, 32)),
     Cell("after_rpc", "proc+socket", "off", (41, 33)),
@@ -127,6 +162,21 @@ CELLS = [
     # nothing for it (the RMA is one-sided)
     Cell("gups", "smp", "off", (15, None)),
     Cell("gups", "proc+socket", "off", (15, None)),
+    # DistHashMap(cache=True, replicas=1), a key rank 1 serves: caller /
+    # primary, under the kv workloads' flight telemetry.  A primary that
+    # leaves the opening barrier after the first put arrives does not
+    # count it: the smp update primary reads 128.92 (129.1 less a 600th)
+    Cell("kv_put", "smp", "flight", (127, 115)),
+    Cell("kv_put", "proc+socket", "flight", (128, 116)),
+    Cell("kv_get", "smp", "flight", (14, 0)),
+    Cell("kv_get", "proc+socket", "flight", (14, 0)),
+    Cell("kv_update", "smp", "flight", (142, 129)),
+    Cell("kv_update", "proc+socket", "flight", (143, 130)),
+    # sa[1] and sa[1] = i: one-sided, so rank 1 runs nothing for it
+    Cell("sa_get", "smp", "off", (10, 0)),
+    Cell("sa_get", "proc+socket", "off", (10, 0)),
+    Cell("sa_put", "smp", "off", (10, 0)),
+    Cell("sa_put", "proc+socket", "off", (10, 0)),
     # every rank calls it.  A proc barrier costs one more poll when its
     # peer's token is not in yet as it starts to wait: 46.2-48.2 measured
     Cell("barrier", "smp", "off", (44, 44)),
