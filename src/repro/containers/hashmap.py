@@ -6,9 +6,11 @@ Design
   stable CRC32: str/bytes/int keys hash their raw bytes directly, other
   types fall back to hashing the pickled key.  The shard id space is
   fixed at construction (one shard per rank); which rank *serves* a
-  shard is dynamic — a per-client shard table maps shard -> (primary,
-  backup), seeded from the construction rendezvous and repaired on
-  redirects, failovers, and refreshes.
+  shard is dynamic — per shard, the client's
+  :class:`~repro.containers.shard.ShardCache` routes to a (primary,
+  backup) pair, seeded from the construction rendezvous (an
+  ``allgather`` of every rank's roles) and repaired on redirects,
+  failovers, and refreshes.
 * **Owner-side storage** — each rank keeps its hosted shard copies
   (:class:`~repro.containers.shard.Shard` state machines) in scratch
   space, mutated only by AM handlers (or the host's own local fast
@@ -25,15 +27,15 @@ Design
 * **Failover** — the world's failure detector feeds
   :meth:`World.mark_dead`; death subscribers and ``dead_ranks`` checks
   let clients fail over to the backup, which self-promotes on the
-  first write it receives for a dead primary's shard (bumping
-  repl_epoch + epoch, choosing a new backup, re-replicating, and
-  republishing its roles through the Directory).
+  first request it receives for a dead primary's shard (bumping
+  repl_epoch + epoch, choosing a new backup, re-replicating).  Only a
+  primary serves; roles are read live, by one ``kv_roles`` AM per rank.
 * **Batched ops** — ``multi_get``/``multi_put`` group keys by serving
   rank and issue **one AM per server**, all in flight concurrently —
   the AM-level analogue of the indexed conduit batching contract;
   coalescing lands in the ``kv_multi_ops``/``kv_batched_keys``
   CommStats counters.
-* **Read-through cache + read-from-replica** — with ``cache=True``
+* **Read-through cache** — with ``cache=True``
   each rank memoizes fetched values, ``CACHE_LIMIT`` per shard.  Every
   shard keeps one ``epoch``, bumped on any mutation (and on promotion/
   migration), and the keys its last epochs changed, ``CHANGED_WINDOW``
@@ -44,10 +46,7 @@ Design
   client was last there before the window; a value is cached only if
   its reply is not older than what the client has seen; and turning to
   another primary drops the shard's entries, so epochs are only
-  compared within one copy's reign.  With ``read_replicas=True`` reads
-  also round-robin across primary and backup (and are served from a
-  locally-hosted backup copy without touching the wire), riding the
-  same invalidation.
+  compared within one copy's reign.
 * **Exactly-once update()** — read-modify-write travels with a
   per-client op-id; the primary records the result of each applied op
   and **replicates the dedup record with the data**, so a client that
@@ -60,8 +59,8 @@ Design
   exactly-once records*, leaves a redirect tombstone, and tells the
   old backup to drop its stale copy.
 
-Consistency model: relaxed.  A ``get`` may return a stale cached (or
-replica) value until the client next contacts the shard's primary;
+Consistency model: relaxed.  A ``get`` may return a stale cached
+value until the client next contacts the shard's primary;
 primary-side operations are linearizable per key.  With ``replicas=1``
 every *acknowledged* write survives one rank death.
 """
@@ -87,12 +86,10 @@ from repro.containers.shard import (
 )
 from repro.core import collectives
 from repro.core.coll_engine import copy_value as _copy
-from repro.core.directory import Directory
 from repro.core.world import RankState, current, try_current
 from repro.telemetry import tracing
 from repro.errors import CommTimeout, PeerFailure, PgasError, RankDead
 from repro.gasnet.am import am_handler
-from repro.gasnet.wire import preencode
 
 _MISSING = object()
 
@@ -101,8 +98,8 @@ _MISSING = object()
 _SCRATCH_KEY = "kv_maps"
 
 #: Redirect/failover hops a single client op will chase before giving
-#: up (each hop re-resolves the shard table, possibly via the
-#: Directory; convergence normally takes one or two).
+#: up (each hop re-routes the shard, possibly by a survey of every
+#: rank's roles; convergence normally takes one or two).
 _MAX_HOPS = 64
 
 #: Named read-modify-write ops resolvable at the owner (no pickling of
@@ -204,7 +201,7 @@ class KvOwnerDead(PgasError):
 # ---------------------------------------------------------------------------
 # What an event does to a shard copy is Shard's / HostedMap's business
 # (containers/shard.py); this section decides when events happen — it
-# knows which ranks are dead, talks to the backup, and publishes roles.
+# knows which ranks are dead and talks to the backup.
 
 def _map_state(ctx: RankState, map_id: int) -> HostedMap:
     """This rank's share of map ``map_id`` (create on first touch)."""
@@ -213,27 +210,6 @@ def _map_state(ctx: RankState, map_id: int) -> HostedMap:
     if st is None:
         st = tbl[map_id] = HostedMap(ctx.world.n_ranks)
     return st
-
-
-def _new_backup(ctx: RankState, st: HostedMap) -> int | None:
-    """The next live rank after this one (cyclic), or None when the map
-    is unreplicated or this rank is the sole survivor."""
-    if st.replicas:
-        n = ctx.world.n_ranks
-        dead = ctx.world.dead_ranks
-        for i in range(1, n):
-            r = (ctx.rank + i) % n
-            if r not in dead:
-                return r
-    return None
-
-
-def _publish_roles(ctx: RankState, map_id: int, st: HostedMap) -> None:
-    """Update this rank's Directory slot in place — handlers can't run
-    the collective publish path, but the slot is just a scratch entry."""
-    if st.dir_id is not None:
-        ctx.dir_table[st.dir_id] = preencode(
-            ("DistHashMap", map_id, st.roles()))
 
 
 def _send_install(ctx: RankState, map_id: int, sh: Shard, to: int,
@@ -249,14 +225,13 @@ def _send_install(ctx: RankState, map_id: int, sh: Shard, to: int,
 def _promote(ctx: RankState, map_id: int, st: HostedMap,
              sh: Shard) -> None:
     """Backup -> primary: the old primary is dead.  Pick a new backup,
-    re-replicate, republish roles."""
+    re-replicate."""
     old = sh.primary
-    sh.promote(ctx.rank, _new_backup(ctx, st))
+    sh.promote(ctx.rank, st.new_backup(ctx.rank, ctx.world.dead_ranks))
     ctx.stats.add(kv_promotions=1)
     ctx.telemetry.flight_event(
         "kv_promote", src=ctx.rank, dst=old,
         detail=f"shard {sh.sid} repl_epoch={sh.repl_epoch}")
-    _publish_roles(ctx, map_id, st)
     if sh.backup is not None:
         _send_install(ctx, map_id, sh, sh.backup)
 
@@ -287,7 +262,7 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
         backup = sh.backup
         if backup is None or backup == ctx.rank \
                 or backup in ctx.world.dead_ranks:
-            nb = sh.backup = _new_backup(ctx, st)
+            nb = sh.backup = st.new_backup(ctx.rank, ctx.world.dead_ranks)
             if nb is None:
                 return  # sole survivor: nothing to replicate onto
             try:
@@ -295,7 +270,6 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
             except (RankDead, PeerFailure):
                 sh.backup = None
                 continue
-            _publish_roles(ctx, map_id, st)
             return  # the install already carries the new records
         fut = ctx.send_am(backup, "kv_repl",
                           args=(map_id, sh.sid, sh.repl_epoch),
@@ -310,23 +284,20 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
         except KvStalePrimary as exc:
             st.retire(sh.sid, exc.new_primary
                       if exc.new_primary is not None else backup)
-            _publish_roles(ctx, map_id, st)
             raise
 
 
-def _resolve(ctx: RankState, map_id: int, sid: int,
-             write: bool) -> tuple[HostedMap, Shard]:
-    """Resolve a request to a hosted shard that may serve it, or raise
-    the protocol exception that repairs the client's table.  A write
-    reaching a backup whose primary is dead triggers promotion right
-    here — that is the automatic-failover moment."""
+def _resolve(ctx: RankState, map_id: int,
+             sid: int) -> tuple[HostedMap, Shard]:
+    """Resolve a request to the hosted primary that serves it, or raise
+    the protocol exception that re-routes the client.  A request — read
+    or write — reaching a backup whose primary is dead promotes it right
+    here: that is the automatic-failover moment."""
     st = _map_state(ctx, map_id)
     sh = st.lookup(sid)
-    if write and not sh.is_primary and sh.primary in ctx.world.dead_ranks:
+    if not sh.is_primary and sh.primary in ctx.world.dead_ranks:
         _promote(ctx, map_id, st, sh)
-    sh.require(write)
-    if not sh.is_primary:
-        ctx.stats.add(kv_replica_reads=1)
+    sh.require()
     return st, sh
 
 
@@ -338,7 +309,7 @@ def _mutate(ctx: RankState, map_id: int, sid: int,
     promote) the shard, ``apply`` the mutation, and log the record it
     produced to the backup before anyone is acked.  Returns the shard
     and the record (``None``: nothing changed, nothing logged)."""
-    st, sh = _resolve(ctx, map_id, sid, write=True)
+    st, sh = _resolve(ctx, map_id, sid)
     rec = apply(sh)
     if rec is not None:
         _replicate(ctx, map_id, st, sh, [rec])
@@ -349,7 +320,7 @@ def _mutate(ctx: RankState, map_id: int, sid: int,
 # AM handlers
 # ---------------------------------------------------------------------------
 # Request args are ``(map_id, sid, ...)``; ``sid == -1`` marks a
-# batched request whose keys the server groups by shard itself.  They
+# batched get or put whose keys the server groups by shard itself.  They
 # end with ``(sid, seen)`` pairs, the epoch the client last saw of each
 # shard asked about; a client that sends none holds nothing.  Reply
 # args are ``(k, sid0, ep0, n0, ..., key, ..., extra)``: per shard its
@@ -400,7 +371,7 @@ def _kv_get_handler(ctx: RankState, am) -> None:
     shards: dict[int, Shard] = {}
     for k in am.payload:
         s = sid if sid >= 0 else shard_of(k, nshards)
-        _st, shards[s] = _resolve(ctx, map_id, s, write=False)
+        _st, shards[s] = _resolve(ctx, map_id, s)
         hit, val = shards[s].lookup(k)
         hits.append(hit)
         vals.append(val)
@@ -414,23 +385,9 @@ def _kv_get_handler(ctx: RankState, am) -> None:
 @am_handler("kv_del")
 def _kv_del_handler(ctx: RankState, am) -> None:
     map_id, sid, *tail = am.args
-    keys = am.payload
-    if sid >= 0:
-        groups = {sid: keys}
-    else:
-        nshards = _map_state(ctx, map_id).nshards
-        groups = {}
-        for k in keys:
-            groups.setdefault(shard_of(k, nshards), []).append(k)
-    touched = []
-    total = 0
-    for s in sorted(groups):
-        sh, rec = _mutate(ctx, map_id, s,
-                          lambda sh: sh.delete(groups[s]))
-        if rec is not None:
-            total += len(rec[1])
-        touched.append((sh, sh.epoch if rec is None else rec[-1]))
-    ctx.reply(am, args=_reply_args(tail, touched, total))
+    sh, rec = _mutate(ctx, map_id, sid, lambda sh: sh.delete(am.payload))
+    epoch, n = (sh.epoch, 0) if rec is None else (rec[-1], len(rec[1]))
+    ctx.reply(am, args=_reply_args(tail, [(sh, epoch)], n))
 
 
 @am_handler("kv_update")
@@ -465,27 +422,22 @@ def _kv_install_handler(ctx: RankState, am) -> None:
     or (``as_primary``) the receiving half of a live migration."""
     map_id, sid = am.args
     st = _map_state(ctx, map_id)
+    # None: a stale install (an old primary racing a newer promotion)
     sh = st.install(sid, ShardSnapshot(*am.payload), ctx.rank)
-    if sh is None:
-        # A stale install (an old primary racing a newer promotion).
-        if am.token is not None:
-            ctx.reply(am, args=(0, sid, st.shards[sid].epoch))
-        return
-    if sh.is_primary:
-        # Migration target: new backup, re-replicate, announce.
-        sh.backup = _new_backup(ctx, st)
+    if sh is not None and sh.is_primary:
+        # Migration target: new backup, re-replicate.
+        sh.backup = st.new_backup(ctx.rank, ctx.world.dead_ranks)
         if sh.backup is not None:
             _send_install(ctx, map_id, sh, sh.backup)
-    _publish_roles(ctx, map_id, st)
     if am.token is not None:
-        ctx.reply(am, args=(1, sid, sh.epoch))
+        ctx.reply(am)
 
 
 @am_handler("kv_migrate")
 def _kv_migrate_handler(ctx: RankState, am) -> None:
     """Primary side of rebalance(): freeze, ship, tombstone."""
     map_id, sid, to, *_seen = am.args
-    st, sh = _resolve(ctx, map_id, sid, write=True)
+    st, sh = _resolve(ctx, map_id, sid)
     if to == ctx.rank:
         ctx.reply(am, args=(0,))
         return
@@ -505,7 +457,6 @@ def _kv_migrate_handler(ctx: RankState, am) -> None:
     ctx.stats.add(kv_migrations=1)
     ctx.telemetry.flight_event(
         "kv_migrate", src=ctx.rank, dst=to, detail=f"shard {sid}")
-    _publish_roles(ctx, map_id, st)
     old_backup = sh.backup
     if old_backup is not None and old_backup != to \
             and old_backup not in ctx.world.dead_ranks:
@@ -518,16 +469,14 @@ def _kv_migrate_handler(ctx: RankState, am) -> None:
 def _kv_drop_handler(ctx: RankState, am) -> None:
     """Drop a stale (pre-migration) shard copy, repl_epoch-guarded."""
     map_id, sid, repl_epoch, new_primary = am.args
-    st = _map_state(ctx, map_id)
-    if st.drop(sid, repl_epoch, new_primary):
-        _publish_roles(ctx, map_id, st)
+    _map_state(ctx, map_id).drop(sid, repl_epoch, new_primary)
 
 
-@am_handler("kv_epoch")
-def _kv_epoch_handler(ctx: RankState, am) -> None:
-    map_id, _all = am.args
-    touched = [(sh, sh.epoch) for sh in _map_state(ctx, map_id).serving()]
-    ctx.reply(am, args=_reply_args((), touched))
+@am_handler("kv_roles")
+def _kv_roles_handler(ctx: RankState, am) -> None:
+    """This rank's primary claims as they stand (:meth:`HostedMap.roles`)."""
+    (map_id,) = am.args
+    ctx.reply(am, payload=_map_state(ctx, map_id).roles())
 
 
 @am_handler("kv_size")
@@ -557,39 +506,29 @@ class DistHashMap:
         0 (default) for the classic single-copy map; 1 to log every
         mutation synchronously to a backup rank before acking, making
         acknowledged writes survive one rank death (ignored at 1 rank).
-    read_replicas:
-        Round-robin reads across primary and backup (and serve reads
-        from a locally-hosted backup copy without an AM) — spreads a
-        hot shard's read load over two ranks at the cost of slightly
-        staler reads.  Requires ``replicas=1``.
     """
 
-    def __init__(self, cache: bool = True, replicas: int = 0,
-                 read_replicas: bool = False):
+    def __init__(self, cache: bool = True, replicas: int = 0):
         if replicas not in (0, 1):
             raise PgasError("only replicas=0 or replicas=1 is supported")
         ctx = current()
         mid = next(ctx.world._dir_ids) if ctx.rank == 0 else None
         self.map_id = collectives.bcast(mid, root=0)
-        self.nranks = ctx.world.n_ranks
-        self.nshards = self.nranks
+        self.nranks = self.nshards = ctx.world.n_ranks
         self.replicas = replicas if self.nranks > 1 else 0
-        self.read_replicas = bool(read_replicas) and self.replicas > 0
         self._op_seq = itertools.count(1)
-        self._rr = 0
         self._cache_enabled = bool(cache)
+        # sid -> where this client sends for the shard, and what it has
+        # cached from it; every shard is routed by the rendezvous below
         self._cache = {s: ShardCache() for s in range(self.nshards)}
         self.cache_hits = 0
         self.cache_misses = 0
         self.failovers = 0
         self.failover_latencies: list[float] = []
         self._pending_deaths: list[int] = []
-        self._dir = Directory()
         with ctx._handler_lock:
             st = _map_state(ctx, self.map_id)
-            st.nshards = self.nshards
             st.replicas = self.replicas
-            st.dir_id = self._dir.dir_id
             me = ctx.rank
             st.shards.setdefault(me, Shard(
                 me, PRIMARY, me,
@@ -598,70 +537,40 @@ class DistHashMap:
                 p = (me - 1) % self.nranks
                 st.shards.setdefault(p, Shard(p, BACKUP, p, me))
             roles = st.roles()
-        # Construction rendezvous: publish (type, id, roles) and fetch
-        # every rank's slot with one concurrent lookup_all.  Catches
-        # misordered collective construction (rank A built a map where
-        # rank B built a queue — the id bcasts would silently cross)
-        # and seeds the shard table + per-shard epoch view.
-        self._dir.publish(("DistHashMap", self.map_id, roles))
-        collectives.barrier()
-        infos = self._dir.lookup_all(cached=False)
-        for r, info in enumerate(infos):
-            kind, mid_r = info[0], info[1]
+        # Construction rendezvous: every rank's (type, id, roles).  It
+        # catches misordered collective construction (rank A built a map
+        # where rank B built something else — the id bcasts would
+        # silently cross) and routes every shard.
+        infos = collectives.allgather(("DistHashMap", self.map_id, roles))
+        for r, (kind, mid_r, _roles) in enumerate(infos):
             if kind != "DistHashMap" or mid_r != self.map_id:
                 raise PgasError(
                     f"rank {r} constructed {kind}#{mid_r} where this rank "
                     f"constructed DistHashMap#{self.map_id}; collective "
                     f"constructors must run in the same order on all ranks"
                 )
-        # sid -> (primary, backup): every shard has an entry from here
-        # on; repairs overwrite, nothing deletes.
-        self._table: dict[int, tuple[int, int | None]] = {
-            sid: (sid % self.nranks,
-                  (sid + 1) % self.nranks if self.replicas else None)
-            for sid in range(self.nshards)}
-        self._ingest_roles(infos)
+        self._ingest_roles((r, info[2]) for r, info in enumerate(infos))
         # Failure-notification hook: deaths recorded by the world's
-        # failure detector flip this client's table at its next op.
+        # failure detector re-route this client at its next op.
         ctx.world.on_rank_death(self._on_rank_death)
 
     # -- plumbing ----------------------------------------------------------
     def owner_of(self, key: Any) -> int:
         """The rank currently serving ``key``'s shard as primary (per
-        this client's shard table)."""
-        return self._table[shard_of(key, self.nshards)][0]
+        this client's routes)."""
+        return self._cache[shard_of(key, self.nshards)].primary
 
     def _on_rank_death(self, rank: int, exc: BaseException) -> None:
         # Runs on the failure detector's thread: just enqueue; the
-        # table flip happens on the owning rank's own thread at its
+        # re-routing happens on the owning rank's own thread at its
         # next map operation.
         self._pending_deaths.append(rank)
-
-    def _route(self, sid: int, primary: int, backup: int | None) -> None:
-        """The one writer of the shard table.  What is cached from a
-        shard was true of its old primary's copy (rule 3)."""
-        if self._table[sid][0] != primary:
-            self._cache[sid].repoint()
-        self._table[sid] = (primary, backup)
-
-    def _repoint(self, sid: int, gone: int, dead=()) -> bool:
-        """Drop ``gone`` from ``sid``'s table entry (its live backup
-        takes over a lost primary); False when that is not possible."""
-        primary, backup = self._table[sid]
-        if primary == gone and backup is not None and backup != gone \
-                and backup not in dead:
-            self._route(sid, backup, None)
-        elif backup == gone:
-            self._route(sid, primary, None)
-        else:
-            return False
-        return True
 
     def _drain_deaths(self) -> None:
         while self._pending_deaths:
             r = self._pending_deaths.pop()
-            for sid in self._table:
-                self._repoint(sid, r)
+            for shard in self._cache.values():
+                shard.lose(r)
 
     def _note_reply(self, args: tuple) -> tuple[dict[int, int], tuple]:
         """Rule 1 for each shard in a reply's ``(k, sid0, ep0, n0, ...,
@@ -677,23 +586,18 @@ class DistHashMap:
             at += max(n, 0)
         return epochs, args[at:]
 
-    def _ingest_roles(self, infos) -> None:
-        """Fold published role claims into the shard table: per shard,
+    def _ingest_roles(self, claims) -> None:
+        """Route by the ``(rank, HostedMap.roles())`` claims: per shard,
         the primary claim with the highest repl_epoch wins."""
         best: dict[int, tuple] = {}
-        for r, info in enumerate(infos):
-            if not info:
-                continue
-            for sid, is_primary, repl_epoch, epoch, backup in info[2]:
-                if not is_primary:
-                    continue
-                cur = best.get(sid)
-                if cur is None or repl_epoch > cur[0]:
-                    best[sid] = (repl_epoch, r,
-                                 None if backup < 0 else backup, epoch)
-        for sid, (_re, prim, backup, epoch) in best.items():
-            self._route(sid, prim, backup if backup != prim else None)
-            self._cache[sid].contact(epoch)     # no key list: drop all
+        for r, roles in claims:
+            for sid, repl_epoch, epoch, backup in roles:
+                if sid not in best or repl_epoch > best[sid][0]:
+                    best[sid] = (repl_epoch, r, backup, epoch)
+        for sid, (_re, primary, backup, epoch) in best.items():
+            shard = self._cache[sid]
+            shard.route(primary, None if backup < 0 else backup)
+            shard.contact(epoch)        # no key list: drop all
 
     def _ask_peers(self, ctx: RankState, handler: str,
                    *args) -> list[tuple]:
@@ -715,15 +619,15 @@ class DistHashMap:
                 continue
         return answers
 
-    def _refresh_table(self, ctx: RankState) -> None:
-        """Re-read live ranks' Directory slots and rebuild the shard
-        table (the post-promotion client repair path)."""
-        infos: list = [None] * self.nranks
-        infos[ctx.rank] = self._dir.lookup(ctx.rank, cached=False)
-        for r, _args, obj in self._ask_peers(ctx, "dir_get",
-                                             self._dir.dir_id):
-            infos[r] = obj
-        self._ingest_roles(infos)
+    def _survey(self, ctx: RankState) -> None:
+        """Re-route every shard by the roles every live rank holds now
+        (``kv_roles``): the repair path after a promotion or a move."""
+        with ctx._handler_lock:
+            claims = [(ctx.rank, _map_state(ctx, self.map_id).roles())]
+        for r, _args, roles in self._ask_peers(ctx, "kv_roles",
+                                               self.map_id):
+            claims.append((r, roles))
+        self._ingest_roles(claims)
 
     def _failover(self, ctx: RankState, sid: int, dead_rank: int,
                   what: str, t_fail: float | None) -> float:
@@ -736,9 +640,9 @@ class DistHashMap:
             ctx.telemetry.flight_event(
                 "kv_failover_start", src=ctx.rank, dst=dead_rank,
                 detail=f"{what} shard {sid}")
-        if not self._repoint(sid, dead_rank, ctx.world.dead_ranks):
+        if not self._cache[sid].lose(dead_rank, ctx.world.dead_ranks):
             ctx.advance()
-            self._refresh_table(ctx)
+            self._survey(ctx)
         return t_fail
 
     def _end_failover(self, ctx: RankState, t_fail: float | None,
@@ -758,17 +662,17 @@ class DistHashMap:
         hint = (exc.hint if isinstance(exc, KvRedirect)
                 else exc.new_primary)
         if hint is not None and hint not in ctx.world.dead_ranks:
-            backup = self._table[exc.sid][1]
-            self._route(exc.sid, hint, backup if backup != hint else None)
+            shard = self._cache[exc.sid]
+            shard.route(hint, shard.backup)
         else:
             ctx.advance()
-            self._refresh_table(ctx)
+            self._survey(ctx)
 
     def _request(self, ctx: RankState, handler: str, what: str,
                  pending: dict[int, list],
                  payload: Callable[[list], Any] = lambda keys: keys, *,
                  batched: bool = False, extra: tuple = (),
-                 read: bool = False, event: str | None = None) -> list:
+                 event: str | None = None) -> list:
         """The one client request engine: send ``handler`` for the keys
         in ``pending`` (shard id -> keys); returns the replies as
         ``(keys, epochs, extras, reply_payload)`` tuples.
@@ -781,12 +685,11 @@ class DistHashMap:
         handles the replies: a timeout (the world's ``op_timeout``
         expired) raises, a dead server fails its shards over to their
         backup (:class:`KvOwnerDead` without one), a redirect repoints
-        the table; what did not complete is pending for the next round.
+        the route; what did not complete is pending for the next round.
         ``update`` stays exactly-once across a failover retry via
-        owner-side op-id dedup; put/delete are idempotent.  A
-        point op is the one-key case; ``read`` lets it alternate
-        primary/backup (``read_replicas``).  ``event`` names the flight
-        event recorded when the op first goes to the wire.
+        owner-side op-id dedup; put/delete are idempotent.  A point op
+        is the one-key case.  ``event`` names the flight event recorded
+        when the op first goes to the wire.
         """
         tel = ctx.telemetry
         replies = []
@@ -799,14 +702,8 @@ class DistHashMap:
             # (target rank, sid arg of the AM) -> {sid: keys}
             groups: dict[tuple[int, int], dict[int, list]] = {}
             for sid, ks in pending.items():
-                target, backup = self._table[sid]
-                if read and self.read_replicas and backup is not None \
-                        and backup not in dead:
-                    self._rr += 1
-                    if self._rr & 1:
-                        target = backup
-                groups.setdefault(
-                    (target, -1 if batched else sid), {})[sid] = ks
+                groups.setdefault((self._cache[sid].primary,
+                                   -1 if batched else sid), {})[sid] = ks
             if first_round:
                 first_round = False
                 if batched:
@@ -864,18 +761,14 @@ class DistHashMap:
         return replies
 
     # -- local fast paths ----------------------------------------------------
-    def _hosted(self, shards: dict[int, Shard], sid: int,
-                write: bool) -> Shard | None:
-        """The copy of ``sid`` in this rank's ``shards`` if it may serve
-        the op without the wire: the serving primary, or for a read
-        with ``read_replicas`` a backup.  Only trustworthy under the
-        handler lock — unlocked, it is a hint that taking the lock is
-        worth it."""
+    @staticmethod
+    def _hosted(shards: dict[int, Shard], sid: int) -> Shard | None:
+        """The copy of ``sid`` in this rank's ``shards`` if it serves
+        the op without the wire (the serving primary).  Only trustworthy
+        under the handler lock — unlocked, it is a hint that taking the
+        lock is worth it."""
         sh = shards.get(sid)
-        if sh is not None and sh.serves(write) \
-                and (sh.is_primary or self.read_replicas):
-            return sh
-        return None
+        return sh if sh is not None and sh.serves() else None
 
     def _mutate_local(self, ctx: RankState, sid: int,
                       apply: Callable[[Shard], tuple | None],
@@ -886,11 +779,11 @@ class DistHashMap:
         must go to the wire: the shard is not (or, deposed while
         replicating, no longer) ours."""
         shards = _map_state(ctx, self.map_id).shards
-        if self._hosted(shards, sid, write=True) is None:
+        if self._hosted(shards, sid) is None:
             return None
         try:
             with ctx._handler_lock:
-                if self._hosted(shards, sid, write=True) is None:
+                if self._hosted(shards, sid) is None:
                     return None
                 sh, rec = _mutate(ctx, self.map_id, sid, apply)
         except KvStalePrimary:
@@ -905,16 +798,15 @@ class DistHashMap:
         from the cache — as ``(found, private value)``; ``None`` sends
         the caller to the wire."""
         shards = _map_state(ctx, self.map_id).shards
-        if self._hosted(shards, sid, write=False) is not None:
+        if self._hosted(shards, sid) is not None:
             with ctx._handler_lock:
                 # Re-validate: a migration, drop or deposition that
                 # landed while we waited for the lock retired the copy,
                 # and the read must chase the redirect instead.
-                sh = self._hosted(shards, sid, write=False)
+                sh = self._hosted(shards, sid)
                 if sh is not None:
                     found, val = sh.lookup(key)
-                    ctx.stats.add(local_accesses=1,
-                                  kv_replica_reads=not sh.is_primary)
+                    ctx.stats.add(local_accesses=1)
                     return found, _copy(val) if found else None
         if self._cache_enabled:
             cached = self._cache[sid].entries
@@ -964,14 +856,13 @@ class DistHashMap:
         ctx = current()
         sid = shard_of(key, self.nshards)
         ctx.stats.add(kv_gets=1)
-        # A hosted primary — or, with read_replicas, a hosted backup
-        # copy — and then the cache serve the read without touching
-        # the wire.
+        # A hosted primary, and then the cache, serve the read without
+        # touching the wire.
         hit = self._read_near(ctx, sid, key)
         if hit is None:
             [(_ks, epochs, _x, ((found,), [val]))] = self._request(
                 ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
-                read=True, event="kv_get")
+                event="kv_get")
             if found:
                 val = self._cache_fetched(epochs, key, val)
         else:
@@ -1131,29 +1022,18 @@ class DistHashMap:
         self._request(
             ctx, "kv_migrate", f"kv_migrate(shard {sid} -> rank {to})",
             {sid: []}, lambda _ks: None, extra=(to,))
-        self._route(sid, to, None)
+        self._cache[sid].route(to, None)
 
     # -- cache control -----------------------------------------------------
     def refresh(self) -> None:
-        """Revalidate this client's view: with replication, re-read the
-        shard table from the Directory (post-promotion repair); with
-        caching, fetch every live rank's shard epochs with concurrently
-        issued AMs and drop stale entries (the explicit fence of the
-        relaxed consistency model).  After refresh() returns, reads see
-        every write acknowledged before the failover."""
-        ctx = current()
+        """Revalidate this client's view: re-route every shard by the
+        roles every live rank holds now (one concurrent ``kv_roles`` AM
+        each) and drop what is cached of every shard that moved on — the
+        explicit fence of the relaxed consistency model, and the repair
+        after a promotion.  After refresh() returns, reads see every
+        write acknowledged before the failover."""
         self._drain_deaths()
-        if self.replicas:
-            self._refresh_table(ctx)
-        if not self._cache_enabled:
-            return
-        for _r, args, _pl in self._ask_peers(ctx, "kv_epoch",
-                                             self.map_id, -1):
-            self._note_reply(args)
-        with ctx._handler_lock:
-            for sh in _map_state(ctx, self.map_id).shards.values():
-                if sh.is_primary:
-                    self._cache[sh.sid].contact(sh.epoch)
+        self._survey(current())
 
     def invalidate_cache(self) -> None:
         """Drop every cached entry unconditionally."""

@@ -14,9 +14,10 @@ frozen by :meth:`Shard.begin_move` while its snapshot travels), or
 ``epoch`` bumps on every applied mutation, and the copy remembers which
 keys its last epochs changed: a client that says which epoch it last saw
 is told the keys to drop (:meth:`Shard.changed_since`), not to drop the
-shard.  :class:`ShardCache` is that client's end — what it has cached
-from one shard and the three rules that keep it true — and world-free
-like the rest, so a test can drive the two against each other.
+shard.  :class:`ShardCache` is that client's end — where it sends for
+one shard, what it has cached from it and the three rules that keep it
+true — and world-free like the rest, so a test can drive the two
+against each other.
 ``repl_epoch`` bumps on every change of primary (a deposed primary's log
 is rejected by it).  Illegal events raise :class:`KvRedirect` ("ask over
 there") or :class:`KvStalePrimary` ("you were deposed").
@@ -124,18 +125,18 @@ class Shard:
     def role(self) -> str:
         return PRIMARY if self.is_primary else BACKUP
 
-    def serves(self, write: bool) -> bool:
-        """May this copy answer a client op?  A frozen (moving) copy
-        serves nothing; a backup serves reads only."""
-        return self.moving_to is None and (self.is_primary or not write)
+    def serves(self) -> bool:
+        """May this copy answer a client op?  Only a primary that is not
+        frozen (moving) does."""
+        return self.is_primary and self.moving_to is None
 
     def redirect(self) -> KvRedirect:
         """Where a client this copy cannot serve should go instead."""
         return KvRedirect(self.sid, self.primary if self.moving_to is None
                           else self.moving_to)
 
-    def require(self, write: bool) -> None:
-        if not self.serves(write):
+    def require(self) -> None:
+        if not self.serves():
             raise self.redirect()
 
     # -- client ops ----------------------------------------------------
@@ -144,7 +145,7 @@ class Shard:
         return (True, store[key]) if key in store else (False, None)
 
     def put(self, items: dict) -> tuple:
-        self.require(write=True)
+        self.require()
         self.store.update(items)
         self.epoch += 1
         self._changed(self.epoch, tuple(items))
@@ -153,7 +154,7 @@ class Shard:
     def delete(self, keys: list) -> tuple | None:
         """Remove ``keys``; the record lists the keys that were present
         (``None``, and no epoch bump, when none was)."""
-        self.require(write=True)
+        self.require()
         store = self.store
         gone = [k for k in keys if store.pop(k, _ABSENT) is not _ABSENT]
         if not gone:
@@ -169,7 +170,7 @@ class Shard:
         duplicate (client retry after a lost reply — possibly landing
         on a promoted backup) changes nothing and returns ``None``;
         :meth:`result_of` has the recorded outcome either way."""
-        self.require(write=True)
+        self.require()
         if (src, op_id) in self.applied:
             return None
         store = self.store
@@ -295,7 +296,7 @@ class Shard:
     def begin_move(self, to: int) -> None:
         """Freeze for migration: until :meth:`abort_move` (or the copy
         is retired) every client op is redirected at ``to``."""
-        self.require(write=True)
+        self.require()
         self.moving_to = to
 
     def abort_move(self) -> None:
@@ -303,25 +304,47 @@ class Shard:
 
 
 class ShardCache:
-    """What one client has cached from one shard: ``entries``, and the
-    newest epoch ``seen`` in a reply.  Three rules keep every entry equal
-    to the value the copy it came from had at ``seen``:
+    """What one client knows of one shard: its route — the ``primary``
+    it sends to and that primary's ``backup`` — the ``entries`` it has
+    cached, and the newest epoch ``seen`` in a reply.  Three rules keep
+    every entry equal to the value the copy it came from had at ``seen``:
 
     1. *contact* — a reply newer than ``seen`` advances it and drops the
        keys the reply names (:meth:`Shard.changed_since` the ``seen`` its
        request carried; ``None``: all); an older reply changes nothing;
     2. *fill* — a value is cached only if its reply is not older than
        ``seen``;
-    3. *repoint* — a client that turns to another primary drops the
-       entries and forgets ``seen``: epochs are only ever compared
-       within one copy's reign.
+    3. *repoint* — a client that turns to another primary (:meth:`route`)
+       drops the entries and forgets ``seen``: epochs are only ever
+       compared within one copy's reign.
     """
 
-    __slots__ = ("seen", "entries")
+    __slots__ = ("primary", "backup", "seen", "entries")
 
     def __init__(self):
+        self.primary: int | None = None
+        self.backup: int | None = None
         self.seen = -1
         self.entries: dict = {}
+
+    def route(self, primary: int, backup: int | None) -> None:
+        """Send to ``primary`` from now on (rule 3 if that is a turn)."""
+        if primary != self.primary:
+            self.repoint()
+        self.primary = primary
+        self.backup = None if backup == primary else backup
+
+    def lose(self, gone: int, dead=()) -> bool:
+        """Take rank ``gone`` out of the route: a live backup takes over
+        a lost primary.  False when no copy is left to turn to."""
+        if self.primary == gone and self.backup is not None \
+                and self.backup not in dead:
+            self.route(self.backup, None)
+        elif self.backup == gone:
+            self.backup = None
+        else:
+            return False
+        return True
 
     def contact(self, epoch: int, changed=None) -> None:
         if epoch > self.seen:
@@ -347,12 +370,11 @@ class HostedMap:
     """One rank's share of one map: its shard copies, the redirect
     tombstones of copies it gave up, and the map's shape."""
 
-    __slots__ = ("nshards", "replicas", "dir_id", "shards", "moved")
+    __slots__ = ("nshards", "replicas", "shards", "moved")
 
     def __init__(self, nshards: int):
         self.nshards = nshards
         self.replicas = 0
-        self.dir_id: int | None = None
         self.shards: dict[int, Shard] = {}
         self.moved: dict[int, int] = {}      # sid -> new primary
 
@@ -365,16 +387,28 @@ class HostedMap:
     def serving(self) -> list[Shard]:
         """The copies this rank is the serving primary of."""
         return [sh for _sid, sh in sorted(self.shards.items())
-                if sh.serves(write=True)]
+                if sh.serves()]
 
     def roles(self) -> tuple:
-        """This rank's shard claims for the Directory: one
-        ``(sid, is_primary, repl_epoch, epoch, backup)`` tuple per
-        hosted shard."""
+        """This rank's primary claims, as they stand: one ``(sid,
+        repl_epoch, epoch, backup)`` tuple (``backup`` -1 for none) per
+        primary copy here, frozen or not."""
         return tuple(
-            (sid, 1 if sh.is_primary else 0, sh.repl_epoch, sh.epoch,
+            (sid, sh.repl_epoch, sh.epoch,
              -1 if sh.backup is None else sh.backup)
-            for sid, sh in sorted(self.shards.items()))
+            for sid, sh in sorted(self.shards.items()) if sh.is_primary)
+
+    def new_backup(self, me: int, dead) -> int | None:
+        """The next rank after ``me`` (cyclic; a map has one shard per
+        rank) not in ``dead``, or None when the map is unreplicated or
+        ``me`` is the sole survivor."""
+        if self.replicas:
+            n = self.nshards
+            for i in range(1, n):
+                r = (me + i) % n
+                if r not in dead:
+                    return r
+        return None
 
     def replay(self, sid: int, repl_epoch: int, records: list) -> Shard:
         sh = self.shards.get(sid)

@@ -65,13 +65,11 @@ class CommStats:
     kv_cache_misses: int = 0
     # Replication / failover (repro.containers.hashmap): backup-log
     # records shipped, client-side failovers, owner-side backup
-    # promotions, reads served from a replica, live shard migrations;
-    # and sends refused because the peer is already dead
-    # (Endpoint.send).
+    # promotions, live shard migrations; and sends refused because the
+    # peer is already dead (Endpoint.send).
     kv_repl_records: int = 0
     kv_failovers: int = 0
     kv_promotions: int = 0
-    kv_replica_reads: int = 0
     kv_migrations: int = 0
     dead_peer_fastfails: int = 0
     # Wire layer (repro.gasnet.wire): frames encoded, how many stayed in

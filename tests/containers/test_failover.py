@@ -589,40 +589,41 @@ def test_unreplicated_multi_ops_fail_fast_with_diagnostic():
     assert all(r for r in res if r is not None)
 
 
-def test_read_replicas_serve_reads_and_survive():
-    """``read_replicas=True`` round-robins reads across primary and
-    backup, serves locally-hosted backup copies without AMs, and stays
-    correct across a failover."""
-    victim = 1
-    flags = {"killed": False}
+def test_a_read_promotes_the_backup_of_a_dead_primary():
+    """Only a primary serves: the first read to reach the backup of a
+    dead primary promotes it, as a write would, and is answered with
+    what the acknowledged write left there."""
+    victim, backup = 1, 2
+    flags = {"killed": False, "read": False}
     done = {r: False for r in range(4)}
     ready = {r: False for r in range(4)}
 
     def body():
         me, n = repro.myrank(), repro.ranks()
         ctx = repro.current_world().ranks[me]
-        m = DistHashMap(replicas=1, read_replicas=True, cache=False)
-        m.put(("rr", me), me)
+        m = DistHashMap(replicas=1, cache=False)
+        key = _key_on_shard(victim, n)
+        if me == 0:
+            m.put(key, "acked")
         repro.barrier()
         _sync_shared(ctx, ready, n)
         if me == victim:
             _hang_on_request(ctx, flags)
-        for _ in range(4):          # both parities of the round-robin
-            for r in range(n):
-                assert m.get(("rr", r)) == r
         if me == 0:
             _kill(ctx, flags)
-        ctx.wait_until(lambda: flags["killed"], what="wait kill")
-        for _ in range(4):
-            for r in range(n):
-                assert m.get(("rr", r)) == r
-        stats = ctx.stats.snapshot()
+            assert m.get(key) == "acked"
+            assert m.owner_of(key) == backup
+            flags["read"] = True
+            ctx.world.poke_all()
+        ctx.wait_until(lambda: flags["read"], what="wait read")
+        role = m.local_shards().get(victim)
         done[me] = True
         ctx.world.poke_all()
         ctx.wait_until(lambda: all(done[r] for r in range(n)
                                    if r != victim), what="rendezvous")
-        return stats["kv_replica_reads"]
+        return ctx.stats.snapshot()["kv_promotions"], role
 
     res = repro.spmd(body, ranks=4, reliability=RELIABILITY,
                      survive_rank_death=True, timeout=30.0)
-    assert sum(r for r in res if r is not None) > 0
+    assert res[backup] == (1, "primary")
+    assert [res[r][0] for r in (0, 3)] == [0, 0]

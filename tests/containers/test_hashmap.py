@@ -352,6 +352,21 @@ def test_two_maps_are_isolated():
     assert all(run_spmd(body, ranks=3))
 
 
+def test_misordered_construction_raises():
+    """A rank whose rendezvous value is not this map's — it built
+    something else in this place — fails the constructor loudly."""
+    def body():
+        if repro.myrank() == 1:
+            collectives.bcast(None, root=0)
+            collectives.allgather(("Other", 99, ()))
+            return True
+        with pytest.raises(PgasError, match="rank 1 constructed Other#99"):
+            DistHashMap()
+        return True
+
+    assert all(run_spmd(body, ranks=2))
+
+
 def test_kv_telemetry_histograms_and_flight():
     def body():
         me = repro.myrank()

@@ -104,7 +104,7 @@ def _replay(repl_epoch):
 
 def _read(hm):
     sh = hm.lookup(SID)
-    sh.require(write=False)
+    sh.require()
     return sh.lookup("a")
 
 
@@ -154,7 +154,7 @@ TABLE = {
     "delete":          [WRITTEN, TO_PRIMARY, TO_TARGET, NO_HINT, TO_TARGET],
     "delete-absent-key": [SAME_P, TO_PRIMARY, TO_TARGET, NO_HINT, TO_TARGET],
     "update":          [WRITTEN, TO_PRIMARY, TO_TARGET, NO_HINT, TO_TARGET],
-    "read":            [SAME_P, SAME_B, TO_TARGET, NO_HINT, TO_TARGET],
+    "read":            [SAME_P, TO_PRIMARY, TO_TARGET, NO_HINT, TO_TARGET],
     "replay-older":    [(KvStalePrimary, ME), (KvStalePrimary, OTHER),
                         (KvStalePrimary, ME), (KvStalePrimary, None),
                         (KvStalePrimary, THIRD)],
@@ -482,6 +482,26 @@ def test_shard_cache_rules():
     assert (c.seen, c.entries) == (-1, {})
 
 
+def test_shard_cache_routes_and_loses():
+    c = ShardCache()
+    c.route(0, 1)
+    c.contact(3)
+    c.fill(3, "a", 1)
+    c.route(0, 2)                       # same primary: the cache stays
+    assert (c.primary, c.backup, c.seen, c.entries) == (0, 2, 3, {"a": 1})
+    c.route(2, 2)                       # a turn is rule 3; no self-backup
+    assert (c.primary, c.backup, c.seen, c.entries) == (2, None, -1, {})
+    c.route(2, 0)
+    c.fill(0, "a", 1)
+    assert c.lose(1) is False           # not on the route
+    assert c.lose(0) and (c.primary, c.backup) == (2, None)
+    assert c.entries == {"a": 1}        # a lost backup turns nobody
+    assert c.lose(2) is False           # no copy left to turn to
+    c.route(2, 0)
+    assert c.lose(2, dead={0}) is False     # nor a dead one
+    assert c.lose(2) and (c.primary, c.backup, c.entries) == (0, None, {})
+
+
 def test_shard_cache_is_bounded_oldest_inserted_out(monkeypatch):
     monkeypatch.setattr(shard_mod, "CACHE_LIMIT", 3)
     c = ShardCache()
@@ -518,7 +538,7 @@ _GONE = object()
 class _Client:
     def __init__(self):
         self.cache = ShardCache()
-        self.reign = 0      # which primary's reign its table points at
+        self.reign = 0      # which primary's reign its route points at
 
 
 class CachedClients(RuleBasedStateMachine):
@@ -526,7 +546,10 @@ class CachedClients(RuleBasedStateMachine):
     three rules and nothing else.  Replication may lag (``pending``),
     replies may be held back and delivered late, the primary may die
     with records unreplicated, and the shard may migrate.  ``history``
-    is the serving copy's store at every epoch of the current reign."""
+    is the serving copy's store at every epoch of the current reign.
+    Every copy lives on a rank of its own: a promoted backup's rank is
+    never the primary's it replaces, and a dead rank hosts nothing
+    again."""
 
     def __init__(self):
         super().__init__()
@@ -534,6 +557,8 @@ class CachedClients(RuleBasedStateMachine):
         shard_mod.CHANGED_WINDOW, shard_mod.CACHE_LIMIT = CHANGED, LIMIT
         self.primary = Shard(SID, PRIMARY, 0, 1)
         self.backup = Shard(SID, BACKUP, 0, 1)
+        self.ranks = itertools.count(2)     # ranks that host nothing yet
+        self.dead: set = set()
         self.pending: list = []         # records the backup has not got
         self.reign = 0
         self.history = {0: {}}
@@ -546,10 +571,13 @@ class CachedClients(RuleBasedStateMachine):
 
     # -- the client as hashmap.py drives it ----------------------------
     def _turn(self, c):
-        """_route(): a table entry that changes primary is rule 3."""
-        if c.reign != self.reign:
-            c.cache.repoint()
-            c.reign = self.reign
+        """Deaths reach the client (``lose``), then a redirect or a
+        survey routes it at the primary: the cache sees only ranks, and
+        must apply rule 3 at every change of reign by itself."""
+        for r in self.dead:
+            c.cache.lose(r, self.dead)
+        c.cache.route(self.primary.primary, self.primary.backup)
+        c.reign = self.reign
 
     def _reply(self, copy, epoch, seen, fills=()):
         return (self.reign, epoch, copy.changed_since(seen),
@@ -600,18 +628,15 @@ class CachedClients(RuleBasedStateMachine):
             lambda sh: sh.update(i, op_id, k, _add, (arg,), 0, True),
             [k], lag, now)
 
-    @rule(i=st.integers(0, 1), k=_keys, from_backup=st.booleans(),
-          now=st.booleans())
-    def get(self, i, k, from_backup, now):
-        """Cached, or a contact that fetches it (read_replicas: from
-        either copy)."""
+    @rule(i=st.integers(0, 1), k=_keys, now=st.booleans())
+    def get(self, i, k, now):
+        """Cached, or a contact that fetches it from the primary."""
         c = self.clients[i]
         self._turn(c)
         if k in c.cache.entries:
             return
-        copy = self.backup if from_backup else self.primary
-        self._deliver(c, self._reply(copy, copy.epoch, c.cache.seen, [k]),
-                      now)
+        self._deliver(c, self._reply(self.primary, self.primary.epoch,
+                                     c.cache.seen, [k]), now)
 
     @precondition(lambda self: self.held)
     @rule(data=st.data())
@@ -639,20 +664,22 @@ class CachedClients(RuleBasedStateMachine):
         """Whatever was pending is lost, and with it the epochs clients
         may have seen of it."""
         self.pending.clear()
-        self.backup.promote(self.backup.backup, 7)
+        self.dead.add(self.primary.primary)
+        self.backup.promote(self.primary.backup, next(self.ranks))
         self.primary = self.backup
         self._new_backup()
         self.reign += 1
         self.history = {self.primary.epoch: dict(self.primary.store)}
 
-    @rule()
-    def migrate(self):
+    @rule(home=st.booleans())
+    def migrate(self, home):
         """A clean hand-over: epochs carry on, so even a client that is
         not repointed (the shard came back to the rank it knew) stays
         coherent."""
         self.catch_up()
+        to = self.primary.primary if home else next(self.ranks)
         self.primary = Shard.from_snapshot(
-            SID, self.primary.snapshot(as_primary=True), 0)
+            SID, self.primary.snapshot(as_primary=True), to)
         self.history[self.primary.epoch] = dict(self.primary.store)
         self._new_backup()
 
@@ -662,7 +689,8 @@ class CachedClients(RuleBasedStateMachine):
         self._new_backup()
 
     def _new_backup(self):
-        self.backup = Shard.from_snapshot(SID, self.primary.snapshot(), 1)
+        self.backup = Shard.from_snapshot(SID, self.primary.snapshot(),
+                                          self.primary.backup)
 
     # -- invariants -------------------------------------------------------
     @invariant()

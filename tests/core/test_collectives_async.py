@@ -2,6 +2,7 @@
 local compute, and several collectives in flight at once."""
 
 import numpy as np
+import pytest
 
 import repro
 from repro.core import collectives as coll
@@ -131,6 +132,48 @@ def test_async_gatherv_and_alltoallv():
             assert np.array_equal(v, expect)
         else:
             assert v is None
+        return True
+
+    assert all(run_spmd(body, ranks=3))
+
+
+def _cat(a, b):
+    # not commutative: a fold out of team order shows in the result
+    return a + b
+
+
+def _scatter(me, n, f):
+    return f([f"to{r}" for r in range(n)] if me == 1 else None, root=1)
+
+
+def _alltoall(me, n, f):
+    return f([me * 10 + d for d in range(n)])
+
+
+def _scan(me, n, f):
+    return f(chr(ord("a") + me) * (me + 1), op=_cat)
+
+
+ASYNC_FORMS = {
+    "scatter": (_scatter, coll.scatter_async, coll.scatter,
+                lambda me, n: f"to{me}"),
+    "alltoall": (_alltoall, coll.alltoall_async, coll.alltoall,
+                 lambda me, n: [src * 10 + me for src in range(n)]),
+    "scan": (_scan, coll.scan_async, coll.scan,
+             lambda me, n: "abbccc"[:(me + 1) * (me + 2) // 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(ASYNC_FORMS))
+def test_async_form_matches_its_blocking_form(name):
+    """At 3 ranks — a team size that is not a power of two — the future
+    resolves to what the blocking call returns."""
+    call, async_form, blocking, expect = ASYNC_FORMS[name]
+
+    def body():
+        me, n = repro.myrank(), repro.ranks()
+        got = call(me, n, async_form).get()
+        assert got == call(me, n, blocking) == expect(me, n)
         return True
 
     assert all(run_spmd(body, ranks=3))

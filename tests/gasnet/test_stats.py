@@ -17,7 +17,7 @@ SNAPSHOT_KEYS = (
     "kv_puts", "kv_deletes", "kv_updates", "kv_multi_ops",
     "kv_batched_keys", "kv_cache_hits", "kv_cache_misses",
     "kv_repl_records", "kv_failovers", "kv_promotions",
-    "kv_replica_reads", "kv_migrations", "dead_peer_fastfails",
+    "kv_migrations", "dead_peer_fastfails",
     "wire_frames", "wire_fixed", "pickle_fallbacks", "wire_byref",
     "wire_ring_slots", "wire_ring_frames",
     "wire_ring_spills", "wire_ring_full_backoffs",

@@ -5,9 +5,10 @@ Each cell is one op on one backend, 2 ranks: the Python calls of
 functions defined in the ``repro`` package on each rank's thread
 (``sys.setprofile`` "call" events; a name in ``<...>`` is skipped, since
 comprehensions are inlined on Python 3.12 but not on 3.10), from the
-first counted op to the end of the closing barrier, per op.  A count
-repeats to about 0.1 call between runs and machines, where
-microseconds do not.
+first counted op to the end of the closing barrier, per op; a rank that
+only serves counts from the start of the opening barrier, so that no op
+it serves escapes the count.  A count repeats to about 0.1 call between
+runs and machines, where microseconds do not.
 
 A cell pins each rank at the whole number of calls its op costs: the
 count, with the closing barrier's share (a fraction of a call), stays
@@ -92,7 +93,8 @@ def _kv(kind: str):
     """The kv workloads' map, ``DistHashMap(cache=True, replicas=1)``
     (collective), and one op on a key of theirs whose primary is rank 1
     and whose backup is rank 0: a replicated ``put`` of a 64 B value, a
-    ``get`` its read cache serves, or an ``update(key, "add", 1)``."""
+    ``get`` its read cache serves, or an ``update(key, "add", 1)``; or a
+    ``refresh()`` of the whole map."""
     def make():
         kv = repro.DistHashMap(cache=True, replicas=1)
         key = next(key for key in (f"key:{k:06d}" for k in range(64))
@@ -104,6 +106,8 @@ def _kv(kind: str):
             return lambda i: kv.put(key, value)
         if kind == "get":
             return lambda i: kv.get(key)
+        if kind == "refresh":
+            return lambda i: kv.refresh()
         return lambda i: kv.update(key, "add", 1)
     return make
 
@@ -140,6 +144,7 @@ OPS = {
     "kv_put": (_kv("put"), 600, True),
     "kv_get": (_kv("get"), 500, True),
     "kv_update": (_kv("update"), 600, True),
+    "kv_refresh": (_kv("refresh"), 300, False),
     "sa_get": (_element("get"), 500, True),
     "sa_put": (_element("put"), 500, True),
     "barrier": (lambda: _barrier, 300, False),
@@ -163,15 +168,18 @@ CELLS = [
     Cell("gups", "smp", "off", (15, None)),
     Cell("gups", "proc+socket", "off", (15, None)),
     # DistHashMap(cache=True, replicas=1), a key rank 1 serves: caller /
-    # primary, under the kv workloads' flight telemetry.  A primary that
-    # leaves the opening barrier after the first put arrives does not
-    # count it: the smp update primary reads 128.92 (129.1 less a 600th)
+    # primary, under the kv workloads' flight telemetry
     Cell("kv_put", "smp", "flight", (127, 115)),
     Cell("kv_put", "proc+socket", "flight", (128, 116)),
     Cell("kv_get", "smp", "flight", (14, 0)),
     Cell("kv_get", "proc+socket", "flight", (14, 0)),
     Cell("kv_update", "smp", "flight", (142, 129)),
     Cell("kv_update", "proc+socket", "flight", (143, 130)),
+    # refresh() on both ranks: each surveys the other (one kv_roles AM)
+    # and serves the other's survey.  On proc the count moves with how
+    # often the survey's wait polls before the answer is in: 85.7-88.2
+    Cell("kv_refresh", "smp", "flight", (84, 84)),
+    Cell("kv_refresh", "proc+socket", "flight", (88, 88)),
     # sa[1] and sa[1] = i: one-sided, so rank 1 runs nothing for it
     Cell("sa_get", "smp", "off", (10, 0)),
     Cell("sa_get", "proc+socket", "off", (10, 0)),
@@ -195,7 +203,7 @@ def _count(name: str):
     runs = not client_only or repro.myrank() == 0
     for i in range(100 if runs else 0):
         op(i)
-    repro.barrier()
+    repro.barrier()             # the warm-up is served everywhere
     calls: collections.Counter = collections.Counter()
     wrappers = set()
 
@@ -209,8 +217,13 @@ def _count(name: str):
             elif any(w in path for w in WRAPPERS):
                 wrappers.add(f"{path}:{code.co_name}")
 
-    sys.setprofile(count)
     try:
+        if not runs:
+            # A serving rank counts from before the opening barrier: the
+            # client may send its first op as it leaves the barrier.
+            sys.setprofile(count)
+        repro.barrier()
+        sys.setprofile(count)
         for i in range(n if runs else 0):
             op(i)
         repro.barrier()
