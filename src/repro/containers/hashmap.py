@@ -158,7 +158,7 @@ def _traced(name: str, hist: str | None = None) -> Callable:
     after failover) inherits this span's trace id via the wire-frame
     trailer, so the whole chain — including handler spans on other
     ranks and kv_failover/kv_promote flight events — is one trace.
-    No-op (one extra call) when telemetry is inactive.
+    Two calls when telemetry is off; ``get`` inlines it around its wire.
     """
 
     def deco(fn: Callable) -> Callable:
@@ -287,13 +287,13 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
             raise
 
 
-def _resolve(ctx: RankState, map_id: int,
-             sid: int) -> tuple[HostedMap, Shard]:
+def _resolve(ctx: RankState, map_id: int, sid: int,
+             st: HostedMap | None = None) -> tuple[HostedMap, Shard]:
     """Resolve a request to the hosted primary that serves it, or raise
     the protocol exception that re-routes the client.  A request — read
     or write — reaching a backup whose primary is dead promotes it right
     here: that is the automatic-failover moment."""
-    st = _map_state(ctx, map_id)
+    st = st or _map_state(ctx, map_id)
     sh = st.lookup(sid)
     if not sh.is_primary and sh.primary in ctx.world.dead_ranks:
         _promote(ctx, map_id, st, sh)
@@ -365,13 +365,14 @@ def _kv_put_handler(ctx: RankState, am) -> None:
 @am_handler("kv_get")
 def _kv_get_handler(ctx: RankState, am) -> None:
     map_id, sid, *tail = am.args
-    nshards = _map_state(ctx, map_id).nshards
+    st = _map_state(ctx, map_id)
     hits = bytearray()
     vals = []
     shards: dict[int, Shard] = {}
     for k in am.payload:
-        s = sid if sid >= 0 else shard_of(k, nshards)
-        _st, shards[s] = _resolve(ctx, map_id, s)
+        s = sid if sid >= 0 else shard_of(k, st.nshards)
+        if s not in shards:     # resolve each shard once
+            _st, shards[s] = _resolve(ctx, map_id, s, st)
         hit, val = shards[s].lookup(k)
         hits.append(hit)
         vals.append(val)
@@ -521,13 +522,13 @@ class DistHashMap:
         # sid -> where this client sends for the shard, and what it has
         # cached from it; every shard is routed by the rendezvous below
         self._cache = {s: ShardCache() for s in range(self.nshards)}
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self.cache_hits = self.cache_misses = 0
         self.failovers = 0
         self.failover_latencies: list[float] = []
         self._pending_deaths: list[int] = []
         with ctx._handler_lock:
             st = _map_state(ctx, self.map_id)
+            self._home, self._shards = ctx, st.shards   # _read_near
             st.replicas = self.replicas
             me = ctx.rank
             st.shards.setdefault(me, Shard(
@@ -554,6 +555,9 @@ class DistHashMap:
         # failure detector re-route this client at its next op.
         ctx.world.on_rank_death(self._on_rank_death)
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_home": None, "_shards": None}
+
     # -- plumbing ----------------------------------------------------------
     def owner_of(self, key: Any) -> int:
         """The rank currently serving ``key``'s shard as primary (per
@@ -572,17 +576,19 @@ class DistHashMap:
             for shard in self._cache.values():
                 shard.lose(r)
 
-    def _note_reply(self, args: tuple) -> tuple[dict[int, int], tuple]:
+    def _note_reply(self, args: tuple, sent) -> tuple[dict[int, int], tuple]:
         """Rule 1 for each shard in a reply's ``(k, sid0, ep0, n0, ...,
-        key, ..., *extras)`` args; returns the epochs by shard (rule 2
-        asks for them) and the extras (e.g. kv_del's deleted-count)."""
+        key, ..., *extras)`` args to a request that ``sent`` those seen
+        epochs; returns the epochs by shard (rule 2 asks for them) and
+        the extras (e.g. kv_del's deleted-count)."""
         at = end = 1 + 3 * args[0]
         epochs = {}
+        since = dict(zip(sent[::2], sent[1::2]))
         for i in range(1, end, 3):
             sid, epoch, n = args[i:i + 3]
             epochs[sid] = epoch
-            self._cache[sid].contact(
-                epoch, None if n < 0 else args[at:at + n])
+            self._cache[sid].contact(epoch, None if n < 0 else
+                                     args[at:at + n], since.get(sid, -1))
             at += max(n, 0)
         return epochs, args[at:]
 
@@ -730,9 +736,9 @@ class DistHashMap:
                     target, handler,
                     args=(self.map_id, arg, *extra, *seen),
                     payload=payload(ks), expect_reply=True)
-                calls.append((target, shards, ks, fut))
+                calls.append((target, shards, ks, seen, fut))
             pending = {}
-            for target, shards, ks, fut in calls:
+            for target, shards, ks, seen, fut in calls:
                 try:
                     if fut is None:
                         raise RankDead(f"rank {target} is dead")
@@ -754,22 +760,13 @@ class DistHashMap:
                         raise
                     self._follow_redirect(ctx, exc)
                 else:
-                    replies.append((ks, *self._note_reply(args), reply))
+                    replies.append((ks, *self._note_reply(args, seen), reply))
                     continue
                 pending.update(shards)
         self._end_failover(ctx, t_fail, what)
         return replies
 
     # -- local fast paths ----------------------------------------------------
-    @staticmethod
-    def _hosted(shards: dict[int, Shard], sid: int) -> Shard | None:
-        """The copy of ``sid`` in this rank's ``shards`` if it serves
-        the op without the wire (the serving primary).  Only trustworthy
-        under the handler lock — unlocked, it is a hint that taking the
-        lock is worth it."""
-        sh = shards.get(sid)
-        return sh if sh is not None and sh.serves() else None
-
     def _mutate_local(self, ctx: RankState, sid: int,
                       apply: Callable[[Shard], tuple | None],
                       nkeys: int = 1) -> tuple[Shard, tuple | None] | None:
@@ -779,11 +776,12 @@ class DistHashMap:
         must go to the wire: the shard is not (or, deposed while
         replicating, no longer) ours."""
         shards = _map_state(ctx, self.map_id).shards
-        if self._hosted(shards, sid) is None:
-            return None
+        sh = shards.get(sid)
+        if sh is None or not sh.serves():
+            return None     # unlocked, a hint that the lock is worth it
         try:
             with ctx._handler_lock:
-                if self._hosted(shards, sid) is None:
+                if shards.get(sid) is not sh or not sh.serves():
                     return None
                 sh, rec = _mutate(ctx, self.map_id, sid, apply)
         except KvStalePrimary:
@@ -794,41 +792,40 @@ class DistHashMap:
 
     def _read_near(self, ctx: RankState, sid: int,
                    key: Any) -> tuple[bool, Any] | None:
-        """Serve a read without the wire — from a hosted copy, else
-        from the cache — as ``(found, private value)``; ``None`` sends
-        the caller to the wire."""
-        shards = _map_state(ctx, self.map_id).shards
-        if self._hosted(shards, sid) is not None:
+        """Serve a read without the wire — from the hosted serving
+        primary (bound at construction; from another rank's context its
+        own), else from the cache — as ``(found, private value)``;
+        ``None`` sends the caller to the wire.  Counts the read in one
+        counter call and traces nothing."""
+        shards = (self._shards if ctx is self._home
+                  else _map_state(ctx, self.map_id).shards)
+        sh = shards.get(sid)
+        if sh is not None and sh.is_primary:
             with ctx._handler_lock:
                 # Re-validate: a migration, drop or deposition that
-                # landed while we waited for the lock retired the copy,
-                # and the read must chase the redirect instead.
-                sh = self._hosted(shards, sid)
-                if sh is not None:
-                    found, val = sh.lookup(key)
-                    ctx.stats.add(local_accesses=1)
-                    return found, _copy(val) if found else None
-        if self._cache_enabled:
-            cached = self._cache[sid].entries
-            if key in cached:
-                self.cache_hits += 1
-                ctx.stats.add(kv_cache_hits=1)
-                # Copy on the way out: gets hand back private values
-                # everywhere, so a caller mutating its result can never
-                # corrupt the cache (or, via the SMP by-reference
-                # conduit, the owner's store).
-                return True, _copy(cached[key])
-            self.cache_misses += 1
-            ctx.stats.add(kv_cache_misses=1)
+                # landed while we waited for the lock retired or froze
+                # the copy, and the read must chase the redirect instead.
+                if shards.get(sid) is sh and sh.moving_to is None:
+                    ctx.stats.add(kv_gets=1, local_accesses=1)
+                    return key in sh.store, _copy(sh.store.get(key))
+        cached = self._cache[sid].entries    # empty with the cache off
+        if key in cached:
+            self.cache_hits += 1
+            ctx.stats.add(kv_gets=1, kv_cache_hits=1)
+            # Copy on the way out: a caller mutating its result must
+            # never corrupt the cache (or, via the SMP by-reference
+            # conduit, the owner's store).
+            return True, _copy(cached[key])
+        self.cache_misses += self._cache_enabled
+        ctx.stats.add(kv_gets=1, kv_cache_misses=self._cache_enabled)
         return None
 
-    def _cache_fetched(self, epochs: dict, key: Any, val: Any) -> Any:
-        """Remember a value fetched from its owner in a reply with those
-        ``epochs`` (rule 2); returns the value to hand out (a copy when
-        caching, so the cached object stays private)."""
+    def _cache_fetched(self, epochs: dict, sid: int, key, val) -> Any:
+        """Remember a value of shard ``sid`` fetched from its owner in a
+        reply with those ``epochs`` (rule 2); returns the value to hand
+        out (a copy when caching, so the cached object stays private)."""
         if not self._cache_enabled:
             return val
-        sid = shard_of(key, self.nshards)
         self._cache[sid].fill(epochs[sid], key, val)
         return _copy(val)
 
@@ -850,23 +847,29 @@ class DistHashMap:
         if self._cache_enabled:     # write-through
             self._cache[sid].fill(epochs[sid], key, _copy(value))
 
-    @_traced("kv_get", "kv_get")
     def get(self, key: Any, default: Any = _MISSING) -> Any:
-        """Fetch ``key`` (cache first); KeyError unless ``default``."""
+        """Fetch ``key`` — from a hosted primary, else the cache, else
+        the wire; KeyError unless ``default``."""
         ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.add(kv_gets=1)
-        # A hosted primary, and then the cache, serve the read without
-        # touching the wire.
-        hit = self._read_near(ctx, sid, key)
-        if hit is None:
-            [(_ks, epochs, _x, ((found,), [val]))] = self._request(
-                ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
-                event="kv_get")
-            if found:
-                val = self._cache_fetched(epochs, key, val)
-        else:
-            found, val = hit
+        tel = ctx.telemetry
+        # A near read opens no span; only ``full``, whose kv_get
+        # histogram times every get, reads near inside it.
+        hit = None if tel.full else self._read_near(ctx, sid, key)
+        if hit is None:     # :func:`_traced`, around the wire part
+            opened = tel.active and tracing.open_span(tel)
+            try:
+                hit = tel.full and self._read_near(ctx, sid, key)
+                if not hit:
+                    [(_ks, epochs, _x, ((found,), [val]))] = self._request(
+                        ctx, "kv_get", f"kv_get({key!r})", {sid: [key]},
+                        event="kv_get")
+                    hit = found, found and self._cache_fetched(
+                        epochs, sid, key, val)
+            finally:
+                if opened:
+                    tracing.close_span(tel, opened, "kv_get", hist="kv_get")
+        found, val = hit
         if found:
             return val
         if default is not _MISSING:
@@ -917,7 +920,7 @@ class DistHashMap:
             ctx, "kv_update", f"kv_update({key!r})#op{op_id}",
             {sid: [key]}, lambda _ks: request, extra=(op_id,),
             event="kv_update")
-        return self._cache_fetched(epochs, key, new)
+        return self._cache_fetched(epochs, sid, key, new)
 
     # -- batched ops -------------------------------------------------------
     @_traced("kv_multi_get", "kv_multi")
@@ -939,20 +942,19 @@ class DistHashMap:
         ctx = current()
         out: list = [None if default is _MISSING else default] * len(keys)
         missing: list = []
-        key_pos: dict[Any, list[int]] = {}
+        wire: dict[Any, list[int]] = {}     # key -> [sid, *positions]
         pending: dict[int, list] = {}
         for pos, k in enumerate(keys):
             sid = shard_of(k, self.nshards)
             hit = self._read_near(ctx, sid, k)
             if hit is None:
-                if k not in key_pos:
+                if k not in wire:
                     pending.setdefault(sid, []).append(k)
-                key_pos.setdefault(k, []).append(pos)
+                wire.setdefault(k, [sid]).append(pos)
             elif hit[0]:
                 out[pos] = hit[1]
             else:
                 missing.append(k)
-        ctx.stats.add(kv_gets=len(keys))
         for ks, epochs, _x, (hits, vals) in self._request(
                 ctx, "kv_get", "multi_get", pending, batched=True,
                 event="kv_multi_get"):
@@ -960,8 +962,9 @@ class DistHashMap:
                 if not ok:
                     missing.append(k)
                     continue
-                val = self._cache_fetched(epochs, k, val)
-                for pos in key_pos[k]:
+                sid, *where = wire[k]
+                val = self._cache_fetched(epochs, sid, k, val)
+                for pos in where:
                     out[pos] = val
         if missing and default is _MISSING:
             raise KeyError(missing[0])
@@ -1055,10 +1058,7 @@ class DistHashMap:
 
     def local_size(self) -> int:
         """Entries in the primary shards hosted by the calling rank."""
-        ctx = current()
-        with ctx._handler_lock:
-            return sum(len(sh.store) for sh in
-                       _map_state(ctx, self.map_id).serving())
+        return len(self.local_keys())
 
     def local_keys(self) -> list:
         ctx = current()

@@ -311,7 +311,10 @@ class ShardCache:
 
     1. *contact* — a reply newer than ``seen`` advances it and drops the
        keys the reply names (:meth:`Shard.changed_since` the ``seen`` its
-       request carried; ``None``: all); an older reply changes nothing;
+       request carried, ``since``), or all of them — with ``None``, or
+       when ``since`` is newer than ``seen``: the client repointed and
+       refilled while the request was out, and the names do not cover
+       what it holds now; an older reply changes nothing;
     2. *fill* — a value is cached only if its reply is not older than
        ``seen``;
     3. *repoint* — a client that turns to another primary (:meth:`route`)
@@ -346,14 +349,14 @@ class ShardCache:
             return False
         return True
 
-    def contact(self, epoch: int, changed=None) -> None:
+    def contact(self, epoch: int, changed=None, since: int = -1) -> None:
         if epoch > self.seen:
-            self.seen = epoch
-            if changed is None:
+            if changed is None or since > self.seen:
                 self.entries.clear()
             else:
                 for k in changed:
                     self.entries.pop(k, None)
+            self.seen = epoch
 
     def fill(self, epoch: int, key: Any, value: Any) -> None:
         if epoch >= self.seen:

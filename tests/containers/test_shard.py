@@ -482,6 +482,30 @@ def test_shard_cache_rules():
     assert (c.seen, c.entries) == (-1, {})
 
 
+def test_a_reply_to_an_older_route_names_too_little():
+    """A client sent one request at seen -1 and a later one at seen 2,
+    then repointed (rule 3) before either reply landed.  The first
+    reply refills it at epoch 1; the second names only what changed
+    after the epoch *its* request carried (2), not the delete at 2 that
+    the refill predates — so it must drop everything.  (CachedClients
+    found this with held-back replies; a client with one request per
+    shard in flight never meets it.)"""
+    copy = Shard(SID, PRIMARY, 0, None)
+    copy.update(0, 1, "b", _add, (0,), 0, True)         # epoch 1: b = 0
+    first = (copy.epoch, None, {"b": copy.store["b"]})  # sent at seen -1
+    copy.delete(["b"])                                   # epoch 2
+    seen = copy.epoch
+    copy.update(0, 2, "a", _add, (0,), 0, True)         # epoch 3: a = 0
+    second = (copy.epoch, copy.changed_since(seen), {"a": 0})
+    c = ShardCache()
+    c.repoint()
+    for (epoch, changed, fills), since in ((first, -1), (second, seen)):
+        c.contact(epoch, changed, since)
+        for k, v in fills.items():
+            c.fill(epoch, k, v)
+    assert (c.seen, c.entries) == (3, {"a": 0})      # no stale "b"
+
+
 def test_shard_cache_routes_and_loses():
     c = ShardCache()
     c.route(0, 1)
@@ -580,17 +604,17 @@ class CachedClients(RuleBasedStateMachine):
         c.reign = self.reign
 
     def _reply(self, copy, epoch, seen, fills=()):
-        return (self.reign, epoch, copy.changed_since(seen),
+        return (self.reign, epoch, seen, copy.changed_since(seen),
                 {k: copy.store[k] for k in fills if k in copy.store})
 
     def _deliver(self, c, reply, now=True):
         if not now:
             self.held.append((c, reply))
             return
-        reign, epoch, changed, fills = reply
+        reign, epoch, since, changed, fills = reply
         if reign != c.reign:
             return      # the request died with the route it went down
-        c.cache.contact(epoch, changed)
+        c.cache.contact(epoch, changed, since)
         for k, v in fills.items():
             c.cache.fill(epoch, k, v)
 

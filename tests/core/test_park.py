@@ -44,11 +44,13 @@ def _round_trips():
 
 
 class _Bell:
-    """A rank's doorbell, noting when each park on it began and whether
-    it ended rung (``acquire`` got the lock) or by its timeout."""
+    """A rank's doorbell, noting when each park on it began and ended
+    and whether it ended rung (``acquire`` got the lock) or by its
+    timeout."""
 
-    def __init__(self, lock, parks: list):
+    def __init__(self, lock, rank: int, parks: list):
         self._lock = lock
+        self._rank = rank
         self._parks = parks
 
     def acquire(self, blocking=True, timeout=-1):
@@ -56,7 +58,7 @@ class _Bell:
             return self._lock.acquire(blocking, timeout)
         began = time.perf_counter()
         rung = self._lock.acquire(True, timeout)
-        self._parks.append((began, rung))
+        self._parks.append((self._rank, began, time.perf_counter(), rung))
         return rung
 
     def release(self):
@@ -68,16 +70,38 @@ class _Bell:
 
 class _ParkSpy(SmpConduit):
     """The smp backend with every rank's doorbell spied on: ``parks``
-    holds ``(began, rung)`` per park ``wait_until`` asks for."""
+    holds ``(rank, began, ended, rung)`` per park ``wait_until`` asks
+    for, ``delivered`` ``(rank, when)`` per AM put in a rank's inbox."""
 
     def __init__(self):
         super().__init__()
-        self.parks: list[tuple[float, bool]] = []
+        self.parks: list[tuple[int, float, float, bool]] = []
+        self.delivered: list[tuple[int, float]] = []
 
     def attach(self, world):
         super().attach(world)
         for rk in world.ranks:
-            rk._bell = _Bell(rk._bell, self.parks)
+            rk._bell = _Bell(rk._bell, rk.rank, self.parks)
+
+    def deliver_encoded(self, src, dst, am):
+        super().deliver_encoded(src, dst, am)
+        self.delivered.append((dst, time.perf_counter()))
+
+    def timeouts(self, t0: float, t1: float) -> str:
+        """Each park begun in ``[t0, t1)`` that ended by its timeout,
+        and whether an AM reached its rank while it slept: one did (a
+        lost wake: the ring never came) or none did (a stalled sender:
+        nothing was sent that could ring)."""
+        out = []
+        for rank, began, ended, rung in self.parks:
+            if rung or not t0 <= began < t1:
+                continue
+            n = sum(1 for r, when in self.delivered
+                    if r == rank and began <= when <= ended)
+            out.append(f"rank {rank} slept {(ended - began) * 1e3:.1f} ms: "
+                       + (f"lost wake, {n} AMs delivered meanwhile" if n
+                          else "stalled sender, nothing delivered"))
+        return "; ".join(out)
 
 
 @pytest.mark.parametrize("thread_mode", ["serialized", "concurrent"])
@@ -91,9 +115,11 @@ def test_round_trips_are_ended_by_rings(conduit, thread_mode):
         # Both ranks' parks in the timed window: rank 1's for the next
         # request, rank 0's for each reply.  A park that is preempted
         # still ends rung; one that nothing rang ends by its timeout.
-        parks = [rung for began, rung in spy.parks if t0 <= began < t1]
+        parks = [rung for _r, began, _e, rung in spy.parks
+                 if t0 <= began < t1]
         assert parks, "no wait_until parked in the backend's poll"
-        assert all(parks), f"{parks.count(False)} parks ended by timeout"
+        assert all(parks), (f"{parks.count(False)} parks ended by "
+                            f"timeout: {spy.timeouts(t0, t1)}")
 
 
 def _wait_for_the_clock() -> float:
@@ -158,17 +184,6 @@ def test_a_park_is_clipped_to_the_deadline(conduit):
     assert took < 0.005 + 0.05
 
 
-class _RankParkSpy(SmpConduit):
-    """The smp backend with one park list per rank: ``parks[r]`` holds
-    ``(began, rung)`` for each park rank ``r``'s waits ask for."""
-
-    def attach(self, world):
-        super().attach(world)
-        self.parks = [[] for _ in world.ranks]
-        for rk in world.ranks:
-            rk._bell = _Bell(rk._bell, self.parks[rk.rank])
-
-
 def test_a_rank_is_poked_after_its_progress_thread_runs_for_it():
     """In ``concurrent`` mode the progress thread runs a task for rank 1
     while rank 1's own thread is outside the runtime, so that run takes
@@ -198,8 +213,9 @@ def test_a_rank_is_poked_after_its_progress_thread_runs_for_it():
         done.set()
         return began
 
-    spy = _RankParkSpy()
+    spy = _ParkSpy()
     _, began = run_spmd(body, ranks=2, conduit=spy,
                         thread_mode="concurrent")
-    timed_out = [b for b, rung in spy.parks[1] if b >= began and not rung]
+    timed_out = [b for r, b, _e, rung in spy.parks
+                 if r == 1 and b >= began and not rung]
     assert not timed_out, "rank 1's park sat out PARK_S: it was not poked"

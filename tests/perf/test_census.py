@@ -93,19 +93,27 @@ def _kv(kind: str):
     """The kv workloads' map, ``DistHashMap(cache=True, replicas=1)``
     (collective), and one op on a key of theirs whose primary is rank 1
     and whose backup is rank 0: a replicated ``put`` of a 64 B value, a
-    ``get`` its read cache serves, or an ``update(key, "add", 1)``; or a
-    ``refresh()`` of the whole map."""
+    ``get`` its read cache serves, a ``get`` after ``invalidate_cache()``
+    (``get_miss``: one kv_get round trip), or an ``update(key, "add",
+    1)``; or a ``refresh()`` of the whole map.  ``get_local`` reads a key
+    whose primary is rank 0 itself."""
     def make():
         kv = repro.DistHashMap(cache=True, replicas=1)
+        owner = 0 if kind == "get_local" else 1
         key = next(key for key in (f"key:{k:06d}" for k in range(64))
-                   if kv.owner_of(key) == 1)
+                   if kv.owner_of(key) == owner)
         value = bytes(range(64))
         if repro.myrank() == 0:
             kv.put(key, 0 if kind == "update" else value)
         if kind == "put":
             return lambda i: kv.put(key, value)
-        if kind == "get":
+        if kind in ("get", "get_local"):
             return lambda i: kv.get(key)
+        if kind == "get_miss":
+            def get_miss(i):
+                kv.invalidate_cache()
+                return kv.get(key)
+            return get_miss
         if kind == "refresh":
             return lambda i: kv.refresh()
         return lambda i: kv.update(key, "add", 1)
@@ -143,6 +151,8 @@ OPS = {
     "gups": (_gups, 200, True),
     "kv_put": (_kv("put"), 600, True),
     "kv_get": (_kv("get"), 500, True),
+    "kv_get_local": (_kv("get_local"), 500, True),
+    "kv_get_miss": (_kv("get_miss"), 500, True),
     "kv_update": (_kv("update"), 600, True),
     "kv_refresh": (_kv("refresh"), 300, False),
     "sa_get": (_element("get"), 500, True),
@@ -169,12 +179,18 @@ CELLS = [
     Cell("gups", "proc+socket", "off", (15, None)),
     # DistHashMap(cache=True, replicas=1), a key rank 1 serves: caller /
     # primary, under the kv workloads' flight telemetry
-    Cell("kv_put", "smp", "flight", (127, 115)),
-    Cell("kv_put", "proc+socket", "flight", (128, 116)),
-    Cell("kv_get", "smp", "flight", (14, 0)),
-    Cell("kv_get", "proc+socket", "flight", (14, 0)),
-    Cell("kv_update", "smp", "flight", (142, 129)),
-    Cell("kv_update", "proc+socket", "flight", (143, 130)),
+    Cell("kv_put", "smp", "flight", (126, 115)),
+    Cell("kv_put", "proc+socket", "flight", (127, 116)),
+    Cell("kv_get", "smp", "flight", (6, 0)),
+    Cell("kv_get", "proc+socket", "flight", (6, 0)),
+    # get_local: a key rank 0 serves itself
+    Cell("kv_get_local", "smp", "flight", (6, 0)),
+    Cell("kv_get_local", "proc+socket", "flight", (6, 0)),
+    # invalidate_cache() (3 calls) and the get's kv_get round trip
+    Cell("kv_get_miss", "smp", "flight", (69, 54)),
+    Cell("kv_get_miss", "proc+socket", "flight", (69, 55)),
+    Cell("kv_update", "smp", "flight", (140, 129)),
+    Cell("kv_update", "proc+socket", "flight", (141, 130)),
     # refresh() on both ranks: each surveys the other (one kv_roles AM)
     # and serves the other's survey.  On proc the count moves with how
     # often the survey's wait polls before the answer is in: 85.7-88.2
