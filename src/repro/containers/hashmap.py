@@ -411,10 +411,10 @@ def _kv_update_handler(ctx: RankState, am) -> None:
 @am_handler("kv_repl")
 def _kv_repl_handler(ctx: RankState, am) -> None:
     """Backup side of the replication log.  Rejects stale primaries by
-    repl_epoch; otherwise replays the records into the local copy."""
+    repl_epoch; otherwise replays the records and acks with no args."""
     map_id, sid, repl_epoch = am.args
-    sh = _map_state(ctx, map_id).replay(sid, repl_epoch, am.payload)
-    ctx.reply(am, args=(sh.repl_epoch,))
+    _map_state(ctx, map_id).replay(sid, repl_epoch, am.payload)
+    ctx.reply(am)
 
 
 @am_handler("kv_install")
@@ -528,7 +528,7 @@ class DistHashMap:
         self._pending_deaths: list[int] = []
         with ctx._handler_lock:
             st = _map_state(ctx, self.map_id)
-            self._home, self._shards = ctx, st.shards   # _read_near
+            self._home, self._shards = ctx, st.shards   # the near paths
             st.replicas = self.replicas
             me = ctx.rank
             st.shards.setdefault(me, Shard(
@@ -651,10 +651,8 @@ class DistHashMap:
             self._survey(ctx)
         return t_fail
 
-    def _end_failover(self, ctx: RankState, t_fail: float | None,
+    def _end_failover(self, ctx: RankState, t_fail: float,
                       what: str) -> None:
-        if t_fail is None:
-            return
         dt = time.perf_counter() - t_fail
         self.failover_latencies.append(dt)
         tel = ctx.telemetry
@@ -703,7 +701,8 @@ class DistHashMap:
         t_fail = None
         first_round = True
         while pending:
-            self._drain_deaths()
+            if self._pending_deaths:
+                self._drain_deaths()
             dead = ctx.world.dead_ranks
             # (target rank, sid arg of the AM) -> {sid: keys}
             groups: dict[tuple[int, int], dict[int, list]] = {}
@@ -763,7 +762,8 @@ class DistHashMap:
                     replies.append((ks, *self._note_reply(args, seen), reply))
                     continue
                 pending.update(shards)
-        self._end_failover(ctx, t_fail, what)
+        if t_fail is not None:
+            self._end_failover(ctx, t_fail, what)
         return replies
 
     # -- local fast paths ----------------------------------------------------
@@ -775,9 +775,10 @@ class DistHashMap:
         AM handlers take, under the same lock.  ``None`` means the op
         must go to the wire: the shard is not (or, deposed while
         replicating, no longer) ours."""
-        shards = _map_state(ctx, self.map_id).shards
+        shards = (self._shards if ctx is self._home
+                  else _map_state(ctx, self.map_id).shards)
         sh = shards.get(sid)
-        if sh is None or not sh.serves():
+        if sh is None or not sh.is_primary:
             return None     # unlocked, a hint that the lock is worth it
         try:
             with ctx._handler_lock:

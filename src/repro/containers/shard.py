@@ -136,7 +136,7 @@ class Shard:
                           else self.moving_to)
 
     def require(self) -> None:
-        if not self.serves():
+        if not self.is_primary or self.moving_to is not None:  # serves()
             raise self.redirect()
 
     # -- client ops ----------------------------------------------------
@@ -413,12 +413,11 @@ class HostedMap:
                     return r
         return None
 
-    def replay(self, sid: int, repl_epoch: int, records: list) -> Shard:
+    def replay(self, sid: int, repl_epoch: int, records: list) -> None:
         sh = self.shards.get(sid)
         if sh is None:
             raise KvStalePrimary(sid, self.moved.get(sid))
         sh.replay(repl_epoch, records)
-        return sh
 
     def install(self, sid: int, snap: ShardSnapshot,
                 me: int) -> Shard | None:

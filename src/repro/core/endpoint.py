@@ -17,8 +17,8 @@ from typing import Any, Callable
 
 from repro.errors import PgasError, RankDead, SerializationError
 from repro.gasnet.am import PROBES, ActiveMessage, make_reply
+from repro.gasnet.trace import context, current_trace_id, new_event
 from repro.gasnet.wire.frame import Frame
-from repro.telemetry import tracing
 
 
 class Endpoint:
@@ -55,7 +55,7 @@ class Endpoint:
         :class:`~repro.errors.RankDead` at the call; a one-way AM drops."""
         tel = self.telemetry
         if tel.active:
-            am.trace_id, am.span_id = tracing.current_ids()
+            am.trace_id, am.span_id = context.ids
         if fut is None:
             if dst in self._dead:
                 self._refuse(dst, am)  # nobody waits: dropped
@@ -141,8 +141,11 @@ class Endpoint:
         self.stats.record_am_handled()
         if tel.active and am.handler not in PROBES:
             # (probe chatter would drown out the useful history)
-            tel.flight_event("am_handled", src=am.src_rank, dst=self.rank,
-                             detail=am.handler, trace_id=am.trace_id)
+            ev = new_event((time.perf_counter(), self.rank, "am_handled",
+                            am.src_rank, self.rank, 0, am.handler,
+                            am.trace_id or current_trace_id()))
+            for keep in tel.flight.keep:
+                keep(ev)
         if am.is_reply:
             entry = self._pending.pop(am.token, None)
             if entry is None:
@@ -159,23 +162,23 @@ class Endpoint:
             else:
                 entry[0].set_result((args, am.payload))
             return
-        bound = None
+        prev = None
         if am.trace_id and tel.active:
-            bound = tracing.bound(am.trace_id, tel.new_span_id())
-            bound.__enter__()
+            prev = context.ids
+            context.ids = ids = (am.trace_id, tel.new_span_id())
             t0 = time.perf_counter() if tel.full else 0.0
         try:
             self._dispatch(am)
         except Exception as exc:
             self.raised(am, exc)
         finally:
-            if bound is not None:
-                bound.__exit__()
+            if prev is not None:
+                context.ids = prev
                 if tel.full:
                     tel.record_span(
                         f"am:{am.handler}", t0, time.perf_counter() - t0,
                         detail=f"from rank {am.src_rank}",
-                        trace_id=am.trace_id, span_id=bound._ids[1],
+                        trace_id=am.trace_id, span_id=ids[1],
                         parent_id=am.span_id)
 
     def sweep(self, exc: BaseException, dst: int | None = None) -> None:

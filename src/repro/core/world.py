@@ -44,11 +44,11 @@ from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
+from repro.gasnet.trace import context
 from repro.telemetry import (
     MetricsSampler,
     WorldTelemetry,
     resolve_config as _resolve_telemetry,
-    tracing,
 )
 from repro.telemetry.flight import dump_on_failure
 
@@ -100,6 +100,10 @@ class RankState:
         #: This rank's telemetry state (histograms, flight recorder);
         #: always present — a no-op object when telemetry is "off".
         self.telemetry = world.telemetry.rank(rank)
+        #: Where each conduit op it initiates hands its CommEvent: its
+        #: flight ring while telemetry is on, then the world's sinks.
+        self.sinks = (self.telemetry.flight.keep if self.telemetry.active
+                      else ())
         # The doorbell smp parks on: held whenever no ring is pending,
         # released by ``conduit.wake`` (see :meth:`Conduit.poll`).
         self._bell = threading.Lock()
@@ -255,26 +259,28 @@ class RankState:
         fn = req.payload[0]
         name = getattr(fn, "__name__", None) or repr(fn)
         span_id = tel.new_span_id() if req.trace_id else 0
-        with tracing.bound(req.trace_id, span_id):  # (0, 0): untraced
-            t_run = time.perf_counter()
-            tel.flight_event("task_run", src=req.src_rank,
+        prev = context.ids
+        context.ids = (req.trace_id, span_id)   # (0, 0): untraced
+        t_run = time.perf_counter()
+        tel.flight_event("task_run", src=req.src_rank,
+                         dst=self.rank, detail=name)
+        if tel.full:
+            # Spawn -> run wait (time spent queued on this rank).
+            tel.histogram("task_queue_wait").record_seconds(
+                t_run - enqueued_at
+            )
+        try:
+            self._run_task(task)
+        finally:
+            dur = time.perf_counter() - t_run
+            tel.flight_event("task_done", src=req.src_rank,
                              dst=self.rank, detail=name)
+            context.ids = prev
             if tel.full:
-                # Spawn -> run wait (time spent queued on this rank).
-                tel.histogram("task_queue_wait").record_seconds(
-                    t_run - enqueued_at
-                )
-            try:
-                self._run_task(task)
-            finally:
-                dur = time.perf_counter() - t_run
-                tel.flight_event("task_done", src=req.src_rank,
-                                 dst=self.rank, detail=name)
-                if tel.full:
-                    tel.histogram("task_exec").record_seconds(dur)
-                    tel.record_span(f"task:{name}", t_run, dur,
-                                    trace_id=req.trace_id, span_id=span_id,
-                                    parent_id=req.span_id)
+                tel.histogram("task_exec").record_seconds(dur)
+                tel.record_span(f"task:{name}", t_run, dur,
+                                trace_id=req.trace_id, span_id=span_id,
+                                parent_id=req.span_id)
 
     def _run_task(self, task: tuple) -> None:
         """Run one queued async task and answer its request with the result
@@ -439,12 +445,9 @@ class World:
         #: Observability state (histograms, flight recorder, spans) —
         #: see :mod:`repro.telemetry`.  Mode "off" records nothing.
         self.telemetry = WorldTelemetry(n_ranks, _resolve_telemetry(telemetry))
-        #: Where every conduit op's CommEvent goes (see
-        #: :mod:`repro.gasnet.conduit`): the flight ring's sink when
-        #: telemetry is on, plus each open Trace's; empty, and free,
-        #: otherwise.  Replaced whole, never mutated.
-        self.sinks: tuple = ((self.telemetry.conduit_event,)
-                             if self.telemetry.enabled else ())
+        #: Each open Trace's sink, at the end of every rank's ``sinks``
+        #: too.  Replaced whole, never mutated.
+        self.sinks: tuple = ()
         #: The backend, for the whole life of the world.
         self.conduit = conduit if conduit is not None else SmpConduit()
         rel = _resolve_reliability(reliability)
@@ -493,12 +496,16 @@ class World:
         each conduit op's :class:`~repro.gasnet.trace.CommEvent`."""
         with self._glock:
             self.sinks = (*self.sinks, sink)
+            for rk in self.ranks:
+                rk.sinks = (*rk.sinks, sink)
 
     def remove_sink(self, sink: Callable) -> None:
         """Take ``sink`` (the object :meth:`add_sink` was given) out of
         :attr:`sinks`; not there, nothing happens."""
         with self._glock:
             self.sinks = tuple(s for s in self.sinks if s is not sink)
+            for rk in self.ranks:
+                rk.sinks = tuple(s for s in rk.sinks if s is not sink)
 
     def dump_flight_recorder(self, header: str = "", file=None) -> str:
         """Merge every rank's flight-recorder ring into one time-ordered

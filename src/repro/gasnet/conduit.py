@@ -48,10 +48,10 @@ direct segment accesses in :class:`Conduit` itself, and a backend
 writes only its transport: ``deliver_encoded``, ``poll``, ``wake``,
 ``attach`` and ``close``.  Each op is charged to the initiator's
 :class:`~repro.gasnet.stats.CommStats` and observed at the same site:
-while the world has sinks (``world.sinks``: the telemetry's flight ring,
-an open :class:`~repro.gasnet.trace.Trace`) the op's
-:class:`~repro.gasnet.trace.CommEvent` goes to each of them when it
-returns or raises; liveness probes (:data:`~repro.gasnet.am.PROBES`)
+while the initiator has sinks (``RankState.sinks``: its flight ring, an
+open :class:`~repro.gasnet.trace.Trace`) the op's
+:class:`~repro.gasnet.trace.CommEvent`, built once, goes to each of them
+when it returns or raises; liveness probes (:data:`~repro.gasnet.am.PROBES`)
 stay out.  With no sinks the cost is one test of an empty tuple.
 """
 
@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.errors import PgasError
 from repro.gasnet.am import PROBES, ActiveMessage
-from repro.gasnet.trace import CommEvent
+from repro.gasnet.trace import context, new_event
 from repro.gasnet.wire import encode_am
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,17 +119,17 @@ class Conduit(abc.ABC):
         raise PgasError(f"rank {r} out of range [0, {self.world.n_ranks})")
 
     def _observe(self, t0: float, kind: str, src: int, dst: int,
-                 nbytes: int, detail: str = "", trace_id: int = 0) -> None:
-        """Hand one op's :class:`CommEvent` to every sink of the world,
-        and its duration since ``t0`` (stamped in ``"full"`` only, else
-        0) to the initiator's latency histogram.  Ops call it, returned
-        or raised, only while the world has sinks."""
-        world = self.world
+                 nbytes: int, detail: str = "") -> None:
+        """Hand one RMA op's event, tagged with the thread's trace, to
+        the initiator's sinks, and its duration since ``t0`` (``"full"``
+        only) to its latency histogram; as :meth:`send_am` does inline."""
+        rank = self.world.ranks[src]
         t = perf_counter()
         if t0:
-            world.ranks[src].telemetry.record_op(kind, t - t0)
-        ev = CommEvent(t, src, kind, src, dst, nbytes, detail, trace_id)
-        for sink in world.sinks:
+            rank.telemetry.record_op(kind, t - t0)
+        ev = new_event((t, src, kind, src, dst, nbytes, detail,
+                        context.ids[0]))
+        for sink in rank.sinks:
             sink(ev)
 
     # -- active messages ------------------------------------------------
@@ -140,11 +140,12 @@ class Conduit(abc.ABC):
         hook, the ``dst`` range check, the encode unless the AM has its
         frame already (so the frame exists before delivery), one charge
         to the sender's stats, then :meth:`deliver_encoded`; however it
-        ends, the AM's event goes to the world's sinks, probes aside.
+        ends, the AM's event goes to the sender's sinks, probes aside.
         ``src`` is the caller's own rank."""
         world = self.world
-        sinks = world.sinks
-        t0 = perf_counter() if sinks and world.telemetry.full else 0.0
+        rank = world.ranks[src]
+        sinks = rank.sinks
+        t0 = perf_counter() if sinks and rank.telemetry.full else 0.0
         nbytes = 0
         try:
             if self.fail_next_am is not None:
@@ -152,7 +153,6 @@ class Conduit(abc.ABC):
                 raise exc
             if not 0 <= dst < world.n_ranks:
                 self._out_of_range(dst)
-            rank = world.ranks[src]
             frame = am._frame
             if frame is None:
                 frame = encode_am(am, rank.telemetry)
@@ -162,8 +162,14 @@ class Conduit(abc.ABC):
             self.deliver_encoded(src, dst, am)
         finally:
             if sinks and am.handler not in PROBES:
-                self._observe(t0, "reply" if am.is_reply else "am", src,
-                              dst, nbytes, am.handler, am.trace_id)
+                kind = "reply" if am.is_reply else "am"
+                t = perf_counter()
+                if t0:
+                    rank.telemetry.record_op(kind, t - t0)
+                ev = new_event((t, src, kind, src, dst, nbytes, am.handler,
+                                am.trace_id))
+                for sink in sinks:
+                    sink(ev)
 
     @abc.abstractmethod
     def deliver_encoded(self, src: int, dst: int,
@@ -231,7 +237,7 @@ class Conduit(abc.ABC):
         the target's lock; nothing defers or retains it), so callers may
         pass a live view of their own segment."""
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         try:
             if not 0 <= dst < world.n_ranks:
@@ -253,7 +259,7 @@ class Conduit(abc.ABC):
         the same byte length) is given — reads straight into ``out`` and
         returns it.  Idempotent either way, so it may be retried whole."""
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         try:
             if not 0 <= dst < world.n_ranks:
@@ -272,7 +278,7 @@ class Conduit(abc.ABC):
                    dtype: np.dtype, op, operand):
         """Atomically read-modify-write one element; returns old value."""
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         try:
             if not 0 <= dst < world.n_ranks:
@@ -296,7 +302,7 @@ class Conduit(abc.ABC):
                         elem_offsets: np.ndarray, data: np.ndarray) -> None:
         """Scatter ``data[k]`` to element offset ``elem_offsets[k]``."""
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         count = elem_offsets.size
         try:
@@ -317,7 +323,7 @@ class Conduit(abc.ABC):
                         ) -> np.ndarray:
         """Gather the elements at ``elem_offsets`` into a new array."""
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         count = elem_offsets.size
         try:
@@ -347,7 +353,7 @@ class Conduit(abc.ABC):
         be.  Returns the old values when ``return_old`` is true.
         """
         world = self.world
-        sinks = world.sinks
+        sinks = world.ranks[src].sinks
         t0 = perf_counter() if sinks and world.telemetry.full else 0.0
         count = elem_offsets.size
         try:

@@ -101,7 +101,7 @@ from repro.gasnet.conduit import Conduit, ConduitCaps
 from repro.gasnet.ring import RingConsumer, RingProducer, RingSpec
 from repro.gasnet.segment import Segment
 from repro.gasnet.wire.frame import (F_HAS_REFS, F_IS_REPLY, F_USED_PICKLE,
-                                     Frame)
+                                     new_frame)
 
 #: One capability set for both AM transports; which one a backend name
 #: pins is in ``Backend.options["transport"]``.
@@ -642,9 +642,9 @@ class ProcConduit(Conduit):
             refs = pickle.loads(buf[p:p + refs_len]) if refs_len else []
             off = p + refs_len
             flags = ctrl[1]
-            frame = Frame(ctrl, buffers, refs, size - refs_len,
-                          bool(flags & F_USED_PICKLE),
-                          bool(flags & F_HAS_REFS))
+            frame = new_frame((ctrl, buffers, refs, size - refs_len,
+                               bool(flags & F_USED_PICKLE),
+                               bool(flags & F_HAS_REFS)))
             self.frames_received += 1
             if (flags & F_IS_REPLY and taken is not None and not taken
                     and not inbox and me._handler_lock.acquire(False)):

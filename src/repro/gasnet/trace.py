@@ -16,12 +16,15 @@ record has three consumers and one spelling:
   recent ones per rank for the failure dump;
 * :func:`repro.telemetry.to_perfetto` draws them as instants.
 
-This is the lowest layer that emits events, so the record lives here
+This is the lowest layer that emits events, so the record and the trace
+context that tags it live here (bound by :mod:`repro.telemetry.tracing`)
 and :mod:`repro.gasnet` imports nothing from :mod:`repro.telemetry`.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -49,6 +52,24 @@ class CommEvent(NamedTuple):
     nbytes: int = 0
     detail: str = ""  # AM handler name, element count, diagnostics
     trace_id: int = 0  # causal trace (repro.telemetry.tracing); 0 = untraced
+
+
+#: ``new_event(fields)``: a :class:`CommEvent` built in C, not in Python.
+new_event = functools.partial(tuple.__new__, CommEvent)
+
+
+class _Context(threading.local):
+    ids: tuple = (0, 0)     # the class's: for a thread that bound none
+
+
+#: ``context.ids``: the calling thread's bound ``(trace_id, span_id)``.
+#: A binder saves it, assigns its own pair and restores the saved one.
+context = _Context()
+
+
+def current_trace_id() -> int:
+    """The calling thread's bound trace id (0 when untraced)."""
+    return context.ids[0]
 
 
 class Trace:

@@ -24,8 +24,10 @@ has to lock.
 
 from __future__ import annotations
 
+import functools
 import struct
 import time
+from typing import NamedTuple
 
 from repro.gasnet.am import ActiveMessage
 from repro.gasnet.wire import codecs as _c
@@ -53,20 +55,15 @@ CODEC_NONE = 0
 CODEC_OBJ = 1
 
 
-class Frame:
+class Frame(NamedTuple):
     """One encoded AM: control bytes + buffer/ref tables."""
 
-    __slots__ = ("ctrl", "buffers", "refs", "nbytes", "used_pickle",
-                 "has_refs")
-
-    def __init__(self, ctrl, buffers, refs, nbytes, used_pickle,
-                 has_refs):
-        self.ctrl = ctrl
-        self.buffers = buffers
-        self.refs = refs
-        self.nbytes = nbytes
-        self.used_pickle = used_pickle
-        self.has_refs = has_refs
+    ctrl: bytearray
+    buffers: list
+    refs: list
+    nbytes: int
+    used_pickle: bool
+    has_refs: bool
 
     def thaw(self) -> ActiveMessage:
         """Decode into a fresh :class:`ActiveMessage`: the target's own
@@ -79,14 +76,17 @@ class Frame:
             handler = "__reply__"
         else:
             handler = ctrl[HEADER.size:pos].decode()
-        if not args_len and codec_id == CODEC_NONE \
-                and not flags & F_HAS_TRACE:
-            # Trivial frame (bare signal / ping): nothing to
+        trace_id = span_id = 0
+        if flags & F_HAS_TRACE:
+            trace_id, span_id = TRACE_TRAILER.unpack_from(
+                ctrl, pos + args_len + meta_len)
+        if not args_len and codec_id == CODEC_NONE:
+            # Trivial frame (bare signal / ping / ack): nothing to
             # decode — skip the memoryview and decoder setup.
             am = ActiveMessage(
                 handler, src, (), None,
                 tok if flags & F_HAS_TOKEN else None,
-                bool(flags & F_IS_REPLY), aux)
+                bool(flags & F_IS_REPLY), aux, trace_id, span_id)
             am._wire_bytes = self.nbytes
             return am
         # one cursor over both regions: the meta region starts where
@@ -99,16 +99,16 @@ class Frame:
                        else _c._decode(dec))
         finally:
             mv.release()
-        trace_id = span_id = 0
-        if flags & F_HAS_TRACE:
-            trace_id, span_id = TRACE_TRAILER.unpack_from(
-                ctrl, pos + args_len + meta_len)
         am = ActiveMessage(
             handler, src, args, payload,
             tok if flags & F_HAS_TOKEN else None,
             bool(flags & F_IS_REPLY), aux, trace_id, span_id)
         am._wire_bytes = self.nbytes
         return am
+
+
+#: ``new_frame(fields)``: the :class:`Frame` of a tuple of its six fields.
+new_frame = functools.partial(tuple.__new__, Frame)
 
 
 def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
@@ -119,11 +119,10 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
     if frame is not None:
         return frame
     name = b"" if am.is_reply else am.handler.encode()
-    if not am.args and am.payload is None and not am.trace_id:
-        # Trivial AM (bare signal / ping): the frame is one fixed
-        # header and the name — skip the encoder and codec dispatch
-        # entirely.  This is the hot shape for request/reply latency
-        # paths.
+    if not am.args and am.payload is None:
+        # Trivial AM (bare signal / ping / ack): one fixed header, the
+        # name and the trailer if traced — no encoder, no codec dispatch.
+        # This is the hot shape for request/reply latency paths.
         tok = am.token
         if tok is None:
             tok = 0
@@ -131,11 +130,15 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
         else:
             flags = (F_HAS_TOKEN | F_IS_REPLY if am.is_reply
                      else F_HAS_TOKEN)
+        if am.trace_id:
+            flags |= F_HAS_TRACE
         ctrl = bytearray(HEADER.size)
         HEADER.pack_into(ctrl, 0, WIRE_VERSION, flags, CODEC_NONE,
                          len(name), am.src_rank, tok, am.aux, 0, 0, 0)
         ctrl += name
-        frame = Frame(ctrl, [], [], len(ctrl), False, False)
+        if am.trace_id:
+            ctrl += TRACE_TRAILER.pack(am.trace_id, am.span_id)
+        frame = new_frame((ctrl, [], [], len(ctrl), False, False))
         am._frame = frame
         am._wire_bytes = frame.nbytes
         return frame
@@ -177,8 +180,8 @@ def encode_am(am: ActiveMessage, tel=None, strict: bool = False) -> Frame:
     HEADER.pack_into(out, 0, WIRE_VERSION, flags, codec_id,
                      len(name), am.src_rank, tok,
                      am.aux, nbuf, args_len, meta_len)
-    frame = Frame(out, enc.buffers, enc.refs, len(out) + nbuf,
-                  enc.used_pickle, bool(enc.refs))
+    frame = new_frame((out, enc.buffers, enc.refs, len(out) + nbuf,
+                       enc.used_pickle, bool(enc.refs)))
     am._frame = frame
     am._wire_bytes = frame.nbytes
     if t0 is not None:

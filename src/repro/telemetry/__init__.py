@@ -14,9 +14,9 @@ package gives the runtime the instruments to answer that on live runs:
   export of traces + spans (ranks as pids).
 
 The conduit boundary is observed where each op is charged: the conduit
-hands every op's :class:`~repro.gasnet.trace.CommEvent` to the world's
-sinks, and while telemetry is on :meth:`WorldTelemetry.conduit_event`
-is one of them (see :mod:`repro.gasnet.conduit`).
+hands every op's :class:`~repro.gasnet.trace.CommEvent` to the
+initiating rank's sinks, while telemetry is on its flight ring's first
+(see :mod:`repro.gasnet.conduit`).
 
 Enable per world::
 

@@ -9,14 +9,15 @@ propagates out of :func:`repro.spmd`, on either launcher,
 :func:`dump_on_failure` merges all rings into one time-ordered,
 human-readable dump — the black box read-out.
 
-Recording one event is a timestamp, a tuple and a bounded
-``deque.append`` — no lock: the append, the ring's copy and ``next`` on
-the append count are each atomic under the GIL — cheap enough for the
-``"flight"`` telemetry mode to ride along on every conduit operation.
+Keeping one event is a tuple built in C, a bounded ``deque.append`` and
+``next`` on the append count — no lock: each, and the ring's copy, is
+atomic under the GIL — and no Python frame, so the ``"flight"``
+telemetry mode rides along on every conduit operation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from collections import deque
@@ -24,7 +25,7 @@ from time import perf_counter
 from typing import Iterable
 
 from repro.errors import CommTimeout, PeerFailure, RankDead
-from repro.gasnet.trace import CommEvent
+from repro.gasnet.trace import CommEvent, current_trace_id, new_event
 
 #: Default ring capacity (events kept per rank).
 DEFAULT_CAPACITY = 256
@@ -33,10 +34,13 @@ DEFAULT_CAPACITY = 256
 class FlightRecorder:
     """A bounded per-rank ring of :class:`~repro.gasnet.trace.CommEvent`.
 
-    ``events`` and ``dropped`` seed the ring and its eviction count: a
-    ring shipped from a rank process keeps what it was shipped with."""
+    ``keep``: the two C calls that keep an event built elsewhere (the
+    ring's append, the count's tick).  ``events`` and ``dropped`` seed
+    the ring and its eviction count: a ring shipped from a rank process
+    keeps what it was shipped with."""
 
-    __slots__ = ("rank", "capacity", "_ring", "_appends", "_shipped")
+    __slots__ = ("rank", "capacity", "keep", "_ring", "_appends",
+                 "_cleared", "_shipped")
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY,
                  events: Iterable[CommEvent] = (), dropped: int = 0):
@@ -44,18 +48,18 @@ class FlightRecorder:
         self.capacity = capacity
         self._ring: deque[CommEvent] = deque(events, maxlen=capacity)
         self._appends = itertools.count(len(self._ring))
+        # next(count, ev) ticks the count: ev is a default it never needs
+        self.keep = (self._ring.append,
+                     functools.partial(next, self._appends))
+        self._cleared = 0       # the append count at the last clear()
         self._shipped = dropped
 
     def record(self, kind: str, src: int = -1, dst: int = -1,
                nbytes: int = 0, detail: str = "",
                trace_id: int = 0) -> None:
-        self._ring.append(CommEvent(perf_counter(), self.rank, kind, src,
-                                    dst, nbytes, detail, trace_id))
-        next(self._appends)
-
-    def append(self, ev: CommEvent) -> None:
-        """Keep an event built elsewhere (a conduit op's)."""
-        self._ring.append(ev)
+        self._ring.append(new_event((
+            perf_counter(), self.rank, kind, src, dst, nbytes, detail,
+            trace_id or current_trace_id())))
         next(self._appends)
 
     @property
@@ -64,14 +68,14 @@ class FlightRecorder:
         exact once appends stop."""
         # A count's repr is its next value, read without advancing it.
         appends = int(repr(self._appends)[6:-1])
-        return self._shipped + max(0, appends - self.capacity)
+        return self._shipped + max(0, appends - self._cleared - self.capacity)
 
     def snapshot(self) -> list[CommEvent]:
         return list(self._ring)
 
     def clear(self) -> None:
         self._ring.clear()
-        self._appends = itertools.count()
+        self._cleared = int(repr(self._appends)[6:-1])
         self._shipped = 0
 
     def __len__(self) -> int:

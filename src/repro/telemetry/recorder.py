@@ -10,7 +10,7 @@ Three modes, resolved from the ``telemetry=`` knob on
     (``tel.full``).
 ``"flight"``
     Only the :class:`~repro.telemetry.flight.FlightRecorder` ring runs:
-    one bounded append per conduit op / task event.  This is the mode
+    one bounded append per conduit op / runtime event.  This is the mode
     for long-running jobs that want a black box but no histograms.
 ``"full"``
     Flight recorder **plus** per-op latency histograms
@@ -30,8 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.gasnet.trace import CommEvent
-from repro.telemetry import tracing
 from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder, merge_dump
 from repro.telemetry.histogram import LogHistogram
 
@@ -47,10 +45,6 @@ _OP_HISTOGRAM = {
     "put_indexed": "rma_put_indexed", "get_indexed": "rma_get_indexed",
     "atomic_batch": "rma_atomic_batch",
 }
-
-#: Event kinds of messages, which ``Endpoint.send`` (or the reply to a
-#: request) stamped with their trace id before the conduit saw them.
-_AM_KINDS = ("am", "reply")
 
 
 @dataclass
@@ -130,6 +124,9 @@ class RankTelemetry:
     The two gate attributes are plain bools read on hot paths:
     ``active`` (any recording at all) and ``full`` (histograms + spans).
 
+    ``flight_event`` is the ring's :meth:`FlightRecorder.record` (a no-op
+    while telemetry is off): an untagged event takes the thread's trace.
+
     ``new_trace_id()`` and ``new_span_id()`` mint from one rank-salted
     sequence, ``(rank + 1) << 40 | n`` for n = 1, 2, ... — never 0, and
     the same ids on every fixed-seed run.  Each is ``next`` on an
@@ -137,8 +134,8 @@ class RankTelemetry:
     """
 
     __slots__ = ("rank", "mode", "active", "full", "flight",
-                 "_hist", "_hist_lock", "_spans", "_span_lock",
-                 "spans_dropped", "new_trace_id",
+                 "flight_event", "_hist", "_hist_lock", "_spans",
+                 "_span_lock", "spans_dropped", "new_trace_id",
                  "new_span_id")
 
     def __init__(self, rank: int, config: TelemetryConfig):
@@ -147,6 +144,8 @@ class RankTelemetry:
         self.active = config.mode != "off"
         self.full = config.mode == "full"
         self.flight = FlightRecorder(rank, config.flight_capacity)
+        self.flight_event = (self.flight.record if self.active
+                             else lambda *args, **kwargs: None)
         self._hist: dict[str, LogHistogram] = {}
         self._hist_lock = threading.Lock()
         self._spans: list[Span] = []
@@ -183,17 +182,6 @@ class RankTelemetry:
     def histograms(self) -> dict[str, LogHistogram]:
         with self._hist_lock:
             return dict(self._hist)
-
-    # -- flight recorder --------------------------------------------------
-    def flight_event(self, kind: str, src: int = -1, dst: int = -1,
-                     nbytes: int = 0, detail: str = "",
-                     trace_id: int = 0) -> None:
-        # An untagged event inherits the thread's bound trace context, so
-        # e.g. kv_failover/kv_promote events inside a traced client op or
-        # handler are tagged without caller changes.
-        if self.active:
-            self.flight.record(kind, src, dst, nbytes, detail,
-                               trace_id or tracing.current_trace_id())
 
     # -- spans ------------------------------------------------------------
     def record_span(self, name: str, t0: float, dur: float,
@@ -245,21 +233,6 @@ class WorldTelemetry:
 
     def all_spans(self) -> list[Span]:
         return [s for rt in self.ranks for s in rt.spans()]
-
-    # -- the conduit's event sink ---------------------------------------------
-    def conduit_event(self, ev: CommEvent) -> None:
-        """The world's sink while telemetry is on (``world.sinks``): each
-        conduit op's event goes into its initiator's flight ring.  An
-        RMA op's event is tagged with the thread's bound trace, as
-        :meth:`RankTelemetry.flight_event` does; an ``am`` or ``reply``
-        event carries the id its message was stamped with from that
-        same context.  (The op's duration, in ``"full"``, goes to
-        :meth:`RankTelemetry.record_op`.)"""
-        if not ev.trace_id and ev.kind not in _AM_KINDS:
-            trace_id = tracing.current_trace_id()
-            if trace_id:
-                ev = ev._replace(trace_id=trace_id)
-        self.ranks[ev.rank].flight.append(ev)
 
     # -- flight recorder --------------------------------------------------
     def dump_flight_recorder(self, header: str = "",

@@ -24,28 +24,21 @@ reproduce identical ids run-to-run.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional, Tuple
 
-_UNBOUND: Tuple[int, int] = (0, 0)
-_tls = threading.local()
+from repro.gasnet.trace import context, current_trace_id
 
 
 def current_ids() -> Tuple[int, int]:
     """The calling thread's bound ``(trace_id, span_id)``; (0, 0) when
     no trace context is active."""
-    return getattr(_tls, "ids", _UNBOUND)
-
-
-def current_trace_id() -> int:
-    """The calling thread's bound trace id (0 when untraced)."""
-    return getattr(_tls, "ids", _UNBOUND)[0]
+    return context.ids
 
 
 class bound:
     """Context manager binding an explicit ``(trace_id, span_id)`` pair
-    to the calling thread — the handler-dispatch side of propagation."""
+    to the calling thread."""
 
     __slots__ = ("_ids", "_prev")
 
@@ -53,12 +46,12 @@ class bound:
         self._ids = (trace_id, span_id)
 
     def __enter__(self) -> "bound":
-        self._prev = getattr(_tls, "ids", _UNBOUND)
-        _tls.ids = self._ids
+        self._prev = context.ids
+        context.ids = self._ids
         return self
 
     def __exit__(self, *exc) -> None:
-        _tls.ids = self._prev
+        context.ids = self._prev
 
 
 def open_span(tel) -> tuple:
@@ -67,8 +60,8 @@ def open_span(tel) -> tuple:
     else a child of the bound one.  Returns what :func:`close_span`
     takes, ``(previous ids, this span's ids, start time)``; only
     ``full`` reads the clock."""
-    prev = getattr(_tls, "ids", _UNBOUND)
-    _tls.ids = ids = (prev[0] or tel.new_trace_id(), tel.new_span_id())
+    prev = context.ids
+    context.ids = ids = (prev[0] or tel.new_trace_id(), tel.new_span_id())
     return prev, ids, time.perf_counter() if tel.full else 0.0
 
 
@@ -78,7 +71,7 @@ def close_span(tel, opened: tuple, name: str, detail: str = "",
     record the span — its duration also into the ``hist`` latency
     histogram when one is named."""
     prev, (trace_id, span_id), t0 = opened
-    _tls.ids = prev
+    context.ids = prev
     if tel.full:
         dur = time.perf_counter() - t0
         if hist is not None:

@@ -24,6 +24,10 @@ import repro
 from repro.gasnet.am import ActiveMessage, make_reply
 from repro.gasnet.wire import HEADER, UnencodableError, encode_am, preencode
 from repro.gasnet.wire import codecs as codecs_mod
+from repro.gasnet.wire.frame import (
+    CODEC_NONE, F_HAS_TOKEN, F_HAS_TRACE, F_IS_REPLY, TRACE_TRAILER,
+    WIRE_VERSION,
+)
 from tests.conftest import run_spmd
 
 
@@ -467,6 +471,34 @@ def test_a_reply_carries_no_name(args, payload):
     assert out.args == args and out.payload == payload
     if not args and payload is None:
         assert len(frame.ctrl) == HEADER.size
+
+
+@pytest.mark.parametrize("is_reply", [False, True])
+def test_a_traced_empty_frame_is_trivial(monkeypatch, is_reply):
+    """No args and no payload make a frame trivial, traced or not (a
+    kv_repl ack under telemetry): it encodes and thaws with no Encoder
+    or Decoder, keeps its ids, and its bytes are the header, the name
+    and the 16-byte trace trailer, as the codec path wrote them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trivial frame built a codec object")
+
+    monkeypatch.setattr(codecs_mod, "Encoder", refuse)
+    monkeypatch.setattr(codecs_mod, "Decoder", refuse)
+    trace_id, span_id = (1 << 40) | 5, (2 << 40) | 9
+    req = ActiveMessage("kv_repl", 2, token=11, trace_id=trace_id,
+                        span_id=span_id)
+    am = make_reply(req, 1) if is_reply else req
+    frame = encode_am(am)
+    name = b"" if is_reply else b"kv_repl"
+    flags = F_HAS_TRACE | F_HAS_TOKEN | (F_IS_REPLY if is_reply else 0)
+    assert bytes(frame.ctrl) == HEADER.pack(
+        WIRE_VERSION, flags, CODEC_NONE, len(name), am.src_rank, 11, 0,
+        0, 0, 0) + name + TRACE_TRAILER.pack(trace_id, span_id)
+    assert frame.nbytes == len(frame.ctrl) and not frame.buffers
+    out = frame.thaw()
+    assert (out.handler, out.src_rank, out.args, out.payload, out.token,
+            out.is_reply, out.trace_id, out.span_id) == (
+        am.handler, am.src_rank, (), None, 11, is_reply, trace_id, span_id)
 
 
 @pytest.mark.parametrize("items", [

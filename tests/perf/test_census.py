@@ -163,50 +163,56 @@ OPS = {
 
 CELLS = [
     # async_(1)(echo, i).get(): caller / target
-    Cell("rpc", "smp", "off", (40, 32)),
-    Cell("rpc", "proc+socket", "off", (40, 33)),
-    Cell("rpc", "smp", "flight", (50, 48)),
-    Cell("rpc", "proc+socket", "flight", (50, 49)),
+    Cell("rpc", "smp", "off", (39, 31)),
+    Cell("rpc", "proc+socket", "off", (38, 31)),
+    Cell("rpc", "smp", "flight", (42, 37)),
+    Cell("rpc", "proc+socket", "flight", (41, 37)),
     # with finish(): async_(1)(echo, i) -- the scope's wait, not get()
-    Cell("finish_rpc", "smp", "off", (51, 32)),
-    Cell("finish_rpc", "proc+socket", "off", (51, 33)),
+    Cell("finish_rpc", "smp", "off", (50, 31)),
+    Cell("finish_rpc", "proc+socket", "off", (49, 31)),
     # async_after(1, fired)(echo, i).get(), the event already signalled
-    Cell("after_rpc", "smp", "off", (41, 32)),
-    Cell("after_rpc", "proc+socket", "off", (41, 33)),
+    Cell("after_rpc", "smp", "off", (40, 31)),
+    Cell("after_rpc", "proc+socket", "off", (39, 31)),
     # SharedArray.atomic_batch, one 256-update window; rank 1 runs
     # nothing for it (the RMA is one-sided)
     Cell("gups", "smp", "off", (15, None)),
     Cell("gups", "proc+socket", "off", (15, None)),
     # DistHashMap(cache=True, replicas=1), a key rank 1 serves: caller /
     # primary, under the kv workloads' flight telemetry
-    Cell("kv_put", "smp", "flight", (126, 115)),
-    Cell("kv_put", "proc+socket", "flight", (127, 116)),
+    Cell("kv_put", "smp", "flight", (101, 93)),
+    Cell("kv_put", "proc+socket", "flight", (100, 92)),
     Cell("kv_get", "smp", "flight", (6, 0)),
     Cell("kv_get", "proc+socket", "flight", (6, 0)),
     # get_local: a key rank 0 serves itself
     Cell("kv_get_local", "smp", "flight", (6, 0)),
     Cell("kv_get_local", "proc+socket", "flight", (6, 0)),
     # invalidate_cache() (3 calls) and the get's kv_get round trip
-    Cell("kv_get_miss", "smp", "flight", (69, 54)),
-    Cell("kv_get_miss", "proc+socket", "flight", (69, 55)),
-    Cell("kv_update", "smp", "flight", (140, 129)),
-    Cell("kv_update", "proc+socket", "flight", (141, 130)),
+    Cell("kv_get_miss", "smp", "flight", (59, 44)),
+    Cell("kv_get_miss", "proc+socket", "flight", (58, 44)),
+    Cell("kv_update", "smp", "flight", (115, 107)),
+    Cell("kv_update", "proc+socket", "flight", (114, 106)),
+    # the replicated put and update with telemetry off: flight's share
+    # of a replicated write is the difference from their flight cells
+    Cell("kv_put", "smp", "off", (97, 93)),
+    Cell("kv_put", "proc+socket", "off", (96, 92)),
+    Cell("kv_update", "smp", "off", (111, 107)),
+    Cell("kv_update", "proc+socket", "off", (110, 106)),
     # refresh() on both ranks: each surveys the other (one kv_roles AM)
     # and serves the other's survey.  On proc the count moves with how
-    # often the survey's wait polls before the answer is in: 85.7-88.2
-    Cell("kv_refresh", "smp", "flight", (84, 84)),
-    Cell("kv_refresh", "proc+socket", "flight", (88, 88)),
+    # often the survey's wait polls before the answer is in: 73.0-75.5
+    Cell("kv_refresh", "smp", "flight", (71, 71)),
+    Cell("kv_refresh", "proc+socket", "flight", (75, 75)),
     # sa[1] and sa[1] = i: one-sided, so rank 1 runs nothing for it
     Cell("sa_get", "smp", "off", (10, 0)),
     Cell("sa_get", "proc+socket", "off", (10, 0)),
     Cell("sa_put", "smp", "off", (10, 0)),
     Cell("sa_put", "proc+socket", "off", (10, 0)),
     # every rank calls it.  A proc barrier costs one more poll when its
-    # peer's token is not in yet as it starts to wait: 46.2-48.2 measured
-    Cell("barrier", "smp", "off", (44, 44)),
-    Cell("barrier", "proc+socket", "off", (48, 48)),
-    Cell("allreduce", "smp", "off", (58, 57)),
-    Cell("allreduce", "proc+socket", "off", (59, 58)),
+    # peer's token is not in yet as it starts to wait: 44.2-46.2 measured
+    Cell("barrier", "smp", "off", (43, 43)),
+    Cell("barrier", "proc+socket", "off", (46, 46)),
+    Cell("allreduce", "smp", "off", (57, 56)),
+    Cell("allreduce", "proc+socket", "off", (57, 56)),
 ]
 
 

@@ -2,9 +2,10 @@
 
 The ring's append, its copy and its append count are each atomic under
 the GIL, so concurrent recorders and a concurrent dump need no lock;
-``dropped`` is exact once the appends stop.  The last test pins what
-one remote put and one cached get record, event by event, so a cheaper
-recording path is checked to record the same stream.
+``dropped`` is exact once the appends stop.  The last two tests pin
+what one remote put and one cached get record, event by event, on smp
+and on the shipped proc+socket backend, so a cheaper recording path is
+checked to record the same stream.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 import threading
 import time
 from collections import Counter
+
+import numpy as np
 
 import repro
 from repro.containers import DistHashMap
@@ -137,3 +140,63 @@ def test_one_remote_put_and_one_cached_get_record_one_stream():
     assert put_trace >> 40 == 1  # minted by rank 0
     assert {ev.trace_id for evs in stream.values() for ev in evs} \
         == {put_trace}
+
+
+def _put_and_get_window():
+    """One rank of the proc+socket leg: rank 0 puts to a key rank 1
+    serves, then gets it from its cache; each rank returns the key and
+    the ``(kind, detail, trace_id)`` of its flight events in its own
+    window around the op.  Each signal is a one-sided put into the
+    peer's slot of a flag array, ``[ready, done]`` per rank, polled in
+    the receiver's own slab: an RMA event lands in its initiator's ring
+    before the window opens or after it closes, and no AM is handled
+    inside it but the op's.  Rank 1's window runs from its ready signal
+    to when it learns the op ended (a send's event is stamped after
+    delivery, so its last one may follow rank 0's end)."""
+    me = repro.myrank()
+    ctx = repro.current_world().ranks[me]
+    m = DistHashMap(replicas=1, cache=True)
+    key = next(f"k{i}" for i in range(1000)
+               if shard_of(f"k{i}", m.nshards) == 1)
+    flags = repro.SharedArray(np.float64, 4, block=2)
+    repro.barrier()
+    mine, peer = flags.local_view(), 2 * (1 - me)
+    flags[peer] = 1.0       # out of the barrier: its messages are handled
+    t0 = time.perf_counter()    # rank 1's window: the signal's event is out
+    ctx.wait_until(lambda: mine[0] == 1.0, what="test: rendezvous")
+    if me == 0:
+        t0 = time.perf_counter()
+        m.put(key, 42)
+        assert m.get(key) == 42
+        t1 = time.perf_counter()
+        assert m.cache_hits == 1
+        flags[peer + 1] = 1.0
+    else:
+        ctx.wait_until(lambda: mine[1] == 1.0, what="test: the op")
+        t1 = time.perf_counter()
+    stream = [(ev.kind, ev.detail, ev.trace_id)
+              for ev in ctx.telemetry.flight.snapshot() if t0 <= ev.t <= t1]
+    if me == 1:
+        flags[peer + 1] = 1.0   # snapshot taken: rank 0 may send again
+    else:
+        ctx.wait_until(lambda: mine[1] == 1.0, what="test: the snapshot")
+    repro.barrier()
+    return key, stream
+
+
+def test_one_remote_put_and_one_cached_get_record_one_stream_on_proc():
+    """The smp test's stream, event for event, on proc+socket: each
+    rank records it in its own process, and the ids still join."""
+    (key, stream0), (_, stream1) = run_spmd(
+        _put_and_get_window, ranks=2, conduit="proc+socket",
+        telemetry="flight")
+    assert [ev[:2] for ev in stream0] == [
+        ("kv_put", repr(key)), ("am", "kv_put"),
+        ("am_handled", "kv_repl"), ("reply", "__reply__"),
+        ("am_handled", "__reply__")]
+    assert [ev[:2] for ev in stream1] == [
+        ("am_handled", "kv_put"), ("am", "kv_repl"),
+        ("am_handled", "__reply__"), ("reply", "__reply__")]
+    put_trace = stream0[0][2]
+    assert put_trace >> 40 == 1  # minted by rank 0
+    assert {ev[2] for ev in stream0 + stream1} == {put_trace}

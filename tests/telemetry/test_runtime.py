@@ -43,6 +43,7 @@ def test_off_mode_the_world_has_no_sinks():
         assert not world.telemetry.enabled
         ctx = current()
         assert not ctx.telemetry.active and not ctx.telemetry.full
+        assert ctx.sinks == ()      # what the rank's conduit ops test
         repro.barrier()
         return True
 
