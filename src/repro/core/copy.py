@@ -68,11 +68,11 @@ def _transfer(src: GlobalPtr, dst: GlobalPtr, count: int) -> int:
     if src.rank == ctx.rank:
         # local -> remote, or local -> local (the put then runs on our
         # own segment, overlap-safe like memmove)
-        ctx.stats.add(local_accesses=1)
+        ctx.stats.record_local()
         rma.put(ctx, dst.rank, dst.offset,
                 rma.local_view(ctx, src.offset, np.uint8, nbytes))
     elif dst.rank == ctx.rank:
-        ctx.stats.add(local_accesses=1)
+        ctx.stats.record_local()
         rma.get(ctx, src.rank, src.offset, np.uint8, nbytes,
                 out=rma.local_view(ctx, dst.offset, np.uint8, nbytes))
     else:

@@ -259,7 +259,7 @@ class SharedArray:
         if rank == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
-                ctx.stats.add(local_accesses=1)
+                ctx.stats.record_local()
                 return slab[off]
         return rma.get(ctx, rank, self._bases[rank] + off * self._itemsize,
                        self.dtype, 1)[0]
@@ -272,7 +272,7 @@ class SharedArray:
         if rank == ctx.rank:
             slab = self._local_slab(ctx)
             if slab is not None:
-                ctx.stats.add(local_accesses=1)
+                ctx.stats.record_local()
                 slab[off] = value
                 return
         rma.put(ctx, rank, self._bases[rank] + off * self._itemsize,

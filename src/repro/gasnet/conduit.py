@@ -244,8 +244,7 @@ class Conduit(abc.ABC):
                 self._out_of_range(dst)
             ranks = world.ranks
             nbytes = ranks[dst].segment.typed_write(offset, data)
-            ranks[src].stats.add(puts=1, put_bytes=nbytes,
-                                 remote_accesses=1)
+            ranks[src].stats.record_put(nbytes)
         finally:
             if sinks:
                 self._observe(t0, "put", src, dst, data.nbytes)
@@ -266,8 +265,7 @@ class Conduit(abc.ABC):
                 self._out_of_range(dst)
             ranks = world.ranks
             out = ranks[dst].segment.typed_read(offset, dtype, count, out)
-            ranks[src].stats.add(gets=1, get_bytes=out.nbytes,
-                                 remote_accesses=1)
+            ranks[src].stats.record_get(out.nbytes)
             return out
         finally:
             if sinks:
@@ -284,7 +282,7 @@ class Conduit(abc.ABC):
             if not 0 <= dst < world.n_ranks:
                 self._out_of_range(dst)
             ranks = world.ranks
-            ranks[src].stats.add(atomics=1, remote_accesses=1)
+            ranks[src].stats.record_atomic()
             return ranks[dst].segment.atomic_update(offset, dtype, op,
                                                     operand)
         finally:
@@ -309,9 +307,7 @@ class Conduit(abc.ABC):
             if not 0 <= dst < world.n_ranks:
                 self._out_of_range(dst)
             ranks = world.ranks
-            ranks[src].stats.add(puts_indexed=1, put_bytes=data.nbytes,
-                                 batched_elements=count,
-                                 remote_accesses=count)
+            ranks[src].stats.record_put_indexed(data.nbytes, count)
             ranks[dst].segment.typed_write_indexed(base, elem_offsets, data)
         finally:
             if sinks:
@@ -332,9 +328,7 @@ class Conduit(abc.ABC):
             ranks = world.ranks
             out = ranks[dst].segment.typed_read_indexed(base, dtype,
                                                         elem_offsets)
-            ranks[src].stats.add(gets_indexed=1, get_bytes=out.nbytes,
-                                 batched_elements=count,
-                                 remote_accesses=count)
+            ranks[src].stats.record_get_indexed(out.nbytes, count)
             return out
         finally:
             if sinks:

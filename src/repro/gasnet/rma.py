@@ -17,7 +17,7 @@ def put(ctx, dst_rank: int, offset: int, data: np.ndarray) -> None:
     :func:`local_view` of the caller's own segment (how ``copy()`` moves
     its bytes in one pass)."""
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=1)
+        ctx.stats.record_local()
         ctx.segment.typed_write(offset, data)
     else:
         ctx.world.conduit.rma_put(ctx.rank, dst_rank, offset, data)
@@ -34,7 +34,7 @@ def get(ctx, dst_rank: int, offset: int, dtype: np.dtype, count: int,
     directly and ``out`` is returned.
     """
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=1)
+        ctx.stats.record_local()
         return ctx.segment.typed_read(offset, dtype, count, out)
     return ctx.world.conduit.rma_get(
         ctx.rank, dst_rank, offset, dtype, count, out=out
@@ -48,7 +48,7 @@ def atomic(ctx, dst_rank: int, offset: int, dtype: np.dtype, op, operand):
     segment lock (models NIC-side atomics).
     """
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=1)
+        ctx.stats.record_local()
         return ctx.segment.atomic_update(offset, dtype, op, operand)
     return ctx.world.conduit.rma_atomic(
         ctx.rank, dst_rank, offset, dtype, op, operand
@@ -69,7 +69,7 @@ def put_indexed(ctx, dst_rank: int, base: int, elem_offsets: np.ndarray,
     """Scatter ``data[k]`` to element offset ``elem_offsets[k]`` (relative
     to byte offset ``base``) in ``dst_rank``'s segment, as one operation."""
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=elem_offsets.size)
+        ctx.stats.record_local(elem_offsets.size)
         ctx.segment.typed_write_indexed(base, elem_offsets, data)
     else:
         ctx.world.conduit.rma_put_indexed(
@@ -82,7 +82,7 @@ def get_indexed(ctx, dst_rank: int, base: int, dtype: np.dtype,
     """Gather the elements at ``elem_offsets`` from ``dst_rank``'s segment
     with one operation; returns an owned copy."""
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=elem_offsets.size)
+        ctx.stats.record_local(elem_offsets.size)
         return ctx.segment.typed_read_indexed(base, dtype, elem_offsets)
     return ctx.world.conduit.rma_get_indexed(
         ctx.rank, dst_rank, base, dtype, elem_offsets
@@ -96,7 +96,7 @@ def atomic_batch(ctx, dst_rank: int, base: int, dtype: np.dtype,
     whole batch under a single target-lock acquisition on capable
     conduits.  Returns old values when ``return_old`` is true."""
     if dst_rank == ctx.rank:
-        ctx.stats.add(local_accesses=elem_offsets.size)
+        ctx.stats.record_local(elem_offsets.size)
         return ctx.segment.atomic_batch_update(
             base, dtype, elem_offsets, op, operands, return_old
         )

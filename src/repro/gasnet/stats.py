@@ -101,9 +101,10 @@ class CommStats:
     def add(self, **deltas: int) -> None:
         """Add each delta to its named counter, all under one lock
         acquisition — the call site says what it counts:
-        ``stats.add(puts=1, put_bytes=n, remote_accesses=1)``.  Bools
-        add as 0/1.  A name that is not a declared counter raises
-        :class:`AttributeError` before anything is changed."""
+        ``stats.add(kv_failovers=1)``.  Bools add as 0/1.  A name that
+        is not a declared counter raises :class:`AttributeError` before
+        anything is changed.  For cold paths and tests: a per-op path
+        charges through a ``record_*`` method below instead."""
         if not _COUNTER_SET.issuperset(deltas):
             unknown = sorted(set(deltas) - _COUNTER_SET)
             raise AttributeError(f"CommStats has no counter {unknown}")
@@ -112,40 +113,169 @@ class CommStats:
             for name, n in deltas.items():
                 d[name] += n
 
-    def record_am_handled(self) -> None:
-        """One AM dispatched: :meth:`record_am_wire`'s other end, hand-
-        written for the same reason."""
-        with self._lock:
-            self.ams_handled += 1
+    # The recorders: one per charge a per-op path makes, each the
+    # ``add`` its docstring names, spelled out.  They take the same lock
+    # by acquire()/release(), with no kwargs dict, name check, loop or
+    # ``with`` frame (nothing between the two can raise): two counters
+    # cost 0.19 µs against add's 0.86 (timeit, 2-vCPU Xeon, 3.11).
 
     def record_am_wire(self, nbytes: int, used_pickle: bool,
                        by_ref: bool, is_reply: bool) -> None:
-        """One AM sent as one encoded frame.  Hand-written because it
-        runs on every send, where the generic seven-counter :meth:`add`
-        measured +3 % ``cpu_s_per_kop`` on the ``rpc_*`` spine
-        workloads."""
-        with self._lock:
-            self.ams_sent += 1
-            self.am_bytes += nbytes
-            if is_reply:
-                self.replies_sent += 1
-            self.wire_frames += 1
-            if used_pickle:
-                self.pickle_fallbacks += 1
-            else:
-                self.wire_fixed += 1
-            if by_ref:
-                self.wire_byref += 1
+        """One AM sent as one encoded frame: ``add(ams_sent=1,
+        am_bytes=nbytes, replies_sent=is_reply, wire_frames=1,
+        pickle_fallbacks=used_pickle, wire_fixed=not used_pickle,
+        wire_byref=by_ref)``."""
+        self._lock.acquire()
+        self.ams_sent += 1
+        self.am_bytes += nbytes
+        if is_reply:
+            self.replies_sent += 1
+        self.wire_frames += 1
+        if used_pickle:
+            self.pickle_fallbacks += 1
+        else:
+            self.wire_fixed += 1
+        if by_ref:
+            self.wire_byref += 1
+        self._lock.release()
+
+    def record_am_handled(self) -> None:
+        """One AM dispatched: ``add(ams_handled=1)``."""
+        self._lock.acquire()
+        self.ams_handled += 1
+        self._lock.release()
+
+    def record_put(self, nbytes: int) -> None:
+        """``add(puts=1, put_bytes=nbytes, remote_accesses=1)``."""
+        self._lock.acquire()
+        self.puts += 1
+        self.put_bytes += nbytes
+        self.remote_accesses += 1
+        self._lock.release()
+
+    def record_get(self, nbytes: int) -> None:
+        """``add(gets=1, get_bytes=nbytes, remote_accesses=1)``."""
+        self._lock.acquire()
+        self.gets += 1
+        self.get_bytes += nbytes
+        self.remote_accesses += 1
+        self._lock.release()
+
+    def record_atomic(self) -> None:
+        """``add(atomics=1, remote_accesses=1)``."""
+        self._lock.acquire()
+        self.atomics += 1
+        self.remote_accesses += 1
+        self._lock.release()
+
+    def record_put_indexed(self, nbytes: int, count: int) -> None:
+        """``add(puts_indexed=1, put_bytes=nbytes,
+        batched_elements=count, remote_accesses=count)``."""
+        self._lock.acquire()
+        self.puts_indexed += 1
+        self.put_bytes += nbytes
+        self.batched_elements += count
+        self.remote_accesses += count
+        self._lock.release()
+
+    def record_get_indexed(self, nbytes: int, count: int) -> None:
+        """``add(gets_indexed=1, get_bytes=nbytes,
+        batched_elements=count, remote_accesses=count)``."""
+        self._lock.acquire()
+        self.gets_indexed += 1
+        self.get_bytes += nbytes
+        self.batched_elements += count
+        self.remote_accesses += count
+        self._lock.release()
 
     def record_atomic_batch(self, count: int) -> None:
-        """One batched atomic of ``count`` elements on a remote owner's
-        segment: one conduit op.  Hand-written like
-        :meth:`record_am_wire`: it runs once per remote owner of every
-        GUPS window."""
-        with self._lock:
-            self.atomic_batches += 1
-            self.batched_elements += count
-            self.remote_accesses += count
+        """``add(atomic_batches=1, batched_elements=count,
+        remote_accesses=count)``: one batched atomic on a remote
+        owner's segment, one conduit op."""
+        self._lock.acquire()
+        self.atomic_batches += 1
+        self.batched_elements += count
+        self.remote_accesses += count
+        self._lock.release()
+
+    def record_local(self, count: int = 1) -> None:
+        """``add(local_accesses=count)``: an access served from this
+        rank's own memory."""
+        self._lock.acquire()
+        self.local_accesses += count
+        self._lock.release()
+
+    def record_collective(self, barrier: bool) -> None:
+        """``add(collectives=1, barriers=barrier)``: one collective
+        started."""
+        self._lock.acquire()
+        self.collectives += 1
+        if barrier:
+            self.barriers += 1
+        self._lock.release()
+
+    def record_coll_msgs(self, count: int) -> None:
+        """``add(coll_msgs=count)``: one collective step's sends."""
+        self._lock.acquire()
+        self.coll_msgs += count
+        self._lock.release()
+
+    def record_kv_get_hosted(self) -> None:
+        """``add(kv_gets=1, local_accesses=1)``: a get served from a
+        primary shard this rank hosts."""
+        self._lock.acquire()
+        self.kv_gets += 1
+        self.local_accesses += 1
+        self._lock.release()
+
+    def record_kv_get_cached(self) -> None:
+        """``add(kv_gets=1, kv_cache_hits=1)``: a get served from the
+        read cache."""
+        self._lock.acquire()
+        self.kv_gets += 1
+        self.kv_cache_hits += 1
+        self._lock.release()
+
+    def record_kv_get_missed(self, cacheable: bool) -> None:
+        """``add(kv_gets=1, kv_cache_misses=cacheable)``: a get that
+        goes to the wire."""
+        self._lock.acquire()
+        self.kv_gets += 1
+        if cacheable:
+            self.kv_cache_misses += 1
+        self._lock.release()
+
+    def record_kv_puts(self, count: int) -> None:
+        """``add(kv_puts=count)``."""
+        self._lock.acquire()
+        self.kv_puts += count
+        self._lock.release()
+
+    def record_kv_update(self) -> None:
+        """``add(kv_updates=1)``."""
+        self._lock.acquire()
+        self.kv_updates += 1
+        self._lock.release()
+
+    def record_kv_delete(self) -> None:
+        """``add(kv_deletes=1)``."""
+        self._lock.acquire()
+        self.kv_deletes += 1
+        self._lock.release()
+
+    def record_kv_multi(self, ops: int, keys: int) -> None:
+        """``add(kv_multi_ops=ops, kv_batched_keys=keys)``: one
+        multi-op's ``keys`` remote keys coalesced into ``ops`` AMs."""
+        self._lock.acquire()
+        self.kv_multi_ops += ops
+        self.kv_batched_keys += keys
+        self._lock.release()
+
+    def record_kv_repl(self, records: int) -> None:
+        """``add(kv_repl_records=records)``: one replication hop."""
+        self._lock.acquire()
+        self.kv_repl_records += records
+        self._lock.release()
 
     # Derived properties read several counters that a concurrent
     # add() may be mid-update on, so they all go through snapshot()

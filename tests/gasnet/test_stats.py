@@ -57,6 +57,61 @@ def test_record_am_wire_is_the_generic_add_spelled_out(used_pickle, by_ref,
     assert fast.snapshot() == generic.snapshot()
 
 
+#: Every other fixed-argument recorder, with each of its branches:
+#: ``(recorder, args, the add() deltas it must charge)``.
+RECORDERS = [
+    ("record_am_handled", (), dict(ams_handled=1)),
+    ("record_put", (24,), dict(puts=1, put_bytes=24, remote_accesses=1)),
+    ("record_get", (24,), dict(gets=1, get_bytes=24, remote_accesses=1)),
+    ("record_atomic", (), dict(atomics=1, remote_accesses=1)),
+    ("record_put_indexed", (64, 8),
+     dict(puts_indexed=1, put_bytes=64, batched_elements=8,
+          remote_accesses=8)),
+    ("record_get_indexed", (64, 8),
+     dict(gets_indexed=1, get_bytes=64, batched_elements=8,
+          remote_accesses=8)),
+    ("record_atomic_batch", (128,),
+     dict(atomic_batches=1, batched_elements=128, remote_accesses=128)),
+    ("record_local", (), dict(local_accesses=1)),
+    ("record_local", (7,), dict(local_accesses=7)),
+    ("record_collective", (False,), dict(collectives=1, barriers=False)),
+    ("record_collective", (True,), dict(collectives=1, barriers=True)),
+    ("record_coll_msgs", (3,), dict(coll_msgs=3)),
+    ("record_kv_get_hosted", (), dict(kv_gets=1, local_accesses=1)),
+    ("record_kv_get_cached", (), dict(kv_gets=1, kv_cache_hits=1)),
+    ("record_kv_get_missed", (False,),
+     dict(kv_gets=1, kv_cache_misses=False)),
+    ("record_kv_get_missed", (True,), dict(kv_gets=1, kv_cache_misses=True)),
+    ("record_kv_puts", (5,), dict(kv_puts=5)),
+    ("record_kv_update", (), dict(kv_updates=1)),
+    ("record_kv_delete", (), dict(kv_deletes=1)),
+    ("record_kv_multi", (2, 9), dict(kv_multi_ops=2, kv_batched_keys=9)),
+    ("record_kv_repl", (4,), dict(kv_repl_records=4)),
+]
+
+
+@pytest.mark.parametrize(
+    "recorder, args, deltas", RECORDERS,
+    ids=[f"{name}{args}" for name, args, _ in RECORDERS])
+def test_a_recorder_is_the_generic_add_spelled_out(recorder, args, deltas):
+    """Like :meth:`CommStats.record_am_wire`, the per-op recorders are
+    hand-written for speed only: each must count exactly what the
+    equivalent ``add`` would, twice over (so an assignment where an
+    increment belongs shows), and leave its lock free."""
+    fast, generic = CommStats(), CommStats()
+    for _ in range(2):
+        getattr(fast, recorder)(*args)
+        generic.add(**deltas)
+    assert fast.snapshot() == generic.snapshot()
+    assert all(type(v) is int for v in fast.snapshot().values())
+    assert not fast._lock.locked()
+
+
+def test_every_recorder_is_in_a_table():
+    assert ({name for name in dir(CommStats) if name.startswith("record_")}
+            == {"record_am_wire"} | {name for name, _a, _d in RECORDERS})
+
+
 def test_add_bool_deltas_count_as_ints():
     s = CommStats()
     s.add(wire_frames=1, pickle_fallbacks=True, wire_fixed=False,
@@ -132,10 +187,21 @@ def test_detector_counters_snapshot_reset_aggregate():
     assert s.snapshot()["dead_peer_fastfails"] == 0
 
 
-def test_derived_properties_consistent_under_concurrent_updates():
+def _charge_by_add(s: CommStats) -> None:
+    s.add(puts_indexed=1, put_bytes=32, batched_elements=4,
+          remote_accesses=4)
+
+
+def _charge_by_recorder(s: CommStats) -> None:
+    s.record_put_indexed(32, 4)
+
+
+def test_derived_properties_consistent_under_concurrent_updates(
+        charge=_charge_by_add):
     """messages/bytes_moved/coalescing_ratio read several counters; they
     must come from one locked snapshot, never a torn multi-field read
-    (e.g. a put counted in ``puts`` but not yet in ``put_bytes``)."""
+    (e.g. a put counted in ``puts`` but not yet in ``put_bytes``),
+    whether the writers ``charge`` through ``add`` or a recorder."""
     import threading
 
     s = CommStats()
@@ -144,8 +210,7 @@ def test_derived_properties_consistent_under_concurrent_updates():
 
     def writer():
         while not stop.is_set():
-            s.add(puts_indexed=1, put_bytes=32, batched_elements=4,
-                  remote_accesses=4)
+            charge(s)
 
     def reader():
         while not stop.is_set():
@@ -169,6 +234,11 @@ def test_derived_properties_consistent_under_concurrent_updates():
     assert not torn
     assert s.messages == s.batched_ops == s.snapshot()["puts_indexed"]
     assert s.coalescing_ratio == 4.0
+
+
+def test_derived_properties_consistent_under_concurrent_recorder_updates():
+    test_derived_properties_consistent_under_concurrent_updates(
+        charge=_charge_by_recorder)
 
 
 def test_kv_counters_snapshot_reset_aggregate():

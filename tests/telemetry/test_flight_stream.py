@@ -89,7 +89,11 @@ def test_one_remote_put_and_one_cached_get_record_one_stream():
     """smp, 2 ranks, ``flight``: a put to a key rank 1 owns (replicated
     to rank 0, its backup), then a get of it that the cache answers.
     The put records the request, the replication hop and both replies,
-    each under the put's trace id; the cached get records nothing."""
+    each under the put's trace id; the cached get records nothing.
+    Each rank's events are windowed by its own clock: rank 1's from the
+    barrier to when its wait for rank 0's window ends, since a send's
+    event is stamped after delivery, so its last reply may follow rank
+    0's end."""
     holder: dict = {}
     flags: dict = {}
 
@@ -104,6 +108,7 @@ def test_one_remote_put_and_one_cached_get_record_one_stream():
                    if shard_of(f"k{i}", m.nshards) == 1)
         flags["key"] = key
         repro.barrier()
+        t0 = time.perf_counter()    # rank 1's window: the barrier is out
         # A rendezvous past the barrier that sends nothing, so no
         # barrier message is handled inside the window.
         flags[me] = True
@@ -114,17 +119,25 @@ def test_one_remote_put_and_one_cached_get_record_one_stream():
             t0 = time.perf_counter()
             m.put(key, 42)
             assert m.get(key) == 42
-            flags["window"] = (t0, time.perf_counter())
+            flags[("window", 0)] = (t0, time.perf_counter())
             assert m.cache_hits == 1
             world.poke_all()
+            # No barrier message may reach rank 1 inside its window.
+            ctx.wait_until(lambda: ("window", 1) in flags,
+                           what="test: rank 1's window")
         else:
-            ctx.wait_until(lambda: "window" in flags, what="test: the op")
+            ctx.wait_until(lambda: ("window", 0) in flags,
+                           what="test: the op")
+            flags[("window", 1)] = (t0, time.perf_counter())
+            world.poke_all()
         repro.barrier()
 
     run_spmd(body, ranks=2, conduit="smp", telemetry="flight")
-    t0, t1 = flags["window"]
-    stream = {rt.rank: [ev for ev in rt.flight.snapshot() if t0 <= ev.t <= t1]
-              for rt in holder["world"].telemetry.ranks}
+    stream = {}
+    for rt in holder["world"].telemetry.ranks:
+        t0, t1 = flags[("window", rt.rank)]
+        stream[rt.rank] = [ev for ev in rt.flight.snapshot()
+                           if t0 <= ev.t <= t1]
     kinds = {r: Counter((ev.kind, ev.detail) for ev in evs)
              for r, evs in stream.items()}
     assert kinds[0] == Counter({
