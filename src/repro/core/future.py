@@ -4,12 +4,11 @@ Futures, events, ``finish`` scopes and async-copy handles are one class,
 as UPC++ v1.0 later folded them onto futures and promises (Bachan et
 al., IPDPS 2019): a count of outstanding dependencies (1 for a future, 0
 for an event or a scope), a value or the first exception, and callbacks
-run each time the count reaches zero.  Completions run in the owning
-rank's ``advance()`` or on the progress thread, which pokes the rank
-itself, so a future's completion wakes nobody; an event or a scope,
-which a thread acting as no rank or as another rank may count down,
-pokes its owner at zero.  ``get()`` polls progress while waiting, like
-``future.get()`` in the paper.
+run each time the count reaches zero.  A future completes in its
+owner's ``advance()`` or on the progress thread, which pokes the owner
+itself; an event or a scope pokes its owner at zero when a thread not
+acting as it counts it down (:mod:`repro.core.progress`).  ``get()``
+polls progress while waiting, like ``future.get()`` in the paper.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ class Future:
             callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
-        # The owner's own thread is not parked, and retests before it
-        # parks; a poke from it would end its next park for nothing.
+        # Not from the owner's own thread: it retests before it parks.
         if self._pokes and getattr(_tls, "ctx", None) is not self._ctx:
             self._ctx.poke()
 

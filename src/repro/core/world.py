@@ -1,21 +1,13 @@
-"""SPMD world and per-rank runtime state.
+"""SPMD world and per-rank runtime state (paper §IV).
 
-The execution model follows the paper §IV:
-
-* each UPC++ *rank* is an independent execution unit (here: one thread of
-  the launching process, with a private :class:`~repro.gasnet.segment.Segment`
-  as its share of the global address space);
-* incoming active messages and spawned async tasks are processed when the
-  rank calls ``advance()`` — either explicitly or implicitly inside every
-  blocking runtime call;
-* in ``concurrent`` thread-support mode, an additional progress thread
-  drains inboxes of ranks that are busy computing (the paper's "worker
-  Pthread").
-
-:func:`spmd` is the launcher: it runs a function on ``n`` ranks and
-returns the per-rank results.  If any rank raises, all blocked peers are
-released with :class:`~repro.errors.PeerFailure` and the original
-exception is re-raised on the launching thread.
+Each UPC++ *rank* is one thread of the launching process, with a private
+:class:`~repro.gasnet.segment.Segment` as its share of the global
+address space; what arrives for it runs by its
+:class:`~repro.core.progress.Progress` engine.  :func:`spmd` runs a
+function on ``n`` ranks and returns the per-rank results.  If any rank
+raises, all blocked peers are released with
+:class:`~repro.errors.PeerFailure` and the original exception is
+re-raised on the launching thread.
 """
 
 from __future__ import annotations
@@ -24,7 +16,6 @@ import functools
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -40,11 +31,11 @@ from repro.core.coll_engine import CollEngine
 from repro.core.endpoint import Endpoint
 from repro.core.future import Future, _tls
 from repro.core.liveness import Liveness
+from repro.core.progress import PARK_S, Progress, _RankKilled, serve
 from repro.gasnet.am import ActiveMessage, am_handler, handler_registry
 from repro.gasnet.segment import Segment
 from repro.gasnet.smp import SmpConduit
 from repro.gasnet.stats import CommStats
-from repro.gasnet.trace import context
 from repro.telemetry import (
     MetricsSampler,
     WorldTelemetry,
@@ -57,17 +48,6 @@ from repro.telemetry.flight import dump_on_failure
 DEFAULT_SEGMENT_SIZE = 16 * 1024 * 1024
 
 _world_ids = itertools.count(1)
-
-#: The longest one park in :meth:`RankState.wait_until` lasts (seconds).
-#: A park ends by a ring — every message, self-send and poke rings the
-#: rank's doorbell — so this clock is only the safety net for a
-#: predicate nobody rings for (one that reads the clock) and for the
-#: failure detector, which judges a peer only by a prober that drained
-#: within half a ``peer_timeout``.  It must exceed a kernel tick (4 ms
-#: at ``HZ=250``): on a 2-vCPU Firecracker VM, arming and cancelling a
-#: timer shorter than that reprograms the clock event device on every
-#: park, 5-10 us a round trip.
-PARK_S = 0.02
 
 
 def current() -> "RankState":
@@ -86,13 +66,12 @@ def try_current() -> Optional["RankState"]:
     return getattr(_tls, "ctx", None)
 
 
-class RankState:
-    """Everything one rank owns: segment, inbox, task queue, and the
-    :class:`~repro.core.endpoint.Endpoint` its messages go through."""
+class RankState(Progress):
+    """Everything one rank owns: segment, the :class:`Endpoint` its
+    messages go through, and the progress engine it is."""
 
     def __init__(self, world: "World", rank: int, segment_size: int):
         self.world = world
-        self.rank = rank
         factory = world._segment_factory
         self.segment = (Segment(segment_size, rank=rank)
                         if factory is None else factory(rank, segment_size))
@@ -104,21 +83,6 @@ class RankState:
         #: flight ring while telemetry is on, then the world's sinks.
         self.sinks = (self.telemetry.flight.keep if self.telemetry.active
                       else ())
-        # The doorbell smp parks on: held whenever no ring is pending,
-        # released by ``conduit.wake`` (see :meth:`Conduit.poll`).
-        self._bell = threading.Lock()
-        self._bell.acquire()
-        #: Raised by :meth:`poke` before it wakes the rank: the next
-        #: park returns at once (see :meth:`Conduit.poll`).
-        self._poked = False
-        # Arrived messages: ActiveMessages, or on proc the Frames its
-        # poll parsed; ``endpoint.receive`` takes either.
-        self._inbox: deque = deque()
-        #: Queued async tasks: ``(request, enqueued_at)``, the
-        #: ``exec_task`` request whose payload is ``(fn, args, kwargs)``
-        #: and the ``perf_counter()`` at enqueue when telemetry is
-        #: "full" (the spawn->run wait histogram reads it), else 0.0.
-        self.task_queue: deque[tuple] = deque()
         #: The request/reply protocol; ``reply(am, args, payload)`` is
         #: its answer (see :meth:`Endpoint.reply`).
         self.endpoint = Endpoint(rank,
@@ -129,14 +93,8 @@ class RankState:
                                  functools.partial(world.fail, rank),
                                  self.stats, self.telemetry)
         self.reply = self.endpoint.reply
-        # The handler lock serializes AM-handler/task execution between the
-        # rank's own advance() and the shared progress thread (paper's
-        # "concurrent" thread-support mode).
-        self._handler_lock = threading.RLock()
-        # Replies a conduit's poll dispatched itself (proc does, when
-        # nothing is queued before one), bumped under the handler lock:
-        # advance() counts those dispatched during its poll as its own.
-        self._poll_handled = 0
+        Progress.__init__(self, rank, world, self.endpoint, self.telemetry,
+                          world.clock)
         # Finish-scope stack for the RAII finish construct (paper §III-G).
         self.finish_stack: list = []
         # The collectives: sequence numbers, machines in flight and
@@ -155,25 +113,8 @@ class RankState:
         #: Set when the rank's SPMD body returned (survivable-death
         #: finalize waits on this instead of a world barrier).
         self.body_done = False
-        #: Set when the progress thread ran a die() for this rank.
-        self.killed = False
-        #: Stamped by every drain: ``wait_until``'s deadline reads it.
-        self.last_heartbeat = time.monotonic()
 
     # -- messaging ------------------------------------------------------
-    def poke(self) -> None:
-        """End this rank's park, or its next one (state changed)."""
-        self._poked = True
-        self.world.conduit.wake(self.rank)
-
-    def deliver(self, am: ActiveMessage) -> None:
-        """Enqueue an incoming message from any thread and wake the
-        rank if it is parked.  The append is atomic by itself; the wake
-        after it rings a doorbell that stays rung until a park spends
-        it, so it cannot fall between the parker's check and its wait."""
-        self._inbox.append(am)
-        self.world.conduit.wake(self.rank)
-
     def send_am(
         self,
         dst: int,
@@ -202,164 +143,6 @@ class RankState:
         if handler is None:
             raise PgasError(f"unknown AM handler {am.handler!r}")
         handler(self, am)
-
-    # -- progress ---------------------------------------------------------
-    def advance(self, max_items: int | None = None) -> bool:
-        """Process pending active messages and queued tasks.
-
-        Returns True when any progress was made.  This is the paper's
-        ``advance()``: it polls the network, then runs what arrived;
-        user code may call it explicitly; every blocking runtime
-        operation calls it while waiting.
-        """
-        before = self._poll_handled
-        self.world.conduit.poll(self.rank)
-        polled = self._poll_handled - before
-        if polled and max_items is not None:
-            max_items -= polled
-        return self._drain(max_items) or polled > 0
-
-    def _drain(self, max_items: int | None = None) -> bool:
-        """Run what is in the inbox and the task queue (the half of
-        :meth:`advance` after the poll)."""
-        self.last_heartbeat = time.monotonic()
-        tel = self.telemetry
-        t0 = time.perf_counter() if tel.full else 0.0
-        handled = 0
-        # The items are taken and dispatched under one hold of the
-        # handler lock: with two drainers (the rank and the progress
-        # thread) that is what keeps a pair's messages in order.
-        inbox, tasks = self._inbox, self.task_queue
-        if inbox or tasks:
-            receive = self.endpoint.receive
-            run = self._run_traced if tel.active else self._run_task
-            with self._handler_lock:
-                while inbox and (max_items is None or handled < max_items):
-                    receive(inbox.popleft())
-                    handled += 1
-                while tasks and (max_items is None or handled < max_items):
-                    run(tasks.popleft())
-                    handled += 1
-        if tel.full and handled:
-            # The progress engine's poll latency: how long one advance()
-            # held the rank (p99 here is the paper's attentiveness
-            # metric).  Idle polls are skipped — spin-waits call
-            # advance() millions of times and a histogram append per
-            # empty poll would dominate the very cost being measured.
-            tel.histogram("advance").record_seconds(
-                time.perf_counter() - t0
-            )
-        return handled > 0
-
-    def _run_traced(self, task: tuple) -> None:
-        """:meth:`_run_task` in the request's trace (telemetry active), so
-        the task's span and every AM it sends join the caller's."""
-        tel = self.telemetry
-        req, enqueued_at = task
-        fn = req.payload[0]
-        name = getattr(fn, "__name__", None) or repr(fn)
-        span_id = tel.new_span_id() if req.trace_id else 0
-        prev = context.ids
-        context.ids = (req.trace_id, span_id)   # (0, 0): untraced
-        t_run = time.perf_counter()
-        tel.flight_event("task_run", src=req.src_rank,
-                         dst=self.rank, detail=name)
-        if tel.full:
-            # Spawn -> run wait (time spent queued on this rank).
-            tel.histogram("task_queue_wait").record_seconds(
-                t_run - enqueued_at
-            )
-        try:
-            self._run_task(task)
-        finally:
-            dur = time.perf_counter() - t_run
-            tel.flight_event("task_done", src=req.src_rank,
-                             dst=self.rank, detail=name)
-            context.ids = prev
-            if tel.full:
-                tel.histogram("task_exec").record_seconds(dur)
-                tel.record_span(f"task:{name}", t_run, dur,
-                                trace_id=req.trace_id, span_id=span_id,
-                                parent_id=req.span_id)
-
-    def _run_task(self, task: tuple) -> None:
-        """Run one queued async task and answer its request with the result
-        or what it raised; the caller holds ``_handler_lock`` and is
-        bound to this rank (its own thread, or the progress thread)."""
-        req = task[0]
-        fn, args, kwargs = req.payload
-        try:
-            result = fn(*args, **kwargs)
-            if req.token is not None:
-                # The wire layer serializes the result into the reply
-                # frame (by-reference fallback for unencodable values);
-                # success is a reply whose args do not say "__error__".
-                self.endpoint.reply(req, (), result)
-        except Exception as exc:
-            # (a die() is no error to reply with: it unwinds the rank)
-            self.endpoint.raised(req, exc)
-
-    # -- blocking helper ---------------------------------------------------
-    def wait_until(self, pred: Callable[[], bool], what: str = "",
-                   timeout: float | None = None) -> None:
-        """Poll ``pred`` while making progress; the blocking idiom.
-
-        Each turn drains, tests ``pred``, and parks in the conduit's
-        ``poll`` until the rank's doorbell rings (a message, a self-send
-        or a :meth:`poke`) — at most :data:`PARK_S`, clipped to
-        what is left of the deadline.
-
-        Raises :class:`PeerFailure` if another rank fails while we wait and
-        :class:`CommTimeout` after ``timeout`` (default: the world's
-        operation timeout) seconds.
-        """
-        if pred() and not self.killed:
-            return
-        world = self.world
-        if timeout is None:
-            timeout = world.op_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        poll, inbox, tasks = world.conduit.poll, self._inbox, self.task_queue
-        while True:
-            if self.killed:  # a die() the progress thread ran for us
-                raise _RankKilled()
-            failure = world._failure
-            # Our own failure normally unwinds this thread by itself, so
-            # it is skipped here — unless peers declared us dead while we
-            # keep running (a hung rank that resumed): nothing else will wake
-            # us, and waiting would sit out the whole op_timeout.
-            if failure is not None:
-                if (failure[0] != self.rank
-                        or self.rank in world.dead_ranks):
-                    raise PeerFailure(failure[0], failure[1])
-                if world._failure_thread != threading.get_ident():
-                    # Ours, but recorded by the progress thread, which
-                    # carries on: this is where the rank unwinds.
-                    raise failure[1]
-            # Drain, test, park: a full drain leaves nothing runnable
-            # here, so the park can block — and it returns at once when
-            # the network (or a self-send) already has something.  A
-            # turn with nothing queued is a drain that finds nothing:
-            # it only stamps the heartbeat.
-            if inbox or tasks:
-                self._drain()
-            else:
-                self.last_heartbeat = time.monotonic()
-            if pred():
-                return
-            # this turn just stamped the heartbeat: that is the time
-            if deadline is not None and self.last_heartbeat > deadline:
-                self.telemetry.flight_event(
-                    "op_timeout", src=self.rank, dst=-1,
-                    detail=f"wait_until({what or pred}) expired "
-                           f"after {timeout}s",
-                )
-                raise CommTimeout(
-                    f"rank {self.rank}: timed out waiting for {what or pred}"
-                )
-            left = (PARK_S if deadline is None
-                    else deadline - self.last_heartbeat)
-            poll(self.rank, left if left < PARK_S else PARK_S)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankState rank={self.rank}/{self.world.n_ranks}>"
@@ -406,6 +189,10 @@ class World:
         ranks keep running.  The implicit finalize barrier degrades to a
         done-or-dead wait so survivors can exit without the dead rank.
     """
+
+    #: The one clock of every rank's heartbeat and wait deadlines, the
+    #: detector and the housekeeping due-times (not ``spmd``'s join).
+    clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -455,7 +242,7 @@ class World:
         self._liveness = None
         if rel is not None and rel.peer_timeout is not None and n_ranks > 1:
             self._liveness = Liveness(n_ranks, rel.heartbeat_period,
-                                      rel.peer_timeout, time.monotonic())
+                                      rel.peer_timeout, self.clock())
         self._glock = threading.Lock()
         self._failure: tuple[int, BaseException] | None = None
         #: Who recorded it: a rank's own failure unwinds its thread by
@@ -678,10 +465,11 @@ class World:
 
     def _housekeeping_main(self, steps) -> None:
         """Run each ``(period, step)`` whenever its period has passed."""
-        due = [time.monotonic() + period for period, _ in steps]
-        while not self._stop.wait(max(0.0, min(due) - time.monotonic())):
+        clock = self.clock
+        due = [clock() + period for period, _ in steps]
+        while not self._stop.wait(max(0.0, min(due) - clock())):
             for i, (period, step) in enumerate(steps):
-                now = time.monotonic()
+                now = clock()
                 if now >= due[i]:
                     due[i] = now + period
                     try:
@@ -695,7 +483,7 @@ class World:
         if self._failure is not None:
             return
         probes, deaths = self._liveness.round(
-            time.monotonic(), self.ranks,
+            self.clock(), self.ranks,
             [rk.rank for rk in self._local_live()], self.dead_ranks)
         for src, dst in probes:
             self.ranks[src].stats.add(heartbeats_sent=1)
@@ -711,31 +499,10 @@ class World:
             pass  # a lost probe is what the timeout already allows for
 
     def _progress_main(self) -> None:
-        """Drain inboxes of busy ranks (the paper's worker Pthread)."""
+        """The progress thread: :func:`~repro.core.progress.serve` the
+        busy ranks, resting 0.5 ms after a pass that ran nothing."""
         while not self._stop.is_set():
-            progressed = False
-            for rank in self._local_live():
-                _tls.ctx = rank  # its tasks and handlers run as it
-                try:
-                    if rank.advance(max_items=16):
-                        progressed = True
-                        # What ran here may be what the rank's own
-                        # thread waits for, and took the message that
-                        # rang it: poke, so its park ends (or its next
-                        # one does) and it retests.
-                        rank.poke()
-                except _RankKilled:
-                    # A task or handler run here called die(): the rank's
-                    # own thread unwinds at its next wait, as for a die()
-                    # there, and nothing more of the rank is served here.
-                    rank.killed = True
-                    rank.poke()
-                except Exception as exc:
-                    # Not every dispatch error went through world.fail
-                    # (unknown handler or token, a decode error): record
-                    # it — first failure wins — and keep serving.
-                    self.fail(rank.rank, exc)
-            if not progressed:
+            if not serve(self._local_live(), self.fail):
                 time.sleep(0.0005)
 
 
@@ -747,7 +514,7 @@ def _on_ping(ctx, am) -> None:
 
 @am_handler("__pong__")
 def _on_pong(ctx, am) -> None:
-    ctx.world._liveness.heard(am.src_rank, time.monotonic())
+    ctx.world._liveness.heard(am.src_rank, ctx.clock())
 
 
 @dataclass
@@ -788,11 +555,6 @@ def _resolve_reliability(reliability) -> ReliabilityConfig | None:
         f"reliability= must be True, a dict of ReliabilityConfig "
         f"fields, or a ReliabilityConfig (got {reliability!r})"
     )
-
-
-class _RankKilled(BaseException):
-    """Internal control-flow exception: unwinds a rank that called
-    :func:`die` without reporting a failure (it simulates a crash)."""
 
 
 def _died(rank: int) -> RankDead:

@@ -9,18 +9,14 @@ A conduit moves bytes and active messages between ranks.  Its contracts:
   memory, which is what lets both be owner-side segment views.
 * ``send_am`` is **asynchronous**: delivery enqueues the message at the
   target; execution happens at the target's next progress call.
-* **Progress is the target's**: an AM arrives when its target polls.
-  ``poll(rank, timeout)`` (GASNet's ``AMPoll``) moves whatever has
-  arrived for ``rank`` into its inbox, parking up to ``timeout`` for the
-  first byte (proc dispatches a reply it parsed right there when nothing
-  is queued before it); ``wake(rank)`` brings a thread parked there back.
-  ``advance()`` is ``poll(rank)`` + drain, blocking calls park in
-  ``poll``, and no backend receives on a rank's behalf — so where the
-  transport is bounded (proc) a rank that computes without calling the
-  runtime throttles its senders instead of growing an inbox
-  (**back-pressure**; ``thread_mode="concurrent"`` is the remedy), and
-  **a blocked sender polls** (GASNet's rule), or two ranks flooding each
-  other would deadlock.
+* **Progress is the target's**: an AM arrives when its target polls
+  (``poll`` / ``wake``, GASNet's ``AMPoll``, by the park contract in
+  :mod:`repro.core.progress`), and no backend receives on a rank's
+  behalf — so where the transport is bounded (proc) a rank that
+  computes without calling the runtime throttles its senders instead of
+  growing an inbox (**back-pressure**; ``thread_mode="concurrent"`` is
+  the remedy), and **a blocked sender polls** (GASNet's rule), or two
+  ranks flooding each other would deadlock.
 * Point-to-point AM ordering between a fixed (src, dst) pair is FIFO —
   the guarantee GASNet provides and the runtime relies on.
 * ``rma_put_indexed``/``rma_get_indexed``/``rma_atomic_batch`` are the
@@ -178,26 +174,12 @@ class Conduit(abc.ABC):
         charged to ``dst``: the one op a backend must write."""
 
     def poll(self, rank: int, timeout: float = 0.0) -> bool:
-        """Move whatever has arrived for ``rank`` into its inbox, parking
-        up to ``timeout`` seconds for the first byte; returns whether the
-        inbox has anything in it.  Only threads that dispatch for
-        ``rank`` call it, so a backend may dispatch a reply here when
-        nothing is queued before it.  The default serves conduits whose
-        ``send_am`` appends to the inbox directly: nothing to move, so
-        parking is a wait on the rank's doorbell, a lock held while no
-        ring is pending.  A ring left by an earlier :meth:`wake` is
-        spent first: a delivery's ring is covered by the inbox check, so
-        it cannot end this park with an empty inbox.  A poke (a state
-        change that is no message, :meth:`World.poke_all`) raises the
-        rank's ``_poked`` flag before it rings, and a park that finds
-        the flag up lowers it and returns at once, so a poke that lands
-        before the park is not lost.  A zero ``timeout`` leaves bell and
-        flag alone.  One ring ends one park: a second thread parked for
-        the same rank (the progress thread, in ``concurrent`` mode)
-        comes back at its timeout.  ``wait_until`` parks for
-        :data:`~repro.core.world.PARK_S` clipped to its deadline, longer
-        than a kernel tick so that the timer costs no clock reprogram:
-        a park ends by a ring, and the timeout is a safety net."""
+        """Move what has arrived for ``rank`` into its inbox, parking up to
+        ``timeout`` for the first byte; returns whether the inbox holds
+        anything.  Only threads that dispatch for ``rank`` call it, so a
+        backend may dispatch a reply here when nothing is queued before
+        it.  This default, for conduits whose ``send_am`` appends to the
+        inbox, parks on the rank's doorbell (:mod:`repro.core.progress`)."""
         rk = self.world.ranks[rank]
         if timeout > 0.0:
             bell = rk._bell
@@ -209,9 +191,8 @@ class Conduit(abc.ABC):
         return bool(rk._inbox)
 
     def wake(self, rank: int) -> None:
-        """Bring a thread parked in :meth:`poll` for ``rank`` back:
-        something changed in this process.  Rings the doorbell (releases
-        it); a ring already pending stays one ring."""
+        """Ring ``rank``'s doorbell (release it): a thread parked in
+        :meth:`poll` comes back; a ring already pending stays one ring."""
         bell = self.world.ranks[rank]._bell
         if bell.locked():
             try:

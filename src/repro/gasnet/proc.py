@@ -44,15 +44,12 @@ Design
 
 * **The waiting rank is the receiver** (paper §IV; GASNet's
   ``AMPoll``): :meth:`ProcConduit.poll` — one ``select.poll`` over the
-  peer sockets, one read per readable peer — runs in ``advance()`` and
-  is where ``wait_until`` parks, so a reply wakes the thread that wants
-  it, and completes its future right there when nothing is queued
-  before it.  The park ends by a readable socket (a peer's bytes) or
-  the self-pipe (a wake); its timeout,
-  :data:`~repro.core.world.PARK_S`, is only a safety net.  A rank that
-  computes without polling throttles its senders, and **a blocked sender polls** (:meth:`ProcConduit._blocked`;
-  sends are ``MSG_DONTWAIT``), or two ranks flooding each other would
-  deadlock.
+  peer sockets and the self-pipe (a wake), one read per readable peer —
+  is where ``wait_until`` parks (:mod:`repro.core.progress`), so a reply
+  wakes the thread that wants it and completes its future right there
+  when nothing is queued before it.  **A blocked sender polls**
+  (:meth:`ProcConduit._blocked`; sends are ``MSG_DONTWAIT``), or two
+  ranks flooding each other would deadlock.
 
 * **Locks, and why each stays.**  Per-peer *send locks*: the rank
   thread, the progress thread and the failure detector (its
@@ -697,10 +694,9 @@ class ProcConduit(Conduit):
         """One ``select.poll`` over the peer sockets and the self-pipe,
         parked up to ``timeout``, then one read per readable peer —
         message bytes (socket) or bell bytes saying that peer's ring has
-        slots (ring).  A peer's bytes or a :meth:`wake` ends the park;
-        the timeout is only a safety net.  A second caller waits for
-        the lock at most ``timeout`` and otherwise leaves the receiving
-        to the first.  It only parses and queues, so what it raises is
+        slots (ring).  A peer's bytes or a :meth:`wake` ends the park.  A
+        second caller waits for the lock at most ``timeout`` and otherwise
+        leaves the receiving to the first.  It only parses and queues, so what it raises is
         a broken stream; a handler's error is raised by :meth:`poll`'s
         dispatch."""
         lock = self._recv_lock
@@ -713,10 +709,9 @@ class ProcConduit(Conduit):
             if timeout > 0.0:
                 self._parked = True
                 me = self._me
-                if me._poked:  # poked before this park (Conduit.poll)
+                # poked, or delivered to before wake() saw the flag
+                if me._poked or me._inbox:
                     me._poked = False
-                    timeout = 0.0
-                elif me._inbox:  # delivered before wake() saw the flag
                     timeout = 0.0
             try:
                 events = self._poller.poll(timeout * 1000.0)

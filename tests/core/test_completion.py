@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.compat import mpi
-from repro.core import world as world_mod
+from repro.core import progress
 from repro.core.copy import CopyHandle
 from repro.core.finish import FinishScope
 from repro.core.future import Future, MultiFuture, TaskFuture
@@ -130,7 +130,7 @@ def test_an_event_signalled_from_another_ranks_thread_wakes_its_owner(
     thread ends its owner's ``wait()`` by the poke: with the park's
     safety-net clock set to 5 s and no message in flight, the wait
     still ends within a second of the signal."""
-    monkeypatch.setattr(world_mod, "PARK_S", 5.0)
+    monkeypatch.setattr(progress, "PARK_S", 5.0)
     shared = {}
     woke = threading.Event()
 

@@ -183,6 +183,8 @@ CELLS = [
     # nothing for it (the RMA is one-sided)
     Cell("gups", "smp", "off", (15, None)),
     Cell("gups", "proc+socket", "off", (15, None)),
+    Cell("gups", "smp", "flight", (16, None)),
+    Cell("gups", "proc+socket", "flight", (16, None)),
     # DistHashMap(cache=True, replicas=1), a key rank 1 serves: caller /
     # primary, under the kv workloads' flight telemetry
     Cell("kv_put", "smp", "flight", (100, 93)),
@@ -195,6 +197,8 @@ CELLS = [
     # invalidate_cache() (3 calls) and the get's kv_get round trip
     Cell("kv_get_miss", "smp", "flight", (59, 44)),
     Cell("kv_get_miss", "proc+socket", "flight", (58, 44)),
+    Cell("kv_get_miss", "smp", "off", (55, 44)),
+    Cell("kv_get_miss", "proc+socket", "off", (54, 44)),
     Cell("kv_update", "smp", "flight", (114, 107)),
     Cell("kv_update", "proc+socket", "flight", (113, 106)),
     # the replicated put and update with telemetry off: flight's share
@@ -208,17 +212,30 @@ CELLS = [
     # often the survey's wait polls before the answer is in: 73.0-75.5
     Cell("kv_refresh", "smp", "flight", (71, 71)),
     Cell("kv_refresh", "proc+socket", "flight", (75, 75)),
+    # with telemetry off: on proc 68.7-71.2 measured
+    Cell("kv_refresh", "smp", "off", (69, 69)),
+    Cell("kv_refresh", "proc+socket", "off", (71, 71)),
     # sa[1] and sa[1] = i: one-sided, so rank 1 runs nothing for it
     Cell("sa_get", "smp", "off", (10, 0)),
     Cell("sa_get", "proc+socket", "off", (10, 0)),
     Cell("sa_put", "smp", "off", (10, 0)),
     Cell("sa_put", "proc+socket", "off", (10, 0)),
+    Cell("sa_get", "smp", "flight", (11, 0)),
+    Cell("sa_get", "proc+socket", "flight", (11, 0)),
+    Cell("sa_put", "smp", "flight", (11, 0)),
+    Cell("sa_put", "proc+socket", "flight", (11, 0)),
     # every rank calls it.  A proc barrier costs one more poll when its
     # peer's token is not in yet as it starts to wait: 44.2-46.2 measured
     Cell("barrier", "smp", "off", (43, 43)),
     Cell("barrier", "proc+socket", "off", (46, 46)),
     Cell("allreduce", "smp", "off", (57, 56)),
     Cell("allreduce", "proc+socket", "off", (57, 56)),
+    # under flight telemetry: both wait in the progress engine, and a
+    # proc barrier measured 49.1-51.2
+    Cell("barrier", "smp", "flight", (48, 48)),
+    Cell("barrier", "proc+socket", "flight", (51, 51)),
+    Cell("allreduce", "smp", "flight", (62, 61)),
+    Cell("allreduce", "proc+socket", "flight", (62, 61)),
 ]
 
 
